@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet lint test race bench bench-transport bench-all figures ablations extensions check fuzz trace-smoke chaos-smoke mon-smoke postmortem-smoke failover-smoke lens-smoke smoke-timing clean
+.PHONY: all build vet lint test race bench bench-transport bench-all bench-smoke figures ablations extensions check fuzz trace-smoke chaos-smoke mon-smoke postmortem-smoke failover-smoke lens-smoke smoke-timing clean
 
 all: build vet lint test
 
@@ -65,6 +65,13 @@ bench-all:
 		-zero-alloc '^BenchmarkTCPSendDistinctRanks(Causal)?$$' \
 		results/bench-transport.txt results/bench-lens.txt
 	@echo "bench-all: wrote results/BENCH_summary.json"
+
+# The swap-cost benchmark harness (bench/, BENCHMARK.json) at toy sizes:
+# every workload runs a few operations and checks its outputs, so an API
+# sweep that breaks bench/adapter.go or a workload's correctness oracle
+# fails CI instead of the next benchmark run.
+bench-smoke:
+	$(GO) run ./bench -smoke
 
 # Regenerate every figure / ablation / extension into results/ as CSV.
 figures:
@@ -231,6 +238,7 @@ fuzz:
 	$(GO) test -fuzz FuzzUnpackParts -fuzztime 30s ./internal/mpi/
 	$(GO) test -fuzz FuzzUnpackFloats -fuzztime 30s ./internal/mpi/
 	$(GO) test -fuzz FuzzDecode -fuzztime 30s ./internal/mpi/wire/
+	$(GO) test -fuzz FuzzServeManagerRequest -fuzztime 30s ./internal/swaprt/
 
 # clean removes generated result files only. It must not touch the Go
 # build/test caches (or anything under ~/.cache): CI restores and reuses

@@ -277,17 +277,7 @@ func liveDemo(traceFlags *obsflag.Flags, chaos string, tm clock.Clock) error {
 	}
 	if plan != nil {
 		cfg.TransferTimeout = 500 * time.Millisecond
-		resilient := &swaprt.ResilientDecider{
-			Primary:       swaprt.GatedDecider{Inner: swaprt.NewLocalDecider(core.Greedy()), Gate: plan.ManagerCall},
-			Fallback:      swaprt.NewLocalDecider(core.Greedy()),
-			MaxAttempts:   2,
-			FailThreshold: 2,
-			ProbeInterval: 50 * time.Millisecond,
-			Clock:         tm,
-			Tracer:        tracer,
-			Logf:          cfg.Logf,
-			Metrics:       world.Metrics(),
-		}
+		resilient := swaprt.NewDecisionStack(cfg, nil, nil, plan.ManagerCall, world.Metrics())
 		defer resilient.Close()
 		cfg.Decider = resilient
 		fmt.Printf("live demo: chaos plan armed: %s\n", chaos)
@@ -437,9 +427,7 @@ func liveScenario(chaos string, tm clock.Clock, degradeRank, onset, ranks, activ
 	}
 	if plan != nil {
 		cfg.TransferTimeout = 2 * time.Second
-		var primary swaprt.Decider = swaprt.GatedDecider{Inner: swaprt.NewLocalDecider(core.Greedy()), Gate: plan.ManagerCall}
-		var resolver func() (swaprt.Decider, error)
-		var onCircuit func(transition, reason string)
+		var sup *swaprt.ManagerSupervisor
 		if plan.HasManagerKills() {
 			// The plan kills the manager for real: run a crash-restartable
 			// supervisor over a per-scenario store so every scenario
@@ -449,52 +437,16 @@ func liveScenario(chaos string, tm clock.Clock, degradeRank, onset, ranks, activ
 				return swaprt.RunStats{}, policylens.Report{}, err
 			}
 			defer os.RemoveAll(dir)
-			sup, err := swaprt.StartManagerSupervisor(swaprt.SupervisorConfig{
+			sup, err = swaprt.StartManagerSupervisor(swaprt.SupervisorConfig{
 				Dir: dir, Policy: core.Greedy(), LeaseTTL: 250 * time.Millisecond, Clock: tm,
 			})
 			if err != nil {
 				return swaprt.RunStats{}, policylens.Report{}, err
 			}
 			defer sup.Close()
-			for i := 0; sup.Addr() == "" && i < 1000; i++ {
-				tm.Sleep(2 * time.Millisecond)
-			}
-			if sup.Addr() == "" {
-				return swaprt.RunStats{}, policylens.Report{}, fmt.Errorf("manager supervisor never started serving")
-			}
 			plan.SetManagerKiller(sup.Kill)
-			resolver = func() (swaprt.Decider, error) {
-				d, err := sup.Resolve()
-				if err != nil {
-					return nil, err
-				}
-				return swaprt.GatedDecider{Inner: d, Gate: plan.ManagerCall}, nil
-			}
-			onCircuit = sup.RecordCircuit
-			// The lease spans only a few wall milliseconds on the scaled
-			// clock; retry the first resolve briefly so startup scheduler
-			// jitter cannot catch it lapsed before the renewal lands.
-			for i := 0; ; i++ {
-				if primary, err = resolver(); err == nil {
-					break
-				}
-				if i >= 200 {
-					return swaprt.RunStats{}, policylens.Report{}, err
-				}
-				tm.Sleep(5 * time.Millisecond)
-			}
 		}
-		resilient := &swaprt.ResilientDecider{
-			Primary:       primary,
-			Fallback:      swaprt.NewLocalDecider(core.Greedy()),
-			Resolver:      resolver,
-			OnCircuit:     onCircuit,
-			MaxAttempts:   2,
-			FailThreshold: 2,
-			ProbeInterval: 50 * time.Millisecond,
-			Clock:         tm,
-			Metrics:       world.Metrics(),
-		}
+		resilient := swaprt.NewDecisionStack(cfg, nil, sup, plan.ManagerCall, world.Metrics())
 		defer resilient.Close()
 		cfg.Decider = resilient
 	}

@@ -52,15 +52,16 @@ import (
 	"repro/internal/swaprt/policylens"
 )
 
-// meteredDecider wraps the local decider with registry counters so the
-// debug endpoint can report live decision activity, and with the
-// telemetry hub that aggregates the fleet view: Decide observes the
-// decision stream (verdicts, payback distances, latency) and Report
-// absorbs the per-rank telemetry snapshots piggybacked on handler
-// reports. It forwards Report so handler measurements still reach the
-// decider's history.
+// meteredDecider is swapmgr's layer of the decision pipeline: it wraps
+// the local decider with registry counters so the debug endpoint can
+// report live decision activity, and with the telemetry hub that
+// aggregates the fleet view. Decide observes the decision stream
+// (verdicts, payback distances, latency), Report absorbs the per-rank
+// telemetry snapshots piggybacked on handler reports, ReportOutcome
+// closes the lens's audit loop; each then goes on to Next, and Ping is
+// Forward's.
 type meteredDecider struct {
-	inner     *swaprt.LocalDecider
+	swaprt.Forward
 	hub       *swaprt.TelemetryHub // nil-safe
 	lens      *policylens.Lens     // nil-safe
 	decisions *obs.Counter
@@ -69,10 +70,10 @@ type meteredDecider struct {
 	decideNS  *obs.Counter
 }
 
-func newMeteredDecider(inner *swaprt.LocalDecider, hub *swaprt.TelemetryHub,
+func newMeteredDecider(next swaprt.Decider, hub *swaprt.TelemetryHub,
 	lens *policylens.Lens, reg *obs.Registry) *meteredDecider {
 	return &meteredDecider{
-		inner:     inner,
+		Forward:   swaprt.Forward{Next: next},
 		hub:       hub,
 		lens:      lens,
 		decisions: reg.Counter("swapmgr.decisions"),
@@ -85,7 +86,7 @@ func newMeteredDecider(inner *swaprt.LocalDecider, hub *swaprt.TelemetryHub,
 // Decide implements swaprt.Decider.
 func (d *meteredDecider) Decide(req swaprt.DecideRequest) (swaprt.DecideResponse, error) {
 	start := time.Now()
-	resp, err := d.inner.Decide(req)
+	resp, err := d.Next.Decide(req)
 	dur := time.Since(start)
 	d.decideNS.Add(uint64(dur))
 	d.decisions.Inc()
@@ -94,16 +95,9 @@ func (d *meteredDecider) Decide(req swaprt.DecideRequest) (swaprt.DecideResponse
 		d.hub.ObserveDecision(req.Now, resp.Eval, len(resp.Swaps), dur.Seconds())
 		d.hub.ObserveEpoch(req.Epoch, req.ActiveSet)
 		if d.lens.Enabled() {
-			in := core.DecideInput{IterTime: req.IterTime, SwapTime: req.SwapTime}
-			for i, r := range req.ActiveSet {
-				in.Active = append(in.Active, core.Candidate{ID: r, Rate: req.ActiveRates[i]})
-			}
-			for i, r := range req.SpareSet {
-				in.Spare = append(in.Spare, core.Candidate{ID: r, Rate: req.SpareRates[i]})
-			}
 			d.lens.ObserveIteration(req.Now, req.IterTime)
 			d.lens.ObserveDecision(policylens.Decision{
-				T: req.Now, Epoch: req.Epoch, Input: in, Eval: resp.Eval,
+				T: req.Now, Epoch: req.Epoch, Input: req.Input(), Eval: resp.Eval,
 				Swaps: len(resp.Swaps),
 			})
 		}
@@ -111,10 +105,9 @@ func (d *meteredDecider) Decide(req swaprt.DecideRequest) (swaprt.DecideResponse
 	return resp, err
 }
 
-// ReportOutcome implements swaprt.OutcomeReporter: the leader's
-// two-phase verdict activates (commit) or drops (abort) the lens's
-// armed payback prediction. ServeManager forwards outcome messages here;
-// in durable mode the DurableDecider forwards after its WAL writes.
+// ReportOutcome implements swaprt.Decider: the leader's two-phase
+// verdict activates (commit) or drops (abort) the lens's armed payback
+// prediction.
 func (d *meteredDecider) ReportOutcome(o swaprt.OutcomeMsg) error {
 	committed, aborted := 0, 0
 	if o.Committed {
@@ -125,17 +118,17 @@ func (d *meteredDecider) ReportOutcome(o swaprt.OutcomeMsg) error {
 	// The manager has no leader clock; the lens falls back to the last
 	// observed decision time for report timestamps.
 	d.lens.ObserveOutcome(0, o.Epoch, committed, aborted)
-	return nil
+	return d.Next.ReportOutcome(o)
 }
 
-// Report implements swaprt.Reporter.
+// Report implements swaprt.Decider.
 func (d *meteredDecider) Report(r swaprt.ReportMsg) error {
 	d.reports.Inc()
 	// Absorb only: the piggybacked snapshot already carries the probe
 	// rate, and a locally observed probe series would take precedence
 	// over the (richer) absorbed snapshot in the hub's report.
 	d.hub.Absorb(r.Telemetry)
-	return d.inner.Report(r)
+	return d.Next.Report(r)
 }
 
 func main() {
@@ -171,7 +164,7 @@ func main() {
 			hub.SetLensProbe(lens.Report)
 			log.Printf("swapmgr: policy lens armed (shadow greedy/safe/friendly)")
 		}
-		decider = newMeteredDecider(swaprt.NewLocalDecider(pol), hub, lens, reg)
+		decider = newMeteredDecider(decider, hub, lens, reg)
 		expvar.Publish("swapmgr", expvar.Func(reg.ExpvarFunc()))
 		// DefaultServeMux carries expvar's /debug/vars and pprof's
 		// /debug/pprof/* handlers via their package init side effects; the
@@ -211,24 +204,19 @@ func main() {
 		stopRenew = make(chan struct{})
 	)
 	if *storeDir != "" {
-		clk := clock.Real{}
-		store, err = mgrstore.Open(*storeDir, clk)
+		store, err = mgrstore.Open(*storeDir, clock.Real{})
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "swapmgr:", err)
 			os.Exit(1)
 		}
 		owner = fmt.Sprintf("swapmgr-%d", os.Getpid())
-		for {
-			_, err := store.AcquireLease(owner, ln.Addr().String(), *leaseTTL)
-			if err == nil {
-				break
-			}
-			if !errors.Is(err, mgrstore.ErrLeaseHeld) {
-				fmt.Fprintln(os.Stderr, "swapmgr:", err)
-				os.Exit(1)
-			}
-			log.Printf("swapmgr: standby: lease held elsewhere, retrying in %s", *leaseTTL/4)
-			clk.Sleep(*leaseTTL / 4)
+		err = store.AwaitLease(owner, ln.Addr().String(), *leaseTTL, func() bool {
+			log.Printf("swapmgr: standby: lease held elsewhere, retrying every %s", *leaseTTL/4)
+			return true
+		})
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "swapmgr:", err)
+			os.Exit(1)
 		}
 		durable, err := swaprt.NewDurableDecider(decider, store, logf)
 		if err != nil {
@@ -239,20 +227,10 @@ func main() {
 			*storeDir, durable.Replayed(), durable.DurableState().Epoch)
 		decider = durable
 		go func() {
-			t := clk.NewTicker(*leaseTTL / 3)
-			defer t.Stop()
-			for {
-				select {
-				case <-stopRenew:
-					return
-				case <-t.C:
-					if _, err := store.AcquireLease(owner, ln.Addr().String(), *leaseTTL); err != nil {
-						log.Printf("swapmgr: lease lost (%v): fenced out, shutting down", err)
-						lostLease.Store(true)
-						ln.Close()
-						return
-					}
-				}
+			if err := store.KeepLease(owner, ln.Addr().String(), *leaseTTL, stopRenew); err != nil {
+				log.Printf("swapmgr: lease lost (%v): fenced out, shutting down", err)
+				lostLease.Store(true)
+				ln.Close()
 			}
 		}()
 	}

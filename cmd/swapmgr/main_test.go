@@ -1,0 +1,105 @@
+package main
+
+import (
+	"net"
+	"sync"
+	"testing"
+
+	"repro/internal/clock"
+	"repro/internal/obs"
+	"repro/internal/swaprt"
+	"repro/internal/swaprt/mgrstore"
+)
+
+// recordingLeaf counts what reaches the bottom of a decision stack.
+type recordingLeaf struct {
+	mu    sync.Mutex
+	calls map[string]int
+}
+
+func (l *recordingLeaf) hit(call string) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.calls[call]++
+}
+
+func (l *recordingLeaf) Decide(swaprt.DecideRequest) (swaprt.DecideResponse, error) {
+	l.hit("Decide")
+	return swaprt.DecideResponse{}, nil
+}
+func (l *recordingLeaf) Report(swaprt.ReportMsg) error         { l.hit("Report"); return nil }
+func (l *recordingLeaf) ReportOutcome(swaprt.OutcomeMsg) error { l.hit("ReportOutcome"); return nil }
+func (l *recordingLeaf) Ping() error                           { l.hit("Ping"); return nil }
+
+// TestEveryLayerForwardsEveryCallOnce wraps a recording leaf in each
+// layer of the decision pipeline (DESIGN.md §13) and in the full
+// composition a supervised swaprun talks through, and requires each of
+// Decider's four calls to arrive exactly once. It lives here because
+// only this package sees all the layers: meteredDecider is swapmgr's.
+// A wrapper that forgets to forward a call — the bug PR 10 patched in
+// DurableDecider — fails its row.
+func TestEveryLayerForwardsEveryCallOnce(t *testing.T) {
+	pass := func() error { return nil }
+	durable := func(next swaprt.Decider) swaprt.Decider {
+		d, err := swaprt.NewDurableDecider(next, mgrstore.NewMemStore(clock.Real{}), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return d
+	}
+	metered := func(next swaprt.Decider) swaprt.Decider {
+		return newMeteredDecider(next, nil, nil, obs.NewRegistry())
+	}
+	served := func(next swaprt.Decider) swaprt.Decider {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { ln.Close() })
+		go func() { _ = swaprt.ServeManager(ln, next, nil) }()
+		return swaprt.RemoteDecider{Addr: ln.Addr().String()}
+	}
+	gated := func(next swaprt.Decider) swaprt.Decider {
+		return swaprt.GatedDecider{Forward: swaprt.Forward{Next: next}, Gate: pass}
+	}
+	resilient := func(next swaprt.Decider) swaprt.Decider {
+		return &swaprt.ResilientDecider{Primary: next}
+	}
+	for _, tc := range []struct {
+		name string
+		wrap func(leaf swaprt.Decider) swaprt.Decider
+	}{
+		{"Forward", func(l swaprt.Decider) swaprt.Decider { return swaprt.Forward{Next: l} }},
+		{"Gated", gated},
+		{"Resilient", resilient},
+		{"Durable", durable},
+		{"metered", metered},
+		{"Remote=>ServeManager", served},
+		{"Resilient->Gated->Remote=>ServeManager->Durable->metered", func(l swaprt.Decider) swaprt.Decider {
+			return resilient(gated(served(durable(metered(l)))))
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			leaf := &recordingLeaf{calls: map[string]int{}}
+			d := tc.wrap(leaf)
+			if _, err := d.Decide(swaprt.DecideRequest{ActiveSet: []int{0}, ActiveRates: []float64{100},
+				SpareSet: []int{1}, SpareRates: []float64{100}, IterTime: 1}); err != nil {
+				t.Fatal(err)
+			}
+			if err := d.Report(swaprt.ReportMsg{Rank: 0, Now: 1, Rate: 100}); err != nil {
+				t.Fatal(err)
+			}
+			if err := d.ReportOutcome(swaprt.OutcomeMsg{Epoch: 1, Committed: true, NewSet: []int{1}}); err != nil {
+				t.Fatal(err)
+			}
+			if err := d.Ping(); err != nil {
+				t.Fatal(err)
+			}
+			for _, call := range []string{"Decide", "Report", "ReportOutcome", "Ping"} {
+				if got := leaf.calls[call]; got != 1 {
+					t.Errorf("%s reached the leaf %d times, want exactly 1", call, got)
+				}
+			}
+		})
+	}
+}

@@ -247,14 +247,13 @@ func main() {
 	}
 
 	var primary swaprt.Decider
-	var resolver func() (swaprt.Decider, error)
-	var onCircuit func(transition, reason string)
+	var sup *swaprt.ManagerSupervisor
 	if storeDir != "" {
 		// Crash-restartable manager: a supervisor runs WAL-backed swapmgr
 		// incarnations over the store directory, fenced by a leader lease
 		// on the virtual clock. The fault plan's kill rules crash it for
-		// real; the resolver below re-finds the recovered leader.
-		sup, err := swaprt.StartManagerSupervisor(swaprt.SupervisorConfig{
+		// real; the decision stack re-finds the recovered leader.
+		sup, err = swaprt.StartManagerSupervisor(swaprt.SupervisorConfig{
 			Dir: storeDir, Policy: pol, LeaseTTL: *mgrTTL,
 			Clock: tm, Tracer: tracer, Logf: log.Printf,
 		})
@@ -262,65 +261,22 @@ func main() {
 			fatal(err)
 		}
 		defer sup.Close()
-		for i := 0; sup.Addr() == "" && i < 1000; i++ {
-			tm.Sleep(2 * time.Millisecond)
-		}
-		if sup.Addr() == "" {
-			fatal(fmt.Errorf("manager supervisor never started serving"))
-		}
 		log.Printf("mgr-store: durable swapmgr on %s (store %s, lease %s)", sup.Addr(), storeDir, *mgrTTL)
 		if plan != nil {
 			plan.SetManagerKiller(sup.Kill)
 		}
-		resolver = func() (swaprt.Decider, error) {
-			d, err := sup.Resolve()
-			if err != nil {
-				return nil, err
-			}
-			if plan != nil {
-				return swaprt.GatedDecider{Inner: d, Gate: plan.ManagerCall}, nil
-			}
-			return d, nil
-		}
-		onCircuit = sup.RecordCircuit
-		// The lease is renewed in virtual time: at high -accel it spans only
-		// a few wall milliseconds, so a cold-start scheduler hiccup can catch
-		// it lapsed an instant before the renewal ticker lands. Retry briefly
-		// rather than failing the run on startup jitter.
-		for i := 0; ; i++ {
-			if primary, err = resolver(); err == nil {
-				break
-			}
-			if i >= 200 {
-				fatal(err)
-			}
-			tm.Sleep(5 * time.Millisecond)
-		}
 	} else if *manager != "" {
 		primary = swaprt.RemoteDecider{Addr: *manager}
 		log.Printf("using remote swap manager at %s", *manager)
-	} else if plan != nil {
-		// Chaos without a daemon still needs a primary the plan can take
-		// down, so local decisions stand in for the manager.
-		primary = swaprt.NewLocalDecider(pol)
 	}
-	if primary != nil {
-		if plan != nil && storeDir == "" {
-			primary = swaprt.GatedDecider{Inner: primary, Gate: plan.ManagerCall}
+	// A manager that can fail — supervised, remote, or a local stand-in a
+	// chaos plan takes down — is consulted through the resilient stack.
+	if sup != nil || primary != nil || plan != nil {
+		var gate func() error
+		if plan != nil {
+			gate = plan.ManagerCall
 		}
-		resilient := &swaprt.ResilientDecider{
-			Primary:       primary,
-			Fallback:      swaprt.NewLocalDecider(pol),
-			Resolver:      resolver,
-			OnCircuit:     onCircuit,
-			MaxAttempts:   2,
-			FailThreshold: 2,
-			ProbeInterval: 50 * time.Millisecond,
-			Clock:         tm,
-			Tracer:        tracer,
-			Logf:          log.Printf,
-			Metrics:       world.Metrics(),
-		}
+		resilient := swaprt.NewDecisionStack(cfg, primary, sup, gate, world.Metrics())
 		defer resilient.Close()
 		cfg.Decider = resilient
 		hub.SetCircuitProbe(resilient.State)

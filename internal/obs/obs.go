@@ -60,7 +60,7 @@ const (
 	// after a failed swap-in (Peer = the quarantined rank).
 	KindQuarantine
 	// KindCircuit is a resilient-decider circuit-breaker transition
-	// (Detail = "open", "half-open" or "close", Reason = cause).
+	// (Detail = "open" or "close", Reason = cause).
 	KindCircuit
 	// KindFaultInject is one message fault injected by the chaos transport
 	// (Rank = src, Peer = dst, Detail = verdict and rule).

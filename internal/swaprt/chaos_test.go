@@ -110,7 +110,7 @@ func TestChaosRunMatchesFaultFree(t *testing.T) {
 	tr := obs.New(0)
 	tr.Enable()
 	decider := &ResilientDecider{
-		Primary:       GatedDecider{Inner: NewLocalDecider(core.Greedy()), Gate: plan.ManagerCall},
+		Primary:       GatedDecider{Forward: Forward{Next: NewLocalDecider(core.Greedy())}, Gate: plan.ManagerCall},
 		Fallback:      NewLocalDecider(core.Greedy()),
 		MaxAttempts:   1,
 		FailThreshold: 1,

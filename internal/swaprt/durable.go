@@ -22,13 +22,6 @@ type OutcomeMsg struct {
 	Quarantined []int  `json:"quarantined,omitempty"`
 }
 
-// OutcomeReporter receives swap-outcome reports. The durable decider
-// implements it to log commit/abort/quarantine records; forwarding
-// wrappers (RemoteDecider, ResilientDecider, GatedDecider) relay it.
-type OutcomeReporter interface {
-	ReportOutcome(o OutcomeMsg) error
-}
-
 // ErrStaleEpoch is returned by DurableDecider.Decide when the request
 // carries an epoch older than the durably committed one — the telltale
 // of a leader working from pre-crash state, whose decisions must not be
@@ -52,10 +45,10 @@ var ErrStaleEpoch = errors.New("swaprt: decide request carries a stale epoch")
 //     before the inner decider ever sees them, so a crash cannot
 //     resurrect a spare that already failed a swap-in.
 //
-// Safe for concurrent use; decisions serialize on one mutex (the
-// manager protocol is one leader anyway).
+// Report and Ping are Forward's. Safe for concurrent use; decisions
+// serialize on one mutex (the manager protocol is one leader anyway).
 type DurableDecider struct {
-	inner Decider
+	Forward
 	store mgrstore.Store
 	logf  func(string, ...any)
 
@@ -74,7 +67,7 @@ func NewDurableDecider(inner Decider, store mgrstore.Store, logf func(string, ..
 	if err != nil {
 		return nil, err
 	}
-	return &DurableDecider{inner: inner, store: store, logf: logf, st: st, replayed: replayed}, nil
+	return &DurableDecider{Forward: Forward{Next: inner}, store: store, logf: logf, st: st, replayed: replayed}, nil
 }
 
 // Replayed reports how many WAL records the store replayed on top of its
@@ -162,7 +155,7 @@ func (d *DurableDecider) Decide(req DecideRequest) (DecideResponse, error) {
 		fr.SpareRates = append(fr.SpareRates, req.SpareRates[i])
 	}
 
-	resp, err := d.inner.Decide(fr)
+	resp, err := d.Next.Decide(fr)
 	if err != nil {
 		return DecideResponse{}, err
 	}
@@ -199,9 +192,10 @@ func (d *DurableDecider) releaseSwaps(swaps []mgrstore.Swap) error {
 	return nil
 }
 
-// ReportOutcome implements OutcomeReporter: the leader's verdict becomes
-// the durable commit or abort, the failed spares' quarantines, and the
-// releases that return the proposal's spares to the pool.
+// ReportOutcome implements Decider: the leader's verdict becomes the
+// durable commit or abort, the failed spares' quarantines, and the
+// releases that return the proposal's spares to the pool — and then goes
+// on to the wrapped decider.
 func (d *DurableDecider) ReportOutcome(o OutcomeMsg) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -223,20 +217,7 @@ func (d *DurableDecider) ReportOutcome(o OutcomeMsg) error {
 			return err
 		}
 	}
-	// Forward to the wrapped decider so composed observers (e.g. a
-	// metered decider's policy lens) also learn the outcome.
-	if rep, ok := d.inner.(OutcomeReporter); ok {
-		return rep.ReportOutcome(o)
-	}
-	return nil
-}
-
-// Report implements Reporter, forwarding to the inner decider's history.
-func (d *DurableDecider) Report(r ReportMsg) error {
-	if rep, ok := d.inner.(Reporter); ok {
-		return rep.Report(r)
-	}
-	return nil
+	return d.Next.ReportOutcome(o)
 }
 
 // RecordCircuit durably logs the decision path's circuit-breaker

@@ -12,6 +12,7 @@ import (
 // scriptDecider answers every Decide with a fixed response and records
 // the (filtered) requests it was shown.
 type scriptDecider struct {
+	StayDecider
 	resp DecideResponse
 	reqs []DecideRequest
 }

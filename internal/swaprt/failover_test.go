@@ -43,8 +43,10 @@ func TestSupervisorRestartRecoversState(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sup.Close()
-	waitUntil(t, "first incarnation", func() bool { return sup.Addr() != "" })
 	addr1 := sup.Addr()
+	if addr1 == "" {
+		t.Fatal("StartManagerSupervisor returned before its first incarnation was serving")
+	}
 
 	// Drive one swap-bearing decision plus a quarantining outcome through
 	// the wire, so the WAL has real state to recover.
@@ -59,9 +61,7 @@ func TestSupervisorRestartRecoversState(t *testing.T) {
 	if len(resp.Swaps) == 0 {
 		t.Fatal("expected a swap from greedy policy with fast spares")
 	}
-	if rep, ok := rd.(OutcomeReporter); !ok {
-		t.Fatal("resolved decider does not report outcomes")
-	} else if err := rep.ReportOutcome(OutcomeMsg{Epoch: 1, Committed: false, Quarantined: []int{resp.Swaps[0].In}}); err != nil {
+	if err := rd.ReportOutcome(OutcomeMsg{Epoch: 1, Committed: false, Quarantined: []int{resp.Swaps[0].In}}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -134,14 +134,13 @@ func TestSupervisorFailoverMatchesFaultFree(t *testing.T) {
 		t.Fatal(err)
 	}
 	plan.SetManagerKiller(sup.Kill)
-	waitUntil(t, "first incarnation", func() bool { return sup.Addr() != "" })
 
 	resolve := func() (Decider, error) {
 		d, err := sup.Resolve()
 		if err != nil {
 			return nil, err
 		}
-		return GatedDecider{Inner: d, Gate: plan.ManagerCall}, nil
+		return GatedDecider{Forward: Forward{Next: d}, Gate: plan.ManagerCall}, nil
 	}
 	primary, err := resolve()
 	if err != nil {

@@ -178,11 +178,7 @@ func TestHandlersFeedDeciderHistory(t *testing.T) {
 
 // brokenReportDecider decides locally but fails every handler report,
 // modeling a decision service whose report sink is down.
-type brokenReportDecider struct{ inner Decider }
-
-func (d brokenReportDecider) Decide(req DecideRequest) (DecideResponse, error) {
-	return d.inner.Decide(req)
-}
+type brokenReportDecider struct{ Forward }
 
 func (d brokenReportDecider) Report(ReportMsg) error {
 	return errors.New("report sink down")
@@ -195,7 +191,7 @@ func TestHandlerReportFailuresCountedNotTraced(t *testing.T) {
 	clk := &fakeClock{step: 0.001}
 	stats, err := RunWithStats(w, Config{
 		Active:          1,
-		Decider:         brokenReportDecider{NewLocalDecider(core.Safe())},
+		Decider:         brokenReportDecider{Forward{NewLocalDecider(core.Safe())}},
 		Probe:           func(int) float64 { return 100 },
 		Clock:           clk.now,
 		HandlerInterval: time.Millisecond,

@@ -21,6 +21,45 @@ type DecideRequest struct {
 	SwapTime    float64   `json:"swap_time"` // predicted cost of one swap
 }
 
+// Validate checks what the layers below take for granted: one rate per
+// rank (they index the vectors pairwise), and the payback algebra's
+// domain — positive rates, a non-negative swap cost — outside which
+// core.Policy panics. It runs where a request crosses a trust boundary
+// (the manager's wire protocol) and in LocalDecider.
+func (r DecideRequest) Validate() error {
+	if len(r.ActiveSet) != len(r.ActiveRates) || len(r.SpareSet) != len(r.SpareRates) {
+		return fmt.Errorf("swaprt: mismatched rate vectors: %d active ranks with %d rates, %d spares with %d rates",
+			len(r.ActiveSet), len(r.ActiveRates), len(r.SpareSet), len(r.SpareRates))
+	}
+	for _, rates := range [][]float64{r.ActiveRates, r.SpareRates} {
+		for _, rate := range rates {
+			if !(rate > 0) {
+				return fmt.Errorf("swaprt: decide request with rate %g, want > 0", rate)
+			}
+		}
+	}
+	if !(r.SwapTime >= 0) {
+		return fmt.Errorf("swaprt: decide request with swap time %g, want >= 0", r.SwapTime)
+	}
+	return nil
+}
+
+// Input rebuilds the core.DecideInput a (valid) request describes: what
+// a policy decides on, and what the policy lens replays shadow policies
+// over.
+func (r DecideRequest) Input() core.DecideInput {
+	in := core.DecideInput{IterTime: r.IterTime, SwapTime: r.SwapTime,
+		Active: make([]core.Candidate, len(r.ActiveSet)),
+		Spare:  make([]core.Candidate, len(r.SpareSet))}
+	for i, rank := range r.ActiveSet {
+		in.Active[i] = core.Candidate{ID: rank, Rate: r.ActiveRates[i]}
+	}
+	for i, rank := range r.SpareSet {
+		in.Spare[i] = core.Candidate{ID: rank, Rate: r.SpareRates[i]}
+	}
+	return in
+}
+
 // SwapDirective orders the process on Out's host to move to In's host
 // (world ranks).
 type SwapDirective struct {
@@ -37,12 +76,6 @@ type DecideResponse struct {
 	Eval  *core.Explanation `json:"eval,omitempty"`
 }
 
-// Decider is the swap manager's decision core. Implementations must be
-// safe for sequential use from one leader at a time.
-type Decider interface {
-	Decide(req DecideRequest) (DecideResponse, error)
-}
-
 // ReportMsg is one asynchronous performance measurement pushed by a swap
 // handler between swap points. Telemetry, when the runtime has a hub
 // enabled, piggybacks the rank's windowed telemetry snapshot on the same
@@ -56,17 +89,12 @@ type ReportMsg struct {
 	Telemetry *RankTelemetry `json:"telemetry,omitempty"`
 }
 
-// Reporter receives asynchronous measurements. Deciders that keep
-// history (LocalDecider, and swapmgr behind RemoteDecider) implement it;
-// the runtime's periodic swap handlers feed it when
-// Config.HandlerInterval is set.
-type Reporter interface {
-	Report(r ReportMsg) error
-}
-
 // LocalDecider applies a core.Policy with per-rank performance history,
-// mirroring the simulator's swap manager.
+// mirroring the simulator's swap manager. It is the leaf of every
+// decision stack: outcome reports and pings end here as StayDecider's
+// no-ops.
 type LocalDecider struct {
+	StayDecider
 	Policy core.Policy
 
 	mu   sync.Mutex
@@ -81,7 +109,7 @@ func NewLocalDecider(policy core.Policy) *LocalDecider {
 	return &LocalDecider{Policy: policy, hist: map[int]*predict.History{}}
 }
 
-// Report implements Reporter: the measurement joins the rank's history
+// Report implements Decider: the measurement joins the rank's history
 // and will inform future window-mean estimates.
 func (d *LocalDecider) Report(r ReportMsg) error {
 	d.mu.Lock()
@@ -111,34 +139,25 @@ func (d *LocalDecider) record(rank int, now, rate float64) float64 {
 	return rate
 }
 
-// Decide implements Decider.
+// Decide implements Decider: every measurement joins its rank's history,
+// and the policy decides on the window-mean estimates.
 func (d *LocalDecider) Decide(req DecideRequest) (DecideResponse, error) {
-	if len(req.ActiveSet) != len(req.ActiveRates) || len(req.SpareSet) != len(req.SpareRates) {
-		return DecideResponse{}, fmt.Errorf("swaprt: mismatched rate vectors")
+	if err := req.Validate(); err != nil {
+		return DecideResponse{}, err
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
 
-	record := func(rank int, rate float64) float64 {
-		return d.record(rank, req.Now, rate)
-	}
-
-	var active, spare []core.Candidate
-	for i, rank := range req.ActiveSet {
-		active = append(active, core.Candidate{ID: rank, Rate: record(rank, req.ActiveRates[i])})
-	}
-	for i, rank := range req.SpareSet {
-		spare = append(spare, core.Candidate{ID: rank, Rate: record(rank, req.SpareRates[i])})
+	in := req.Input()
+	for _, cands := range [][]core.Candidate{in.Active, in.Spare} {
+		for i := range cands {
+			cands[i].Rate = d.record(cands[i].ID, req.Now, cands[i].Rate)
+		}
 	}
 	if req.IterTime <= 0 {
 		return DecideResponse{}, nil
 	}
-	pairs, eval := d.Policy.DecideExplained(core.DecideInput{
-		Active:   active,
-		Spare:    spare,
-		IterTime: req.IterTime,
-		SwapTime: req.SwapTime,
-	})
+	pairs, eval := d.Policy.DecideExplained(in)
 	resp := DecideResponse{Eval: &eval}
 	for _, p := range pairs {
 		resp.Swaps = append(resp.Swaps, SwapDirective{Out: p.Out.ID, In: p.In.ID})
@@ -332,23 +351,10 @@ func (m *manager) decide(epoch uint64, now float64, activeSet []int, activeRates
 	if m.cfg.Lens.Enabled() {
 		m.cfg.Lens.ObserveIteration(now, iterTime)
 		m.cfg.Lens.ObserveDecision(policylens.Decision{
-			T: now, Epoch: epoch, Input: lensInput(req), Eval: resp.Eval,
+			T: now, Epoch: epoch, Input: req.Input(), Eval: resp.Eval,
 			Swaps: len(resp.Swaps),
 		})
 	}
 	resp.Swaps = append(forced, resp.Swaps...)
 	return resp, nil
-}
-
-// lensInput rebuilds the core.DecideInput a DecideRequest describes, so
-// the policy lens can replay shadow policies over it.
-func lensInput(req DecideRequest) core.DecideInput {
-	in := core.DecideInput{IterTime: req.IterTime, SwapTime: req.SwapTime}
-	for i, r := range req.ActiveSet {
-		in.Active = append(in.Active, core.Candidate{ID: r, Rate: req.ActiveRates[i]})
-	}
-	for i, r := range req.SpareSet {
-		in.Spare = append(in.Spare, core.Candidate{ID: r, Rate: req.SpareRates[i]})
-	}
-	return in
 }

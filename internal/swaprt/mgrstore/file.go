@@ -233,6 +233,45 @@ func (f *FileStore) AcquireLease(owner, addr string, ttl time.Duration) (Lease, 
 	return got, nil
 }
 
+// AwaitLease acquires the lease for owner, waiting out a live holder the
+// way a standby does: while the lease is held elsewhere it sleeps ttl/4
+// on the store clock — so takeover lands within a bounded slice of the
+// expiry instant — and tries again if standby() still says to. Any
+// other acquire failure, or standby() returning false, ends the wait
+// with the last error. standby runs right before the retry, so a caller
+// that gave up during the sleep never takes the lease.
+func (f *FileStore) AwaitLease(owner, addr string, ttl time.Duration, standby func() bool) error {
+	for {
+		_, err := f.AcquireLease(owner, addr, ttl)
+		if !errors.Is(err, ErrLeaseHeld) {
+			return err
+		}
+		f.clk.Sleep(ttl / 4)
+		if !standby() {
+			return err
+		}
+	}
+}
+
+// KeepLease renews owner's lease every ttl/3 on the store clock until
+// stop closes (nil) or a renewal fails (that error): a lost or
+// superseded lease means another incarnation fenced this one out, and
+// the caller must stop serving, not contest the new leader.
+func (f *FileStore) KeepLease(owner, addr string, ttl time.Duration, stop <-chan struct{}) error {
+	t := f.clk.NewTicker(ttl / 3)
+	defer t.Stop()
+	for {
+		select {
+		case <-stop:
+			return nil
+		case <-t.C:
+			if _, err := f.AcquireLease(owner, addr, ttl); err != nil {
+				return err
+			}
+		}
+	}
+}
+
 // ReleaseLease implements Store: the owner expires its own lease in
 // place, opening the door for an immediate takeover.
 func (f *FileStore) ReleaseLease(owner string) error {

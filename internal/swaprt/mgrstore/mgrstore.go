@@ -53,8 +53,8 @@ const (
 	OpSpareAssign
 	// OpSpareRelease returns Rank to the pool after commit or abort.
 	OpSpareRelease
-	// OpCircuit records the decision path's circuit-breaker position in
-	// Detail ("closed", "open", "half-open").
+	// OpCircuit records a transition of the decision path's circuit
+	// breaker in Detail ("open" or "close", plus the reason).
 	OpCircuit
 )
 

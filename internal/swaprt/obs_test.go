@@ -2,62 +2,12 @@ package swaprt
 
 import (
 	"errors"
-	"fmt"
-	"strings"
-	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/mpi"
 	"repro/internal/obs"
 )
-
-// noReportDecider wraps a decider while hiding any Reporter
-// implementation, so the runtime sees a decider that cannot accept
-// handler reports.
-type noReportDecider struct{ inner Decider }
-
-func (d noReportDecider) Decide(req DecideRequest) (DecideResponse, error) {
-	return d.inner.Decide(req)
-}
-
-// TestHandlerWarningWhenDeciderNotReporter pins the satellite fix: with
-// HandlerInterval set and a decider that is not a Reporter, the runtime
-// warns once via Logf and starts no handler goroutines.
-func TestHandlerWarningWhenDeciderNotReporter(t *testing.T) {
-	w := mpi.NewWorld(2)
-	clk := &fakeClock{step: 0.01}
-	var mu sync.Mutex
-	var logs []string
-	_, err := RunWithStats(w, Config{
-		Active:          2,
-		Policy:          core.Greedy(),
-		Probe:           func(int) float64 { return 100 },
-		Clock:           clk.now,
-		Decider:         noReportDecider{inner: NewLocalDecider(core.Greedy())},
-		HandlerInterval: time.Millisecond,
-		Logf: func(format string, args ...any) {
-			mu.Lock()
-			logs = append(logs, fmt.Sprintf(format, args...))
-			mu.Unlock()
-		},
-	}, iterBody(3, nil))
-	if err != nil {
-		t.Fatal(err)
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	found := false
-	for _, l := range logs {
-		if strings.Contains(l, "does not accept reports") {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("warning not logged; got %q", logs)
-	}
-}
 
 // TestRunStatsPopulatedOnBodyError pins the documented contract that the
 // returned stats are valid even when the body errors out: swap points

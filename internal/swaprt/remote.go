@@ -30,7 +30,9 @@ type wireResponse struct {
 // RemoteDecider consults a swap-manager daemon (cmd/swapmgr) over TCP:
 // one JSON-encoded request per connection. This is the paper's "possibly
 // remote process that is responsible for collecting information and
-// making swapping decisions". It implements both Decider and Reporter.
+// making swapping decisions". It is a leaf on the client side: each of
+// Decider's four calls is one request kind on the wire, and ServeManager
+// hands it to the decider on the other end.
 type RemoteDecider struct {
 	Addr string
 	// Timeout bounds each round trip; zero means 5 s.
@@ -94,13 +96,13 @@ func (d RemoteDecider) Decide(req DecideRequest) (DecideResponse, error) {
 	return *resp.Decide, nil
 }
 
-// Report implements Reporter.
+// Report implements Decider.
 func (d RemoteDecider) Report(r ReportMsg) error {
 	_, err := d.roundTrip(wireRequest{Kind: "report", Report: &r})
 	return err
 }
 
-// ReportOutcome implements OutcomeReporter. Old swapmgr daemons that
+// ReportOutcome implements Decider. Old swapmgr daemons that
 // predate the "outcome" kind decline it with an error payload; that is
 // interop, not failure — the manager reconciles from the next decide's
 // epoch instead — so a wire-level decline reports success.
@@ -112,7 +114,7 @@ func (d RemoteDecider) ReportOutcome(o OutcomeMsg) error {
 	return err
 }
 
-// Ping implements Pinger: one cheap liveness round trip, used by
+// Ping implements Decider: one cheap liveness round trip, used by
 // ResilientDecider's background recovery probe. Old swapmgr daemons that
 // predate the "ping" kind answer with an error payload, which still
 // proves the manager is reachable and serving — so that counts as alive.
@@ -125,10 +127,8 @@ func (d RemoteDecider) Ping() error {
 }
 
 // ServeManager runs a swap-manager service on the listener: each
-// connection carries one JSON request (decide or report) answered by one
-// JSON response. It returns when the listener closes. If the decider also
-// implements Reporter, handler reports are folded into its history;
-// otherwise they are acknowledged and dropped.
+// connection carries one JSON request — one of Decider's four calls —
+// answered by one JSON response. It returns when the listener closes.
 func ServeManager(ln net.Listener, decider Decider, logf func(string, ...any)) error {
 	if logf == nil {
 		logf = func(string, ...any) {}
@@ -154,11 +154,24 @@ func serveConn(conn net.Conn, decider Decider, logf func(string, ...any)) {
 		logf("swapmgr: bad request from %s: %v", conn.RemoteAddr(), err)
 		return
 	}
+	if err := json.NewEncoder(conn).Encode(answer(req, decider, logf)); err != nil {
+		logf("swapmgr: write response: %v", err)
+	}
+}
+
+// answer hands one decoded request to the decider. The request is peer
+// input: a missing body or a malformed decide request gets an error
+// response, never a panic inside the manager.
+func answer(req wireRequest, decider Decider, logf func(string, ...any)) wireResponse {
 	var resp wireResponse
 	switch req.Kind {
 	case "decide":
 		if req.Decide == nil {
 			resp.Error = "decide request without body"
+			break
+		}
+		if err := req.Decide.Validate(); err != nil {
+			resp.Error = err.Error()
 			break
 		}
 		out, err := decider.Decide(*req.Decide)
@@ -177,31 +190,30 @@ func serveConn(conn net.Conn, decider Decider, logf func(string, ...any)) {
 			resp.Error = "report request without body"
 			break
 		}
-		if rep, ok := decider.(Reporter); ok {
-			if err := rep.Report(*req.Report); err != nil {
-				resp.Error = err.Error()
-			}
+		if err := decider.Report(*req.Report); err != nil {
+			resp.Error = err.Error()
 		}
 	case "outcome":
 		if req.Outcome == nil {
 			resp.Error = "outcome request without body"
 			break
 		}
-		if rep, ok := decider.(OutcomeReporter); ok {
-			if err := rep.ReportOutcome(*req.Outcome); err != nil {
-				logf("swapmgr: outcome error: %v", err)
-				resp.Error = err.Error()
-			} else {
-				logf("swapmgr: epoch %d outcome: committed=%v quarantined=%v",
-					req.Outcome.Epoch, req.Outcome.Committed, req.Outcome.Quarantined)
-			}
+		if err := decider.ReportOutcome(*req.Outcome); err != nil {
+			logf("swapmgr: outcome error: %v", err)
+			resp.Error = err.Error()
+			break
 		}
+		logf("swapmgr: epoch %d outcome: committed=%v quarantined=%v",
+			req.Outcome.Epoch, req.Outcome.Committed, req.Outcome.Quarantined)
 	case "ping":
-		// Liveness probe: an empty successful response is the answer.
+		// Liveness probe: an empty successful response is the answer. It
+		// goes through the decider so a layer that fronts another
+		// service answers for it.
+		if err := decider.Ping(); err != nil {
+			resp.Error = err.Error()
+		}
 	default:
 		resp.Error = fmt.Sprintf("unknown request kind %q", req.Kind)
 	}
-	if err := json.NewEncoder(conn).Encode(resp); err != nil {
-		logf("swapmgr: write response: %v", err)
-	}
+	return resp
 }

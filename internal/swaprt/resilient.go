@@ -9,100 +9,18 @@ import (
 	"repro/internal/obs"
 )
 
-// Pinger is the optional liveness capability a ResilientDecider uses to
-// probe its primary in the background while the circuit is open.
-// RemoteDecider implements it with a "ping" round trip to the swapmgr.
-type Pinger interface {
-	Ping() error
-}
-
-// StayDecider answers every decision with "no swaps". It is the static
-// degraded-mode fallback: swapping is an optimization, so when no better
-// decision service is available the correct conservative answer is to
-// keep the current placement.
-type StayDecider struct{}
-
-// Decide implements Decider.
-func (StayDecider) Decide(DecideRequest) (DecideResponse, error) {
-	return DecideResponse{}, nil
-}
-
-// GatedDecider routes Decide and Ping through Gate before touching the
-// inner decider, so a chaos plan (fault.Plan.ManagerCall) can take the
-// decision service down and bring it back on a deterministic call
-// counter. Reports pass straight through: the outage window is keyed on
-// decision/probe calls only, keeping replay independent of handler tick
-// timing.
-type GatedDecider struct {
-	Inner Decider
-	Gate  func() error
-}
-
-// Decide implements Decider.
-func (g GatedDecider) Decide(req DecideRequest) (DecideResponse, error) {
-	if err := g.Gate(); err != nil {
-		return DecideResponse{}, err
-	}
-	return g.Inner.Decide(req)
-}
-
-// Ping implements Pinger. A gate pass with a non-Pinger inner decider
-// counts as alive: the gate is the simulated outage.
-func (g GatedDecider) Ping() error {
-	if err := g.Gate(); err != nil {
-		return err
-	}
-	if p, ok := g.Inner.(Pinger); ok {
-		return p.Ping()
-	}
-	return nil
-}
-
-// Report implements Reporter, forwarding when the inner decider accepts
-// reports.
-func (g GatedDecider) Report(r ReportMsg) error {
-	if rep, ok := g.Inner.(Reporter); ok {
-		return rep.Report(r)
-	}
-	return nil
-}
-
-// ReportOutcome implements OutcomeReporter, forwarding like Report:
-// outcome reports bypass the gate so the deterministic outage windows
-// stay keyed on decision/probe calls alone (and a killed manager fails
-// outcome sends for real anyway).
-func (g GatedDecider) ReportOutcome(o OutcomeMsg) error {
-	if rep, ok := g.Inner.(OutcomeReporter); ok {
-		return rep.ReportOutcome(o)
-	}
-	return nil
-}
-
-// circuitState is the breaker's position: closed (primary in use), open
-// (primary bypassed) or half-open (one trial call in flight).
-type circuitState int
-
-const (
-	circuitClosed circuitState = iota
-	circuitOpen
-	circuitHalfOpen
-)
-
-func (s circuitState) String() string {
-	return [...]string{"closed", "open", "half-open"}[s]
-}
-
 // ResilientDecider wraps a primary Decider (typically a RemoteDecider)
 // with bounded retry, exponential backoff with jitter, and a circuit
 // breaker that falls back to a local decider when the primary keeps
 // failing. Losing the decision service then degrades the run to local
 // (or "stay") decisions instead of aborting it.
 //
-// While the circuit is open, a background goroutine probes the primary
-// via Pinger (when implemented) every ProbeInterval and closes the
-// circuit on the first successful ping; without a Pinger the circuit
-// re-admits one trial Decide after OpenTimeout. Every transition emits a
-// Circuit trace event.
+// While the circuit is open, a background goroutine pings the primary
+// every ProbeInterval and closes the circuit on the first success. Every
+// transition emits a Circuit trace event.
+//
+// It is the one wrapper that does not embed Forward: it has two places
+// to forward to, so where each call goes is written down per method.
 //
 // The zero value of every tuning field selects a sensible default, so
 // ResilientDecider{Primary: d, Fallback: f} is ready to use. Safe for
@@ -143,18 +61,13 @@ type ResilientDecider struct {
 	// (each already retried MaxAttempts times) that opens the circuit.
 	// <= 0 selects 3.
 	FailThreshold int
-	// ProbeInterval is the background ping cadence while open, when
-	// Primary implements Pinger. <= 0 selects 250ms.
+	// ProbeInterval is the background ping cadence while open. <= 0
+	// selects 250ms.
 	ProbeInterval time.Duration
-	// OpenTimeout is how long an open circuit waits before re-admitting
-	// one trial Decide, when Primary does not implement Pinger. <= 0
-	// selects 5s.
-	OpenTimeout time.Duration
 
-	// Clock drives every wait in the decider — retry backoff, the open
-	// circuit's timeout, the probe ticker — so tests advance a fake
-	// clock instead of paying the schedule in real seconds. Nil means
-	// clock.Real.
+	// Clock drives every wait in the decider — retry backoff and the
+	// probe ticker — so tests advance a fake clock instead of paying the
+	// schedule in real seconds. Nil means clock.Real.
 	Clock clock.Clock
 
 	// Tracer receives Circuit transition events (nil-safe).
@@ -169,14 +82,13 @@ type ResilientDecider struct {
 	// transitions under "resilient.*".
 	Metrics *obs.Registry
 
-	mu       sync.Mutex
-	rng      *rand.Rand
-	state    circuitState
-	fails    int
-	openedAt time.Time
-	probing  bool
-	stopCh   chan struct{}
-	closed   bool
+	mu      sync.Mutex
+	rng     *rand.Rand
+	open    bool // the circuit: primary bypassed until a probe succeeds
+	fails   int
+	probing bool
+	stopCh  chan struct{}
+	closed  bool
 }
 
 func (d *ResilientDecider) logf(format string, args ...any) {
@@ -212,13 +124,6 @@ func (d *ResilientDecider) probeInterval() time.Duration {
 	return 250 * time.Millisecond
 }
 
-func (d *ResilientDecider) openTimeout() time.Duration {
-	if d.OpenTimeout > 0 {
-		return d.OpenTimeout
-	}
-	return 5 * time.Second
-}
-
 func (d *ResilientDecider) clk() clock.Clock {
 	if d.Clock != nil {
 		return d.Clock
@@ -241,15 +146,15 @@ func (d *ResilientDecider) primary() Decider {
 	return d.Primary
 }
 
-// canRecover reports whether background probing can bring the primary
-// back: either it answers pings, or a Resolver can find its successor.
-// Caller holds d.mu.
-func (d *ResilientDecider) canRecover() bool {
-	if d.Resolver != nil {
-		return true
+// primaryIfClosed returns the primary while the circuit is closed, nil
+// while it is open.
+func (d *ResilientDecider) primaryIfClosed() Decider {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if d.open {
+		return nil
 	}
-	_, ok := d.Primary.(Pinger)
-	return ok
+	return d.Primary
 }
 
 // backoff computes the jittered sleep before retry attempt i (1-based).
@@ -280,12 +185,15 @@ func (d *ResilientDecider) backoff(i int) time.Duration {
 }
 
 // Decide implements Decider: try the primary (with retries) while the
-// circuit admits it, otherwise decide locally via the fallback.
+// circuit is closed, otherwise — once open, the background prober owns
+// recovery — decide locally via the fallback.
 func (d *ResilientDecider) Decide(req DecideRequest) (DecideResponse, error) {
-	if d.admitPrimary() {
+	if d.primaryIfClosed() != nil {
 		resp, err := d.tryPrimary(req)
 		if err == nil {
-			d.onSuccess()
+			d.mu.Lock()
+			d.fails = 0
+			d.mu.Unlock()
 			return resp, nil
 		}
 		d.onFailure(err)
@@ -293,30 +201,6 @@ func (d *ResilientDecider) Decide(req DecideRequest) (DecideResponse, error) {
 	}
 	d.count("fallbacks")
 	return d.fallback().Decide(req)
-}
-
-// admitPrimary reports whether this call may try the primary, moving an
-// expired open circuit to half-open (the trial) when there is no Pinger.
-func (d *ResilientDecider) admitPrimary() bool {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	switch d.state {
-	case circuitClosed:
-		return true
-	case circuitOpen:
-		if d.canRecover() {
-			// The background prober owns recovery.
-			return false
-		}
-		if d.clk().Since(d.openedAt) >= d.openTimeout() {
-			d.state = circuitHalfOpen
-			d.emit("half-open", "open timeout elapsed; admitting one trial")
-			return true
-		}
-		return false
-	default: // circuitHalfOpen: a trial is already in flight
-		return false
-	}
 }
 
 // tryPrimary runs the bounded retry loop against the primary.
@@ -337,39 +221,23 @@ func (d *ResilientDecider) tryPrimary(req DecideRequest) (DecideResponse, error)
 	return DecideResponse{}, lastErr
 }
 
-func (d *ResilientDecider) onSuccess() {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.fails = 0
-	if d.state != circuitClosed {
-		d.state = circuitClosed
-		d.emit("close", "primary recovered")
-	}
-}
-
+// onFailure counts one failed closed-circuit Decide and, at the
+// threshold, opens the circuit and starts the prober.
 func (d *ResilientDecider) onFailure(err error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	switch d.state {
-	case circuitHalfOpen:
-		d.state = circuitOpen
-		d.openedAt = d.clk().Now()
-		d.emit("open", "half-open trial failed: "+err.Error())
-	case circuitClosed:
-		d.fails++
-		if d.fails < d.failThreshold() {
-			return
+	d.fails++
+	if d.fails < d.failThreshold() {
+		return
+	}
+	d.open = true
+	d.emit("open", err.Error())
+	if !d.probing && !d.closed {
+		d.probing = true
+		if d.stopCh == nil {
+			d.stopCh = make(chan struct{})
 		}
-		d.state = circuitOpen
-		d.openedAt = d.clk().Now()
-		d.emit("open", err.Error())
-		if d.canRecover() && !d.probing && !d.closed {
-			d.probing = true
-			if d.stopCh == nil {
-				d.stopCh = make(chan struct{})
-			}
-			go d.probeLoop(d.stopCh)
-		}
+		go d.probeLoop(d.stopCh)
 	}
 }
 
@@ -410,26 +278,13 @@ func (d *ResilientDecider) probeLoop(stop <-chan struct{}) {
 func (d *ResilientDecider) probeOnce() (Decider, bool) {
 	if d.Resolver != nil {
 		cand, err := d.Resolver()
-		if err == nil && cand != nil {
-			if p, ok := cand.(Pinger); ok {
-				if err := p.Ping(); err == nil {
-					return cand, true
-				}
-			} else {
-				// A resolver that vouches for a non-pingable decider is
-				// trusted as-is.
-				return cand, true
-			}
-		} else if err != nil {
+		if err != nil {
 			d.logf("swaprt: resilient: resolve leader: %v", err)
+		} else if cand != nil && cand.Ping() == nil {
+			return cand, true
 		}
 	}
-	if p, ok := d.primary().(Pinger); ok {
-		if err := p.Ping(); err == nil {
-			return nil, true
-		}
-	}
-	return nil, false
+	return nil, d.primary().Ping() == nil
 }
 
 // recover installs the probed decider (when non-nil) and closes the
@@ -444,50 +299,32 @@ func (d *ResilientDecider) recover(next Decider) {
 		d.Primary = next
 		reason = "leader re-resolved"
 	}
-	if d.state != circuitClosed {
-		d.state = circuitClosed
-		d.emit("close", reason)
-	}
+	d.open = false
+	d.emit("close", reason)
 }
 
-// Report implements Reporter: measurements go to the primary while the
+// Report implements Decider: measurements go to the primary while the
 // circuit is closed (errors are logged, never circuit-tripping — reports
-// are advisory), and always to the fallback when it keeps history, so
-// degraded-mode decisions see warm measurements.
+// are advisory), and always to the fallback, so degraded-mode decisions
+// see warm measurements.
 func (d *ResilientDecider) Report(r ReportMsg) error {
-	d.mu.Lock()
-	primaryUp := d.state == circuitClosed
-	primary := d.Primary
-	d.mu.Unlock()
-	if primaryUp {
-		if rep, ok := primary.(Reporter); ok {
-			if err := rep.Report(r); err != nil {
-				d.count("report_errors")
-				d.logf("swaprt: resilient: primary report: %v", err)
-			}
+	if primary := d.primaryIfClosed(); primary != nil {
+		if err := primary.Report(r); err != nil {
+			d.count("report_errors")
+			d.logf("swaprt: resilient: primary report: %v", err)
 		}
 	}
-	if rep, ok := d.fallback().(Reporter); ok {
-		return rep.Report(r)
-	}
-	return nil
+	return d.fallback().Report(r)
 }
 
-// ReportOutcome implements OutcomeReporter, forwarding the leader's
-// swap-outcome verdict to the primary while the circuit is closed. Like
-// Report it is advisory: a failure is logged, never circuit-tripping —
-// a manager that misses an outcome reconciles from the next decide's
-// epoch.
+// ReportOutcome implements Decider, forwarding the leader's swap-outcome
+// verdict to the primary while the circuit is closed. Like Report it is
+// advisory: a failure is logged, never circuit-tripping — a manager that
+// misses an outcome reconciles from the next decide's epoch. The
+// fallback keeps no epoch state, so it is not told.
 func (d *ResilientDecider) ReportOutcome(o OutcomeMsg) error {
-	d.mu.Lock()
-	primaryUp := d.state == circuitClosed
-	primary := d.Primary
-	d.mu.Unlock()
-	if !primaryUp {
-		return nil
-	}
-	if rep, ok := primary.(OutcomeReporter); ok {
-		if err := rep.ReportOutcome(o); err != nil {
+	if primary := d.primaryIfClosed(); primary != nil {
+		if err := primary.ReportOutcome(o); err != nil {
 			d.count("outcome_errors")
 			d.logf("swaprt: resilient: primary outcome report: %v", err)
 		}
@@ -495,11 +332,18 @@ func (d *ResilientDecider) ReportOutcome(o OutcomeMsg) error {
 	return nil
 }
 
-// State reports the circuit position as "closed", "open" or "half-open".
+// Ping implements Decider: the primary's liveness, whatever the circuit
+// position — the question the probe loop asks.
+func (d *ResilientDecider) Ping() error { return d.primary().Ping() }
+
+// State reports the circuit position as "closed" or "open".
 func (d *ResilientDecider) State() string {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	return d.state.String()
+	if d.open {
+		return "open"
+	}
+	return "closed"
 }
 
 // Close stops the background prober, if any. The decider remains usable

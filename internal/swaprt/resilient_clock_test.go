@@ -55,50 +55,6 @@ func TestResilientBackoffScheduleOnFakeClock(t *testing.T) {
 	}
 }
 
-// TestResilientOpenTimeoutBoundaryOnFakeClock pins the open→half-open
-// transition to the exact OpenTimeout instant: one nanosecond before it
-// the circuit still shields the primary, at it the one trial is
-// admitted.
-func TestResilientOpenTimeoutBoundaryOnFakeClock(t *testing.T) {
-	fake := clock.NewFake()
-	prim := &flakyDecider{failN: 1} // first call fails, second succeeds
-	d := &ResilientDecider{
-		Primary:       prim,
-		MaxAttempts:   1,
-		FailThreshold: 1,
-		OpenTimeout:   5 * time.Second,
-		Clock:         fake,
-	}
-	if _, err := d.Decide(DecideRequest{}); err != nil {
-		t.Fatal(err)
-	}
-	if d.State() != "open" {
-		t.Fatalf("state = %s, want open", d.State())
-	}
-
-	fake.Advance(5*time.Second - time.Nanosecond)
-	if _, err := d.Decide(DecideRequest{}); err != nil {
-		t.Fatal(err)
-	}
-	if prim.calls() != 1 {
-		t.Fatalf("primary attempts = %d, want 1 (1ns before the open timeout)", prim.calls())
-	}
-	if d.State() != "open" {
-		t.Fatalf("state 1ns before timeout = %s, want open", d.State())
-	}
-
-	fake.Advance(time.Nanosecond)
-	if _, err := d.Decide(DecideRequest{}); err != nil {
-		t.Fatal(err)
-	}
-	if prim.calls() != 2 {
-		t.Fatalf("primary attempts = %d, want 2 (trial at the open timeout)", prim.calls())
-	}
-	if d.State() != "closed" {
-		t.Errorf("state after successful trial = %s, want closed", d.State())
-	}
-}
-
 // TestResilientProbeTickerOnFakeClock runs the background recovery
 // prober on a fake clock: each Advance by ProbeInterval fires one probe
 // tick, and the first successful ping closes the circuit — no real

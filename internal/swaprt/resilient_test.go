@@ -11,9 +11,9 @@ import (
 )
 
 // flakyDecider fails its first failN Decide attempts, then serves resp.
-// With pingable set it also implements Pinger, failing pings while
-// down() reports true.
+// Reports are dropped and pings succeed (StayDecider's defaults).
 type flakyDecider struct {
+	StayDecider
 	mu       sync.Mutex
 	failN    int
 	attempts int
@@ -36,7 +36,7 @@ func (f *flakyDecider) calls() int {
 	return f.attempts
 }
 
-// pingableDecider adds a Ping that succeeds once up is set.
+// pingableDecider overrides Ping to succeed only once up is set.
 type pingableDecider struct {
 	flakyDecider
 	upMu sync.Mutex
@@ -124,7 +124,7 @@ func TestResilientCircuitOpensAndProbeCloses(t *testing.T) {
 		t.Fatalf("state after %d failures = %s, want open", 2, d.State())
 	}
 	attemptsAtOpen := prim.calls()
-	// While open with a Pinger, Decide must not touch the primary.
+	// While open, Decide must not touch the primary.
 	if _, err := d.Decide(DecideRequest{}); err != nil {
 		t.Fatal(err)
 	}
@@ -169,41 +169,6 @@ func TestResilientCircuitOpensAndProbeCloses(t *testing.T) {
 	}
 	if !open || !closed {
 		t.Errorf("trace transitions: open=%v close=%v, want both", open, closed)
-	}
-}
-
-func TestResilientHalfOpenWithoutPinger(t *testing.T) {
-	prim := &flakyDecider{failN: 1}
-	d := &ResilientDecider{
-		Primary:       prim,
-		MaxAttempts:   1,
-		FailThreshold: 1,
-		OpenTimeout:   5 * time.Millisecond,
-		BaseBackoff:   time.Millisecond,
-	}
-	if _, err := d.Decide(DecideRequest{}); err != nil {
-		t.Fatal(err)
-	}
-	if d.State() != "open" {
-		t.Fatalf("state = %s, want open", d.State())
-	}
-	// Before the timeout: primary untouched.
-	if _, err := d.Decide(DecideRequest{}); err != nil {
-		t.Fatal(err)
-	}
-	if prim.calls() != 1 {
-		t.Errorf("primary attempts = %d, want 1 (open circuit)", prim.calls())
-	}
-	time.Sleep(10 * time.Millisecond)
-	// After the timeout: one trial is admitted and succeeds.
-	if _, err := d.Decide(DecideRequest{}); err != nil {
-		t.Fatal(err)
-	}
-	if d.State() != "closed" {
-		t.Errorf("state after successful trial = %s, want closed", d.State())
-	}
-	if prim.calls() != 2 {
-		t.Errorf("primary attempts = %d, want 2", prim.calls())
 	}
 }
 

@@ -67,8 +67,7 @@ type Config struct {
 	// HandlerInterval, when positive, starts one swap handler per rank —
 	// the paper's per-process companion — that probes its host every
 	// interval and pushes the measurement to the decider's history, so
-	// decisions see load changes that happen between swap points. The
-	// decider must implement Reporter for the reports to land.
+	// decisions see load changes that happen between swap points.
 	HandlerInterval time.Duration
 	// TransferTimeout bounds each leg of the out→in state transfer (the
 	// spare's wait for the state, and the outgoing rank's wait for the
@@ -323,19 +322,12 @@ func RunWithStats(world *mpi.World, cfg Config, body func(s *Session) error) (Ru
 
 	rc := newRunCounters(world.Metrics())
 
-	// Swap handlers: periodic out-of-band probing, one per rank. If the
-	// decider cannot accept reports, skip the handler machinery entirely —
-	// no stop channel, no goroutines — and say so once.
+	// Swap handlers: periodic out-of-band probing, one per rank.
 	if cfg.HandlerInterval > 0 {
-		rep, ok := decider.(Reporter)
-		if !ok {
-			cfg.Logf("swaprt: HandlerInterval set but decider does not accept reports; handlers not started")
-		} else {
-			stop := make(chan struct{})
-			defer close(stop)
-			for rank := 0; rank < world.Size(); rank++ {
-				go handlerLoop(rank, cfg, rep, rc, stop)
-			}
+		stop := make(chan struct{})
+		defer close(stop)
+		for rank := 0; rank < world.Size(); rank++ {
+			go handlerLoop(rank, cfg, decider, rc, stop)
 		}
 	}
 
@@ -747,15 +739,13 @@ func (s *Session) swapPointActive() error {
 		// (commit or abort, plus the quarantines) becomes durable manager
 		// state. Best-effort — a manager that misses it reconciles from
 		// the next decide's epoch (epoch fencing).
-		if rep, ok := s.mgr.decider.(OutcomeReporter); ok {
-			if err := rep.ReportOutcome(OutcomeMsg{
-				Epoch:       plan.NewEpoch,
-				Committed:   anyCommitted,
-				NewSet:      newSet,
-				Quarantined: quarantined,
-			}); err != nil {
-				s.cfg.Logf("rank %d outcome report (epoch %d): %v", s.r.Rank(), plan.NewEpoch, err)
-			}
+		if err := s.mgr.decider.ReportOutcome(OutcomeMsg{
+			Epoch:       plan.NewEpoch,
+			Committed:   anyCommitted,
+			NewSet:      newSet,
+			Quarantined: quarantined,
+		}); err != nil {
+			s.cfg.Logf("rank %d outcome report (epoch %d): %v", s.r.Rank(), plan.NewEpoch, err)
 		}
 	}
 
@@ -868,7 +858,7 @@ func (s *Session) transferOut(sw SwapDirective, newEpoch uint64) error {
 // event is emitted only for measurements the decider actually accepted —
 // a trace must not show probes the decision history never saw; failed
 // reports are counted and tagged instead.
-func handlerLoop(rank int, cfg Config, rep Reporter, rc *runCounters, stop <-chan struct{}) {
+func handlerLoop(rank int, cfg Config, rep Decider, rc *runCounters, stop <-chan struct{}) {
 	t := cfg.Time.NewTicker(cfg.HandlerInterval)
 	defer t.Stop()
 	for {

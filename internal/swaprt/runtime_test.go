@@ -495,16 +495,10 @@ func TestDefaultProbePositive(t *testing.T) {
 }
 
 func TestManagerValidatesDirectives(t *testing.T) {
-	bogus := deciderFunc(func(req DecideRequest) (DecideResponse, error) {
-		return DecideResponse{Swaps: []SwapDirective{{Out: 5, In: 0}}}, nil
-	})
+	bogus := &scriptDecider{resp: DecideResponse{Swaps: []SwapDirective{{Out: 5, In: 0}}}}
 	m := newManager(2, Config{Probe: func(int) float64 { return 1 }}.fill(), bogus)
 	_, err := m.decide(0, 1, []int{0}, []float64{1}, 2, 10, 1)
 	if err == nil {
 		t.Fatal("invalid directive accepted")
 	}
 }
-
-type deciderFunc func(DecideRequest) (DecideResponse, error)
-
-func (f deciderFunc) Decide(req DecideRequest) (DecideResponse, error) { return f(req) }

@@ -14,6 +14,7 @@ import (
 	"bytes"
 	"encoding/gob"
 	"fmt"
+	"reflect"
 	"sort"
 )
 
@@ -66,7 +67,9 @@ func (ss *stateSet) encode() ([]byte, error) {
 
 // decode restores registered variables from an encoded blob. The local
 // registration must cover the same names (the application is the same
-// program on every rank).
+// program on every rank). Each target is zeroed first: gob omits zero
+// struct fields and leaves map entries it was not sent, so decoding over
+// a live value would keep the receiver's stale ones.
 func (ss *stateSet) decode(data []byte) error {
 	dec := gob.NewDecoder(bytes.NewReader(data))
 	var names []string
@@ -83,9 +86,27 @@ func (ss *stateSet) decode(data []byte) error {
 		}
 	}
 	for _, n := range names {
+		zeroInPlace(reflect.ValueOf(ss.ptrs[n]))
 		if err := dec.Decode(ss.ptrs[n]); err != nil {
 			return fmt.Errorf("swaprt: decode state %q: %w", n, err)
 		}
 	}
 	return nil
+}
+
+// zeroInPlace resets the value a registered pointer points at. A slice
+// keeps its backing array, cleared over its whole capacity and cut to
+// length 0: gob decodes into capacity it finds, so a swapped-in grid
+// does not reallocate every swap.
+func zeroInPlace(ptr reflect.Value) {
+	if ptr.Kind() != reflect.Pointer || ptr.IsNil() {
+		return // gob reports the unusable target
+	}
+	v := ptr.Elem()
+	if v.Kind() == reflect.Slice {
+		v.Slice(0, v.Cap()).Clear()
+		v.SetLen(0)
+		return
+	}
+	v.SetZero()
 }

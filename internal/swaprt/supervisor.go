@@ -23,7 +23,7 @@ type SupervisorConfig struct {
 	// third of it. <= 0 selects 2s.
 	LeaseTTL time.Duration
 	// Timeout bounds one client round trip against the served manager
-	// (used by Resolve's RemoteDecider). <= 0 selects 5s.
+	// (it is Resolve's RemoteDecider.Timeout; 0 selects that default).
 	Timeout time.Duration
 	// Clock drives the lease, the renewal cadence, the standby poll and
 	// restart downtime. Nil means clock.Real.
@@ -81,13 +81,6 @@ func (c SupervisorConfig) ttl() time.Duration {
 	return 2 * time.Second
 }
 
-func (c SupervisorConfig) timeout() time.Duration {
-	if c.Timeout > 0 {
-		return c.Timeout
-	}
-	return 5 * time.Second
-}
-
 func (c SupervisorConfig) clk() clock.Clock {
 	if c.Clock != nil {
 		return c.Clock
@@ -97,7 +90,9 @@ func (c SupervisorConfig) clk() clock.Clock {
 
 // StartManagerSupervisor validates the config and brings up the first
 // incarnation (waiting, like any standby, for the lease if a previous
-// run's lease is still live in the directory).
+// run's lease is still live in the directory). It returns once that
+// incarnation is serving — Addr and Resolve answer from then on — or
+// with the error that kept it from getting there.
 func StartManagerSupervisor(cfg SupervisorConfig) (*ManagerSupervisor, error) {
 	if cfg.Dir == "" {
 		return nil, fmt.Errorf("swaprt: supervisor needs a store dir")
@@ -109,77 +104,75 @@ func StartManagerSupervisor(cfg SupervisorConfig) (*ManagerSupervisor, error) {
 		cfg.Logf = func(string, ...any) {}
 	}
 	s := &ManagerSupervisor{cfg: cfg}
-	s.startIncarnation()
+	serving := make(chan error, 1)
+	s.startIncarnation(serving)
+	if err := <-serving; err != nil {
+		return nil, fmt.Errorf("swaprt: manager supervisor: %w", err)
+	}
 	return s, nil
 }
 
 // startIncarnation asynchronously brings up the next manager
 // incarnation: open the store, win the lease (polling until the
-// previous holder's lease expires), recover, serve.
-func (s *ManagerSupervisor) startIncarnation() {
+// previous holder's lease expires), recover, serve. serving, when
+// non-nil, receives nil once the incarnation serves or the error that
+// stopped it; a restart passes nil and has the error logged.
+func (s *ManagerSupervisor) startIncarnation(serving chan<- error) {
 	s.mu.Lock()
 	owner := fmt.Sprintf("mgr-%d", s.incarnations)
 	s.incarnations++
 	s.mu.Unlock()
-	go s.runIncarnation(owner)
+	go func() {
+		inc, err := s.bringUp(owner)
+		if serving != nil {
+			serving <- err
+		}
+		if err != nil {
+			s.cfg.Logf("swapmgr-sup: %s: %v", owner, err)
+			return
+		}
+		if err := ServeManager(inc.ln, inc.durable, s.cfg.Logf); err != nil && !errors.Is(err, net.ErrClosed) {
+			s.cfg.Logf("swapmgr-sup: %s serve: %v", owner, err)
+		}
+	}()
 }
 
-func (s *ManagerSupervisor) runIncarnation(owner string) {
-	clk := s.cfg.clk()
+// bringUp takes one incarnation from nothing to current: store handle,
+// listener, lease, WAL replay, renewal loop. On error nothing is left
+// open.
+func (s *ManagerSupervisor) bringUp(owner string) (*mgrIncarnation, error) {
 	ttl := s.cfg.ttl()
-
-	store, err := mgrstore.Open(s.cfg.Dir, clk)
+	store, err := mgrstore.Open(s.cfg.Dir, s.cfg.clk())
 	if err != nil {
-		s.cfg.Logf("swapmgr-sup: %s: open store: %v", owner, err)
-		return
+		return nil, fmt.Errorf("open store: %w", err)
 	}
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		store.Close()
-		s.cfg.Logf("swapmgr-sup: %s: listen: %v", owner, err)
-		return
+		return nil, fmt.Errorf("listen: %w", err)
 	}
+	inc := &mgrIncarnation{owner: owner, store: store, ln: ln, stop: make(chan struct{})}
 	addr := ln.Addr().String()
 
-	// Standby loop: the previous incarnation's lease outlives its crash
-	// by design; poll until the clock expires it. Poll at a quarter TTL
-	// so takeover lands within a bounded slice of the expiry instant.
-	for {
-		if s.isClosed() {
-			ln.Close()
-			store.Close()
-			return
-		}
-		_, err := store.AcquireLease(owner, addr, ttl)
-		if err == nil {
-			break
-		}
-		if !errors.Is(err, mgrstore.ErrLeaseHeld) {
-			ln.Close()
-			store.Close()
-			s.cfg.Logf("swapmgr-sup: %s: acquire lease: %v", owner, err)
-			return
-		}
-		clk.Sleep(ttl / 4)
+	// Standby: the previous incarnation's lease outlives its crash by
+	// design; wait until the clock expires it, unless the supervisor
+	// shuts down first.
+	if err := store.AwaitLease(owner, addr, ttl, func() bool { return !s.isClosed() }); err != nil {
+		inc.crash()
+		return nil, fmt.Errorf("acquire lease: %w", err)
 	}
-
-	durable, err := NewDurableDecider(NewLocalDecider(s.cfg.Policy), store, s.cfg.Logf)
+	inc.durable, err = NewDurableDecider(NewLocalDecider(s.cfg.Policy), store, s.cfg.Logf)
 	if err != nil {
-		ln.Close()
-		store.Close()
-		s.cfg.Logf("swapmgr-sup: %s: recover: %v", owner, err)
-		return
+		inc.crash()
+		return nil, fmt.Errorf("recover: %w", err)
 	}
-	st := durable.DurableState()
-	inc := &mgrIncarnation{owner: owner, store: store, durable: durable, ln: ln, stop: make(chan struct{})}
+	st := inc.durable.DurableState()
 
 	s.mu.Lock()
 	if s.closed || s.cur != nil {
-		// Supervisor shut down (or a rival incarnation won) while we were
-		// waiting on the lease.
 		s.mu.Unlock()
 		inc.crash()
-		return
+		return nil, errors.New("supervisor shut down (or a rival incarnation won) while waiting on the lease")
 	}
 	s.cur = inc
 	s.recoveries++
@@ -188,34 +181,18 @@ func (s *ManagerSupervisor) runIncarnation(owner string) {
 	s.cfg.Tracer.EmitNow(obs.Event{Kind: obs.KindMgrRecover, Rank: obs.RankRuntime,
 		Epoch: st.Epoch,
 		Detail: fmt.Sprintf("wal-replay records=%d epoch=%d quarantined=%d pending=%v owner=%s",
-			durable.Replayed(), st.Epoch, len(st.Quarantined), st.Pending != nil, owner)})
+			inc.durable.Replayed(), st.Epoch, len(st.Quarantined), st.Pending != nil, owner)})
 	s.cfg.Logf("swapmgr-sup: %s serving on %s (replayed %d records, epoch %d)",
-		owner, addr, durable.Replayed(), st.Epoch)
+		owner, addr, inc.durable.Replayed(), st.Epoch)
 
-	// Renewal loop: a lost or superseded lease fences this incarnation
-	// out — it must stop serving immediately, not contest the new
-	// leader.
 	go func() {
-		t := clk.NewTicker(ttl / 3)
-		defer t.Stop()
-		for {
-			select {
-			case <-inc.stop:
-				return
-			case <-t.C:
-				if _, err := store.AcquireLease(owner, addr, ttl); err != nil {
-					s.cfg.Logf("swapmgr-sup: %s fenced out: %v", owner, err)
-					s.dropIfCurrent(inc)
-					inc.crash()
-					return
-				}
-			}
+		if err := store.KeepLease(owner, addr, ttl, inc.stop); err != nil {
+			s.cfg.Logf("swapmgr-sup: %s fenced out: %v", owner, err)
+			s.dropIfCurrent(inc)
+			inc.crash()
 		}
 	}()
-
-	if err := ServeManager(ln, durable, s.cfg.Logf); err != nil && !errors.Is(err, net.ErrClosed) {
-		s.cfg.Logf("swapmgr-sup: %s serve: %v", owner, err)
-	}
+	return inc, nil
 }
 
 func (s *ManagerSupervisor) isClosed() bool {
@@ -257,10 +234,10 @@ func (s *ManagerSupervisor) Kill(restart bool, down time.Duration) {
 		return
 	}
 	if down <= 0 {
-		s.startIncarnation()
+		s.startIncarnation(nil)
 		return
 	}
-	s.cfg.clk().AfterFunc(down, s.startIncarnation)
+	s.cfg.clk().AfterFunc(down, func() { s.startIncarnation(nil) })
 }
 
 // Resolve returns a RemoteDecider for the current lease holder — the
@@ -274,7 +251,12 @@ func (s *ManagerSupervisor) Resolve() (Decider, error) {
 	if !held || lease.Addr == "" {
 		return nil, fmt.Errorf("swaprt: no live manager lease in %s", s.cfg.Dir)
 	}
-	return RemoteDecider{Addr: lease.Addr, Timeout: s.cfg.timeout(), Clock: s.cfg.Clock}, nil
+	return s.remote(lease.Addr), nil
+}
+
+// remote is the client end for an incarnation serving at addr.
+func (s *ManagerSupervisor) remote(addr string) RemoteDecider {
+	return RemoteDecider{Addr: addr, Timeout: s.cfg.Timeout, Clock: s.cfg.Clock}
 }
 
 // RecordCircuit durably logs a decision-path circuit transition in the

@@ -299,7 +299,7 @@ func (h *TelemetryHub) ObserveEpoch(epoch uint64, activeSet []int) {
 }
 
 // SetCircuitProbe wires the resilient decider's breaker state into the
-// report (fn returns "closed", "open" or "half-open").
+// report (fn returns "closed" or "open").
 func (h *TelemetryHub) SetCircuitProbe(fn func() string) {
 	if h == nil {
 		return
