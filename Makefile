@@ -51,8 +51,11 @@ bench-transport:
 
 # Aggregate benchmark evidence into one schema-stable artifact
 # (results/BENCH_summary.json, uploaded by CI): fresh runs of the
-# transport gate benchmarks and the policy-lens disabled-path
-# benchmarks, folded together with the checked-in BENCH_*.json capsules
+# transport gate benchmarks, the policy-lens disabled-path benchmarks
+# and the state codec (BenchmarkStateCodec/{4KiB,1MiB}: one checkpoint
+# save + load, MB/s and allocations; the hard 0-alloc gate on the codec
+# is TestStateCodecAllocations, a plain test under `make test`),
+# folded together with the checked-in BENCH_*.json capsules
 # by cmd/benchagg, which re-applies the zero-alloc gate on the parsed
 # rows so the artifact cannot disagree with the gate that admitted it.
 bench-all:
@@ -61,9 +64,11 @@ bench-all:
 		-benchmem -benchtime 5000x -count 3 . | tee results/bench-transport.txt
 	$(GO) test -run '^$$' -bench '^BenchmarkLens(Disabled|Nil)$$' \
 		-benchmem -count 3 ./internal/swaprt/policylens/ | tee results/bench-lens.txt
+	$(GO) test -run '^$$' -bench '^BenchmarkStateCodec$$' \
+		-benchmem -count 3 . | tee results/bench-codec.txt
 	$(GO) run ./cmd/benchagg -out results/BENCH_summary.json -docs 'BENCH_*.json' \
 		-zero-alloc '^BenchmarkTCPSendDistinctRanks(Causal)?$$' \
-		results/bench-transport.txt results/bench-lens.txt
+		results/bench-transport.txt results/bench-lens.txt results/bench-codec.txt
 	@echo "bench-all: wrote results/BENCH_summary.json"
 
 # The swap-cost benchmark harness (bench/, BENCHMARK.json) at toy sizes:
@@ -239,6 +244,7 @@ fuzz:
 	$(GO) test -fuzz FuzzUnpackFloats -fuzztime 30s ./internal/mpi/
 	$(GO) test -fuzz FuzzDecode -fuzztime 30s ./internal/mpi/wire/
 	$(GO) test -fuzz FuzzServeManagerRequest -fuzztime 30s ./internal/swaprt/
+	$(GO) test -fuzz FuzzStateDecode -fuzztime 30s ./internal/swaprt/
 
 # clean removes generated result files only. It must not touch the Go
 # build/test caches (or anything under ~/.cache): CI restores and reuses

@@ -17,7 +17,7 @@
 //
 //	benchagg -out results/BENCH_summary.json -docs 'BENCH_*.json' \
 //	    -zero-alloc '^BenchmarkTCPSendDistinctRanks(Causal)?$' \
-//	    results/bench-transport.txt results/bench-lens.txt
+//	    results/bench-transport.txt results/bench-lens.txt results/bench-codec.txt
 package main
 
 import (
@@ -67,9 +67,10 @@ type Gate struct {
 //
 //	BenchmarkFoo-8   5000   123.4 ns/op   16 B/op   2 allocs/op
 //
-// The B/op and allocs/op columns appear only under -benchmem.
+// The B/op and allocs/op columns appear only under -benchmem, and an
+// MB/s column sits before them when the benchmark calls b.SetBytes.
 var benchLine = regexp.MustCompile(
-	`^(Benchmark\S+?)(-\d+)?\s+\d+\s+([0-9.]+) ns/op(?:\s+(\d+) B/op\s+(\d+) allocs/op)?`)
+	`^(Benchmark\S+?)(-\d+)?\s+\d+\s+([0-9.]+) ns/op(?:\s+[0-9.]+ MB/s)?(?:\s+(\d+) B/op\s+(\d+) allocs/op)?`)
 
 // run is one parsed benchmark execution.
 type run struct {

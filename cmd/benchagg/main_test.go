@@ -29,6 +29,18 @@ func TestParseBenchExtractsRuns(t *testing.T) {
 	}
 }
 
+// TestParseBenchThroughputColumn: a benchmark that calls b.SetBytes puts
+// an MB/s column between ns/op and B/op; the memory columns behind it
+// must not read as zero.
+func TestParseBenchThroughputColumn(t *testing.T) {
+	runs := parseBench("codec.txt",
+		"BenchmarkStateCodec/1MiB-2   \t    3123\t    406837 ns/op\t2577.39 MB/s\t     676 B/op\t       3 allocs/op\n")
+	if len(runs) != 1 || runs[0].name != "BenchmarkStateCodec/1MiB" ||
+		runs[0].nsOp != 406837 || runs[0].bOp != 676 || runs[0].allocsOp != 3 {
+		t.Fatalf("runs = %+v", runs)
+	}
+}
+
 func TestAggregateStats(t *testing.T) {
 	benches := aggregate(parseBench("bench.txt", sampleBench))
 	if len(benches) != 2 {

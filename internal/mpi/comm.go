@@ -206,6 +206,16 @@ func (c *Comm) RecvTimeout(from, tag int, timeout time.Duration) ([]byte, Status
 	return env.Data, Status{Source: src, Tag: env.Tag}, nil
 }
 
+// Release gives the buffer of a received message back to this rank, so
+// its next large receive is read into it instead of allocating. A rank
+// keeps a few such buffers, and keeps them to itself, as it would with
+// one rank per process: what one rank released never turns up in another
+// rank's message. Release is
+// optional and only pays for messages the size of a state transfer; the
+// caller must have copied out what it needs and must not touch data (or
+// anything sliced from it) again.
+func (c *Comm) Release(data []byte) { c.w.free[c.me].Put(data) }
+
 // observeRecv emits the MPIRecv event for a matched message and, on a
 // causal world, merges the piggybacked sender clock (Lamport receive
 // rule) and emits the matching MsgRecv edge. t0 is when the receive

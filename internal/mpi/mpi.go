@@ -196,14 +196,15 @@ type World struct {
 	transport transport
 	clk       clock.Clock
 	closed    atomic.Bool
-	causal    *obs.Causal // non-nil when Config.Causal armed the Lamport mesh
+	causal    *obs.Causal     // non-nil when Config.Causal armed the Lamport mesh
+	free      []wire.FreeList // per rank: receive buffers handed back through Comm.Release
 }
 
 func newWorldShell(size int, clk clock.Clock) *World {
 	if clk == nil {
 		clk = clock.Real{}
 	}
-	w := &World{size: size, metrics: obs.NewRegistry(), clk: clk}
+	w := &World{size: size, metrics: obs.NewRegistry(), clk: clk, free: make([]wire.FreeList, size)}
 	for i := 0; i < size; i++ {
 		w.boxes = append(w.boxes, newMailbox())
 		w.counters = append(w.counters, newRankCounters(w.metrics, i))
@@ -474,8 +475,9 @@ func (t *inprocTransport) send(env envelope) error {
 	}
 	// The transport owns the copy (Comm.send no longer makes one): the
 	// TCP path serializes into its pending buffer before returning, so
-	// only the direct-push path must detach from the caller's slice.
-	env.Data = append([]byte(nil), env.Data...)
+	// only the direct-push path must detach from the caller's slice —
+	// into a buffer the receiver released, when it has one of the size.
+	env.Data = append(t.w.free[env.Dst].Get(len(env.Data)), env.Data...)
 	t.w.boxes[env.Dst].push(env)
 	return nil
 }

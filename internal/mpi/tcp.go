@@ -201,6 +201,7 @@ func (t *tcpTransport) readLoop(rank int, conn net.Conn) {
 	defer t.deregister(conn)
 	defer conn.Close()
 	dec := wire.NewDecoder(conn)
+	dec.UseFreeList(&t.w.free[rank])
 	for {
 		var env envelope
 		// A reader waits for the next message for as long as the peer

@@ -31,6 +31,57 @@ func TestTCPSendRecv(t *testing.T) {
 	}
 }
 
+// TestReleaseRecyclesReceiveBuffer: on either transport a state-sized
+// message whose buffer the receiver released is the array the next one
+// arrives in, and what arrives is the second message, not a remnant of
+// the first.
+func TestReleaseRecyclesReceiveBuffer(t *testing.T) {
+	const n = 1<<20 + 64
+	body := func(r *Rank) error {
+		c := r.World()
+		if r.Rank() == 0 {
+			for i := byte(1); i <= 2; i++ {
+				if err := c.Send(1, 4, bytes.Repeat([]byte{i}, n)); err != nil {
+					return err
+				}
+				if _, _, err := c.Recv(1, 5); err != nil { // the receiver is done with message i
+					return err
+				}
+			}
+			return nil
+		}
+		var first *byte
+		for i := byte(1); i <= 2; i++ {
+			d, _, err := c.Recv(0, 4)
+			if err != nil {
+				return err
+			}
+			if !bytes.Equal(d, bytes.Repeat([]byte{i}, n)) {
+				return fmt.Errorf("message %d arrived changed", i)
+			}
+			if i == 1 {
+				first = &d[0]
+			} else if &d[0] != first {
+				return fmt.Errorf("second message was not delivered in the released buffer")
+			}
+			c.Release(d)
+			if err := c.Send(0, 5, []byte("done")); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	tcp, err := NewTCPWorld(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, w := range map[string]*World{"tcp": tcp, "inproc": NewWorld(2)} {
+		if err := w.Run(body); err != nil {
+			t.Errorf("%s: %v", name, err)
+		}
+	}
+}
+
 func TestTCPCollectives(t *testing.T) {
 	w, err := NewTCPWorld(4)
 	if err != nil {

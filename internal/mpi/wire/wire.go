@@ -47,6 +47,7 @@ import (
 	"encoding/gob"
 	"fmt"
 	"io"
+	"slices"
 	"sync"
 )
 
@@ -148,10 +149,13 @@ func AppendCausalFrame(dst []byte, env *Envelope) []byte {
 
 // Encoder buffer pool. Buffers above maxPooledCap (a connection that
 // carried a huge state transfer) are dropped for the GC instead of
-// pinning their capacity in the pool.
+// pinning their capacity in the pool. The bound sits above the paper's
+// smallest process, 1 MiB of state plus its headers, with room for one
+// round of append growth (1.25x): a connection that swaps such a process
+// every iteration keeps its buffer instead of allocating one per swap.
 const (
 	initialBufCap = 4 << 10
-	maxPooledCap  = 1 << 20
+	maxPooledCap  = 2 << 20
 )
 
 var bufPool = sync.Pool{New: func() any {
@@ -170,6 +174,62 @@ func putBuf(b []byte) {
 	}
 	b = b[:0]
 	bufPool.Put(&b)
+}
+
+// FreeList recycles large receive buffers. A Decoder gives every payload
+// to its receiver for good, so a rank that takes a 1 MiB state frame at
+// every swap would leave the collector 1 MiB per swap — and how often
+// the collector then runs, and on whose time, differs from one run to
+// the next. A receiver that has copied what it needs out of a payload
+// can Put it back instead, and the decoders sharing the list read the
+// next frame of about that size into it. The list is bounded in count
+// and in buffer size (the encoder pool's bound), and a buffer on it is
+// not an allocation, so the decoder's "never more than one bounded step
+// beyond the bytes that arrived" property holds with or without one. The
+// zero value is ready; a nil *FreeList recycles nothing.
+type FreeList struct {
+	mu   sync.Mutex
+	bufs [][]byte // oldest first
+}
+
+// freeListLen bounds the buffers a FreeList holds: the one in
+// circulation, one more for a payload that arrives before the last was
+// released (a stale proposal's state after an abort), and two that a
+// change of payload size has left behind and not yet pushed out.
+const freeListLen = 4
+
+// Put hands b's backing array to the list. The caller must own all of it
+// and not touch it again. Payloads carved from a decoder's slab (anything
+// up to slabMax) share their array with their neighbours and are
+// refused, as are buffers too large to be worth pinning. A full list
+// drops its oldest buffer, so it follows a payload size that changes.
+func (f *FreeList) Put(b []byte) {
+	if f == nil || cap(b) <= slabMax || cap(b) > maxPooledCap {
+		return
+	}
+	f.mu.Lock()
+	if len(f.bufs) == freeListLen {
+		f.bufs = slices.Delete(f.bufs, 0, 1)
+	}
+	f.bufs = append(f.bufs, b[:0])
+	f.mu.Unlock()
+}
+
+// Get takes the oldest buffer that holds n bytes without being more than
+// twice that large and returns it empty, or returns nil.
+func (f *FreeList) Get(n int) []byte {
+	if f == nil {
+		return nil
+	}
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	for i, b := range f.bufs {
+		if n <= cap(b) && cap(b) <= 2*n {
+			f.bufs = slices.Delete(f.bufs, i, i+1)
+			return b
+		}
+	}
+	return nil
 }
 
 // Encoder serializes envelopes into a pending in-memory buffer for a
@@ -282,7 +342,8 @@ type Decoder struct {
 	gdec    *gob.Decoder
 	scratch Envelope // gob staging; keeps Decode's *Envelope from escaping
 
-	slab []byte // arena for small payloads: one allocation serves many frames
+	slab []byte    // arena for small payloads: one allocation serves many frames
+	free *FreeList // recycled large payload buffers; may be nil
 	hdr  [headerLen]byte
 }
 
@@ -295,8 +356,12 @@ const (
 	// allocates once per ~thousands of frames instead of once each.
 	slabSize = 32 << 10
 	slabMax  = 2 << 10
-	// readStep bounds each incremental allocation for large payloads.
-	readStep = 1 << 20
+	// readStep bounds each incremental allocation for large payloads: a
+	// payload up to readStep is one exact allocation, a larger one grows
+	// as its bytes arrive. Like maxPooledCap it sits above 1 MiB plus
+	// headers, so the paper's smallest process is not read into a 1 MiB
+	// buffer and then copied into one a few bytes larger.
+	readStep = 2 << 20
 )
 
 // NewDecoder returns a decoder reading r (typically a net.Conn). The
@@ -307,6 +372,10 @@ func NewDecoder(r io.Reader) *Decoder {
 
 // Codec reports the negotiated codec; zero until the first Decode.
 func (d *Decoder) Codec() Codec { return d.codec }
+
+// UseFreeList makes the decoder read large binary payloads into buffers
+// recycled through f before allocating new ones.
+func (d *Decoder) UseFreeList(f *FreeList) { d.free = f }
 
 // Decode reads the next envelope into env. It returns io.EOF on a
 // clean stream end at a frame boundary and io.ErrUnexpectedEOF on a
@@ -404,7 +473,10 @@ func (d *Decoder) readPayload(n int) ([]byte, error) {
 		}
 		return buf, nil
 	}
-	buf := make([]byte, 0, min(n, readStep))
+	buf := d.free.Get(n)
+	if buf == nil {
+		buf = make([]byte, 0, min(n, readStep))
+	}
 	for len(buf) < n {
 		step := min(n-len(buf), readStep)
 		if cap(buf)-len(buf) < step {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"io"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -369,5 +370,157 @@ func TestCausalDecoderStateReset(t *testing.T) {
 	}
 	if gotB.LC != 0 || gotB.Seq != 0 {
 		t.Fatalf("causal context leaked across frames: %+v", gotB)
+	}
+}
+
+// stateFrameLen is the payload of the paper's smallest process on the
+// swap path: 1 MiB of registered state plus the epoch and the state
+// format's headers.
+const stateFrameLen = 1<<20 + 64
+
+// loopReader serves the same frames forever: a connection that carries
+// one state transfer per swap.
+type loopReader struct {
+	frame []byte
+	off   int
+}
+
+func (r *loopReader) Read(p []byte) (int, error) {
+	if r.off == len(r.frame) {
+		r.off = 0
+	}
+	n := copy(p, r.frame[r.off:])
+	r.off += n
+	return n, nil
+}
+
+// TestDecodeStateFrameOneAllocation: the receiver of a state transfer
+// pays for the payload once, at its exact size — not a readStep buffer
+// first and a copy into a slightly larger one after.
+func TestDecodeStateFrameOneAllocation(t *testing.T) {
+	env := Envelope{Comm: 1, Src: 0, Dst: 1, Tag: 3, Data: bytes.Repeat([]byte{0xA5}, stateFrameLen)}
+	rd := &loopReader{frame: AppendFrame(nil, &env)}
+	dec := NewDecoder(io.MultiReader(bytes.NewReader([]byte{'B'}), rd))
+	var got Envelope
+	allocs := testing.AllocsPerRun(10, func() {
+		if err := dec.Decode(&got); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 1 {
+		t.Errorf("decoding a %d-byte frame: %v allocations, want 1", stateFrameLen, allocs)
+	}
+	if len(got.Data) != stateFrameLen || cap(got.Data) > stateFrameLen+stateFrameLen/64 {
+		t.Errorf("payload len %d cap %d, want one right-sized buffer of %d", len(got.Data), cap(got.Data), stateFrameLen)
+	}
+}
+
+// TestDecodeIntoRecycledPayload: a receiver that puts its state frames
+// back reads the next one into the same array, with no allocation at all.
+func TestDecodeIntoRecycledPayload(t *testing.T) {
+	env := Envelope{Comm: 1, Src: 0, Dst: 1, Tag: 3, Data: bytes.Repeat([]byte{0xA5}, stateFrameLen)}
+	rd := &loopReader{frame: AppendFrame(nil, &env)}
+	dec := NewDecoder(io.MultiReader(bytes.NewReader([]byte{'B'}), rd))
+	var free FreeList
+	dec.UseFreeList(&free)
+	var got Envelope
+	if err := dec.Decode(&got); err != nil {
+		t.Fatal(err)
+	}
+	first := &got.Data[0]
+	allocs := testing.AllocsPerRun(10, func() {
+		free.Put(got.Data)
+		if err := dec.Decode(&got); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("decoding a %d-byte frame into a recycled buffer: %v allocations, want 0", stateFrameLen, allocs)
+	}
+	if &got.Data[0] != first || !bytes.Equal(got.Data, env.Data) {
+		t.Error("recycled decode did not reuse the buffer, or changed the payload")
+	}
+}
+
+// TestFreeListBounds: what the list refuses, what it hands out for which
+// request, and that a full list follows a payload size that changed.
+func TestFreeListBounds(t *testing.T) {
+	var f FreeList
+	f.Put(make([]byte, slabMax))        // may be a slab carving
+	f.Put(make([]byte, maxPooledCap+1)) // too large to pin
+	if len(f.bufs) != 0 {
+		t.Fatalf("list accepted %d buffers it must refuse", len(f.bufs))
+	}
+	var none *FreeList
+	none.Put(make([]byte, 1<<20))
+	if none.Get(1<<20) != nil {
+		t.Error("nil list handed out a buffer")
+	}
+
+	f.Put(make([]byte, 100, 1<<20))
+	if f.Get(1<<20+1) != nil {
+		t.Error("got a buffer smaller than the request")
+	}
+	if f.Get(1<<19-1) != nil {
+		t.Error("got a buffer more than twice the request")
+	}
+	b := f.Get(1 << 19)
+	if cap(b) != 1<<20 || len(b) != 0 {
+		t.Errorf("got len %d cap %d, want the empty 1 MiB buffer", len(b), cap(b))
+	}
+	if f.Get(1<<19) != nil {
+		t.Error("the same buffer was handed out twice")
+	}
+
+	for i := 0; i < freeListLen; i++ {
+		f.Put(make([]byte, 4<<10))
+	}
+	f.Put(make([]byte, 1<<20))
+	if len(f.bufs) != freeListLen {
+		t.Errorf("list holds %d buffers, want %d", len(f.bufs), freeListLen)
+	}
+	if f.Get(1<<20) == nil {
+		t.Error("a full list of stale sizes refused the current one")
+	}
+}
+
+// TestEncoderKeepsStateSizedBuffer: the sender's pending buffers survive
+// Take/Recycle at that size, so a swap per iteration appends into
+// capacity the connection already has.
+func TestEncoderKeepsStateSizedBuffer(t *testing.T) {
+	env := Envelope{Comm: 1, Src: 0, Dst: 1, Tag: 3, Data: make([]byte, stateFrameLen)}
+	enc := NewEncoder(CodecBinary)
+	defer enc.Close()
+	cycle := func() {
+		if err := enc.Encode(&env); err != nil {
+			t.Fatal(err)
+		}
+		enc.Recycle(enc.Take())
+	}
+	cycle() // both buffers of the double-buffered pair grow once
+	cycle()
+	if allocs := testing.AllocsPerRun(10, cycle); allocs != 0 {
+		t.Errorf("encoding a %d-byte frame into a recycled buffer: %v allocations, want 0", stateFrameLen, allocs)
+	}
+}
+
+// TestDecoderLyingHeaderAllocationBound measures what
+// TestDecoderLyingLengthHeader only exercises: a header claiming 1 GiB
+// over a stream that delivers 1 KiB costs at most one readStep.
+func TestDecoderLyingHeaderAllocationBound(t *testing.T) {
+	var hdr [headerLen]byte
+	binary.BigEndian.PutUint32(hdr[0:4], MaxPayload)
+	stream := append([]byte{'B'}, hdr[:]...)
+	stream = append(stream, bytes.Repeat([]byte{1}, 1024)...)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	var env Envelope
+	err := NewDecoder(bytes.NewReader(stream)).Decode(&env)
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("lying header decoded successfully")
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > readStep+decoderBufSize+(64<<10) {
+		t.Errorf("lying 1 GiB header allocated %d bytes, want at most one readStep (%d) beyond the decoder itself", got, readStep)
 	}
 }

@@ -3,9 +3,9 @@ package swaprt
 import (
 	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"fmt"
 	"io"
+	"slices"
 	"time"
 
 	"repro/internal/clock"
@@ -20,7 +20,8 @@ import (
 // world communicator (they normally communicate on s.Comm() anyway).
 const (
 	// tagState carries the registered state from the outgoing rank to the
-	// incoming spare (payload: 8-byte proposed epoch, then the gob blob).
+	// incoming spare (payload: 8-byte proposed epoch, then the encoded
+	// state set).
 	tagState = 0x5a17
 	// tagStateAck is the spare's receipt acknowledgment back to the
 	// outgoing rank (payload: the 8-byte epoch it received).
@@ -236,16 +237,26 @@ type Session struct {
 	iterStart float64
 	swaps     int // swaps this rank participated in (in or out)
 
-	// Swap-cost prediction cache: sizeEst is the last known encoded state
-	// size (<0 = unknown, invalidated by Register); encCache holds the
-	// encoding produced during the current swap point so a rank that both
-	// estimates and ships its state encodes it only once. sizeEstLast is
-	// the last successfully computed size, surviving Register
-	// invalidation, so an encode failure can fall back to it rather than
-	// reporting zero state.
-	sizeEst     float64
-	sizeEstLast float64
-	encCache    []byte
+	// buf is this rank's message buffer: the state is encoded into it on
+	// the way out (behind the 8-byte epoch) and a checkpoint is staged in
+	// it. Send and Write copy before they return, so it is reused by the
+	// next swap or checkpoint instead of being allocated per swap (keepBuf).
+	buf []byte
+}
+
+// maxKeptBuf is the largest message buffer a rank holds on to between
+// swaps and checkpoints; it is the wire layer's bound for a connection's
+// pending buffers. A process of the paper's upper sizes swaps rarely and
+// must not sit on a second copy of its state in between.
+const maxKeptBuf = 2 << 20
+
+// keepBuf makes b the rank's message buffer, or drops it if it is too
+// large to keep.
+func (s *Session) keepBuf(b []byte) {
+	if cap(b) > maxKeptBuf {
+		b = nil
+	}
+	s.buf = b
 }
 
 // Rank reports the world rank.
@@ -275,11 +286,11 @@ func (s *Session) Comm() *mpi.Comm {
 
 // Register adds a variable to the process state transferred on swap. All
 // ranks must register the same names (they run the same program) before
-// the first SwapPoint. The pointer's contents are gob-encoded.
+// the first SwapPoint. Fixed-width scalars, strings, []byte and slices of
+// fixed-width numerics are copied straight between the variable and the
+// message; any other type is gob-encoded.
 func (s *Session) Register(name string, ptr any) {
 	s.state.register(name, ptr)
-	s.sizeEst = -1
-	s.encCache = nil
 }
 
 // Run executes body on every rank of the world under the swapping
@@ -338,16 +349,14 @@ func RunWithStats(world *mpi.World, cfg Config, body func(s *Session) error) (Ru
 	cfg.Telemetry.ObserveEpoch(0, initial)
 	err := world.Run(func(r *mpi.Rank) error {
 		s := &Session{
-			r:           r,
-			cfg:         cfg,
-			mgr:         mgr,
-			stats:       rc,
-			tr:          cfg.Tracer,
-			state:       newStateSet(),
-			activeSet:   append([]int(nil), initial...),
-			iterStart:   cfg.Clock(),
-			sizeEst:     -1,
-			sizeEstLast: -1,
+			r:         r,
+			cfg:       cfg,
+			mgr:       mgr,
+			stats:     rc,
+			tr:        cfg.Tracer,
+			state:     newStateSet(),
+			activeSet: append([]int(nil), initial...),
+			iterStart: cfg.Clock(),
 		}
 		for _, m := range initial {
 			if m == r.Rank() {
@@ -426,14 +435,15 @@ func (s *Session) spareSwapIn(a assignment) (bool, error) {
 	// Receive the proposed-epoch-prefixed state, skipping stale payloads
 	// left over from earlier aborted proposals by the same sender.
 	deadline := start.Add(s.cfg.TransferTimeout)
-	var blob []byte
+	var data []byte
 	recvOK := false
 	for {
 		remaining := s.cfg.Time.Until(deadline)
 		if remaining <= 0 {
 			break
 		}
-		data, _, err := world.RecvTimeout(a.stateFrom, tagState, remaining)
+		var err error
+		data, _, err = world.RecvTimeout(a.stateFrom, tagState, remaining)
 		if err == mpi.ErrRecvTimeout {
 			break
 		}
@@ -446,9 +456,9 @@ func (s *Session) spareSwapIn(a assignment) (bool, error) {
 		if epoch := binary.BigEndian.Uint64(data[:8]); epoch != a.epoch {
 			s.cfg.Logf("rank %d discarding stale state payload (epoch %d, expected %d)",
 				s.r.Rank(), epoch, a.epoch)
+			world.Release(data)
 			continue
 		}
-		blob = data[8:]
 		recvOK = true
 		break
 	}
@@ -460,7 +470,12 @@ func (s *Session) spareSwapIn(a assignment) (bool, error) {
 			s.r.Rank(), a.stateFrom, s.cfg.TransferTimeout)
 		return false, nil
 	}
-	if err := s.state.decode(blob); err != nil {
+	// decode copies every byte it keeps into the registered variables, so
+	// the message buffer goes back for the next swap-in to be read into.
+	stateLen := len(data) - 8
+	err := s.state.decode(data[8:])
+	world.Release(data)
+	if err != nil {
 		// A corrupt payload is treated like a failed transfer: do not
 		// acknowledge, so the outgoing rank times out and aborts the swap.
 		s.tr.EmitNow(obs.Event{Kind: obs.KindSwapAbort, Rank: s.r.Rank(),
@@ -513,7 +528,7 @@ func (s *Session) spareSwapIn(a assignment) (bool, error) {
 		s.stats.stateRecvNS.Add(uint64(recvDur))
 		if s.tr.Enabled() {
 			s.tr.Emit(obs.Event{Kind: obs.KindStateTransfer, Rank: s.r.Rank(), T: t0,
-				Dur: s.tr.Now() - t0, Peer: a.stateFrom, Bytes: int64(len(blob)),
+				Dur: s.tr.Now() - t0, Peer: a.stateFrom, Bytes: int64(stateLen),
 				Epoch: a.epoch, Detail: "in"})
 		}
 		s.epoch = a.epoch
@@ -524,7 +539,7 @@ func (s *Session) spareSwapIn(a assignment) (bool, error) {
 		s.iterStart = s.cfg.Clock()
 		s.tr.EmitNow(obs.Event{Kind: obs.KindIterStart, Rank: s.r.Rank(), Epoch: s.epoch})
 		s.cfg.Logf("rank %d swapped in (epoch %d, state %dB in %s, from rank %d)",
-			s.r.Rank(), s.epoch, len(blob), recvDur.Round(time.Microsecond), a.stateFrom)
+			s.r.Rank(), s.epoch, stateLen, recvDur.Round(time.Microsecond), a.stateFrom)
 		return true, nil
 	}
 }
@@ -555,7 +570,6 @@ const (
 func (s *Session) swapPointActive() error {
 	now := s.cfg.Clock()
 	iterTime := now - s.iterStart
-	s.encCache = nil // state may have changed since the last swap point
 	s.stats.swapPoints.Inc()
 	s.tr.EmitNow(obs.Event{Kind: obs.KindIterEnd, Rank: s.r.Rank(), Value: iterTime, Epoch: s.epoch})
 	s.cfg.Telemetry.ObserveIteration(s.r.Rank(), now, iterTime)
@@ -570,6 +584,7 @@ func (s *Session) swapPointActive() error {
 	}
 
 	var plan planMsg
+	var planBytes []byte // only the leader has a plan to send
 	if s.comm.Rank() == 0 {
 		swapTime := core.SwapTime(*s.cfg.LinkLatency, *s.cfg.LinkBandwidth, s.stateSizeEstimate())
 		var t0 float64
@@ -606,10 +621,7 @@ func (s *Session) swapPointActive() error {
 		if len(resp.Swaps) > 0 {
 			plan.NewEpoch = s.epoch + 1
 		}
-	}
-	planBytes, err := encodePlan(plan)
-	if err != nil {
-		return err
+		planBytes = encodePlan(plan)
 	}
 	if planBytes, err = s.comm.Bcast(0, planBytes); err != nil {
 		return err
@@ -759,14 +771,11 @@ func (s *Session) swapPointActive() error {
 		if sw.Out != s.r.Rank() {
 			continue
 		}
-		data, err := encodeCommit(commitMsg{
+		data := encodeCommit(commitMsg{
 			Epoch:  plan.NewEpoch,
 			Commit: committed[i],
 			NewSet: newSet,
 		})
-		if err != nil {
-			return err
-		}
 		if err := s.r.World().Send(sw.In, tagStateCommit, data); err != nil {
 			s.cfg.Logf("rank %d commit send to rank %d: %v", s.r.Rank(), sw.In, err)
 		}
@@ -806,18 +815,13 @@ func (s *Session) transferOut(sw SwapDirective, newEpoch uint64) error {
 		t0 = s.tr.Now()
 	}
 	start := s.cfg.Time.Now()
-	data := s.encCache // reuse the leader's size-estimate encoding
-	if data == nil {
-		var err error
-		if data, err = s.state.encode(); err != nil {
-			return fmt.Errorf("state encode: %w", err)
-		}
-		s.sizeEst = float64(len(data))
-		s.sizeEstLast = s.sizeEst
+	// One copy on this side: variable -> s.buf, behind the epoch.
+	payload, err := s.state.appendTo(binary.BigEndian.AppendUint64(s.buf[:0], newEpoch))
+	if err != nil {
+		return fmt.Errorf("state encode: %w", err)
 	}
-	payload := make([]byte, 8+len(data))
-	binary.BigEndian.PutUint64(payload[:8], newEpoch)
-	copy(payload[8:], data)
+	s.keepBuf(payload)
+	data := payload[8:]
 	world := s.r.World()
 	if err := world.Send(sw.In, tagState, payload); err != nil {
 		return fmt.Errorf("state send: %w", err)
@@ -887,10 +891,11 @@ func handlerLoop(rank int, cfg Config, rep Decider, rc *runCounters, stop <-chan
 // iteration boundary; the blob restores with LoadCheckpoint in a later
 // run that registered the same names.
 func (s *Session) SaveCheckpoint(w io.Writer) error {
-	data, err := s.state.encode()
+	data, err := s.state.appendTo(s.buf[:0])
 	if err != nil {
 		return err
 	}
+	s.keepBuf(data)
 	_, err = w.Write(data)
 	return err
 }
@@ -898,29 +903,31 @@ func (s *Session) SaveCheckpoint(w io.Writer) error {
 // LoadCheckpoint restores registered state previously written by
 // SaveCheckpoint.
 func (s *Session) LoadCheckpoint(r io.Reader) error {
-	data, err := io.ReadAll(r)
-	if err != nil {
+	// Read into the rank's own buffer, sized up front when the reader
+	// says how much it holds (MinRead more, so finding io.EOF does not
+	// grow it).
+	n := 0
+	if sized, ok := r.(interface{ Len() int }); ok {
+		n = sized.Len()
+	}
+	buf := bytes.NewBuffer(slices.Grow(s.buf[:0], n+bytes.MinRead))
+	if _, err := buf.ReadFrom(r); err != nil {
 		return err
 	}
-	return s.state.decode(data)
+	s.keepBuf(buf.Bytes())
+	return s.state.decode(buf.Bytes())
 }
 
 // stateSizeEstimate reports the encoded size of the registered state for
-// the swap-cost prediction. The size is cached across swap points
-// (invalidated by Register) so the state is not gob-encoded on every
-// iteration just to predict cost; when an encoding is produced here it
-// is kept for the current swap point so a swapped-out leader ships it
-// without encoding twice.
+// the swap-cost prediction, computed at every swap point: an application
+// that resizes a registered slice changes the next prediction.
 func (s *Session) stateSizeEstimate() float64 {
-	if s.sizeEst >= 0 {
-		return s.sizeEst
-	}
-	data, err := s.state.encode()
+	size, err := s.state.encodedSize()
 	if err != nil {
 		// An unencodable registered type must not silently zero the swap
 		// cost — that would make every swap look free and corrupt the
-		// payback prediction. Log it, trace it, and fall back to the last
-		// successfully computed size (0 only if there never was one).
+		// payback prediction. Log it, trace it, and predict from the size
+		// encodedSize fell back to.
 		rank := obs.RankRuntime
 		if s.r != nil {
 			rank = s.r.Rank()
@@ -930,45 +937,72 @@ func (s *Session) stateSizeEstimate() float64 {
 		}
 		s.tr.EmitNow(obs.Event{Kind: obs.KindRuntimeError, Rank: rank,
 			Detail: "state size estimate: " + err.Error()})
-		if s.sizeEstLast > 0 {
-			return s.sizeEstLast
-		}
-		return 0
 	}
-	s.encCache = data
-	s.sizeEst = float64(len(data))
-	s.sizeEstLast = s.sizeEst
-	return s.sizeEst
+	return float64(size)
 }
 
-func encodePlan(p planMsg) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(p); err != nil {
-		return nil, fmt.Errorf("swaprt: encode plan: %w", err)
+// The plan and commit messages have a fixed little-endian layout:
+//
+//	plan:   newEpoch(u64) n(u64) n x { out(u64) in(u64) }
+//	commit: epoch(u64) commit(u8) n(u64) n x rank(u64)
+//
+// Ranks are two's-complement int64. A decoder checks n against the bytes
+// that follow before it allocates.
+
+func encodePlan(p planMsg) []byte {
+	b := make([]byte, 0, 16+16*len(p.Swaps))
+	b = binary.LittleEndian.AppendUint64(b, p.NewEpoch)
+	b = binary.LittleEndian.AppendUint64(b, uint64(len(p.Swaps)))
+	for _, sw := range p.Swaps {
+		b = binary.LittleEndian.AppendUint64(b, uint64(int64(sw.Out)))
+		b = binary.LittleEndian.AppendUint64(b, uint64(int64(sw.In)))
 	}
-	return buf.Bytes(), nil
+	return b
 }
 
 func decodePlan(data []byte) (planMsg, error) {
-	var p planMsg
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&p); err != nil {
-		return planMsg{}, fmt.Errorf("swaprt: decode plan: %w", err)
+	r := reader{b: data}
+	p := planMsg{NewEpoch: r.u64()}
+	n := r.u64()
+	if r.err != nil || n != uint64(len(r.b))/16 || len(r.b)%16 != 0 {
+		return planMsg{}, fmt.Errorf("swaprt: decode plan: malformed %d-byte message", len(data))
+	}
+	if n > 0 {
+		p.Swaps = make([]SwapDirective, n)
+	}
+	for i := range p.Swaps {
+		p.Swaps[i] = SwapDirective{Out: int(int64(r.u64())), In: int(int64(r.u64()))}
 	}
 	return p, nil
 }
 
-func encodeCommit(m commitMsg) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(m); err != nil {
-		return nil, fmt.Errorf("swaprt: encode commit: %w", err)
+func encodeCommit(m commitMsg) []byte {
+	b := make([]byte, 0, 17+8*len(m.NewSet))
+	b = binary.LittleEndian.AppendUint64(b, m.Epoch)
+	b = append(b, 0)
+	if m.Commit {
+		b[8] = 1
 	}
-	return buf.Bytes(), nil
+	b = binary.LittleEndian.AppendUint64(b, uint64(len(m.NewSet)))
+	for _, rank := range m.NewSet {
+		b = binary.LittleEndian.AppendUint64(b, uint64(int64(rank)))
+	}
+	return b
 }
 
 func decodeCommit(data []byte) (commitMsg, error) {
-	var m commitMsg
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&m); err != nil {
-		return commitMsg{}, fmt.Errorf("swaprt: decode commit: %w", err)
+	r := reader{b: data}
+	m := commitMsg{Epoch: r.u64()}
+	commit, n := r.u8(), r.u64()
+	if r.err != nil || commit > 1 || n != uint64(len(r.b))/8 || len(r.b)%8 != 0 {
+		return commitMsg{}, fmt.Errorf("swaprt: decode commit: malformed %d-byte message", len(data))
+	}
+	m.Commit = commit == 1
+	if n > 0 {
+		m.NewSet = make([]int, n)
+	}
+	for i := range m.NewSet {
+		m.NewSet[i] = int(int64(r.u64()))
 	}
 	return m, nil
 }

@@ -12,20 +12,133 @@ package swaprt
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/gob"
+	"errors"
 	"fmt"
+	"math"
 	"reflect"
+	"slices"
 	"sort"
 )
 
-// stateSet holds the variables registered for transfer on swap, keyed by
-// name. Registration order does not matter; encoding is sorted by name so
-// both ends agree.
-type stateSet struct {
-	ptrs map[string]any
+// The state format (DESIGN.md §20 has the byte-layout table). All
+// integers little-endian:
+//
+//	"SWST" version(u8) nvars(u32)
+//	per registered name, sorted:
+//	    namelen(u16) name kind(u8) width(u8) count(u64) [lead(u64) body(u64)] payload
+//	goblen(u64) gob stream of every classGob variable, in the same order
+//
+// payload is count*width bytes; with kindTrimmed set it is body*width
+// bytes and lead and body are present; a classGob entry has none. There
+// is one format and one version of it: a blob that does not start with
+// the magic and this version byte is refused.
+const (
+	stateMagic   = "SWST"
+	stateVersion = 1
+	stateHdrLen  = len(stateMagic) + 1 + 4
+	varHdrLen    = 2 + 1 + 1 + 8 // without the name
+	trimHdrLen   = 8 + 8
+)
+
+// A kind byte is an element class plus flags.
+const (
+	classInt = 1 + iota
+	classUint
+	classFloat
+	classBool
+	classString
+	classGob
+
+	kindSlice = 0x10
+	// kindTrimmed marks a numeric slice sent without its zero prefix and
+	// suffix: elements [lead, lead+body) are the payload and the rest of
+	// the count are zeros, so an unwritten scratch or halo buffer ships as
+	// a length and a preallocated one as its used part. The sender scans
+	// inwards from both ends and stops at the first non-zero element, so
+	// the scan costs what it saves plus O(1).
+	kindTrimmed = 0x20
+)
+
+// maxZerosAlloc bounds the zeros a kindTrimmed entry may make the
+// receiver allocate: they are the one count no payload vouches for.
+// 1 GiB is the top of the paper's process-size range and the
+// transport's frame limit.
+const maxZerosAlloc = 1 << 30
+
+// kindString names a kind and width the way the type it binds is spelled.
+func kindString(kind byte, width int) string {
+	slice, trimmed := "", ""
+	if kind&kindSlice != 0 {
+		slice = "[]"
+	}
+	if kind&kindTrimmed != 0 {
+		trimmed = " (trimmed)"
+	}
+	switch kind &^ (kindSlice | kindTrimmed) {
+	case classInt:
+		return fmt.Sprintf("%sint%d%s", slice, 8*width, trimmed)
+	case classUint:
+		return fmt.Sprintf("%suint%d%s", slice, 8*width, trimmed)
+	case classFloat:
+		return fmt.Sprintf("%sfloat%d%s", slice, 8*width, trimmed)
+	case classBool:
+		return slice + "bool" + trimmed
+	case classString:
+		return slice + "string" + trimmed
+	case classGob:
+		return slice + "gob value" + trimmed
+	}
+	return fmt.Sprintf("kind(0x%02x)", kind)
 }
 
-func newStateSet() *stateSet { return &stateSet{ptrs: map[string]any{}} }
+// rawVar moves one registered variable between memory and the message
+// buffer with no intermediate copy. Implementations are bound once, at
+// Register.
+type rawVar interface {
+	// shape is the kind byte (without kindTrimmed) and the element width.
+	shape() (kind byte, width int)
+	// count is the number of elements (1 for a scalar, bytes of a string).
+	count() int
+	// span is the range [lead, lead+body) outside which a numeric slice
+	// holds only zeros; anything else reports (0, count()).
+	span() (lead, body int)
+	// put writes the len(dst)/width elements from lead on to dst.
+	put(dst []byte, lead int)
+	// get overwrites the variable with n elements: the len(src)/width
+	// from lead on read from src, zeros around them. A slice keeps its
+	// backing array when n fits.
+	get(src []byte, n, lead int) error
+}
+
+// stateVar is one registered variable. raw is nil for a type the raw
+// kinds do not cover: that variable travels in the gob section.
+type stateVar struct {
+	name string
+	ptr  any
+	raw  rawVar
+}
+
+// stateSet holds the variables registered for transfer on swap, sorted
+// by name so both ends agree on the order whatever the registration
+// order was.
+type stateSet struct {
+	vars []stateVar
+	nGob int
+
+	// gobSize is the length of the gob section's stream at the last
+	// successful encode; gobStale says a gob variable was registered
+	// since. Only the gob section is measured by encoding it: every raw
+	// kind's size is read off the variable.
+	gobSize  int
+	gobStale bool
+
+	// zerosLimit is maxZerosAlloc (tests lower it).
+	zerosLimit int
+}
+
+func newStateSet() *stateSet { return &stateSet{zerosLimit: maxZerosAlloc} }
 
 // register adds a pointer under name. Re-registering a name panics: it is
 // always an application bug.
@@ -33,71 +146,230 @@ func (ss *stateSet) register(name string, ptr any) {
 	if ptr == nil {
 		panic(fmt.Sprintf("swaprt: Register(%q, nil)", name))
 	}
-	if _, dup := ss.ptrs[name]; dup {
+	if len(name) > math.MaxUint16 {
+		panic(fmt.Sprintf("swaprt: Register: name of %d bytes", len(name)))
+	}
+	i := sort.Search(len(ss.vars), func(i int) bool { return ss.vars[i].name >= name })
+	if i < len(ss.vars) && ss.vars[i].name == name {
 		panic(fmt.Sprintf("swaprt: state %q registered twice", name))
 	}
-	ss.ptrs[name] = ptr
+	v := stateVar{name: name, ptr: ptr, raw: bindRaw(ptr)}
+	if v.raw == nil {
+		ss.nGob++
+		ss.gobStale = true
+	}
+	ss.vars = slices.Insert(ss.vars, i, v)
 }
 
 // names returns the registered names in sorted order.
 func (ss *stateSet) names() []string {
-	out := make([]string, 0, len(ss.ptrs))
-	for n := range ss.ptrs {
-		out = append(out, n)
+	out := make([]string, len(ss.vars))
+	for i, v := range ss.vars {
+		out[i] = v.name
 	}
-	sort.Strings(out)
 	return out
 }
 
-// encode serializes all registered variables.
-func (ss *stateSet) encode() ([]byte, error) {
-	var buf bytes.Buffer
-	enc := gob.NewEncoder(&buf)
-	names := ss.names()
-	if err := enc.Encode(names); err != nil {
-		return nil, fmt.Errorf("swaprt: encode state names: %w", err)
+// layout reports how a raw variable is encoded now: trimmed when that
+// saves more than the two extra header fields cost.
+func layout(raw rawVar) (kind byte, width, count, lead, body int) {
+	kind, width = raw.shape()
+	count = raw.count()
+	lead, body = raw.span()
+	if (count-body)*width > trimHdrLen {
+		return kind | kindTrimmed, width, count, lead, body
 	}
-	for _, n := range names {
-		if err := enc.Encode(ss.ptrs[n]); err != nil {
-			return nil, fmt.Errorf("swaprt: encode state %q: %w", n, err)
-		}
-	}
-	return buf.Bytes(), nil
+	return kind, width, count, 0, count
 }
 
-// decode restores registered variables from an encoded blob. The local
-// registration must cover the same names (the application is the same
-// program on every rank). Each target is zeroed first: gob omits zero
-// struct fields and leaves map entries it was not sent, so decoding over
-// a live value would keep the receiver's stale ones.
-func (ss *stateSet) decode(data []byte) error {
-	dec := gob.NewDecoder(bytes.NewReader(data))
-	var names []string
-	if err := dec.Decode(&names); err != nil {
-		return fmt.Errorf("swaprt: decode state names: %w", err)
-	}
-	local := ss.names()
-	if len(local) != len(names) {
-		return fmt.Errorf("swaprt: state mismatch: received %v, registered %v", names, local)
-	}
-	for i, n := range names {
-		if local[i] != n {
-			return fmt.Errorf("swaprt: state mismatch: received %v, registered %v", names, local)
+// rawSize is the exact encoded size of everything but the gob stream.
+func (ss *stateSet) rawSize() int {
+	n := stateHdrLen + 8
+	for _, v := range ss.vars {
+		n += varHdrLen + len(v.name)
+		if v.raw != nil {
+			kind, w, _, _, body := layout(v.raw)
+			if kind&kindTrimmed != 0 {
+				n += trimHdrLen
+			}
+			n += body * w
 		}
 	}
-	for _, n := range names {
-		zeroInPlace(reflect.ValueOf(ss.ptrs[n]))
-		if err := dec.Decode(ss.ptrs[n]); err != nil {
-			return fmt.Errorf("swaprt: decode state %q: %w", n, err)
+	return n
+}
+
+// encodedSize reports the size of what appendTo would append now. It is
+// exact and O(#vars) for raw kinds. The gob section is measured by encoding it
+// the first time after a gob variable is registered and otherwise taken
+// from the last encode; when it cannot be encoded the error is returned
+// with the raw size plus the last good gob size, so an unencodable
+// registration does not make the swap look free.
+func (ss *stateSet) encodedSize() (int, error) {
+	var err error
+	if ss.gobStale {
+		_, err = ss.appendGob(nil)
+	}
+	return ss.rawSize() + ss.gobSize, err
+}
+
+// encode serializes all registered variables into a new buffer.
+func (ss *stateSet) encode() ([]byte, error) { return ss.appendTo(nil) }
+
+// appendTo appends the encoding of the registered variables to dst,
+// growing it once, to the exact size when the gob section is empty or
+// unchanged in length.
+func (ss *stateSet) appendTo(dst []byte) ([]byte, error) {
+	dst = slices.Grow(dst, ss.rawSize()+ss.gobSize)
+	dst = append(dst, stateMagic...)
+	dst = append(dst, stateVersion)
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(ss.vars)))
+	for _, v := range ss.vars {
+		dst = binary.LittleEndian.AppendUint16(dst, uint16(len(v.name)))
+		dst = append(dst, v.name...)
+		if v.raw == nil {
+			dst = append(dst, classGob, 0)
+			dst = binary.LittleEndian.AppendUint64(dst, 0)
+			continue
+		}
+		kind, w, n, lead, body := layout(v.raw)
+		dst = append(dst, kind, byte(w))
+		dst = binary.LittleEndian.AppendUint64(dst, uint64(n))
+		if kind&kindTrimmed != 0 {
+			dst = binary.LittleEndian.AppendUint64(dst, uint64(lead))
+			dst = binary.LittleEndian.AppendUint64(dst, uint64(body))
+		}
+		off := len(dst)
+		dst = dst[:off+body*w] // inside the capacity grown above
+		v.raw.put(dst[off:], lead)
+	}
+	lenAt := len(dst)
+	dst = binary.LittleEndian.AppendUint64(dst, 0)
+	dst, err := ss.appendGob(dst)
+	if err != nil {
+		return nil, err
+	}
+	binary.LittleEndian.PutUint64(dst[lenAt:], uint64(len(dst)-lenAt-8))
+	return dst, nil
+}
+
+// appendGob appends one gob stream holding every gob variable and
+// records its length.
+func (ss *stateSet) appendGob(dst []byte) ([]byte, error) {
+	if ss.nGob == 0 {
+		return dst, nil
+	}
+	w := appendWriter{dst}
+	enc := gob.NewEncoder(&w)
+	for _, v := range ss.vars {
+		if v.raw != nil {
+			continue
+		}
+		if err := enc.Encode(v.ptr); err != nil {
+			return nil, fmt.Errorf("swaprt: encode state %q: %w", v.name, err)
+		}
+	}
+	ss.gobSize, ss.gobStale = len(w.b)-len(dst), false
+	return w.b, nil
+}
+
+type appendWriter struct{ b []byte }
+
+func (w *appendWriter) Write(p []byte) (int, error) {
+	w.b = append(w.b, p...)
+	return len(p), nil
+}
+
+// decode restores registered variables from an encoded blob, which is
+// input from outside the process: the local registration must cover the
+// same names with the same kinds and element widths (the application is
+// the same program on every rank), and every count is checked against
+// the bytes that are there before anything is allocated. A raw slice is
+// decoded into the capacity it has; a gob target is zeroed first,
+// because gob omits zero struct fields and leaves map entries it was not
+// sent, so decoding over a live value would keep the receiver's stale
+// ones.
+func (ss *stateSet) decode(data []byte) error {
+	r := reader{b: data}
+	if string(r.take(len(stateMagic))) != stateMagic || r.u8() != stateVersion {
+		return fmt.Errorf("swaprt: unsupported state format (want %q version %d)", stateMagic, stateVersion)
+	}
+	if n := int(r.u32()); r.err == nil && n != len(ss.vars) {
+		return fmt.Errorf("swaprt: state mismatch: received %d variables, registered %v", n, ss.names())
+	}
+	for _, v := range ss.vars {
+		name := r.take(int(r.u16()))
+		kind, width, count := r.u8(), int(r.u8()), r.u64()
+		if r.err != nil {
+			return r.err
+		}
+		if string(name) != v.name {
+			return fmt.Errorf("swaprt: state mismatch: received %q, registered %v", name, ss.names())
+		}
+		var wantKind byte = classGob
+		wantWidth := 0
+		if v.raw != nil {
+			wantKind, wantWidth = v.raw.shape()
+		}
+		trimmed := kind&kindTrimmed != 0
+		if kind&^kindTrimmed != wantKind || width != wantWidth || (trimmed && kind&kindSlice == 0) {
+			return fmt.Errorf("swaprt: state %q: received %s, registered %s",
+				v.name, kindString(kind, width), kindString(wantKind, wantWidth))
+		}
+		if v.raw == nil {
+			if count != 0 {
+				return fmt.Errorf("swaprt: state %q: gob entry with count %d", v.name, count)
+			}
+			continue
+		}
+		lead, body := uint64(0), count
+		if trimmed {
+			lead, body = r.u64(), r.u64()
+			if r.err != nil {
+				return r.err
+			}
+			if lead > count || body > count-lead {
+				return fmt.Errorf("swaprt: state %q: elements [%d, %d+%d) of %d", v.name, lead, lead, body, count)
+			}
+			if count-body > uint64(ss.zerosLimit/width) {
+				return fmt.Errorf("swaprt: state %q: %d zero elements exceed the %d-byte limit", v.name, count-body, ss.zerosLimit)
+			}
+		}
+		if body > uint64(len(r.b)/width) {
+			return fmt.Errorf("swaprt: state %q: %d elements of %d bytes, %d bytes left", v.name, body, width, len(r.b))
+		}
+		if err := v.raw.get(r.take(int(body)*width), int(count), int(lead)); err != nil {
+			return fmt.Errorf("swaprt: state %q: %w", v.name, err)
+		}
+	}
+	section := r.take64(r.u64())
+	if r.err != nil {
+		return r.err
+	}
+	if len(r.b) != 0 {
+		return fmt.Errorf("swaprt: state: %d trailing bytes", len(r.b))
+	}
+	if ss.nGob == 0 {
+		if len(section) != 0 {
+			return fmt.Errorf("swaprt: state: %d-byte gob section, no gob variable registered", len(section))
+		}
+		return nil
+	}
+	dec := gob.NewDecoder(bytes.NewReader(section))
+	for _, v := range ss.vars {
+		if v.raw != nil {
+			continue
+		}
+		zeroInPlace(reflect.ValueOf(v.ptr))
+		if err := dec.Decode(v.ptr); err != nil {
+			return fmt.Errorf("swaprt: decode state %q: %w", v.name, err)
 		}
 	}
 	return nil
 }
 
-// zeroInPlace resets the value a registered pointer points at. A slice
-// keeps its backing array, cleared over its whole capacity and cut to
-// length 0: gob decodes into capacity it finds, so a swapped-in grid
-// does not reallocate every swap.
+// zeroInPlace resets the value a gob variable's pointer points at. A
+// slice keeps its backing array, cleared over its whole capacity and cut
+// to length 0: gob decodes into capacity it finds.
 func zeroInPlace(ptr reflect.Value) {
 	if ptr.Kind() != reflect.Pointer || ptr.IsNil() {
 		return // gob reports the unusable target
@@ -109,4 +381,63 @@ func zeroInPlace(ptr reflect.Value) {
 		return
 	}
 	v.SetZero()
+}
+
+// reader consumes a message front to back. The first short read sets
+// err and every later read returns zero, so a decoder checks once after
+// a group of fields. It is shared by the state format and the plan and
+// commit messages.
+type reader struct {
+	b   []byte
+	err error
+}
+
+var errTruncated = errors.New("swaprt: truncated message")
+
+// take returns the next n bytes without copying them.
+func (r *reader) take(n int) []byte {
+	if r.err != nil || n > len(r.b) {
+		r.err = errTruncated
+		return nil
+	}
+	out := r.b[:n]
+	r.b = r.b[n:]
+	return out
+}
+
+// take64 is take for a length read off the wire.
+func (r *reader) take64(n uint64) []byte {
+	if n > uint64(len(r.b)) {
+		r.err = errTruncated
+		return nil
+	}
+	return r.take(int(n))
+}
+
+func (r *reader) u8() byte {
+	if b := r.take(1); b != nil {
+		return b[0]
+	}
+	return 0
+}
+
+func (r *reader) u16() uint16 {
+	if b := r.take(2); b != nil {
+		return binary.LittleEndian.Uint16(b)
+	}
+	return 0
+}
+
+func (r *reader) u32() uint32 {
+	if b := r.take(4); b != nil {
+		return binary.LittleEndian.Uint32(b)
+	}
+	return 0
+}
+
+func (r *reader) u64() uint64 {
+	if b := r.take(8); b != nil {
+		return binary.LittleEndian.Uint64(b)
+	}
+	return 0
 }

@@ -27,54 +27,111 @@ func TestAssignFullChannelFailsLoudly(t *testing.T) {
 	}
 }
 
-func TestStateSizeEstimateCachedAndInvalidated(t *testing.T) {
-	s := &Session{state: newStateSet(), sizeEst: -1}
-	x := make([]byte, 100)
+// filled returns n floats none of which is zero: a zero prefix or suffix
+// is not part of the encoded size.
+func filled(n int) []float64 {
+	s := make([]float64, n)
+	for i := range s {
+		s[i] = float64(i + 1)
+	}
+	return s
+}
+
+// TestStateSizeEstimateTracksResize: the estimate is computed from the
+// variables at every call, so a registered slice that grows or shrinks
+// between swap points changes it by exactly its bytes, with no
+// re-registration and without encoding anything.
+func TestStateSizeEstimateTracksResize(t *testing.T) {
+	s := &Session{state: newStateSet()}
+	x := filled(100)
 	s.Register("x", &x)
 
 	first := s.stateSizeEstimate()
-	if first <= 0 {
-		t.Fatalf("estimate = %g", first)
+	if first <= 800 {
+		t.Fatalf("estimate = %g for 800 bytes of floats", first)
 	}
-	if s.encCache == nil {
-		t.Fatal("estimate did not keep its encoding for reuse")
+	x = append(x, filled(1000)...)
+	if got := s.stateSizeEstimate(); got != first+8000 {
+		t.Fatalf("estimate after growing by 1000 floats = %g, want %g", got, first+8000)
 	}
-	// Growing the state without re-registering must serve the cached size
-	// (the whole point: no re-encode per swap point).
-	x = append(x, make([]byte, 10000)...)
-	if got := s.stateSizeEstimate(); got != first {
-		t.Fatalf("estimate re-encoded: %g != cached %g", got, first)
+	x = x[:10]
+	if got := s.stateSizeEstimate(); got != first-720 {
+		t.Fatalf("estimate after shrinking to 10 floats = %g, want %g", got, first-720)
 	}
+	blob, err := s.state.encode()
+	if err != nil || float64(len(blob)) != first-720 {
+		t.Fatalf("encode = %d bytes (%v), estimate said %g", len(blob), err, first-720)
+	}
+}
 
-	// Register invalidates both the size and the kept encoding.
-	y := 0
-	s.Register("y", &y)
-	if s.sizeEst >= 0 || s.encCache != nil {
-		t.Fatal("Register did not invalidate the size cache")
+// TestSwapTimeTracksResizedState is the same defect end to end: the
+// estimate used to be cached until the next Register, so the policy kept
+// being fed the swapTime of the state's first size.
+func TestSwapTimeTracksResizedState(t *testing.T) {
+	tr := obs.New(2)
+	tr.Enable()
+	lat, bw := 0.0, 1e6 // swapTime = bytes / 1e6
+	clk := &fakeClock{step: 0.05}
+	err := Run(mpi.NewWorld(2), Config{Active: 2, Policy: core.Safe(), Clock: clk.now, Tracer: tr,
+		Probe: func(int) float64 { return 100 }, LinkLatency: &lat, LinkBandwidth: &bw},
+		func(s *Session) error {
+			iter := 0
+			grid := filled(1000)
+			s.Register("iter", &iter)
+			s.Register("grid", &grid)
+			for iter < 3 {
+				iter++
+				if iter == 2 {
+					grid = append(grid, filled(9000)...)
+				}
+				if err := s.SwapPoint(); err != nil {
+					return err
+				}
+			}
+			return nil
+		})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if got := s.stateSizeEstimate(); got <= first {
-		t.Fatalf("post-invalidation estimate %g not refreshed (was %g)", got, first)
+	var swapTimes []float64
+	for _, ev := range tr.Events() {
+		if ev.Kind == obs.KindSwapDecision {
+			swapTimes = append(swapTimes, ev.SwapTime)
+		}
+	}
+	if len(swapTimes) != 3 {
+		t.Fatalf("saw %d swap decisions, want 3", len(swapTimes))
+	}
+	// 9000 more float64s are 72,000 more bytes, 0.072 s at 1 MB/s.
+	if d := swapTimes[1] - swapTimes[0]; d < 0.0719 || d > 0.0721 {
+		t.Fatalf("swapTime went %g -> %g after the grid grew by 72,000 bytes, want +0.072", swapTimes[0], swapTimes[1])
+	}
+	if swapTimes[2] != swapTimes[1] {
+		t.Fatalf("swapTime moved %g -> %g with no resize", swapTimes[1], swapTimes[2])
 	}
 }
 
 func TestStateSizeEstimateUnencodableFallsBack(t *testing.T) {
 	tr := obs.New(0)
 	tr.Enable()
-	s := &Session{state: newStateSet(), sizeEst: -1, tr: tr}
-	x := make([]byte, 512)
+	s := &Session{state: newStateSet(), tr: tr}
+	x := bytes.Repeat([]byte{1}, 512)
+	m := map[string]int{"k": 1}
 	s.Register("x", &x)
+	s.Register("m", &m)
 	good := s.stateSizeEstimate()
-	if good <= 0 {
+	if good <= 512 {
 		t.Fatalf("estimate = %g", good)
 	}
 
-	// Registering something gob cannot encode must not zero the estimate:
-	// a free-looking swap would corrupt the payback prediction. The last
-	// good size is the fallback.
+	// Registering something gob cannot encode must not zero the gob
+	// section's share of the estimate: the raw kinds stay exact and the
+	// last good gob size stands in for the section.
 	ch := make(chan int)
 	s.Register("ch", &ch)
-	if got := s.stateSizeEstimate(); got != good {
-		t.Fatalf("estimate after unencodable registration = %g, want last good %g", got, good)
+	entry := float64(varHdrLen + len("ch"))
+	if got := s.stateSizeEstimate(); got != good+entry {
+		t.Fatalf("estimate after unencodable registration = %g, want last good %g + the new entry's header %g", got, good, entry)
 	}
 	var traced bool
 	for _, ev := range tr.Events() {
@@ -86,12 +143,13 @@ func TestStateSizeEstimateUnencodableFallsBack(t *testing.T) {
 		t.Fatal("encode failure left no RuntimeError trace event")
 	}
 
-	// With no good estimate ever computed the fallback is 0 — and no panic.
-	s2 := &Session{state: newStateSet(), sizeEst: -1}
+	// With nothing ever encoded the gob section counts as empty — and no
+	// panic.
+	s2 := &Session{state: newStateSet()}
 	ch2 := make(chan int)
 	s2.Register("ch2", &ch2)
-	if got := s2.stateSizeEstimate(); got != 0 {
-		t.Fatalf("estimate with no history = %g, want 0", got)
+	if got, want := s2.stateSizeEstimate(), float64(s2.state.rawSize()); got != want {
+		t.Fatalf("estimate with no history = %g, want the raw size %g", got, want)
 	}
 }
 
