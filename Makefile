@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet lint test race bench bench-transport bench-all bench-smoke figures ablations extensions check fuzz trace-smoke chaos-smoke mon-smoke postmortem-smoke failover-smoke lens-smoke smoke-timing clean
+.PHONY: all build vet lint test race bench bench-transport bench-all bench-smoke figures ablations extensions figures-check check fuzz trace-smoke chaos-smoke mon-smoke postmortem-smoke failover-smoke lens-smoke smoke-timing clean
 
 all: build vet lint test
 
@@ -54,10 +54,13 @@ bench-transport:
 # transport gate benchmarks, the policy-lens disabled-path benchmarks
 # and the state codec (BenchmarkStateCodec/{4KiB,1MiB}: one checkpoint
 # save + load, MB/s and allocations; the hard 0-alloc gate on the codec
-# is TestStateCodecAllocations, a plain test under `make test`),
-# folded together with the checked-in BENCH_*.json capsules
+# is TestStateCodecAllocations, a plain test under `make test`) and the
+# simulator (results/bench-sim.txt: Fig. 4 and Fig. 7 at quick size, the
+# kernel's event throughput, the policy decision with and without its
+# explanation), folded together with the checked-in BENCH_*.json capsules
 # by cmd/benchagg, which re-applies the zero-alloc gate on the parsed
-# rows so the artifact cannot disagree with the gate that admitted it.
+# rows — the transport send path and one kernel event — so the artifact
+# cannot disagree with the gate that admitted it.
 bench-all:
 	mkdir -p results
 	$(GO) test -run '^$$' -bench '^BenchmarkTCPSendDistinctRanks(Causal|Gob)?$$' \
@@ -66,9 +69,13 @@ bench-all:
 		-benchmem -count 3 ./internal/swaprt/policylens/ | tee results/bench-lens.txt
 	$(GO) test -run '^$$' -bench '^BenchmarkStateCodec$$' \
 		-benchmem -count 3 . | tee results/bench-codec.txt
+	$(GO) test -run '^$$' \
+		-bench '^Benchmark(Fig4Techniques|Fig7Policies|KernelEventThroughput|PolicyDecide)$$' \
+		-benchmem -count 3 . | tee results/bench-sim.txt
 	$(GO) run ./cmd/benchagg -out results/BENCH_summary.json -docs 'BENCH_*.json' \
-		-zero-alloc '^BenchmarkTCPSendDistinctRanks(Causal)?$$' \
-		results/bench-transport.txt results/bench-lens.txt results/bench-codec.txt
+		-zero-alloc '^Benchmark(TCPSendDistinctRanks(Causal)?|KernelEventThroughput)$$' \
+		results/bench-transport.txt results/bench-lens.txt results/bench-codec.txt \
+		results/bench-sim.txt
 	@echo "bench-all: wrote results/BENCH_summary.json"
 
 # The swap-cost benchmark harness (bench/, BENCHMARK.json) at toy sizes:
@@ -88,9 +95,28 @@ ablations:
 extensions:
 	$(GO) run ./cmd/swapexp -fig extensions -out results -format csv
 
+# Byte-identity of the committed figure data: regenerate every figure,
+# ablation and extension into a temporary directory and cmp each CSV
+# against results/. A simulator change that moves one digit of one cell
+# (or adds or drops a file) fails here, by name.
+figures-check:
+	@TMP=$$(mktemp -d); trap 'rm -rf "$$TMP"' EXIT; \
+	for set in all ablations extensions; do \
+		$(GO) run ./cmd/swapexp -fig $$set -out "$$TMP" -format csv >/dev/null || exit 1; \
+	done; \
+	if [ "$$(cd "$$TMP" && ls *.csv)" != "$$(cd results && ls *.csv)" ]; then \
+		echo "figures-check: FAIL - regenerated file set differs from results/*.csv"; exit 1; \
+	fi; \
+	BAD=0; for f in results/*.csv; do \
+		cmp "$$f" "$$TMP/$$(basename $$f)" || BAD=1; \
+	done; \
+	if [ $$BAD -ne 0 ]; then echo "figures-check: FAIL - regenerated CSVs differ from results/"; exit 1; fi; \
+	echo "figures-check: $$(ls results/*.csv | wc -l) CSVs byte-identical to results/"
+
 # Verify the paper's claims against freshly generated figures; the static
-# analyzers run first so a non-reproducible tree cannot "pass" the check.
-check: lint
+# analyzers run first so a non-reproducible tree cannot "pass" the check,
+# and the committed CSVs must still be what the simulator produces.
+check: lint figures-check
 	$(GO) run ./cmd/swapexp -check
 
 # End-to-end trace validation: a 2-rank live run with an injected

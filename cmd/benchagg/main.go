@@ -17,7 +17,8 @@
 //
 //	benchagg -out results/BENCH_summary.json -docs 'BENCH_*.json' \
 //	    -zero-alloc '^BenchmarkTCPSendDistinctRanks(Causal)?$' \
-//	    results/bench-transport.txt results/bench-lens.txt results/bench-codec.txt
+//	    results/bench-transport.txt results/bench-lens.txt results/bench-codec.txt \
+//	    results/bench-sim.txt
 package main
 
 import (
@@ -67,10 +68,14 @@ type Gate struct {
 //
 //	BenchmarkFoo-8   5000   123.4 ns/op   16 B/op   2 allocs/op
 //
-// The B/op and allocs/op columns appear only under -benchmem, and an
-// MB/s column sits before them when the benchmark calls b.SetBytes.
-var benchLine = regexp.MustCompile(
-	`^(Benchmark\S+?)(-\d+)?\s+\d+\s+([0-9.]+) ns/op(?:\s+[0-9.]+ MB/s)?(?:\s+(\d+) B/op\s+(\d+) allocs/op)?`)
+// The B/op and allocs/op columns appear only under -benchmem, behind any
+// others: MB/s when the benchmark calls b.SetBytes, one column per
+// b.ReportMetric (the figure benchmarks report ratios such as
+// "0.7813 cr/none_best").
+var (
+	benchLine = regexp.MustCompile(`^(Benchmark\S+?)(-\d+)?\s+\d+\s+([0-9.]+) ns/op(.*)$`)
+	memCols   = regexp.MustCompile(`\s(\d+) B/op\s+(\d+) allocs/op`)
+)
 
 // run is one parsed benchmark execution.
 type run struct {
@@ -91,9 +96,9 @@ func parseBench(source string, text string) []run {
 		}
 		r := run{name: m[1], source: source}
 		r.nsOp, _ = strconv.ParseFloat(m[3], 64)
-		if m[4] != "" {
-			r.bOp, _ = strconv.ParseInt(m[4], 10, 64)
-			r.allocsOp, _ = strconv.ParseInt(m[5], 10, 64)
+		if mem := memCols.FindStringSubmatch(m[4]); mem != nil {
+			r.bOp, _ = strconv.ParseInt(mem[1], 10, 64)
+			r.allocsOp, _ = strconv.ParseInt(mem[2], 10, 64)
 		}
 		runs = append(runs, r)
 	}

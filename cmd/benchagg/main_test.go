@@ -41,6 +41,22 @@ func TestParseBenchThroughputColumn(t *testing.T) {
 	}
 }
 
+// TestParseBenchCustomMetricColumns: the figure benchmarks put one
+// b.ReportMetric column per series between ns/op and the memory columns,
+// and sub-benchmarks carry a slash in their names.
+func TestParseBenchCustomMetricColumns(t *testing.T) {
+	runs := parseBench("bench-sim.txt",
+		"BenchmarkFig4Techniques-2   \t     195\t   6034835 ns/op\t         0.7813 cr/none_best\t         0.8363 dlb/none_best\t 2678880 B/op\t   16863 allocs/op\n"+
+			"BenchmarkPolicyDecide/DecideExplained-2 \t 500000\t 2100 ns/op\t 1488 B/op\t 9 allocs/op\n")
+	if len(runs) != 2 || runs[0].name != "BenchmarkFig4Techniques" ||
+		runs[0].nsOp != 6034835 || runs[0].bOp != 2678880 || runs[0].allocsOp != 16863 {
+		t.Fatalf("runs = %+v", runs)
+	}
+	if runs[1].name != "BenchmarkPolicyDecide/DecideExplained" || runs[1].allocsOp != 9 {
+		t.Fatalf("runs = %+v", runs)
+	}
+}
+
 func TestAggregateStats(t *testing.T) {
 	benches := aggregate(parseBench("bench.txt", sampleBench))
 	if len(benches) != 2 {

@@ -1,8 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -103,12 +105,37 @@ type Explanation struct {
 //
 // Consideration stops at the first rejected pair.
 func (p Policy) Decide(in DecideInput) []SwapPair {
-	out, _ := p.DecideExplained(in)
+	out, _, _ := p.decide(in)
 	return out
 }
 
 // DecideExplained is Decide plus an Explanation of the verdict.
 func (p Policy) DecideExplained(in DecideInput) ([]SwapPair, Explanation) {
+	out, exp, g := p.decide(in)
+	switch {
+	case exp.Considered > 0:
+		exp.Reason = p.gateText(g, exp)
+	case len(in.Active) == 0:
+		exp.Reason = "no active candidates"
+	default:
+		exp.Reason = "no spare candidates"
+	}
+	return out, exp
+}
+
+// DecideQuiet is DecideExplained without the Reason sentence: the same
+// pairs and the same numbers, and no text formatted. It is for callers
+// that record the explanation only when somebody is listening (a tracer
+// is attached) and otherwise read just its numbers.
+func (p Policy) DecideQuiet(in DecideInput) ([]SwapPair, Explanation) {
+	out, exp, _ := p.decide(in)
+	return out, exp
+}
+
+// decide is the decision itself: the pairs, the Explanation without its
+// Reason, and the gate that decided for the decisive pair (meaningful
+// when at least one pair was considered).
+func (p Policy) decide(in DecideInput) ([]SwapPair, Explanation, gate) {
 	if err := p.Validate(); err != nil {
 		panic(err)
 	}
@@ -123,127 +150,144 @@ func (p Policy) DecideExplained(in DecideInput) ([]SwapPair, Explanation) {
 		appPerf = BottleneckAppPerf
 	}
 
-	active := append([]Candidate(nil), in.Active...)
-	spare := append([]Candidate(nil), in.Spare...)
+	// One allocation holds both sorted copies and the rates.
+	na, ns := len(in.Active), len(in.Spare)
+	cands := make([]Candidate, na+ns)
+	active, spare := cands[:na:na], cands[na:]
+	copy(active, in.Active)
+	copy(spare, in.Spare)
 	// Slowest active first; fastest spare first. Ties break by ID so
 	// decisions are deterministic.
-	sort.Slice(active, func(i, j int) bool {
-		if active[i].Rate != active[j].Rate {
-			return active[i].Rate < active[j].Rate
+	slices.SortFunc(active, func(a, b Candidate) int {
+		if a.Rate != b.Rate {
+			return cmp.Compare(a.Rate, b.Rate)
 		}
-		return active[i].ID < active[j].ID
+		return cmp.Compare(a.ID, b.ID)
 	})
-	sort.Slice(spare, func(i, j int) bool {
-		if spare[i].Rate != spare[j].Rate {
-			return spare[i].Rate > spare[j].Rate
+	slices.SortFunc(spare, func(a, b Candidate) int {
+		if a.Rate != b.Rate {
+			return cmp.Compare(b.Rate, a.Rate)
 		}
-		return spare[i].ID < spare[j].ID
+		return cmp.Compare(a.ID, b.ID)
 	})
 
-	rates := make([]float64, len(active))
+	rates := make([]float64, na)
 	for i, c := range active {
 		rates[i] = c.Rate
 	}
 
-	exp := Explanation{IterTime: in.IterTime, SwapTime: in.SwapTime,
-		Verdict: "stay", Reason: "no candidate pairs"}
-	switch {
-	case len(active) == 0:
-		exp.Reason = "no active candidates"
-	case len(spare) == 0:
-		exp.Reason = "no spare candidates"
-	}
-
+	exp := Explanation{IterTime: in.IterTime, SwapTime: in.SwapTime, Verdict: "stay"}
 	var out []SwapPair
-	n := len(active)
-	if len(spare) < n {
-		n = len(spare)
-	}
-	for k := 0; k < n; k++ {
-		pair, ok, reason := p.evaluatePair(active[k], spare[k], rates, k,
+	var decisive gate
+	for k := 0; k < min(na, ns); k++ {
+		pair, g := p.evaluatePair(active[k], spare[k], rates, k,
 			in.IterTime, in.SwapTime, appPerf)
 		exp.Considered++
-		if !ok {
+		if g != gateAccepted {
 			// A rejection after accepted pairs keeps the headline swap as
 			// the decisive pair; a rejection with none accepted explains
 			// the stay.
 			if len(out) == 0 {
-				exp.fill(pair, reason)
+				exp.fill(pair)
+				decisive = g
 			}
 			break
 		}
 		if len(out) == 0 {
 			exp.Verdict = "swap"
-			exp.fill(pair, reason)
+			exp.fill(pair)
 		}
 		out = append(out, pair)
 		rates[k] = spare[k].Rate // app gains accumulate over accepted pairs
 	}
-	return out, exp
+	return out, exp, decisive
 }
 
 // fill copies the decisive pair's numbers into the explanation.
-func (e *Explanation) fill(pair SwapPair, reason string) {
+func (e *Explanation) fill(pair SwapPair) {
 	e.OldPerf = pair.Out.Rate
 	e.NewPerf = pair.In.Rate
 	e.ProcGain = pair.ProcGain
 	e.AppGain = pair.AppGain
 	e.Payback = pair.Payback
-	e.Reason = reason
 }
 
 // EvaluatePair applies the policy's gates to one specific candidate swap:
 // replacing the active host at index idx of rates (which must equal
 // out.Rate) with the spare `in`. It returns the accepted pair and true,
 // or false if any gate rejects. This is the primitive both Decide and the
-// selection-rule ablation build on; rates is not modified.
+// selection-rule ablation build on; rates is unchanged on return.
 func (p Policy) EvaluatePair(out, in Candidate, rates []float64, idx int,
 	iterTime, swapTime float64, appPerf func([]float64) float64) (SwapPair, bool) {
 
-	pair, ok, _ := p.evaluatePair(out, in, rates, idx, iterTime, swapTime, appPerf)
-	if !ok {
+	if appPerf == nil {
+		appPerf = BottleneckAppPerf
+	}
+	pair, g := p.evaluatePair(out, in, rates, idx, iterTime, swapTime, appPerf)
+	if g != gateAccepted {
 		return SwapPair{}, false
 	}
 	return pair, true
 }
 
-// evaluatePair is EvaluatePair plus the gate verdict in words. On
-// rejection the returned pair still carries whatever numbers the gates
-// computed before failing, so explanations can show them.
-func (p Policy) evaluatePair(out, in Candidate, rates []float64, idx int,
-	iterTime, swapTime float64, appPerf func([]float64) float64) (SwapPair, bool, string) {
+// gate names what decided a pair: accepted, or the gate that rejected it.
+type gate uint8
 
-	if appPerf == nil {
-		appPerf = BottleneckAppPerf
-	}
+const (
+	gateAccepted gate = iota
+	gateNotFaster
+	gateProcGain
+	gatePayback
+	gateAppGain
+)
+
+// evaluatePair is EvaluatePair with the deciding gate. On rejection the
+// returned pair still carries whatever numbers the gates computed before
+// failing, so explanations can show them.
+func (p Policy) evaluatePair(out, in Candidate, rates []float64, idx int,
+	iterTime, swapTime float64, appPerf func([]float64) float64) (SwapPair, gate) {
+
 	pair := SwapPair{Out: out, In: in}
 	if in.Rate <= out.Rate {
-		return pair, false, fmt.Sprintf("spare rate %.4g not above active rate %.4g",
-			in.Rate, out.Rate)
+		return pair, gateNotFaster
 	}
 	pair.ProcGain = in.Rate/out.Rate - 1
 	if pair.ProcGain <= p.MinProcImprovement {
-		return pair, false, fmt.Sprintf("process gain %.3g <= minimum %.3g",
-			pair.ProcGain, p.MinProcImprovement)
+		return pair, gateProcGain
 	}
 	pair.Payback = PaybackDistance(swapTime, iterTime, out.Rate, in.Rate)
 	if pair.Payback > p.PaybackThreshold {
-		return pair, false, fmt.Sprintf("payback %.3g iterations > threshold %.3g",
-			pair.Payback, p.PaybackThreshold)
+		return pair, gatePayback
 	}
+	// The hypothetical rate set is rates with the spare swapped in for
+	// the duration of one appPerf call.
 	oldPerf := appPerf(rates)
-	newRates := append([]float64(nil), rates...)
-	newRates[idx] = in.Rate
-	newPerf := appPerf(newRates)
+	old := rates[idx]
+	rates[idx] = in.Rate
+	newPerf := appPerf(rates)
+	rates[idx] = old
 	if oldPerf > 0 {
 		pair.AppGain = newPerf/oldPerf - 1
 	}
 	if p.MinAppImprovement > 0 && pair.AppGain <= p.MinAppImprovement {
-		return pair, false, fmt.Sprintf("application gain %.3g <= minimum %.3g",
-			pair.AppGain, p.MinAppImprovement)
+		return pair, gateAppGain
 	}
-	return pair, true, fmt.Sprintf("payback %.3g iterations within threshold %.3g",
-		pair.Payback, p.PaybackThreshold)
+	return pair, gateAccepted
+}
+
+// gateText words a gate's verdict with the decisive pair's numbers.
+func (p Policy) gateText(g gate, e Explanation) string {
+	switch g {
+	case gateNotFaster:
+		return fmt.Sprintf("spare rate %.4g not above active rate %.4g", e.NewPerf, e.OldPerf)
+	case gateProcGain:
+		return fmt.Sprintf("process gain %.3g <= minimum %.3g", e.ProcGain, p.MinProcImprovement)
+	case gatePayback:
+		return fmt.Sprintf("payback %.3g iterations > threshold %.3g", e.Payback, p.PaybackThreshold)
+	case gateAppGain:
+		return fmt.Sprintf("application gain %.3g <= minimum %.3g", e.AppGain, p.MinAppImprovement)
+	}
+	return fmt.Sprintf("payback %.3g iterations within threshold %.3g", e.Payback, p.PaybackThreshold)
 }
 
 // RelocateInput describes a proposed whole-application relocation, the

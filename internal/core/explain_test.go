@@ -1,8 +1,12 @@
 package core
 
 import (
+	"reflect"
 	"strings"
 	"testing"
+	"testing/quick"
+
+	"repro/internal/rng"
 )
 
 // TestDecideExplainedSwap: an accepted decision explains itself with the
@@ -112,5 +116,93 @@ func TestDecideExplainedKeepsHeadlineOnLaterRejection(t *testing.T) {
 	}
 	if exp.Considered != 2 {
 		t.Fatalf("considered = %d, want 2", exp.Considered)
+	}
+}
+
+// ablated is a policy off the named three: every gate on at once.
+func ablated() Policy {
+	return Policy{Name: "ablated", PaybackThreshold: 2, MinProcImprovement: 0.1,
+		MinAppImprovement: 0.05, HistoryWindow: 30}
+}
+
+// Decide and DecideQuiet are DecideExplained without the words: the same
+// pairs, and the same Explanation field for field, Reason aside.
+func TestQuietDecideEqualsExplained(t *testing.T) {
+	st := rng.NewSource(81).Stream("quiet")
+	policies := []Policy{Greedy(), Safe(), Friendly(), ablated()}
+	swapped, stayed := 0, 0
+	f := func(nA, nS uint8, itRaw, swRaw uint16, clustered bool) bool {
+		in := DecideInput{IterTime: float64(itRaw%600) + 1, SwapTime: float64(swRaw % 300)}
+		rate := func() float64 {
+			if clustered { // many ties: the ID tie-break decides
+				return float64(100 * (1 + st.Intn(4)))
+			}
+			return st.Uniform(50, 800)
+		}
+		for i := 0; i < int(nA%9); i++ {
+			in.Active = append(in.Active, Candidate{ID: i, Rate: rate()})
+		}
+		for i := 0; i < int(nS%30); i++ {
+			in.Spare = append(in.Spare, Candidate{ID: 100 + i, Rate: rate()})
+		}
+		for _, p := range policies {
+			quiet, numbers := p.DecideQuiet(in)
+			pairs, exp := p.DecideExplained(in)
+			if !reflect.DeepEqual(quiet, pairs) || !reflect.DeepEqual(p.Decide(in), pairs) {
+				t.Logf("%s: DecideQuiet %v, DecideExplained %v", p.Name, quiet, pairs)
+				return false
+			}
+			if exp.Reason == "" || numbers.Reason != "" {
+				t.Logf("%s: reasons %q (explained), %q (quiet)", p.Name, exp.Reason, numbers.Reason)
+				return false
+			}
+			if len(pairs) == 0 {
+				stayed++
+			} else {
+				swapped++
+			}
+			exp.Reason = ""
+			if numbers != exp {
+				t.Logf("%s: quiet %+v, explained %+v", p.Name, numbers, exp)
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 400}); err != nil {
+		t.Fatal(err)
+	}
+	if swapped < 100 || stayed < 100 {
+		t.Fatalf("inputs too one-sided to mean anything: %d swaps, %d stays", swapped, stayed)
+	}
+}
+
+// The text-free path stays cheap: on the figures' 4 active + 28 spare
+// candidates a decision allocates its sorted copy of the candidates, its
+// rates and its result, and nothing per candidate or per gate.
+func TestDecideAllocations(t *testing.T) {
+	in := DecideInput{IterTime: 120, SwapTime: 0.17}
+	st := rng.NewSource(3).Stream("allocs")
+	for i := 0; i < 4; i++ {
+		in.Active = append(in.Active, Candidate{ID: i, Rate: st.Uniform(100, 400)})
+	}
+	for i := 0; i < 28; i++ {
+		in.Spare = append(in.Spare, Candidate{ID: 4 + i, Rate: st.Uniform(100, 800)})
+	}
+	stay := in
+	stay.Spare = nil
+	for i := 0; i < 28; i++ {
+		stay.Spare = append(stay.Spare, Candidate{ID: 4 + i, Rate: 50})
+	}
+	pol := Greedy()
+	if n := len(pol.Decide(in)); n != 4 {
+		t.Fatalf("greedy swaps %d of 4, want all", n)
+	}
+	// 2 for the copies; the result grows 1 → 2 → 4 pairs.
+	if got := testing.AllocsPerRun(200, func() { pol.DecideQuiet(in) }); got != 5 {
+		t.Errorf("DecideQuiet swapping 4 of 4+28: %v allocs, want 5", got)
+	}
+	if got := testing.AllocsPerRun(200, func() { pol.DecideQuiet(stay) }); got != 2 {
+		t.Errorf("DecideQuiet staying on 4+28: %v allocs, want 2", got)
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/loadgen"
 	"repro/internal/nws"
+	"repro/internal/platform"
 	"repro/internal/predict"
 	"repro/internal/strategy"
 )
@@ -21,11 +22,15 @@ const (
 	ablationActive = 4
 )
 
+// ablationEnv is the one environment the knob sweeps share: x turns a
+// policy knob, not the load.
+func ablationEnv(float64) platform.Config {
+	return platform.Default(ablationHosts, loadgen.NewOnOff(ablationLoadP))
+}
+
 func ablationSpec(o Options, state float64, pol core.Policy) runSpec {
 	return runSpec{
-		hosts: ablationHosts,
-		model: loadgen.NewOnOff(ablationLoadP),
-		tech:  strategy.Swap{},
+		tech: strategy.Swap{},
 		sc: strategy.Scenario{
 			Active: ablationActive,
 			App:    fig4App(o, state),
@@ -51,7 +56,7 @@ func AblationHistory(o Options) *FigureResult {
 	if o.Quick {
 		grid = []float64{0, 300}
 	}
-	sweep(o, fig, grid, []string{"state-1MB", "state-100MB"},
+	sweep(o, fig, grid, []string{"state-1MB", "state-100MB"}, ablationEnv,
 		func(x float64, series string) runSpec {
 			state := 1e6
 			if series == "state-100MB" {
@@ -80,7 +85,7 @@ func AblationPayback(o Options) *FigureResult {
 	if o.Quick {
 		grid = []float64{0.5, math.Inf(1)}
 	}
-	sweep(o, fig, grid, []string{"swap"},
+	sweep(o, fig, grid, []string{"swap"}, ablationEnv,
 		func(x float64, series string) runSpec {
 			pol := core.Greedy()
 			pol.Name = fmt.Sprintf("payback<=%g", x)
@@ -104,7 +109,7 @@ func AblationImprovement(o Options) *FigureResult {
 	if o.Quick {
 		grid = []float64{0, 0.2}
 	}
-	sweep(o, fig, grid, []string{"swap"},
+	sweep(o, fig, grid, []string{"swap"}, ablationEnv,
 		func(x float64, series string) runSpec {
 			pol := core.Greedy()
 			pol.Name = fmt.Sprintf("improve>%g", x)
@@ -126,17 +131,9 @@ func AblationSelector(o Options) *FigureResult {
 		YLabel: "execution time (s)",
 	}
 	sweep(o, fig, dynamismGrid(o.Quick), []string{"slowest-fastest", "random"},
-		func(x float64, series string) runSpec {
-			spec := runSpec{
-				hosts: ablationHosts,
-				model: loadgen.NewOnOff(x),
-				tech:  strategy.Swap{},
-				sc: strategy.Scenario{
-					Active: ablationActive,
-					App:    fig4App(o, 1e6),
-					Policy: core.Greedy(),
-				},
-			}
+		onOffEnv(ablationHosts),
+		func(_ float64, series string) runSpec {
+			spec := ablationSpec(o, 1e6, core.Greedy())
 			if series == "random" {
 				spec.sc.SwapSelection = "random"
 				spec.sc.SelectSeed = o.BaseSeed
@@ -164,7 +161,7 @@ func AblationForecaster(o Options) *FigureResult {
 	mk := func(f func() nws.Forecaster, interval float64) predict.RateEstimator {
 		return predict.SampledEstimator{Interval: interval, NewForecaster: f}
 	}
-	sweep(o, fig, grid, []string{"exact", "last", "mean", "median", "adaptive"},
+	sweep(o, fig, grid, []string{"exact", "last", "mean", "median", "adaptive"}, ablationEnv,
 		func(x float64, series string) runSpec {
 			spec := ablationSpec(o, 1e6, core.Safe())
 			switch series {

@@ -8,9 +8,10 @@ package experiment
 import (
 	"fmt"
 	"runtime"
+	"runtime/debug"
 	"sync"
+	"sync/atomic"
 
-	"repro/internal/loadgen"
 	"repro/internal/platform"
 	"repro/internal/rng"
 	"repro/internal/simkern"
@@ -31,7 +32,7 @@ type Options struct {
 	// smoke tests.
 	Quick bool
 	// Serial disables the parallel sweep runner. Results are identical
-	// either way (every run is seeded independently and aggregation
+	// either way (every cell is seeded independently and aggregation
 	// order is fixed); Serial exists for debugging and for measuring
 	// the speedup itself.
 	Serial bool
@@ -120,52 +121,67 @@ func (f *FigureResult) Plot() *trace.Plot {
 	return p
 }
 
-// runSpec describes one simulated run.
+// runSpec is the series half of a run: the technique and scenario
+// executed over a cell's environment.
 type runSpec struct {
-	hosts int
-	model loadgen.Model
-	tech  strategy.Technique
-	sc    strategy.Scenario
-	seed  int64
+	tech strategy.Technique
+	sc   strategy.Scenario
 }
 
-// runOne builds a fresh platform and executes the technique.
-func runOne(s runSpec) strategy.Result {
-	k := simkern.New()
-	p := platform.New(k, platform.Default(s.hosts, s.model), rng.NewSource(s.seed))
-	return s.tech.Run(p, s.sc)
+// CellPanic is what sweep panics with when a simulated run panicked: the
+// run's own panic value and stack, and the coordinates that name it.
+type CellPanic struct {
+	Figure, Series string
+	X              float64
+	Rep            int
+	Seed           int64
+	Value          any    // the run's panic value
+	Stack          []byte // the worker's stack at the panic
 }
 
-// sweep runs a full figure grid: for every x and every named series,
-// build calls back to obtain the spec. Individual simulation runs are
-// independent (each derives its own seed), so the grid fans out across
-// all CPUs; results are accumulated in a fixed order so that parallel and
-// serial execution produce bit-identical figures.
+func (c *CellPanic) Error() string {
+	return fmt.Sprintf("experiment: figure %s, series %q, x=%g, repetition %d (seed %d): %v\n%s",
+		c.Figure, c.Series, c.X, c.Rep, c.Seed, c.Value, c.Stack)
+}
+
+// sweep runs a full figure grid. env gives the environment of an x — the
+// paper's techniques are compared on the same hosts under the same load,
+// so the environment belongs to the cell (x, repetition) — and spec gives
+// what a series runs there. Each cell's environment is built once, from
+// the repetition's seed, and every series runs over it back to back on
+// one worker. Cells are independent, so they fan out across all CPUs in
+// (x, repetition) order; results are accumulated in a fixed order so that
+// parallel and serial execution produce bit-identical figures.
 func sweep(o Options, fig *FigureResult, xs []float64, series []string,
-	build func(x float64, series string) runSpec) {
+	env func(x float64) platform.Config, spec func(x float64, series string) runSpec) {
 	fig.X = xs
 	fig.Series = series
 	fig.Cells = map[string][]Cell{}
 
-	type job struct {
-		series string
-		xIdx   int
-		rep    int
-		spec   runSpec
-	}
-	var jobs []job
-	for _, s := range series {
-		fig.Cells[s] = make([]Cell, len(xs))
-		for i, x := range xs {
-			for rep := 0; rep < o.Seeds; rep++ {
-				spec := build(x, s)
-				spec.seed = o.BaseSeed + int64(rep)*7919
-				jobs = append(jobs, job{series: s, xIdx: i, rep: rep, spec: spec})
+	// totals[(xIdx*Seeds+rep)*len(series)+s] is one run's execution time.
+	cells := len(xs) * o.Seeds
+	totals := make([]float64, cells*len(series))
+	failures := make([]*CellPanic, cells)
+	var failed atomic.Bool
+	runCell := func(cell int) {
+		x, rep := xs[cell/o.Seeds], cell%o.Seeds
+		seed := o.BaseSeed + int64(rep)*7919
+		current := ""
+		defer func() {
+			if v := recover(); v != nil {
+				failures[cell] = &CellPanic{Figure: fig.ID, Series: current, X: x,
+					Rep: rep, Seed: seed, Value: v, Stack: debug.Stack()}
+				failed.Store(true)
 			}
+		}()
+		e := platform.NewEnvironment(env(x), rng.NewSource(seed))
+		for s, name := range series {
+			current = name
+			run := spec(x, name)
+			totals[cell*len(series)+s] = run.tech.Run(e.Bind(simkern.New()), run.sc).TotalTime
 		}
 	}
 
-	totals := make([]float64, len(jobs))
 	workers := runtime.GOMAXPROCS(0)
 	if o.Serial || workers < 1 {
 		workers = 1
@@ -176,33 +192,37 @@ func sweep(o Options, fig *FigureResult, xs []float64, series []string,
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for idx := range next {
-				totals[idx] = runOne(jobs[idx].spec).TotalTime
+			for cell := range next {
+				if !failed.Load() {
+					runCell(cell)
+				}
 			}
 		}()
 	}
-	for idx := range jobs {
-		next <- idx
+	for cell := 0; cell < cells; cell++ {
+		next <- cell
 	}
 	close(next)
 	wg.Wait()
-
-	// Aggregate in job order: floating-point accumulation stays
-	// deterministic no matter which worker ran which job.
-	accs := map[string][]*stats.Accumulator{}
-	for _, s := range series {
-		accs[s] = make([]*stats.Accumulator, len(xs))
-		for i := range xs {
-			accs[s][i] = &stats.Accumulator{}
+	// A run that panicked is re-raised here, on the caller's goroutine,
+	// carrying the cell that broke.
+	for _, f := range failures {
+		if f != nil {
+			panic(f)
 		}
 	}
-	for idx, j := range jobs {
-		accs[j.series][j.xIdx].Add(totals[idx])
-	}
-	for _, s := range series {
+
+	// Aggregate in repetition order per (series, x): floating-point
+	// accumulation stays deterministic no matter which worker ran which
+	// cell.
+	for s, name := range series {
+		fig.Cells[name] = make([]Cell, len(xs))
 		for i := range xs {
-			a := accs[s][i]
-			fig.Cells[s][i] = Cell{
+			var a stats.Accumulator
+			for rep := 0; rep < o.Seeds; rep++ {
+				a.Add(totals[(i*o.Seeds+rep)*len(series)+s])
+			}
+			fig.Cells[name][i] = Cell{
 				Mean: a.Mean(), CI95: a.CI95(), Min: a.Min(), Max: a.Max(), N: a.N(),
 			}
 		}

@@ -1,9 +1,8 @@
 package experiment
 
 import (
-	"repro/internal/core"
 	"repro/internal/loadgen"
-	"repro/internal/strategy"
+	"repro/internal/platform"
 )
 
 // Extension experiments beyond the paper's evaluation, exploring the
@@ -30,19 +29,13 @@ func ExtReclamation(o Options) *FigureResult {
 		grid = []float64{0, 0.4}
 	}
 	sweep(o, fig, grid, []string{"none", "swap", "dlb", "cr"},
-		func(x float64, series string) runSpec {
-			tech, _ := strategy.ByName(series)
-			model := loadgen.Aggregate{Models: []loadgen.Model{
+		func(x float64) platform.Config {
+			return platform.Default(32, loadgen.Aggregate{Models: []loadgen.Model{
 				loadgen.NewOnOff(0.05), // light background load
 				loadgen.Reclaim{Prob: x, Horizon: 4000, Level: 49},
-			}}
-			return runSpec{
-				hosts: 32,
-				model: model,
-				tech:  tech,
-				sc:    strategy.Scenario{Active: 4, App: a, Policy: core.Greedy()},
-			}
-		})
+			}})
+		},
+		techniqueSpec(4, a))
 	return fig
 }
 

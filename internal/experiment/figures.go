@@ -4,6 +4,7 @@ import (
 	"repro/internal/app"
 	"repro/internal/core"
 	"repro/internal/loadgen"
+	"repro/internal/platform"
 	"repro/internal/rng"
 	"repro/internal/strategy"
 )
@@ -125,16 +126,23 @@ func Fig4(o Options) *FigureResult {
 	}
 	a := fig4App(o, 1e6)
 	sweep(o, fig, dynamismGrid(o.Quick), []string{"none", "swap", "dlb", "cr"},
-		func(x float64, series string) runSpec {
-			tech, _ := strategy.ByName(series)
-			return runSpec{
-				hosts: 32,
-				model: loadgen.NewOnOff(x),
-				tech:  tech,
-				sc:    strategy.Scenario{Active: 4, App: a, Policy: core.Greedy()},
-			}
-		})
+		onOffEnv(32), techniqueSpec(4, a))
 	return fig
+}
+
+// onOffEnv is the environment of the dynamism sweeps: x is the ON/OFF
+// load probability.
+func onOffEnv(hosts int) func(x float64) platform.Config {
+	return func(x float64) platform.Config { return platform.Default(hosts, loadgen.NewOnOff(x)) }
+}
+
+// techniqueSpec runs the technique a series is named after, under the
+// greedy policy.
+func techniqueSpec(active int, a app.Iterative) func(x float64, series string) runSpec {
+	return func(_ float64, series string) runSpec {
+		tech, _ := strategy.ByName(series)
+		return runSpec{tech: tech, sc: strategy.Scenario{Active: active, App: a, Policy: core.Greedy()}}
+	}
 }
 
 // Fig5 reproduces Figure 5: execution time across a range of
@@ -155,16 +163,10 @@ func Fig5(o Options) *FigureResult {
 		grid = []float64{0, 100, 300}
 	}
 	sweep(o, fig, grid, []string{"none", "swap", "dlb", "cr"},
-		func(x float64, series string) runSpec {
-			tech, _ := strategy.ByName(series)
-			hosts := 8 + int(8*x/100+0.5)
-			return runSpec{
-				hosts: hosts,
-				model: loadgen.NewOnOff(0.2),
-				tech:  tech,
-				sc:    strategy.Scenario{Active: 8, App: a, Policy: core.Greedy()},
-			}
-		})
+		func(x float64) platform.Config {
+			return platform.Default(8+int(8*x/100+0.5), loadgen.NewOnOff(0.2))
+		},
+		techniqueSpec(8, a))
 	return fig
 }
 
@@ -181,7 +183,8 @@ func Fig6(o Options) *FigureResult {
 	}
 	sweep(o, fig, dynamismGrid(o.Quick),
 		[]string{"none", "swap-1MB", "cr-1MB", "swap-1GB", "cr-1GB"},
-		func(x float64, series string) runSpec {
+		onOffEnv(32),
+		func(_ float64, series string) runSpec {
 			var tech strategy.Technique = strategy.None{}
 			state := 1e6
 			switch series {
@@ -195,10 +198,8 @@ func Fig6(o Options) *FigureResult {
 				tech, state = strategy.CR{}, 1e9
 			}
 			return runSpec{
-				hosts: 32,
-				model: loadgen.NewOnOff(x),
-				tech:  tech,
-				sc:    strategy.Scenario{Active: 4, App: fig4App(o, state), Policy: core.Greedy()},
+				tech: tech,
+				sc:   strategy.Scenario{Active: 4, App: fig4App(o, state), Policy: core.Greedy()},
 			}
 		})
 	return fig
@@ -207,20 +208,16 @@ func Fig6(o Options) *FigureResult {
 // policyFigure runs NONE plus the three policies across dynamism.
 func policyFigure(o Options, fig *FigureResult, active int, a app.Iterative) *FigureResult {
 	sweep(o, fig, dynamismGrid(o.Quick), []string{"none", "greedy", "safe", "friendly"},
-		func(x float64, series string) runSpec {
-			spec := runSpec{hosts: 32, model: loadgen.NewOnOff(x)}
+		onOffEnv(32),
+		func(_ float64, series string) runSpec {
 			if series == "none" {
-				spec.tech = strategy.None{}
-				spec.sc = strategy.Scenario{Active: active, App: a}
-				return spec
+				return runSpec{tech: strategy.None{}, sc: strategy.Scenario{Active: active, App: a}}
 			}
 			pol, err := core.Named(series)
 			if err != nil {
 				panic(err)
 			}
-			spec.tech = strategy.Swap{}
-			spec.sc = strategy.Scenario{Active: active, App: a, Policy: pol}
-			return spec
+			return runSpec{tech: strategy.Swap{}, sc: strategy.Scenario{Active: active, App: a, Policy: pol}}
 		})
 	return fig
 }
@@ -279,14 +276,7 @@ func Fig9(o Options) *FigureResult {
 		grid = []float64{150, 600}
 	}
 	sweep(o, fig, grid, []string{"none", "swap", "dlb", "cr"},
-		func(x float64, series string) runSpec {
-			tech, _ := strategy.ByName(series)
-			return runSpec{
-				hosts: 32,
-				model: loadgen.NewHyperExp(x),
-				tech:  tech,
-				sc:    strategy.Scenario{Active: 4, App: a, Policy: core.Greedy()},
-			}
-		})
+		func(x float64) platform.Config { return platform.Default(32, loadgen.NewHyperExp(x)) },
+		techniqueSpec(4, a))
 	return fig
 }

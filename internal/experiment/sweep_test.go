@@ -1,0 +1,155 @@
+package experiment
+
+import (
+	"errors"
+	"reflect"
+	"runtime"
+	"sort"
+	"strings"
+	"testing"
+
+	"repro/internal/app"
+	"repro/internal/core"
+	"repro/internal/loadgen"
+	"repro/internal/platform"
+	"repro/internal/rng"
+	"repro/internal/simkern"
+	"repro/internal/strategy"
+)
+
+// A run over an environment that earlier runs have already used must be
+// the run a freshly built platform gives, in every field of its Result
+// and whichever run went first or furthest.
+func TestReplayEqualsRebuild(t *testing.T) {
+	envs := map[string]loadgen.Model{
+		"onoff":    loadgen.NewOnOff(0.2),
+		"hyperexp": loadgen.NewHyperExp(300),
+		"reclaim": loadgen.Aggregate{Models: []loadgen.Model{
+			loadgen.NewOnOff(0.05),
+			loadgen.Reclaim{Prob: 0.4, Horizon: 4000, Level: 49},
+		}},
+	}
+	a := fig4App(Options{Iterations: 15}, 1e6)
+	specs := map[string]runSpec{
+		"none":      {strategy.None{}, strategy.Scenario{Active: 4, App: a}},
+		"swap":      {strategy.Swap{}, strategy.Scenario{Active: 4, App: a, Policy: core.Greedy()}},
+		"swap-safe": {strategy.Swap{}, strategy.Scenario{Active: 4, App: a, Policy: core.Safe()}},
+		"dlb":       {strategy.DLB{}, strategy.Scenario{Active: 4, App: a}},
+		"cr":        {strategy.CR{}, strategy.Scenario{Active: 4, App: a, Policy: core.Greedy()}},
+	}
+	const seed = 20030623 + 7919
+	for envName, model := range envs {
+		cfg := platform.Default(32, model)
+		fresh := map[string]strategy.Result{}
+		var names []string
+		for name, s := range specs {
+			fresh[name] = s.tech.Run(platform.New(simkern.New(), cfg, rng.NewSource(seed)), s.sc)
+			names = append(names, name)
+		}
+		sort.Slice(names, func(i, j int) bool {
+			return fresh[names[i]].TotalTime < fresh[names[j]].TotalTime
+		})
+		shortestFirst := append([]string(nil), names...)
+		longestFirst := append([]string(nil), names...)
+		for i, j := 0, len(longestFirst)-1; i < j; i, j = i+1, j-1 {
+			longestFirst[i], longestFirst[j] = longestFirst[j], longestFirst[i]
+		}
+		for _, order := range [][]string{shortestFirst, longestFirst} {
+			e := platform.NewEnvironment(cfg, rng.NewSource(seed))
+			for _, name := range order {
+				s := specs[name]
+				got := s.tech.Run(e.Bind(simkern.New()), s.sc)
+				if !reflect.DeepEqual(got, fresh[name]) {
+					t.Errorf("%s: %s replayed in order %v differs from a fresh platform:\n got %+v\nwant %+v",
+						envName, name, order, got, fresh[name])
+				}
+			}
+		}
+	}
+}
+
+// unevenFigure is a sweep whose cells differ in cost by an order of
+// magnitude (the application is longer at larger x), so workers finish
+// cells out of order.
+func unevenFigure(o Options) *FigureResult {
+	fig := &FigureResult{ID: "uneven"}
+	sweep(o, fig, []float64{40, 3, 25, 6}, []string{"none", "swap", "dlb", "cr"},
+		func(float64) platform.Config { return platform.Default(16, loadgen.NewOnOff(0.3)) },
+		func(x float64, series string) runSpec {
+			tech, _ := strategy.ByName(series)
+			return runSpec{tech: tech, sc: strategy.Scenario{Active: 4,
+				App: fig4App(Options{Iterations: int(x)}, 1e6), Policy: core.Greedy()}}
+		})
+	return fig
+}
+
+func TestSweepParallelEqualsSerialAtEveryWidth(t *testing.T) {
+	o := Options{Seeds: 3, BaseSeed: 11}
+	serial := o
+	serial.Serial = true
+	want := unevenFigure(serial)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 2, 4} {
+		runtime.GOMAXPROCS(procs)
+		if got := unevenFigure(o); !reflect.DeepEqual(got, want) {
+			t.Errorf("GOMAXPROCS %d: parallel sweep differs from serial:\n got %+v\nwant %+v",
+				procs, got.Cells, want.Cells)
+		}
+	}
+}
+
+// deadlocked panics the way strategy.run does on a stuck simulation.
+type deadlocked struct{}
+
+func (deadlocked) Name() string { return "deadlocked" }
+func (deadlocked) Run(*platform.Platform, strategy.Scenario) strategy.Result {
+	panic("strategy: run deadlocked deadlocked: [driver-deadlocked]")
+}
+
+func TestSweepNamesThePanickingCell(t *testing.T) {
+	a := app.Iterative{Iterations: 2, WorkPerProcIter: app.RefSpeed, BytesPerIter: 1e3, StateBytes: 1e3}
+	for _, tc := range []struct {
+		name    string
+		o       Options
+		badX    float64
+		badSer  string
+		wantRep int
+	}{
+		{"serial, first repetition reported", Options{Seeds: 3, BaseSeed: 5, Serial: true}, 0.5, "swap", 0},
+		{"parallel, the only broken cell", Options{Seeds: 1, BaseSeed: 5}, 0.9, "none", 0},
+		{"serial, last series of last x", Options{Seeds: 2, BaseSeed: 9, Serial: true}, 0.9, "swap", 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			defer func() {
+				v := recover()
+				err, _ := v.(error)
+				var cp *CellPanic
+				if !errors.As(err, &cp) {
+					t.Fatalf("sweep panicked with %T %v, want *CellPanic", v, v)
+				}
+				wantSeed := tc.o.BaseSeed + int64(tc.wantRep)*7919
+				if cp.Figure != "figX" || cp.Series != tc.badSer || cp.X != tc.badX ||
+					cp.Rep != tc.wantRep || cp.Seed != wantSeed {
+					t.Errorf("CellPanic names %+v", cp)
+				}
+				msg := cp.Error()
+				for _, part := range []string{"figure figX", `series "` + tc.badSer + `"`,
+					"repetition 0", "run deadlocked deadlocked", "sweep_test.go"} {
+					if !strings.Contains(msg, part) {
+						t.Errorf("message lacks %q:\n%s", part, msg)
+					}
+				}
+			}()
+			fig := &FigureResult{ID: "figX"}
+			sweep(tc.o, fig, []float64{0.1, 0.5, 0.9}, []string{"none", "swap"}, onOffEnv(4),
+				func(x float64, series string) runSpec {
+					if x == tc.badX && series == tc.badSer {
+						return runSpec{tech: deadlocked{}}
+					}
+					tech, _ := strategy.ByName(series)
+					return runSpec{tech: tech, sc: strategy.Scenario{Active: 2, App: a}}
+				})
+			t.Fatal("sweep returned; the broken cell's panic was lost")
+		})
+	}
+}

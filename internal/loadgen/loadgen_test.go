@@ -334,3 +334,58 @@ func TestTraceRandomAccessAfterForwardScan(t *testing.T) {
 		}
 	}
 }
+
+// A trace that has been queried before — late, then early again, then
+// past everything materialized — answers every query exactly as a trace
+// fresh from the same source does: nothing depends on how far earlier
+// queries extended it, and the hint recovers from a rewind.
+func TestTraceRewindAnswersLikeAFreshTrace(t *testing.T) {
+	models := map[string]Model{
+		"onoff":    NewOnOff(0.3),
+		"hyperexp": NewHyperExp(300), // equal neighbours merge: NextChange must look past them
+		"constant": Constant{N: 2},
+		"aggregate": Aggregate{Models: []Model{
+			NewOnOff(0.05), Reclaim{Prob: 1, Horizon: 4000, Level: 49}}},
+	}
+	type answer struct {
+		value      int
+		next, mean float64
+	}
+	ask := func(tr *Trace, at float64) answer {
+		return answer{tr.ValueAt(at), tr.NextChange(at), tr.MeanAvail(math.Max(0, at-300), at)}
+	}
+	late, early, beyond := 50000.0, 12.0, 400000.0
+	for name, m := range models {
+		used := NewTrace(m.NewSource(rng.NewSource(31), 3))
+		for _, at := range []float64{late, early, beyond, early, late - 1, 0} {
+			fresh := NewTrace(m.NewSource(rng.NewSource(31), 3))
+			if got, want := ask(used, at), ask(fresh, at); got != want {
+				t.Errorf("%s: at t=%g a used trace answers %+v, a fresh one %+v", name, at, got, want)
+			}
+		}
+		// A monotone walk after the rewind: the run that replays the trace.
+		fresh := NewTrace(m.NewSource(rng.NewSource(31), 3))
+		for at := 0.0; at < 3000; at += 7 {
+			if got, want := ask(used, at), ask(fresh, at); got != want {
+				t.Fatalf("%s: walk at t=%g: used %+v, fresh %+v", name, at, got, want)
+			}
+		}
+	}
+}
+
+// NextChange names a time at which the level really changes, not a seam
+// between two equal source segments.
+func TestNextChangeSkipsMergedSegments(t *testing.T) {
+	m := Replay{Segments: []Segment{{Dur: 10, N: 1}, {Dur: 10, N: 1}, {Dur: 10, N: 1}, {Dur: 5, N: 0}}, Tail: 3}
+	tr := NewTrace(m.NewSource(nil, 0))
+	if got := tr.NextChange(3); got != 30 {
+		t.Fatalf("NextChange(3) = %g, want 30", got)
+	}
+	if got := tr.NextChange(30); got != 35 {
+		t.Fatalf("NextChange(30) = %g, want 35", got)
+	}
+	// The tail holds forever: no change, and no endless search for one.
+	if got := tr.NextChange(40); !math.IsInf(got, 1) {
+		t.Fatalf("NextChange(40) = %g inside the forever tail", got)
+	}
+}

@@ -9,6 +9,13 @@ import (
 // Trace materializes a Source into a queryable piecewise-constant
 // function of time, extended lazily as later times are queried. Equal
 // consecutive segments are merged. Times are seconds from 0.
+//
+// Every query answers from the source's segment sequence alone: segments
+// are only ever appended, in source order, and no answer depends on how
+// far earlier queries happened to materialize the trace. A trace can
+// therefore be queried again from time 0 (by the next run over the same
+// environment) and gives each run what a trace freshly built from the
+// same source would; hint only shortens the search.
 type Trace struct {
 	src    Source
 	starts []float64 // starts[i] is when vals[i] begins
@@ -85,18 +92,21 @@ func (tr *Trace) seg(t float64) int {
 func (tr *Trace) ValueAt(t float64) int { return tr.vals[tr.seg(t)] }
 
 // NextChange reports the end of the segment containing t — the earliest
-// time strictly after t at which the load level may change.
+// time strictly after t at which the load level changes — or +Inf when
+// the level holds for foreverDur or longer.
 func (tr *Trace) NextChange(t float64) float64 {
 	i := tr.seg(t)
-	if i+1 < len(tr.starts) {
+	// t falls in the last materialized segment: materialize until the
+	// level changes. Stopping at the first source segment instead would
+	// report a seam between two merged segments, or not, depending on
+	// what was queried before.
+	for i+1 == len(tr.starts) && tr.end-t < foreverDur {
+		tr.extendTo(tr.end)
+	}
+	if i+1 < len(tr.starts) && tr.starts[i+1]-t < foreverDur {
 		return tr.starts[i+1]
 	}
-	// t falls in the last materialized segment; materialize one more.
-	tr.extendTo(tr.end)
-	if i+1 < len(tr.starts) {
-		return tr.starts[i+1]
-	}
-	return tr.end
+	return math.Inf(1)
 }
 
 // MeanAvail reports the time-average of 1/(1+n(t)) over [t0, t1], the

@@ -3,7 +3,6 @@ package platform
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"repro/internal/simkern"
 )
@@ -19,10 +18,19 @@ type Link struct {
 	Latency   float64
 	Bandwidth float64
 
-	active     map[*transfer]struct{}
+	// pending holds started transfers still paying the latency, active
+	// the ones draining; both are in start order. Every transfer pays
+	// the same latency, so transfers arrive in the order they started
+	// and one arrival callback serves them all.
+	pending    []transfer
+	arrived    int // pending[:arrived] have moved on
+	active     []transfer
+	finished   []func() // complete's scratch
 	lastUpdate float64
-	wake       *simkern.Event
-	seq        uint64
+	wake       simkern.Event
+	// The two callbacks the link schedules, bound once: evaluating a
+	// method value allocates.
+	arriveFn, completeFn func()
 
 	// TotalBytes accumulates all bytes ever carried, for tests and
 	// reporting.
@@ -30,7 +38,6 @@ type Link struct {
 }
 
 type transfer struct {
-	seq       uint64
 	remaining float64
 	done      func()
 }
@@ -40,12 +47,9 @@ func NewLink(k *simkern.Kernel, latency, bandwidth float64) *Link {
 	if bandwidth <= 0 || latency < 0 {
 		panic(fmt.Sprintf("platform: link latency=%g bandwidth=%g", latency, bandwidth))
 	}
-	return &Link{
-		k:         k,
-		Latency:   latency,
-		Bandwidth: bandwidth,
-		active:    map[*transfer]struct{}{},
-	}
+	l := &Link{k: k, Latency: latency, Bandwidth: bandwidth}
+	l.arriveFn, l.completeFn = l.arrive, l.complete
+	return l
 }
 
 // InFlight reports the number of transfers currently sharing the link.
@@ -59,18 +63,25 @@ func (l *Link) Start(bytes float64, done func()) {
 	if bytes < 0 || math.IsNaN(bytes) {
 		panic(fmt.Sprintf("platform: transfer of %g bytes", bytes))
 	}
-	l.k.After(l.Latency, func() {
-		if bytes == 0 {
-			done()
-			return
-		}
-		l.settle()
-		tr := &transfer{seq: l.seq, remaining: bytes, done: done}
-		l.seq++
-		l.active[tr] = struct{}{}
-		l.TotalBytes += bytes
-		l.reschedule()
-	})
+	l.pending = append(l.pending, transfer{remaining: bytes, done: done})
+	l.k.After(l.Latency, l.arriveFn)
+}
+
+// arrive moves the oldest pending transfer onto the wire.
+func (l *Link) arrive() {
+	tr := l.pending[l.arrived]
+	l.pending[l.arrived] = transfer{}
+	if l.arrived++; l.arrived == len(l.pending) {
+		l.pending, l.arrived = l.pending[:0], 0
+	}
+	if tr.remaining == 0 {
+		tr.done()
+		return
+	}
+	l.settle()
+	l.active = append(l.active, tr)
+	l.TotalBytes += tr.remaining
+	l.reschedule()
 }
 
 // Transfer blocks the calling simulated process until a transfer of bytes
@@ -94,8 +105,8 @@ func (l *Link) settle() {
 	if len(l.active) > 0 {
 		rate := l.Bandwidth / float64(len(l.active))
 		dt := now - l.lastUpdate
-		for tr := range l.active {
-			tr.remaining -= rate * dt
+		for i := range l.active {
+			l.active[i].remaining -= rate * dt
 		}
 	}
 	l.lastUpdate = now
@@ -104,16 +115,14 @@ func (l *Link) settle() {
 // reschedule cancels any pending completion event and schedules one at
 // the earliest time a transfer will finish at current rates.
 func (l *Link) reschedule() {
-	if l.wake != nil {
-		l.wake.Cancel()
-		l.wake = nil
-	}
+	l.wake.Cancel()
+	l.wake = simkern.Event{}
 	if len(l.active) == 0 {
 		return
 	}
 	rate := l.Bandwidth / float64(len(l.active))
 	minRem := math.Inf(1)
-	for tr := range l.active {
+	for _, tr := range l.active {
 		if tr.remaining < minRem {
 			minRem = tr.remaining
 		}
@@ -121,33 +130,37 @@ func (l *Link) reschedule() {
 	if minRem < 0 {
 		minRem = 0
 	}
-	l.wake = l.k.After(minRem/rate, l.complete)
+	l.wake = l.k.After(minRem/rate, l.completeFn)
 }
 
 // complete finishes every transfer whose remaining bytes have drained.
 func (l *Link) complete() {
-	l.wake = nil
+	l.wake = simkern.Event{}
 	l.settle()
 	// Tolerance scaled to the payloads so float drift never strands a
 	// transfer: anything within a microsecond's worth of bandwidth of
 	// zero is done.
 	eps := l.Bandwidth * 1e-6
-	var finished []*transfer
-	for tr := range l.active {
+	// active is in start order, so the callbacks collected here fire in
+	// that order too, and the survivors keep theirs.
+	finished, kept := l.finished[:0], l.active[:0]
+	for _, tr := range l.active {
 		if tr.remaining <= eps {
-			finished = append(finished, tr)
+			finished = append(finished, tr.done)
+		} else {
+			kept = append(kept, tr)
 		}
 	}
-	// Map iteration order is random; completion callbacks must fire in a
-	// deterministic (start) order for reproducible simulations.
-	sort.Slice(finished, func(i, j int) bool { return finished[i].seq < finished[j].seq })
-	for _, tr := range finished {
-		delete(l.active, tr)
+	for i := len(kept); i < len(l.active); i++ {
+		l.active[i] = transfer{}
 	}
+	l.active = kept
 	l.reschedule()
 	// Callbacks run after the link state is consistent; they may start
 	// new transfers.
-	for _, tr := range finished {
-		tr.done()
+	for i, done := range finished {
+		finished[i] = nil
+		done()
 	}
+	l.finished = finished[:0]
 }

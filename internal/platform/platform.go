@@ -1,8 +1,9 @@
 package platform
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/loadgen"
 	"repro/internal/rng"
@@ -39,19 +40,23 @@ func Default(numHosts int, load loadgen.Model) Config {
 	}
 }
 
-// Platform is a built simulation platform: hosts with load traces and the
-// shared link, bound to a kernel.
-type Platform struct {
-	Kernel *simkern.Kernel
-	Hosts  []*Host
-	Link   *Link
-	Cfg    Config
+// Environment is what a run is measured against: the hosts, each with its
+// peak speed and its load trace. It is a function of (hosts, load model,
+// seed) alone and holds no kernel, so every technique or policy compared
+// on one seed can run over the same Environment, one after another: a
+// load trace answers from its source's segment sequence however far an
+// earlier run extended it (see loadgen.Trace), so each run sees exactly
+// what it would over an environment built only for it. Not safe for
+// concurrent use.
+type Environment struct {
+	Cfg   Config
+	hosts []*Host
 }
 
-// New builds a platform. Host speeds are drawn uniformly from
-// [SpeedMin, SpeedMax] and each host gets an independent load source, all
-// deterministically derived from src.
-func New(k *simkern.Kernel, cfg Config, src *rng.Source) *Platform {
+// NewEnvironment draws host speeds uniformly from [SpeedMin, SpeedMax]
+// and gives each host an independent load source, all deterministically
+// derived from src.
+func NewEnvironment(cfg Config, src *rng.Source) *Environment {
 	if cfg.NumHosts <= 0 {
 		panic(fmt.Sprintf("platform: NumHosts %d", cfg.NumHosts))
 	}
@@ -62,17 +67,38 @@ func New(k *simkern.Kernel, cfg Config, src *rng.Source) *Platform {
 		cfg.LoadModel = loadgen.Constant{N: 0}
 	}
 	speeds := src.Stream("host-speeds")
-	p := &Platform{
-		Kernel: k,
-		Link:   NewLink(k, cfg.Latency, cfg.Bandwidth),
-		Cfg:    cfg,
-	}
-	for i := 0; i < cfg.NumHosts; i++ {
+	e := &Environment{Cfg: cfg, hosts: make([]*Host, cfg.NumHosts)}
+	for i := range e.hosts {
 		speed := speeds.Uniform(cfg.SpeedMin, cfg.SpeedMax)
 		trace := loadgen.NewTrace(cfg.LoadModel.NewSource(src, i))
-		p.Hosts = append(p.Hosts, NewHost(i, speed, trace))
+		e.hosts[i] = NewHost(i, speed, trace)
 	}
-	return p
+	return e
+}
+
+// Bind attaches the environment to a kernel for one run: the hosts are
+// the environment's own, the link is new and idle.
+func (e *Environment) Bind(k *simkern.Kernel) *Platform {
+	return &Platform{
+		Kernel: k,
+		Hosts:  e.hosts[:len(e.hosts):len(e.hosts)],
+		Link:   NewLink(k, e.Cfg.Latency, e.Cfg.Bandwidth),
+		Cfg:    e.Cfg,
+	}
+}
+
+// Platform is an environment bound to a kernel for one run: the hosts
+// with their load traces, and the shared link.
+type Platform struct {
+	Kernel *simkern.Kernel
+	Hosts  []*Host
+	Link   *Link
+	Cfg    Config
+}
+
+// New builds an environment from src and binds it to k.
+func New(k *simkern.Kernel, cfg Config, src *rng.Source) *Platform {
+	return NewEnvironment(cfg, src).Bind(k)
 }
 
 // FastestAt returns the indices of the n hosts with the highest effective
@@ -81,24 +107,37 @@ func New(k *simkern.Kernel, cfg Config, src *rng.Source) *Platform {
 // pre-execution scheduler: "the initial schedule always uses the fastest
 // performing processors at the time of application startup".
 func (p *Platform) FastestAt(t float64, n int, candidates []int) []int {
+	// One trace lookup per candidate, not one per comparison.
+	type rated struct {
+		id   int
+		rate float64
+	}
+	var byRate []rated
 	if candidates == nil {
-		candidates = make([]int, len(p.Hosts))
-		for i := range p.Hosts {
-			candidates[i] = i
+		byRate = make([]rated, len(p.Hosts))
+		for i, h := range p.Hosts {
+			byRate[i] = rated{i, h.RateAt(t)}
+		}
+	} else {
+		byRate = make([]rated, len(candidates))
+		for i, id := range candidates {
+			byRate[i] = rated{id, p.Hosts[id].RateAt(t)}
 		}
 	}
-	if n > len(candidates) {
-		panic(fmt.Sprintf("platform: want %d of %d candidates", n, len(candidates)))
+	if n > len(byRate) {
+		panic(fmt.Sprintf("platform: want %d of %d candidates", n, len(byRate)))
 	}
-	sorted := append([]int(nil), candidates...)
-	sort.Slice(sorted, func(a, b int) bool {
-		ra, rb := p.Hosts[sorted[a]].RateAt(t), p.Hosts[sorted[b]].RateAt(t)
-		if ra != rb {
-			return ra > rb
+	slices.SortFunc(byRate, func(a, b rated) int {
+		if a.rate != b.rate {
+			return cmp.Compare(b.rate, a.rate)
 		}
-		return sorted[a] < sorted[b]
+		return cmp.Compare(a.id, b.id)
 	})
-	return sorted[:n]
+	fastest := make([]int, n)
+	for i := range fastest {
+		fastest[i] = byRate[i].id
+	}
+	return fastest
 }
 
 // StartupTime reports the MPI launch cost for the given number of

@@ -203,3 +203,61 @@ func TestComputeAcrossManyLoadChanges(t *testing.T) {
 		t.Fatalf("finish = %g, want 20", got)
 	}
 }
+
+// Transfers started at different times with different sizes — some while
+// others are still paying the latency, some from completion callbacks —
+// arrive in start order and complete in the order the fluid model says.
+func TestLinkMixedArrivalsAndCompletions(t *testing.T) {
+	k := simkern.New()
+	l := NewLink(k, 0.5, 1e6)
+	var order []string
+	done := func(name string) func() {
+		return func() { order = append(order, name) }
+	}
+	l.Start(3e6, done("big"))
+	l.Start(0, done("empty"))
+	k.At(0.2, func() { l.Start(1e6, done("small")) }) // starts while big is in its latency
+	l.Start(1e6, func() {
+		order = append(order, "first")
+		l.Start(1e6, done("chained")) // started from a completion callback
+	})
+	k.Run()
+	want := []string{"empty", "first", "small", "chained", "big"}
+	if strings.Join(order, ",") != strings.Join(want, ",") {
+		t.Fatalf("completion order %v, want %v", order, want)
+	}
+	if l.InFlight() != 0 || l.TotalBytes != 6e6 {
+		t.Fatalf("in flight %d, carried %g", l.InFlight(), l.TotalBytes)
+	}
+}
+
+// A transfer costs no allocation of the link's own from Start to its
+// completion callback, alone or sharing the link, once the link has
+// carried as many at once before.
+func TestLinkAllocations(t *testing.T) {
+	k := simkern.New()
+	l := NewLink(k, 0.0005, 6e6)
+	left := 0
+	landed := func() { left-- }
+	burst := func() {
+		left = 32
+		for i := 0; i < 32; i++ {
+			l.Start(1e6, landed)
+		}
+		k.Run()
+		if left != 0 {
+			t.Fatalf("%d transfers never completed", left)
+		}
+	}
+	burst()
+	if got := testing.AllocsPerRun(100, burst); got != 0 {
+		t.Errorf("32 concurrent transfers: %v allocs, want 0", got)
+	}
+	if got := testing.AllocsPerRun(100, func() {
+		left = 1
+		l.Start(1e6, landed)
+		k.Run()
+	}); got != 0 {
+		t.Errorf("one transfer: %v allocs, want 0", got)
+	}
+}

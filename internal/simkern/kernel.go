@@ -10,7 +10,6 @@
 package simkern
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 	"sort"
@@ -23,6 +22,7 @@ type Kernel struct {
 	now    float64
 	seq    uint64
 	events eventHeap
+	free   []*event // executed or discarded events, for reuse by At
 	// yield synchronizes the kernel goroutine with the single running
 	// simulated process: a process sends on yield exactly once each time
 	// it blocks or terminates.
@@ -63,39 +63,77 @@ func (k *Kernel) SetCausal(c *obs.Causal) { k.causal = c }
 // Causal reports the armed causal clocks (nil when causal tracing is off).
 func (k *Kernel) Causal() *obs.Causal { return k.causal }
 
-// Event is a scheduled callback. It can be cancelled until it runs.
-type Event struct {
+// event is one queue entry. The kernel recycles entries: once an entry
+// has run or been discarded its generation moves on and At may hand it
+// out again, so scheduling allocates nothing in the steady state.
+type event struct {
 	at        float64
 	seq       uint64
 	fn        func()
+	proc      *Proc // when set, the event dispatches proc and fn is nil
 	cancelled bool
-	index     int // heap index, -1 once popped
+	gen       uint64
+}
+
+// Event is a handle on a scheduled callback, which can be cancelled until
+// it runs. A handle names one scheduling, not the queue entry under it:
+// it stays safe to use (and does nothing) after its callback has run, and
+// the zero Event is a handle on nothing.
+type Event struct {
+	e   *event
+	gen uint64
+	at  float64
 }
 
 // Time reports the virtual time the event is scheduled at.
-func (e *Event) Time() float64 { return e.at }
+func (h Event) Time() float64 { return h.at }
 
 // Cancel prevents the event from running. Cancelling an already-executed
 // or already-cancelled event is a no-op.
-func (e *Event) Cancel() { e.cancelled = true }
+func (h Event) Cancel() {
+	if h.e != nil && h.e.gen == h.gen {
+		h.e.cancelled = true
+	}
+}
 
 // At schedules fn to run at virtual time t. Scheduling in the past panics:
 // it is always a simulation bug.
-func (k *Kernel) At(t float64, fn func()) *Event {
+func (k *Kernel) At(t float64, fn func()) Event { return k.schedule(t, fn, nil) }
+
+// schedule queues fn, or the dispatch of p, at virtual time t.
+func (k *Kernel) schedule(t float64, fn func(), p *Proc) Event {
 	if t < k.now {
 		panic(fmt.Sprintf("simkern: scheduling at %g before now %g", t, k.now))
 	}
 	if math.IsNaN(t) {
 		panic("simkern: scheduling at NaN")
 	}
-	e := &Event{at: t, seq: k.seq, fn: fn}
+	var e *event
+	if n := len(k.free); n > 0 {
+		e, k.free = k.free[n-1], k.free[:n-1]
+	} else {
+		e = new(event)
+	}
+	e.at, e.seq, e.fn, e.proc = t, k.seq, fn, p
 	k.seq++
-	heap.Push(&k.events, e)
-	return e
+	k.events.push(e)
+	return Event{e: e, gen: e.gen, at: t}
+}
+
+// pop removes the next queue entry and retires it: handles on it go
+// stale and the entry returns to the free list. The entry's callback is
+// returned by value, so it may schedule (and so reuse the entry) freely.
+func (k *Kernel) pop() (at float64, fn func(), p *Proc, cancelled bool) {
+	e := k.events.pop()
+	at, fn, p, cancelled = e.at, e.fn, e.proc, e.cancelled
+	e.fn, e.proc, e.cancelled = nil, nil, false
+	e.gen++
+	k.free = append(k.free, e)
+	return at, fn, p, cancelled
 }
 
 // After schedules fn to run d seconds from now. Negative d panics.
-func (k *Kernel) After(d float64, fn func()) *Event { return k.At(k.now+d, fn) }
+func (k *Kernel) After(d float64, fn func()) Event { return k.At(k.now+d, fn) }
 
 // Pending reports the number of scheduled (possibly cancelled) events.
 func (k *Kernel) Pending() int { return len(k.events) }
@@ -104,12 +142,16 @@ func (k *Kernel) Pending() int { return len(k.events) }
 // event was executed (false when the queue is empty).
 func (k *Kernel) Step() bool {
 	for len(k.events) > 0 {
-		e := heap.Pop(&k.events).(*Event)
-		if e.cancelled {
+		at, fn, p, cancelled := k.pop()
+		if cancelled {
 			continue
 		}
-		k.now = e.at
-		e.fn()
+		k.now = at
+		if p != nil {
+			p.dispatch()
+		} else {
+			fn()
+		}
 		return true
 	}
 	return false
@@ -133,7 +175,7 @@ func (k *Kernel) RunUntil(t float64) float64 {
 		// Peek: heap root is events[0].
 		e := k.events[0]
 		if e.cancelled {
-			heap.Pop(&k.events)
+			k.pop()
 			continue
 		}
 		if e.at > t {
@@ -171,32 +213,49 @@ func (k *Kernel) Stuck() []string {
 	return names
 }
 
-// eventHeap orders events by (time, seq).
-type eventHeap []*Event
+// eventHeap is a binary min-heap of events ordered by (time, seq).
+type eventHeap []*event
 
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
+func (h eventHeap) less(i, j int) bool {
 	if h[i].at != h[j].at {
 		return h[i].at < h[j].at
 	}
 	return h[i].seq < h[j].seq
 }
-func (h eventHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].index = i
-	h[j].index = j
-}
-func (h *eventHeap) Push(x any) {
-	e := x.(*Event)
-	e.index = len(*h)
+
+func (h *eventHeap) push(e *event) {
 	*h = append(*h, e)
+	q := *h
+	for i := len(q) - 1; i > 0; {
+		parent := (i - 1) / 2
+		if !q.less(i, parent) {
+			break
+		}
+		q[i], q[parent] = q[parent], q[i]
+		i = parent
+	}
 }
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	e.index = -1
-	*h = old[:n-1]
-	return e
+
+func (h *eventHeap) pop() *event {
+	q := *h
+	n := len(q) - 1
+	top := q[0]
+	q[0], q[n] = q[n], nil
+	q = q[:n]
+	*h = q
+	for i := 0; ; {
+		child := 2*i + 1
+		if child >= n {
+			break
+		}
+		if r := child + 1; r < n && q.less(r, child) {
+			child = r
+		}
+		if !q.less(child, i) {
+			break
+		}
+		q[i], q[child] = q[child], q[i]
+		i = child
+	}
+	return top
 }

@@ -49,9 +49,7 @@ func (p *Proc) Sleep(d float64) {
 	if d < 0 {
 		panic(fmt.Sprintf("simkern: %s: Sleep(%g)", p.name, d))
 	}
-	p.k.At(p.k.now+d, func() {
-		p.dispatch()
-	})
+	p.k.schedule(p.k.now+d, nil, p)
 	p.block()
 }
 
@@ -80,9 +78,7 @@ func (p *Proc) Unpark() {
 	}
 	p.parked = false
 	delete(p.k.parked, p)
-	p.k.At(p.k.now, func() {
-		p.dispatch()
-	})
+	p.k.schedule(p.k.now, nil, p)
 }
 
 // Parked reports whether the process is currently parked.

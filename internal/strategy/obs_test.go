@@ -248,3 +248,27 @@ func TestSimTraceCausal(t *testing.T) {
 			plain.TotalTime, plain.Swaps, res.TotalTime, res.Swaps)
 	}
 }
+
+// A run decides through the text-free path when no tracer listens and
+// through the explained one when one does; the Result — iterations,
+// swap events, final hosts, the lens report with its shadow scoreboard —
+// must not be able to tell.
+func TestTracerDoesNotChangeTheRun(t *testing.T) {
+	for _, pol := range []core.Policy{core.Greedy(), core.Safe(), core.Friendly()} {
+		sc := Scenario{Active: 4, App: app.Default(12).WithState(50e6), Policy: pol}
+		quiet := Swap{}.Run(testPlatform(8, loadgen.NewOnOff(0.3), 63), sc)
+
+		p := testPlatform(8, loadgen.NewOnOff(0.3), 63)
+		tr := obs.New(4, obs.WithClock(p.Kernel.Now))
+		tr.Enable()
+		p.Kernel.SetTracer(tr)
+		traced := Swap{}.Run(p, sc)
+
+		if quiet.Lens == nil || quiet.Lens.Realized == 0 {
+			t.Fatalf("%s: no swap was audited to realization: %+v", pol.Name, quiet.Lens)
+		}
+		if !reflect.DeepEqual(quiet, traced) {
+			t.Errorf("%s: a tracer changed the run:\nquiet  %+v\ntraced %+v", pol.Name, quiet, traced)
+		}
+	}
+}

@@ -118,8 +118,12 @@ func (r Result) MeanIterTime() float64 {
 // Technique is one of the paper's four approaches.
 type Technique interface {
 	Name() string
-	// Run executes the scenario on the platform. The platform's kernel
-	// must be fresh (or at least idle); Run drives it to completion.
+	// Run executes the scenario on the platform and drives its kernel
+	// to completion. A run needs its own binding — an idle kernel at
+	// the virtual time the run starts from and an idle link
+	// (platform.Environment.Bind) — but not its own hosts: runs over one
+	// environment, one after another, each see the load a run over a
+	// freshly built environment would.
 	Run(p *platform.Platform, sc Scenario) Result
 }
 
@@ -156,6 +160,13 @@ type driver struct {
 	// convention: a decision at epoch e proposes e+1.
 	lens  *policylens.Lens
 	epoch uint64
+
+	// Per-boundary scratch of the Swap technique, sized once per run:
+	// the estimated rate and active flag of every host, and the
+	// candidate lists handed to the policy.
+	rateBuf       []float64
+	isActive      []bool
+	active, spare []core.Candidate
 }
 
 // boundaryHook runs at each iteration boundary (application barrier); it
@@ -185,7 +196,9 @@ func run(p *platform.Platform, sc Scenario, name string, chunks chunkFunc, bound
 	if sc.Active <= 0 || sc.Active > len(p.Hosts) {
 		panic(fmt.Sprintf("strategy: %d active processes on %d hosts", sc.Active, len(p.Hosts)))
 	}
-	d := &driver{p: p, sc: sc}
+	d := &driver{p: p, sc: sc,
+		rateBuf:  make([]float64, len(p.Hosts)),
+		isActive: make([]bool, len(p.Hosts))}
 	d.res.Strategy = name
 	if sc.SwapSelection == "random" {
 		d.selStream = rng.NewSource(sc.SelectSeed).Stream("swap-select")
@@ -205,12 +218,12 @@ func run(p *platform.Platform, sc Scenario, name string, chunks chunkFunc, bound
 		d.hosts = p.FastestAt(proc.Now(), sc.Active, nil)
 		d.chunks = chunks(d, proc.Now())
 
+		finish := make([]float64, sc.Active)
 		for it := 0; it < sc.App.Iterations; it++ {
 			start := proc.Now()
 
 			// Compute phase: each rank computes its chunk under its
 			// host's time-varying load.
-			finish := make([]float64, sc.Active)
 			computeDone := start
 			for r := 0; r < sc.Active; r++ {
 				finish[r] = p.Hosts[d.hosts[r]].ComputeFinish(start, d.chunks[r])
@@ -321,16 +334,16 @@ func (d *driver) commPhase(proc *simkern.Proc, readyAt []float64, bytes float64)
 	k := d.p.Kernel
 	remaining := len(readyAt)
 	endAt := 0.0
+	landed := func() {
+		remaining--
+		if remaining == 0 {
+			endAt = k.Now()
+			proc.Unpark()
+		}
+	}
+	send := func() { d.p.Link.Start(bytes, landed) }
 	for _, t := range readyAt {
-		k.At(t, func() {
-			d.p.Link.Start(bytes, func() {
-				remaining--
-				if remaining == 0 {
-					endAt = k.Now()
-					proc.Unpark()
-				}
-			})
-		})
+		k.At(t, send)
 	}
 	proc.Park()
 	return endAt
@@ -344,42 +357,28 @@ func (d *driver) transferAll(proc *simkern.Proc, count int, bytes float64) {
 		return
 	}
 	remaining := count
+	landed := func() {
+		remaining--
+		if remaining == 0 {
+			proc.Unpark()
+		}
+	}
 	for i := 0; i < count; i++ {
-		d.p.Link.Start(bytes, func() {
-			remaining--
-			if remaining == 0 {
-				proc.Unpark()
-			}
-		})
+		d.p.Link.Start(bytes, landed)
 	}
 	proc.Park()
 }
 
 // rates returns the estimated rate of every host, using the policy's
-// history window ending at now.
+// history window ending at now. The slice is the driver's and is
+// overwritten by the next call.
 func (d *driver) rates(now float64) []float64 {
 	est := d.sc.estimator()
 	w := d.sc.policy().HistoryWindow
-	out := make([]float64, len(d.p.Hosts))
 	for i, h := range d.p.Hosts {
-		out[i] = est.Rate(h, now, w)
+		d.rateBuf[i] = est.Rate(h, now, w)
 	}
-	return out
-}
-
-// spares returns the IDs of allocated hosts not currently active.
-func (d *driver) spares() []int {
-	activeSet := make(map[int]bool, len(d.hosts))
-	for _, h := range d.hosts {
-		activeSet[h] = true
-	}
-	var out []int
-	for _, h := range d.p.Hosts {
-		if !activeSet[h.ID] {
-			out = append(out, h.ID)
-		}
-	}
-	return out
+	return d.rateBuf
 }
 
 // predictedSwapTime is the paper's swap-cost model on this platform.

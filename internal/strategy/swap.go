@@ -34,15 +34,25 @@ func swapBoundary(d *driver, proc *simkern.Proc, iter int, iterTime float64) {
 	now := proc.Now()
 	rates := d.rates(now)
 
-	var active, spare []core.Candidate
+	// The candidate lists live in driver-owned buffers: a policy copies
+	// what it sorts and the lens replays within ObserveDecision, so
+	// nothing holds them past this boundary.
+	active, spare := d.active[:0], d.spare[:0]
+	for i := range d.isActive {
+		d.isActive[i] = false
+	}
 	for r, h := range d.hosts {
 		// Candidate ID is the rank index for actives so a decision can
 		// be applied to the right process; rate is the host's estimate.
 		active = append(active, core.Candidate{ID: r, Rate: rates[h]})
+		d.isActive[h] = true
 	}
-	for _, h := range d.spares() {
-		spare = append(spare, core.Candidate{ID: h, Rate: rates[h]})
+	for h, on := range d.isActive {
+		if !on {
+			spare = append(spare, core.Candidate{ID: h, Rate: rates[h]})
+		}
 	}
+	d.active, d.spare = active, spare
 
 	pol := d.sc.policy()
 	tr := d.p.Kernel.Tracer()
@@ -74,15 +84,19 @@ func swapBoundary(d *driver, proc *simkern.Proc, iter int, iterTime float64) {
 				Verdict: verdict, Detail: "random selection", Epoch: d.epoch})
 		}
 	} else {
+		// Nobody reads the Reason without a tracer; the lens needs only
+		// the numbers.
 		var exp core.Explanation
-		swaps, exp = pol.DecideExplained(in)
-		eval = &exp
 		if tr.Enabled() {
+			swaps, exp = pol.DecideExplained(in)
 			tr.Emit(obs.Event{Kind: obs.KindSwapDecision, Rank: obs.RankRuntime, T: now,
 				IterTime: iterTime, SwapTime: swapTime, Swaps: len(swaps),
 				OldPerf: exp.OldPerf, NewPerf: exp.NewPerf, Payback: exp.Payback,
 				Verdict: exp.Verdict, Reason: exp.Reason, Epoch: d.epoch})
+		} else {
+			swaps, exp = pol.DecideQuiet(in)
 		}
+		eval = &exp
 	}
 	d.lens.ObserveDecision(policylens.Decision{
 		T: now, Epoch: d.epoch, Input: in, Eval: eval, Swaps: len(swaps),

@@ -301,8 +301,15 @@ func (l *Lens) ObserveDecision(d Decision) {
 	}
 	var events []obs.Event
 	primarySwap := d.Swaps > 0
+	// The shadows' Reason text is read only by the events below: with
+	// no tracer attached they decide without formatting any.
+	traced := l.cfg.Tracer.Enabled()
+	decide := core.Policy.DecideQuiet
+	if traced {
+		decide = core.Policy.DecideExplained
+	}
 	for _, sh := range l.shadow {
-		pairs, exp := sh.pol.DecideExplained(d.Input)
+		pairs, exp := decide(sh.pol, d.Input)
 		shadowSwap := len(pairs) > 0
 		sh.score.Decisions++
 		l.c.shadowEvals.Inc()
@@ -327,7 +334,7 @@ func (l *Lens) ObserveDecision(d Decision) {
 		} else {
 			sh.score.ItersLost -= delta
 		}
-		if l.cfg.Tracer.Enabled() {
+		if traced {
 			tag := "agree"
 			if shadowSwap != primarySwap {
 				tag = "diverge"

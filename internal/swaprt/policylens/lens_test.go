@@ -3,10 +3,12 @@ package policylens
 import (
 	"encoding/json"
 	"math"
+	"reflect"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/obs"
+	"repro/internal/rng"
 )
 
 // swapInput is a decision input where every policy with a finite
@@ -263,5 +265,56 @@ func BenchmarkLensNil(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		l.ObserveIteration(float64(i), 1)
+	}
+}
+
+// With no tracer the shadows decide without explanations; the report —
+// scoreboard, regret estimates, realizations — is the one a traced lens
+// gives for the same decision stream.
+func TestReportSameWithAndWithoutTracer(t *testing.T) {
+	tr := obs.New(1)
+	tr.Enable()
+	traced := New(Config{Tracer: tr, RealizeAfter: 2})
+	quiet := New(Config{RealizeAfter: 2})
+
+	st := rng.NewSource(5).Stream("lens")
+	primaries := []core.Policy{core.Greedy(), core.Safe(), core.Friendly()}
+	now, epoch := 0.0, uint64(0)
+	for i := 0; i < 300; i++ {
+		in := core.DecideInput{IterTime: st.Uniform(5, 200), SwapTime: st.Uniform(0, 40)}
+		for a := 0; a < 1+st.Intn(4); a++ {
+			in.Active = append(in.Active, core.Candidate{ID: a, Rate: st.Uniform(50, 400)})
+		}
+		for s := 0; s < st.Intn(8); s++ {
+			in.Spare = append(in.Spare, core.Candidate{ID: 10 + s, Rate: st.Uniform(50, 800)})
+		}
+		now += in.IterTime
+		pol := primaries[i%len(primaries)]
+		for _, l := range []*Lens{traced, quiet} {
+			l.ObserveIteration(now, in.IterTime)
+			if n := decideWith(l, pol, now, epoch, in); n > 0 {
+				l.ObserveOutcome(now, epoch+1, n, 0)
+			}
+		}
+		if len(pol.Decide(in)) > 0 {
+			epoch++
+		}
+	}
+	got, want := quiet.Report(), traced.Report()
+	if want.Commits == 0 || want.Realized == 0 || want.ShadowDecisions() != 900 {
+		t.Fatalf("decision stream too dull to compare: %+v", want)
+	}
+	diverged := 0
+	for _, s := range want.Shadow {
+		diverged += s.WouldSwap + s.WouldStay
+	}
+	if diverged == 0 {
+		t.Fatal("no shadow ever diverged: the regret estimates were not exercised")
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("report differs without a tracer:\n got %+v\nwant %+v", got, want)
+	}
+	if len(tr.Events()) == 0 {
+		t.Error("the traced lens emitted nothing")
 	}
 }
