@@ -21,12 +21,15 @@ lint:
 	$(GO) run ./cmd/swapvet ./...
 
 # The concurrency-heavy packages (transport, runtime) run under the race
-# detector as part of the default test target.
+# detector as part of the default test target; the manager failover and
+# lease hand-over tests twenty times over, because the race they guard
+# (a renewal in flight across a release) showed once in a dozen runs.
 test: race
 	$(GO) test ./...
 
 race:
 	$(GO) test -race ./internal/mpi/ ./internal/mpi/wire/ ./internal/swaprt/ ./internal/apps/ ./internal/experiment/
+	$(GO) test -race -count=20 -run 'Failover|Supervisor' ./internal/swaprt/
 
 bench:
 	$(GO) test -bench=. -benchmem ./...
@@ -60,7 +63,10 @@ bench-transport:
 # explanation), folded together with the checked-in BENCH_*.json capsules
 # by cmd/benchagg, which re-applies the zero-alloc gate on the parsed
 # rows — the transport send path and one kernel event — so the artifact
-# cannot disagree with the gate that admitted it.
+# cannot disagree with the gate that admitted it. The decision layer's
+# flat-cost pair (results/bench-decide.txt: a LocalDecider decision over
+# 256 and over 20,000 samples of history, and the lens auditing a 4+28
+# boundary) is gated there too: 20k within 2x of 256.
 bench-all:
 	mkdir -p results
 	$(GO) test -run '^$$' -bench '^BenchmarkTCPSendDistinctRanks(Causal|Gob)?$$' \
@@ -72,10 +78,12 @@ bench-all:
 	$(GO) test -run '^$$' \
 		-bench '^Benchmark(Fig4Techniques|Fig7Policies|KernelEventThroughput|PolicyDecide)$$' \
 		-benchmem -count 3 . | tee results/bench-sim.txt
+	$(GO) test -run '^$$' -bench '^Benchmark(LocalDeciderDecide|LensObserveDecision)$$' \
+		-benchmem -count 3 . | tee results/bench-decide.txt
 	$(GO) run ./cmd/benchagg -out results/BENCH_summary.json -docs 'BENCH_*.json' \
 		-zero-alloc '^Benchmark(TCPSendDistinctRanks(Causal)?|KernelEventThroughput)$$' \
 		results/bench-transport.txt results/bench-lens.txt results/bench-codec.txt \
-		results/bench-sim.txt
+		results/bench-sim.txt results/bench-decide.txt
 	@echo "bench-all: wrote results/BENCH_summary.json"
 
 # The swap-cost benchmark harness (bench/, BENCHMARK.json) at toy sizes:
@@ -271,6 +279,7 @@ fuzz:
 	$(GO) test -fuzz FuzzDecode -fuzztime 30s ./internal/mpi/wire/
 	$(GO) test -fuzz FuzzServeManagerRequest -fuzztime 30s ./internal/swaprt/
 	$(GO) test -fuzz FuzzStateDecode -fuzztime 30s ./internal/swaprt/
+	$(GO) test -fuzz FuzzHistory -fuzztime 30s ./internal/predict/
 
 # clean removes generated result files only. It must not touch the Go
 # build/test caches (or anything under ~/.cache): CI restores and reuses

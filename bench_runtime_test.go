@@ -9,8 +9,10 @@ import (
 	"repro/internal/apps"
 	"repro/internal/core"
 	"repro/internal/mpi"
+	"repro/internal/rng"
 	"repro/internal/strategy"
 	"repro/internal/swaprt"
+	"repro/internal/swaprt/policylens"
 )
 
 // Benchmarks of the live-runtime stack and the application kernels.
@@ -110,6 +112,68 @@ func BenchmarkStateCodec(b *testing.B) {
 				b.Fatal(err)
 			}
 		})
+	}
+}
+
+// BenchmarkLocalDeciderDecide measures one decision of the live swap
+// manager's leaf under the safe policy (a 300 s history window) for a
+// 2+1 world, with the swap points spaced so that each rank's window
+// holds the named number of samples throughout: the cost of a decision
+// must not depend on how much history it looks back over (cmd/benchagg
+// gates history=20k within 2x of history=256).
+func BenchmarkLocalDeciderDecide(b *testing.B) {
+	for _, size := range []struct {
+		name    string
+		samples int
+	}{{"history=256", 256}, {"history=20k", 20000}} {
+		b.Run(size.name, func(b *testing.B) {
+			pol := core.Safe()
+			d := swaprt.NewLocalDecider(pol)
+			req := swaprt.DecideRequest{
+				ActiveSet: []int{0, 1}, ActiveRates: []float64{1000, 1001},
+				SpareSet: []int{2}, SpareRates: []float64{1002},
+				IterTime: 300e-6, SwapTime: 0.0005,
+			}
+			step := pol.HistoryWindow / float64(size.samples)
+			decide := func() {
+				req.Now += step
+				if _, err := d.Decide(req); err != nil {
+					b.Fatal(err)
+				}
+			}
+			for i := 0; i < size.samples; i++ {
+				decide()
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				decide()
+			}
+		})
+	}
+}
+
+// BenchmarkLensObserveDecision measures the policy lens auditing one
+// boundary of the figures' shape — 4 active and 28 spare candidates in
+// arrival order, replayed by the three shadow policies — with no tracer
+// attached.
+func BenchmarkLensObserveDecision(b *testing.B) {
+	in := core.DecideInput{IterTime: 120, SwapTime: 0.17}
+	st := rng.NewSource(2).Stream("lens")
+	for i := 0; i < 4; i++ {
+		in.Active = append(in.Active, core.Candidate{ID: i, Rate: st.Uniform(100, 800)})
+	}
+	for i := 0; i < 28; i++ {
+		in.Spare = append(in.Spare, core.Candidate{ID: 4 + i, Rate: st.Uniform(100, 800)})
+	}
+	pairs, eval := core.Safe().DecideExplained(in)
+	lens := policylens.New(policylens.Config{})
+	dec := policylens.Decision{Input: in, Eval: &eval, Swaps: len(pairs)}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		dec.T = float64(i)
+		lens.ObserveDecision(dec)
 	}
 }
 

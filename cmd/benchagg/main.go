@@ -11,14 +11,17 @@
 // exactly 0 allocs/op in every run, mirroring the make bench-transport
 // awk gate, and the named input files must actually contain benchmark
 // lines (a compile error or -bench filter typo fails the aggregation
-// instead of producing an empty "all green" summary).
+// instead of producing an empty "all green" summary). A second gate
+// holds BenchmarkLocalDeciderDecide/history=20k within 2x of
+// /history=256: a decision's cost may not grow with the history behind
+// it.
 //
 // Usage:
 //
 //	benchagg -out results/BENCH_summary.json -docs 'BENCH_*.json' \
 //	    -zero-alloc '^BenchmarkTCPSendDistinctRanks(Causal)?$' \
 //	    results/bench-transport.txt results/bench-lens.txt results/bench-codec.txt \
-//	    results/bench-sim.txt
+//	    results/bench-sim.txt results/bench-decide.txt
 package main
 
 import (
@@ -170,11 +173,44 @@ func applyGates(benches []Bench, zeroAlloc *regexp.Regexp) []Gate {
 		}
 		gates = append(gates, g)
 	}
+	gates = append(gates, flatCostGate(benches))
 	gates = append(gates, Gate{
 		Name: "benchmarks-ran", Pass: len(benches) > 0,
 		Detail: fmt.Sprintf("%d aggregated benchmark rows", len(benches)),
 	})
 	return gates
+}
+
+// A decision may not cost more over a long history than over a short
+// one: the swap manager's windowed means are running sums, and a scan
+// that crept back in would show as the ratio of the window sizes (78).
+const (
+	flatCostShort = "BenchmarkLocalDeciderDecide/history=256"
+	flatCostLong  = "BenchmarkLocalDeciderDecide/history=20k"
+	flatCostRatio = 2.0
+)
+
+// flatCostGate compares the two benchmarks' median ns/op. Like the
+// zero-alloc gate it fails when they never ran.
+func flatCostGate(benches []Bench) Gate {
+	var short, long float64
+	for _, b := range benches {
+		switch b.Name {
+		case flatCostShort:
+			short = b.MedNsOp
+		case flatCostLong:
+			long = b.MedNsOp
+		}
+	}
+	g := Gate{Name: "flat-decide-cost"}
+	if short <= 0 || long <= 0 {
+		g.Detail = fmt.Sprintf("%s and %s did not both run", flatCostShort, flatCostLong)
+		return g
+	}
+	g.Pass = long <= flatCostRatio*short
+	g.Detail = fmt.Sprintf("history=20k %.0f ns/op over history=256 %.0f ns/op = %.2f, want <= %g",
+		long, short, long/short, flatCostRatio)
+	return g
 }
 
 func main() {

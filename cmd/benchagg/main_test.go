@@ -80,8 +80,8 @@ func TestZeroAllocGate(t *testing.T) {
 	re := regexp.MustCompile(`^BenchmarkTCPSendDistinctRanks$`)
 
 	gates := applyGates(benches, re)
-	if len(gates) != 2 || !gates[0].Pass || !gates[1].Pass {
-		t.Fatalf("clean input should pass both gates: %+v", gates)
+	if len(gates) != 3 || !gates[0].Pass || !gates[2].Pass {
+		t.Fatalf("clean input should pass the zero-alloc and benchmarks-ran gates: %+v", gates)
 	}
 
 	// A regression to 1 alloc/op must flip the gate.
@@ -96,5 +96,32 @@ func TestZeroAllocGate(t *testing.T) {
 	gates = applyGates(benches, regexp.MustCompile(`^BenchmarkTypo$`))
 	if gates[0].Pass {
 		t.Fatalf("empty match passed the zero-alloc gate: %+v", gates[0])
+	}
+}
+
+// The flat-cost gate holds a decision over a long history within 2x of
+// one over a short history, on medians, and fails when either side never
+// ran.
+func TestFlatCostGate(t *testing.T) {
+	row := func(name string, ns ...string) string {
+		out := ""
+		for _, v := range ns {
+			out += name + "-2 \t 1000000\t " + v + " ns/op\t 160 B/op\t 4 allocs/op\n"
+		}
+		return out
+	}
+	for _, c := range []struct {
+		name string
+		text string
+		pass bool
+	}{
+		{"flat", row(flatCostShort, "900", "950", "5000") + row(flatCostLong, "1100", "1000", "990"), true},
+		{"grows with the history", row(flatCostShort, "900", "950", "1000") + row(flatCostLong, "1901", "70000", "1000"), false},
+		{"long side never ran", row(flatCostShort, "900"), false},
+		{"neither ran", sampleBench, false},
+	} {
+		if g := flatCostGate(aggregate(parseBench("bench-decide.txt", c.text))); g.Pass != c.pass {
+			t.Errorf("%s: gate %+v, want pass=%v", c.name, g, c.pass)
+		}
 	}
 }

@@ -97,7 +97,7 @@ func (d *meteredDecider) Decide(req swaprt.DecideRequest) (swaprt.DecideResponse
 		if d.lens.Enabled() {
 			d.lens.ObserveIteration(req.Now, req.IterTime)
 			d.lens.ObserveDecision(policylens.Decision{
-				T: req.Now, Epoch: req.Epoch, Input: req.Input(), Eval: resp.Eval,
+				T: req.Now, Epoch: req.Epoch, Input: req.Input(nil), Eval: resp.Eval,
 				Swaps: len(resp.Swaps),
 			})
 		}
@@ -202,6 +202,7 @@ func main() {
 		owner     string
 		lostLease atomic.Bool
 		stopRenew = make(chan struct{})
+		renewed   = make(chan struct{}) // closed once the renewal loop has returned
 	)
 	if *storeDir != "" {
 		store, err = mgrstore.Open(*storeDir, clock.Real{})
@@ -227,6 +228,7 @@ func main() {
 			*storeDir, durable.Replayed(), durable.DurableState().Epoch)
 		decider = durable
 		go func() {
+			defer close(renewed)
 			if err := store.KeepLease(owner, ln.Addr().String(), *leaseTTL, stopRenew); err != nil {
 				log.Printf("swapmgr: lease lost (%v): fenced out, shutting down", err)
 				lostLease.Store(true)
@@ -254,7 +256,10 @@ func main() {
 	}
 	if store != nil {
 		// Clean handover: compact so the successor replays a snapshot, and
-		// release the lease so it does not have to wait out the TTL.
+		// release the lease so it does not have to wait out the TTL — once
+		// the renewal loop is gone, or a renewal in flight would take the
+		// released lease right back.
+		<-renewed
 		if err := store.Compact(); err != nil {
 			log.Fatalf("swapmgr: compact on shutdown: %v", err)
 		}

@@ -41,17 +41,46 @@ type DecideInput struct {
 	AppPerf func(rates []float64) float64
 }
 
-// Filter returns the candidates for which keep reports true, preserving
-// order. The input is not modified; the swap manager uses it to exclude
-// quarantined or evicted hosts from the decider's candidate pool.
-func Filter(cands []Candidate, keep func(Candidate) bool) []Candidate {
-	var out []Candidate
-	for _, c := range cands {
-		if keep(c) {
-			out = append(out, c)
-		}
+// Decision order: slowest active first, fastest spare first. Ties break
+// by ID, so the order is total and decisions are deterministic.
+func slowestFirst(a, b Candidate) int {
+	if a.Rate != b.Rate {
+		return cmp.Compare(a.Rate, b.Rate)
 	}
-	return out
+	return cmp.Compare(a.ID, b.ID)
+}
+
+func fastestFirst(a, b Candidate) int {
+	if a.Rate != b.Rate {
+		return cmp.Compare(b.Rate, a.Rate)
+	}
+	return cmp.Compare(a.ID, b.ID)
+}
+
+// Ordered returns the input with its candidates in decision order, the
+// order every policy walks them in. An input already in that order is
+// returned as it is, and a policy deciding on it copies and sorts
+// nothing — so whoever puts one boundary's candidates before several
+// policies (a primary and its shadows) orders them once. Otherwise the
+// candidates are copied into *buf (grown as needed; nil allocates) and
+// sorted there: in's own slices are never written.
+func (in DecideInput) Ordered(buf *[]Candidate) DecideInput {
+	if slices.IsSortedFunc(in.Active, slowestFirst) && slices.IsSortedFunc(in.Spare, fastestFirst) {
+		return in
+	}
+	var cands []Candidate
+	if buf != nil {
+		cands = (*buf)[:0]
+	}
+	na := len(in.Active)
+	cands = append(append(slices.Grow(cands, na+len(in.Spare)), in.Active...), in.Spare...)
+	if buf != nil {
+		*buf = cands
+	}
+	in.Active, in.Spare = cands[:na:na], cands[na:]
+	slices.SortFunc(in.Active, slowestFirst)
+	slices.SortFunc(in.Spare, fastestFirst)
+	return in
 }
 
 // BottleneckAppPerf is the default application performance model: with
@@ -150,38 +179,28 @@ func (p Policy) decide(in DecideInput) ([]SwapPair, Explanation, gate) {
 		appPerf = BottleneckAppPerf
 	}
 
-	// One allocation holds both sorted copies and the rates.
-	na, ns := len(in.Active), len(in.Spare)
-	cands := make([]Candidate, na+ns)
-	active, spare := cands[:na:na], cands[na:]
-	copy(active, in.Active)
-	copy(spare, in.Spare)
-	// Slowest active first; fastest spare first. Ties break by ID so
-	// decisions are deterministic.
-	slices.SortFunc(active, func(a, b Candidate) int {
-		if a.Rate != b.Rate {
-			return cmp.Compare(a.Rate, b.Rate)
-		}
-		return cmp.Compare(a.ID, b.ID)
-	})
-	slices.SortFunc(spare, func(a, b Candidate) int {
-		if a.Rate != b.Rate {
-			return cmp.Compare(b.Rate, a.Rate)
-		}
-		return cmp.Compare(a.ID, b.ID)
-	})
-
-	rates := make([]float64, na)
-	for i, c := range active {
-		rates[i] = c.Rate
-	}
+	in = in.Ordered(nil)
+	active, spare := in.Active, in.Spare
+	na, ns := len(active), len(spare)
 
 	exp := Explanation{IterTime: in.IterTime, SwapTime: in.SwapTime, Verdict: "stay"}
 	var out []SwapPair
 	var decisive gate
+	// The active rates, for the application gate: built when the first
+	// pair gets that far, so a decision that stops at a process gate —
+	// the steady case — allocates nothing.
+	var rates []float64
 	for k := 0; k < min(na, ns); k++ {
-		pair, g := p.evaluatePair(active[k], spare[k], rates, k,
-			in.IterTime, in.SwapTime, appPerf)
+		pair, g := p.processGates(active[k], spare[k], in.IterTime, in.SwapTime)
+		if g == gateAccepted {
+			if rates == nil {
+				rates = make([]float64, na)
+				for i, c := range active {
+					rates[i] = c.Rate
+				}
+			}
+			g = p.appGate(&pair, rates, k, appPerf)
+		}
 		exp.Considered++
 		if g != gateAccepted {
 			// A rejection after accepted pairs keeps the headline swap as
@@ -223,7 +242,10 @@ func (p Policy) EvaluatePair(out, in Candidate, rates []float64, idx int,
 	if appPerf == nil {
 		appPerf = BottleneckAppPerf
 	}
-	pair, g := p.evaluatePair(out, in, rates, idx, iterTime, swapTime, appPerf)
+	pair, g := p.processGates(out, in, iterTime, swapTime)
+	if g == gateAccepted {
+		g = p.appGate(&pair, rates, idx, appPerf)
+	}
 	if g != gateAccepted {
 		return SwapPair{}, false
 	}
@@ -241,12 +263,10 @@ const (
 	gateAppGain
 )
 
-// evaluatePair is EvaluatePair with the deciding gate. On rejection the
-// returned pair still carries whatever numbers the gates computed before
-// failing, so explanations can show them.
-func (p Policy) evaluatePair(out, in Candidate, rates []float64, idx int,
-	iterTime, swapTime float64, appPerf func([]float64) float64) (SwapPair, gate) {
-
+// processGates applies the gates that look at the pair alone. On
+// rejection the returned pair still carries whatever numbers the gates
+// computed before failing, so explanations can show them.
+func (p Policy) processGates(out, in Candidate, iterTime, swapTime float64) (SwapPair, gate) {
 	pair := SwapPair{Out: out, In: in}
 	if in.Rate <= out.Rate {
 		return pair, gateNotFaster
@@ -259,20 +279,27 @@ func (p Policy) evaluatePair(out, in Candidate, rates []float64, idx int,
 	if pair.Payback > p.PaybackThreshold {
 		return pair, gatePayback
 	}
+	return pair, gateAccepted
+}
+
+// appGate computes the application gain of a pair that cleared the
+// process gates — rates[idx] is the outgoing host's — and applies the
+// application gate; rates is unchanged on return.
+func (p Policy) appGate(pair *SwapPair, rates []float64, idx int, appPerf func([]float64) float64) gate {
 	// The hypothetical rate set is rates with the spare swapped in for
 	// the duration of one appPerf call.
 	oldPerf := appPerf(rates)
 	old := rates[idx]
-	rates[idx] = in.Rate
+	rates[idx] = pair.In.Rate
 	newPerf := appPerf(rates)
 	rates[idx] = old
 	if oldPerf > 0 {
 		pair.AppGain = newPerf/oldPerf - 1
 	}
 	if p.MinAppImprovement > 0 && pair.AppGain <= p.MinAppImprovement {
-		return pair, gateAppGain
+		return gateAppGain
 	}
-	return pair, gateAccepted
+	return gateAccepted
 }
 
 // gateText words a gate's verdict with the decisive pair's numbers.

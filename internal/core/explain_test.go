@@ -2,6 +2,7 @@ package core
 
 import (
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -177,9 +178,94 @@ func TestQuietDecideEqualsExplained(t *testing.T) {
 	}
 }
 
+// One boundary's candidates are sorted once and the same view goes to
+// every policy that looks at it (a primary, the lens's shadows): a
+// policy decides on the ordered view exactly as on the raw input —
+// pairs and every Explanation field — and neither Ordered nor a decision
+// writes to the slices it was handed.
+func TestOrderedViewDecidesTheSame(t *testing.T) {
+	st := rng.NewSource(18).Stream("ordered")
+	policies := []Policy{Greedy(), Safe(), Friendly(), ablated()}
+	var buf []Candidate // reused across inputs, as the lens reuses its own
+	swapped, stayed, presorted := 0, 0, 0
+	f := func(nA, nS uint8, itRaw, swRaw uint16, clustered, sum, inOrder bool) bool {
+		in := DecideInput{IterTime: float64(itRaw%600) + 1, SwapTime: float64(swRaw % 300)}
+		if sum { // an application model that reads every rate
+			in.AppPerf = func(rates []float64) float64 {
+				total := 0.0
+				for _, r := range rates {
+					total += r
+				}
+				return total
+			}
+		}
+		rate := func() float64 {
+			if clustered { // many ties: the ID tie-break decides
+				return float64(100 * (1 + st.Intn(3)))
+			}
+			return st.Uniform(50, 800)
+		}
+		for i := 0; i < int(nA%9); i++ {
+			in.Active = append(in.Active, Candidate{ID: i, Rate: rate()})
+		}
+		for i := 0; i < int(nS%30); i++ {
+			in.Spare = append(in.Spare, Candidate{ID: 100 + i, Rate: rate()})
+		}
+		if inOrder { // what a caller that sorted for its own decision hands on
+			in = in.Ordered(nil)
+		}
+		raw := append(append([]Candidate(nil), in.Active...), in.Spare...)
+
+		view := in.Ordered(&buf)
+		if !slices.IsSortedFunc(view.Active, slowestFirst) || !slices.IsSortedFunc(view.Spare, fastestFirst) {
+			t.Logf("Ordered(%v, %v) = %v, %v", in.Active, in.Spare, view.Active, view.Spare)
+			return false
+		}
+		if again := view.Ordered(nil); len(view.Active) > 0 && &again.Active[0] != &view.Active[0] {
+			t.Log("an ordered view was copied again")
+			return false
+		}
+		if len(view.Active) > 0 && &view.Active[0] == &in.Active[0] {
+			presorted++
+		}
+		seen := append(append([]Candidate(nil), view.Active...), view.Spare...)
+		for _, p := range policies {
+			pairs, exp := p.DecideExplained(in)
+			vpairs, vexp := p.DecideExplained(view)
+			if !reflect.DeepEqual(pairs, vpairs) || exp != vexp {
+				t.Logf("%s on the raw input: %v %+v\non the ordered view: %v %+v", p.Name, pairs, exp, vpairs, vexp)
+				return false
+			}
+			if len(pairs) == 0 {
+				stayed++
+			} else {
+				swapped++
+			}
+		}
+		if !slices.Equal(raw, append(append([]Candidate(nil), in.Active...), in.Spare...)) {
+			t.Logf("input mutated: was %v, is %v %v", raw, in.Active, in.Spare)
+			return false
+		}
+		if !slices.Equal(seen, append(append([]Candidate(nil), view.Active...), view.Spare...)) {
+			t.Logf("shared view mutated: was %v, is %v %v", seen, view.Active, view.Spare)
+			return false
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 400}); err != nil {
+		t.Fatal(err)
+	}
+	if swapped < 100 || stayed < 100 || presorted < 100 {
+		t.Fatalf("inputs too one-sided to mean anything: %d swaps, %d stays, %d already in order",
+			swapped, stayed, presorted)
+	}
+}
+
 // The text-free path stays cheap: on the figures' 4 active + 28 spare
-// candidates a decision allocates its sorted copy of the candidates, its
-// rates and its result, and nothing per candidate or per gate.
+// candidates a decision allocates its sorted copy of the candidates,
+// once a pair reaches the application gate its rates, and its result —
+// nothing per candidate or per gate, and on candidates already in
+// decision order no copy either.
 func TestDecideAllocations(t *testing.T) {
 	in := DecideInput{IterTime: 120, SwapTime: 0.17}
 	st := rng.NewSource(3).Stream("allocs")
@@ -198,11 +284,19 @@ func TestDecideAllocations(t *testing.T) {
 	if n := len(pol.Decide(in)); n != 4 {
 		t.Fatalf("greedy swaps %d of 4, want all", n)
 	}
-	// 2 for the copies; the result grows 1 → 2 → 4 pairs.
-	if got := testing.AllocsPerRun(200, func() { pol.DecideQuiet(in) }); got != 5 {
-		t.Errorf("DecideQuiet swapping 4 of 4+28: %v allocs, want 5", got)
-	}
-	if got := testing.AllocsPerRun(200, func() { pol.DecideQuiet(stay) }); got != 2 {
-		t.Errorf("DecideQuiet staying on 4+28: %v allocs, want 2", got)
+	for _, c := range []struct {
+		name string
+		in   DecideInput
+		want float64
+	}{
+		// The copy, the rates; the result grows 1 → 2 → 4 pairs.
+		{"swapping 4 of 4+28", in, 5},
+		{"swapping 4 of 4+28, in decision order", in.Ordered(nil), 4},
+		{"staying on 4+28", stay, 1},
+		{"staying on 4+28, in decision order", stay.Ordered(nil), 0},
+	} {
+		if got := testing.AllocsPerRun(200, func() { pol.DecideQuiet(c.in) }); got != c.want {
+			t.Errorf("DecideQuiet %s: %v allocs, want %v", c.name, got, c.want)
+		}
 	}
 }

@@ -163,10 +163,12 @@ type driver struct {
 
 	// Per-boundary scratch of the Swap technique, sized once per run:
 	// the estimated rate and active flag of every host, and the
-	// candidate lists handed to the policy.
+	// candidate lists as collected, and in the decision order the
+	// primary and the lens's shadows all walk.
 	rateBuf       []float64
 	isActive      []bool
 	active, spare []core.Candidate
+	ordered       []core.Candidate
 }
 
 // boundaryHook runs at each iteration boundary (application barrier); it

@@ -34,9 +34,9 @@ func swapBoundary(d *driver, proc *simkern.Proc, iter int, iterTime float64) {
 	now := proc.Now()
 	rates := d.rates(now)
 
-	// The candidate lists live in driver-owned buffers: a policy copies
-	// what it sorts and the lens replays within ObserveDecision, so
-	// nothing holds them past this boundary.
+	// The candidate lists live in driver-owned buffers: a policy only
+	// reads them and the lens replays within ObserveDecision, so nothing
+	// holds them past this boundary.
 	active, spare := d.active[:0], d.spare[:0]
 	for i := range d.isActive {
 		d.isActive[i] = false
@@ -84,6 +84,8 @@ func swapBoundary(d *driver, proc *simkern.Proc, iter int, iterTime float64) {
 				Verdict: verdict, Detail: "random selection", Epoch: d.epoch})
 		}
 	} else {
+		// Sorted once here, for the primary and for the lens's shadows.
+		in = in.Ordered(&d.ordered)
 		// Nobody reads the Reason without a tracer; the lens needs only
 		// the numbers.
 		var exp core.Explanation

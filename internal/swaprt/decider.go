@@ -13,7 +13,10 @@ import (
 // Report folds in a swap handler's measurement taken between swap
 // points, ReportOutcome closes the epoch a decision proposed, Ping asks
 // whether the service is reachable. One leader calls Decide and
-// ReportOutcome in sequence; Report and Ping arrive concurrently.
+// ReportOutcome in sequence; Report and Ping arrive concurrently. A
+// request's slices are the caller's, reused for its next decision: a
+// Decider reads them until it returns and keeps a copy of what it needs
+// longer.
 //
 // A wrapper embeds Forward, a leaf embeds StayDecider, and each
 // overrides what it adds: all four calls always have somewhere to go, so

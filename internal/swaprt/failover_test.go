@@ -252,3 +252,38 @@ func TestSupervisorFailoverMatchesFaultFree(t *testing.T) {
 		t.Errorf("durable state left a dangling proposal: %+v", st.Pending)
 	}
 }
+
+// TestSupervisorCloseReleasesLeaseWithRenewalDue closes a supervised
+// manager at the instant a TTL/3 renewal falls due, over and over: the
+// renewal loop must be gone before the lease is released, or a renewal
+// in flight writes a live lease over the released one and the next
+// manager on the directory waits out a TTL nobody holds.
+func TestSupervisorCloseReleasesLeaseWithRenewalDue(t *testing.T) {
+	const (
+		rounds = 200
+		ttl    = 3 * time.Second
+	)
+	dir := t.TempDir()
+	fk := clock.NewFake()
+	for round := 0; round < rounds; round++ {
+		// A still-held lease would park this bring-up on the frozen clock
+		// for good; the check below fails the round before that.
+		sup, err := StartManagerSupervisor(SupervisorConfig{
+			Dir: dir, Policy: core.Greedy(), LeaseTTL: ttl, Clock: fk,
+		})
+		if err != nil {
+			t.Fatalf("round %d: %v", round, err)
+		}
+		fk.BlockUntilWaiters(1) // the renewal ticker
+		fk.Advance(ttl / 3)     // a renewal is due, and racing the close
+		if err := sup.Close(); err != nil {
+			t.Fatalf("round %d: close: %v", round, err)
+		}
+		if lease, held, err := mgrstore.ReadLease(dir, fk); err != nil || held {
+			t.Fatalf("round %d: after close: lease %+v held=%v err=%v, want released", round, lease, held, err)
+		}
+		if n := fk.WaiterCount(); n != 0 {
+			t.Fatalf("round %d: %d clock waiters left after close: the renewal loop outlived it", round, n)
+		}
+	}
+}

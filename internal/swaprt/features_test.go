@@ -290,7 +290,11 @@ func TestHandlersReportToRemoteManager(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ln.Close()
-	server := NewLocalDecider(core.Greedy())
+	// Greedy with a history window: a decider keeps only what its window
+	// reaches, and the count below wants to see every report.
+	policy := core.Greedy()
+	policy.HistoryWindow = 60
+	server := NewLocalDecider(policy)
 	go func() { _ = ServeManager(ln, server, nil) }()
 
 	w := mpi.NewWorld(2)

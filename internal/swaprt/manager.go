@@ -2,6 +2,7 @@ package swaprt
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"repro/internal/core"
@@ -46,18 +47,26 @@ func (r DecideRequest) Validate() error {
 
 // Input rebuilds the core.DecideInput a (valid) request describes: what
 // a policy decides on, and what the policy lens replays shadow policies
-// over.
-func (r DecideRequest) Input() core.DecideInput {
-	in := core.DecideInput{IterTime: r.IterTime, SwapTime: r.SwapTime,
-		Active: make([]core.Candidate, len(r.ActiveSet)),
-		Spare:  make([]core.Candidate, len(r.SpareSet))}
+// over. The candidates are written into *buf (grown as needed; nil
+// allocates), so a caller that decides again and again keeps one buffer.
+func (r DecideRequest) Input(buf *[]core.Candidate) core.DecideInput {
+	var cands []core.Candidate
+	if buf != nil {
+		cands = (*buf)[:0]
+	}
+	na := len(r.ActiveSet)
+	cands = slices.Grow(cands, na+len(r.SpareSet))
 	for i, rank := range r.ActiveSet {
-		in.Active[i] = core.Candidate{ID: rank, Rate: r.ActiveRates[i]}
+		cands = append(cands, core.Candidate{ID: rank, Rate: r.ActiveRates[i]})
 	}
 	for i, rank := range r.SpareSet {
-		in.Spare[i] = core.Candidate{ID: rank, Rate: r.SpareRates[i]}
+		cands = append(cands, core.Candidate{ID: rank, Rate: r.SpareRates[i]})
 	}
-	return in
+	if buf != nil {
+		*buf = cands
+	}
+	return core.DecideInput{IterTime: r.IterTime, SwapTime: r.SwapTime,
+		Active: cands[:na:na], Spare: cands[na:]}
 }
 
 // SwapDirective orders the process on Out's host to move to In's host
@@ -99,6 +108,8 @@ type LocalDecider struct {
 
 	mu   sync.Mutex
 	hist map[int]*predict.History
+	// Decide's candidates, as requested and in decision order.
+	cands, ordered []core.Candidate
 }
 
 // NewLocalDecider builds a decider around the policy.
@@ -119,8 +130,9 @@ func (d *LocalDecider) Report(r ReportMsg) error {
 }
 
 // record appends a measurement (out-of-order times are clamped: handler
-// and swap-point clocks may interleave) and returns the window-mean
-// estimate under the policy's history window.
+// and swap-point clocks may interleave), forgets what the policy's
+// history window no longer reaches — with no window, all but the latest
+// sample — and returns the window-mean estimate.
 func (d *LocalDecider) record(rank int, now, rate float64) float64 {
 	h := d.hist[rank]
 	if h == nil {
@@ -131,7 +143,9 @@ func (d *LocalDecider) record(rank int, now, rate float64) float64 {
 		now = s.T
 	}
 	h.Add(now, rate)
-	if w := d.Policy.HistoryWindow; w > 0 {
+	w := d.Policy.HistoryWindow
+	h.Trim(now, w)
+	if w > 0 {
 		if m := h.WindowMean(now, w); m > 0 {
 			return m
 		}
@@ -148,16 +162,14 @@ func (d *LocalDecider) Decide(req DecideRequest) (DecideResponse, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 
-	in := req.Input()
-	for _, cands := range [][]core.Candidate{in.Active, in.Spare} {
-		for i := range cands {
-			cands[i].Rate = d.record(cands[i].ID, req.Now, cands[i].Rate)
-		}
+	in := req.Input(&d.cands)
+	for i := range d.cands { // in's active and spare candidates, back to back
+		d.cands[i].Rate = d.record(d.cands[i].ID, req.Now, d.cands[i].Rate)
 	}
 	if req.IterTime <= 0 {
 		return DecideResponse{}, nil
 	}
-	pairs, eval := d.Policy.DecideExplained(in)
+	pairs, eval := d.Policy.DecideExplained(in.Ordered(&d.ordered))
 	resp := DecideResponse{Eval: &eval}
 	for _, p := range pairs {
 		resp.Swaps = append(resp.Swaps, SwapDirective{Out: p.Out.ID, In: p.In.ID})
@@ -177,6 +189,8 @@ type manager struct {
 	quarantined map[int]bool
 	done        chan struct{}
 	doneOnce    sync.Once
+
+	scratch decideScratch
 }
 
 // assignment tells a parked spare to become active. The final active set
@@ -253,97 +267,107 @@ func (m *manager) finish() {
 	m.doneOnce.Do(func() { close(m.done) })
 }
 
+// Per-rank marks of one decision.
+const (
+	markActive uint8 = 1 << iota // a member of the active set
+	markTaken                    // named by a directive: no other may name it
+)
+
+// decideScratch is what one decision builds and the next overwrites. It
+// belongs to the active leader: one rank decides per swap point, and
+// the swap protocol orders a leader's last decision before its
+// successor's first. A Decider may read the request's slices, and the
+// lens its input, only until they return.
+type decideScratch struct {
+	marks []uint8          // by world rank
+	pool  []core.Candidate // probed spares
+	req   DecideRequest
+	lens  []core.Candidate
+}
+
 // decide is called by the active leader with active measurements; it
 // handles forced evictions, probes spares and consults the decider for
 // the rest.
 func (m *manager) decide(epoch uint64, now float64, activeSet []int, activeRates []float64,
 	allRanks int, iterTime, swapTime float64) (DecideResponse, error) {
 
-	isActive := map[int]bool{}
+	sc := &m.scratch
+	sc.marks = slices.Grow(sc.marks[:0], allRanks)[:allRanks]
+	marks := sc.marks
+	clear(marks)
 	for _, r := range activeSet {
-		isActive[r] = true
+		marks[r] = markActive
 	}
 	// Candidate pool: every non-active rank that is not quarantined. A
 	// quarantined spare failed a swap-in; probing it again is pointless
 	// and offering it to the decider would just re-abort.
-	var pool []core.Candidate
+	pool := sc.pool[:0]
 	for r := 0; r < allRanks; r++ {
-		if !isActive[r] && !m.isQuarantined(r) {
+		if marks[r] == 0 && !m.isQuarantined(r) {
 			pool = append(pool, core.Candidate{ID: r, Rate: m.cfg.Probe(r)})
 		}
 	}
+	sc.pool = pool
 
 	// Forced evictions first: an evicted host's process must leave no
 	// matter what the policy thinks; it takes the fastest spare whose
 	// host is not itself evicted.
+	evicted := m.cfg.Evicted
+	if evicted == nil {
+		evicted = func(int) bool { return false }
+	}
 	var forced []SwapDirective
-	usedSpare := map[int]bool{}
-	if m.cfg.Evicted != nil {
-		for _, out := range activeSet {
-			if !m.cfg.Evicted(out) {
-				continue
-			}
-			best, bestRate := -1, -1.0
-			for _, sp := range pool {
-				if usedSpare[sp.ID] || m.cfg.Evicted(sp.ID) {
-					continue
-				}
-				if sp.Rate > bestRate {
-					best, bestRate = sp.ID, sp.Rate
-				}
-			}
-			if best < 0 {
-				return DecideResponse{}, fmt.Errorf(
-					"swaprt: rank %d evicted but no spare available", out)
-			}
-			usedSpare[best] = true
-			forced = append(forced, SwapDirective{Out: out, In: best})
+	for _, out := range activeSet {
+		if !evicted(out) {
+			continue
 		}
+		best, bestRate := -1, -1.0
+		for _, sp := range pool {
+			if marks[sp.ID]&markTaken == 0 && !evicted(sp.ID) && sp.Rate > bestRate {
+				best, bestRate = sp.ID, sp.Rate
+			}
+		}
+		if best < 0 {
+			return DecideResponse{}, fmt.Errorf(
+				"swaprt: rank %d evicted but no spare available", out)
+		}
+		marks[out] |= markTaken
+		marks[best] |= markTaken
+		forced = append(forced, SwapDirective{Out: out, In: best})
 	}
 
 	// The decider sees only the unforced remainder: drop spares already
 	// claimed by an eviction, and evicted hosts (no target for voluntary
 	// swaps either).
-	req := DecideRequest{
-		Epoch:    epoch,
-		Now:      now,
-		IterTime: iterTime,
-		SwapTime: swapTime,
-	}
-	forcedOut := map[int]bool{}
-	for _, f := range forced {
-		forcedOut[f.Out] = true
-	}
+	req := &sc.req
+	*req = DecideRequest{Epoch: epoch, Now: now, IterTime: iterTime, SwapTime: swapTime,
+		ActiveSet: req.ActiveSet[:0], ActiveRates: req.ActiveRates[:0],
+		SpareSet: req.SpareSet[:0], SpareRates: req.SpareRates[:0]}
 	for i, r := range activeSet {
-		if !forcedOut[r] {
+		if marks[r]&markTaken == 0 {
 			req.ActiveSet = append(req.ActiveSet, r)
 			req.ActiveRates = append(req.ActiveRates, activeRates[i])
 		}
 	}
-	for _, sp := range core.Filter(pool, func(c core.Candidate) bool {
-		if usedSpare[c.ID] {
-			return false
+	for _, sp := range pool {
+		if marks[sp.ID]&markTaken == 0 && !evicted(sp.ID) {
+			req.SpareSet = append(req.SpareSet, sp.ID)
+			req.SpareRates = append(req.SpareRates, sp.Rate)
 		}
-		return m.cfg.Evicted == nil || !m.cfg.Evicted(c.ID)
-	}) {
-		req.SpareSet = append(req.SpareSet, sp.ID)
-		req.SpareRates = append(req.SpareRates, sp.Rate)
 	}
-	resp, err := m.decider.Decide(req)
+	resp, err := m.decider.Decide(*req)
 	if err != nil {
 		return DecideResponse{}, err
 	}
 	// Validate: Out must be active, In must be a non-quarantined spare,
 	// no rank reused.
-	used := map[int]bool{}
-	for _, f := range forced {
-		used[f.Out], used[f.In] = true, true
-	}
 	for _, s := range resp.Swaps {
-		if !isActive[s.Out] || isActive[s.In] || used[s.Out] || used[s.In] || m.isQuarantined(s.In) {
+		if s.Out < 0 || s.Out >= allRanks || s.In < 0 || s.In >= allRanks ||
+			marks[s.Out] != markActive || marks[s.In] != 0 || m.isQuarantined(s.In) {
 			return DecideResponse{}, fmt.Errorf("swaprt: invalid swap directive %+v", s)
 		}
-		used[s.Out], used[s.In] = true, true
+		marks[s.Out] |= markTaken
+		marks[s.In] |= markTaken
 	}
 	// Audit: the lens sees the exact input the decider saw (post-filter,
 	// pre-forced-evictions) and its verdict, feeds the iteration sample
@@ -351,7 +375,7 @@ func (m *manager) decide(epoch uint64, now float64, activeSet []int, activeRates
 	if m.cfg.Lens.Enabled() {
 		m.cfg.Lens.ObserveIteration(now, iterTime)
 		m.cfg.Lens.ObserveDecision(policylens.Decision{
-			T: now, Epoch: epoch, Input: req.Input(), Eval: resp.Eval,
+			T: now, Epoch: epoch, Input: req.Input(&sc.lens), Eval: resp.Eval,
 			Swaps: len(resp.Swaps),
 		})
 	}

@@ -256,7 +256,9 @@ func (f *FileStore) AwaitLease(owner, addr string, ttl time.Duration, standby fu
 // KeepLease renews owner's lease every ttl/3 on the store clock until
 // stop closes (nil) or a renewal fails (that error): a lost or
 // superseded lease means another incarnation fenced this one out, and
-// the caller must stop serving, not contest the new leader.
+// the caller must stop serving, not contest the new leader. A renewal
+// may be in flight when stop closes: ReleaseLease is final only after
+// KeepLease has returned.
 func (f *FileStore) KeepLease(owner, addr string, ttl time.Duration, stop <-chan struct{}) error {
 	t := f.clk.NewTicker(ttl / 3)
 	defer t.Stop()
@@ -265,6 +267,11 @@ func (f *FileStore) KeepLease(owner, addr string, ttl time.Duration, stop <-chan
 		case <-stop:
 			return nil
 		case <-t.C:
+			select {
+			case <-stop: // a tick that was due when stop closed renews nothing
+				return nil
+			default:
+			}
 			if _, err := f.AcquireLease(owner, addr, ttl); err != nil {
 				return err
 			}

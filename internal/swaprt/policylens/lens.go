@@ -225,6 +225,7 @@ type Lens struct {
 	lastT                      float64
 
 	shadow []*shadowEntry
+	cands  []core.Candidate // ObserveDecision's ordered copy of its input
 }
 
 // New builds an enabled lens.
@@ -299,7 +300,10 @@ func (l *Lens) ObserveDecision(d Decision) {
 	if d.T > l.lastT {
 		l.lastT = d.T
 	}
-	var events []obs.Event
+	// One event per shadow when traced; the default panel's fit on the
+	// stack.
+	var panel [3]obs.Event
+	events := panel[:0]
 	primarySwap := d.Swaps > 0
 	// The shadows' Reason text is read only by the events below: with
 	// no tracer attached they decide without formatting any.
@@ -308,8 +312,10 @@ func (l *Lens) ObserveDecision(d Decision) {
 	if traced {
 		decide = core.Policy.DecideExplained
 	}
+	// One boundary, one sort: every shadow walks the same ordered view.
+	in := d.Input.Ordered(&l.cands)
 	for _, sh := range l.shadow {
-		pairs, exp := decide(sh.pol, d.Input)
+		pairs, exp := decide(sh.pol, in)
 		shadowSwap := len(pairs) > 0
 		sh.score.Decisions++
 		l.c.shadowEvals.Inc()

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"math"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
@@ -270,12 +271,16 @@ func BenchmarkLensNil(b *testing.B) {
 
 // With no tracer the shadows decide without explanations; the report —
 // scoreboard, regret estimates, realizations — is the one a traced lens
-// gives for the same decision stream.
+// gives for the same decision stream. So is the report of a lens handed
+// every input already in decision order (the simulator's primary sorts
+// before it decides): the lens orders an input once for all its shadows,
+// in a copy, and the order it arrived in does not matter.
 func TestReportSameWithAndWithoutTracer(t *testing.T) {
 	tr := obs.New(1)
 	tr.Enable()
 	traced := New(Config{Tracer: tr, RealizeAfter: 2})
 	quiet := New(Config{RealizeAfter: 2})
+	presorted := New(Config{RealizeAfter: 2})
 
 	st := rng.NewSource(5).Stream("lens")
 	primaries := []core.Policy{core.Greedy(), core.Safe(), core.Friendly()}
@@ -290,11 +295,19 @@ func TestReportSameWithAndWithoutTracer(t *testing.T) {
 		}
 		now += in.IterTime
 		pol := primaries[i%len(primaries)]
-		for _, l := range []*Lens{traced, quiet} {
+		raw := append(append([]core.Candidate(nil), in.Active...), in.Spare...)
+		for _, l := range []*Lens{traced, quiet, presorted} {
+			lin := in
+			if l == presorted {
+				lin = in.Ordered(nil)
+			}
 			l.ObserveIteration(now, in.IterTime)
-			if n := decideWith(l, pol, now, epoch, in); n > 0 {
+			if n := decideWith(l, pol, now, epoch, lin); n > 0 {
 				l.ObserveOutcome(now, epoch+1, n, 0)
 			}
+		}
+		if !slices.Equal(raw, append(append([]core.Candidate(nil), in.Active...), in.Spare...)) {
+			t.Fatalf("decision %d: the lens reordered its caller's candidates", i)
 		}
 		if len(pol.Decide(in)) > 0 {
 			epoch++
@@ -313,6 +326,9 @@ func TestReportSameWithAndWithoutTracer(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("report differs without a tracer:\n got %+v\nwant %+v", got, want)
+	}
+	if got := presorted.Report(); !reflect.DeepEqual(got, want) {
+		t.Errorf("report differs on inputs already in decision order:\n got %+v\nwant %+v", got, want)
 	}
 	if len(tr.Events()) == 0 {
 		t.Error("the traced lens emitted nothing")

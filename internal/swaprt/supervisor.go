@@ -60,15 +60,22 @@ type mgrIncarnation struct {
 	store   *mgrstore.FileStore
 	durable *DurableDecider
 	ln      net.Listener
-	stop    chan struct{}
+	stop    chan struct{} // closed to end the renewal loop
+	renewed chan struct{} // closed once the renewal loop has returned
 	stopped sync.Once
+	crashed sync.Once
+}
+
+// stopRenewing tells the renewal loop to end, without waiting for it.
+func (m *mgrIncarnation) stopRenewing() {
+	m.stopped.Do(func() { close(m.stop) })
 }
 
 // crash drops the incarnation the way a kill -9 would: listener and
 // file handles close, the lease stays behind to expire on its own.
 func (m *mgrIncarnation) crash() {
-	m.stopped.Do(func() {
-		close(m.stop)
+	m.stopRenewing()
+	m.crashed.Do(func() {
 		m.ln.Close()
 		m.store.Close()
 	})
@@ -151,7 +158,8 @@ func (s *ManagerSupervisor) bringUp(owner string) (*mgrIncarnation, error) {
 		store.Close()
 		return nil, fmt.Errorf("listen: %w", err)
 	}
-	inc := &mgrIncarnation{owner: owner, store: store, ln: ln, stop: make(chan struct{})}
+	inc := &mgrIncarnation{owner: owner, store: store, ln: ln,
+		stop: make(chan struct{}), renewed: make(chan struct{})}
 	addr := ln.Addr().String()
 
 	// Standby: the previous incarnation's lease outlives its crash by
@@ -186,6 +194,7 @@ func (s *ManagerSupervisor) bringUp(owner string) (*mgrIncarnation, error) {
 		owner, addr, inc.durable.Replayed(), st.Epoch)
 
 	go func() {
+		defer close(inc.renewed)
 		if err := store.KeepLease(owner, addr, ttl, inc.stop); err != nil {
 			s.cfg.Logf("swapmgr-sup: %s fenced out: %v", owner, err)
 			s.dropIfCurrent(inc)
@@ -311,6 +320,11 @@ func (s *ManagerSupervisor) Close() error {
 	if inc == nil {
 		return nil
 	}
+	// The renewal loop has to be gone before the release: a renewal in
+	// flight would write a live lease over the released one, and the
+	// successor would wait out a TTL nobody is holding.
+	inc.stopRenewing()
+	<-inc.renewed
 	var firstErr error
 	if err := inc.store.Compact(); err != nil {
 		firstErr = err
