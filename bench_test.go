@@ -286,17 +286,11 @@ func BenchmarkTCPSendDistinctRanks(b *testing.B) {
 	benchTCPSendDistinctRanks(b, nil, mpi.Config{Size: 3, TCP: true})
 }
 
-// BenchmarkTCPSendDistinctRanksGob is the same send path over the
-// fallback gob codec: the delta against the binary benchmark above is
-// the cost the wire package removes from the hot path.
-func BenchmarkTCPSendDistinctRanksGob(b *testing.B) {
-	benchTCPSendDistinctRanks(b, nil, mpi.Config{Size: 3, TCP: true, Codec: mpi.CodecGob})
-}
-
 // BenchmarkTCPSendDistinctRanksTraced is the same send path with an
 // enabled obs tracer attached, quantifying the cost of full event
 // recording (the disabled-tracer overhead is the delta between the
-// untraced benchmark here and the pre-obs baseline in BENCH_obs.json).
+// untraced benchmark here and the pre-obs baseline in EXPERIMENTS.md
+// "Tracer overhead").
 func BenchmarkTCPSendDistinctRanksTraced(b *testing.B) {
 	tr := obs.New(3, obs.WithLimit(1<<16))
 	tr.Enable()
@@ -304,12 +298,12 @@ func BenchmarkTCPSendDistinctRanksTraced(b *testing.B) {
 }
 
 // BenchmarkTCPSendDistinctRanksCausal is the always-on production shape:
-// Lamport piggybacking on the wire (CodecCausal's 16-byte extension)
-// plus the flight recorder observing every event through the sink, with
-// the tracer's own buffering off. The bench-transport gate holds this
-// variant to the same 0 allocs/op as the plain binary codec — the
-// causal extension is encoded into the pooled frame buffer and flight
-// rings store events by value.
+// Lamport piggybacking on the wire (the frame's 16-byte extension) plus
+// the flight recorder observing every event through the sink, with the
+// tracer's own buffering off. The bench-transport gate holds this
+// variant to the same 0 allocs/op as the plain one — the extension is
+// encoded into the pooled frame buffer, decoded into the decoder's own
+// header array, and flight rings store events by value.
 func BenchmarkTCPSendDistinctRanksCausal(b *testing.B) {
 	tr := obs.New(3)
 	rec := flight.New(3, flight.Config{Dir: b.TempDir()})

@@ -2,10 +2,7 @@
 // schema-stable document, results/BENCH_summary.json, that CI uploads
 // as an artifact: the live `go test -bench` text outputs named on the
 // command line are parsed and aggregated per benchmark (min/median/max
-// ns/op across -count repetitions, worst-case B/op and allocs/op), and
-// the checked-in BENCH_*.json capsules — the curated before/after
-// studies whose baselines no longer exist in the tree — ride along
-// verbatim under "documents".
+// ns/op across -count repetitions, worst-case B/op and allocs/op).
 //
 // It is also a gate: every benchmark matching -zero-alloc must report
 // exactly 0 allocs/op in every run, mirroring the make bench-transport
@@ -18,7 +15,7 @@
 //
 // Usage:
 //
-//	benchagg -out results/BENCH_summary.json -docs 'BENCH_*.json' \
+//	benchagg -out results/BENCH_summary.json \
 //	    -zero-alloc '^BenchmarkTCPSendDistinctRanks(Causal)?$' \
 //	    results/bench-transport.txt results/bench-lens.txt results/bench-codec.txt \
 //	    results/bench-sim.txt results/bench-decide.txt
@@ -40,10 +37,9 @@ import (
 // downstream tooling (and humans diffing two CI artifacts) may rely on
 // byte-identical output for identical inputs.
 type Summary struct {
-	Schema     string                     `json:"schema"` // "repro/bench-summary/v1"
-	Benchmarks []Bench                    `json:"benchmarks"`
-	Gates      []Gate                     `json:"gates"`
-	Documents  map[string]json.RawMessage `json:"documents,omitempty"`
+	Schema     string  `json:"schema"` // "repro/bench-summary/v1"
+	Benchmarks []Bench `json:"benchmarks"`
+	Gates      []Gate  `json:"gates"`
 }
 
 // Bench aggregates every run of one benchmark name (GOMAXPROCS suffix
@@ -216,7 +212,6 @@ func flatCostGate(benches []Bench) Gate {
 func main() {
 	var (
 		out       = flag.String("out", "", "write the summary JSON here (default stdout)")
-		docs      = flag.String("docs", "", "glob of checked-in BENCH_*.json capsules to embed verbatim")
 		zeroAlloc = flag.String("zero-alloc", "", "regexp of benchmark names that must report 0 allocs/op in every run")
 	)
 	flag.Parse()
@@ -247,27 +242,6 @@ func main() {
 
 	sum := Summary{Schema: "repro/bench-summary/v1", Benchmarks: aggregate(runs)}
 	sum.Gates = applyGates(sum.Benchmarks, zre)
-
-	if *docs != "" {
-		paths, err := filepath.Glob(*docs)
-		if err != nil {
-			fatal(err)
-		}
-		sort.Strings(paths)
-		sum.Documents = make(map[string]json.RawMessage, len(paths))
-		for _, p := range paths {
-			raw, err := os.ReadFile(p)
-			if err != nil {
-				fatal(err)
-			}
-			var compact json.RawMessage
-			if err := json.Unmarshal(raw, &compact); err != nil {
-				fatal(fmt.Errorf("%s: %v", p, err))
-			}
-			name := strings.TrimSuffix(filepath.Base(p), ".json")
-			sum.Documents[name] = compact
-		}
-	}
 
 	enc, err := json.MarshalIndent(sum, "", "  ")
 	if err != nil {

@@ -81,18 +81,11 @@ func TestCausalWorldInproc(t *testing.T) {
 	assertCausalTrace(t, events, 10)
 }
 
-// TestCausalWorldTCP: Config.Causal upgrades the binary TCP codec to
-// CodecCausal and the 16-byte wire extension carries the clocks.
+// TestCausalWorldTCP: on a TCP world the frame's 16-byte extension
+// carries the clocks.
 func TestCausalWorldTCP(t *testing.T) {
 	events := causalPingPong(t, Config{Size: 2, Causal: true, TCP: true}, 5)
 	assertCausalTrace(t, events, 10)
-}
-
-// TestCausalWorldTCPGob: a causal world on the gob codec interoperates —
-// the envelope fields ride gob's own encoding, no framing extension.
-func TestCausalWorldTCPGob(t *testing.T) {
-	events := causalPingPong(t, Config{Size: 2, Causal: true, TCP: true, Codec: CodecGob}, 3)
-	assertCausalTrace(t, events, 6)
 }
 
 // TestNonCausalWorldEmitsNoCausalEvents pins the default: without

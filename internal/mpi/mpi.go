@@ -9,7 +9,7 @@
 // inside private communicators carved out of an over-allocated world — so
 // this package implements them from scratch over two transports: an
 // in-process transport (goroutines and mailboxes) and a TCP transport
-// (one socket mesh, gob-framed), selectable per world.
+// (one socket mesh, framed by the wire subpackage), selectable per world.
 package mpi
 
 import (
@@ -43,21 +43,6 @@ var ErrRecvTimeout = errors.New("mpi: receive timed out")
 // the wire package's Envelope: the TCP transport frames exactly this
 // shape, so the two packages share one definition.
 type envelope = wire.Envelope
-
-// Codec selects the TCP transport's wire encoding (see Config.Codec).
-const (
-	// CodecBinary is the length-prefixed binary framing: zero
-	// allocations on the steady-state send path. The default.
-	CodecBinary = wire.CodecBinary
-	// CodecGob is the original gob stream, kept as a fallback codec.
-	// Gob and binary worlds interoperate: the codec is negotiated per
-	// connection by a one-byte stream preamble.
-	CodecGob = wire.CodecGob
-	// CodecCausal is the binary framing plus the optional causal
-	// extension (Lamport clock + send sequence) on each frame. Selected
-	// automatically by Config.Causal on binary TCP worlds.
-	CodecCausal = wire.CodecCausal
-)
 
 // transport moves envelopes between ranks.
 type transport interface {
@@ -267,18 +252,18 @@ func newInprocWorld(size int, clk clock.Clock) *World {
 }
 
 // NewTCPWorld creates a world of the given size whose ranks exchange
-// messages over TCP loopback sockets with the default binary codec. It
-// binds size listeners on 127.0.0.1 ephemeral ports.
+// messages over TCP loopback sockets. It binds size listeners on
+// 127.0.0.1 ephemeral ports.
 func NewTCPWorld(size int) (*World, error) {
-	return newTCPWorld(size, wire.CodecBinary, nil)
+	return newTCPWorld(size, nil)
 }
 
-func newTCPWorld(size int, codec wire.Codec, clk clock.Clock) (*World, error) {
+func newTCPWorld(size int, clk clock.Clock) (*World, error) {
 	if size <= 0 {
 		panic(fmt.Sprintf("mpi: NewTCPWorld(%d)", size))
 	}
 	w := newWorldShell(size, clk)
-	tr, err := newTCPTransport(w, codec)
+	tr, err := newTCPTransport(w)
 	if err != nil {
 		return nil, err
 	}
@@ -319,12 +304,6 @@ type Config struct {
 	// TCP selects the loopback TCP transport instead of the in-process
 	// one.
 	TCP bool
-	// Codec selects the TCP transport's wire encoding: CodecBinary
-	// (zero means binary, the default) or CodecGob for the fallback gob
-	// stream. Ignored for in-process worlds. Worlds with different
-	// codecs interoperate; each connection's codec is negotiated by its
-	// stream preamble.
-	Codec wire.Codec
 	// Fault, when non-nil, wraps the transport so every send consults the
 	// injector first. Injected faults are counted under "mpi.fault.*" and
 	// emit FaultInject trace events when a tracer is attached.
@@ -339,9 +318,9 @@ type Config struct {
 	// (and therefore every collective, which is built on them) carries
 	// the sender's (clock, sequence), receivers merge it, and — with a
 	// tracer attached — MsgSend/MsgRecv events record the happens-before
-	// edges. On binary TCP worlds this upgrades the codec to CodecCausal
-	// (preamble-negotiated, so causal and non-causal worlds still
-	// interoperate); gob worlds carry the context as envelope fields.
+	// edges. It changes nothing about the transport: a TCP frame carries
+	// the pair whenever the envelope has one (wire package), and a world
+	// without Causal never stamps an envelope.
 	Causal bool
 }
 
@@ -352,18 +331,8 @@ func NewWorldWithConfig(cfg Config) (*World, error) {
 		w   *World
 		err error
 	)
-	codec := cfg.Codec
-	if codec == 0 {
-		codec = wire.CodecBinary
-	}
-	if !codec.Valid() {
-		return nil, fmt.Errorf("mpi: unknown codec %q (want CodecBinary, CodecGob or CodecCausal)", codec)
-	}
-	if cfg.Causal && codec == wire.CodecBinary {
-		codec = wire.CodecCausal
-	}
 	if cfg.TCP {
-		w, err = newTCPWorld(cfg.Size, codec, cfg.Clock)
+		w, err = newTCPWorld(cfg.Size, cfg.Clock)
 	} else {
 		w = newInprocWorld(cfg.Size, cfg.Clock)
 	}

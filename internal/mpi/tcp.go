@@ -71,8 +71,8 @@ func (cc *tcpConn) reset() {
 // per rank, a lazily dialed per-destination connection on the sender
 // side, and one reader goroutine per accepted connection. Each
 // connection is a one-directional stream of envelopes framed by the
-// wire package: a one-byte codec preamble ('B' binary, 'G' gob), then
-// frames in that codec, so mixed-codec meshes interoperate.
+// wire package: its protocol byte, then frames. A stream that opens with
+// any other byte fails its first Decode and only that connection closes.
 //
 // Locking: per-destination tcpConn.mu serializes enqueues to that rank
 // only; tcpTransport.mu guards the shutdown flag and the socket
@@ -81,7 +81,6 @@ func (cc *tcpConn) reset() {
 // writes happen on flusher goroutines with no lock held.
 type tcpTransport struct {
 	w         *World
-	codec     wire.Codec
 	listeners []net.Listener
 	addrs     []string
 	conns     []*tcpConn // indexed by destination rank
@@ -112,10 +111,9 @@ type tcpTransport struct {
 	wg    sync.WaitGroup
 }
 
-func newTCPTransport(w *World, codec wire.Codec) (*tcpTransport, error) {
+func newTCPTransport(w *World) (*tcpTransport, error) {
 	t := &tcpTransport{
 		w:          w,
-		codec:      codec,
 		socks:      map[net.Conn]struct{}{},
 		dials:      w.metrics.Counter("mpi.tcp.dials"),
 		dialRetry:  w.metrics.Counter("mpi.tcp.dial_retries"),
@@ -309,7 +307,7 @@ func (t *tcpTransport) sendConn(env envelope) error {
 				continue
 			}
 			cc.c = conn
-			cc.enc = wire.NewEncoder(t.codec)
+			cc.enc = wire.NewEncoder(wire.CodecBinary)
 			if !t.startFlusher(cc, conn, cc.enc) {
 				// close() won the race after register: surface shutdown.
 				cc.reset()

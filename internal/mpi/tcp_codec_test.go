@@ -1,11 +1,11 @@
 package mpi
 
 import (
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
 	"net"
+	"os"
 	"sync"
 	"testing"
 	"time"
@@ -13,92 +13,78 @@ import (
 	"repro/internal/mpi/wire"
 )
 
-// TestTCPGobCodecWorld runs point-to-point and collective traffic over
-// the fallback gob codec: the codec seam must not change semantics.
-func TestTCPGobCodecWorld(t *testing.T) {
-	w, err := NewWorldWithConfig(Config{Size: 3, TCP: true, Codec: CodecGob})
-	if err != nil {
-		t.Fatal(err)
-	}
-	err = w.Run(func(r *Rank) error {
-		c := r.World()
-		got, err := c.Bcast(0, []byte("over gob"))
-		if err != nil {
-			return err
-		}
-		if string(got) != "over gob" {
-			return fmt.Errorf("bcast got %q", got)
-		}
-		sum, err := c.AllReduceFloat64(OpSum, float64(r.Rank()))
-		if err != nil {
-			return err
-		}
-		if sum != 3 {
-			return fmt.Errorf("allreduce sum = %v, want 3", sum)
-		}
-		return c.Barrier()
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestTCPUnknownCodecRejected pins Config validation: an unknown codec
-// byte must fail world construction, not surface as garbled streams.
-func TestTCPUnknownCodecRejected(t *testing.T) {
-	if _, err := NewWorldWithConfig(Config{Size: 2, TCP: true, Codec: wire.Codec('Z')}); err == nil {
-		t.Fatal("unknown codec accepted")
-	}
-}
-
-// TestTCPMixedCodecMesh proves per-connection codec negotiation: a raw
-// gob sender delivers into a binary-codec world and a raw binary sender
-// delivers into a gob-codec world, because the receiver picks its
-// decoder from each stream's one-byte preamble, not from its own
-// configured codec.
-func TestTCPMixedCodecMesh(t *testing.T) {
+// TestTCPStreamAdmission pins what a rank's listener does with a stream
+// it did not write itself — a raw connection into a 2-rank world. There
+// is one frame format and nothing is negotiated: a frame delivers, with
+// or without the causal extension and whether or not the receiving world
+// keeps Lamport clocks; a stream that opens with any byte but 'B' costs
+// its sender that connection and nothing else.
+func TestTCPStreamAdmission(t *testing.T) {
+	plain := envelope{Comm: worldCommID, Src: 0, Dst: 1, Tag: 5, Data: []byte("raw")}
+	flagged := plain
+	flagged.LC, flagged.Seq = 41, 3
 	cases := []struct {
-		name     string
-		codec    wire.Codec // the receiving world's configured codec
-		preamble byte       // the foreign sender's stream codec
+		name    string
+		causal  bool   // the receiving world's Config.Causal
+		stream  []byte // what the raw sender writes
+		deliver bool
+		clock   uint64 // rank 1's Lamport clock after the receive (causal worlds)
 	}{
-		{"gob sender into binary world", CodecBinary, 'G'},
-		{"binary sender into gob world", CodecGob, 'B'},
+		{"plain frame", false, wire.AppendFrame([]byte{'B'}, &plain), true, 0},
+		{"flagged frame, non-causal world", false, wire.AppendFrame([]byte{'B'}, &flagged), true, 0},
+		{"flagged frame, causal world", true, wire.AppendFrame([]byte{'B'}, &flagged), true, 42},
+		{"plain frame, causal world", true, wire.AppendFrame([]byte{'B'}, &plain), true, 1},
+		{"preamble G", false, wire.AppendFrame([]byte{'G'}, &plain), false, 0},
+		{"preamble C", true, wire.AppendFrame([]byte{'C'}, &flagged), false, 0},
+		{"preamble Z", false, wire.AppendFrame([]byte{'Z'}, &plain), false, 0},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			w, err := NewWorldWithConfig(Config{Size: 2, TCP: true, Codec: tc.codec})
+			w, err := NewWorldWithConfig(Config{Size: 2, TCP: true, Causal: tc.causal})
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer w.Close()
-			tr := w.transport.(*tcpTransport)
-			conn, err := net.Dial("tcp", tr.addrs[1])
+			conn, err := net.Dial("tcp", w.transport.(*tcpTransport).addrs[1])
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer conn.Close()
-			env := envelope{Comm: worldCommID, Src: 0, Dst: 1, Tag: 5, Data: []byte("cross-codec")}
-			switch tc.preamble {
-			case 'G':
-				if _, err := conn.Write([]byte{'G'}); err != nil {
-					t.Fatal(err)
-				}
-				if err := gob.NewEncoder(conn).Encode(env); err != nil {
-					t.Fatal(err)
-				}
-			case 'B':
-				frame := wire.AppendFrame([]byte{'B'}, &env)
-				if _, err := conn.Write(frame); err != nil {
-					t.Fatal(err)
-				}
-			}
-			got, err := w.boxes[1].popDeadline(w.clk, worldCommID, 0, 5, time.Now().Add(2*time.Second))
-			if err != nil {
+			if _, err := conn.Write(tc.stream); err != nil {
 				t.Fatal(err)
 			}
-			if string(got.Data) != "cross-codec" || got.Src != 0 || got.Tag != 5 {
-				t.Fatalf("got %+v", got)
+			r0, r1 := (&Rank{w: w, rank: 0}).World(), (&Rank{w: w, rank: 1}).World()
+			if tc.deliver {
+				data, st, err := r1.RecvTimeout(0, 5, 2*time.Second)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if string(data) != "raw" || st.Source != 0 || st.Tag != 5 {
+					t.Fatalf("got %q %+v", data, st)
+				}
+				// A world without Causal has no clock to merge into; a causal
+				// one applies the Lamport receive rule to what the frame carried.
+				if cz := w.Causal(); cz != nil && cz.Clock(1) != tc.clock {
+					t.Fatalf("rank 1 clock %d after the receive, want %d", cz.Clock(1), tc.clock)
+				}
+				return
+			}
+			// Refused: the reader closes this connection (EOF, or a reset
+			// because the frame behind the bad byte was never read) ...
+			_ = conn.SetReadDeadline(time.Now().Add(2 * time.Second))
+			if _, err := conn.Read(make([]byte, 1)); err == nil || errors.Is(err, os.ErrDeadlineExceeded) {
+				t.Fatalf("connection still open after a %q preamble: %v", tc.stream[0], err)
+			}
+			// ... delivers nothing ...
+			if _, _, err := r1.RecvTimeout(AnySource, AnyTag, 50*time.Millisecond); !errors.Is(err, ErrRecvTimeout) {
+				t.Fatalf("refused stream delivered a message: %v", err)
+			}
+			// ... and the mesh itself is untouched.
+			if err := r0.Send(1, 6, []byte("mesh")); err != nil {
+				t.Fatal(err)
+			}
+			if data, _, err := r1.RecvTimeout(0, 6, 2*time.Second); err != nil || string(data) != "mesh" {
+				t.Fatalf("send after a refused stream: %q, %v", data, err)
 			}
 		})
 	}
@@ -240,59 +226,57 @@ func TestTCPCloseUnblocksDialRetryStorm(t *testing.T) {
 	}
 }
 
-// TestTCPFaultInjectionOverBothCodecs pins the chaos layer's
-// codec-independence: verdicts are applied above the transport, so drop
-// and error rules behave identically over binary and gob framing.
+// TestTCPFaultInjectionOverBothCodecs pins the chaos layer over the TCP
+// transport: verdicts are applied above it, so drop and error rules
+// behave as they do in process.
 func TestTCPFaultInjectionOverBothCodecs(t *testing.T) {
-	for _, codec := range []wire.Codec{CodecBinary, CodecGob} {
-		t.Run(codec.String(), func(t *testing.T) {
-			inj := &stubInjector{verdicts: map[[2]int]FaultVerdict{
-				{0, 1}: {Drop: true, Detail: "eat 0->1"},
-				{1, 0}: {Err: errors.New("refused"), Detail: "fail 1->0"},
-			}}
-			w, err := NewWorldWithConfig(Config{Size: 3, TCP: true, Codec: codec, Fault: inj})
-			if err != nil {
-				t.Fatal(err)
-			}
-			err = w.Run(func(r *Rank) error {
-				c := r.World()
-				switch r.Rank() {
-				case 0:
-					// Dropped: sender sees success, receiver nothing.
-					if err := c.Send(1, 1, []byte("lost")); err != nil {
-						return err
-					}
-					// Unfaulted pair still delivers.
-					return c.Send(2, 2, []byte("kept"))
-				case 1:
-					if _, _, err := c.RecvTimeout(0, 1, 50*time.Millisecond); !errors.Is(err, ErrRecvTimeout) {
-						return fmt.Errorf("dropped message delivered: %v", err)
-					}
-					// Injected error: sender observes the fault.
-					if err := c.Send(0, 3, []byte("x")); err == nil {
-						return errors.New("faulted send succeeded")
-					}
-					return nil
-				default:
-					data, _, err := c.Recv(0, 2)
-					if err != nil {
-						return err
-					}
-					if string(data) != "kept" {
-						return fmt.Errorf("got %q", data)
-					}
-					return nil
+	t.Run("binary", func(t *testing.T) {
+		inj := &stubInjector{verdicts: map[[2]int]FaultVerdict{
+			{0, 1}: {Drop: true, Detail: "eat 0->1"},
+			{1, 0}: {Err: errors.New("refused"), Detail: "fail 1->0"},
+		}}
+		w, err := NewWorldWithConfig(Config{Size: 3, TCP: true, Fault: inj})
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = w.Run(func(r *Rank) error {
+			c := r.World()
+			switch r.Rank() {
+			case 0:
+				// Dropped: sender sees success, receiver nothing.
+				if err := c.Send(1, 1, []byte("lost")); err != nil {
+					return err
 				}
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got := w.Metrics().Counter("mpi.fault.drops").Load(); got != 1 {
-				t.Errorf("drops = %d, want 1", got)
-			}
-			if got := w.Metrics().Counter("mpi.fault.errors").Load(); got != 1 {
-				t.Errorf("errors = %d, want 1", got)
+				// Unfaulted pair still delivers.
+				return c.Send(2, 2, []byte("kept"))
+			case 1:
+				if _, _, err := c.RecvTimeout(0, 1, 50*time.Millisecond); !errors.Is(err, ErrRecvTimeout) {
+					return fmt.Errorf("dropped message delivered: %v", err)
+				}
+				// Injected error: sender observes the fault.
+				if err := c.Send(0, 3, []byte("x")); err == nil {
+					return errors.New("faulted send succeeded")
+				}
+				return nil
+			default:
+				data, _, err := c.Recv(0, 2)
+				if err != nil {
+					return err
+				}
+				if string(data) != "kept" {
+					return fmt.Errorf("got %q", data)
+				}
+				return nil
 			}
 		})
-	}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := w.Metrics().Counter("mpi.fault.drops").Load(); got != 1 {
+			t.Errorf("drops = %d, want 1", got)
+		}
+		if got := w.Metrics().Counter("mpi.fault.errors").Load(); got != 1 {
+			t.Errorf("errors = %d, want 1", got)
+		}
+	})
 }

@@ -1,50 +1,45 @@
 // Package wire is the TCP transport's framing layer: a hand-rolled,
 // allocation-free binary encoding of the one fixed message shape the
-// mesh carries (Envelope), with the original gob stream retained as a
-// fallback codec behind the same Encoder/Decoder seam.
+// mesh carries (Envelope). There is one frame format; every rank of a
+// world is started from the same binary, so nothing is negotiated.
 //
-// Stream layout: one preamble byte declaring the sender's codec
-// ('B' binary, 'G' gob, 'C' binary+causal), then back-to-back frames in
-// that codec for the connection's lifetime. The receiver negotiates by
-// reading the preamble, so a mesh may mix senders using different
-// codecs — including causal senders talking to the same decoder as
-// plain-binary or gob ones.
+// Stream layout: one protocol byte ('B'), then back-to-back frames for
+// the connection's lifetime. The byte is input validation: a decoder
+// that is handed anything else (a stray client, a stream from a build
+// that framed differently) refuses the stream at its first byte instead
+// of reading garbage as a length.
 //
-// Binary frame (big-endian, 24-byte header):
+// Frame (big-endian, 24-byte header):
 //
-//	[0:4]   uint32  payload length n (<= MaxPayload)
+//	[0:4]   uint32  payload length n (<= MaxPayload); bit 31: extension follows
 //	[4:12]  uint64  Comm
 //	[12:16] uint32  Src  (two's-complement int32)
 //	[16:20] uint32  Dst  (two's-complement int32)
 //	[20:24] uint32  Tag  (two's-complement int32)
-//	[24:24+n]       payload
+//	[24:40] uint64 LC, uint64 Seq   only when bit 31 of [0:4] is set
+//	[..:..+n]       payload
 //
-// Causal extension ('C' streams only): MaxPayload leaves the top bit of
-// the length word unused, so a frame carrying causal context sets bit 31
-// of [0:4] and inserts 16 extension bytes between header and payload:
-//
-//	[24:32] uint64  LC   (sender's Lamport clock)
-//	[32:40] uint64  Seq  (sender's send sequence)
-//
-// Frames with LC == 0 are written without the flag even on 'C' streams,
-// and a 'B' decoder treats a flagged length as oversized and errors
-// cleanly instead of desynchronizing — old peers never misparse causal
-// bytes as payload.
+// MaxPayload leaves the top bit of the length word unused; a frame
+// whose envelope carries causal context (LC != 0: the sender's Lamport
+// clock and send sequence) sets it and inserts the 16 extension bytes
+// between header and payload. An envelope has exactly one encoding: LC
+// == 0 is written without the flag, and the decoder refuses a flagged
+// frame whose LC is 0.
 //
 // The Encoder serializes into an in-memory pending buffer that the
 // connection's single writer swaps out (Take) and returns (Recycle), so
 // the steady-state send path performs zero heap allocations: buffers
 // come from a sync.Pool and are double-buffered per connection. The
-// Decoder hands small payloads out of a shared slab (capacity-clipped,
-// so an appending receiver cannot scribble on a neighbor's bytes) and
-// reads oversized payloads incrementally, so a lying length header can
-// never force a large allocation before the bytes actually arrive.
+// Decoder reads header and extension into an array of its own, hands
+// small payloads out of a shared slab (capacity-clipped, so an appending
+// receiver cannot scribble on a neighbor's bytes) and reads oversized
+// payloads incrementally, so a lying length header can never force a
+// large allocation before the bytes actually arrive.
 package wire
 
 import (
 	"bufio"
 	"encoding/binary"
-	"encoding/gob"
 	"fmt"
 	"io"
 	"slices"
@@ -62,41 +57,19 @@ type Envelope struct {
 
 	// Causal piggyback (Lamport clock + send sequence of Src). Zero
 	// means "no causal data": Lamport clocks start at 1, so LC == 0 is
-	// the presence flag. The binary codec only ships these on 'C'
-	// streams; gob carries them as ordinary fields (absent fields decode
-	// to zero, so old gob peers interoperate).
+	// the presence flag, and a frame ships the pair only when LC != 0.
 	LC  uint64
 	Seq uint64
 }
 
-// Codec identifies a stream's encoding; its value is the one-byte
-// stream preamble the sender writes before the first frame.
+// Codec is the stream's protocol byte. There is one; the type,
+// CodecBinary and NewEncoder's parameter remain only because the frozen
+// benchmark harness (bench/adapter.go) calls
+// wire.NewEncoder(wire.CodecBinary).
 type Codec byte
 
-const (
-	// CodecBinary is the length-prefixed binary framing (the default).
-	CodecBinary Codec = 'B'
-	// CodecGob is the fallback gob stream of Envelope values.
-	CodecGob Codec = 'G'
-	// CodecCausal is the binary framing plus the optional per-frame
-	// causal extension (Lamport clock + send sequence).
-	CodecCausal Codec = 'C'
-)
-
-// Valid reports whether c names a known codec.
-func (c Codec) Valid() bool { return c == CodecBinary || c == CodecGob || c == CodecCausal }
-
-func (c Codec) String() string {
-	switch c {
-	case CodecBinary:
-		return "binary"
-	case CodecGob:
-		return "gob"
-	case CodecCausal:
-		return "binary+causal"
-	}
-	return fmt.Sprintf("codec(0x%02x)", byte(c))
-}
+// CodecBinary is the protocol byte every stream opens with.
+const CodecBinary Codec = 'B'
 
 const (
 	// headerLen is the fixed binary frame header size.
@@ -107,43 +80,31 @@ const (
 	// high bits of the length word; bit 31 is the causal-extension flag.
 	MaxPayload = 1 << 30
 	// causalFlag marks a frame that carries the 16-byte causal
-	// extension after the fixed header ('C' streams only).
+	// extension after the fixed header.
 	causalFlag = 1 << 31
 	// causalExtLen is the causal extension size: uint64 LC + uint64 Seq.
 	causalExtLen = 16
 )
 
-// AppendFrame appends env's binary frame to dst and returns the
-// extended slice, dropping any causal piggyback (the 'B' framing has no
-// room for it). It performs no allocation beyond growing dst.
+// AppendFrame appends env's frame to dst and returns the extended
+// slice: the fixed header, then — when env carries causal data (LC != 0)
+// — the flag bit in the length word and the 16 extension bytes, then the
+// payload. It performs no allocation beyond growing dst.
 func AppendFrame(dst []byte, env *Envelope) []byte {
-	var hdr [headerLen]byte
-	binary.BigEndian.PutUint32(hdr[0:4], uint32(len(env.Data)))
-	binary.BigEndian.PutUint64(hdr[4:12], env.Comm)
-	binary.BigEndian.PutUint32(hdr[12:16], uint32(int32(env.Src)))
-	binary.BigEndian.PutUint32(hdr[16:20], uint32(int32(env.Dst)))
-	binary.BigEndian.PutUint32(hdr[20:24], uint32(int32(env.Tag)))
-	dst = append(dst, hdr[:]...)
-	return append(dst, env.Data...)
-}
-
-// AppendCausalFrame appends env's frame in the 'C' framing: identical
-// to AppendFrame when env carries no causal data, else the length word
-// gains the flag bit and the 16 extension bytes follow the header.
-// Allocation-free beyond growing dst.
-func AppendCausalFrame(dst []byte, env *Envelope) []byte {
-	if env.LC == 0 {
-		return AppendFrame(dst, env)
-	}
 	var hdr [headerLen + causalExtLen]byte
-	binary.BigEndian.PutUint32(hdr[0:4], uint32(len(env.Data))|causalFlag)
+	n, h := uint32(len(env.Data)), hdr[:headerLen]
+	if env.LC != 0 {
+		n |= causalFlag
+		h = hdr[:]
+		binary.BigEndian.PutUint64(hdr[24:32], env.LC)
+		binary.BigEndian.PutUint64(hdr[32:40], env.Seq)
+	}
+	binary.BigEndian.PutUint32(hdr[0:4], n)
 	binary.BigEndian.PutUint64(hdr[4:12], env.Comm)
 	binary.BigEndian.PutUint32(hdr[12:16], uint32(int32(env.Src)))
 	binary.BigEndian.PutUint32(hdr[16:20], uint32(int32(env.Dst)))
 	binary.BigEndian.PutUint32(hdr[20:24], uint32(int32(env.Tag)))
-	binary.BigEndian.PutUint64(hdr[24:32], env.LC)
-	binary.BigEndian.PutUint64(hdr[32:40], env.Seq)
-	dst = append(dst, hdr[:]...)
+	dst = append(dst, h...)
 	return append(dst, env.Data...)
 }
 
@@ -235,59 +196,24 @@ func (f *FreeList) Get(n int) []byte {
 // Encoder serializes envelopes into a pending in-memory buffer for a
 // single writer to flush. It is not safe for concurrent use; the TCP
 // transport guards each connection's encoder with that connection's
-// lock. The first byte ever buffered is the codec preamble.
+// lock. The first byte ever buffered is the protocol byte.
 type Encoder struct {
-	codec Codec
-	pend  []byte // frames waiting to be flushed (starts with the preamble)
+	pend  []byte // frames waiting to be flushed (starts with the protocol byte)
 	spare []byte // recycled flush buffer, reused by the next Take
-
-	genc    *gob.Encoder
-	scratch Envelope // gob staging; keeps Encode's *Envelope from escaping
 }
 
-// NewEncoder returns an encoder for the given codec with the stream
-// preamble already buffered. The pending buffer comes from a pool;
-// return it with Close when the connection dies.
-func NewEncoder(codec Codec) *Encoder {
-	e := &Encoder{codec: codec, pend: getBuf()}
-	e.pend = append(e.pend, byte(codec))
-	if codec == CodecGob {
-		e.genc = gob.NewEncoder(pendWriter{e})
-	}
-	return e
+// NewEncoder returns an encoder with the protocol byte already
+// buffered. The pending buffer comes from a pool; return it with Close
+// when the connection dies. The parameter is ignored (see Codec).
+func NewEncoder(Codec) *Encoder {
+	return &Encoder{pend: append(getBuf(), byte(CodecBinary))}
 }
 
-// pendWriter adapts the encoder's pending buffer to io.Writer for the
-// gob fallback; gob's internal writes land in the same pending buffer
-// the binary codec appends to, so the flush path is codec-agnostic.
-type pendWriter struct{ e *Encoder }
-
-func (w pendWriter) Write(p []byte) (int, error) {
-	w.e.pend = append(w.e.pend, p...)
-	return len(p), nil
-}
-
-// Codec reports the stream's codec.
-func (e *Encoder) Codec() Codec { return e.codec }
-
-// Encode appends env's encoding to the pending buffer. The binary path
-// allocates nothing beyond (amortized) buffer growth.
+// Encode appends env's frame to the pending buffer, allocating nothing
+// beyond (amortized) buffer growth.
 func (e *Encoder) Encode(env *Envelope) error {
 	if len(env.Data) > MaxPayload {
 		return fmt.Errorf("wire: payload %d bytes exceeds MaxPayload %d", len(env.Data), MaxPayload)
-	}
-	if e.codec == CodecGob {
-		// Stage through a field so env itself does not leak into the
-		// gob interface (which would heap-allocate every caller's
-		// envelope, on the binary path too).
-		e.scratch = *env
-		err := e.genc.Encode(&e.scratch)
-		e.scratch.Data = nil
-		return err
-	}
-	if e.codec == CodecCausal {
-		e.pend = AppendCausalFrame(e.pend, env)
-		return nil
 	}
 	e.pend = AppendFrame(e.pend, env)
 	return nil
@@ -332,19 +258,18 @@ func (e *Encoder) Close() {
 	e.pend, e.spare = nil, nil
 }
 
-// Decoder reads one sender's stream, negotiating the codec from the
-// preamble byte on the first Decode. It is not safe for concurrent use.
+// Decoder reads one sender's stream, checking the protocol byte on the
+// first Decode. It is not safe for concurrent use.
 type Decoder struct {
 	br      *bufio.Reader
-	codec   Codec
-	started bool
-
-	gdec    *gob.Decoder
-	scratch Envelope // gob staging; keeps Decode's *Envelope from escaping
+	started bool // protocol byte read and accepted
 
 	slab []byte    // arena for small payloads: one allocation serves many frames
 	free *FreeList // recycled large payload buffers; may be nil
-	hdr  [headerLen]byte
+	// hdr receives the fixed header and, behind it, the causal extension.
+	// It lives in the decoder because a local array handed to io.ReadFull
+	// escapes: one heap allocation per received frame.
+	hdr [headerLen + causalExtLen]byte
 }
 
 const (
@@ -370,10 +295,7 @@ func NewDecoder(r io.Reader) *Decoder {
 	return &Decoder{br: bufio.NewReaderSize(r, decoderBufSize)}
 }
 
-// Codec reports the negotiated codec; zero until the first Decode.
-func (d *Decoder) Codec() Codec { return d.codec }
-
-// UseFreeList makes the decoder read large binary payloads into buffers
+// UseFreeList makes the decoder read large payloads into buffers
 // recycled through f before allocating new ones.
 func (d *Decoder) UseFreeList(f *FreeList) { d.free = f }
 
@@ -387,40 +309,20 @@ func (d *Decoder) Decode(env *Envelope) error {
 		if err != nil {
 			return err
 		}
-		c := Codec(b)
-		if !c.Valid() {
-			return fmt.Errorf("wire: unknown codec preamble 0x%02x (want 'B', 'G' or 'C')", b)
+		if Codec(b) != CodecBinary {
+			return fmt.Errorf("wire: unknown stream preamble 0x%02x (want 'B')", b)
 		}
-		if c == CodecGob {
-			d.gdec = gob.NewDecoder(d.br)
-		}
-		d.codec = c
 		d.started = true
 	}
-	if d.codec == CodecGob {
-		d.scratch = Envelope{}
-		if err := d.gdec.Decode(&d.scratch); err != nil {
-			return err
-		}
-		*env = d.scratch
-		d.scratch.Data = nil
-		return nil
-	}
-	if _, err := io.ReadFull(d.br, d.hdr[:]); err != nil {
+	if _, err := io.ReadFull(d.br, d.hdr[:headerLen]); err != nil {
 		if err == io.ErrUnexpectedEOF {
 			return fmt.Errorf("wire: truncated frame header: %w", err)
 		}
 		return err // clean EOF at a frame boundary stays io.EOF
 	}
 	n := binary.BigEndian.Uint32(d.hdr[0:4])
-	causal := false
-	if d.codec == CodecCausal && n&causalFlag != 0 {
-		causal = true
-		n &^= causalFlag
-	}
-	// On a 'B' stream a flagged length still lands here and fails the
-	// bound check: an old-peer decoder errors cleanly rather than
-	// misreading the causal extension as payload.
+	causal := n&causalFlag != 0
+	n &^= causalFlag
 	if n > MaxPayload {
 		return fmt.Errorf("wire: frame payload %d bytes exceeds MaxPayload %d", n, MaxPayload)
 	}
@@ -430,15 +332,19 @@ func (d *Decoder) Decode(env *Envelope) error {
 	env.Tag = int(int32(binary.BigEndian.Uint32(d.hdr[20:24])))
 	env.LC, env.Seq = 0, 0
 	if causal {
-		var ext [causalExtLen]byte
-		if _, err := io.ReadFull(d.br, ext[:]); err != nil {
+		if _, err := io.ReadFull(d.br, d.hdr[headerLen:]); err != nil {
 			if err == io.EOF {
 				err = io.ErrUnexpectedEOF
 			}
 			return fmt.Errorf("wire: truncated causal extension: %w", err)
 		}
-		env.LC = binary.BigEndian.Uint64(ext[0:8])
-		env.Seq = binary.BigEndian.Uint64(ext[8:16])
+		env.LC = binary.BigEndian.Uint64(d.hdr[24:32])
+		env.Seq = binary.BigEndian.Uint64(d.hdr[32:40])
+		if env.LC == 0 {
+			// No encoder writes this: LC == 0 is "no causal data" and goes
+			// out unflagged, so every envelope has one encoding.
+			return fmt.Errorf("wire: causal extension with zero clock")
+		}
 	}
 	if n == 0 {
 		env.Data = nil

@@ -345,7 +345,7 @@ func TestStateSetRoundTrip(t *testing.T) {
 	a.register("x", &x)
 	a.register("n", &n)
 	a.register("m", &m)
-	blob, err := a.encode()
+	blob, err := a.appendTo(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -369,7 +369,7 @@ func TestStateSetMismatchedNames(t *testing.T) {
 	a := newStateSet()
 	x := 1
 	a.register("x", &x)
-	blob, _ := a.encode()
+	blob, _ := a.appendTo(nil)
 
 	b := newStateSet()
 	y := 1

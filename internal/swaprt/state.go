@@ -212,9 +212,6 @@ func (ss *stateSet) encodedSize() (int, error) {
 	return ss.rawSize() + ss.gobSize, err
 }
 
-// encode serializes all registered variables into a new buffer.
-func (ss *stateSet) encode() ([]byte, error) { return ss.appendTo(nil) }
-
 // appendTo appends the encoding of the registered variables to dst,
 // growing it once, to the exact size when the gob section is empty or
 // unchanged in length.

@@ -27,7 +27,7 @@ func encodeOne(t testing.TB, name string, ptr any) []byte {
 	t.Helper()
 	ss := newStateSet()
 	ss.register(name, ptr)
-	blob, err := ss.encode()
+	blob, err := ss.appendTo(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -295,7 +295,7 @@ func TestStateRawKindsRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		blob, err := a.encode()
+		blob, err := a.appendTo(nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -326,7 +326,7 @@ func TestStateRawKindsRoundTrip(t *testing.T) {
 			}
 		}
 		// The decoded state encodes to the same bytes.
-		again, err := b.encode()
+		again, err := b.appendTo(nil)
 		if err != nil || !bytes.Equal(again, blob) {
 			t.Fatalf("round %d: re-encoding the decoded state gave %d bytes (%v), want the %d received", round, len(again), err, len(blob))
 		}
@@ -526,7 +526,7 @@ func FuzzStateDecode(f *testing.F) {
 	rng := rand.New(rand.NewSource(1))
 	valid := newStateSet()
 	randomKinds(rng).register(valid)
-	blob, err := valid.encode()
+	blob, err := valid.appendTo(nil)
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -561,7 +561,7 @@ func FuzzStateDecode(f *testing.F) {
 		if err != nil {
 			return
 		}
-		blob, err := ss.encode()
+		blob, err := ss.appendTo(nil)
 		if err != nil {
 			t.Fatalf("re-encode of a decoded state: %v", err)
 		}

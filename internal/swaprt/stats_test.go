@@ -58,7 +58,7 @@ func TestStateSizeEstimateTracksResize(t *testing.T) {
 	if got := s.stateSizeEstimate(); got != first-720 {
 		t.Fatalf("estimate after shrinking to 10 floats = %g, want %g", got, first-720)
 	}
-	blob, err := s.state.encode()
+	blob, err := s.state.appendTo(nil)
 	if err != nil || float64(len(blob)) != first-720 {
 		t.Fatalf("encode = %d bytes (%v), estimate said %g", len(blob), err, first-720)
 	}
