@@ -63,13 +63,13 @@ bench-transport:
 # and the state codec (BenchmarkStateCodec/{4KiB,1MiB}: one checkpoint
 # save + load, MB/s and allocations; the hard 0-alloc gate on the codec
 # is TestStateCodecAllocations, a plain test under `make test`) and the
-# simulator (results/bench-sim.txt: Fig. 4 and Fig. 7 at quick size, the
-# kernel's event throughput, the policy decision with and without its
-# explanation), folded together by cmd/benchagg, which re-applies the
-# zero-alloc gate on the parsed rows — the transport send path and one
-# kernel event — so the artifact cannot disagree with the gate that
-# admitted it. The decision layer's
-# flat-cost pair (results/bench-decide.txt: a LocalDecider decision over
+# simulator (results/bench-sim.txt: Fig. 4 and Fig. 7 at quick size, what
+# a cell pays before them — one stream seeded and read twelve times, one
+# 32-host environment — the kernel's event throughput, the policy decision
+# with and without its explanation), folded together by cmd/benchagg,
+# which re-applies the zero-alloc gate on the parsed rows — the transport
+# send path and one kernel event — so the artifact cannot disagree with
+# the gate that admitted it. The decision layer's flat-cost pair (results/bench-decide.txt: a LocalDecider decision over
 # 256 and over 20,000 samples of history, and the lens auditing a 4+28
 # boundary) is gated there too: 20k within 2x of 256.
 bench-all:
@@ -81,7 +81,7 @@ bench-all:
 	$(GO) test -run '^$$' -bench '^BenchmarkStateCodec$$' \
 		-benchmem -count 3 . | tee results/bench-codec.txt
 	$(GO) test -run '^$$' \
-		-bench '^Benchmark(Fig4Techniques|Fig7Policies|KernelEventThroughput|PolicyDecide)$$' \
+		-bench '^Benchmark(Fig4Techniques|Fig7Policies|StreamSeedDraw12|NewEnvironment32|KernelEventThroughput|PolicyDecide)$$' \
 		-benchmem -count 3 . | tee results/bench-sim.txt
 	$(GO) test -run '^$$' -bench '^Benchmark(LocalDeciderDecide|LensObserveDecision)$$' \
 		-benchmem -count 3 . | tee results/bench-decide.txt
@@ -286,6 +286,7 @@ fuzz:
 	$(GO) test -fuzz FuzzStateDecode -fuzztime 30s ./internal/swaprt/
 	$(GO) test -fuzz FuzzPlanCommitDecode -fuzztime 30s ./internal/swaprt/
 	$(GO) test -fuzz FuzzHistory -fuzztime 30s ./internal/predict/
+	$(GO) test -fuzz FuzzSourceMatchesMathRand -fuzztime 30s ./internal/rng/
 
 # clean removes generated result files only. It must not touch the Go
 # build/test caches (or anything under ~/.cache): CI restores and reuses

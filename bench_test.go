@@ -73,6 +73,30 @@ func BenchmarkFig4Techniques(b *testing.B) {
 	b.ReportMetric(ratio(fig, "cr", "none"), "cr/none_best")
 }
 
+// What a figure cell pays before its first event, beside the figure: a
+// named stream seeded and read for the dozen values a host's load source
+// draws in a quick sweep (the median; EXPERIMENTS.md "Simulator ledger"),
+// and the 32-host ON/OFF environment of Fig. 4 — 33 such streams, built
+// once per (x, repetition) cell.
+func BenchmarkStreamSeedDraw12(b *testing.B) {
+	src := rng.NewSource(20030623)
+	var sink float64
+	for i := 0; i < b.N; i++ {
+		st := src.Stream("host-17")
+		for d := 0; d < 12; d++ {
+			sink += st.Float64()
+		}
+	}
+	_ = sink
+}
+
+func BenchmarkNewEnvironment32(b *testing.B) {
+	cfg := platform.Default(32, loadgen.NewOnOff(0.2))
+	for i := 0; i < b.N; i++ {
+		platform.NewEnvironment(cfg, rng.NewSource(int64(i)))
+	}
+}
+
 func BenchmarkFig5OverAllocation(b *testing.B) {
 	var fig *experiment.FigureResult
 	for i := 0; i < b.N; i++ {

@@ -202,7 +202,7 @@ func main() {
 		}
 		fmt.Println()
 		for _, e := range res.Events {
-			fmt.Printf("%10.1f  %-10s %s\n", e.T, e.Kind, e.Detail)
+			fmt.Printf("%10.1f  %-10s %s\n", e.T, e.Kind, e.Detail())
 		}
 	}
 }

@@ -54,7 +54,7 @@ func main() {
 	fmt.Println("swap events:")
 	for _, e := range swapped.Events {
 		if e.Kind == strategy.EventSwap {
-			fmt.Printf("  t=%8.1f  %s\n", e.T, e.Detail)
+			fmt.Printf("  t=%8.1f  %s\n", e.T, e.Detail())
 		}
 	}
 

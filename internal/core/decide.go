@@ -57,30 +57,77 @@ func fastestFirst(a, b Candidate) int {
 	return cmp.Compare(a.ID, b.ID)
 }
 
-// Ordered returns the input with its candidates in decision order, the
-// order every policy walks them in. An input already in that order is
-// returned as it is, and a policy deciding on it copies and sorts
-// nothing — so whoever puts one boundary's candidates before several
-// policies (a primary and its shadows) orders them once. Otherwise the
-// candidates are copied into *buf (grown as needed; nil allocates) and
-// sorted there: in's own slices are never written.
+// Ordered returns the input with its candidates in decision order: the
+// pairs a policy can consider are the k-th slowest active with the k-th
+// fastest spare for k below min(active, spare), so that many candidates
+// lead each side, in order, and the rest follow them in no particular
+// order — on the figures' 4 + 28 four spares are selected and 24 are not
+// sorted. An input already in that order is returned as it is, and a
+// policy deciding on it copies and orders nothing — so whoever puts one
+// boundary's candidates before several policies (a primary and its
+// shadows) orders them once. Otherwise the candidates are copied into
+// *buf (grown as needed; nil allocates) and ordered there: in's own
+// slices are never written.
 func (in DecideInput) Ordered(buf *[]Candidate) DecideInput {
-	if slices.IsSortedFunc(in.Active, slowestFirst) && slices.IsSortedFunc(in.Spare, fastestFirst) {
+	na := len(in.Active)
+	lead := min(na, len(in.Spare))
+	if leadInOrder(in.Active, lead, slowestFirst) && leadInOrder(in.Spare, lead, fastestFirst) {
 		return in
 	}
 	var cands []Candidate
 	if buf != nil {
 		cands = (*buf)[:0]
 	}
-	na := len(in.Active)
 	cands = append(append(slices.Grow(cands, na+len(in.Spare)), in.Active...), in.Spare...)
 	if buf != nil {
 		*buf = cands
 	}
 	in.Active, in.Spare = cands[:na:na], cands[na:]
-	slices.SortFunc(in.Active, slowestFirst)
-	slices.SortFunc(in.Spare, fastestFirst)
+	selectLead(in.Active, lead, slowestFirst)
+	selectLead(in.Spare, lead, fastestFirst)
 	return in
+}
+
+// leadInOrder reports whether s[:lead] is sorted and nothing after it
+// belongs before its last element.
+func leadInOrder(s []Candidate, lead int, order func(a, b Candidate) int) bool {
+	if lead == 0 {
+		return true
+	}
+	for i := 1; i < lead; i++ {
+		if order(s[i], s[i-1]) < 0 {
+			return false
+		}
+	}
+	for _, c := range s[lead:] {
+		if order(c, s[lead-1]) < 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// selectLead moves the lead candidates that come first under order to the
+// front of s, in order: s[:lead] is kept sorted while each later
+// candidate that belongs in it is inserted and takes the place of the
+// one it pushes out.
+func selectLead(s []Candidate, lead int, order func(a, b Candidate) int) {
+	if lead == 0 {
+		return
+	}
+	slices.SortFunc(s[:lead], order)
+	for i := lead; i < len(s); i++ {
+		c := s[i]
+		if order(c, s[lead-1]) >= 0 {
+			continue
+		}
+		s[i] = s[lead-1]
+		j := lead - 1
+		for ; j > 0 && order(c, s[j-1]) < 0; j-- {
+			s[j] = s[j-1]
+		}
+		s[j] = c
+	}
 }
 
 // BottleneckAppPerf is the default application performance model: with

@@ -217,7 +217,8 @@ func TestOrderedViewDecidesTheSame(t *testing.T) {
 		raw := append(append([]Candidate(nil), in.Active...), in.Spare...)
 
 		view := in.Ordered(&buf)
-		if !slices.IsSortedFunc(view.Active, slowestFirst) || !slices.IsSortedFunc(view.Spare, fastestFirst) {
+		lead := min(len(in.Active), len(in.Spare))
+		if !leadInOrder(view.Active, lead, slowestFirst) || !leadInOrder(view.Spare, lead, fastestFirst) {
 			t.Logf("Ordered(%v, %v) = %v, %v", in.Active, in.Spare, view.Active, view.Spare)
 			return false
 		}
@@ -261,11 +262,83 @@ func TestOrderedViewDecidesTheSame(t *testing.T) {
 	}
 }
 
+// Selecting the leading min(active, spare) candidates of each side
+// decides what sorting every candidate decides: against a reference that
+// sorts both sides in full, the ordered view leads with the same
+// candidates in the same order and holds the same candidates after them,
+// and greedy, safe and friendly return the same pairs and the same
+// Explanation (Considered included) — with duplicate rates, where only
+// the ID tie-break separates candidates, and with more actives than
+// spares, where it is the actives that are only selected.
+func TestOrderedSelectionEqualsFullSort(t *testing.T) {
+	st := rng.NewSource(29).Stream("selection")
+	policies := []Policy{Greedy(), Safe(), Friendly()}
+	swapped, stayed, partial := 0, 0, 0
+	for trial := 0; trial < 2000; trial++ {
+		in := DecideInput{IterTime: st.Uniform(1, 600), SwapTime: st.Uniform(0, 40)}
+		levels := 1 + st.Intn(6) // few distinct rates: most candidates tie
+		rate := func() float64 { return float64(100 * (1 + st.Intn(levels))) }
+		for i, n := 0, 1+st.Intn(8); i < n; i++ {
+			in.Active = append(in.Active, Candidate{ID: i, Rate: rate()})
+		}
+		for i, n := 0, st.Intn(41); i < n; i++ {
+			in.Spare = append(in.Spare, Candidate{ID: 100 + i, Rate: rate()})
+		}
+		full := in
+		full.Active, full.Spare = slices.Clone(in.Active), slices.Clone(in.Spare)
+		slices.SortFunc(full.Active, slowestFirst)
+		slices.SortFunc(full.Spare, fastestFirst)
+
+		view := in.Ordered(nil)
+		lead := min(len(in.Active), len(in.Spare))
+		if lead < len(in.Active) || lead < len(in.Spare) {
+			partial++
+		}
+		for _, side := range []struct {
+			name      string
+			got, want []Candidate
+			order     func(a, b Candidate) int
+		}{
+			{"active", view.Active, full.Active, slowestFirst},
+			{"spare", view.Spare, full.Spare, fastestFirst},
+		} {
+			if !slices.Equal(side.got[:lead], side.want[:lead]) {
+				t.Fatalf("trial %d: leading %d %s candidates %v, full sort %v",
+					trial, lead, side.name, side.got[:lead], side.want[:lead])
+			}
+			rest := slices.Clone(side.got[lead:])
+			slices.SortFunc(rest, side.order)
+			if !slices.Equal(rest, side.want[lead:]) {
+				t.Fatalf("trial %d: %s candidates after the lead %v, full sort %v",
+					trial, side.name, side.got[lead:], side.want[lead:])
+			}
+		}
+		for _, p := range policies {
+			pairs, exp := p.DecideExplained(in)
+			wantPairs, wantExp := p.DecideExplained(full)
+			if !reflect.DeepEqual(pairs, wantPairs) || exp != wantExp {
+				t.Fatalf("trial %d, %s on %v + %v:\n selected %v %+v\n full sort %v %+v",
+					trial, p.Name, in.Active, in.Spare, pairs, exp, wantPairs, wantExp)
+			}
+			if len(pairs) == 0 {
+				stayed++
+			} else {
+				swapped++
+			}
+		}
+	}
+	if swapped < 500 || stayed < 500 || partial < 500 {
+		t.Fatalf("inputs too one-sided to mean anything: %d swaps, %d stays, %d inputs with candidates left unsorted",
+			swapped, stayed, partial)
+	}
+}
+
 // The text-free path stays cheap: on the figures' 4 active + 28 spare
 // candidates a decision allocates its sorted copy of the candidates,
 // once a pair reaches the application gate its rates, and its result —
 // nothing per candidate or per gate, and on candidates already in
-// decision order no copy either.
+// decision order no copy either. Selecting four spares of 28 instead of
+// sorting them allocates what sorting did.
 func TestDecideAllocations(t *testing.T) {
 	in := DecideInput{IterTime: 120, SwapTime: 0.17}
 	st := rng.NewSource(3).Stream("allocs")

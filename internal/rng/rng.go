@@ -10,17 +10,19 @@ package rng
 
 import (
 	"fmt"
-	"hash/fnv"
 	"math"
 	"math/rand"
 )
 
 // Stream is a deterministic random-number stream. It wraps math/rand with
-// distribution helpers used by the load models. A Stream is not safe for
-// concurrent use; derive one stream per goroutine instead.
+// distribution helpers used by the load models; the values are those of
+// rand.NewSource, drawn from a source that is seeded lazily (source.go).
+// A Stream is not safe for concurrent use; derive one stream per goroutine
+// instead.
 type Stream struct {
 	name string
 	r    *rand.Rand
+	src  source
 }
 
 // Source identifies a root seed from which named streams are derived.
@@ -37,22 +39,30 @@ func NewSource(seed int64) *Source {
 // name returns independent Stream objects that generate identical
 // sequences.
 func (s *Source) Stream(name string) *Stream {
-	h := fnv.New64a()
 	// The hash of the name is mixed with the root seed using a
 	// SplitMix64-style finalizer so that nearby seeds do not produce
 	// correlated streams.
-	_, _ = h.Write([]byte(name))
-	x := s.seed ^ h.Sum64()
-	x = mix64(x)
-	return &Stream{name: name, r: rand.New(rand.NewSource(int64(x)))}
+	st := &Stream{name: name}
+	st.src.Seed(int64(mix64(s.seed ^ fnv1a(name))))
+	st.r = rand.New(&st.src)
+	return st
 }
 
 // Substream derives a child source, for hierarchical naming such as
 // rep-level sources that own per-host streams.
 func (s *Source) Substream(name string) *Source {
-	h := fnv.New64a()
-	_, _ = h.Write([]byte(name))
-	return &Source{seed: mix64(s.seed ^ h.Sum64())}
+	return &Source{seed: mix64(s.seed ^ fnv1a(name))}
+}
+
+// fnv1a is the 64-bit FNV-1a hash of name, hash/fnv's New64a without the
+// hasher and the byte slice.
+func fnv1a(name string) uint64 {
+	h := uint64(14695981039346656037)
+	for i := 0; i < len(name); i++ {
+		h ^= uint64(name[i])
+		h *= 1099511628211
+	}
+	return h
 }
 
 func mix64(x uint64) uint64 {

@@ -1,7 +1,6 @@
 package strategy
 
 import (
-	"fmt"
 	"sort"
 
 	"repro/internal/core"
@@ -103,8 +102,7 @@ func crBoundary(d *driver, proc *simkern.Proc, iter int, iterTime float64) {
 	}
 
 	d.res.Events = append(d.res.Events, Event{
-		T: now, Kind: EventCheckpoint,
-		Detail: fmt.Sprintf("iter %d: relocate %v -> %v (payback %.2f)", iter, d.hosts, best, payback),
+		T: now, Kind: EventCheckpoint, Iter: iter, From: d.hosts, To: best, Payback: payback,
 	})
 	d.res.Swaps++
 

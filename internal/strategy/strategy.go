@@ -66,11 +66,39 @@ const (
 	EventRebalance  EventKind = "rebalance"
 )
 
-// Event is one notable runtime occurrence.
+// Event is one notable runtime occurrence. It carries the numbers; the
+// sentence a report prints is built on request by Detail, so a sweep
+// that reads only totals formats nothing.
 type Event struct {
-	T      float64
-	Kind   EventKind
-	Detail string
+	T    float64
+	Kind EventKind
+	// Iter is the iteration whose boundary acted (swap, checkpoint).
+	Iter int
+	// Procs is the number of processes started, spares included (startup).
+	Procs int
+	// Rank is the process moved (swap).
+	Rank int
+	// From and To are the host per rank before and after the boundary
+	// (swap, checkpoint): a swap moved Rank from From[Rank] to To[Rank],
+	// a relocation moved the application from From to To. They are
+	// shared with the iteration records and must not be written.
+	From, To []int
+	Payback  float64 // predicted payback distance, iterations (swap, checkpoint)
+	Gain     float64 // predicted process performance gain, a fraction (swap)
+}
+
+// Detail words the event for a report; rebalances have nothing to add.
+func (e Event) Detail() string {
+	switch e.Kind {
+	case EventStartup:
+		return fmt.Sprintf("%d processes", e.Procs)
+	case EventSwap:
+		return fmt.Sprintf("iter %d: rank %d host %d -> %d (payback %.2f, gain %.0f%%)",
+			e.Iter, e.Rank, e.From[e.Rank], e.To[e.Rank], e.Payback, e.Gain*100)
+	case EventCheckpoint:
+		return fmt.Sprintf("iter %d: relocate %v -> %v (payback %.2f)", e.Iter, e.From, e.To, e.Payback)
+	}
+	return ""
 }
 
 // IterRecord captures one application iteration.
@@ -80,7 +108,10 @@ type IterRecord struct {
 	ComputeDone float64 // when the last process finished computing
 	End         float64 // when the last communication finished (barrier)
 	Overhead    float64 // boundary overhead (swap/checkpoint) after End
-	Hosts       []int   // host ID per rank during this iteration
+	// Hosts is the host ID per rank during this iteration. Iterations
+	// between which no process moved share one slice: it must not be
+	// written.
+	Hosts []int
 }
 
 // Time reports the iteration duration excluding boundary overhead.
@@ -147,9 +178,12 @@ func ByName(name string) (Technique, error) {
 
 // driver holds the state of one run while its simulated process executes.
 type driver struct {
-	p         *platform.Platform
-	sc        Scenario
-	hosts     []int     // host ID per rank
+	p  *platform.Platform
+	sc Scenario
+	// hosts is the host ID per rank. It is never written in place: a
+	// boundary that moves a process installs a new slice, so iteration
+	// records and events keep the one they saw without copying it.
+	hosts     []int
 	chunks    []float64 // flops per rank for the coming iteration
 	selStream *rng.Stream
 	res       Result
@@ -202,6 +236,7 @@ func run(p *platform.Platform, sc Scenario, name string, chunks chunkFunc, bound
 		rateBuf:  make([]float64, len(p.Hosts)),
 		isActive: make([]bool, len(p.Hosts))}
 	d.res.Strategy = name
+	d.res.Iters = make([]IterRecord, 0, sc.App.Iterations)
 	if sc.SwapSelection == "random" {
 		d.selStream = rng.NewSource(sc.SelectSeed).Stream("swap-select")
 	}
@@ -213,8 +248,7 @@ func run(p *platform.Platform, sc Scenario, name string, chunks chunkFunc, bound
 		startup := p.StartupTime(len(p.Hosts))
 		proc.Sleep(startup)
 		d.res.StartupTime = startup
-		d.res.Events = append(d.res.Events, Event{T: proc.Now(), Kind: EventStartup,
-			Detail: fmt.Sprintf("%d processes", len(p.Hosts))})
+		d.res.Events = append(d.res.Events, Event{T: proc.Now(), Kind: EventStartup, Procs: len(p.Hosts)})
 
 		// Initial schedule: the fastest processors at startup time.
 		d.hosts = p.FastestAt(proc.Now(), sc.Active, nil)
@@ -248,7 +282,7 @@ func run(p *platform.Platform, sc Scenario, name string, chunks chunkFunc, bound
 				Start:       start,
 				ComputeDone: computeDone,
 				End:         end,
-				Hosts:       append([]int(nil), d.hosts...),
+				Hosts:       d.hosts,
 			}
 			// Trace the iteration per rank with explicit virtual
 			// timestamps, so simulated runs export in the same format as
@@ -274,7 +308,7 @@ func run(p *platform.Platform, sc Scenario, name string, chunks chunkFunc, bound
 			d.res.Iters = append(d.res.Iters, rec)
 		}
 		d.res.TotalTime = proc.Now()
-		d.res.FinalHosts = append([]int(nil), d.hosts...)
+		d.res.FinalHosts = d.hosts
 		if d.lens != nil {
 			rep := d.lens.Report()
 			d.res.Lens = &rep

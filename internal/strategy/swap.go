@@ -1,7 +1,7 @@
 package strategy
 
 import (
-	"fmt"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/obs"
@@ -109,16 +109,15 @@ func swapBoundary(d *driver, proc *simkern.Proc, iter int, iterTime float64) {
 
 	// Enact: all state transfers proceed concurrently over the shared
 	// link; the application is paused for the duration.
+	from, to := d.hosts, slices.Clone(d.hosts)
 	for _, s := range swaps {
-		rank := s.Out.ID
-		from := d.hosts[rank]
-		d.hosts[rank] = s.In.ID
+		to[s.Out.ID] = s.In.ID
 		d.res.Events = append(d.res.Events, Event{
-			T: now, Kind: EventSwap,
-			Detail: fmt.Sprintf("iter %d: rank %d host %d -> %d (payback %.2f, gain %.0f%%)",
-				iter, rank, from, s.In.ID, s.Payback, s.ProcGain*100),
+			T: now, Kind: EventSwap, Iter: iter, Rank: s.Out.ID, From: from, To: to,
+			Payback: s.Payback, Gain: s.ProcGain,
 		})
 	}
+	d.hosts = to
 	d.res.Swaps += len(swaps)
 	d.transferAll(proc, len(swaps), d.sc.App.StateBytes)
 	// Sim swaps always land: commit the proposed epoch (live convention:
