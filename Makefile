@@ -134,13 +134,16 @@ check: lint figures-check
 
 # End-to-end trace validation: a 2-rank live run with an injected
 # slowdown that forces a swap, exported as a Chrome/Perfetto trace, then
-# checked by cmd/tracecheck (trace_event schema + a SwapDecision with
-# payback distance and policy verdict). A virtual-clock simulation trace
-# is validated the same way.
+# checked by cmd/tracecheck (trace_event schema, one timeline, a
+# SwapDecision with payback distance and policy verdict). The live leg
+# runs accelerated with the lens armed, so the timeline check sees rank,
+# lens and MPI events of a run whose virtual clock is not the wall clock.
+# A virtual-clock simulation trace is validated the same way.
 trace-smoke:
 	mkdir -p results
 	$(GO) run ./cmd/swaprun -ranks 2 -active 1 -iters 20 -work 10 \
-		-inject 0@0.05:8 -trace-out results/trace-smoke-live.json \
+		-inject 0@0.05:8 -accel 10 -lens \
+		-trace-out results/trace-smoke-live.json \
 		-events-out results/trace-smoke-live.jsonl
 	$(GO) run ./cmd/tracecheck results/trace-smoke-live.json
 	$(GO) run ./cmd/swapsim -tech swap -hosts 6 -active 2 -iters 10 -seed 63 \

@@ -31,20 +31,12 @@ func BenchmarkLiveSwapRoundTrip(b *testing.B) {
 		}
 		return 1000
 	}
-	clk := 0.0
-	clock := func() float64 {
-		mu.Lock()
-		defer mu.Unlock()
-		clk += 0.05
-		return clk
-	}
 	world := mpi.NewWorld(2)
 	b.ResetTimer()
 	err := swaprt.Run(world, swaprt.Config{
 		Active: 1,
 		Policy: core.Greedy(),
 		Probe:  probe,
-		Clock:  clock,
 	}, func(s *swaprt.Session) error {
 		iter := 0
 		// Seeded, not zero: an all-zero slice ships as its length and the

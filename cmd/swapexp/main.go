@@ -224,10 +224,11 @@ func liveDemo(traceFlags *obsflag.Flags, chaos string, tm clock.Clock) error {
 	if err != nil {
 		return err
 	}
-	tracer, err := traceFlags.Tracer(ranks)
+	live, err := traceFlags.Live(world)
 	if err != nil {
 		return err
 	}
+	tracer, hub, lens := live.Tracer, live.Hub, live.Lens
 	iterCount := 0
 	probe := func(rank int) float64 {
 		// Rank 1's host degrades sharply after the first third of the run.
@@ -236,38 +237,10 @@ func liveDemo(traceFlags *obsflag.Flags, chaos string, tm clock.Clock) error {
 		}
 		return 1000
 	}
-	var hub *swaprt.TelemetryHub
-	if traceFlags.Telemetry {
-		hub = swaprt.NewTelemetryHub(clock.Seconds(tm))
-		world.SetSendLatencySampling(true)
-	}
-	if cz := world.Causal(); cz != nil {
-		hub.SetCausalProbe(func() swaprt.CausalTelemetry {
-			return swaprt.CausalTelemetry{Enabled: true, MaxClock: cz.MaxClock(), Sends: cz.Sends()}
-		})
-	}
-	if rec := traceFlags.Recorder; rec != nil {
-		hub.SetFlightProbe(func() swaprt.FlightTelemetry {
-			st := rec.Status()
-			return swaprt.FlightTelemetry{Enabled: true, Buffered: st.Buffered,
-				Observed: st.Observed, Dumps: st.Dumps, LastDump: st.LastDump, Dir: st.Dir}
-		})
-	}
-	var lens *policylens.Lens
-	if traceFlags.Lens {
-		lens = policylens.New(policylens.Config{
-			Tolerance: traceFlags.LensTolerance,
-			Tracer:    tracer,
-			Registry:  world.Metrics(),
-			Clock:     clock.Seconds(tm),
-		})
-		hub.SetLensProbe(lens.Report)
-	}
 	cfg := swaprt.Config{
 		Active:    active,
 		Policy:    core.Greedy(),
 		Probe:     probe,
-		Time:      tm,
 		Tracer:    tracer,
 		Telemetry: hub,
 		Lens:      lens,
@@ -277,7 +250,7 @@ func liveDemo(traceFlags *obsflag.Flags, chaos string, tm clock.Clock) error {
 	}
 	if plan != nil {
 		cfg.TransferTimeout = 500 * time.Millisecond
-		resilient := swaprt.NewDecisionStack(cfg, nil, nil, plan.ManagerCall, world.Metrics())
+		resilient := swaprt.NewDecisionStack(world, cfg, nil, nil, plan.ManagerCall)
 		defer resilient.Close()
 		cfg.Decider = resilient
 		fmt.Printf("live demo: chaos plan armed: %s\n", chaos)
@@ -417,13 +390,15 @@ func liveScenario(chaos string, tm clock.Clock, degradeRank, onset, ranks, activ
 		}
 		return 1000
 	}
-	lens := policylens.New(policylens.Config{Clock: clock.Seconds(tm)})
+	live, err := (&obsflag.Flags{Lens: true}).Live(world)
+	if err != nil {
+		return swaprt.RunStats{}, policylens.Report{}, err
+	}
 	cfg := swaprt.Config{
 		Active: active,
 		Policy: core.Greedy(),
 		Probe:  probe,
-		Time:   tm,
-		Lens:   lens,
+		Lens:   live.Lens,
 	}
 	if plan != nil {
 		cfg.TransferTimeout = 2 * time.Second
@@ -446,7 +421,7 @@ func liveScenario(chaos string, tm clock.Clock, degradeRank, onset, ranks, activ
 			defer sup.Close()
 			plan.SetManagerKiller(sup.Kill)
 		}
-		resilient := swaprt.NewDecisionStack(cfg, nil, sup, plan.ManagerCall, world.Metrics())
+		resilient := swaprt.NewDecisionStack(world, cfg, nil, sup, plan.ManagerCall)
 		defer resilient.Close()
 		cfg.Decider = resilient
 	}
@@ -489,7 +464,7 @@ func liveScenario(chaos string, tm clock.Clock, degradeRank, onset, ranks, activ
 	if err == nil {
 		err = corrupt
 	}
-	return stats, lens.Report(), err
+	return stats, live.Lens.Report(), err
 }
 
 func fatal(err error) {

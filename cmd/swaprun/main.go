@@ -125,9 +125,10 @@ func main() {
 	if *accel <= 0 {
 		fatal(fmt.Errorf("-accel must be positive, got %g", *accel))
 	}
-	// One virtual clock drives everything that waits: work spinning, load
-	// injections, swap timeouts, retry backoffs, handler tickers and
-	// telemetry timestamps. At -accel 1 it is the wall clock.
+	// One clock, handed to the world, drives everything that waits or
+	// stamps: work spinning, load injections, swap timeouts, retry
+	// backoffs, handler tickers, trace and telemetry timestamps. At
+	// -accel 1 it is the wall clock.
 	var tm clock.Clock = clock.Real{}
 	if *accel != 1 {
 		tm = clock.NewScaled(*accel)
@@ -175,58 +176,32 @@ func main() {
 		fatal(err)
 	}
 
-	tracer, err := traceFlags.Tracer(*ranks)
+	// The tracer, flight recorder, telemetry hub and lens all read the
+	// world's clock, as the runtime does: one timeline at any -accel.
+	live, err := traceFlags.Live(world)
 	if err != nil {
 		fatal(err)
 	}
-
-	// One seconds view of the shared clock for the runtime and the
-	// telemetry hub, so series timestamps line up with trace timestamps.
-	secs := clock.Seconds(tm)
-
-	var hub *swaprt.TelemetryHub
-	if traceFlags.Telemetry {
-		hub = swaprt.NewTelemetryHub(secs)
-		// Telemetry rides on the swap handlers' periodic reports; give them
-		// the telemetry cadence unless the user picked their own.
-		if *handler == 0 {
-			*handler = traceFlags.TelemetryInterval
-		}
-		world.SetSendLatencySampling(true)
+	tracer, hub, lens := live.Tracer, live.Hub, live.Lens
+	// Telemetry rides on the swap handlers' periodic reports; give them
+	// the telemetry cadence unless the user picked their own.
+	if hub != nil && *handler == 0 {
+		*handler = traceFlags.TelemetryInterval
 	}
-	if cz := world.Causal(); cz != nil {
+	if world.Causal() != nil {
 		log.Printf("causal: Lamport clocks armed on %d ranks", *ranks)
-		hub.SetCausalProbe(func() swaprt.CausalTelemetry {
-			return swaprt.CausalTelemetry{Enabled: true, MaxClock: cz.MaxClock(), Sends: cz.Sends()}
-		})
 	}
-	if rec := traceFlags.Recorder; rec != nil {
+	if traceFlags.Recorder != nil {
 		log.Printf("flight: recorder armed, dumps go to %s", traceFlags.FlightDir)
-		hub.SetFlightProbe(func() swaprt.FlightTelemetry {
-			st := rec.Status()
-			return swaprt.FlightTelemetry{Enabled: true, Buffered: st.Buffered,
-				Observed: st.Observed, Dumps: st.Dumps, LastDump: st.LastDump, Dir: st.Dir}
-		})
 	}
-
-	var lens *policylens.Lens
-	if traceFlags.Lens {
-		lens = policylens.New(policylens.Config{
-			Tolerance: traceFlags.LensTolerance,
-			Tracer:    tracer,
-			Registry:  world.Metrics(),
-			Clock:     secs,
-		})
+	if lens != nil {
 		log.Printf("lens: policy audit armed (shadow greedy/safe/friendly)")
-		hub.SetLensProbe(lens.Report)
 	}
 
 	cfg := swaprt.Config{
 		Active:          *active,
 		Policy:          pol,
 		Probe:           inj.probe,
-		Clock:           secs,
-		Time:            tm,
 		Logf:            log.Printf,
 		HandlerInterval: *handler,
 		TransferTimeout: *transfer,
@@ -276,7 +251,7 @@ func main() {
 		if plan != nil {
 			gate = plan.ManagerCall
 		}
-		resilient := swaprt.NewDecisionStack(cfg, primary, sup, gate, world.Metrics())
+		resilient := swaprt.NewDecisionStack(world, cfg, primary, sup, gate)
 		defer resilient.Close()
 		cfg.Decider = resilient
 		hub.SetCircuitProbe(resilient.State)

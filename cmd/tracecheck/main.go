@@ -1,12 +1,14 @@
 // Command tracecheck validates a Chrome/Perfetto trace_event JSON file
 // produced by -trace-out: every entry must carry the required
-// trace_event keys, and (unless -no-decision) at least one SwapDecision
-// instant must include the payback distance and policy verdict the
-// swapping policy computed. With -chaos it additionally requires the
-// evidence a fault-injected run must leave behind: at least one
-// Quarantine event and a Circuit "open" transition followed by a
-// "close". CI's trace-smoke and chaos-smoke targets run it against
-// fresh swaprun demos.
+// trace_event keys, the trace must be on one timeline (obs.CheckTimeline:
+// each rank's measured iteration times fit inside the span of its events,
+// and lens and anomaly events fall inside the ranks' span), and (unless
+// -no-decision) at least one SwapDecision instant must include the
+// payback distance and policy verdict the swapping policy computed. With
+// -chaos it additionally requires the evidence a fault-injected run must
+// leave behind: at least one Quarantine event and a Circuit "open"
+// transition followed by a "close". CI's trace-smoke and chaos-smoke
+// targets run it against fresh swaprun demos.
 //
 // With -failover it requires manager-restart evidence instead: at
 // least one MgrCrash followed (in trace time) by a MgrRecover whose
@@ -102,6 +104,10 @@ func main() {
 		fatal(fmt.Errorf("%s: %w", path, err))
 	}
 
+	if err := obs.CheckTimeline(timelineEvents(entries)); err != nil {
+		fatal(fmt.Errorf("%s: %w", path, err))
+	}
+
 	decisions := 0
 	complete := 0
 	for _, e := range entries {
@@ -186,6 +192,43 @@ func main() {
 		fmt.Printf(", %d manager crashes + %d recoveries (WAL replay verified)", crashes, recoveries)
 	}
 	fmt.Println()
+}
+
+// timelineEvents rebuilds, from Chrome trace entries, as much of each
+// event as obs.CheckTimeline reads: kind, rank (the "runtime" track is
+// rank -1), time, duration and the IterEnd value.
+func timelineEvents(entries []map[string]any) []obs.Event {
+	runtimeTID := -1.0
+	for _, e := range entries {
+		if args, _ := e["args"].(map[string]any); e["ph"] == "M" && args["name"] == "runtime" {
+			runtimeTID, _ = e["tid"].(float64)
+		}
+	}
+	var events []obs.Event
+	for _, e := range entries {
+		name, _ := e["name"].(string)
+		kind, ok := obs.KindByName(name)
+		if name == "iteration" {
+			kind, ok = obs.KindIterStart, true
+			if e["ph"] == "E" {
+				kind = obs.KindIterEnd
+			}
+		}
+		if !ok {
+			continue
+		}
+		ts, _ := e["ts"].(float64)
+		dur, _ := e["dur"].(float64)
+		tid, _ := e["tid"].(float64)
+		args, _ := e["args"].(map[string]any)
+		value, _ := args["value"].(float64)
+		ev := obs.Event{Kind: kind, Rank: int(tid), T: ts / 1e6, Dur: dur / 1e6, Value: value}
+		if tid == runtimeTID {
+			ev.Rank = obs.RankRuntime
+		}
+		events = append(events, ev)
+	}
+	return events
 }
 
 // checkFailover enforces the evidence a manager kill/restart run must

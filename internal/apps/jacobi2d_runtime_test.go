@@ -17,13 +17,6 @@ func runJacobi2DWithSwap(t *testing.T, j Jacobi2D, iters int, tol float64) {
 	const active = 2
 	var mu sync.Mutex
 	rates := []float64{100, 100, 100}
-	step := 0.0
-	clock := func() float64 {
-		mu.Lock()
-		defer mu.Unlock()
-		step += 0.01
-		return step
-	}
 	probeCalls := 0
 	probe := func(rank int) float64 {
 		mu.Lock()
@@ -42,7 +35,6 @@ func runJacobi2DWithSwap(t *testing.T, j Jacobi2D, iters int, tol float64) {
 		Active: active,
 		Policy: core.Greedy(),
 		Probe:  probe,
-		Clock:  clock,
 	}, func(s *swaprt.Session) error {
 		iter := 0
 		var st *Jacobi2DState

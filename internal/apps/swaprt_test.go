@@ -17,19 +17,11 @@ func nbodyUnderRuntime(t *testing.T, worldSize, active int, probe func(int) floa
 	const steps = 30
 	var mu sync.Mutex
 	final := make([]float64, nb.N)
-	step := 0.0
-	clock := func() float64 {
-		mu.Lock()
-		defer mu.Unlock()
-		step += 0.01
-		return step
-	}
 	world := mpi.NewWorld(worldSize)
 	err := swaprt.Run(world, swaprt.Config{
 		Active: active,
 		Policy: core.Greedy(),
 		Probe:  probe,
-		Clock:  clock,
 	}, func(s *swaprt.Session) error {
 		iter := 0
 		var st *NBodyState
@@ -107,13 +99,6 @@ func TestJacobiUnderRuntimeConverges(t *testing.T) {
 	const iters = 2000
 	var mu sync.Mutex
 	rates := []float64{100, 100, 500}
-	step := 0.0
-	clock := func() float64 {
-		mu.Lock()
-		defer mu.Unlock()
-		step += 0.01
-		return step
-	}
 	var maxErr float64 = -1
 	world := mpi.NewWorld(3)
 	err := swaprt.Run(world, swaprt.Config{
@@ -124,7 +109,6 @@ func TestJacobiUnderRuntimeConverges(t *testing.T) {
 			defer mu.Unlock()
 			return rates[rank]
 		},
-		Clock: clock,
 	}, func(s *swaprt.Session) error {
 		iter := 0
 		var st *JacobiState

@@ -88,15 +88,41 @@ func (Real) NewTicker(d time.Duration) *Ticker {
 	return &Ticker{C: t.C, stop: t.Stop}
 }
 
-// Seconds adapts a Clock into the float-seconds timestamp source the
-// tracer and telemetry hub use (seconds since the moment Seconds was
-// called, on clk's timeline).
-func Seconds(clk Clock) func() float64 {
+// processStart is the origin of Real's seconds view.
+//
+//swapvet:ignore clockdiscipline -- anchors the wall clock's seconds view
+var processStart = time.Now()
+
+// Or returns clk, or the wall clock when clk is nil: the one place an
+// optional Clock field gets its default.
+func Or(clk Clock) Clock {
 	if clk == nil {
-		clk = Real{}
+		return Real{}
 	}
-	start := clk.Now()
-	return func() float64 { return clk.Since(start).Seconds() }
+	return clk
+}
+
+// Origin reports the fixed instant clk's seconds view counts from:
+// process start for Real (and nil), construction for a Scaled clock,
+// the epoch for a Fake. It depends only on the clock, never on when it
+// is asked, so every seconds view of one clock is one timeline.
+func Origin(clk Clock) time.Time {
+	switch c := clk.(type) {
+	case *Scaled:
+		return c.origin
+	case *Fake:
+		return fakeEpoch
+	}
+	return processStart
+}
+
+// Seconds adapts a Clock into the float-seconds timestamp source the
+// runtime, tracer, telemetry hub and lens use: seconds since Origin(clk)
+// on clk's timeline.
+func Seconds(clk Clock) func() float64 {
+	clk = Or(clk)
+	origin := Origin(clk)
+	return func() float64 { return clk.Since(origin).Seconds() }
 }
 
 // realScaler is implemented by clocks whose timeline runs at a multiple

@@ -186,10 +186,7 @@ type World struct {
 }
 
 func newWorldShell(size int, clk clock.Clock) *World {
-	if clk == nil {
-		clk = clock.Real{}
-	}
-	w := &World{size: size, metrics: obs.NewRegistry(), clk: clk, free: make([]wire.FreeList, size)}
+	w := &World{size: size, metrics: obs.NewRegistry(), clk: clock.Or(clk), free: make([]wire.FreeList, size)}
 	for i := 0; i < size; i++ {
 		w.boxes = append(w.boxes, newMailbox())
 		w.counters = append(w.counters, newRankCounters(w.metrics, i))

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"sort"
 	"strings"
 
@@ -56,6 +57,51 @@ func ReadJSONL(r io.Reader) ([]Event, error) {
 	return out, nil
 }
 
+// CheckTimeline verifies that a trace was written on one clock. Per
+// rank, the iteration times the runtime measured (IterEnd values) must
+// fit between the rank's first and last event, give or take one
+// iteration; and what the policy lens and the telemetry hub emit beside
+// the ranks (ShadowDecision, PaybackRealized, Anomaly) must fall inside
+// the span the rank events cover. A tracer on the wall clock under a
+// runtime on an accelerated one fails both.
+func CheckTimeline(events []Event) error {
+	type rankSpan struct{ first, last, iterSum, iterMax float64 }
+	spans := map[int]*rankSpan{}
+	first, last := math.Inf(1), math.Inf(-1)
+	for _, ev := range events {
+		if ev.Rank < 0 {
+			continue
+		}
+		sp := spans[ev.Rank]
+		if sp == nil {
+			sp = &rankSpan{first: ev.T, last: ev.T}
+			spans[ev.Rank] = sp
+		}
+		sp.first, sp.last = math.Min(sp.first, ev.T), math.Max(sp.last, ev.T+ev.Dur)
+		if ev.Kind == KindIterEnd {
+			sp.iterSum += ev.Value
+			sp.iterMax = math.Max(sp.iterMax, ev.Value)
+		}
+		first, last = math.Min(first, sp.first), math.Max(last, sp.last)
+	}
+	for rank, sp := range spans {
+		if sp.iterSum > sp.last-sp.first+sp.iterMax {
+			return fmt.Errorf("obs: rank %d measured %.6gs of iterations but its events span only %.6gs: two clocks in one trace",
+				rank, sp.iterSum, sp.last-sp.first)
+		}
+	}
+	for _, ev := range events {
+		switch ev.Kind {
+		case KindShadowDecision, KindPaybackRealized, KindAnomaly:
+			if ev.Rank < 0 && len(spans) > 0 && (ev.T < first || ev.T > last) {
+				return fmt.Errorf("obs: %s at t=%.6g lies outside the rank events' span [%.6g, %.6g]: two clocks in one trace",
+					ev.Kind, ev.T, first, last)
+			}
+		}
+	}
+	return nil
+}
+
 // AnomalyWindow is one contiguous run of detected slowdown anomalies on
 // a rank, produced by replaying the telemetry detector over the trace's
 // iteration times — so simulated and live traces yield comparable
@@ -95,7 +141,7 @@ type swapAttribution struct {
 // produces a byte-identical report.
 type Analysis struct {
 	Events int
-	Span   float64 // last event time
+	Span   float64 // end of the last rank event (lens and hub events do not extend it)
 	Ranks  []int   // world ranks seen, sorted
 
 	counts     map[Kind]int
@@ -125,11 +171,9 @@ func Analyze(events []Event) *Analysis {
 	var decisions []Event
 	for _, ev := range events {
 		a.counts[ev.Kind]++
-		if t := ev.T + ev.Dur; t > a.Span {
-			a.Span = t
-		}
 		if ev.Rank >= 0 {
 			ranks[ev.Rank] = true
+			a.Span = math.Max(a.Span, ev.T+ev.Dur)
 		}
 		switch ev.Kind {
 		case KindIterEnd:
@@ -186,7 +230,7 @@ func Analyze(events []Event) *Analysis {
 		if dec.Verdict != "swap" && dec.Swaps == 0 {
 			continue
 		}
-		next := a.Span + 1
+		next := math.Inf(1)
 		if i+1 < len(decisions) {
 			next = decisions[i+1].T
 		}

@@ -15,8 +15,12 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/clock"
+	"repro/internal/mpi"
 	"repro/internal/obs"
 	"repro/internal/obs/flight"
+	"repro/internal/swaprt"
+	"repro/internal/swaprt/policylens"
 )
 
 // Flags holds the registered tracing flag values after flag.Parse.
@@ -87,8 +91,9 @@ func ParseRanks(spec string) ([]int, error) {
 // flight recorder was requested. Trace buffering is enabled only when an
 // output file was asked for; with -flight-dir alone the tracer exists
 // solely to feed the attached flight recorder, so emit sites construct
-// events but nothing accumulates unbounded. Extra options — typically
-// obs.WithClock for simulated runs — are appended after the filter.
+// events but nothing accumulates unbounded. Extra options — obs.WithClock
+// with the simulator's virtual clock; live runs go through Live — are
+// appended after the filter.
 func (f *Flags) Tracer(nranks int, opts ...obs.Option) (*obs.Tracer, error) {
 	if !f.Enabled() && f.FlightDir == "" {
 		return nil, nil
@@ -118,6 +123,55 @@ func (f *Flags) Tracer(nranks int, opts ...obs.Option) (*obs.Tracer, error) {
 		tr.AttachSink(f.Recorder)
 	}
 	return tr, nil
+}
+
+// Live is the observability of one live run. Every part is nil (and
+// safe to use) unless its flag asked for it.
+type Live struct {
+	Tracer *obs.Tracer
+	Hub    *swaprt.TelemetryHub
+	Lens   *policylens.Lens
+}
+
+// Live builds the tracer, flight recorder, telemetry hub and policy lens
+// the flags ask for around world, all reading the world's clock through
+// one seconds view: whatever a live run writes — rank events, lens and
+// anomaly events, flight markers, telemetry series — is on the timeline
+// the runtime itself measures iterations and swaps on.
+func (f *Flags) Live(world *mpi.World) (Live, error) {
+	secs := clock.Seconds(world.Clock())
+	tracer, err := f.Tracer(world.Size(), obs.WithClock(secs))
+	if err != nil {
+		return Live{}, err
+	}
+	var hub *swaprt.TelemetryHub
+	if f.Telemetry {
+		hub = swaprt.NewTelemetryHub(secs)
+		world.SetSendLatencySampling(true)
+	}
+	if cz := world.Causal(); cz != nil {
+		hub.SetCausalProbe(func() swaprt.CausalTelemetry {
+			return swaprt.CausalTelemetry{Enabled: true, MaxClock: cz.MaxClock(), Sends: cz.Sends()}
+		})
+	}
+	if rec := f.Recorder; rec != nil {
+		hub.SetFlightProbe(func() swaprt.FlightTelemetry {
+			st := rec.Status()
+			return swaprt.FlightTelemetry{Enabled: true, Buffered: st.Buffered,
+				Observed: st.Observed, Dumps: st.Dumps, LastDump: st.LastDump, Dir: st.Dir}
+		})
+	}
+	var lens *policylens.Lens
+	if f.Lens {
+		lens = policylens.New(policylens.Config{
+			Tolerance: f.LensTolerance,
+			Tracer:    tracer,
+			Registry:  world.Metrics(),
+			Clock:     secs,
+		})
+		hub.SetLensProbe(lens.Report)
+	}
+	return Live{Tracer: tracer, Hub: hub, Lens: lens}, nil
 }
 
 // Write exports the collected events to the requested files. A nil

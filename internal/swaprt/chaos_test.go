@@ -79,7 +79,6 @@ func TestChaosRunMatchesFaultFree(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		clk := &fakeClock{step: 0.05}
 		rt := &rateTable{rates: []float64{100, 100, 5000, 2000}}
 		var out sync.Map
 		stats, err := RunWithStats(w, Config{
@@ -87,7 +86,6 @@ func TestChaosRunMatchesFaultFree(t *testing.T) {
 			Policy:          core.Greedy(),
 			Decider:         decider,
 			Probe:           rt.probe,
-			Clock:           clk.now,
 			TransferTimeout: 200 * time.Millisecond,
 			Tracer:          tr,
 		}, chaosBody(iters, plan, 2*time.Millisecond, &out))
@@ -176,14 +174,12 @@ func TestChaosDroppedStateAbortsByTimeout(t *testing.T) {
 	}
 	tr := obs.New(0)
 	tr.Enable()
-	clk := &fakeClock{step: 0.05}
 	rt := &rateTable{rates: []float64{100, 100, 5000}}
 	var out sync.Map
 	stats, err := RunWithStats(w, Config{
 		Active:          2,
 		Policy:          core.Greedy(),
 		Probe:           rt.probe,
-		Clock:           clk.now,
 		TransferTimeout: 100 * time.Millisecond,
 		Tracer:          tr,
 	}, chaosBody(iters, plan, 0, &out))

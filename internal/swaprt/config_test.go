@@ -9,7 +9,7 @@ import (
 
 func TestConfigFillDefaults(t *testing.T) {
 	c := Config{}.fill()
-	if c.Probe == nil || c.Clock == nil || c.Logf == nil {
+	if c.Probe == nil || c.Logf == nil {
 		t.Fatal("fill left nil hooks")
 	}
 	if c.LinkLatency == nil || *c.LinkLatency <= 0 || c.LinkBandwidth == nil || *c.LinkBandwidth <= 0 {
@@ -34,9 +34,6 @@ func TestConfigFillDefaults(t *testing.T) {
 	// The default probe must return something positive.
 	if c.Probe(0) <= 0 {
 		t.Fatal("default probe non-positive")
-	}
-	if c.Clock() < 0 {
-		t.Fatal("default clock negative")
 	}
 }
 

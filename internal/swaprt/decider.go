@@ -3,7 +3,7 @@ package swaprt
 import (
 	"time"
 
-	"repro/internal/obs"
+	"repro/internal/mpi"
 )
 
 // Decider is the one interface between the runtime and the swap manager
@@ -89,10 +89,10 @@ func (g GatedDecider) Ping() error {
 // an open circuit re-resolves the leader from the lease (a restart
 // serves at a new address) and circuit transitions go to the manager's
 // WAL. With neither, a second LocalDecider stands in, so a chaos plan
-// has something to take down. Clock, tracer and log sink are cfg's; the
-// caller owns Close.
-func NewDecisionStack(cfg Config, primary Decider, sup *ManagerSupervisor,
-	gate func() error, metrics *obs.Registry) *ResilientDecider {
+// has something to take down. Clock and metrics registry are world's,
+// tracer and log sink cfg's; the caller owns Close.
+func NewDecisionStack(world *mpi.World, cfg Config, primary Decider, sup *ManagerSupervisor,
+	gate func() error) *ResilientDecider {
 
 	cfg = cfg.fill()
 	gated := func(d Decider) Decider {
@@ -106,10 +106,10 @@ func NewDecisionStack(cfg Config, primary Decider, sup *ManagerSupervisor,
 		MaxAttempts:   2,
 		FailThreshold: 2,
 		ProbeInterval: 50 * time.Millisecond,
-		Clock:         cfg.Time,
+		Clock:         world.Clock(),
 		Tracer:        cfg.Tracer,
 		Logf:          cfg.Logf,
-		Metrics:       metrics,
+		Metrics:       world.Metrics(),
 	}
 	if sup != nil {
 		primary = sup.remote(sup.Addr())

@@ -163,7 +163,6 @@ func TestSupervisorFailoverMatchesFaultFree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	clk := &fakeClock{step: 0.05}
 	rt := &rateTable{rates: []float64{100, 100, 5000, 2000}}
 	var out sync.Map
 	stats, err := RunWithStats(w, Config{
@@ -171,7 +170,6 @@ func TestSupervisorFailoverMatchesFaultFree(t *testing.T) {
 		Policy:          core.Greedy(),
 		Decider:         decider,
 		Probe:           rt.probe,
-		Clock:           clk.now,
 		TransferTimeout: 500 * time.Millisecond,
 		Tracer:          tr,
 	}, chaosBody(iters, plan, 2*time.Millisecond, &out))

@@ -20,13 +20,11 @@ func TestEvictionForcesSwapRegardlessOfPolicy(t *testing.T) {
 	// Evicting rank 0 must move the computation anyway.
 	var evicted atomic.Bool
 	w := mpi.NewWorld(2)
-	clk := &fakeClock{step: 0.05}
 	var finals sync.Map
 	err := Run(w, Config{
 		Active:  1,
 		Policy:  core.Safe(),
 		Probe:   func(int) float64 { return 100 },
-		Clock:   clk.now,
 		Evicted: func(rank int) bool { return rank == 0 && evicted.Load() },
 	}, func(s *Session) error {
 		iter := 0
@@ -67,12 +65,10 @@ func boolToInt(b bool) int {
 
 func TestEvictionWithNoSpareErrors(t *testing.T) {
 	w := mpi.NewWorld(1) // no spares at all
-	clk := &fakeClock{step: 0.05}
 	err := Run(w, Config{
 		Active:  1,
 		Policy:  core.Greedy(),
 		Probe:   func(int) float64 { return 100 },
-		Clock:   clk.now,
 		Evicted: func(rank int) bool { return true },
 	}, func(s *Session) error {
 		iter := 0
@@ -96,7 +92,6 @@ func TestEvictedSpareIsNotASwapTarget(t *testing.T) {
 	// Rank 2 is a fast spare but its host is evicted; the forced swap
 	// must choose rank 1 instead.
 	w := mpi.NewWorld(3)
-	clk := &fakeClock{step: 0.05}
 	rt := &rateTable{rates: []float64{100, 100, 1000}}
 	var evict atomic.Bool
 	var finals sync.Map
@@ -104,7 +99,6 @@ func TestEvictedSpareIsNotASwapTarget(t *testing.T) {
 		Active: 1,
 		Policy: core.Safe(),
 		Probe:  rt.probe,
-		Clock:  clk.now,
 		Evicted: func(rank int) bool {
 			if !evict.Load() {
 				return false
@@ -142,12 +136,10 @@ func TestEvictedSpareIsNotASwapTarget(t *testing.T) {
 func TestHandlersFeedDeciderHistory(t *testing.T) {
 	d := NewLocalDecider(core.Safe())
 	w := mpi.NewWorld(2)
-	clk := &fakeClock{step: 0.001}
 	err := Run(w, Config{
 		Active:          1,
 		Decider:         d,
 		Probe:           func(int) float64 { return 100 },
-		Clock:           clk.now,
 		HandlerInterval: time.Millisecond,
 	}, func(s *Session) error {
 		iter := 0
@@ -188,12 +180,10 @@ func TestHandlerReportFailuresCountedNotTraced(t *testing.T) {
 	tr := obs.New(0)
 	tr.Enable()
 	w := mpi.NewWorld(2)
-	clk := &fakeClock{step: 0.001}
 	stats, err := RunWithStats(w, Config{
 		Active:          1,
 		Decider:         brokenReportDecider{Forward{NewLocalDecider(core.Safe())}},
 		Probe:           func(int) float64 { return 100 },
-		Clock:           clk.now,
 		HandlerInterval: time.Millisecond,
 		Tracer:          tr,
 	}, func(s *Session) error {
@@ -298,16 +288,14 @@ func TestHandlersReportToRemoteManager(t *testing.T) {
 	go func() { _ = ServeManager(ln, server, nil) }()
 
 	w := mpi.NewWorld(2)
-	clk := &fakeClock{step: 0.01}
 	rt := &rateTable{rates: []float64{100, 700}}
 	var finals sync.Map
 	err = Run(w, Config{
 		Active:          1,
 		Decider:         RemoteDecider{Addr: ln.Addr().String()},
 		Probe:           rt.probe,
-		Clock:           clk.now,
 		HandlerInterval: 2 * time.Millisecond,
-	}, iterBody(6, func(s *Session, iter int, sum float64) {
+	}, iterBody(6, nil, func(s *Session, iter int, sum float64) {
 		finals.Store(s.Rank(), float64(iter))
 	}))
 	if err != nil {
@@ -365,19 +353,17 @@ func TestCheckpointSaveAndRestoreAcrossRuns(t *testing.T) {
 		}
 	}
 
-	clk1 := &fakeClock{step: 0.01}
 	var partial float64
 	err := Run(mpi.NewWorld(1), Config{
-		Active: 1, Probe: func(int) float64 { return 1 }, Clock: clk1.now,
+		Active: 1, Probe: func(int) float64 { return 1 },
 	}, body(6, false, &partial))
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	clk2 := &fakeClock{step: 0.01}
 	var final float64
 	err = Run(mpi.NewWorld(1), Config{
-		Active: 1, Probe: func(int) float64 { return 1 }, Clock: clk2.now,
+		Active: 1, Probe: func(int) float64 { return 1 },
 	}, body(10, true, &final))
 	if err != nil {
 		t.Fatal(err)
@@ -393,9 +379,8 @@ func TestCheckpointSaveAndRestoreAcrossRuns(t *testing.T) {
 
 func TestCheckpointMismatchedRegistrationFails(t *testing.T) {
 	var blob bytes.Buffer
-	clk := &fakeClock{step: 0.01}
 	err := Run(mpi.NewWorld(1), Config{
-		Active: 1, Probe: func(int) float64 { return 1 }, Clock: clk.now,
+		Active: 1, Probe: func(int) float64 { return 1 },
 	}, func(s *Session) error {
 		x := 1
 		s.Register("x", &x)
@@ -404,9 +389,8 @@ func TestCheckpointMismatchedRegistrationFails(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	clk2 := &fakeClock{step: 0.01}
 	err = Run(mpi.NewWorld(1), Config{
-		Active: 1, Probe: func(int) float64 { return 1 }, Clock: clk2.now,
+		Active: 1, Probe: func(int) float64 { return 1 },
 	}, func(s *Session) error {
 		y := 1
 		s.Register("y", &y)

@@ -57,13 +57,10 @@ const (
 // torn WAL tail it cannot be skipped, because the history it replaced is
 // gone.
 func Open(dir string, clk clock.Clock) (*FileStore, error) {
-	if clk == nil {
-		clk = clock.Real{}
-	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("mgrstore: create dir: %w", err)
 	}
-	f := &FileStore{dir: dir, clk: clk}
+	f := &FileStore{dir: dir, clk: clock.Or(clk)}
 
 	if data, err := os.ReadFile(filepath.Join(dir, snapshotFile)); err == nil {
 		st, derr := decodeSnapshot(data)
@@ -313,10 +310,7 @@ func (f *FileStore) writeLease(l Lease) error {
 // the lease, it does not own the WAL. The bool reports held-and-unexpired
 // on clk.
 func ReadLease(dir string, clk clock.Clock) (Lease, bool, error) {
-	if clk == nil {
-		clk = clock.Real{}
-	}
-	return readLease(dir, clk)
+	return readLease(dir, clock.Or(clk))
 }
 
 func readLease(dir string, clk clock.Clock) (Lease, bool, error) {

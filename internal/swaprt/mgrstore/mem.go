@@ -26,10 +26,7 @@ type MemStore struct {
 // NewMemStore builds an empty in-memory store. clk drives lease expiry;
 // nil means clock.Real.
 func NewMemStore(clk clock.Clock) *MemStore {
-	if clk == nil {
-		clk = clock.Real{}
-	}
-	return &MemStore{clk: clk}
+	return &MemStore{clk: clock.Or(clk)}
 }
 
 // Append implements Store.

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"testing"
 
+	"repro/internal/clock"
 	"repro/internal/core"
 	"repro/internal/mpi"
 	"repro/internal/obs"
@@ -14,13 +15,11 @@ import (
 // executed before the failure stay counted.
 func TestRunStatsPopulatedOnBodyError(t *testing.T) {
 	w := mpi.NewWorld(2)
-	clk := &fakeClock{step: 0.01}
 	boom := errors.New("boom")
 	rs, err := RunWithStats(w, Config{
 		Active: 2,
 		Policy: core.Greedy(),
 		Probe:  func(int) float64 { return 100 },
-		Clock:  clk.now,
 	}, func(s *Session) error {
 		for i := 0; i < 3; i++ {
 			if err := s.SwapPoint(); err != nil {
@@ -51,18 +50,16 @@ func TestRunStatsPopulatedOnBodyError(t *testing.T) {
 // payback distance and a "swap" verdict, StateTransfer out/in legs with
 // matching byte counts, a ManagerAssign, and iteration brackets.
 func TestTracedRunEmitsDecisionAndTransfers(t *testing.T) {
-	w := mpi.NewWorld(3)
-	clk := &fakeClock{step: 0.05}
+	w, clk := fakeWorld(t, 3)
 	rt := &rateTable{rates: []float64{100, 100, 1000}} // rank 2 is a fast spare
-	tr := obs.New(3)
+	tr := obs.New(3, obs.WithClock(clock.Seconds(clk)))
 	tr.Enable()
 	rs, err := RunWithStats(w, Config{
 		Active: 2,
 		Policy: core.Greedy(),
 		Probe:  rt.probe,
-		Clock:  clk.now,
 		Tracer: tr,
-	}, iterBody(10, nil))
+	}, iterBody(10, clk, nil))
 	if err != nil {
 		t.Fatal(err)
 	}

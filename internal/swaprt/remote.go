@@ -42,24 +42,17 @@ type RemoteDecider struct {
 	Clock clock.Clock
 }
 
-func (d RemoteDecider) clk() clock.Clock {
-	if d.Clock != nil {
-		return d.Clock
-	}
-	return clock.Real{}
-}
-
 func (d RemoteDecider) roundTrip(req wireRequest) (wireResponse, error) {
 	timeout := d.Timeout
 	if timeout == 0 {
 		timeout = 5 * time.Second
 	}
-	conn, err := net.DialTimeout("tcp", d.Addr, clock.RealTimeout(d.clk(), timeout))
+	conn, err := net.DialTimeout("tcp", d.Addr, clock.RealTimeout(clock.Or(d.Clock), timeout))
 	if err != nil {
 		return wireResponse{}, fmt.Errorf("swaprt: dial manager: %w", err)
 	}
 	defer conn.Close()
-	_ = conn.SetDeadline(clock.RealDeadline(d.clk(), timeout))
+	_ = conn.SetDeadline(clock.RealDeadline(clock.Or(d.Clock), timeout))
 	if err := json.NewEncoder(conn).Encode(req); err != nil {
 		return wireResponse{}, fmt.Errorf("swaprt: send manager request: %w", err)
 	}

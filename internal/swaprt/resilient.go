@@ -124,13 +124,6 @@ func (d *ResilientDecider) probeInterval() time.Duration {
 	return 250 * time.Millisecond
 }
 
-func (d *ResilientDecider) clk() clock.Clock {
-	if d.Clock != nil {
-		return d.Clock
-	}
-	return clock.Real{}
-}
-
 func (d *ResilientDecider) fallback() Decider {
 	if d.Fallback != nil {
 		return d.Fallback
@@ -209,7 +202,7 @@ func (d *ResilientDecider) tryPrimary(req DecideRequest) (DecideResponse, error)
 	for i := 0; i < d.maxAttempts(); i++ {
 		if i > 0 {
 			d.count("retries")
-			d.clk().Sleep(d.backoff(i))
+			clock.Or(d.Clock).Sleep(d.backoff(i))
 		}
 		resp, err := d.primary().Decide(req)
 		if err == nil {
@@ -258,7 +251,7 @@ func (d *ResilientDecider) emit(transition, reason string) {
 // success installs the answering decider as primary, closes the circuit
 // and exits the loop.
 func (d *ResilientDecider) probeLoop(stop <-chan struct{}) {
-	t := d.clk().NewTicker(d.probeInterval())
+	t := clock.Or(d.Clock).NewTicker(d.probeInterval())
 	defer t.Stop()
 	for {
 		select {

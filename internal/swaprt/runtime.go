@@ -31,7 +31,10 @@ const (
 	tagStateCommit = 0x5a19
 )
 
-// Config configures the swapping runtime for one application run.
+// Config configures the swapping runtime for one application run. The
+// run has no clock of its own: every wait, deadline, duration and
+// timestamp is read off the world's (mpi.Config.Clock) — a clock.Fake
+// makes a run deterministic, a clock.NewScaled accelerates it.
 type Config struct {
 	// Active is N, the number of ranks the application computes on; the
 	// remaining world ranks are over-allocated spares.
@@ -53,16 +56,6 @@ type Config struct {
 	// zero (e.g. an idealized zero-latency link).
 	LinkLatency   *float64
 	LinkBandwidth *float64
-	// Clock returns seconds since application start; defaults to Time's
-	// timeline. Injectable for tests.
-	Clock func() float64
-	// Time is the scheduling clock behind every wait and duration in the
-	// runtime: transfer/commit deadlines, the handler ticker, decide
-	// timing. Inject a clock.Fake to make tests deterministic or a
-	// clock.NewScaled to time-accelerate a live run (swaprun -accel);
-	// nil means clock.Real. It should match the world's mpi.Config.Clock
-	// so the runtime and the transport share one timeline.
-	Time clock.Clock
 	// Logf, if set, receives runtime diagnostics.
 	Logf func(format string, args ...any)
 	// HandlerInterval, when positive, starts one swap handler per rank —
@@ -74,13 +67,11 @@ type Config struct {
 	// spare's wait for the state, and the outgoing rank's wait for the
 	// acknowledgment). When it expires the swap is aborted — the old
 	// epoch stays committed and the run continues — instead of hanging
-	// the application on a dead spare. <= 0 selects 3s.
+	// the application on a dead spare. <= 0 selects 3s. The swapped-in
+	// spare then waits four times as long for the commit or abort (the
+	// outgoing rank may finish other transfers and the outcome gather
+	// before it can send it).
 	TransferTimeout time.Duration
-	// CommitTimeout bounds the swapped-in spare's wait for the commit or
-	// abort message after it acknowledged the state. <= 0 selects
-	// 4×TransferTimeout (the outgoing rank may finish other transfers and
-	// the outcome allgather before it can send the commit).
-	CommitTimeout time.Duration
 	// Evicted reports that the given rank's host has been reclaimed by
 	// its owner (the Condor-style eviction the paper proposes combining
 	// with swapping): at the next swap point the process is force-moved
@@ -121,12 +112,6 @@ func (c Config) fill() Config {
 		bw := 100e6
 		c.LinkBandwidth = &bw
 	}
-	if c.Time == nil {
-		c.Time = clock.Real{}
-	}
-	if c.Clock == nil {
-		c.Clock = clock.Seconds(c.Time)
-	}
 	if c.Logf == nil {
 		c.Logf = func(string, ...any) {}
 	}
@@ -135,9 +120,6 @@ func (c Config) fill() Config {
 	}
 	if c.TransferTimeout <= 0 {
 		c.TransferTimeout = 3 * time.Second
-	}
-	if c.CommitTimeout <= 0 {
-		c.CommitTimeout = 4 * c.TransferTimeout
 	}
 	return c
 }
@@ -219,6 +201,19 @@ func (rc *runCounters) snapshot() RunStats {
 	}
 }
 
+// timeline is the world's clock with the fixed origin of its seconds
+// view (clock.Seconds): the source of every timestamp and duration a run
+// records, so a span costs one clock read at each end.
+type timeline struct {
+	clock.Clock
+	origin time.Time
+}
+
+// secs places an instant of the clock on the seconds view.
+func (tl timeline) secs(t time.Time) float64 { return t.Sub(tl.origin).Seconds() }
+
+func (tl timeline) now() float64 { return tl.secs(tl.Now()) }
+
 // Session is one rank's handle on the swapping runtime. All methods must
 // be called from the rank's own goroutine (inside the Run body).
 type Session struct {
@@ -227,6 +222,7 @@ type Session struct {
 	mgr   *manager
 	stats *runCounters
 	tr    *obs.Tracer // == cfg.Tracer; nil-safe
+	tl    timeline
 
 	state     *stateSet
 	active    bool
@@ -234,7 +230,7 @@ type Session struct {
 	epoch     uint64
 	activeSet []int
 	comm      *mpi.Comm
-	iterStart float64
+	iterStart time.Time
 	swaps     int // swaps this rank participated in (in or out)
 
 	// buf is this rank's message buffer: the state is encoded into it on
@@ -257,6 +253,23 @@ func (s *Session) keepBuf(b []byte) {
 		b = nil
 	}
 	s.buf = b
+}
+
+// emit records an instant event at the world's current time.
+func (s *Session) emit(ev obs.Event) {
+	if s.tr.Enabled() {
+		ev.T = s.tl.now()
+		s.tr.Emit(ev)
+	}
+}
+
+// startIteration opens the next iteration: one clock read is both the
+// IterStart event's time and the instant the next IterEnd measures from.
+func (s *Session) startIteration() {
+	s.iterStart = s.tl.Now()
+	if s.tr.Enabled() {
+		s.tr.Emit(obs.Event{Kind: obs.KindIterStart, Rank: s.r.Rank(), T: s.tl.secs(s.iterStart), Epoch: s.epoch})
+	}
 }
 
 // Rank reports the world rank.
@@ -332,13 +345,14 @@ func RunWithStats(world *mpi.World, cfg Config, body func(s *Session) error) (Ru
 	cfg.Telemetry.AttachTracer(cfg.Tracer)
 
 	rc := newRunCounters(world.Metrics())
+	tl := timeline{world.Clock(), clock.Origin(world.Clock())}
 
 	// Swap handlers: periodic out-of-band probing, one per rank.
 	if cfg.HandlerInterval > 0 {
 		stop := make(chan struct{})
 		defer close(stop)
 		for rank := 0; rank < world.Size(); rank++ {
-			go handlerLoop(rank, cfg, decider, rc, stop)
+			go handlerLoop(rank, cfg, tl, decider, rc, stop)
 		}
 	}
 
@@ -354,9 +368,9 @@ func RunWithStats(world *mpi.World, cfg Config, body func(s *Session) error) (Ru
 			mgr:       mgr,
 			stats:     rc,
 			tr:        cfg.Tracer,
+			tl:        tl,
 			state:     newStateSet(),
 			activeSet: append([]int(nil), initial...),
-			iterStart: cfg.Clock(),
 		}
 		for _, m := range initial {
 			if m == r.Rank() {
@@ -365,7 +379,7 @@ func RunWithStats(world *mpi.World, cfg Config, body func(s *Session) error) (Ru
 		}
 		if s.active {
 			s.comm = r.CommOf(initial, 0)
-			s.tr.EmitNow(obs.Event{Kind: obs.KindIterStart, Rank: r.Rank(), Epoch: s.epoch})
+			s.startIteration()
 		}
 		// Whatever happens, release parked spares when this rank exits:
 		// actives finishing normally end the application; an active
@@ -426,11 +440,7 @@ func (s *Session) swapPointSpare() error {
 // or explicit abort returns (false, nil) so the spare parks again.
 func (s *Session) spareSwapIn(a assignment) (bool, error) {
 	world := s.r.World()
-	var t0 float64
-	if s.tr.Enabled() {
-		t0 = s.tr.Now()
-	}
-	start := s.cfg.Time.Now()
+	start := s.tl.Now()
 
 	// Receive the proposed-epoch-prefixed state, skipping stale payloads
 	// left over from earlier aborted proposals by the same sender.
@@ -438,7 +448,7 @@ func (s *Session) spareSwapIn(a assignment) (bool, error) {
 	var data []byte
 	recvOK := false
 	for {
-		remaining := s.cfg.Time.Until(deadline)
+		remaining := s.tl.Until(deadline)
 		if remaining <= 0 {
 			break
 		}
@@ -463,7 +473,7 @@ func (s *Session) spareSwapIn(a assignment) (bool, error) {
 		break
 	}
 	if !recvOK {
-		s.tr.EmitNow(obs.Event{Kind: obs.KindSwapAbort, Rank: s.r.Rank(),
+		s.emit(obs.Event{Kind: obs.KindSwapAbort, Rank: s.r.Rank(),
 			Peer: a.stateFrom, Epoch: a.epoch, Detail: "state transfer timed out"})
 		s.tr.DumpFlight("swap abort: state transfer timed out")
 		s.cfg.Logf("rank %d swap-in aborted: no state from rank %d within %s",
@@ -478,7 +488,7 @@ func (s *Session) spareSwapIn(a assignment) (bool, error) {
 	if err != nil {
 		// A corrupt payload is treated like a failed transfer: do not
 		// acknowledge, so the outgoing rank times out and aborts the swap.
-		s.tr.EmitNow(obs.Event{Kind: obs.KindSwapAbort, Rank: s.r.Rank(),
+		s.emit(obs.Event{Kind: obs.KindSwapAbort, Rank: s.r.Rank(),
 			Peer: a.stateFrom, Epoch: a.epoch, Detail: "state decode failed: " + err.Error()})
 		s.tr.DumpFlight("swap abort: state decode failed")
 		s.cfg.Logf("rank %d swap-in aborted: state decode: %v", s.r.Rank(), err)
@@ -490,15 +500,16 @@ func (s *Session) spareSwapIn(a assignment) (bool, error) {
 	if err := world.Send(a.stateFrom, tagStateAck, ack[:]); err != nil {
 		s.cfg.Logf("rank %d state ack send: %v", s.r.Rank(), err)
 	}
-	commitDeadline := s.cfg.Time.Now().Add(s.cfg.CommitTimeout)
+	commitTimeout := 4 * s.cfg.TransferTimeout
+	commitDeadline := s.tl.Now().Add(commitTimeout)
 	for {
-		remaining := s.cfg.Time.Until(commitDeadline)
+		remaining := s.tl.Until(commitDeadline)
 		if remaining <= 0 {
-			s.tr.EmitNow(obs.Event{Kind: obs.KindSwapAbort, Rank: s.r.Rank(),
+			s.emit(obs.Event{Kind: obs.KindSwapAbort, Rank: s.r.Rank(),
 				Peer: a.stateFrom, Epoch: a.epoch, Detail: "commit timed out"})
 			s.tr.DumpFlight("swap abort: commit timed out")
 			s.cfg.Logf("rank %d swap-in aborted: no commit from rank %d within %s",
-				s.r.Rank(), a.stateFrom, s.cfg.CommitTimeout)
+				s.r.Rank(), a.stateFrom, commitTimeout)
 			return false, nil
 		}
 		data, _, err := world.RecvTimeout(a.stateFrom, tagStateCommit, remaining)
@@ -518,17 +529,17 @@ func (s *Session) spareSwapIn(a assignment) (bool, error) {
 			continue
 		}
 		if !msg.Commit {
-			s.tr.EmitNow(obs.Event{Kind: obs.KindSwapAbort, Rank: s.r.Rank(),
+			s.emit(obs.Event{Kind: obs.KindSwapAbort, Rank: s.r.Rank(),
 				Peer: a.stateFrom, Epoch: a.epoch, Detail: "leader aborted"})
 			s.tr.DumpFlight("swap abort: leader aborted")
 			s.cfg.Logf("rank %d swap-in aborted by leader (epoch %d)", s.r.Rank(), a.epoch)
 			return false, nil
 		}
-		recvDur := s.cfg.Time.Since(start)
+		recvDur := s.tl.Since(start)
 		s.stats.stateRecvNS.Add(uint64(recvDur))
 		if s.tr.Enabled() {
-			s.tr.Emit(obs.Event{Kind: obs.KindStateTransfer, Rank: s.r.Rank(), T: t0,
-				Dur: s.tr.Now() - t0, Peer: a.stateFrom, Bytes: int64(stateLen),
+			s.tr.Emit(obs.Event{Kind: obs.KindStateTransfer, Rank: s.r.Rank(), T: s.tl.secs(start),
+				Dur: recvDur.Seconds(), Peer: a.stateFrom, Bytes: int64(stateLen),
 				Epoch: a.epoch, Detail: "in"})
 		}
 		s.epoch = a.epoch
@@ -536,8 +547,7 @@ func (s *Session) spareSwapIn(a assignment) (bool, error) {
 		s.comm = s.r.CommOf(s.activeSet, s.epoch)
 		s.active = true
 		s.swaps++
-		s.iterStart = s.cfg.Clock()
-		s.tr.EmitNow(obs.Event{Kind: obs.KindIterStart, Rank: s.r.Rank(), Epoch: s.epoch})
+		s.startIteration()
 		s.cfg.Logf("rank %d swapped in (epoch %d, state %dB in %s, from rank %d)",
 			s.r.Rank(), s.epoch, stateLen, recvDur.Round(time.Microsecond), a.stateFrom)
 		return true, nil
@@ -568,10 +578,12 @@ const (
 )
 
 func (s *Session) swapPointActive() error {
-	now := s.cfg.Clock()
-	iterTime := now - s.iterStart
+	at := s.tl.Now()
+	now, iterTime := s.tl.secs(at), at.Sub(s.iterStart).Seconds()
 	s.stats.swapPoints.Inc()
-	s.tr.EmitNow(obs.Event{Kind: obs.KindIterEnd, Rank: s.r.Rank(), Value: iterTime, Epoch: s.epoch})
+	if s.tr.Enabled() {
+		s.tr.Emit(obs.Event{Kind: obs.KindIterEnd, Rank: s.r.Rank(), T: now, Value: iterTime, Epoch: s.epoch})
+	}
 	s.cfg.Telemetry.ObserveIteration(s.r.Rank(), now, iterTime)
 
 	// Measurement report: every active rank probes its own host; the
@@ -587,13 +599,9 @@ func (s *Session) swapPointActive() error {
 	var planBytes []byte // only the leader has a plan to send
 	if s.comm.Rank() == 0 {
 		swapTime := core.SwapTime(*s.cfg.LinkLatency, *s.cfg.LinkBandwidth, s.stateSizeEstimate())
-		var t0 float64
-		if s.tr.Enabled() {
-			t0 = s.tr.Now()
-		}
-		decideStart := s.cfg.Time.Now()
+		decideStart := s.tl.Now()
 		resp, err := s.mgr.decide(s.epoch, now, s.activeSet, rates, s.r.Size(), iterTime, swapTime)
-		decideDur := s.cfg.Time.Since(decideStart)
+		decideDur := s.tl.Since(decideStart)
 		if err != nil {
 			return err
 		}
@@ -601,8 +609,8 @@ func (s *Session) swapPointActive() error {
 		s.stats.decideNS.Add(uint64(decideDur))
 		s.cfg.Telemetry.ObserveDecision(now, resp.Eval, len(resp.Swaps), decideDur.Seconds())
 		if s.tr.Enabled() {
-			ev := obs.Event{Kind: obs.KindSwapDecision, Rank: s.r.Rank(), T: t0,
-				Dur: s.tr.Now() - t0, IterTime: iterTime, SwapTime: swapTime,
+			ev := obs.Event{Kind: obs.KindSwapDecision, Rank: s.r.Rank(), T: s.tl.secs(decideStart),
+				Dur: decideDur.Seconds(), IterTime: iterTime, SwapTime: swapTime,
 				Swaps: len(resp.Swaps), Epoch: s.epoch}
 			if e := resp.Eval; e != nil {
 				ev.OldPerf, ev.NewPerf = e.OldPerf, e.NewPerf
@@ -630,8 +638,7 @@ func (s *Session) swapPointActive() error {
 		return err
 	}
 	if len(plan.Swaps) == 0 {
-		s.iterStart = s.cfg.Clock()
-		s.tr.EmitNow(obs.Event{Kind: obs.KindIterStart, Rank: s.r.Rank(), Epoch: s.epoch})
+		s.startIteration()
 		return nil
 	}
 
@@ -648,7 +655,7 @@ func (s *Session) swapPointActive() error {
 				s.cfg.Logf("%v", err)
 				return err
 			}
-			s.tr.EmitNow(obs.Event{Kind: obs.KindManagerAssign, Rank: s.r.Rank(),
+			s.emit(obs.Event{Kind: obs.KindManagerAssign, Rank: s.r.Rank(),
 				Peer: sw.In, Epoch: s.epoch, Detail: fmt.Sprintf("state from rank %d", sw.Out)})
 		}
 	}
@@ -663,7 +670,7 @@ func (s *Session) swapPointActive() error {
 		}
 		if err := s.transferOut(sw, plan.NewEpoch); err != nil {
 			outcome[i] = outcomeFail
-			s.tr.EmitNow(obs.Event{Kind: obs.KindSwapAbort, Rank: s.r.Rank(),
+			s.emit(obs.Event{Kind: obs.KindSwapAbort, Rank: s.r.Rank(),
 				Peer: sw.In, Epoch: s.epoch, Detail: err.Error()})
 			s.tr.DumpFlight("swap abort: " + err.Error())
 			s.cfg.Logf("rank %d swap to rank %d aborted: %v", s.r.Rank(), sw.In, err)
@@ -731,7 +738,7 @@ func (s *Session) swapPointActive() error {
 			quarantined = append(quarantined, sw.In)
 			s.cfg.Telemetry.ObserveAbort()
 			s.cfg.Telemetry.ObserveQuarantine(sw.In)
-			s.tr.EmitNow(obs.Event{Kind: obs.KindQuarantine, Rank: s.r.Rank(), Peer: sw.In,
+			s.emit(obs.Event{Kind: obs.KindQuarantine, Rank: s.r.Rank(), Peer: sw.In,
 				Epoch: newEpoch, Detail: fmt.Sprintf("swap %d->%d aborted", sw.Out, sw.In)})
 			s.tr.DumpFlight(fmt.Sprintf("spare quarantined: rank %d", sw.In))
 			s.cfg.Logf("rank %d quarantined after failed swap-in (rank %d keeps running)",
@@ -792,8 +799,7 @@ func (s *Session) swapPointActive() error {
 	if !anyCommitted {
 		// Every proposed swap aborted: the old set, epoch and communicator
 		// stay in force; just start the next iteration.
-		s.iterStart = s.cfg.Clock()
-		s.tr.EmitNow(obs.Event{Kind: obs.KindIterStart, Rank: s.r.Rank(), Epoch: s.epoch})
+		s.startIteration()
 		return nil
 	}
 
@@ -801,8 +807,7 @@ func (s *Session) swapPointActive() error {
 	s.activeSet = newSet
 	s.epoch = newEpoch
 	s.comm = s.r.CommOf(s.activeSet, s.epoch)
-	s.iterStart = s.cfg.Clock()
-	s.tr.EmitNow(obs.Event{Kind: obs.KindIterStart, Rank: s.r.Rank(), Epoch: s.epoch})
+	s.startIteration()
 	return nil
 }
 
@@ -810,11 +815,7 @@ func (s *Session) swapPointActive() error {
 // for its acknowledgment within the transfer deadline. The returned
 // error describes why the swap must abort; it never fails the run.
 func (s *Session) transferOut(sw SwapDirective, newEpoch uint64) error {
-	var t0 float64
-	if s.tr.Enabled() {
-		t0 = s.tr.Now()
-	}
-	start := s.cfg.Time.Now()
+	start := s.tl.Now()
 	// One copy on this side: variable -> s.buf, behind the epoch.
 	payload, err := s.state.appendTo(binary.BigEndian.AppendUint64(s.buf[:0], newEpoch))
 	if err != nil {
@@ -826,9 +827,9 @@ func (s *Session) transferOut(sw SwapDirective, newEpoch uint64) error {
 	if err := world.Send(sw.In, tagState, payload); err != nil {
 		return fmt.Errorf("state send: %w", err)
 	}
-	deadline := s.cfg.Time.Now().Add(s.cfg.TransferTimeout)
+	deadline := s.tl.Now().Add(s.cfg.TransferTimeout)
 	for {
-		remaining := s.cfg.Time.Until(deadline)
+		remaining := s.tl.Until(deadline)
 		if remaining <= 0 {
 			return fmt.Errorf("no ack from rank %d within %s", sw.In, s.cfg.TransferTimeout)
 		}
@@ -844,12 +845,12 @@ func (s *Session) transferOut(sw SwapDirective, newEpoch uint64) error {
 		}
 		break
 	}
-	sendDur := s.cfg.Time.Since(start)
+	sendDur := s.tl.Since(start)
 	s.stats.stateBytes.Add(uint64(len(data)))
 	s.stats.stateSendNS.Add(uint64(sendDur))
 	if s.tr.Enabled() {
-		s.tr.Emit(obs.Event{Kind: obs.KindStateTransfer, Rank: s.r.Rank(), T: t0,
-			Dur: s.tr.Now() - t0, Peer: sw.In, Bytes: int64(len(data)),
+		s.tr.Emit(obs.Event{Kind: obs.KindStateTransfer, Rank: s.r.Rank(), T: s.tl.secs(start),
+			Dur: sendDur.Seconds(), Peer: sw.In, Bytes: int64(len(data)),
 			Epoch: newEpoch, Detail: "out"})
 	}
 	s.cfg.Logf("rank %d state shipped (proposed epoch %d, %dB in %s, to rank %d)",
@@ -862,25 +863,25 @@ func (s *Session) transferOut(sw SwapDirective, newEpoch uint64) error {
 // event is emitted only for measurements the decider actually accepted —
 // a trace must not show probes the decision history never saw; failed
 // reports are counted and tagged instead.
-func handlerLoop(rank int, cfg Config, rep Decider, rc *runCounters, stop <-chan struct{}) {
-	t := cfg.Time.NewTicker(cfg.HandlerInterval)
+func handlerLoop(rank int, cfg Config, tl timeline, rep Decider, rc *runCounters, stop <-chan struct{}) {
+	t := tl.NewTicker(cfg.HandlerInterval)
 	defer t.Stop()
 	for {
 		select {
 		case <-stop:
 			return
 		case <-t.C:
-			msg := ReportMsg{Rank: rank, Now: cfg.Clock(), Rate: cfg.Probe(rank)}
+			msg := ReportMsg{Rank: rank, Now: tl.now(), Rate: cfg.Probe(rank)}
 			cfg.Telemetry.ObserveProbe(rank, msg.Now, msg.Rate)
 			msg.Telemetry = cfg.Telemetry.RankSnapshot(rank)
 			if err := rep.Report(msg); err != nil {
 				rc.handlerReportErrors.Inc()
-				cfg.Tracer.EmitNow(obs.Event{Kind: obs.KindHandlerProbe, Rank: rank,
+				cfg.Tracer.Emit(obs.Event{Kind: obs.KindHandlerProbe, Rank: rank, T: msg.Now,
 					Value: msg.Rate, Detail: "report-failed: " + err.Error()})
 				cfg.Logf("swaprt: handler %d report: %v", rank, err)
 				continue
 			}
-			cfg.Tracer.EmitNow(obs.Event{Kind: obs.KindHandlerProbe, Rank: rank, Value: msg.Rate})
+			cfg.Tracer.Emit(obs.Event{Kind: obs.KindHandlerProbe, Rank: rank, T: msg.Now, Value: msg.Rate})
 		}
 	}
 }
@@ -935,7 +936,7 @@ func (s *Session) stateSizeEstimate() float64 {
 		if s.cfg.Logf != nil {
 			s.cfg.Logf("swaprt: rank %d state size estimate: %v", rank, err)
 		}
-		s.tr.EmitNow(obs.Event{Kind: obs.KindRuntimeError, Rank: rank,
+		s.emit(obs.Event{Kind: obs.KindRuntimeError, Rank: rank,
 			Detail: "state size estimate: " + err.Error()})
 	}
 	return float64(size)

@@ -7,24 +7,29 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
+	"repro/internal/clock"
 	"repro/internal/core"
 	"repro/internal/mpi"
 )
 
-// fakeClock is a deterministic, goroutine-safe test clock that advances a
-// fixed amount per reading.
-type fakeClock struct {
-	mu   sync.Mutex
-	t    float64
-	step float64
-}
+// iterStep is what one iteration of iterBody takes on a fakeWorld.
+const iterStep = 50 * time.Millisecond
 
-func (c *fakeClock) now() float64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.t += c.step
-	return c.t
+// fakeWorld builds an in-process world of n ranks on a manual clock.Fake:
+// the run's time moves only when a body advances it, so the iteration
+// time the decider sees is exact. Nothing advances the clock while a
+// swap is in flight — a transfer that would time out hangs instead, so
+// tests of the abort paths stay on the wall clock.
+func fakeWorld(t *testing.T, n int) (*mpi.World, *clock.Fake) {
+	t.Helper()
+	clk := clock.NewFake()
+	w, err := mpi.NewWorldWithConfig(mpi.Config{Size: n, Clock: clk})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return w, clk
 }
 
 // rateTable is a mutable per-rank probe for tests.
@@ -47,9 +52,11 @@ func (rt *rateTable) set(rank int, v float64) {
 
 // iterBody returns the canonical swaprt application body: n iterations
 // incrementing a registered counter and accumulating a registered sum via
-// an allreduce on the active communicator. report receives each rank's
-// final session for assertions.
-func iterBody(n int, record func(s *Session, iter int, sum float64)) func(*Session) error {
+// an allreduce on the active communicator. With a fake clock the active
+// leader advances it by iterStep per iteration, before the allreduce, so
+// no member reaches the swap point ahead of the step. record receives
+// each rank's final session for assertions.
+func iterBody(n int, clk *clock.Fake, record func(s *Session, iter int, sum float64)) func(*Session) error {
 	return func(s *Session) error {
 		iter := 0
 		sum := 0.0
@@ -57,6 +64,9 @@ func iterBody(n int, record func(s *Session, iter int, sum float64)) func(*Sessi
 		s.Register("sum", &sum)
 		for !s.Done() && iter < n {
 			if s.Active() {
+				if clk != nil && s.Comm().Rank() == 0 {
+					clk.Advance(iterStep)
+				}
 				v, err := s.Comm().AllReduceFloat64(mpi.OpSum, 1)
 				if err != nil {
 					return err
@@ -76,15 +86,13 @@ func iterBody(n int, record func(s *Session, iter int, sum float64)) func(*Sessi
 }
 
 func TestRunNoSwapsCompletes(t *testing.T) {
-	w := mpi.NewWorld(4)
-	clk := &fakeClock{step: 0.01}
+	w, clk := fakeWorld(t, 4)
 	var finals sync.Map
 	err := Run(w, Config{
 		Active: 2,
 		Policy: core.Greedy(),
 		Probe:  func(int) float64 { return 100 }, // all equal: never swap
-		Clock:  clk.now,
-	}, iterBody(10, func(s *Session, iter int, sum float64) {
+	}, iterBody(10, clk, func(s *Session, iter int, sum float64) {
 		finals.Store(s.Rank(), [2]float64{float64(iter), sum})
 	}))
 	if err != nil {
@@ -112,8 +120,7 @@ func TestRunNoSwapsCompletes(t *testing.T) {
 }
 
 func TestSwapMovesComputationAndState(t *testing.T) {
-	w := mpi.NewWorld(3)
-	clk := &fakeClock{step: 0.05}
+	w, clk := fakeWorld(t, 3)
 	rt := &rateTable{rates: []float64{100, 100, 1000}} // rank 2 is a fast spare
 	var finals sync.Map
 	var swapped atomic.Int32
@@ -121,8 +128,7 @@ func TestSwapMovesComputationAndState(t *testing.T) {
 		Active: 2,
 		Policy: core.Greedy(),
 		Probe:  rt.probe,
-		Clock:  clk.now,
-	}, iterBody(20, func(s *Session, iter int, sum float64) {
+	}, iterBody(20, clk, func(s *Session, iter int, sum float64) {
 		finals.Store(s.Rank(), [3]float64{float64(iter), sum, float64(s.Swaps())})
 		if s.Swaps() > 0 {
 			swapped.Add(1)
@@ -147,16 +153,14 @@ func TestSwapMovesComputationAndState(t *testing.T) {
 }
 
 func TestSwappedOutRankParksAndFinishes(t *testing.T) {
-	w := mpi.NewWorld(2)
-	clk := &fakeClock{step: 0.05}
+	w, clk := fakeWorld(t, 2)
 	rt := &rateTable{rates: []float64{100, 500}}
 	var finals sync.Map
 	err := Run(w, Config{
 		Active: 1,
 		Policy: core.Greedy(),
 		Probe:  rt.probe,
-		Clock:  clk.now,
-	}, iterBody(15, func(s *Session, iter int, sum float64) {
+	}, iterBody(15, clk, func(s *Session, iter int, sum float64) {
 		finals.Store(s.Rank(), s.Active())
 	}))
 	if err != nil {
@@ -172,8 +176,7 @@ func TestSwappedOutRankParksAndFinishes(t *testing.T) {
 }
 
 func TestSafePolicyHoldsStillForSmallGain(t *testing.T) {
-	w := mpi.NewWorld(2)
-	clk := &fakeClock{step: 0.05}
+	w, clk := fakeWorld(t, 2)
 	// 10% spare advantage: below safe's 20% threshold.
 	rt := &rateTable{rates: []float64{100, 110}}
 	var sw atomic.Int32
@@ -181,8 +184,7 @@ func TestSafePolicyHoldsStillForSmallGain(t *testing.T) {
 		Active: 1,
 		Policy: core.Safe(),
 		Probe:  rt.probe,
-		Clock:  clk.now,
-	}, iterBody(10, func(s *Session, iter int, sum float64) {
+	}, iterBody(10, clk, func(s *Session, iter int, sum float64) {
 		sw.Add(int32(s.Swaps()))
 	}))
 	if err != nil {
@@ -196,8 +198,7 @@ func TestSafePolicyHoldsStillForSmallGain(t *testing.T) {
 func TestRepeatedSwapsFollowTheFastestHost(t *testing.T) {
 	// The fast host moves over time; the computation must chase it
 	// through multiple swaps, preserving state each time.
-	w := mpi.NewWorld(3)
-	clk := &fakeClock{step: 0.05}
+	w, clk := fakeWorld(t, 3)
 	rt := &rateTable{rates: []float64{1000, 100, 100}}
 	var step atomic.Int32
 	probe := func(rank int) float64 {
@@ -229,8 +230,7 @@ func TestRepeatedSwapsFollowTheFastestHost(t *testing.T) {
 			step.Add(1)
 			return probe(rank)
 		},
-		Clock: clk.now,
-	}, iterBody(30, func(s *Session, iter int, sum float64) {
+	}, iterBody(30, clk, func(s *Session, iter int, sum float64) {
 		finals.Store(s.Rank(), [2]float64{float64(iter), sum})
 	}))
 	if err != nil {
@@ -254,16 +254,14 @@ func TestMultiRankSwapKeepsCollectivesWorking(t *testing.T) {
 	// 4 active of 6; two spares much faster: a double swap. The
 	// remaining actives and the swapped-in ranks must agree on the new
 	// communicator.
-	w := mpi.NewWorld(6)
-	clk := &fakeClock{step: 0.05}
+	w, clk := fakeWorld(t, 6)
 	rt := &rateTable{rates: []float64{100, 100, 300, 300, 900, 900}}
 	var finals sync.Map
 	err := Run(w, Config{
 		Active: 4,
 		Policy: core.Greedy(),
 		Probe:  rt.probe,
-		Clock:  clk.now,
-	}, iterBody(12, func(s *Session, iter int, sum float64) {
+	}, iterBody(12, clk, func(s *Session, iter int, sum float64) {
 		if s.Active() {
 			finals.Store(s.Rank(), sum)
 		}
@@ -466,16 +464,14 @@ func TestRunWithRemoteDecider(t *testing.T) {
 	defer ln.Close()
 	go func() { _ = ServeManager(ln, NewLocalDecider(core.Greedy()), nil) }()
 
-	w := mpi.NewWorld(2)
-	clk := &fakeClock{step: 0.05}
+	w, clk := fakeWorld(t, 2)
 	rt := &rateTable{rates: []float64{100, 800}}
 	var finals sync.Map
 	err = Run(w, Config{
 		Active:  1,
 		Decider: RemoteDecider{Addr: ln.Addr().String()},
 		Probe:   rt.probe,
-		Clock:   clk.now,
-	}, iterBody(8, func(s *Session, iter int, sum float64) {
+	}, iterBody(8, clk, func(s *Session, iter int, sum float64) {
 		finals.Store(s.Rank(), float64(iter))
 	}))
 	if err != nil {

@@ -446,9 +446,8 @@ func TestSwapLoopAllocatesNoStateSizedBuffer(t *testing.T) {
 		t.Fatal(err)
 	}
 	rt := &rateTable{rates: []float64{100, 1000}}
-	clk := &fakeClock{step: 0.05}
 	var before, after runtime.MemStats
-	err = Run(w, Config{Active: 1, Policy: core.Greedy(), Probe: rt.probe, Clock: clk.now},
+	err = Run(w, Config{Active: 1, Policy: core.Greedy(), Probe: rt.probe},
 		func(s *Session) error {
 			iter := 0
 			grid := filled((1 << 20) / 8)

@@ -23,11 +23,10 @@ type staleState struct {
 func TestSwapInDoesNotKeepStaleFields(t *testing.T) {
 	want := staleState{A: 0, B: 5, Tags: map[string]int{"kept": 1}}
 	w := mpi.NewWorld(2)
-	clk := &fakeClock{step: 0.05}
 	rt := &rateTable{rates: []float64{100, 800}} // rank 1 is a fast spare
 	var mu sync.Mutex
 	var got *staleState
-	err := Run(w, Config{Active: 1, Policy: core.Greedy(), Probe: rt.probe, Clock: clk.now},
+	err := Run(w, Config{Active: 1, Policy: core.Greedy(), Probe: rt.probe},
 		func(s *Session) error {
 			iter := 0
 			st := staleState{A: 9, B: 9, Tags: map[string]int{"stale": 9}}

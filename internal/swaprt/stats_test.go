@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/clock"
 	"repro/internal/core"
 	"repro/internal/mpi"
 	"repro/internal/obs"
@@ -71,8 +72,7 @@ func TestSwapTimeTracksResizedState(t *testing.T) {
 	tr := obs.New(2)
 	tr.Enable()
 	lat, bw := 0.0, 1e6 // swapTime = bytes / 1e6
-	clk := &fakeClock{step: 0.05}
-	err := Run(mpi.NewWorld(2), Config{Active: 2, Policy: core.Safe(), Clock: clk.now, Tracer: tr,
+	err := Run(mpi.NewWorld(2), Config{Active: 2, Policy: core.Safe(), Tracer: tr,
 		Probe: func(int) float64 { return 100 }, LinkLatency: &lat, LinkBandwidth: &bw},
 		func(s *Session) error {
 			iter := 0
@@ -114,7 +114,7 @@ func TestSwapTimeTracksResizedState(t *testing.T) {
 func TestStateSizeEstimateUnencodableFallsBack(t *testing.T) {
 	tr := obs.New(0)
 	tr.Enable()
-	s := &Session{state: newStateSet(), tr: tr}
+	s := &Session{state: newStateSet(), tr: tr, tl: timeline{Clock: clock.Real{}}}
 	x := bytes.Repeat([]byte{1}, 512)
 	m := map[string]int{"k": 1}
 	s.Register("x", &x)
@@ -155,14 +155,12 @@ func TestStateSizeEstimateUnencodableFallsBack(t *testing.T) {
 
 func TestRunWithStatsCounters(t *testing.T) {
 	w := mpi.NewWorld(3)
-	clk := &fakeClock{step: 0.05}
 	rt := &rateTable{rates: []float64{100, 100, 1000}} // rank 2: fast spare
 	stats, err := RunWithStats(w, Config{
 		Active: 2,
 		Policy: core.Greedy(),
 		Probe:  rt.probe,
-		Clock:  clk.now,
-	}, iterBody(20, nil))
+	}, iterBody(20, nil, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,7 +203,6 @@ func TestSwapWhileOtherRanksMidSend(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	clk := &fakeClock{step: 0.05}
 	rt := &rateTable{rates: []float64{1000, 1000, 100, 5000}} // rank 2 slow, rank 3 fast spare
 	payload := bytes.Repeat([]byte{9}, 1<<15)
 	var floodsSent atomic.Int64
@@ -213,7 +210,6 @@ func TestSwapWhileOtherRanksMidSend(t *testing.T) {
 		Active: nactive,
 		Policy: core.Greedy(),
 		Probe:  rt.probe,
-		Clock:  clk.now,
 	}, func(s *Session) error {
 		iter := 0
 		s.Register("iter", &iter)

@@ -173,13 +173,6 @@ func (s *StoreServer) SetConnTimeout(d time.Duration) { s.connTimeout = d }
 // restores clock.Real. Set before Serve.
 func (s *StoreServer) SetClock(c clock.Clock) { s.clock = c }
 
-func (s *StoreServer) clk() clock.Clock {
-	if s.clock != nil {
-		return s.clock
-	}
-	return clock.Real{}
-}
-
 // Keys reports the stored keys (for inspection and tests).
 func (s *StoreServer) Keys() int {
 	if s.dir != "" {
@@ -208,7 +201,7 @@ func (s *StoreServer) serveConn(conn net.Conn) {
 	if timeout <= 0 {
 		timeout = defaultStoreConnTimeout
 	}
-	_ = conn.SetDeadline(clock.RealDeadline(s.clk(), timeout))
+	_ = conn.SetDeadline(clock.RealDeadline(clock.Or(s.clock), timeout))
 	dec := json.NewDecoder(conn)
 	var hdr storeHeader
 	if err := dec.Decode(&hdr); err != nil {
@@ -306,13 +299,6 @@ type StoreClient struct {
 	Clock clock.Clock
 }
 
-func (c StoreClient) clk() clock.Clock {
-	if c.Clock != nil {
-		return c.Clock
-	}
-	return clock.Real{}
-}
-
 // storeErr is an error the store itself reported in a decoded reply: the
 // transport worked, the operation was simply refused (unknown key, size
 // out of range). Retrying it would re-ask a question already answered.
@@ -339,7 +325,7 @@ func (c StoreClient) retry(op func() error) error {
 	var err error
 	for i := 0; i < attempts; i++ {
 		if i > 0 {
-			c.clk().Sleep(backoff)
+			clock.Or(c.Clock).Sleep(backoff)
 			backoff *= 2
 		}
 		err = op()
@@ -358,7 +344,7 @@ func (c StoreClient) dial() (net.Conn, time.Duration, error) {
 	if timeout == 0 {
 		timeout = 30 * time.Second
 	}
-	conn, err := net.DialTimeout("tcp", c.Addr, clock.RealTimeout(c.clk(), timeout))
+	conn, err := net.DialTimeout("tcp", c.Addr, clock.RealTimeout(clock.Or(c.Clock), timeout))
 	if err != nil {
 		return nil, 0, fmt.Errorf("swaprt: dial checkpoint store: %w", err)
 	}
@@ -377,7 +363,7 @@ func (c StoreClient) put(key string, data []byte) error {
 		return err
 	}
 	defer conn.Close()
-	_ = conn.SetDeadline(clock.RealDeadline(c.clk(), timeout))
+	_ = conn.SetDeadline(clock.RealDeadline(clock.Or(c.Clock), timeout))
 	hdr, _ := json.Marshal(storeHeader{Op: "put", Key: key, Size: int64(len(data))})
 	if _, err := conn.Write(hdr); err != nil {
 		return fmt.Errorf("swaprt: store put: %w", err)
@@ -413,7 +399,7 @@ func (c StoreClient) get(key string) ([]byte, error) {
 		return nil, err
 	}
 	defer conn.Close()
-	_ = conn.SetDeadline(clock.RealDeadline(c.clk(), timeout))
+	_ = conn.SetDeadline(clock.RealDeadline(clock.Or(c.Clock), timeout))
 	hdr, _ := json.Marshal(storeHeader{Op: "get", Key: key})
 	if _, err := conn.Write(hdr); err != nil {
 		return nil, fmt.Errorf("swaprt: store get: %w", err)
@@ -434,20 +420,6 @@ func (c StoreClient) get(key string) ([]byte, error) {
 		return nil, fmt.Errorf("swaprt: store get body: %w", err)
 	}
 	return body, nil
-}
-
-// NewStoreClient returns a checkpoint-store client whose per-operation
-// deadline is the runtime's configured TransferTimeout (with the same
-// <= 0 → 3s default as the swap protocol's transfer legs), so a chaos
-// run with a short transfer budget fails fast on a wedged store instead
-// of waiting out the client's 30s fallback. Retries stay off by
-// default; callers opt in via the returned struct's Attempts field.
-func (c Config) NewStoreClient(addr string) StoreClient {
-	timeout := c.TransferTimeout
-	if timeout <= 0 {
-		timeout = 3 * time.Second
-	}
-	return StoreClient{Addr: addr, Timeout: timeout, Clock: c.Time}
 }
 
 // CheckpointTo writes the session's registered state to the store under

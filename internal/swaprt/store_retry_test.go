@@ -110,39 +110,32 @@ func TestStoreClientRetriesTransportFailures(t *testing.T) {
 	}
 }
 
-// TestStoreClientHonorsConfiguredTransferTimeout is the satellite-3
-// regression: a client built from the runtime Config must arm the
-// configured TransferTimeout on its operations, so a wedged store (it
-// accepts, then never replies) fails within the chaos run's budget
+// TestStoreClientHonorsConfiguredTransferTimeout: a client given the
+// run's transfer budget must arm it on its operations, so a wedged store
+// (it accepts, then never replies) fails within the chaos run's budget
 // instead of the client's 30s fallback or the server's old hardcoded
 // 60s deadline.
 //
-// The run is on a 20x scaled clock injected through Config.Time: the
-// socket deadlines compress with it, so the worst case (the 3s default
-// budget) costs ~150ms of wall time instead of 3s, while every
-// assertion stays in virtual units.
+// The client is on a 20x scaled clock: the socket deadlines compress
+// with it, so the worst case (the runtime's 3s transfer default) costs
+// ~150ms of wall time instead of 3s, while every assertion stays in
+// virtual units.
 func TestStoreClientHonorsConfiguredTransferTimeout(t *testing.T) {
 	cases := []struct {
-		name    string
-		timeout time.Duration // Config.TransferTimeout; 0 takes the 3s default
-		maxWait time.Duration
+		name        string
+		wantTimeout time.Duration
+		maxWait     time.Duration
 	}{
 		{"short chaos budget", 100 * time.Millisecond, 30 * time.Second},
 		{"medium budget", 300 * time.Millisecond, 30 * time.Second},
-		{"zero takes transfer default", 0, 60 * time.Second},
+		{"transfer default", 3 * time.Second, 60 * time.Second},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			f := startFlakyStore(t)
 			scaled := clock.NewScaled(20)
-			c := Config{TransferTimeout: tc.timeout, Time: scaled}.NewStoreClient(f.addr)
-			wantTimeout := tc.timeout
-			if wantTimeout == 0 {
-				wantTimeout = 3 * time.Second // fill()'s TransferTimeout default
-			}
-			if c.Timeout != wantTimeout {
-				t.Fatalf("client timeout %v, want %v", c.Timeout, wantTimeout)
-			}
+			wantTimeout := tc.wantTimeout
+			c := StoreClient{Addr: f.addr, Timeout: wantTimeout, Clock: scaled}
 
 			f.wedgeNext.Store(1)
 			start := scaled.Now()

@@ -187,19 +187,17 @@ func TestSessionCheckpointViaStore(t *testing.T) {
 		}
 	}
 
-	clk1 := &fakeClock{step: 0.01}
 	var mid sync.Map
 	err := Run(mpi.NewWorld(2), Config{
-		Active: 2, Probe: func(int) float64 { return 1 }, Clock: clk1.now,
+		Active: 2, Probe: func(int) float64 { return 1 },
 	}, body(6, false, &mid))
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	clk2 := &fakeClock{step: 0.01}
 	var final sync.Map
 	err = Run(mpi.NewWorld(2), Config{
-		Active: 2, Probe: func(int) float64 { return 1 }, Clock: clk2.now,
+		Active: 2, Probe: func(int) float64 { return 1 },
 	}, body(n, true, &final))
 	if err != nil {
 		t.Fatal(err)

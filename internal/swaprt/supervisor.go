@@ -88,13 +88,6 @@ func (c SupervisorConfig) ttl() time.Duration {
 	return 2 * time.Second
 }
 
-func (c SupervisorConfig) clk() clock.Clock {
-	if c.Clock != nil {
-		return c.Clock
-	}
-	return clock.Real{}
-}
-
 // StartManagerSupervisor validates the config and brings up the first
 // incarnation (waiting, like any standby, for the lease if a previous
 // run's lease is still live in the directory). It returns once that
@@ -149,7 +142,7 @@ func (s *ManagerSupervisor) startIncarnation(serving chan<- error) {
 // open.
 func (s *ManagerSupervisor) bringUp(owner string) (*mgrIncarnation, error) {
 	ttl := s.cfg.ttl()
-	store, err := mgrstore.Open(s.cfg.Dir, s.cfg.clk())
+	store, err := mgrstore.Open(s.cfg.Dir, clock.Or(s.cfg.Clock))
 	if err != nil {
 		return nil, fmt.Errorf("open store: %w", err)
 	}
@@ -246,14 +239,14 @@ func (s *ManagerSupervisor) Kill(restart bool, down time.Duration) {
 		s.startIncarnation(nil)
 		return
 	}
-	s.cfg.clk().AfterFunc(down, func() { s.startIncarnation(nil) })
+	clock.Or(s.cfg.Clock).AfterFunc(down, func() { s.startIncarnation(nil) })
 }
 
 // Resolve returns a RemoteDecider for the current lease holder — the
 // ResilientDecider.Resolver hook that re-finds the leader (old or new)
 // after a circuit-opening outage.
 func (s *ManagerSupervisor) Resolve() (Decider, error) {
-	lease, held, err := mgrstore.ReadLease(s.cfg.Dir, s.cfg.clk())
+	lease, held, err := mgrstore.ReadLease(s.cfg.Dir, clock.Or(s.cfg.Clock))
 	if err != nil {
 		return nil, err
 	}

@@ -5,8 +5,8 @@ import (
 	"net/http/httptest"
 	"testing"
 
+	"repro/internal/clock"
 	"repro/internal/core"
-	"repro/internal/mpi"
 	"repro/internal/obs"
 )
 
@@ -167,17 +167,15 @@ func TestTelemetryHandler(t *testing.T) {
 // and the swap land in the report — and that handler reports piggyback
 // rank snapshots to the decider.
 func TestTelemetryThroughRuntime(t *testing.T) {
-	w := mpi.NewWorld(3)
-	clk := &fakeClock{step: 0.05}
+	w, clk := fakeWorld(t, 3)
 	rt := &rateTable{rates: []float64{100, 100, 1000}} // rank 2 is a fast spare
-	hub := NewTelemetryHub(clk.now)
+	hub := NewTelemetryHub(clock.Seconds(clk))
 	err := Run(w, Config{
 		Active:    2,
 		Policy:    core.Greedy(),
 		Probe:     rt.probe,
-		Clock:     clk.now,
 		Telemetry: hub,
-	}, iterBody(20, nil))
+	}, iterBody(20, clk, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
