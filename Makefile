@@ -23,13 +23,16 @@ lint:
 # The concurrency-heavy packages (transport, runtime) run under the race
 # detector as part of the default test target; the manager failover and
 # lease hand-over tests twenty times over, because the race they guard
-# (a renewal in flight across a release) showed once in a dozen runs.
+# (a renewal in flight across a release) showed once in a dozen runs, and
+# so the shared-connection test, whose ranks contend for one write token
+# differently every time.
 test: race
 	$(GO) test ./...
 
 race:
 	$(GO) test -race ./internal/mpi/ ./internal/mpi/wire/ ./internal/swaprt/ ./internal/apps/ ./internal/experiment/
 	$(GO) test -race -count=20 -run 'Failover|Supervisor' ./internal/swaprt/
+	$(GO) test -race -count=20 -run 'TestTCPSharedConnection' ./internal/mpi/
 
 bench:
 	$(GO) test -bench=. -benchmem ./...
@@ -66,7 +69,11 @@ bench-transport:
 # simulator (results/bench-sim.txt: Fig. 4 and Fig. 7 at quick size, what
 # a cell pays before them — one stream seeded and read twelve times, one
 # 32-host environment — the kernel's event throughput, the policy decision
-# with and without its explanation), folded together by cmd/benchagg,
+# with and without its explanation) and the transfer layer (appended to
+# results/bench-transport.txt: BenchmarkTCPXfer/{16B,4KiB,1MiB}, a payload
+# and its 8-byte ack through the mesh, beside BenchmarkLoopbackRaw, the
+# same exchange on a bare socket; benchagg holds the 1 MiB transfer under
+# 64 KiB/op — no staging buffer), folded together by cmd/benchagg,
 # which re-applies the zero-alloc gate on the parsed rows — the transport
 # send path and one kernel event — so the artifact cannot disagree with
 # the gate that admitted it. The decision layer's flat-cost pair (results/bench-decide.txt: a LocalDecider decision over
@@ -76,6 +83,8 @@ bench-all:
 	mkdir -p results
 	$(GO) test -run '^$$' -bench '^BenchmarkTCPSendDistinctRanks(Causal)?$$' \
 		-benchmem -benchtime 5000x -count 3 . | tee results/bench-transport.txt
+	$(GO) test -run '^$$' -bench '^Benchmark(TCPXfer|LoopbackRaw)$$' \
+		-benchmem -benchtime 2000x -count 3 . | tee -a results/bench-transport.txt
 	$(GO) test -run '^$$' -bench '^BenchmarkLens(Disabled|Nil)$$' \
 		-benchmem -count 3 ./internal/swaprt/policylens/ | tee results/bench-lens.txt
 	$(GO) test -run '^$$' -bench '^BenchmarkStateCodec$$' \

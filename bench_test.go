@@ -8,6 +8,8 @@ package repro
 
 import (
 	"bytes"
+	"io"
+	"net"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -406,6 +408,118 @@ func benchTCPSendDistinctRanks(b *testing.B, tr *obs.Tracer, cfg mpi.Config) {
 	})
 	if err != nil {
 		b.Fatal(err)
+	}
+}
+
+// xferSizes are the payloads of the transfer benchmarks: a probe report,
+// swap-small's state and swap-large's (the paper's 1 MB process).
+var xferSizes = []struct {
+	name string
+	n    int
+}{{"16B", 16}, {"4KiB", 4 << 10}, {"1MiB", 1 << 20}}
+
+// BenchmarkTCPXfer is one state transfer as the transport sees it: a
+// payload from rank 0 to rank 1 and an 8-byte ack back, through
+// Comm.Send/Recv/Release on a 2-rank TCP world. BenchmarkLoopbackRaw is
+// the same exchange on a bare loopback connection, so the pair reads as
+// what the mesh adds to what the link costs; cmd/benchagg gates the
+// 1 MiB row's bytes/op (no staging buffer, no vector allocation).
+func BenchmarkTCPXfer(b *testing.B) {
+	for _, sz := range xferSizes {
+		b.Run(sz.name, func(b *testing.B) {
+			w, err := mpi.NewTCPWorld(2)
+			if err != nil {
+				b.Fatal(err)
+			}
+			payload, ack := bytes.Repeat([]byte{7}, sz.n), make([]byte, 8)
+			b.SetBytes(int64(sz.n))
+			err = w.Run(func(r *mpi.Rank) error {
+				c := r.World()
+				me, peer := r.Rank(), 1-r.Rank()
+				out := [2][]byte{payload, ack}[me]
+				// One untimed exchange dials both connections.
+				for i := -1; i < b.N; i++ {
+					if i == 0 && me == 0 {
+						b.ResetTimer()
+					}
+					if me == 0 {
+						if err := c.Send(peer, 0, out); err != nil {
+							return err
+						}
+					}
+					d, _, err := c.Recv(peer, 0)
+					if err != nil {
+						return err
+					}
+					c.Release(d)
+					if me == 1 {
+						if err := c.Send(peer, 0, out); err != nil {
+							return err
+						}
+					}
+				}
+				return nil
+			})
+			if err != nil {
+				b.Fatal(err)
+			}
+		})
+	}
+}
+
+func BenchmarkLoopbackRaw(b *testing.B) {
+	for _, sz := range xferSizes {
+		b.Run(sz.name, func(b *testing.B) {
+			ln, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer ln.Close()
+			echoed := make(chan error, 1)
+			go func() { // the receiving end: read a payload, write an ack
+				conn, err := ln.Accept()
+				if err != nil {
+					echoed <- err
+					return
+				}
+				defer conn.Close()
+				in, ack := make([]byte, sz.n), make([]byte, 8)
+				for i := -1; i < b.N; i++ {
+					if _, err := io.ReadFull(conn, in); err != nil {
+						echoed <- err
+						return
+					}
+					if _, err := conn.Write(ack); err != nil {
+						echoed <- err
+						return
+					}
+				}
+				echoed <- nil
+			}()
+			conn, err := net.Dial("tcp", ln.Addr().String())
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer conn.Close()
+			_ = conn.SetDeadline(time.Now().Add(time.Minute))
+			payload, ack := bytes.Repeat([]byte{7}, sz.n), make([]byte, 8)
+			b.SetBytes(int64(sz.n))
+			for i := -1; i < b.N; i++ {
+				if i == 0 {
+					b.ResetTimer()
+				}
+				if _, err := conn.Write(payload); err != nil {
+					b.Fatal(err)
+				}
+				if _, err := io.ReadFull(conn, ack); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.StopTimer()
+			if err := <-echoed; err != nil {
+				b.Fatal(err)
+			}
+		})
 	}
 }
 

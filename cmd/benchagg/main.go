@@ -11,7 +11,8 @@
 // instead of producing an empty "all green" summary). A second gate
 // holds BenchmarkLocalDeciderDecide/history=20k within 2x of
 // /history=256: a decision's cost may not grow with the history behind
-// it.
+// it. A third holds BenchmarkTCPXfer/1MiB under 64 KiB/op: a state
+// transfer through the mesh allocates no state-sized buffer.
 //
 // Usage:
 //
@@ -170,6 +171,7 @@ func applyGates(benches []Bench, zeroAlloc *regexp.Regexp) []Gate {
 		gates = append(gates, g)
 	}
 	gates = append(gates, flatCostGate(benches))
+	gates = append(gates, xferBytesGate(benches))
 	gates = append(gates, Gate{
 		Name: "benchmarks-ran", Pass: len(benches) > 0,
 		Detail: fmt.Sprintf("%d aggregated benchmark rows", len(benches)),
@@ -206,6 +208,28 @@ func flatCostGate(benches []Bench) Gate {
 	g.Pass = long <= flatCostRatio*short
 	g.Detail = fmt.Sprintf("history=20k %.0f ns/op over history=256 %.0f ns/op = %.2f, want <= %g",
 		long, short, long/short, flatCostRatio)
+	return g
+}
+
+// A 1 MiB payload crosses the mesh without a buffer of its size being
+// allocated for it: the sender writes it from the caller's slice and the
+// receiver reads it into the buffer the last one was released from. A
+// staging copy that crept back in would show as the payload's size.
+const (
+	xferBench    = "BenchmarkTCPXfer/1MiB"
+	xferMaxBytes = 64 << 10
+)
+
+// xferBytesGate bounds the benchmark's worst B/op. Like the other gates
+// it fails when the benchmark never ran.
+func xferBytesGate(benches []Bench) Gate {
+	g := Gate{Name: "xfer-no-staging", Detail: xferBench + " did not run"}
+	for _, b := range benches {
+		if b.Name == xferBench {
+			g.Pass = b.BOp < xferMaxBytes
+			g.Detail = fmt.Sprintf("%s allocates %d B/op, want < %d", xferBench, b.BOp, xferMaxBytes)
+		}
+	}
 	return g
 }
 

@@ -80,7 +80,7 @@ func TestZeroAllocGate(t *testing.T) {
 	re := regexp.MustCompile(`^BenchmarkTCPSendDistinctRanks$`)
 
 	gates := applyGates(benches, re)
-	if len(gates) != 3 || !gates[0].Pass || !gates[2].Pass {
+	if len(gates) != 4 || !gates[0].Pass || !gates[3].Pass {
 		t.Fatalf("clean input should pass the zero-alloc and benchmarks-ran gates: %+v", gates)
 	}
 
@@ -121,6 +121,27 @@ func TestFlatCostGate(t *testing.T) {
 		{"neither ran", sampleBench, false},
 	} {
 		if g := flatCostGate(aggregate(parseBench("bench-decide.txt", c.text))); g.Pass != c.pass {
+			t.Errorf("%s: gate %+v, want pass=%v", c.name, g, c.pass)
+		}
+	}
+}
+
+// The transfer gate holds a 1 MiB transfer through the mesh under
+// 64 KiB/op in its worst run, and fails when the benchmark never ran.
+func TestXferBytesGate(t *testing.T) {
+	row := func(bOp string) string {
+		return "BenchmarkTCPXfer/1MiB-2 \t 2000\t 472525 ns/op\t2219.09 MB/s\t " + bOp + " B/op\t 0 allocs/op\n"
+	}
+	for _, c := range []struct {
+		name string
+		text string
+		pass bool
+	}{
+		{"no state-sized buffer", row("531") + row("0") + row("12044"), true},
+		{"one run staged the payload", row("531") + row("1048743") + row("0"), false},
+		{"only the other sizes ran", "BenchmarkTCPXfer/4KiB-2 \t 2000\t 40987 ns/op\t 99.93 MB/s\t 0 B/op\t 0 allocs/op\n", false},
+	} {
+		if g := xferBytesGate(aggregate(parseBench("bench-transport.txt", c.text))); g.Pass != c.pass {
 			t.Errorf("%s: gate %+v, want pass=%v", c.name, g, c.pass)
 		}
 	}

@@ -293,6 +293,14 @@ func isNetConn(t types.Type) bool {
 	return false
 }
 
+// isVectoredConnWrite reports whether the call is net.Buffers.WriteTo on
+// a connection: conn.Write's writev form, which the TCP transport uses
+// to send a header and the caller's payload in one syscall.
+func (p *Pass) isVectoredConnWrite(call *ast.CallExpr) bool {
+	return p.fullFuncName(call) == "(*net.Buffers).WriteTo" &&
+		len(call.Args) == 1 && isNetConn(p.Info.TypeOf(call.Args[0]))
+}
+
 // recvOf reports the static type of a method call's receiver expression.
 func (p *Pass) recvOf(call *ast.CallExpr) types.Type {
 	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)

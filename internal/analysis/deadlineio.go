@@ -141,13 +141,17 @@ func (p *Pass) isConnStreamCtor(call *ast.CallExpr) bool {
 }
 
 // connIO classifies a call as a connection read/write: a direct
-// conn.Read/conn.Write, an Encode/Decode/Flush on a conn-backed stream
+// conn.Read/conn.Write or a vectored net.Buffers.WriteTo(conn), an
+// Encode/Decode/Flush on a conn-backed stream
 // (either a tracked local or a chained `gob.NewDecoder(conn).Decode(...)`),
 // or io.ReadFull/io.Copy/io.ReadAll with a conn argument.
 func (p *Pass) connIO(call *ast.CallExpr, connStreams map[types.Object]bool) (connIOPoint, bool) {
 	if fn := p.methodOf(call); fn != nil {
 		if isNetConn(p.recvOf(call)) && (fn.Name() == "Read" || fn.Name() == "Write") {
 			return connIOPoint{call.Pos(), "net.Conn." + fn.Name()}, true
+		}
+		if p.isVectoredConnWrite(call) {
+			return connIOPoint{call.Pos(), "net.Buffers.WriteTo on a net.Conn"}, true
 		}
 		if fn.Name() == "Encode" || fn.Name() == "Decode" || fn.Name() == "Flush" {
 			sel := ast.Unparen(call.Fun).(*ast.SelectorExpr)

@@ -8,8 +8,9 @@ import (
 )
 
 // LockedIO flags blocking operations reachable while a sync.Mutex or
-// sync.RWMutex is held: net.Conn reads/writes, channel sends/receives
-// (including selects without a default), and sync.WaitGroup.Wait. This is the
+// sync.RWMutex is held: net.Conn reads/writes (net.Buffers.WriteTo on a
+// conn included), channel sends/receives (including selects without a
+// default), and sync.WaitGroup.Wait. This is the
 // PR 1 deadlock class — the seed transport held a global lock across a
 // socket write that filled its buffer, starving the accept loop that would
 // have drained it. Reachability is intra-package: a locked region calling a
@@ -115,6 +116,9 @@ func (p *Pass) blockOp(n ast.Node, nonBlockingSelects map[ast.Node]bool) *blockR
 			if isNetConn(p.recvOf(n)) {
 				return &blockReason{n.Pos(), fmt.Sprintf("performs net.Conn.%s", fn.Name())}
 			}
+		}
+		if p.isVectoredConnWrite(n) {
+			return &blockReason{n.Pos(), "performs net.Buffers.WriteTo on a net.Conn"}
 		}
 	}
 	return nil

@@ -69,3 +69,17 @@ func bufferDecode(r io.Reader) error {
 	var x int
 	return gob.NewDecoder(r).Decode(&x)
 }
+
+func vectoredWriteNoDeadline(conn net.Conn, hdr, payload []byte) error {
+	v := net.Buffers{hdr, payload}
+	_, err := v.WriteTo(conn) // want `net\.Buffers\.WriteTo on a net\.Conn with no deadline set in this function`
+	return err
+}
+
+// vectoredWriteWithDeadline arms first: no finding.
+func vectoredWriteWithDeadline(conn net.Conn, hdr, payload []byte) error {
+	_ = conn.SetWriteDeadline(time.Now().Add(time.Second))
+	v := net.Buffers{hdr, payload}
+	_, err := v.WriteTo(conn)
+	return err
+}

@@ -146,3 +146,13 @@ func (s *walStore) appendSyncOutside(frame []byte) error {
 	}
 	return s.wal.Sync()
 }
+
+// vectoredWriteLocked is the write path's writev form held under the
+// lock: the same hazard as pr1Transport.send.
+func (t *pr1Transport) vectoredWriteLocked(dst int, hdr, payload []byte) error {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	v := net.Buffers{hdr, payload}
+	_, err := v.WriteTo(t.conns[dst]) // want `performs net\.Buffers\.WriteTo on a net\.Conn while a mutex is held`
+	return err
+}

@@ -90,10 +90,10 @@ func (c *Comm) send(to, tag int, data []byte) error {
 	if to < 0 || to >= len(c.members) {
 		return fmt.Errorf("mpi: send to comm rank %d of %d", to, len(c.members))
 	}
-	// No defensive copy here: the transport detaches from the caller's
-	// slice before send returns (the TCP path serializes into its
-	// pending buffer, the in-process path copies on push), so the hot
-	// path stays allocation-free.
+	// No defensive copy here: the transport is done with the caller's
+	// slice when send returns (the TCP path has written it to the socket
+	// or serialized it into its pending buffer, the in-process path
+	// copies on push), so the hot path stays allocation-free.
 	ctr := c.w.counters[c.me]
 	tr := c.w.Tracer()
 	var t0 float64

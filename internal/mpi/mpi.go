@@ -47,7 +47,11 @@ type envelope = wire.Envelope
 // transport moves envelopes between ranks.
 type transport interface {
 	// send delivers the envelope to its destination's mailbox; it may
-	// block briefly but must not wait for a matching receive.
+	// block briefly — the TCP transport for as long as writing the
+	// envelope to an idle connection's socket takes, or waiting for a
+	// write in flight ahead of a large one — but must not wait for a
+	// matching receive. It is done with env.Data when it returns, and an
+	// error it returns may be that of its own socket write.
 	send(env envelope) error
 	// close releases transport resources.
 	close() error
@@ -217,9 +221,10 @@ func (w *World) SetTracer(t *obs.Tracer) { w.tracer.Store(t) }
 func (w *World) Tracer() *obs.Tracer { return w.tracer.Load() }
 
 // SetSendLatencySampling toggles the TCP transport's send-latency
-// histogram ("mpi.tcp.send_latency_s"). Off (the default) the flush
-// path pays one atomic load and nothing else; on, each successful
-// socket write of a batch of sends records its wall duration. Dial
+// histogram ("mpi.tcp.send_latency_s"). Off (the default) a socket
+// write pays one atomic load and nothing else; on, each successful one
+// records its wall duration, whether a sender made it (one send on an
+// idle connection) or the connection's flusher (a batch of sends). Dial
 // time — connection setup, retries, backoff — is never charged here;
 // it lands in "mpi.tcp.dial_latency_s" unconditionally. No-op on
 // in-process worlds. Safe to call concurrently with running ranks.

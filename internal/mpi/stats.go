@@ -22,7 +22,7 @@ type rankCounters struct {
 	bcasts    *obs.Counter
 	gathers   *obs.Counter
 	reduces   *obs.Counter
-	sendBlock *obs.Counter // nanoseconds spent inside transport sends
+	sendBlock *obs.Counter // nanoseconds inside transport sends, the socket write a sender makes included
 }
 
 // newRankCounters registers rank's counters in reg under
@@ -71,10 +71,11 @@ type RankStats struct {
 	Gathers   uint64
 	Reduces   uint64
 	// SendBlock is the total time this rank's sends spent inside the
-	// transport (lock wait + encode into the pending buffer for TCP —
-	// the socket write happens on the connection's flusher goroutine
-	// and is visible in "mpi.tcp.send_latency_s" instead; mailbox push
-	// for the in-process transport).
+	// transport. For TCP that is lock wait, encode and — on an idle
+	// connection, where the sender writes the socket itself — the socket
+	// write, which "mpi.tcp.send_latency_s" times on its own whoever
+	// makes it; only a frame queued behind a write in flight leaves its
+	// write to the flusher. Mailbox push for the in-process transport.
 	SendBlock time.Duration
 }
 

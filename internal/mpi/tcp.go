@@ -21,11 +21,21 @@ const (
 	tcpDialBackoff  = 10 * time.Millisecond // doubles per retry
 	tcpWriteTimeout = 10 * time.Second
 
-	// tcpMaxPending bounds the bytes buffered on one destination before
-	// senders block waiting for the flusher to drain. A single frame
-	// larger than the bound (a checkpoint transfer) is still accepted
-	// once the queue is empty, so oversized messages pass through.
+	// tcpMaxPending bounds the bytes queued on one destination behind a
+	// write in flight before the senders of small frames block waiting
+	// for it to drain.
 	tcpMaxPending = 256 << 10
+
+	// tcpDirectMin splits payloads in two. One this large or larger is
+	// never copied: its sender waits for the connection's write token and
+	// hands the kernel header and payload as two pieces (writev), so the
+	// pending buffer never grows to the size of a state transfer. A
+	// smaller one is copied behind its header and goes out in one plain
+	// write — at once when the connection is idle, with the flusher's
+	// next batch when it is not. Below 16 KiB the copy is under a
+	// microsecond and does not show against the syscall; at 64 KiB the
+	// direct write is 4-9 us faster (EXPERIMENTS.md "State transfer").
+	tcpDirectMin = 16 << 10
 )
 
 // tcpConn is the sender side of one destination rank's connection. Each
@@ -34,21 +44,32 @@ const (
 // delays traffic to any other peer. The connection is dialed lazily by
 // the first send that needs it.
 //
-// Sends do not write the socket: they append frames to the encoder's
-// pending buffer under mu and signal wake. A per-connection flusher
-// goroutine swaps the buffer out and writes it with no lock held, so one
-// syscall drains whatever batch accumulated while the previous write was
-// in flight, and a blocked write never holds mu (the seed's deadlock
-// class). err is the connection's sticky poison: set by a failed flush
-// or by close(), observed by the next sender, which resets the slot so
-// the send after it re-dials.
+// One write token (writing, under mu) says who may be inside a socket
+// write, and whoever holds it writes with no lock held (a blocked write
+// never holds mu: the seed's deadlock class). A send that finds the token
+// free takes it and writes the socket itself. One that finds it taken
+// waits for it if its payload is large (tcpDirectMin) and otherwise
+// appends its frame to the encoder's pending buffer; the per-connection
+// flusher goroutine takes the token when it is free and writes whatever
+// accumulated in one syscall. Frames reach the socket in the order they
+// were encoded under mu, because the pending buffer is only ever taken
+// whole, by the token's holder. err is the connection's sticky poison:
+// set by a failed flush or by close(), observed by the next sender, which
+// resets the slot so the send after it re-dials.
 type tcpConn struct {
-	mu    sync.Mutex
-	wake  *sync.Cond // signals the flusher: bytes pending or poisoned
-	drain *sync.Cond // signals backpressured senders: buffer drained or poisoned
-	c     net.Conn
-	enc   *wire.Encoder
-	err   error
+	mu      sync.Mutex
+	wake    *sync.Cond // signals the flusher: bytes pending and token free, or poisoned
+	drain   *sync.Cond // signals waiting senders: token released or poisoned
+	c       net.Conn
+	enc     *wire.Encoder
+	err     error
+	writing bool // the write token
+
+	// The token holder's writev argument, kept here so that a vectored
+	// write allocates nothing: vec is resliced over iov for every write
+	// (net.Buffers consumes itself as it goes).
+	vec net.Buffers
+	iov [2][]byte
 }
 
 func newTCPConn() *tcpConn {
@@ -74,11 +95,12 @@ func (cc *tcpConn) reset() {
 // wire package: its protocol byte, then frames. A stream that opens with
 // any other byte fails its first Decode and only that connection closes.
 //
-// Locking: per-destination tcpConn.mu serializes enqueues to that rank
+// Locking: per-destination tcpConn.mu serializes encodes to that rank
 // only; tcpTransport.mu guards the shutdown flag and the socket
 // registry (lock order: tcpConn.mu then tcpTransport.mu, never the
 // reverse). The accept/read path never takes a tcpConn.mu, and socket
-// writes happen on flusher goroutines with no lock held.
+// writes happen with no lock held, on the sending goroutine or the
+// connection's flusher, whichever holds the connection's write token.
 type tcpTransport struct {
 	w         *World
 	listeners []net.Listener
@@ -87,15 +109,19 @@ type tcpTransport struct {
 
 	// Transport-health counters in the world registry ("mpi.tcp.*"):
 	// dials that succeeded, dial retries after a failed attempt, accepted
-	// inbound connections, and writes that poisoned a connection.
-	dials      *obs.Counter
-	dialRetry  *obs.Counter
-	accepts    *obs.Counter
-	sendErrors *obs.Counter
+	// inbound connections, socket writes that failed (each once, whoever
+	// made it), and how the sends split between the two write paths:
+	// written by the sender itself, or queued behind a write in flight.
+	dials       *obs.Counter
+	dialRetry   *obs.Counter
+	accepts     *obs.Counter
+	sendErrors  *obs.Counter
+	directSends *obs.Counter
+	queuedSends *obs.Counter
 
 	// Send-latency sampling ("mpi.tcp.send_latency_s"): off by default
-	// and gated by one atomic load per flush, so the hot path pays no
-	// clock readings or histogram locking unless telemetry asked for it.
+	// and gated by one atomic load per socket write, so the hot path pays
+	// no clock readings or histogram locking unless telemetry asked for it.
 	// Samples time established-connection socket writes only; dial cost
 	// (up to attempts x timeout plus backoff on a dead peer) is recorded
 	// separately and unconditionally in "mpi.tcp.dial_latency_s", so a
@@ -119,6 +145,9 @@ func newTCPTransport(w *World) (*tcpTransport, error) {
 		dialRetry:  w.metrics.Counter("mpi.tcp.dial_retries"),
 		accepts:    w.metrics.Counter("mpi.tcp.accepts"),
 		sendErrors: w.metrics.Counter("mpi.tcp.send_errors"),
+
+		directSends: w.metrics.Counter("mpi.tcp.direct_sends"),
+		queuedSends: w.metrics.Counter("mpi.tcp.queued_sends"),
 		// Loopback sends complete in microseconds; 0–10 ms in 50 bins
 		// resolves the healthy distribution with room for stalls (anything
 		// slower lands in the overflow and still shows in the quantiles).
@@ -259,10 +288,11 @@ func (t *tcpTransport) send(env envelope) error {
 	return t.sendConn(env)
 }
 
-// sendConn enqueues one envelope on the destination's connection,
-// dialing it first if needed. The envelope's bytes are copied into the
-// encoder's pending buffer before return, so the caller may reuse its
-// data slice; the connection's flusher writes the batch to the socket.
+// sendConn puts one envelope on the destination's connection, dialing it
+// first if needed, and is done with the caller's data slice when it
+// returns. On an idle connection this goroutine writes the socket itself
+// and a write error fails this send; see tcpConn for who writes when the
+// connection is busy.
 func (t *tcpTransport) sendConn(env envelope) error {
 	cc := t.conns[env.Dst]
 	cc.mu.Lock()
@@ -274,10 +304,9 @@ func (t *tcpTransport) sendConn(env envelope) error {
 			cc.mu.Unlock()
 			if conn != nil {
 				// Poisoned by an encode failure or a close() that raced a
-				// live connection: the flusher that owned it has exited (or
-				// never ran), so the socket is ours to drop.
-				t.deregister(conn)
-				_ = conn.Close()
+				// live connection: whoever wrote it has stopped (or never
+				// started), so the socket is ours to drop.
+				t.drop(conn)
 			}
 			if err == ErrWorldClosed || t.closed() {
 				return ErrWorldClosed
@@ -301,8 +330,7 @@ func (t *tcpTransport) sendConn(env envelope) error {
 				// Lost the dial race (or the slot got poisoned meanwhile):
 				// fold the extra connection away and re-evaluate.
 				cc.mu.Unlock()
-				t.deregister(conn)
-				_ = conn.Close()
+				t.drop(conn)
 				cc.mu.Lock()
 				continue
 			}
@@ -312,17 +340,28 @@ func (t *tcpTransport) sendConn(env envelope) error {
 				// close() won the race after register: surface shutdown.
 				cc.reset()
 				cc.mu.Unlock()
-				t.deregister(conn)
-				_ = conn.Close()
+				t.drop(conn)
 				return ErrWorldClosed
 			}
 			continue
 		}
-		if cc.enc.PendingLen() >= tcpMaxPending {
+		// Behind a write in flight a small frame queues, up to the bound;
+		// a large payload waits for the token, because copying it aside
+		// costs more than the wait and would grow the pending buffer to
+		// its size.
+		direct := len(env.Data) >= tcpDirectMin
+		if cc.writing && (direct || cc.enc.PendingLen() >= tcpMaxPending) {
 			cc.drain.Wait()
 			continue
 		}
-		if err := cc.enc.Encode(&env); err != nil {
+		conn, enc := cc.c, cc.enc
+		var err error
+		if direct {
+			err = enc.EncodeHeader(&env)
+		} else {
+			err = enc.Encode(&env)
+		}
+		if err != nil {
 			// The stream is now unframeable; poison it so the flusher
 			// exits and the next send re-dials.
 			cc.err = err
@@ -332,15 +371,93 @@ func (t *tcpTransport) sendConn(env envelope) error {
 			t.sendErrors.Inc()
 			return fmt.Errorf("mpi: send to rank %d: encode: %w", env.Dst, err)
 		}
-		cc.wake.Signal()
+		if cc.writing {
+			t.queuedSends.Inc()
+			cc.mu.Unlock() // the token's holder signals the flusher when it is done
+			return nil
+		}
+		t.directSends.Inc()
+		cc.writing = true
+		buf := enc.Take()
+		cc.mu.Unlock()
+
+		var payload []byte
+		if direct {
+			payload = env.Data
+		}
+		err = t.writeBatch(cc, conn, buf, payload)
+
+		cc.mu.Lock()
+		cc.writing = false
+		enc.Recycle(buf)
+		if err != nil {
+			// This send reports the failure itself, so it leaves no poison
+			// behind: it clears the slot, unless a reset already did, and
+			// the next send re-dials. Frames queued behind the failed write
+			// are lost with the connection, as they are when a flush fails.
+			if cc.enc == enc {
+				cc.reset()
+			}
+			cc.wake.Broadcast()
+			cc.drain.Broadcast()
+			cc.mu.Unlock()
+			t.drop(conn)
+			if t.closed() {
+				return ErrWorldClosed
+			}
+			return fmt.Errorf("mpi: send to rank %d: write: %w", env.Dst, err)
+		}
+		if e := cc.enc; e != nil && e.PendingLen() > 0 {
+			cc.wake.Signal()
+		}
+		cc.drain.Broadcast()
 		cc.mu.Unlock()
 		return nil
 	}
 }
 
-// startFlusher launches the connection's single writer, registered with
-// the shutdown WaitGroup. It reports false if the transport already
-// closed (close() may be past its wg.Wait; adding would race).
+// writeBatch is the one place a socket is written: buf, then — straight
+// from the caller's slice — payload when there is one, as a single
+// vectored write. The caller holds cc's write token and no lock. Every
+// write carries a deadline; with sampling on, each successful one records
+// its duration, and a failed one counts once in "mpi.tcp.send_errors".
+func (t *tcpTransport) writeBatch(cc *tcpConn, conn net.Conn, buf, payload []byte) error {
+	clk := t.w.clk
+	_ = conn.SetWriteDeadline(clock.RealDeadline(clk, tcpWriteTimeout))
+	sample := t.latOn.Load()
+	var start time.Time
+	if sample {
+		start = clk.Now()
+	}
+	var err error
+	if payload == nil {
+		_, err = conn.Write(buf)
+	} else {
+		cc.iov = [2][]byte{buf, payload}
+		cc.vec = cc.iov[:]
+		_, err = cc.vec.WriteTo(conn)
+		cc.iov = [2][]byte{} // a failed write consumed only part of it
+	}
+	if err != nil {
+		t.sendErrors.Inc()
+		return err
+	}
+	if sample {
+		t.sendLat.Add(clk.Since(start).Seconds())
+	}
+	return nil
+}
+
+// drop closes a connection this side has finished with and takes it off
+// the shutdown registry.
+func (t *tcpTransport) drop(conn net.Conn) {
+	t.deregister(conn)
+	_ = conn.Close()
+}
+
+// startFlusher launches the connection's flusher, registered with the
+// shutdown WaitGroup. It reports false if the transport already closed
+// (close() may be past its wg.Wait; adding would race).
 func (t *tcpTransport) startFlusher(cc *tcpConn, conn net.Conn, enc *wire.Encoder) bool {
 	t.mu.Lock()
 	if t.done {
@@ -353,49 +470,41 @@ func (t *tcpTransport) startFlusher(cc *tcpConn, conn net.Conn, enc *wire.Encode
 	return true
 }
 
-// flushLoop is the connection's only socket writer: it swaps the pending
-// buffer out under cc.mu, then writes it with no lock held, so however
-// many sends accumulated while the previous write was in flight drain in
-// one syscall. On write failure it poisons the slot and drops the
-// connection; on close() it observes cc.err and exits. enc is captured
-// (not re-read from cc) so a sender resetting the slot mid-write cannot
-// swap the encoder under us — a superseded flusher notices cc.enc moved
-// on and exits.
+// flushLoop writes what senders queued behind a write in flight: when
+// frames are pending and the write token is free it takes the token,
+// swaps the pending buffer out under cc.mu and writes it with no lock
+// held, so however many sends accumulated meanwhile drain in one syscall.
+// On write failure it poisons the slot and drops the connection; on
+// close() it observes cc.err and exits. enc is captured (not re-read
+// from cc) so a sender resetting the slot mid-write cannot swap the
+// encoder under us — a superseded flusher notices cc.enc moved on and
+// exits.
 func (t *tcpTransport) flushLoop(cc *tcpConn, conn net.Conn, enc *wire.Encoder) {
 	defer t.wg.Done()
 	cc.mu.Lock()
 	for {
-		for cc.err == nil && cc.enc == enc && enc.PendingLen() == 0 {
+		for cc.err == nil && cc.enc == enc && (cc.writing || enc.PendingLen() == 0) {
 			cc.wake.Wait()
 		}
 		if cc.err != nil || cc.enc != enc {
 			cc.mu.Unlock()
 			return
 		}
+		cc.writing = true
 		buf := enc.Take()
 		cc.mu.Unlock()
 
-		clk := t.w.clk
-		_ = conn.SetWriteDeadline(clock.RealDeadline(clk, tcpWriteTimeout))
-		sample := t.latOn.Load()
-		var start time.Time
-		if sample {
-			start = clk.Now()
-		}
-		_, err := conn.Write(buf)
-		if err == nil && sample {
-			t.sendLat.Add(clk.Since(start).Seconds())
-		}
+		err := t.writeBatch(cc, conn, buf, nil)
 
 		cc.mu.Lock()
+		cc.writing = false
 		enc.Recycle(buf)
 		if err != nil {
-			t.sendErrors.Inc()
 			// Frames buffered after the failed batch are lost with the
 			// connection — the same contract as bytes buffered in a dead
 			// kernel socket; senders that need delivery guarantees layer
 			// acks (the swap protocol's commit barrier does).
-			if cc.err == nil {
+			if cc.err == nil && cc.enc == enc {
 				if t.closedLocked() {
 					cc.err = ErrWorldClosed
 				} else {
@@ -405,8 +514,7 @@ func (t *tcpTransport) flushLoop(cc *tcpConn, conn net.Conn, enc *wire.Encoder) 
 			cc.wake.Broadcast()
 			cc.drain.Broadcast()
 			cc.mu.Unlock()
-			t.deregister(conn)
-			_ = conn.Close()
+			t.drop(conn)
 			return
 		}
 		cc.drain.Broadcast()
@@ -440,8 +548,8 @@ func (t *tcpTransport) close() error {
 	}
 	t.mu.Unlock()
 	// Poison every sender slot: flushers wake, observe the poison and
-	// exit (their sockets are already closed); backpressured senders
-	// wake and fail with ErrWorldClosed.
+	// exit; a write in flight, whoever makes it, fails on its closed
+	// socket; backpressured senders wake and fail with ErrWorldClosed.
 	for _, cc := range t.conns {
 		cc.mu.Lock()
 		if cc.err == nil {

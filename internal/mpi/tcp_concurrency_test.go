@@ -2,8 +2,11 @@ package mpi
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -126,9 +129,93 @@ func TestTCPConcurrentSends(t *testing.T) {
 	}
 }
 
+// TestTCPSharedConnectionOrderAndAliasing: ranks 1-4 share the one
+// connection to rank 0 and send it messages of every size class at once,
+// each stamped (source, sequence, checksum), and each overwrites its
+// slice the moment Send returns. Whoever wrote a frame — its sender
+// holding the write token, its sender after waiting for the token, the
+// flusher — rank 0 must see every source's messages in order and intact,
+// and both write paths must have been taken. `make race` runs it twenty
+// times over.
+func TestTCPSharedConnectionOrderAndAliasing(t *testing.T) {
+	const (
+		senders = 4
+		msgs    = 200
+		window  = 8 // sends between acks: bounds what rank 0's mailbox holds
+		hdr     = 12
+	)
+	sizes := []int{16, 4 << 10, 300 << 10, 1 << 20}
+	master := make([]byte, sizes[len(sizes)-1])
+	for i := range master {
+		master[i] = byte(i*131 + i>>8)
+	}
+	w, err := NewTCPWorld(senders + 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runWithin(t, w, 120*time.Second, func(r *Rank) error {
+		c := r.World()
+		if me := r.Rank(); me != 0 {
+			buf := make([]byte, len(master))
+			for seq := 0; seq < msgs; seq++ {
+				p := buf[:sizes[seq%len(sizes)]]
+				copy(p, master)
+				binary.LittleEndian.PutUint32(p[0:], uint32(me))
+				binary.LittleEndian.PutUint32(p[4:], uint32(seq))
+				binary.LittleEndian.PutUint32(p[len(p)-4:], uint32(seq)) // 16 B: the whole body
+				binary.LittleEndian.PutUint32(p[8:], crc32.ChecksumIEEE(p[hdr:]))
+				if err := c.Send(0, 3, p); err != nil {
+					return err
+				}
+				clear(p) // the slice is the caller's again
+				if seq%window == window-1 {
+					if _, _, err := c.Recv(0, 4); err != nil {
+						return err
+					}
+				}
+			}
+			return nil
+		}
+		var next [senders + 1]int
+		for i := 0; i < senders*msgs; i++ {
+			d, _, err := c.Recv(AnySource, 3)
+			if err != nil {
+				return err
+			}
+			src, seq := int(binary.LittleEndian.Uint32(d[0:])), int(binary.LittleEndian.Uint32(d[4:]))
+			if src < 1 || src > senders {
+				return fmt.Errorf("message %d: %d bytes stamped with source %d", i, len(d), src)
+			}
+			if seq != next[src] || len(d) != sizes[seq%len(sizes)] {
+				return fmt.Errorf("message %d: %d bytes stamped (src %d, seq %d), want seq %d of that source", i, len(d), src, seq, next[src])
+			}
+			if sum := crc32.ChecksumIEEE(d[hdr:]); sum != binary.LittleEndian.Uint32(d[8:]) {
+				return fmt.Errorf("message %d of rank %d (%d bytes) arrived changed", seq, src, len(d))
+			}
+			next[src]++
+			c.Release(d)
+			if seq%window == window-1 {
+				if err := c.Send(src, 4, nil); err != nil {
+					return err
+				}
+			}
+		}
+		return nil
+	})
+	direct := w.Metrics().Counter("mpi.tcp.direct_sends").Load()
+	queued := w.Metrics().Counter("mpi.tcp.queued_sends").Load()
+	t.Logf("%d sends written by their sender, %d by the flusher", direct, queued)
+	if want := uint64(senders * (msgs + msgs/window)); direct+queued != want || direct == 0 || queued == 0 {
+		t.Fatalf("%d sends written by their sender + %d queued for the flusher, want both paths taken and %d in all", direct, queued, want)
+	}
+}
+
 // TestTCPDeadPeerFailsSend kills one rank's listener before any
 // connection exists: a send to the dead rank must fail within the bounded
-// dial retries, and traffic to live ranks must be unaffected.
+// dial retries, and traffic to live ranks must be unaffected. Then a live
+// connection loses its peer mid-run: the state-sized send whose write
+// hits the dead socket returns that error itself, and the send after it
+// re-dials and delivers.
 func TestTCPDeadPeerFailsSend(t *testing.T) {
 	w, err := NewTCPWorld(3)
 	if err != nil {
@@ -153,6 +240,45 @@ func TestTCPDeadPeerFailsSend(t *testing.T) {
 	}
 	if env, err := w.boxes[1].pop(worldCommID, 0, 0); err != nil || string(env.Data) != "y" {
 		t.Fatalf("live rank delivery: %v %q", err, env.Data)
+	}
+
+	// Rank 1's end of the connection closes under the sender. (It was
+	// accepted and registered before "y" could be delivered.)
+	tr.mu.Lock()
+	for c := range tr.socks {
+		if c.LocalAddr().String() == tr.addrs[1] {
+			_ = c.Close()
+		}
+	}
+	tr.mu.Unlock()
+	state := envelope{Comm: worldCommID, Src: 0, Dst: 1, Tag: 0, Data: bytes.Repeat([]byte{7}, 1<<20)}
+	var failed error
+	for try := 0; try < 8 && failed == nil; try++ {
+		// The kernel may still take a write or two before the reset comes
+		// back; every write is made inside a send, so a failure can only
+		// be counted by the send that then returns it.
+		failed = tr.send(state)
+		if n := tr.sendErrors.Load(); (n != 0) != (failed != nil) {
+			t.Fatalf("send %d returned %v with %d failed writes counted", try, failed, n)
+		}
+	}
+	if failed == nil || !strings.Contains(failed.Error(), "write") {
+		t.Fatalf("sends into a closed peer socket: %v, want the write error", failed)
+	}
+	if n := tr.sendErrors.Load(); n != 1 {
+		t.Fatalf("one failed write counted %d times", n)
+	}
+	dials := tr.dials.Load()
+	state.Data[0] = 8
+	if err := tr.send(state); err != nil {
+		t.Fatalf("send after the failed one: %v", err)
+	}
+	if tr.dials.Load() != dials+1 {
+		t.Fatalf("send after the failed one did not re-dial")
+	}
+	// Nothing written to the closed socket was delivered.
+	if env, err := w.boxes[1].pop(worldCommID, 0, 0); err != nil || len(env.Data) != 1<<20 || env.Data[0] != 8 {
+		t.Fatalf("delivery over the re-dialed connection: %v, %d bytes", err, len(env.Data))
 	}
 }
 

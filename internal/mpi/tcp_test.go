@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"fmt"
 	"testing"
-	"time"
 )
 
 func TestTCPSendRecv(t *testing.T) {
@@ -186,14 +185,16 @@ func TestTCPWorldCloseIsIdempotent(t *testing.T) {
 
 // TestTCPSendLatencySampling pins the telemetry gate: latency samples
 // land in "mpi.tcp.send_latency_s" only while sampling is enabled, so
-// disabled telemetry keeps the send hot path at one atomic load.
+// disabled telemetry keeps the send hot path at one atomic load — and
+// every socket write is sampled whoever makes it: a lone small send is
+// written by its sender, so its sample is there when Send returns.
 func TestTCPSendLatencySampling(t *testing.T) {
 	w, err := NewTCPWorld(2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	hist := w.Metrics().Histogram("mpi.tcp.send_latency_s", 0, 0.010, 50)
-	var offN, onN int
+	var offN, sentN int
 	err = w.Run(func(r *Rank) error {
 		c := r.World()
 		if r.Rank() == 1 { // echo three rounds
@@ -207,35 +208,34 @@ func TestTCPSendLatencySampling(t *testing.T) {
 			}
 			return nil
 		}
-		roundTrip := func(tag int) error {
+		roundTrip := func(tag int, sent func()) error {
 			if err := c.Send(1, tag, []byte("x")); err != nil {
 				return err
+			}
+			if sent != nil {
+				sent()
 			}
 			_, _, err := c.Recv(1, tag+10)
 			return err
 		}
-		if err := roundTrip(1); err != nil { // sampling off
+		if err := roundTrip(1, nil); err != nil { // sampling off
 			return err
 		}
 		s := hist.Snapshot()
 		offN = s.N()
 		w.SetSendLatencySampling(true)
-		if err := roundTrip(2); err != nil {
+		err := roundTrip(2, func() {
+			// Nothing else is sending to rank 1, so this goroutine held
+			// the write token: no polling for a flusher to catch up. (The
+			// echo's sample may be in already too.)
+			snap := hist.Snapshot()
+			sentN = snap.N()
+		})
+		if err != nil {
 			return err
 		}
-		// Samples are recorded by the connection flushers when their
-		// socket writes return, concurrently with this rank; the echo
-		// arriving means both on-phase writes happened, so poll briefly
-		// for the histogram to catch up.
-		for wait := 0; wait < 200; wait++ {
-			snap := hist.Snapshot()
-			if onN = snap.N(); onN > 0 {
-				break
-			}
-			time.Sleep(time.Millisecond)
-		}
 		w.SetSendLatencySampling(false)
-		return roundTrip(3)
+		return roundTrip(3, nil)
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -243,8 +243,11 @@ func TestTCPSendLatencySampling(t *testing.T) {
 	if offN != 0 {
 		t.Fatalf("sampling off but %d samples recorded", offN)
 	}
-	if onN == 0 {
-		t.Fatal("sampling on but no samples recorded")
+	if sentN == 0 {
+		t.Fatal("sampling on but a lone send's write was not sampled by the time Send returned")
+	}
+	if q := w.Metrics().Counter("mpi.tcp.queued_sends").Load(); q != 0 {
+		t.Fatalf("%d sends went through the flusher on connections with one sender each, want 0", q)
 	}
 	// After re-disabling, only the on-phase round trip (tag 2 out, echo
 	// back) can have contributed samples.

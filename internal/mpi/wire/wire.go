@@ -26,10 +26,12 @@
 // == 0 is written without the flag, and the decoder refuses a flagged
 // frame whose LC is 0.
 //
-// The Encoder serializes into an in-memory pending buffer that the
-// connection's single writer swaps out (Take) and returns (Recycle), so
-// the steady-state send path performs zero heap allocations: buffers
-// come from a sync.Pool and are double-buffered per connection. The
+// The Encoder serializes into an in-memory pending buffer that whoever
+// writes the connection swaps out (Take) and returns (Recycle), so the
+// steady-state send path performs zero heap allocations: buffers come
+// from a sync.Pool and are double-buffered per connection. A large
+// payload need not pass through it: EncodeHeader buffers a frame without
+// its payload, which the writer sends from the caller's slice. The
 // Decoder reads header and extension into an array of its own, hands
 // small payloads out of a shared slab (capacity-clipped, so an appending
 // receiver cannot scribble on a neighbor's bytes) and reads oversized
@@ -87,10 +89,17 @@ const (
 )
 
 // AppendFrame appends env's frame to dst and returns the extended
-// slice: the fixed header, then — when env carries causal data (LC != 0)
-// — the flag bit in the length word and the 16 extension bytes, then the
-// payload. It performs no allocation beyond growing dst.
+// slice: appendHeader, then the payload. It performs no allocation
+// beyond growing dst.
 func AppendFrame(dst []byte, env *Envelope) []byte {
+	return append(appendHeader(dst, env), env.Data...)
+}
+
+// appendHeader appends everything of env's frame but the payload: the
+// fixed header, its length word counting len(env.Data), then — when env
+// carries causal data (LC != 0) — the flag bit in the length word and
+// the 16 extension bytes.
+func appendHeader(dst []byte, env *Envelope) []byte {
 	var hdr [headerLen + causalExtLen]byte
 	n, h := uint32(len(env.Data)), hdr[:headerLen]
 	if env.LC != 0 {
@@ -104,16 +113,17 @@ func AppendFrame(dst []byte, env *Envelope) []byte {
 	binary.BigEndian.PutUint32(hdr[12:16], uint32(int32(env.Src)))
 	binary.BigEndian.PutUint32(hdr[16:20], uint32(int32(env.Dst)))
 	binary.BigEndian.PutUint32(hdr[20:24], uint32(int32(env.Tag)))
-	dst = append(dst, h...)
-	return append(dst, env.Data...)
+	return append(dst, h...)
 }
 
 // Encoder buffer pool. Buffers above maxPooledCap (a connection that
 // carried a huge state transfer) are dropped for the GC instead of
 // pinning their capacity in the pool. The bound sits above the paper's
 // smallest process, 1 MiB of state plus its headers, with room for one
-// round of append growth (1.25x): a connection that swaps such a process
-// every iteration keeps its buffer instead of allocating one per swap.
+// round of append growth (1.25x): an encoder handed such a process every
+// iteration keeps its buffer instead of allocating one per swap, and the
+// FreeList keeps the receive buffer by the same bound. (The transport
+// itself frames large payloads with EncodeHeader and buffers none.)
 const (
 	initialBufCap = 4 << 10
 	maxPooledCap  = 2 << 20
@@ -193,8 +203,8 @@ func (f *FreeList) Get(n int) []byte {
 	return nil
 }
 
-// Encoder serializes envelopes into a pending in-memory buffer for a
-// single writer to flush. It is not safe for concurrent use; the TCP
+// Encoder serializes envelopes into a pending in-memory buffer for one
+// writer at a time to flush. It is not safe for concurrent use; the TCP
 // transport guards each connection's encoder with that connection's
 // lock. The first byte ever buffered is the protocol byte.
 type Encoder struct {
@@ -212,17 +222,29 @@ func NewEncoder(Codec) *Encoder {
 // Encode appends env's frame to the pending buffer, allocating nothing
 // beyond (amortized) buffer growth.
 func (e *Encoder) Encode(env *Envelope) error {
+	if err := e.EncodeHeader(env); err != nil {
+		return err
+	}
+	e.pend = append(e.pend, env.Data...)
+	return nil
+}
+
+// EncodeHeader appends env's frame without its payload to the pending
+// buffer, for a writer that sends the payload from the caller's own
+// slice: it must Take the buffer and write env.Data to the stream directly
+// behind it, before anything else is encoded.
+func (e *Encoder) EncodeHeader(env *Envelope) error {
 	if len(env.Data) > MaxPayload {
 		return fmt.Errorf("wire: payload %d bytes exceeds MaxPayload %d", len(env.Data), MaxPayload)
 	}
-	e.pend = AppendFrame(e.pend, env)
+	e.pend = appendHeader(e.pend, env)
 	return nil
 }
 
 // PendingLen reports the bytes currently buffered.
 func (e *Encoder) PendingLen() int { return len(e.pend) }
 
-// Take hands the pending buffer to the flusher and resets the encoder
+// Take hands the pending buffer to the writer and resets the encoder
 // to the recycled spare (or a pooled buffer), so encoding continues
 // while the taken bytes are being written.
 func (e *Encoder) Take() []byte {

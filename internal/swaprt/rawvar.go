@@ -12,44 +12,14 @@ import (
 // []float64) goes to the gob section, where its own GobEncoder, if it has
 // one, keeps deciding its encoding.
 
-type integer interface {
-	int | int8 | int16 | int32 | int64 | uint | uint8 | uint16 | uint32 | uint64 | uintptr
+type number interface {
+	int | int8 | int16 | int32 | int64 | uint | uint8 | uint16 | uint32 | uint64 | uintptr | float32 | float64
 }
 
 // bindRaw returns the raw codec for ptr, or nil when ptr's type is not a
 // raw kind.
 func bindRaw(ptr any) rawVar {
 	switch p := ptr.(type) {
-	case *int:
-		return intScalar(p)
-	case *int8:
-		return intScalar(p)
-	case *int16:
-		return intScalar(p)
-	case *int32:
-		return intScalar(p)
-	case *int64:
-		return intScalar(p)
-	case *uint:
-		return intScalar(p)
-	case *uint8:
-		return intScalar(p)
-	case *uint16:
-		return intScalar(p)
-	case *uint32:
-		return intScalar(p)
-	case *uint64:
-		return intScalar(p)
-	case *uintptr:
-		return intScalar(p)
-	case *float32:
-		return scalarVar{classFloat, 4,
-			func() uint64 { return uint64(math.Float32bits(*p)) },
-			func(v uint64) { *p = math.Float32frombits(uint32(v)) }}
-	case *float64:
-		return scalarVar{classFloat, 8,
-			func() uint64 { return math.Float64bits(*p) },
-			func(v uint64) { *p = math.Float64frombits(v) }}
 	case *bool:
 		return scalarVar{classBool, 1,
 			func() uint64 {
@@ -63,38 +33,38 @@ func bindRaw(ptr any) rawVar {
 		return stringVar{p}
 	case *[]byte:
 		return bytesVar{p}
-	case *[]int:
-		return intSliceOf(p)
-	case *[]int8:
-		return intSliceOf(p)
-	case *[]int16:
-		return intSliceOf(p)
-	case *[]int32:
-		return intSliceOf(p)
-	case *[]int64:
-		return intSliceOf(p)
-	case *[]uint:
-		return intSliceOf(p)
-	case *[]uint16:
-		return intSliceOf(p)
-	case *[]uint32:
-		return intSliceOf(p)
-	case *[]uint64:
-		return intSliceOf(p)
-	case *[]uintptr:
-		return intSliceOf(p)
-	case *[]float32:
-		return f32Slice{p}
-	case *[]float64:
-		return f64Slice{p}
+	}
+	for _, bind := range numBinders {
+		if raw := bind(ptr); raw != nil {
+			return raw
+		}
 	}
 	return nil
 }
 
-// intShape is the class and wire width of an integer type.
-func intShape[T integer]() (class byte, width int) {
+var numBinders = []func(any) rawVar{
+	bindNum[int], bindNum[int8], bindNum[int16], bindNum[int32], bindNum[int64],
+	bindNum[uint], bindNum[uint8], bindNum[uint16], bindNum[uint32], bindNum[uint64],
+	bindNum[uintptr], bindNum[float32], bindNum[float64],
+}
+
+// bindNum binds a T or a slice of T.
+func bindNum[T number](ptr any) rawVar {
+	switch p := ptr.(type) {
+	case *T:
+		return numScalar(p)
+	case *[]T:
+		return numSliceOf(p)
+	}
+	return nil
+}
+
+// numShape is the class and wire width of a numeric type.
+func numShape[T number]() (class byte, width int) {
 	class = classUint
-	if ^T(0) < 0 {
+	if isFloat[T]() {
+		class = classFloat
+	} else if T(0)-1 < 0 {
 		class = classInt
 	}
 	switch any(T(0)).(type) {
@@ -102,10 +72,102 @@ func intShape[T integer]() (class byte, width int) {
 		return class, 1
 	case int16, uint16:
 		return class, 2
-	case int32, uint32:
+	case int32, uint32, float32:
 		return class, 4
 	}
 	return class, 8
+}
+
+// isFloat is a constant in every instantiation, so the branches on it
+// below cost nothing: the compiler keeps the one that applies.
+func isFloat[T number]() bool { return T(1)/2 != 0 }
+
+// bits64 and bits32 are an element as it travels and of64 and of32 the
+// element back: an integer's value, a float's bit pattern — so -0 is not
+// a zero to trim and a NaN keeps its payload.
+func bits64[T number](v T) uint64 {
+	if isFloat[T]() {
+		return math.Float64bits(float64(v))
+	}
+	return uint64(v)
+}
+
+func bits32[T number](v T) uint32 {
+	if isFloat[T]() {
+		return math.Float32bits(float32(v))
+	}
+	return uint32(v)
+}
+
+func of64[T number](w uint64) T {
+	if isFloat[T]() {
+		return T(math.Float64frombits(w))
+	}
+	return T(w)
+}
+
+func of32[T number](w uint32) T {
+	if isFloat[T]() {
+		return T(math.Float32frombits(w))
+	}
+	return T(w)
+}
+
+// The move kernels of the 8- and 4-byte slice kinds: four elements a
+// round through fixed-size windows, which is what lets the compiler check
+// bounds once a round and not once an element, then a scalar tail.
+// len(dst) or len(src) is the element size times len(s).
+
+func put64[T number](dst []byte, s []T) {
+	for ; len(s) >= 4 && len(dst) >= 32; dst, s = dst[32:], s[4:] {
+		d, v := dst[:32:32], s[:4:4]
+		binary.LittleEndian.PutUint64(d[0:], bits64(v[0]))
+		binary.LittleEndian.PutUint64(d[8:], bits64(v[1]))
+		binary.LittleEndian.PutUint64(d[16:], bits64(v[2]))
+		binary.LittleEndian.PutUint64(d[24:], bits64(v[3]))
+	}
+	for i, v := range s {
+		binary.LittleEndian.PutUint64(dst[8*i:], bits64(v))
+	}
+}
+
+func get64[T number](s []T, src []byte) {
+	for ; len(s) >= 4 && len(src) >= 32; src, s = src[32:], s[4:] {
+		d, v := src[:32:32], s[:4:4]
+		v[0] = of64[T](binary.LittleEndian.Uint64(d[0:]))
+		v[1] = of64[T](binary.LittleEndian.Uint64(d[8:]))
+		v[2] = of64[T](binary.LittleEndian.Uint64(d[16:]))
+		v[3] = of64[T](binary.LittleEndian.Uint64(d[24:]))
+	}
+	for i := range s {
+		s[i] = of64[T](binary.LittleEndian.Uint64(src[8*i:]))
+	}
+}
+
+func put32[T number](dst []byte, s []T) {
+	for ; len(s) >= 4 && len(dst) >= 16; dst, s = dst[16:], s[4:] {
+		d, v := dst[:16:16], s[:4:4]
+		binary.LittleEndian.PutUint32(d[0:], bits32(v[0]))
+		binary.LittleEndian.PutUint32(d[4:], bits32(v[1]))
+		binary.LittleEndian.PutUint32(d[8:], bits32(v[2]))
+		binary.LittleEndian.PutUint32(d[12:], bits32(v[3]))
+	}
+	for i, v := range s {
+		binary.LittleEndian.PutUint32(dst[4*i:], bits32(v))
+	}
+}
+
+func get32[T number](s []T, src []byte) {
+	for ; len(s) >= 4 && len(src) >= 16; src, s = src[16:], s[4:] {
+		d, v := src[:16:16], s[:4:4]
+		v[0] = of32[T](binary.LittleEndian.Uint32(d[0:]))
+		v[1] = of32[T](binary.LittleEndian.Uint32(d[4:]))
+		v[2] = of32[T](binary.LittleEndian.Uint32(d[8:]))
+		v[3] = of32[T](binary.LittleEndian.Uint32(d[12:]))
+	}
+	for i := range s {
+		s[i] = of32[T](binary.LittleEndian.Uint32(src[4*i:]))
+	}
 }
 
 // window sets *p to n elements, in its own backing array when n fits,
@@ -126,13 +188,13 @@ func window[T any](p *[]T, n, lead, body int) []T {
 	return s[lead : lead+body]
 }
 
-// intSpan is span for a slice of integers.
-func intSpan[T integer](s []T) (lead, body int) {
+// numSpan is span for a slice of numbers: what it trims is all bits zero.
+func numSpan[T number](s []T) (lead, body int) {
 	end := len(s)
-	for lead < end && s[lead] == 0 {
+	for lead < end && bits64(s[lead]) == 0 {
 		lead++
 	}
-	for end > lead && s[end-1] == 0 {
+	for end > lead && bits64(s[end-1]) == 0 {
 		end--
 	}
 	return lead, end - lead
@@ -147,11 +209,16 @@ type scalarVar struct {
 	store func(uint64)
 }
 
-func intScalar[T integer](p *T) scalarVar {
-	class, width := intShape[T]()
+func numScalar[T number](p *T) scalarVar {
+	class, width := numShape[T]()
+	if width == 8 {
+		return scalarVar{class, width,
+			func() uint64 { return bits64(*p) },
+			func(v uint64) { *p = of64[T](v) }}
+	}
 	return scalarVar{class, width,
-		func() uint64 { return uint64(*p) },
-		func(v uint64) { *p = T(v) }}
+		func() uint64 { return uint64(bits32(*p)) },
+		func(v uint64) { *p = of32[T](uint32(v)) }}
 }
 
 func (x scalarVar) shape() (byte, int) { return x.class, x.width }
@@ -200,7 +267,7 @@ type bytesVar struct{ p *[]byte }
 
 func (x bytesVar) shape() (byte, int)       { return classUint | kindSlice, 1 }
 func (x bytesVar) count() int               { return len(*x.p) }
-func (x bytesVar) span() (int, int)         { return intSpan(*x.p) }
+func (x bytesVar) span() (int, int)         { return numSpan(*x.p) }
 func (x bytesVar) put(dst []byte, lead int) { copy(dst, (*x.p)[lead:]) }
 
 func (x bytesVar) get(src []byte, n, lead int) error {
@@ -208,23 +275,23 @@ func (x bytesVar) get(src []byte, n, lead int) error {
 	return nil
 }
 
-// intSlice is a slice of any integer type but byte.
-type intSlice[T integer] struct {
+// numSlice is a slice of any numeric type but byte.
+type numSlice[T number] struct {
 	p     *[]T
 	class byte
 	width int
 }
 
-func intSliceOf[T integer](p *[]T) intSlice[T] {
-	class, width := intShape[T]()
-	return intSlice[T]{p, class, width}
+func numSliceOf[T number](p *[]T) numSlice[T] {
+	class, width := numShape[T]()
+	return numSlice[T]{p, class, width}
 }
 
-func (x intSlice[T]) shape() (byte, int) { return x.class | kindSlice, x.width }
-func (x intSlice[T]) count() int         { return len(*x.p) }
-func (x intSlice[T]) span() (int, int)   { return intSpan(*x.p) }
+func (x numSlice[T]) shape() (byte, int) { return x.class | kindSlice, x.width }
+func (x numSlice[T]) count() int         { return len(*x.p) }
+func (x numSlice[T]) span() (int, int)   { return numSpan(*x.p) }
 
-func (x intSlice[T]) put(dst []byte, lead int) {
+func (x numSlice[T]) put(dst []byte, lead int) {
 	s := (*x.p)[lead : lead+len(dst)/x.width]
 	switch x.width {
 	case 1:
@@ -236,17 +303,13 @@ func (x intSlice[T]) put(dst []byte, lead int) {
 			binary.LittleEndian.PutUint16(dst[2*i:], uint16(v))
 		}
 	case 4:
-		for i, v := range s {
-			binary.LittleEndian.PutUint32(dst[4*i:], uint32(v))
-		}
+		put32(dst, s)
 	default:
-		for i, v := range s {
-			binary.LittleEndian.PutUint64(dst[8*i:], uint64(v))
-		}
+		put64(dst, s)
 	}
 }
 
-func (x intSlice[T]) get(src []byte, n, lead int) error {
+func (x numSlice[T]) get(src []byte, n, lead int) error {
 	s := window(x.p, n, lead, len(src)/x.width)
 	switch x.width {
 	case 1:
@@ -258,78 +321,9 @@ func (x intSlice[T]) get(src []byte, n, lead int) error {
 			s[i] = T(binary.LittleEndian.Uint16(src[2*i:]))
 		}
 	case 4:
-		for i := range s {
-			s[i] = T(binary.LittleEndian.Uint32(src[4*i:]))
-		}
+		get32(s, src)
 	default:
-		for i := range s {
-			s[i] = T(binary.LittleEndian.Uint64(src[8*i:]))
-		}
-	}
-	return nil
-}
-
-// The float slices compare and move bit patterns, so -0 is not a zero
-// to trim and a NaN keeps its payload.
-
-type f64Slice struct{ p *[]float64 }
-
-func (x f64Slice) shape() (byte, int) { return classFloat | kindSlice, 8 }
-func (x f64Slice) count() int         { return len(*x.p) }
-
-func (x f64Slice) span() (lead, body int) {
-	s := *x.p
-	end := len(s)
-	for lead < end && math.Float64bits(s[lead]) == 0 {
-		lead++
-	}
-	for end > lead && math.Float64bits(s[end-1]) == 0 {
-		end--
-	}
-	return lead, end - lead
-}
-
-func (x f64Slice) put(dst []byte, lead int) {
-	for i, v := range (*x.p)[lead : lead+len(dst)/8] {
-		binary.LittleEndian.PutUint64(dst[8*i:], math.Float64bits(v))
-	}
-}
-
-func (x f64Slice) get(src []byte, n, lead int) error {
-	s := window(x.p, n, lead, len(src)/8)
-	for i := range s {
-		s[i] = math.Float64frombits(binary.LittleEndian.Uint64(src[8*i:]))
-	}
-	return nil
-}
-
-type f32Slice struct{ p *[]float32 }
-
-func (x f32Slice) shape() (byte, int) { return classFloat | kindSlice, 4 }
-func (x f32Slice) count() int         { return len(*x.p) }
-
-func (x f32Slice) span() (lead, body int) {
-	s := *x.p
-	end := len(s)
-	for lead < end && math.Float32bits(s[lead]) == 0 {
-		lead++
-	}
-	for end > lead && math.Float32bits(s[end-1]) == 0 {
-		end--
-	}
-	return lead, end - lead
-}
-
-func (x f32Slice) put(dst []byte, lead int) {
-	for i, v := range (*x.p)[lead : lead+len(dst)/4] {
-		binary.LittleEndian.PutUint32(dst[4*i:], math.Float32bits(v))
-	}
-}
-
-func (x f32Slice) get(src []byte, n, lead int) error {
-	s := window(x.p, n, lead, len(src)/4)
-	for i := range s {
-		s[i] = math.Float32frombits(binary.LittleEndian.Uint32(src[4*i:]))
+		get64(s, src)
 	}
 	return nil
 }

@@ -816,7 +816,8 @@ func (s *Session) swapPointActive() error {
 // error describes why the swap must abort; it never fails the run.
 func (s *Session) transferOut(sw SwapDirective, newEpoch uint64) error {
 	start := s.tl.Now()
-	// One copy on this side: variable -> s.buf, behind the epoch.
+	// One copy on this side: variable -> s.buf, behind the epoch; Send
+	// writes s.buf to the socket.
 	payload, err := s.state.appendTo(binary.BigEndian.AppendUint64(s.buf[:0], newEpoch))
 	if err != nil {
 		return fmt.Errorf("state encode: %w", err)

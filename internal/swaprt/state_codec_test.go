@@ -539,6 +539,13 @@ func FuzzStateDecode(f *testing.F) {
 		f.Add(patched(blob, func(b []byte) { b[at-2] |= kindTrimmed; binary.LittleEndian.PutUint64(b[at:], 1<<20) }))
 	}
 	f.Add(patched(blob, func(b []byte) { binary.LittleEndian.PutUint64(b[len(b)-8:], 1<<50) }))
+	// Slices that are one round of a move kernel and a tail, fully written.
+	tails := newStateSet()
+	(&rawKinds{SF64: oddF64[:7], SF32: oddF32[:5], SI32: []int32{-1, 2, -3, 4, -5, 6}, SU64: []uint64{1, 2, 3, 4, math.MaxUint64}}).register(tails)
+	if blob, err = tails.appendTo(nil); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(blob)
 
 	const zerosLimit = 1 << 16
 	f.Fuzz(func(t *testing.T, data []byte) {
