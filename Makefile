@@ -63,9 +63,10 @@ bench-transport:
 # Aggregate benchmark evidence into one schema-stable artifact
 # (results/BENCH_summary.json, uploaded by CI): fresh runs of the
 # transport gate benchmarks, the policy-lens disabled-path benchmarks
-# and the state codec (BenchmarkStateCodec/{4KiB,1MiB}: one checkpoint
-# save + load, MB/s and allocations; the hard 0-alloc gate on the codec
-# is TestStateCodecAllocations, a plain test under `make test`) and the
+# and the state codec (BenchmarkStateCodec/{4KiB,4KiB+struct,1MiB}: one
+# checkpoint save + load, MB/s and allocations; benchagg holds the
+# 4KiB+struct case, the shape bench/ registers, at 0 allocs/op, beside
+# TestStateCodecAllocations, a plain test under `make test`) and the
 # simulator (results/bench-sim.txt: Fig. 4 and Fig. 7 at quick size, what
 # a cell pays before them — one stream seeded and read twelve times, one
 # 32-host environment — the kernel's event throughput, the policy decision

@@ -66,12 +66,16 @@ func BenchmarkLiveSwapRoundTrip(b *testing.B) {
 // BenchmarkStateCodec measures the registered-state codec alone, through
 // the checkpoint calls: one SaveCheckpoint and one LoadCheckpoint of a
 // seeded []float64 (a zero-filled one would ship as a count) per
-// iteration, at the swap benchmark's two state sizes.
+// iteration, at the swap benchmark's two state sizes. 4KiB+struct is the
+// shape bench/ registers (an int, a four-field struct, the grid): the
+// struct is bound field by field at Register, so it allocates nothing
+// (cmd/benchagg gates that).
 func BenchmarkStateCodec(b *testing.B) {
 	for _, size := range []struct {
-		name  string
-		bytes int
-	}{{"4KiB", 4 << 10}, {"1MiB", 1 << 20}} {
+		name     string
+		bytes    int
+		withMeta bool
+	}{{"4KiB", 4 << 10, false}, {"4KiB+struct", 4 << 10, true}, {"1MiB", 1 << 20, false}} {
 		b.Run(size.name, func(b *testing.B) {
 			grid := make([]float64, size.bytes/8)
 			rng := rand.New(rand.NewSource(20030623))
@@ -79,12 +83,20 @@ func BenchmarkStateCodec(b *testing.B) {
 				grid[i] = rng.NormFloat64()
 			}
 			iter := 1
+			meta := struct {
+				Seed, Step int64
+				Pos        int32
+				Label      string
+			}{20030623, 1, 1, "swap-small"}
 			err := swaprt.Run(mpi.NewWorld(1), swaprt.Config{
 				Active: 1,
 				Probe:  func(int) float64 { return 1 },
 			}, func(s *swaprt.Session) error {
 				s.Register("iter", &iter)
 				s.Register("grid", &grid)
+				if size.withMeta {
+					s.Register("meta", &meta)
+				}
 				var blob bytes.Buffer
 				b.SetBytes(int64(size.bytes))
 				b.ReportAllocs()

@@ -12,7 +12,9 @@
 // holds BenchmarkLocalDeciderDecide/history=20k within 2x of
 // /history=256: a decision's cost may not grow with the history behind
 // it. A third holds BenchmarkTCPXfer/1MiB under 64 KiB/op: a state
-// transfer through the mesh allocates no state-sized buffer.
+// transfer through the mesh allocates no state-sized buffer. A fourth
+// holds BenchmarkStateCodec/4KiB+struct at 0 allocs/op: a registered
+// struct is bound field by field at Register and a swap compiles nothing.
 //
 // Usage:
 //
@@ -172,6 +174,7 @@ func applyGates(benches []Bench, zeroAlloc *regexp.Regexp) []Gate {
 	}
 	gates = append(gates, flatCostGate(benches))
 	gates = append(gates, xferBytesGate(benches))
+	gates = append(gates, structCodecGate(benches))
 	gates = append(gates, Gate{
 		Name: "benchmarks-ran", Pass: len(benches) > 0,
 		Detail: fmt.Sprintf("%d aggregated benchmark rows", len(benches)),
@@ -228,6 +231,25 @@ func xferBytesGate(benches []Bench) Gate {
 		if b.Name == xferBench {
 			g.Pass = b.BOp < xferMaxBytes
 			g.Detail = fmt.Sprintf("%s allocates %d B/op, want < %d", xferBench, b.BOp, xferMaxBytes)
+		}
+	}
+	return g
+}
+
+// The benchmark workloads' registration (an int, a four-field struct, a
+// 4 KiB grid) saves and loads without allocating: the struct travels as
+// its fields. One that fell back to the gob section would show as the
+// decoder engine gob compiles per stream (178 allocations).
+const structCodecBench = "BenchmarkStateCodec/4KiB+struct"
+
+// structCodecGate holds the benchmark's worst allocs/op at 0. Like the
+// other gates it fails when the benchmark never ran.
+func structCodecGate(benches []Bench) Gate {
+	g := Gate{Name: "struct-codec-no-alloc", Detail: structCodecBench + " did not run"}
+	for _, b := range benches {
+		if b.Name == structCodecBench {
+			g.Pass = b.AllocsOp == 0
+			g.Detail = fmt.Sprintf("%s reports %d allocs/op, want 0", structCodecBench, b.AllocsOp)
 		}
 	}
 	return g

@@ -80,7 +80,7 @@ func TestZeroAllocGate(t *testing.T) {
 	re := regexp.MustCompile(`^BenchmarkTCPSendDistinctRanks$`)
 
 	gates := applyGates(benches, re)
-	if len(gates) != 4 || !gates[0].Pass || !gates[3].Pass {
+	if len(gates) != 5 || !gates[0].Pass || !gates[4].Pass {
 		t.Fatalf("clean input should pass the zero-alloc and benchmarks-ran gates: %+v", gates)
 	}
 
@@ -142,6 +142,27 @@ func TestXferBytesGate(t *testing.T) {
 		{"only the other sizes ran", "BenchmarkTCPXfer/4KiB-2 \t 2000\t 40987 ns/op\t 99.93 MB/s\t 0 B/op\t 0 allocs/op\n", false},
 	} {
 		if g := xferBytesGate(aggregate(parseBench("bench-transport.txt", c.text))); g.Pass != c.pass {
+			t.Errorf("%s: gate %+v, want pass=%v", c.name, g, c.pass)
+		}
+	}
+}
+
+// The struct-codec gate holds the benchmark workloads' registration at
+// 0 allocs/op in its worst run, and fails when the benchmark never ran.
+func TestStructCodecGate(t *testing.T) {
+	row := func(allocs string) string {
+		return "BenchmarkStateCodec/4KiB+struct-2 \t 1144156\t 1114 ns/op\t3677.31 MB/s\t 0 B/op\t " + allocs + " allocs/op\n"
+	}
+	for _, c := range []struct {
+		name string
+		text string
+		pass bool
+	}{
+		{"struct copied field by field", row("0") + row("0") + row("0"), true},
+		{"one run went through gob", row("0") + row("188") + row("0"), false},
+		{"only the plain sizes ran", "BenchmarkStateCodec/4KiB-2 \t 1526006\t 794.5 ns/op\t5155.57 MB/s\t 0 B/op\t 0 allocs/op\n", false},
+	} {
+		if g := structCodecGate(aggregate(parseBench("bench-codec.txt", c.text))); g.Pass != c.pass {
 			t.Errorf("%s: gate %+v, want pass=%v", c.name, g, c.pass)
 		}
 	}

@@ -44,9 +44,7 @@ func runJacobi2DWithSwap(t *testing.T, j Jacobi2D, iters int, tol float64) {
 			st = &Jacobi2DState{}
 		}
 		s.Register("iter", &iter)
-		s.Register("grid", &st.Grid)
-		s.Register("loRow", &st.LoRow)
-		s.Register("rows", &st.Rows)
+		s.Register("st", st) // every field exported and raw: bound field by field, no gob
 		for !s.Done() && iter < iters {
 			if s.Active() {
 				if _, err := j.Step(s.Comm(), st); err != nil {

@@ -32,6 +32,8 @@ func nbodyUnderRuntime(t *testing.T, worldSize, active int, probe func(int) floa
 			st = &NBodyState{}
 		}
 		s.Register("iter", &iter)
+		// Field by field: allX and allY are unexported scratch, so &st would
+		// travel through gob, which also zeroes them on every swap-in.
 		s.Register("lo", &st.Lo)
 		s.Register("x", &st.X)
 		s.Register("y", &st.Y)
@@ -118,8 +120,7 @@ func TestJacobiUnderRuntimeConverges(t *testing.T) {
 			st = &JacobiState{}
 		}
 		s.Register("iter", &iter)
-		s.Register("local", &st.Local)
-		s.Register("lo", &st.Lo)
+		s.Register("st", st) // every field exported and raw: bound field by field, no gob
 		for !s.Done() && iter < iters {
 			if s.Active() {
 				if _, err := j.Step(s.Comm(), st); err != nil {

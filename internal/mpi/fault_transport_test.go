@@ -182,7 +182,7 @@ func TestFaultTransportCloseDuringDelay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r0 := &Rank{w: w, rank: 0}
+	r0 := newRank(w, 0)
 	sendErr := make(chan error, 1)
 	go func() { sendErr <- r0.World().Send(1, 1, []byte("doomed")) }()
 
@@ -210,7 +210,7 @@ func TestFaultTransportDelaySkippedAfterClose(t *testing.T) {
 		t.Fatal(err)
 	}
 	w.Close()
-	r0 := &Rank{w: w, rank: 0}
+	r0 := newRank(w, 0)
 	if err := r0.World().Send(1, 1, []byte("doomed")); !errors.Is(err, ErrWorldClosed) {
 		t.Fatalf("send on closed world returned %v, want ErrWorldClosed", err)
 	}
@@ -235,7 +235,7 @@ func TestRecvTimeoutOnFakeClock(t *testing.T) {
 		t.Fatal("World.Clock() did not report the injected clock")
 	}
 	defer w.Close()
-	r0 := &Rank{w: w, rank: 0}
+	r0 := newRank(w, 0)
 	recvErr := make(chan error, 1)
 	go func() {
 		_, _, err := r0.World().RecvTimeout(0, 3, 5*time.Second)

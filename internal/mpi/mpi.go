@@ -63,11 +63,17 @@ type mailbox struct {
 	cond   *sync.Cond
 	queue  []envelope
 	closed bool
+	wake   func() // broadcasts on cond: what a receive's deadline timer runs
 }
 
 func newMailbox() *mailbox {
 	m := &mailbox{}
 	m.cond = sync.NewCond(&m.mu)
+	m.wake = func() {
+		m.mu.Lock()
+		m.cond.Broadcast()
+		m.mu.Unlock()
+	}
 	return m
 }
 
@@ -120,20 +126,23 @@ func (m *mailbox) pop(comm uint64, src, tag int) (envelope, error) {
 }
 
 // popDeadline is pop with a deadline on clk's timeline: it returns
-// ErrRecvTimeout once the deadline passes with no matching message. The
-// wake-up is driven by a timer that broadcasts on the mailbox condition,
-// so waiters re-check the clock without polling. The fake clock fires
-// AfterFunc callbacks on their own goroutines, so the broadcast locking
-// m.mu cannot deadlock against a driver advancing the clock.
+// ErrRecvTimeout once the deadline passes with no matching message. A
+// message that is already queued is taken without a timer; a receive
+// that has to wait arms one that broadcasts on the mailbox condition, so
+// waiters re-check the clock without polling, and looks at the clock once
+// more after arming it, so a deadline that passed in between is not slept
+// through. The fake clock fires AfterFunc callbacks on their own
+// goroutines, so the broadcast locking m.mu cannot deadlock against a
+// driver advancing the clock.
 func (m *mailbox) popDeadline(clk clock.Clock, comm uint64, src, tag int, deadline time.Time) (envelope, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	timer := clk.AfterFunc(clk.Until(deadline), func() {
-		m.mu.Lock()
-		m.cond.Broadcast()
-		m.mu.Unlock()
-	})
-	defer timer.Stop()
+	var timer *clock.Timer
+	defer func() {
+		if timer != nil {
+			timer.Stop()
+		}
+	}()
 	for {
 		if env, ok := m.match(comm, src, tag, true); ok {
 			return env, nil
@@ -143,6 +152,10 @@ func (m *mailbox) popDeadline(clk clock.Clock, comm uint64, src, tag int, deadli
 		}
 		if !clk.Now().Before(deadline) {
 			return envelope{}, ErrRecvTimeout
+		}
+		if timer == nil {
+			timer = clk.AfterFunc(clk.Until(deadline), m.wake)
+			continue
 		}
 		m.cond.Wait()
 	}
@@ -381,7 +394,7 @@ func (w *World) Run(fn func(r *Rank) error) error {
 					w.Close()
 				}
 			}()
-			errs[rank] = fn(&Rank{w: w, rank: rank})
+			errs[rank] = fn(newRank(w, rank))
 		}(i)
 	}
 	wg.Wait()
@@ -418,8 +431,18 @@ func (w *World) Causal() *obs.Causal { return w.causal }
 
 // Rank is one process's handle on the world.
 type Rank struct {
-	w    *World
-	rank int
+	w     *World
+	rank  int
+	world *Comm // built once: a Comm is immutable
+}
+
+func newRank(w *World, rank int) *Rank {
+	members := make([]int, w.size)
+	for i := range members {
+		members[i] = i
+	}
+	return &Rank{w: w, rank: rank,
+		world: &Comm{w: w, me: rank, id: worldCommID, members: members}}
 }
 
 // Rank reports this process's world rank.
@@ -429,13 +452,7 @@ func (r *Rank) Rank() int { return r.rank }
 func (r *Rank) Size() int { return r.w.size }
 
 // World returns the world communicator, containing every rank.
-func (r *Rank) World() *Comm {
-	members := make([]int, r.w.size)
-	for i := range members {
-		members[i] = i
-	}
-	return &Comm{w: r.w, me: r.rank, id: worldCommID, members: members}
-}
+func (r *Rank) World() *Comm { return r.world }
 
 // inprocTransport delivers envelopes by direct mailbox push.
 type inprocTransport struct{ w *World }

@@ -53,7 +53,7 @@ func TestTCPStreamAdmission(t *testing.T) {
 			if _, err := conn.Write(tc.stream); err != nil {
 				t.Fatal(err)
 			}
-			r0, r1 := (&Rank{w: w, rank: 0}).World(), (&Rank{w: w, rank: 1}).World()
+			r0, r1 := newRank(w, 0).World(), newRank(w, 1).World()
 			if tc.deliver {
 				data, st, err := r1.RecvTimeout(0, 5, 2*time.Second)
 				if err != nil {

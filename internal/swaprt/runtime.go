@@ -301,7 +301,16 @@ func (s *Session) Comm() *mpi.Comm {
 // ranks must register the same names (they run the same program) before
 // the first SwapPoint. Fixed-width scalars, strings, []byte and slices of
 // fixed-width numerics are copied straight between the variable and the
-// message; any other type is gob-encoded.
+// message. So is a struct whose fields are all exported and of those
+// types, or structs of them, nested or embedded: it is bound field by
+// field here, as name.Field, exactly as if each field had been registered
+// under that name (which is therefore taken). Any other type is
+// gob-encoded whole, and a struct with one field outside the rule — a
+// map, pointer, interface, array, []string, slice of structs, named type
+// or unexported field, or a type with its own GobEncode or MarshalBinary
+// or MarshalText — is such a type: gob rebuilds it from zero on the
+// receiving rank, unexported fields included, and costs a decoder
+// compiled per swap.
 func (s *Session) Register(name string, ptr any) {
 	s.state.register(name, ptr)
 }
@@ -655,8 +664,10 @@ func (s *Session) swapPointActive() error {
 				s.cfg.Logf("%v", err)
 				return err
 			}
-			s.emit(obs.Event{Kind: obs.KindManagerAssign, Rank: s.r.Rank(),
-				Peer: sw.In, Epoch: s.epoch, Detail: fmt.Sprintf("state from rank %d", sw.Out)})
+			if s.tr.Enabled() { // the Detail is built only for a tracer that is on
+				s.emit(obs.Event{Kind: obs.KindManagerAssign, Rank: s.r.Rank(),
+					Peer: sw.In, Epoch: s.epoch, Detail: fmt.Sprintf("state from rank %d", sw.Out)})
+			}
 		}
 	}
 

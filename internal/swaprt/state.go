@@ -12,6 +12,7 @@ package swaprt
 
 import (
 	"bytes"
+	"encoding"
 	"encoding/binary"
 	"encoding/gob"
 	"errors"
@@ -19,7 +20,7 @@ import (
 	"math"
 	"reflect"
 	"slices"
-	"sort"
+	"strings"
 )
 
 // The state format (DESIGN.md §20 has the byte-layout table). All
@@ -112,12 +113,15 @@ type rawVar interface {
 	get(src []byte, n, lead int) error
 }
 
-// stateVar is one registered variable. raw is nil for a type the raw
-// kinds do not cover: that variable travels in the gob section.
+// stateVar is one entry of the state: a registered variable, or one
+// field of a registered struct that was flattened (of is then the name
+// the struct was registered under; otherwise it equals name). raw is nil
+// for a type the raw kinds do not cover: that variable travels in the gob
+// section.
 type stateVar struct {
-	name string
-	ptr  any
-	raw  rawVar
+	name, of string
+	ptr      any
+	raw      rawVar
 }
 
 // stateSet holds the variables registered for transfer on swap, sorted
@@ -140,25 +144,100 @@ type stateSet struct {
 
 func newStateSet() *stateSet { return &stateSet{zerosLimit: maxZerosAlloc} }
 
-// register adds a pointer under name. Re-registering a name panics: it is
-// always an application bug.
+// register adds a pointer under name. A raw kind is one entry; a
+// flattenable struct (see flatten) is one raw entry per field, named
+// name.Field, so a swap moves it as it moves the same fields registered
+// one by one; anything else is one gob entry. reflect runs here and not on
+// a swap. Re-registering a name panics: it is always an application bug.
 func (ss *stateSet) register(name string, ptr any) {
 	if ptr == nil {
 		panic(fmt.Sprintf("swaprt: Register(%q, nil)", name))
 	}
-	if len(name) > math.MaxUint16 {
-		panic(fmt.Sprintf("swaprt: Register: name of %d bytes", len(name)))
+	for _, v := range ss.vars {
+		if v.of == name {
+			panic(fmt.Sprintf("swaprt: state %q registered twice", name))
+		}
 	}
-	i := sort.Search(len(ss.vars), func(i int) bool { return ss.vars[i].name >= name })
-	if i < len(ss.vars) && ss.vars[i].name == name {
-		panic(fmt.Sprintf("swaprt: state %q registered twice", name))
+	entries := []stateVar{{name: name, ptr: ptr, raw: bindRaw(ptr)}}
+	if entries[0].raw == nil {
+		if fields := flatten(nil, name, reflect.ValueOf(ptr)); fields != nil {
+			entries = fields
+		}
 	}
-	v := stateVar{name: name, ptr: ptr, raw: bindRaw(ptr)}
-	if v.raw == nil {
-		ss.nGob++
-		ss.gobStale = true
+	// Every check before the first insert: a refused registration adds
+	// nothing.
+	for _, e := range entries {
+		if len(e.name) > math.MaxUint16 {
+			panic(fmt.Sprintf("swaprt: Register: name of %d bytes", len(e.name)))
+		}
+		if i, found := ss.find(e.name); found {
+			panic(fmt.Sprintf("swaprt: state %q registered twice: by Register(%q) and by Register(%q)",
+				e.name, ss.vars[i].of, name))
+		}
 	}
-	ss.vars = slices.Insert(ss.vars, i, v)
+	for _, e := range entries {
+		e.of = name
+		if e.raw == nil {
+			ss.nGob++
+			ss.gobStale = true
+		}
+		i, _ := ss.find(e.name)
+		ss.vars = slices.Insert(ss.vars, i, e)
+	}
+}
+
+// find is the position of name in vars, or where it would be inserted.
+func (ss *stateSet) find(name string) (int, bool) {
+	return slices.BinarySearchFunc(ss.vars, name, func(v stateVar, name string) int {
+		return strings.Compare(v.name, name)
+	})
+}
+
+// The interfaces through which a type chooses its own gob encoding.
+var selfEncoding = []reflect.Type{
+	reflect.TypeFor[gob.GobEncoder](), reflect.TypeFor[gob.GobDecoder](),
+	reflect.TypeFor[encoding.BinaryMarshaler](), reflect.TypeFor[encoding.BinaryUnmarshaler](),
+	reflect.TypeFor[encoding.TextMarshaler](), reflect.TypeFor[encoding.TextUnmarshaler](),
+}
+
+// flatten appends one raw entry per field of the struct ptr points at,
+// depth-first through nested and embedded structs, each named
+// prefix.Field and bound on the field's address. It returns nil unless
+// the struct is flattenable: at least one field, every field exported
+// and of a raw kind or itself a flattenable struct, and no struct on the
+// way encoding itself. It is all or nothing. A nil pointer or interface
+// field is legal inside a gob struct but not as a gob value of its own,
+// and the gob path zeroes the receiver's whole struct, unexported fields
+// included, which entries for the exported ones would not: such a struct
+// stays one gob entry.
+func flatten(out []stateVar, prefix string, ptr reflect.Value) []stateVar {
+	if ptr.Kind() != reflect.Pointer || ptr.IsNil() || ptr.Elem().Kind() != reflect.Struct {
+		return nil
+	}
+	v := ptr.Elem()
+	for _, iface := range selfEncoding {
+		// The pointer type's method set holds the struct type's too.
+		if ptr.Type().Implements(iface) {
+			return nil
+		}
+	}
+	if v.NumField() == 0 {
+		return nil
+	}
+	for i := 0; i < v.NumField(); i++ {
+		f := v.Type().Field(i)
+		if !f.IsExported() {
+			return nil
+		}
+		name, fp := prefix+"."+f.Name, v.Field(i).Addr()
+		p := fp.Interface()
+		if raw := bindRaw(p); raw != nil {
+			out = append(out, stateVar{name: name, ptr: p, raw: raw})
+		} else if out = flatten(out, name, fp); out == nil {
+			return nil
+		}
+	}
+	return out
 }
 
 // names returns the registered names in sorted order.

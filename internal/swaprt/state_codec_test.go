@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/gob"
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
@@ -136,8 +137,17 @@ func TestStateDecodeRejects(t *testing.T) {
 	}
 }
 
-// rawKinds is one variable of every raw kind, plus a gob one so the two
-// sections are exercised together.
+// benchMeta is the struct the benchmark's live workloads register.
+type benchMeta struct {
+	Seed  int64
+	Step  int64
+	Pos   int32
+	Label string
+}
+
+// rawKinds is one variable of every raw kind, a struct that is flattened
+// into four more, plus a gob one so the two sections are exercised
+// together.
 type rawKinds struct {
 	I   int
 	I8  int8
@@ -168,6 +178,8 @@ type rawKinds struct {
 	SUP   []uintptr
 	SF32  []float32
 	SF64  []float64
+
+	Meta benchMeta
 
 	Gob map[string][]int
 }
@@ -224,7 +236,8 @@ func randomKinds(rng *rand.Rand) *rawKinds {
 		UP:  uintptr(rng.Uint64()),
 		F32: oddF32[rng.Intn(len(oddF32))], F64: oddF64[rng.Intn(len(oddF64))],
 		B: rng.Intn(2) == 0, S: strings.Repeat("état ", rng.Intn(4)),
-		Gob: map[string][]int{"k": {rng.Int()}},
+		Meta: benchMeta{Seed: rng.Int63(), Step: int64(rng.Intn(2)), Pos: int32(rng.Uint64()), Label: strings.Repeat("m", rng.Intn(3))},
+		Gob:  map[string][]int{"k": {rng.Int()}},
 	}
 	v := reflect.ValueOf(k).Elem()
 	for i := 0; i < v.NumField(); i++ {
@@ -247,10 +260,18 @@ func randomKinds(rng *rand.Rand) *rawKinds {
 	return k
 }
 
-// sameBits compares two values of a raw kind bit for bit (a NaN equals
-// itself, -0 does not equal 0), treating nil and empty slices alike.
+// sameBits compares two values of a raw kind, or structs of them, bit for
+// bit (a NaN equals itself, -0 does not equal 0), treating nil and empty
+// slices alike.
 func sameBits(a, b reflect.Value) bool {
 	switch a.Kind() {
+	case reflect.Struct:
+		for i := 0; i < a.NumField(); i++ {
+			if !sameBits(a.Field(i), b.Field(i)) {
+				return false
+			}
+		}
+		return true
 	case reflect.Slice:
 		if a.Len() != b.Len() {
 			return false
@@ -375,9 +396,10 @@ func TestStateTrimsZeros(t *testing.T) {
 }
 
 // pureRaw is a state set the gob section plays no part in: the shape of
-// an iterative solver's registered state.
+// an iterative solver's registered state, its bookkeeping struct included.
 func pureRaw(n int) *stateSet {
 	iter, step, label := 7, 0.125, "solver"
+	meta := benchMeta{Seed: 20030623, Step: 7, Pos: 1, Label: "swap-small"}
 	grid, idx, raw := make([]float64, n), make([]int32, n/4), make([]byte, n/8)
 	for i := range grid {
 		grid[i] = float64(i) + 0.5
@@ -395,6 +417,10 @@ func pureRaw(n int) *stateSet {
 	ss.register("grid", &grid)
 	ss.register("idx", &idx)
 	ss.register("raw", &raw)
+	ss.register("meta", &meta)
+	if ss.nGob != 0 {
+		panic("pureRaw: the struct went to the gob section")
+	}
 	return ss
 }
 
@@ -481,6 +507,63 @@ func TestSwapLoopAllocatesNoStateSizedBuffer(t *testing.T) {
 	}
 }
 
+// TestSwapLoopObjectBudget is the small process's budget through a live
+// world: 2 active ranks and a spare over TCP, the benchmark workloads'
+// registration (a counter, a four-field struct, a 4 KiB grid) and a swap
+// forced at every iteration. Once the buffers are warm a swap allocates at
+// most 80 objects on all ranks together (≈ 60 measured; ≈ 244 while the
+// struct went through gob, whose decoder engine was compiled per swap-in).
+// Whatever a later change adds per swap shows here.
+func TestSwapLoopObjectBudget(t *testing.T) {
+	const warm, timed, budget = 10, 40, 80
+	w, err := mpi.NewTCPWorld(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt := &rateTable{rates: []float64{1000, 1000, 100}}
+	var before, after runtime.MemStats
+	rs, err := RunWithStats(w, Config{Active: 2, Policy: core.Greedy(), Probe: rt.probe},
+		func(s *Session) error {
+			iter := 0
+			meta := benchMeta{Seed: 20030623, Step: 1, Pos: 1, Label: "swap-small"}
+			grid := filled((4 << 10) / 8)
+			s.Register("iter", &iter)
+			s.Register("meta", &meta)
+			s.Register("grid", &grid)
+			for !s.Done() && iter <= warm+timed {
+				if s.Active() {
+					if c := s.Comm(); c.Rank() == 0 {
+						// The member at position 0 looks slow and the spare fast:
+						// one swap per iteration.
+						rt.set(s.Rank(), 100)
+						rt.set(c.WorldRank(1), 1000)
+						rt.set(3-s.Rank()-c.WorldRank(1), 2000)
+						switch iter {
+						case warm:
+							runtime.ReadMemStats(&before)
+						case warm + timed:
+							runtime.ReadMemStats(&after)
+						}
+					}
+					iter++
+				}
+				if err := s.SwapPoint(); err != nil {
+					return err
+				}
+			}
+			return nil
+		})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rs.Swaps < warm+timed {
+		t.Fatalf("%d swaps in %d iterations, want one each", rs.Swaps, warm+timed+1)
+	}
+	if perSwap := float64(after.Mallocs-before.Mallocs) / timed; perSwap > budget {
+		t.Errorf("a swap of 4 KiB of state allocated %.1f objects, want at most %d", perSwap, budget)
+	}
+}
+
 // TestMessageBufferKeptOnlyWhileSmall: the rank's message buffer is
 // reused from one checkpoint (or swap) to the next up to maxKeptBuf and
 // dropped beyond it, so a large process does not hold its state twice.
@@ -532,7 +615,7 @@ func FuzzStateDecode(f *testing.F) {
 	f.Add(blob)
 	f.Add(blob[:len(blob)/2])
 	f.Add(blob[:stateHdrLen])
-	for _, field := range []string{"SF64", "Bytes", "S", "SI16"} {
+	for _, field := range []string{"SF64", "Bytes", "S", "SI16", "Meta.Label"} {
 		// A lying count on one variable, wherever it sits in the blob.
 		at := bytes.Index(blob, append([]byte{byte(len(field)), 0}, field...)) + 2 + len(field) + 2
 		f.Add(patched(blob, func(b []byte) { binary.LittleEndian.PutUint64(b[at:], 1<<33) }))
@@ -584,4 +667,331 @@ func FuzzStateDecode(f *testing.F) {
 			}
 		}
 	})
+}
+
+// ------------------------------------------------------- flattened structs
+
+type flatScalars struct {
+	I   int
+	I8  int8
+	I16 int16
+	I32 int32
+	I64 int64
+	U   uint
+	U8  uint8
+	U16 uint16
+	U32 uint32
+	U64 uint64
+	UP  uintptr
+	F32 float32
+	F64 float64
+	B   bool
+	S   string
+}
+
+type flatSlices struct {
+	Bytes []byte
+	SI    []int
+	SI16  []int16
+	SU32  []uint32
+	SF32  []float32
+	SF64  []float64
+	Nil   []int64
+	Empty []float64
+}
+
+type FlatPoint struct {
+	X, Y float64
+	Tag  string
+}
+
+type flatNested struct {
+	N      int
+	Origin FlatPoint
+	Deep   struct {
+		At FlatPoint
+		K  []int32
+	}
+}
+
+type flatEmbedded struct {
+	FlatPoint
+	Extra int64
+}
+
+// fillJunk sets every field of the struct v to a non-zero value and every
+// slice to five non-zero elements: what a rank that was active before
+// still holds when it is swapped in.
+func fillJunk(v reflect.Value) {
+	switch v.Kind() {
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			fillJunk(v.Field(i))
+		}
+	case reflect.Slice:
+		s := reflect.MakeSlice(v.Type(), 5, 8)
+		for i := 0; i < 5; i++ {
+			fillJunk(s.Index(i))
+		}
+		v.Set(s)
+	case reflect.String:
+		v.SetString("junk")
+	case reflect.Bool:
+		v.SetBool(true)
+	case reflect.Float32, reflect.Float64:
+		v.SetFloat(9.5)
+	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+		v.SetInt(9)
+	default:
+		v.SetUint(9)
+	}
+}
+
+// TestFlattenedStructMatchesGob: a flattenable struct comes out of the
+// field-by-field path as it comes out of gob. The receiver is full of
+// junk, gob's target is zero (the gob path zeroes its receiver first), and
+// the two results agree field for field, nil and empty slices alike — so
+// a sender's zero field overwrites the receiver's value and a shorter
+// slice leaves nothing behind.
+func TestFlattenedStructMatchesGob(t *testing.T) {
+	padded := make([]float64, 64)
+	padded[20], padded[29] = 1.5, -2.5
+	nested := flatNested{N: -3, Origin: FlatPoint{X: 1, Tag: "o"}}
+	nested.Deep.At = FlatPoint{Y: math.Inf(-1)}
+	nested.Deep.K = []int32{0, 0, 7, 0}
+	for _, tc := range []struct {
+		name    string
+		src     any // pointer to the struct
+		entries int
+		gobOff  bool // gob is not the oracle: it drops a -0 field as a zero
+	}{
+		{"scalars of every width", &flatScalars{I: -1, I8: -8, I16: -16, I32: -32, I64: math.MinInt64,
+			U: 1, U8: 255, U16: 1 << 15, U32: 1 << 31, U64: math.MaxUint64, UP: 0xdeadbeef,
+			F32: -1.5, F64: math.SmallestNonzeroFloat64, B: true, S: "état"}, 15, false},
+		{"all zero", &flatScalars{}, 15, false},
+		{"slices", &flatSlices{Bytes: []byte{0, 1, 0}, SI: []int{-1, 2}, SI16: []int16{3}, SU32: []uint32{0, 0, 0},
+			SF32: []float32{1.5, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}, SF64: padded, Empty: []float64{}}, 8, false},
+		{"nested", &nested, 8, false},
+		{"embedded", &flatEmbedded{FlatPoint{X: 2, Y: 3, Tag: "e"}, 4}, 4, false},
+		{"the benchmark's meta", &benchMeta{Seed: 20030623, Step: 0, Pos: 2, Label: "swap-small"}, 4, false},
+		{"minus zero", &FlatPoint{X: math.Copysign(0, -1), Y: math.Float64frombits(0x7ff8000000000001)}, 3, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			typ := reflect.TypeOf(tc.src).Elem()
+			got, want := reflect.New(typ), reflect.New(typ)
+			fillJunk(got.Elem())
+
+			a, b := newStateSet(), newStateSet()
+			a.register("v", tc.src)
+			b.register("v", got.Interface())
+			if a.nGob != 0 || len(a.vars) != tc.entries {
+				t.Fatalf("registered as %d entries (%d gob): %v, want %d raw", len(a.vars), a.nGob, a.names(), tc.entries)
+			}
+			for _, v := range a.vars {
+				if !strings.HasPrefix(v.name, "v.") || v.of != "v" {
+					t.Fatalf("entry %q of %q, want a field of \"v\"", v.name, v.of)
+				}
+			}
+			size, err := a.encodedSize()
+			if err != nil {
+				t.Fatal(err)
+			}
+			blob, err := a.appendTo(nil)
+			if err != nil || len(blob) != size {
+				t.Fatalf("encoded %d bytes (%v), encodedSize said %d", len(blob), err, size)
+			}
+			if err := b.decode(blob); err != nil {
+				t.Fatal(err)
+			}
+
+			if !tc.gobOff {
+				var stream bytes.Buffer
+				if err := gob.NewEncoder(&stream).Encode(tc.src); err != nil {
+					t.Fatal(err)
+				}
+				if err := gob.NewDecoder(&stream).Decode(want.Interface()); err != nil {
+					t.Fatal(err)
+				}
+				if !sameBits(got.Elem(), want.Elem()) {
+					t.Fatalf("field by field: %+v\nthrough gob:    %+v", got.Elem(), want.Elem())
+				}
+			}
+			if !sameBits(got.Elem(), reflect.ValueOf(tc.src).Elem()) {
+				t.Fatalf("received %+v, sent %+v", got.Elem(), reflect.ValueOf(tc.src).Elem())
+			}
+		})
+	}
+}
+
+type (
+	namedGrid  []float64
+	selfGob    struct{ A, B int }
+	selfBinary struct{ A, B int }
+	keepsGob   struct {
+		A      int
+		hidden int
+	}
+)
+
+func (g selfGob) GobEncode() ([]byte, error) { return []byte{byte(g.A), byte(g.B)}, nil }
+func (g *selfGob) GobDecode(b []byte) error  { g.A, g.B = int(b[0]), int(b[1]); return nil }
+
+func (g selfBinary) MarshalBinary() ([]byte, error)  { return []byte{byte(g.B), byte(g.A)}, nil }
+func (g *selfBinary) UnmarshalBinary(b []byte) error { g.B, g.A = int(b[0]), int(b[1]); return nil }
+
+// TestStructsThatStayGob: one field a raw entry cannot carry, or a type
+// that encodes itself, keeps the whole variable in the gob section — one
+// entry under the registered name, decoded as before: into a receiver
+// zeroed first, unexported fields included.
+func TestStructsThatStayGob(t *testing.T) {
+	seven := 7
+	for _, tc := range []struct {
+		name      string
+		src, junk any
+	}{
+		{"map field", &struct {
+			A int
+			M map[string]int
+		}{1, map[string]int{"k": 1}}, &struct {
+			A int
+			M map[string]int
+		}{9, map[string]int{"stale": 9}}},
+		{"pointer field", &struct {
+			A int
+			P *int
+		}{A: 1}, &struct {
+			A int
+			P *int
+		}{9, &seven}},
+		{"interface field", &struct {
+			A int
+			I any
+		}{A: 1}, &struct {
+			A int
+			I any
+		}{9, nil}},
+		{"array field", &struct{ V [3]float64 }{[3]float64{1, 0, 3}}, &struct{ V [3]float64 }{[3]float64{9, 9, 9}}},
+		{"[]string field", &struct{ L []string }{[]string{"a", ""}}, &struct{ L []string }{[]string{"x", "y", "z"}}},
+		{"slice of struct field", &struct{ P []FlatPoint }{[]FlatPoint{{X: 1}}}, &struct{ P []FlatPoint }{[]FlatPoint{{Y: 9}, {Tag: "z"}}}},
+		{"named-type field", &struct{ G namedGrid }{namedGrid{1, 0}}, &struct{ G namedGrid }{namedGrid{9, 9, 9}}},
+		{"nested struct with a map", &struct {
+			A  int
+			In struct{ M map[int]int }
+		}{A: 1}, &struct {
+			A  int
+			In struct{ M map[int]int }
+		}{A: 9, In: struct{ M map[int]int }{map[int]int{9: 9}}}},
+		{"GobEncode", &selfGob{1, 0}, &selfGob{9, 9}},
+		{"MarshalBinary", &selfBinary{0, 2}, &selfBinary{9, 9}},
+		{"nested struct that encodes itself", &struct {
+			A  int
+			In selfGob
+		}{1, selfGob{0, 2}}, &struct {
+			A  int
+			In selfGob
+		}{9, selfGob{9, 9}}},
+		{"struct{}", &struct{}{}, &struct{}{}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			a, b := newStateSet(), newStateSet()
+			a.register("v", tc.src)
+			b.register("v", tc.junk)
+			if len(a.vars) != 1 || a.nGob != 1 || a.vars[0].name != "v" || a.vars[0].raw != nil {
+				t.Fatalf("registered as %v (%d gob), want the one gob entry \"v\"", a.names(), a.nGob)
+			}
+			blob, err := a.appendTo(nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := b.decode(blob); err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(tc.junk, tc.src) {
+				t.Fatalf("received %+v, sent %+v", tc.junk, tc.src)
+			}
+		})
+	}
+
+	// One unexported field: gob does not send it, and the receiver's is
+	// zeroed with the rest of its struct — what per-field entries for the
+	// exported ones could not do.
+	src, dst := keepsGob{A: 0, hidden: 3}, keepsGob{A: 9, hidden: 9}
+	a, b := newStateSet(), newStateSet()
+	a.register("v", &src)
+	b.register("v", &dst)
+	if len(a.vars) != 1 || a.nGob != 1 {
+		t.Fatalf("a struct with an unexported field registered as %v (%d gob)", a.names(), a.nGob)
+	}
+	blob, err := a.appendTo(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := b.decode(blob); err != nil || dst != (keepsGob{}) {
+		t.Fatalf("received %+v (%v), want the zero struct", dst, err)
+	}
+}
+
+// TestFlattenedNamesCollide: a flattened struct occupies name.Field, so
+// registering that name by hand as well is the double registration it
+// always was — refused whichever came first, naming both registrations,
+// and adding nothing.
+func TestFlattenedNamesCollide(t *testing.T) {
+	mustPanic := func(ss *stateSet, name string, ptr any, want ...string) {
+		t.Helper()
+		before := ss.names()
+		defer func() {
+			t.Helper()
+			msg := fmt.Sprint(recover())
+			for _, w := range want {
+				if !strings.Contains(msg, w) {
+					t.Errorf("Register(%q) panicked with %q, want it to name %s", name, msg, w)
+				}
+			}
+			if after := ss.names(); !reflect.DeepEqual(after, before) {
+				t.Errorf("refused Register(%q) left %v, registered before: %v", name, after, before)
+			}
+		}()
+		ss.register(name, ptr)
+		t.Errorf("Register(%q) did not panic; registered %v", name, ss.names())
+	}
+	var meta, other benchMeta
+	var seed int64
+
+	ss := newStateSet()
+	ss.register("meta", &meta)
+	mustPanic(ss, "meta.Seed", &seed, `"meta.Seed"`, `Register("meta")`)
+	mustPanic(ss, "meta", &other, `"meta" registered twice`)
+	mustPanic(ss, "meta", &seed, `"meta" registered twice`)
+
+	ss = newStateSet()
+	ss.register("meta.Seed", &seed)
+	mustPanic(ss, "meta", &meta, `Register("meta.Seed")`, `Register("meta")`)
+	if got := ss.names(); len(got) != 1 {
+		t.Fatalf("after the refused struct: %v", got)
+	}
+}
+
+// TestFlattenedBindingRefusesGobBlob: a checkpoint written while a struct
+// still travelled in the gob section (one entry, not one per field) does
+// not match the registration any more: it is refused by the variable
+// count before anything is written.
+func TestFlattenedBindingRefusesGobBlob(t *testing.T) {
+	saved := benchMeta{Seed: 1, Step: 2, Pos: 3, Label: "old"}
+	old := newStateSet()
+	old.vars = []stateVar{{name: "meta", of: "meta", ptr: &saved}} // the binding before flattening
+	old.nGob, old.gobStale = 1, true
+	blob, err := old.appendTo(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	held := benchMeta{Seed: 9, Step: 9, Pos: 9, Label: "held"}
+	ss := newStateSet()
+	ss.register("meta", &held)
+	err = ss.decode(blob)
+	if err == nil || !strings.Contains(err.Error(), "state mismatch: received 1 variables, registered [meta.Label meta.Pos meta.Seed meta.Step]") {
+		t.Fatalf("decode of a gob-bound struct = %v", err)
+	}
+	if held != (benchMeta{Seed: 9, Step: 9, Pos: 9, Label: "held"}) {
+		t.Fatalf("the refused blob wrote %+v", held)
+	}
 }

@@ -94,3 +94,57 @@ func TestLoadCheckpointDoesNotKeepStaleFields(t *testing.T) {
 		t.Fatalf("state after LoadCheckpoint = %+v, want %+v", load, save)
 	}
 }
+
+// flatState is staleState without the map: every field exported and of a
+// raw kind, so Register binds it field by field and gob plays no part.
+type flatState struct {
+	A, B int
+	Tags []int32
+}
+
+// TestSwapInOverwritesWithZeroFields is TestSwapInDoesNotKeepStaleFields
+// for a struct that is copied straight: the sender's zero A and its
+// shorter Tags replace the 9s the spare holds.
+func TestSwapInOverwritesWithZeroFields(t *testing.T) {
+	want := flatState{A: 0, B: 5, Tags: []int32{0, 1}}
+	w := mpi.NewWorld(2)
+	rt := &rateTable{rates: []float64{100, 800}} // rank 1 is a fast spare
+	var mu sync.Mutex
+	var got *flatState
+	err := Run(w, Config{Active: 1, Policy: core.Greedy(), Probe: rt.probe},
+		func(s *Session) error {
+			iter := 0
+			st := flatState{A: 9, B: 9, Tags: []int32{9, 9, 9}}
+			if s.Active() {
+				st = flatState{A: 0, B: 5, Tags: []int32{0, 1}}
+			}
+			s.Register("iter", &iter)
+			s.Register("st", &st)
+			if s.state.nGob != 0 {
+				t.Errorf("registered %v with %d gob entries, want none", s.state.names(), s.state.nGob)
+			}
+			for !s.Done() && iter < 4 {
+				if s.Active() {
+					iter++
+				}
+				if err := s.SwapPoint(); err != nil {
+					return err
+				}
+			}
+			if s.Rank() == 1 && s.Active() {
+				mu.Lock()
+				got = &st
+				mu.Unlock()
+			}
+			return nil
+		})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got == nil {
+		t.Fatal("rank 1 was never swapped in")
+	}
+	if !reflect.DeepEqual(*got, want) || cap(got.Tags) != 3 {
+		t.Fatalf("state after swap-in = %+v (cap %d), want %+v in the spare's own backing array", *got, cap(got.Tags), want)
+	}
+}
