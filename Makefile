@@ -298,6 +298,7 @@ fuzz:
 	$(GO) test -fuzz FuzzServeManagerRequest -fuzztime 30s ./internal/swaprt/
 	$(GO) test -fuzz FuzzStateDecode -fuzztime 30s ./internal/swaprt/
 	$(GO) test -fuzz FuzzPlanCommitDecode -fuzztime 30s ./internal/swaprt/
+	$(GO) test -fuzz FuzzStoreOpen -fuzztime 30s ./internal/swaprt/mgrstore/
 	$(GO) test -fuzz FuzzHistory -fuzztime 30s ./internal/predict/
 	$(GO) test -fuzz FuzzSourceMatchesMathRand -fuzztime 30s ./internal/rng/
 

@@ -5,11 +5,12 @@
 // each connection carries one JSON DecideRequest and receives one JSON
 // DecideResponse.
 //
-// With -debug-addr it also serves an HTTP endpoint exposing expvar
-// (including the manager's decision counters under "swapmgr"),
-// net/http/pprof profiles, /metrics in Prometheus text format,
-// /telemetry with the fleet-wide telemetry aggregated from the rank
-// snapshots piggybacked on handler reports, and /healthz.
+// With -debug-addr it also serves an HTTP endpoint exposing
+// net/http/pprof profiles, /metrics in Prometheus text format (including
+// the manager's decision counters, swapmgr.*), /telemetry with the
+// fleet-wide telemetry aggregated from the rank snapshots piggybacked on
+// handler reports, and /healthz; with -lens also /policy, the audit of
+// this manager's own decisions.
 //
 // With -store the manager becomes crash-safe: every durable transition
 // (epoch proposals and commits, spare assignments, quarantines) is
@@ -31,7 +32,6 @@ package main
 
 import (
 	"errors"
-	"expvar"
 	"flag"
 	"fmt"
 	"log"
@@ -57,25 +57,21 @@ import (
 // report live decision activity, and with the telemetry hub that
 // aggregates the fleet view. Decide observes the decision stream
 // (verdicts, payback distances, latency), Report absorbs the per-rank
-// telemetry snapshots piggybacked on handler reports, ReportOutcome
-// closes the lens's audit loop; each then goes on to Next, and Ping is
-// Forward's.
+// telemetry snapshots piggybacked on handler reports; each then goes on
+// to Next, and ReportOutcome and Ping are Forward's.
 type meteredDecider struct {
 	swaprt.Forward
 	hub       *swaprt.TelemetryHub // nil-safe
-	lens      *policylens.Lens     // nil-safe
 	decisions *obs.Counter
 	swaps     *obs.Counter
 	reports   *obs.Counter
 	decideNS  *obs.Counter
 }
 
-func newMeteredDecider(next swaprt.Decider, hub *swaprt.TelemetryHub,
-	lens *policylens.Lens, reg *obs.Registry) *meteredDecider {
+func newMeteredDecider(next swaprt.Decider, hub *swaprt.TelemetryHub, reg *obs.Registry) *meteredDecider {
 	return &meteredDecider{
 		Forward:   swaprt.Forward{Next: next},
 		hub:       hub,
-		lens:      lens,
 		decisions: reg.Counter("swapmgr.decisions"),
 		swaps:     reg.Counter("swapmgr.swaps"),
 		reports:   reg.Counter("swapmgr.reports"),
@@ -94,31 +90,8 @@ func (d *meteredDecider) Decide(req swaprt.DecideRequest) (swaprt.DecideResponse
 		d.swaps.Add(uint64(len(resp.Swaps)))
 		d.hub.ObserveDecision(req.Now, resp.Eval, len(resp.Swaps), dur.Seconds())
 		d.hub.ObserveEpoch(req.Epoch, req.ActiveSet)
-		if d.lens.Enabled() {
-			d.lens.ObserveIteration(req.Now, req.IterTime)
-			d.lens.ObserveDecision(policylens.Decision{
-				T: req.Now, Epoch: req.Epoch, Input: req.Input(nil), Eval: resp.Eval,
-				Swaps: len(resp.Swaps),
-			})
-		}
 	}
 	return resp, err
-}
-
-// ReportOutcome implements swaprt.Decider: the leader's two-phase
-// verdict activates (commit) or drops (abort) the lens's armed payback
-// prediction.
-func (d *meteredDecider) ReportOutcome(o swaprt.OutcomeMsg) error {
-	committed, aborted := 0, 0
-	if o.Committed {
-		committed = 1
-	} else {
-		aborted = 1
-	}
-	// The manager has no leader clock; the lens falls back to the last
-	// observed decision time for report timestamps.
-	d.lens.ObserveOutcome(0, o.Epoch, committed, aborted)
-	return d.Next.ReportOutcome(o)
 }
 
 // Report implements swaprt.Decider.
@@ -136,7 +109,7 @@ func main() {
 		addr      = flag.String("addr", "127.0.0.1:7070", "listen address")
 		policy    = flag.String("policy", "greedy", "swap policy: greedy, safe or friendly")
 		quiet     = flag.Bool("quiet", false, "suppress per-decision logging")
-		debugAddr = flag.String("debug-addr", "", "opt-in HTTP debug endpoint serving expvar and pprof (e.g. 127.0.0.1:7071)")
+		debugAddr = flag.String("debug-addr", "", "opt-in HTTP debug endpoint serving /metrics, /telemetry and pprof (e.g. 127.0.0.1:7071)")
 		storeDir  = flag.String("store", "", "durable manager store directory: WAL-backed decisions, leader lease, crash recovery")
 		leaseTTL  = flag.Duration("lease-ttl", 2*time.Second, "leader lease duration when -store is set; standbys take over after it expires")
 		lensOn    = flag.Bool("lens", false, "arm the policy lens on the debug endpoint: payback audit + shadow-policy scoreboard at /policy (needs -debug-addr)")
@@ -154,24 +127,23 @@ func main() {
 		os.Exit(1)
 	}
 
-	var decider swaprt.Decider = swaprt.NewLocalDecider(pol)
+	local := swaprt.NewLocalDecider(pol)
+	var decider swaprt.Decider = local
 	if *debugAddr != "" {
 		reg := obs.NewRegistry()
 		hub := swaprt.NewTelemetryHub(nil)
-		var lens *policylens.Lens
 		if *lensOn {
-			lens = policylens.New(policylens.Config{Registry: reg})
-			hub.SetLensProbe(lens.Report)
+			local.Lens = policylens.New(policylens.Config{Registry: reg})
+			hub.SetLensProbe(local.Lens.Report)
 			log.Printf("swapmgr: policy lens armed (shadow greedy/safe/friendly)")
 		}
-		decider = newMeteredDecider(decider, hub, lens, reg)
-		expvar.Publish("swapmgr", expvar.Func(reg.ExpvarFunc()))
-		// DefaultServeMux carries expvar's /debug/vars and pprof's
-		// /debug/pprof/* handlers via their package init side effects; the
-		// observability endpoints join them.
+		decider = newMeteredDecider(decider, hub, reg)
+		// DefaultServeMux carries pprof's /debug/pprof/* handlers via the
+		// package's init side effect; the observability endpoints join
+		// them.
 		http.Handle("/metrics", obs.PromHandler(reg))
 		http.Handle("/telemetry", swaprt.TelemetryHandler(hub))
-		http.Handle("/policy", policylens.Handler(lens))
+		http.Handle("/policy", policylens.Handler(local.Lens))
 		http.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
 			fmt.Fprintln(w, "ok")
 		})
@@ -185,7 +157,7 @@ func main() {
 				log.Printf("swapmgr: debug endpoint: %v", err)
 			}
 		}()
-		log.Printf("swapmgr: debug endpoint on http://%s (/debug/vars /metrics /telemetry /policy /healthz)", dln.Addr())
+		log.Printf("swapmgr: debug endpoint on http://%s (/debug/pprof /metrics /telemetry /policy /healthz)", dln.Addr())
 	}
 
 	logf := log.Printf

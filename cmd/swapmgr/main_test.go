@@ -48,7 +48,7 @@ func TestEveryLayerForwardsEveryCallOnce(t *testing.T) {
 		return d
 	}
 	metered := func(next swaprt.Decider) swaprt.Decider {
-		return newMeteredDecider(next, nil, nil, obs.NewRegistry())
+		return newMeteredDecider(next, nil, obs.NewRegistry())
 	}
 	served := func(next swaprt.Decider) swaprt.Decider {
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -81,25 +81,44 @@ func TestEveryLayerForwardsEveryCallOnce(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			leaf := &recordingLeaf{calls: map[string]int{}}
-			d := tc.wrap(leaf)
-			if _, err := d.Decide(swaprt.DecideRequest{ActiveSet: []int{0}, ActiveRates: []float64{100},
-				SpareSet: []int{1}, SpareRates: []float64{100}, IterTime: 1}); err != nil {
-				t.Fatal(err)
-			}
-			if err := d.Report(swaprt.ReportMsg{Rank: 0, Now: 1, Rate: 100}); err != nil {
-				t.Fatal(err)
-			}
-			if err := d.ReportOutcome(swaprt.OutcomeMsg{Epoch: 1, Committed: true, NewSet: []int{1}}); err != nil {
-				t.Fatal(err)
-			}
-			if err := d.Ping(); err != nil {
-				t.Fatal(err)
-			}
+			callEach(t, tc.wrap(leaf))
 			for _, call := range []string{"Decide", "Report", "ReportOutcome", "Ping"} {
 				if got := leaf.calls[call]; got != 1 {
 					t.Errorf("%s reached the leaf %d times, want exactly 1", call, got)
 				}
 			}
 		})
+	}
+	// The resilient layer's second destination: while the primary
+	// answers, the fallback decides nothing and is pinged for nothing,
+	// but hears every measurement and every outcome — the decision an
+	// outcome closes may have been a degraded-mode one, armed in the
+	// fallback's lens.
+	t.Run("Resilient fallback", func(t *testing.T) {
+		fallback := &recordingLeaf{calls: map[string]int{}}
+		callEach(t, &swaprt.ResilientDecider{Primary: &recordingLeaf{calls: map[string]int{}}, Fallback: fallback})
+		for call, want := range map[string]int{"Decide": 0, "Report": 1, "ReportOutcome": 1, "Ping": 0} {
+			if got := fallback.calls[call]; got != want {
+				t.Errorf("%s reached the fallback %d times, want %d", call, got, want)
+			}
+		}
+	})
+}
+
+// callEach makes each of Decider's four calls once.
+func callEach(t *testing.T, d swaprt.Decider) {
+	t.Helper()
+	if _, err := d.Decide(swaprt.DecideRequest{ActiveSet: []int{0}, ActiveRates: []float64{100},
+		SpareSet: []int{1}, SpareRates: []float64{100}, IterTime: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Report(swaprt.ReportMsg{Rank: 0, Now: 1, Rate: 100}); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.ReportOutcome(swaprt.OutcomeMsg{Epoch: 1, Committed: true, NewSet: []int{1}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Ping(); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -220,7 +220,7 @@ func (w *World) Clock() clock.Clock { return w.clk }
 // Metrics exposes the world's metrics registry: per-rank communication
 // counters ("mpi.rank<r>.*") plus transport-level counters ("mpi.tcp.*"
 // for TCP worlds). Stats() is the typed view over the same values;
-// publish the registry via expvar for live inspection.
+// serve the registry with obs.PromHandler for live inspection.
 func (w *World) Metrics() *obs.Registry { return w.metrics }
 
 // SetTracer attaches an event tracer; point-to-point and collective

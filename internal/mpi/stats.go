@@ -12,7 +12,7 @@ import (
 // into the world's obs.Registry — updates are single atomic adds, so the
 // rank's own goroutines (and, for sends, any goroutine the application
 // spawns) can update them without a lock on the hot path, while the
-// registry makes the same values visible to snapshots and expvar.
+// registry makes the same values visible to snapshots and /metrics.
 type rankCounters struct {
 	msgsSent  *obs.Counter
 	bytesSent *obs.Counter

@@ -148,13 +148,3 @@ func Names(snap map[string]float64) []string {
 	sort.Strings(out)
 	return out
 }
-
-// ExpvarFunc adapts the registry to expvar.Func: publish with
-//
-//	expvar.Publish("swaprt", expvar.Func(reg.ExpvarFunc()))
-//
-// and the live snapshot appears under /debug/vars on any HTTP mux that
-// serves expvar (cmd/swapmgr's -debug-addr endpoint does).
-func (r *Registry) ExpvarFunc() func() any {
-	return func() any { return r.Snapshot() }
-}

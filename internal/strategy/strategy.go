@@ -188,21 +188,20 @@ type driver struct {
 	selStream *rng.Stream
 	res       Result
 
-	// lens audits swap decisions on the virtual clock, mirroring the
-	// live runtime's policy lens (created at the first swap boundary);
-	// epoch counts committed swap rounds with the live runtime's
-	// convention: a decision at epoch e proposes e+1.
-	lens  *policylens.Lens
-	epoch uint64
+	// boundary decides the Swap technique's swaps and audits them on the
+	// virtual clock, as the live runtime's LocalDecider does (its lens is
+	// created at the first swap boundary); epoch counts committed swap
+	// rounds with the live runtime's convention: a decision at epoch e
+	// proposes e+1.
+	boundary policylens.Boundary
+	epoch    uint64
 
 	// Per-boundary scratch of the Swap technique, sized once per run:
 	// the estimated rate and active flag of every host, and the
-	// candidate lists as collected, and in the decision order the
-	// primary and the lens's shadows all walk.
+	// candidate lists as collected.
 	rateBuf       []float64
 	isActive      []bool
 	active, spare []core.Candidate
-	ordered       []core.Candidate
 }
 
 // boundaryHook runs at each iteration boundary (application barrier); it
@@ -233,6 +232,7 @@ func run(p *platform.Platform, sc Scenario, name string, chunks chunkFunc, bound
 		panic(fmt.Sprintf("strategy: %d active processes on %d hosts", sc.Active, len(p.Hosts)))
 	}
 	d := &driver{p: p, sc: sc,
+		boundary: policylens.Boundary{Policy: sc.policy()},
 		rateBuf:  make([]float64, len(p.Hosts)),
 		isActive: make([]bool, len(p.Hosts))}
 	d.res.Strategy = name
@@ -309,8 +309,8 @@ func run(p *platform.Platform, sc Scenario, name string, chunks chunkFunc, bound
 		}
 		d.res.TotalTime = proc.Now()
 		d.res.FinalHosts = d.hosts
-		if d.lens != nil {
-			rep := d.lens.Report()
+		if d.boundary.Lens != nil {
+			rep := d.boundary.Lens.Report()
 			d.res.Lens = &rep
 		}
 	})

@@ -34,9 +34,8 @@ func swapBoundary(d *driver, proc *simkern.Proc, iter int, iterTime float64) {
 	now := proc.Now()
 	rates := d.rates(now)
 
-	// The candidate lists live in driver-owned buffers: a policy only
-	// reads them and the lens replays within ObserveDecision, so nothing
-	// holds them past this boundary.
+	// The candidate lists live in driver-owned buffers: the boundary
+	// only reads them, so nothing holds them past this call.
 	active, spare := d.active[:0], d.spare[:0]
 	for i := range d.isActive {
 		d.isActive[i] = false
@@ -54,16 +53,14 @@ func swapBoundary(d *driver, proc *simkern.Proc, iter int, iterTime float64) {
 	}
 	d.active, d.spare = active, spare
 
-	pol := d.sc.policy()
 	tr := d.p.Kernel.Tracer()
 	swapTime := d.predictedSwapTime()
-	// The sim drives the same policy lens as the live runtime, on the
-	// virtual clock, so simulated and live traces carry byte-identical
+	// The sim audits through the same boundary type as the live runtime,
+	// on the virtual clock, so simulated and live traces carry the same
 	// lens attribution (ShadowDecision / PaybackRealized events).
-	if d.lens == nil {
-		d.lens = policylens.New(policylens.Config{Tracer: tr})
+	if d.boundary.Lens == nil {
+		d.boundary.Lens = policylens.New(policylens.Config{Tracer: tr})
 	}
-	d.lens.ObserveIteration(now, iterTime)
 	in := core.DecideInput{
 		Active:   active,
 		Spare:    spare,
@@ -71,9 +68,9 @@ func swapBoundary(d *driver, proc *simkern.Proc, iter int, iterTime float64) {
 		SwapTime: swapTime,
 	}
 	var swaps []core.SwapPair
-	var eval *core.Explanation
 	if d.selStream != nil {
-		swaps = randomSelect(pol, d.selStream, active, spare, iterTime, swapTime)
+		swaps = randomSelect(d.boundary.Policy, d.selStream, active, spare, iterTime, swapTime)
+		d.boundary.Record(now, d.epoch, in, len(swaps))
 		if tr.Enabled() {
 			verdict := "stay"
 			if len(swaps) > 0 {
@@ -84,25 +81,17 @@ func swapBoundary(d *driver, proc *simkern.Proc, iter int, iterTime float64) {
 				Verdict: verdict, Detail: "random selection", Epoch: d.epoch})
 		}
 	} else {
-		// Sorted once here, for the primary and for the lens's shadows.
-		in = in.Ordered(&d.ordered)
 		// Nobody reads the Reason without a tracer; the lens needs only
 		// the numbers.
 		var exp core.Explanation
+		swaps, exp = d.boundary.Decide(now, d.epoch, in, tr.Enabled())
 		if tr.Enabled() {
-			swaps, exp = pol.DecideExplained(in)
 			tr.Emit(obs.Event{Kind: obs.KindSwapDecision, Rank: obs.RankRuntime, T: now,
 				IterTime: iterTime, SwapTime: swapTime, Swaps: len(swaps),
 				OldPerf: exp.OldPerf, NewPerf: exp.NewPerf, Payback: exp.Payback,
 				Verdict: exp.Verdict, Reason: exp.Reason, Epoch: d.epoch})
-		} else {
-			swaps, exp = pol.DecideQuiet(in)
 		}
-		eval = &exp
 	}
-	d.lens.ObserveDecision(policylens.Decision{
-		T: now, Epoch: d.epoch, Input: in, Eval: eval, Swaps: len(swaps),
-	})
 	if len(swaps) == 0 {
 		return
 	}
@@ -124,7 +113,7 @@ func swapBoundary(d *driver, proc *simkern.Proc, iter int, iterTime float64) {
 	// a decision at epoch e establishes e+1) so later events carrying
 	// the new epoch are the trace's commit evidence for the audit.
 	d.epoch++
-	d.lens.ObserveOutcome(proc.Now(), d.epoch, len(swaps), 0)
+	d.boundary.Lens.ObserveOutcome(proc.Now(), d.epoch, true)
 	if tr.Enabled() {
 		for _, s := range swaps {
 			tr.Emit(obs.Event{Kind: obs.KindStateTransfer, Rank: s.Out.ID, T: now,

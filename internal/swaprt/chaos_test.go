@@ -9,6 +9,7 @@ import (
 	"repro/internal/mpi"
 	"repro/internal/mpi/fault"
 	"repro/internal/obs"
+	"repro/internal/swaprt/policylens"
 )
 
 // chaosBody is an iterative computation whose numerical result must
@@ -218,5 +219,79 @@ func TestChaosDroppedStateAbortsByTimeout(t *testing.T) {
 	}
 	if !bySender || !bySpare {
 		t.Errorf("abort events: sender=%v spare=%v, want both", bySender, bySpare)
+	}
+}
+
+// TestChaosLensClosesEveryRound is the chaos shape with a lens on the
+// decision stack the harnesses build: the manager goes down after its
+// first call and stays down, so the swaps — one that aborts on a dead
+// spare, one that commits — are proposed by the fallback while the
+// circuit is open. Each outcome must still reach the lens that armed the
+// prediction: every proposed round ends committed or aborted, and by the
+// end of the run nothing is left tracking.
+func TestChaosLensClosesEveryRound(t *testing.T) {
+	const iters = 15
+	plan := fault.MustParse("seed=7;die:rank=2,iter=0;mgrdown:after=1")
+	w, err := mpi.NewWorldWithConfig(mpi.Config{Size: 4, Fault: plan})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Rank 0's host degrades and the dead spare turns fastest after
+	// rank 0's fourth swap point: well inside the outage.
+	var mu sync.Mutex
+	probes := 0
+	probe := func(rank int) float64 {
+		mu.Lock()
+		defer mu.Unlock()
+		if rank == 0 {
+			probes++
+		}
+		switch {
+		case rank == 0 && probes > 4:
+			return 100
+		case rank == 2 && probes > 4:
+			return 5000
+		}
+		return 1000
+	}
+	tr := obs.New(0)
+	tr.Enable()
+	lens := policylens.New(policylens.Config{})
+	cfg := Config{
+		Active:          2,
+		Policy:          core.Greedy(),
+		Probe:           probe,
+		TransferTimeout: 200 * time.Millisecond,
+		Tracer:          tr,
+		Lens:            lens,
+	}
+	decider := NewDecisionStack(w, cfg, nil, nil, plan.ManagerCall)
+	defer decider.Close()
+	cfg.Decider = decider
+	var out sync.Map
+	stats, err := RunWithStats(w, cfg, chaosBody(iters, plan, 0, &out))
+	if err != nil {
+		t.Fatalf("chaos run failed instead of degrading: %v", err)
+	}
+	if decider.State() != "open" {
+		t.Fatalf("circuit %s at the end, want open: the outage never forced fallback decisions", decider.State())
+	}
+	if stats.Swaps != 1 || stats.SwapAborts != 1 {
+		t.Fatalf("%d swaps committed and %d aborted, want the dead spare's abort and then one commit",
+			stats.Swaps, stats.SwapAborts)
+	}
+	rounds := 0
+	for _, ev := range tr.Events() {
+		if ev.Kind == obs.KindSwapDecision && ev.Swaps > 0 {
+			rounds++
+		}
+	}
+	rep := lens.Report()
+	if rep.Commits+rep.Aborts != rounds || rep.Tracking != 0 {
+		t.Fatalf("lens closed %d commits + %d aborts of %d proposed rounds, %d still tracking; want every round closed and none tracking",
+			rep.Commits, rep.Aborts, rounds, rep.Tracking)
+	}
+	if rep.Commits != 1 || rep.Realized != 1 {
+		t.Fatalf("lens: %d commits, %d realized, want the committed swap realized", rep.Commits, rep.Realized)
 	}
 }

@@ -102,7 +102,7 @@ func NewDecisionStack(world *mpi.World, cfg Config, primary Decider, sup *Manage
 		return GatedDecider{Forward: Forward{Next: d}, Gate: gate}
 	}
 	d := &ResilientDecider{
-		Fallback:      NewLocalDecider(cfg.Policy),
+		Fallback:      cfg.localDecider(),
 		MaxAttempts:   2,
 		FailThreshold: 2,
 		ProbeInterval: 50 * time.Millisecond,
@@ -122,7 +122,7 @@ func NewDecisionStack(world *mpi.World, cfg Config, primary Decider, sup *Manage
 		}
 		d.OnCircuit = sup.RecordCircuit
 	} else if primary == nil {
-		primary = NewLocalDecider(cfg.Policy)
+		primary = cfg.localDecider()
 	}
 	d.Primary = gated(primary)
 	return d

@@ -45,30 +45,6 @@ func (r DecideRequest) Validate() error {
 	return nil
 }
 
-// Input rebuilds the core.DecideInput a (valid) request describes: what
-// a policy decides on, and what the policy lens replays shadow policies
-// over. The candidates are written into *buf (grown as needed; nil
-// allocates), so a caller that decides again and again keeps one buffer.
-func (r DecideRequest) Input(buf *[]core.Candidate) core.DecideInput {
-	var cands []core.Candidate
-	if buf != nil {
-		cands = (*buf)[:0]
-	}
-	na := len(r.ActiveSet)
-	cands = slices.Grow(cands, na+len(r.SpareSet))
-	for i, rank := range r.ActiveSet {
-		cands = append(cands, core.Candidate{ID: rank, Rate: r.ActiveRates[i]})
-	}
-	for i, rank := range r.SpareSet {
-		cands = append(cands, core.Candidate{ID: rank, Rate: r.SpareRates[i]})
-	}
-	if buf != nil {
-		*buf = cands
-	}
-	return core.DecideInput{IterTime: r.IterTime, SwapTime: r.SwapTime,
-		Active: cands[:na:na], Spare: cands[na:]}
-}
-
 // SwapDirective orders the process on Out's host to move to In's host
 // (world ranks).
 type SwapDirective struct {
@@ -98,18 +74,16 @@ type ReportMsg struct {
 	Telemetry *RankTelemetry `json:"telemetry,omitempty"`
 }
 
-// LocalDecider applies a core.Policy with per-rank performance history,
-// mirroring the simulator's swap manager. It is the leaf of every
-// decision stack: outcome reports and pings end here as StayDecider's
-// no-ops.
+// LocalDecider is the leaf of every decision stack: per-rank performance
+// histories whose window means its policylens.Boundary decides on and,
+// when the Lens is set, audits — as the simulator's swap manager does.
 type LocalDecider struct {
 	StayDecider
-	Policy core.Policy
+	policylens.Boundary
 
-	mu   sync.Mutex
-	hist map[int]*predict.History
-	// Decide's candidates, as requested and in decision order.
-	cands, ordered []core.Candidate
+	mu    sync.Mutex
+	hist  map[int]*predict.History
+	cands []core.Candidate // Decide's candidates with their estimates, as requested
 }
 
 // NewLocalDecider builds a decider around the policy.
@@ -117,7 +91,7 @@ func NewLocalDecider(policy core.Policy) *LocalDecider {
 	if err := policy.Validate(); err != nil {
 		panic(err)
 	}
-	return &LocalDecider{Policy: policy, hist: map[int]*predict.History{}}
+	return &LocalDecider{Boundary: policylens.Boundary{Policy: policy}, hist: map[int]*predict.History{}}
 }
 
 // Report implements Decider: the measurement joins the rank's history
@@ -162,19 +136,33 @@ func (d *LocalDecider) Decide(req DecideRequest) (DecideResponse, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 
-	in := req.Input(&d.cands)
-	for i := range d.cands { // in's active and spare candidates, back to back
-		d.cands[i].Rate = d.record(d.cands[i].ID, req.Now, d.cands[i].Rate)
+	cands := d.cands[:0]
+	for i, rank := range req.ActiveSet {
+		cands = append(cands, core.Candidate{ID: rank, Rate: d.record(rank, req.Now, req.ActiveRates[i])})
 	}
+	na := len(cands)
+	for i, rank := range req.SpareSet {
+		cands = append(cands, core.Candidate{ID: rank, Rate: d.record(rank, req.Now, req.SpareRates[i])})
+	}
+	d.cands = cands
 	if req.IterTime <= 0 {
 		return DecideResponse{}, nil
 	}
-	pairs, eval := d.Policy.DecideExplained(in.Ordered(&d.ordered))
+	pairs, eval := d.Boundary.Decide(req.Now, req.Epoch, core.DecideInput{IterTime: req.IterTime,
+		SwapTime: req.SwapTime, Active: cands[:na:na], Spare: cands[na:]}, true)
 	resp := DecideResponse{Eval: &eval}
 	for _, p := range pairs {
 		resp.Swaps = append(resp.Swaps, SwapDirective{Out: p.Out.ID, In: p.In.ID})
 	}
 	return resp, nil
+}
+
+// ReportOutcome implements Decider: the leader's verdict on a proposed
+// epoch activates (commit) or drops (abort) the prediction its decision
+// armed in the lens, at the decision's time (the outcome carries none).
+func (d *LocalDecider) ReportOutcome(o OutcomeMsg) error {
+	d.Lens.ObserveOutcome(0, o.Epoch, o.Committed)
+	return nil
 }
 
 // manager coordinates one world's swapping: it parks spare ranks, routes
@@ -276,13 +264,12 @@ const (
 // decideScratch is what one decision builds and the next overwrites. It
 // belongs to the active leader: one rank decides per swap point, and
 // the swap protocol orders a leader's last decision before its
-// successor's first. A Decider may read the request's slices, and the
-// lens its input, only until they return.
+// successor's first. A Decider may read the request's slices only until
+// it returns.
 type decideScratch struct {
 	marks []uint8          // by world rank
 	pool  []core.Candidate // probed spares
 	req   DecideRequest
-	lens  []core.Candidate
 }
 
 // decide is called by the active leader with active measurements; it
@@ -368,16 +355,6 @@ func (m *manager) decide(epoch uint64, now float64, activeSet []int, activeRates
 		}
 		marks[s.Out] |= markTaken
 		marks[s.In] |= markTaken
-	}
-	// Audit: the lens sees the exact input the decider saw (post-filter,
-	// pre-forced-evictions) and its verdict, feeds the iteration sample
-	// to any tracked payback prediction, and replays the shadow panel.
-	if m.cfg.Lens.Enabled() {
-		m.cfg.Lens.ObserveIteration(now, iterTime)
-		m.cfg.Lens.ObserveDecision(policylens.Decision{
-			T: now, Epoch: epoch, Input: req.Input(&sc.lens), Eval: resp.Eval,
-			Swaps: len(resp.Swaps),
-		})
 	}
 	resp.Swaps = append(forced, resp.Swaps...)
 	return resp, nil

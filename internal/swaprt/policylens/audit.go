@@ -3,6 +3,7 @@ package policylens
 import (
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 
 	"repro/internal/obs"
@@ -86,7 +87,6 @@ func Audit(events []obs.Event, cfg AuditConfig) AuditResult {
 	var open []*proposal                // proposals counting trailing decisions
 	realizedByEpoch := map[uint64]int{} // PaybackRealized per epoch
 	shadow := map[string]*PolicyScore{}
-	var shadowOrder []string
 
 	for _, ev := range events {
 		switch ev.Kind {
@@ -122,7 +122,6 @@ func Audit(events []obs.Event, cfg AuditConfig) AuditResult {
 			if s == nil {
 				s = &PolicyScore{Policy: ev.Detail}
 				shadow[ev.Detail] = s
-				shadowOrder = append(shadowOrder, ev.Detail)
 			}
 			s.Decisions++
 			diverged := len(ev.Reason) >= 7 && ev.Reason[:7] == "diverge"
@@ -144,44 +143,34 @@ func Audit(events []obs.Event, cfg AuditConfig) AuditResult {
 	// Pass 3: every committed proposal with a full sample window behind
 	// it must have been realized. Group by epoch: an aborted proposal
 	// retried and committed under the same epoch number needs only one
-	// realization.
-	type epochState struct {
-		epoch     uint64
-		decisions int // max trailing decisions over the epoch's proposals
-	}
-	byEpoch := map[uint64]*epochState{}
-	var epochOrder []uint64
+	// realization, and has the most trailing decisions of its proposals.
+	trailing := map[uint64]int{}
+	var epochs []uint64
 	for _, p := range open {
 		if !epochSeen[p.epoch] {
 			continue // never committed (aborted, or run ended mid-commit)
 		}
-		st := byEpoch[p.epoch]
-		if st == nil {
-			st = &epochState{epoch: p.epoch}
-			byEpoch[p.epoch] = st
-			epochOrder = append(epochOrder, p.epoch)
+		if _, ok := trailing[p.epoch]; !ok {
+			epochs = append(epochs, p.epoch)
 		}
-		if p.decisions > st.decisions {
-			st.decisions = p.decisions
-		}
+		trailing[p.epoch] = max(trailing[p.epoch], p.decisions)
 	}
-	sort.Slice(epochOrder, func(i, j int) bool { return epochOrder[i] < epochOrder[j] })
-	for _, e := range epochOrder {
-		st := byEpoch[e]
+	slices.Sort(epochs)
+	for _, e := range epochs {
 		res.Committed++
 		switch {
 		case realizedByEpoch[e] > 0:
-		case st.decisions < cfg.Window:
+		case trailing[e] < cfg.Window:
 			res.Pending++
 		default:
 			res.Violations = append(res.Violations, fmt.Sprintf(
 				"epoch %d: committed swap has %d post-commit decisions but no realized payback (window %d)",
-				e, st.decisions, cfg.Window))
+				e, trailing[e], cfg.Window))
 		}
 	}
 
-	for _, name := range shadowOrder {
-		res.Shadow = append(res.Shadow, *shadow[name])
+	for _, s := range shadow {
+		res.Shadow = append(res.Shadow, *s)
 	}
 	sort.Slice(res.Shadow, func(i, j int) bool { return res.Shadow[i].Policy < res.Shadow[j].Policy })
 	return res

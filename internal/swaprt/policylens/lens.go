@@ -3,7 +3,7 @@
 // (events, latencies, crashes), the lens watches whether the decisions
 // were *right*.
 //
-// It does two things, both fed from the leader's decision stream:
+// It does two things, both fed by the Boundary that decides:
 //
 //   - Payback realization. Every committed swap carries a predicted
 //     payback distance and, implicitly, a predicted post-swap iteration
@@ -19,12 +19,12 @@
 //
 //   - Shadow policies. Every registered policy (greedy/safe/friendly by
 //     default, any core.Policy set by configuration) is replayed as a
-//     counterfactual over the same DecideInput the primary decision
-//     saw — same candidates, same instantaneous rates, same iteration
-//     and swap times — isolating the policies' threshold choices from
-//     history effects. A per-policy regret scoreboard counts where the
-//     shadow would have diverged and estimates the iterations won or
-//     lost: a pair with fractional saving s = 1 − oldPerf/newPerf and
+//     counterfactual over the same DecideInput the primary decided on —
+//     same candidates, same estimated rates, same iteration and swap
+//     times — isolating the policies' threshold choices from history
+//     effects. A per-policy regret scoreboard counts where the shadow
+//     would have diverged and estimates the iterations won or lost: a
+//     pair with fractional saving s = 1 − oldPerf/newPerf and
 //     payback p, held for a horizon of H further iterations, wins
 //     s·(H − p) iterations (negative when the swap would not have
 //     amortized within the horizon).
@@ -104,7 +104,6 @@ type Config struct {
 // prediction is one committed (or proposed) swap awaiting realization.
 type prediction struct {
 	epoch       uint64  // the epoch the swap establishes (proposal epoch)
-	t0          float64 // decision timestamp
 	oldIter     float64 // pre-swap iteration time (s)
 	predIter    float64 // predicted post-swap iteration time (s)
 	predPayback float64 // predicted payback distance (iterations)
@@ -183,13 +182,54 @@ func (r Report) MispredictFraction() float64 {
 }
 
 // Decision is one primary decision handed to the lens: the input the
-// decider saw, when, and what it concluded.
+// primary decided on, when, and what it concluded.
 type Decision struct {
 	T     float64           // decision timestamp (seconds since start)
 	Epoch uint64            // epoch the decision was made in (pre-swap)
 	Input core.DecideInput  // the exact input shadow policies replay
 	Eval  *core.Explanation // primary verdict explanation (nil = unexplained)
 	Swaps int               // directives the primary ordered
+}
+
+// Boundary is the decision at an iteration boundary, owned alike by the
+// simulator's driver and the live LocalDecider: the policy decides on the
+// caller's estimates, and Lens (nil-safe) audits exactly that input. Its
+// owner serializes its calls.
+type Boundary struct {
+	Policy core.Policy
+	Lens   *Lens
+
+	ordered []core.Candidate // the candidates in decision order
+}
+
+// Decide feeds the iteration time to the lens's tracked predictions,
+// orders in once (its slices are only read), decides on it — with the
+// Reason sentence when explain is set — and hands the lens that ordered
+// input with the verdict. A nil or disabled lens costs one atomic load.
+func (b *Boundary) Decide(t float64, epoch uint64, in core.DecideInput, explain bool) ([]core.SwapPair, core.Explanation) {
+	audit := b.Lens.Enabled()
+	if audit {
+		b.Lens.ObserveIteration(t, in.IterTime)
+	}
+	in = in.Ordered(&b.ordered)
+	decide := core.Policy.DecideQuiet
+	if explain {
+		decide = core.Policy.DecideExplained
+	}
+	pairs, exp := decide(b.Policy, in)
+	if audit {
+		b.Lens.ObserveDecision(Decision{T: t, Epoch: epoch, Input: in, Eval: &exp, Swaps: len(pairs)})
+	}
+	return pairs, exp
+}
+
+// Record audits swaps picked by a rule other than the policy's pairing
+// (the simulator's random-selection ablation): no verdict to explain.
+func (b *Boundary) Record(t float64, epoch uint64, in core.DecideInput, swaps int) {
+	if b.Lens.Enabled() {
+		b.Lens.ObserveIteration(t, in.IterTime)
+		b.Lens.ObserveDecision(Decision{T: t, Epoch: epoch, Input: in, Swaps: swaps})
+	}
 }
 
 // lensCounters are the registry handles ("lens.*").
@@ -279,19 +319,16 @@ func (l *Lens) SetEnabled(on bool) {
 	}
 }
 
-// on reports whether observations should be recorded.
-func (l *Lens) on() bool { return l != nil && l.enabled.Load() }
-
 // Enabled reports whether the lens is recording; callers use it to skip
 // building observation payloads on the hot path. Nil-safe.
-func (l *Lens) Enabled() bool { return l.on() }
+func (l *Lens) Enabled() bool { return l != nil && l.enabled.Load() }
 
 // ObserveDecision records one primary decision, replays the shadow
 // panel over the same input, and — when the primary ordered swaps —
 // arms a payback prediction for the proposed epoch (activated by
 // ObserveOutcome).
 func (l *Lens) ObserveDecision(d Decision) {
-	if !l.on() {
+	if !l.Enabled() {
 		return
 	}
 	l.mu.Lock()
@@ -305,17 +342,20 @@ func (l *Lens) ObserveDecision(d Decision) {
 	var panel [3]obs.Event
 	events := panel[:0]
 	primarySwap := d.Swaps > 0
-	// The shadows' Reason text is read only by the events below: with
-	// no tracer attached they decide without formatting any.
+	// With no tracer attached the shadows decide without formatting the
+	// Reason the events carry; all walk one ordered view (a Boundary's
+	// input is ordered already). The calls are direct: through a func
+	// value d would escape, and a Boundary's Eval with it.
 	traced := l.cfg.Tracer.Enabled()
-	decide := core.Policy.DecideQuiet
-	if traced {
-		decide = core.Policy.DecideExplained
-	}
-	// One boundary, one sort: every shadow walks the same ordered view.
 	in := d.Input.Ordered(&l.cands)
 	for _, sh := range l.shadow {
-		pairs, exp := decide(sh.pol, in)
+		var pairs []core.SwapPair
+		var exp core.Explanation
+		if traced {
+			pairs, exp = sh.pol.DecideExplained(in)
+		} else {
+			pairs, exp = sh.pol.DecideQuiet(in)
+		}
 		shadowSwap := len(pairs) > 0
 		sh.score.Decisions++
 		l.c.shadowEvals.Inc()
@@ -358,7 +398,6 @@ func (l *Lens) ObserveDecision(d Decision) {
 	if primarySwap && d.Eval != nil && d.Eval.NewPerf > d.Eval.OldPerf && d.Eval.OldPerf > 0 {
 		l.proposed = &prediction{
 			epoch:       d.Epoch + 1,
-			t0:          d.T,
 			oldIter:     d.Input.IterTime,
 			predIter:    d.Input.IterTime * d.Eval.OldPerf / d.Eval.NewPerf,
 			predPayback: d.Eval.Payback,
@@ -386,11 +425,12 @@ func (l *Lens) regretLocked(oldPerf, newPerf, payback float64) float64 {
 	return s * (l.cfg.Horizon - payback)
 }
 
-// ObserveOutcome records the two-phase outcome of the proposed epoch:
-// committed > 0 activates the armed prediction for realization;
-// committed == 0 drops it as an aborted round.
-func (l *Lens) ObserveOutcome(t float64, epoch uint64, committed, aborted int) {
-	if !l.on() {
+// ObserveOutcome records the two-phase outcome of the proposed epoch: a
+// round in which any swap committed activates the armed prediction for
+// realization; a round that fully aborted drops it. An outcome for an
+// epoch nothing armed is ignored, so telling the lens twice is harmless.
+func (l *Lens) ObserveOutcome(t float64, epoch uint64, committed bool) {
+	if !l.Enabled() {
 		return
 	}
 	l.mu.Lock()
@@ -403,7 +443,7 @@ func (l *Lens) ObserveOutcome(t float64, epoch uint64, committed, aborted int) {
 		return
 	}
 	l.proposed = nil
-	if committed <= 0 {
+	if !committed {
 		l.aborts++
 		l.c.aborts.Inc()
 		return
@@ -420,7 +460,7 @@ func (l *Lens) ObserveOutcome(t float64, epoch uint64, committed, aborted int) {
 // measurement at a swap point) into every tracked prediction; a
 // prediction that has collected its window is scored and emitted.
 func (l *Lens) ObserveIteration(t, iterTime float64) {
-	if !l.on() || iterTime <= 0 {
+	if !l.Enabled() || iterTime <= 0 {
 		return
 	}
 	l.mu.Lock()
@@ -522,7 +562,7 @@ func (l *Lens) realizeLocked(t float64, p *prediction) []obs.Event {
 // Report renders the /policy document. Nil-safe: a nil or disabled lens
 // reports Enabled false with an empty scoreboard.
 func (l *Lens) Report() Report {
-	if !l.on() {
+	if !l.Enabled() {
 		return Report{Shadow: []PolicyScore{}}
 	}
 	l.mu.Lock()
@@ -575,10 +615,6 @@ func Handler(l *Lens) http.Handler {
 		w.Header().Set("Content-Type", "application/json")
 		enc := json.NewEncoder(w)
 		enc.SetIndent("", " ")
-		if l == nil {
-			_ = enc.Encode(Report{Shadow: []PolicyScore{}})
-			return
-		}
 		_ = enc.Encode(l.Report())
 	})
 }

@@ -40,7 +40,7 @@ func TestLensRealizesAccuratePrediction(t *testing.T) {
 	if n := decideWith(l, core.Greedy(), 1.0, 0, in); n != 1 {
 		t.Fatalf("greedy ordered %d swaps, want 1", n)
 	}
-	l.ObserveOutcome(1.1, 1, 1, 0)
+	l.ObserveOutcome(1.1, 1, true)
 
 	// The pair halves the bottleneck's iteration contribution: predicted
 	// post-swap iteration time 10*1/2 = 5s, predicted payback
@@ -82,7 +82,7 @@ func TestLensFlagsNeverPayingSwap(t *testing.T) {
 	l := New(Config{RealizeAfter: 2})
 	in := swapInput()
 	decideWith(l, core.Greedy(), 1.0, 0, in)
-	l.ObserveOutcome(1.1, 1, 1, 0)
+	l.ObserveOutcome(1.1, 1, true)
 
 	// Post-swap iterations as slow as before: the swap never pays back.
 	l.ObserveIteration(11, 10)
@@ -103,7 +103,7 @@ func TestLensFlagsNeverPayingSwap(t *testing.T) {
 func TestLensDropsAbortedProposal(t *testing.T) {
 	l := New(Config{RealizeAfter: 1})
 	decideWith(l, core.Greedy(), 1.0, 0, swapInput())
-	l.ObserveOutcome(1.1, 1, 0, 1) // every directive aborted
+	l.ObserveOutcome(1.1, 1, false) // every directive aborted
 
 	l.ObserveIteration(11, 5)
 	rep := l.Report()
@@ -201,7 +201,7 @@ func TestLensNilAndDisabledAreInert(t *testing.T) {
 	var nilLens *Lens
 	nilLens.ObserveIteration(1, 1)
 	nilLens.ObserveDecision(Decision{})
-	nilLens.ObserveOutcome(1, 1, 1, 0)
+	nilLens.ObserveOutcome(1, 1, true)
 	nilLens.SetEnabled(true)
 	if nilLens.Enabled() {
 		t.Fatal("nil lens reports enabled")
@@ -224,7 +224,7 @@ func TestLensNilAndDisabledAreInert(t *testing.T) {
 func TestLensReportJSONSafe(t *testing.T) {
 	l := New(Config{RealizeAfter: 1})
 	decideWith(l, core.Greedy(), 1.0, 0, swapInput())
-	l.ObserveOutcome(1.1, 1, 1, 0)
+	l.ObserveOutcome(1.1, 1, true)
 	l.ObserveIteration(11, 10) // never pays back
 
 	if _, err := json.Marshal(l.Report()); err != nil {
@@ -303,7 +303,7 @@ func TestReportSameWithAndWithoutTracer(t *testing.T) {
 			}
 			l.ObserveIteration(now, in.IterTime)
 			if n := decideWith(l, pol, now, epoch, lin); n > 0 {
-				l.ObserveOutcome(now, epoch+1, n, 0)
+				l.ObserveOutcome(now, epoch+1, true)
 			}
 		}
 		if !slices.Equal(raw, append(append([]core.Candidate(nil), in.Active...), in.Spare...)) {

@@ -310,11 +310,11 @@ func (d *ResilientDecider) Report(r ReportMsg) error {
 	return d.fallback().Report(r)
 }
 
-// ReportOutcome implements Decider, forwarding the leader's swap-outcome
-// verdict to the primary while the circuit is closed. Like Report it is
-// advisory: a failure is logged, never circuit-tripping — a manager that
-// misses an outcome reconciles from the next decide's epoch. The
-// fallback keeps no epoch state, so it is not told.
+// ReportOutcome implements Decider: the leader's swap-outcome verdict
+// goes to the primary while the circuit is closed and, like Report,
+// always to the fallback, whose lens may have armed the prediction it
+// closes. A primary failure is logged, never circuit-tripping — a
+// manager that misses an outcome reconciles from the next decide's epoch.
 func (d *ResilientDecider) ReportOutcome(o OutcomeMsg) error {
 	if primary := d.primaryIfClosed(); primary != nil {
 		if err := primary.ReportOutcome(o); err != nil {
@@ -322,7 +322,7 @@ func (d *ResilientDecider) ReportOutcome(o OutcomeMsg) error {
 			d.logf("swaprt: resilient: primary outcome report: %v", err)
 		}
 	}
-	return nil
+	return d.fallback().ReportOutcome(o)
 }
 
 // Ping implements Decider: the primary's liveness, whatever the circuit

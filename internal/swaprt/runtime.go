@@ -91,12 +91,11 @@ type Config struct {
 	// a set but disabled hub costs one atomic load per observation.
 	Telemetry *TelemetryHub
 
-	// Lens, when set, audits the leader's swap decisions online: it
-	// replays shadow policies over every DecideInput and scores each
-	// committed swap's predicted payback against the realized post-swap
-	// iteration times. Nil (the default) records nothing; a set but
-	// disabled lens costs one atomic load per observation. Only the
-	// leader's session feeds it.
+	// Lens, when set, audits the decisions of the LocalDeciders the
+	// runtime builds (the default one, NewDecisionStack's stand-in and
+	// fallback) on the estimates each was taken on; a decision taken by
+	// another process is that manager's to audit (swapmgr -lens). Nil
+	// records nothing; a disabled lens costs one atomic load per decision.
 	Lens *policylens.Lens
 }
 
@@ -122,6 +121,13 @@ func (c Config) fill() Config {
 		c.TransferTimeout = 3 * time.Second
 	}
 	return c
+}
+
+// localDecider is the LocalDecider the runtime builds: Policy's, audited by Lens.
+func (c Config) localDecider() *LocalDecider {
+	d := NewLocalDecider(c.Policy)
+	d.Lens = c.Lens
+	return d
 }
 
 // RunStats summarizes one Run: swap activity, leader decision latency,
@@ -156,7 +162,7 @@ func (rs RunStats) String() string {
 
 // runCounters holds the runtime's metric handles in the world's registry
 // ("swaprt.*"); RunStats is snapshotted from them, so the same numbers
-// are live on expvar during the run and in the returned stats after it.
+// are live on /metrics during the run and in the returned stats after it.
 type runCounters struct {
 	swapPoints          *obs.Counter
 	swaps               *obs.Counter
@@ -345,7 +351,7 @@ func RunWithStats(world *mpi.World, cfg Config, body func(s *Session) error) (Ru
 	}
 	decider := cfg.Decider
 	if decider == nil {
-		decider = NewLocalDecider(cfg.Policy)
+		decider = cfg.localDecider()
 	}
 	mgr := newManager(world.Size(), cfg, decider)
 	if cfg.Tracer != nil {
@@ -755,20 +761,11 @@ func (s *Session) swapPointActive() error {
 			s.cfg.Logf("rank %d quarantined after failed swap-in (rank %d keeps running)",
 				sw.In, sw.Out)
 		}
-		// Close the audit loop: the lens learns whether the proposed
-		// epoch landed, activating (or dropping) its armed payback
-		// prediction.
-		nCommitted := 0
-		for i := range plan.Swaps {
-			if committed[i] {
-				nCommitted++
-			}
-		}
-		s.cfg.Lens.ObserveOutcome(now, plan.NewEpoch, nCommitted, len(plan.Swaps)-nCommitted)
 		// Close the loop with the decision service: the agreed outcome
 		// (commit or abort, plus the quarantines) becomes durable manager
-		// state. Best-effort — a manager that misses it reconciles from
-		// the next decide's epoch (epoch fencing).
+		// state, and the deciding lens learns whether to realize its
+		// payback prediction. Best-effort — a manager that misses it
+		// reconciles from the next decide's epoch (epoch fencing).
 		if err := s.mgr.decider.ReportOutcome(OutcomeMsg{
 			Epoch:       plan.NewEpoch,
 			Committed:   anyCommitted,

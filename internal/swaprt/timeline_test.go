@@ -2,6 +2,7 @@ package swaprt
 
 import (
 	"math"
+	"net"
 	"reflect"
 	"sync"
 	"testing"
@@ -11,6 +12,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/mpi"
 	"repro/internal/obs"
+	"repro/internal/swaprt/mgrstore"
 	"repro/internal/swaprt/policylens"
 )
 
@@ -136,6 +138,17 @@ func (d *steppedDecider) Report(m ReportMsg) error {
 	return err
 }
 
+// steppedAudit is what a stepped run is watched with: a tracer the
+// runtime writes to, and a lens on the leaf decider — the runtime's own
+// LocalDecider (Config.Lens), or with served, a LocalDecider behind
+// ServeManager → DurableDecider that carries the lens as swapmgr -lens
+// attaches it. The zero value watches nothing and decides in process.
+type steppedAudit struct {
+	tracer *obs.Tracer
+	lens   *policylens.Lens
+	served bool
+}
+
 // steppedRun is one fully deterministic live run: a 2+1 world on a
 // manual clock.Fake where the only thing that moves time is the active
 // leader's Advance(step) per iteration. Each step is one handler
@@ -145,23 +158,40 @@ func (d *steppedDecider) Report(m ReportMsg) error {
 // rank's host speed as a function of the leader's iteration count — the
 // trace a sim-versus-live comparison would feed both sides.
 func steppedRun(t *testing.T, policy core.Policy, iters int, step time.Duration,
-	rate func(rank, iter int) float64) []steppedDecision {
+	rate func(rank, iter int) float64, audit steppedAudit) []steppedDecision {
 	t.Helper()
 	const ranks = 3
 	w, clk := fakeWorld(t, ranks)
 	var mu sync.Mutex
 	iterNow := 0
-	d := &steppedDecider{Forward: Forward{NewLocalDecider(policy)}, reported: make(chan struct{}, ranks)}
-	err := Run(w, Config{
-		Active:  2,
-		Decider: d,
-		Probe: func(rank int) float64 {
-			mu.Lock()
-			defer mu.Unlock()
-			return rate(rank, iterNow)
-		},
-		HandlerInterval: step,
-	}, func(s *Session) error {
+	cfg := Config{Policy: policy, Tracer: audit.tracer}
+	var leaf Decider
+	if audit.served {
+		local := NewLocalDecider(policy)
+		local.Lens = audit.lens
+		durable, err := NewDurableDecider(local, mgrstore.NewMemStore(clock.Real{}), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer ln.Close()
+		go func() { _ = ServeManager(ln, durable, nil) }()
+		leaf = RemoteDecider{Addr: ln.Addr().String()}
+	} else {
+		cfg.Lens = audit.lens
+		leaf = cfg.localDecider()
+	}
+	d := &steppedDecider{Forward: Forward{leaf}, reported: make(chan struct{}, ranks)}
+	cfg.Active, cfg.Decider, cfg.HandlerInterval = 2, d, step
+	cfg.Probe = func(rank int) float64 {
+		mu.Lock()
+		defer mu.Unlock()
+		return rate(rank, iterNow)
+	}
+	err := Run(w, cfg, func(s *Session) error {
 		iter := 0
 		s.Register("iter", &iter)
 		for !s.Done() && iter < iters {
@@ -207,7 +237,7 @@ func TestSteppedRunIsDeterministic(t *testing.T) {
 		return 1000
 	}
 	const iters, step = 40, 50 * time.Millisecond
-	first := steppedRun(t, core.Safe(), iters, step, rate)
+	first := steppedRun(t, core.Safe(), iters, step, rate, steppedAudit{})
 	if len(first) != iters {
 		t.Fatalf("%d decisions, want one per iteration (%d)", len(first), iters)
 	}
@@ -227,7 +257,7 @@ func TestSteppedRunIsDeterministic(t *testing.T) {
 	if swaps != 1 {
 		t.Fatalf("%d swap decisions, want exactly one (the degraded rank 0 moves to the spare)", swaps)
 	}
-	if second := steppedRun(t, core.Safe(), iters, step, rate); !reflect.DeepEqual(first, second) {
+	if second := steppedRun(t, core.Safe(), iters, step, rate, steppedAudit{}); !reflect.DeepEqual(first, second) {
 		t.Fatalf("two runs of one scenario decided differently:\n%+v\n%+v", first, second)
 	}
 }
