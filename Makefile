@@ -69,8 +69,10 @@ bench-transport:
 # TestStateCodecAllocations, a plain test under `make test`) and the
 # simulator (results/bench-sim.txt: Fig. 4 and Fig. 7 at quick size, what
 # a cell pays before them — one stream seeded and read twelve times, one
-# 32-host environment — the kernel's event throughput, the policy decision
-# with and without its explanation) and the transfer layer (appended to
+# 32-host environment — one run of each technique over an environment
+# built once (BenchmarkTechniqueRun/{none,swap,dlb,cr}), the kernel's
+# event throughput, the policy decision with and without its explanation)
+# and the transfer layer (appended to
 # results/bench-transport.txt: BenchmarkTCPXfer/{16B,4KiB,1MiB}, a payload
 # and its 8-byte ack through the mesh, beside BenchmarkLoopbackRaw, the
 # same exchange on a bare socket; benchagg holds the 1 MiB transfer under
@@ -93,6 +95,8 @@ bench-all:
 	$(GO) test -run '^$$' \
 		-bench '^Benchmark(Fig4Techniques|Fig7Policies|StreamSeedDraw12|NewEnvironment32|KernelEventThroughput|PolicyDecide)$$' \
 		-benchmem -count 3 . | tee results/bench-sim.txt
+	$(GO) test -run '^$$' -bench '^BenchmarkTechniqueRun$$' \
+		-benchmem -count 3 . | tee -a results/bench-sim.txt
 	$(GO) test -run '^$$' -bench '^Benchmark(LocalDeciderDecide|LensObserveDecision)$$' \
 		-benchmem -count 3 . | tee results/bench-decide.txt
 	$(GO) run ./cmd/benchagg -out results/BENCH_summary.json \

@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/app"
 	"repro/internal/core"
 	"repro/internal/experiment"
 	"repro/internal/loadgen"
@@ -23,6 +24,7 @@ import (
 	"repro/internal/platform"
 	"repro/internal/rng"
 	"repro/internal/simkern"
+	"repro/internal/strategy"
 )
 
 // benchOptions keeps figure benchmarks fast but non-trivial.
@@ -96,6 +98,31 @@ func BenchmarkNewEnvironment32(b *testing.B) {
 	cfg := platform.Default(32, loadgen.NewOnOff(0.2))
 	for i := 0; i < b.N; i++ {
 		platform.NewEnvironment(cfg, rng.NewSource(int64(i)))
+	}
+}
+
+// One run of each technique on the Fig. 4 scenario (4 active of 32 hosts,
+// ON/OFF p = 0.2, 1 MB state, 15 iterations), without the environment
+// build: the environment is built once, and every op binds it to a fresh
+// kernel as a sweep cell does for each of its series.
+func BenchmarkTechniqueRun(b *testing.B) {
+	a := app.Iterative{Iterations: 15, WorkPerProcIter: 120 * app.RefSpeed, BytesPerIter: 1e6, StateBytes: 1e6}
+	sc := strategy.Scenario{Active: 4, App: a, Policy: core.Greedy()}
+	for _, name := range []string{"none", "swap", "dlb", "cr"} {
+		b.Run(name, func(b *testing.B) {
+			tech, err := strategy.ByName(name)
+			if err != nil {
+				b.Fatal(err)
+			}
+			e := platform.NewEnvironment(platform.Default(32, loadgen.NewOnOff(0.2)), rng.NewSource(20030623))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if res := tech.Run(e.Bind(simkern.New()), sc); res.TotalTime <= 0 {
+					b.Fatal("empty result")
+				}
+			}
+		})
 	}
 }
 

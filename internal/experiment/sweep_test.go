@@ -98,12 +98,12 @@ func TestSweepParallelEqualsSerialAtEveryWidth(t *testing.T) {
 	}
 }
 
-// deadlocked panics the way strategy.run does on a stuck simulation.
+// deadlocked panics the way strategy.run does on a stalled simulation.
 type deadlocked struct{}
 
 func (deadlocked) Name() string { return "deadlocked" }
 func (deadlocked) Run(*platform.Platform, strategy.Scenario) strategy.Result {
-	panic("strategy: run deadlocked deadlocked: [driver-deadlocked]")
+	panic("strategy: run deadlocked stalled in iteration 0: the event queue drained before the last iteration")
 }
 
 func TestSweepNamesThePanickingCell(t *testing.T) {
@@ -134,7 +134,7 @@ func TestSweepNamesThePanickingCell(t *testing.T) {
 				}
 				msg := cp.Error()
 				for _, part := range []string{"figure figX", `series "` + tc.badSer + `"`,
-					"repetition 0", "run deadlocked deadlocked", "sweep_test.go"} {
+					"repetition 0", "run deadlocked stalled", "sweep_test.go"} {
 					if !strings.Contains(msg, part) {
 						t.Errorf("message lacks %q:\n%s", part, msg)
 					}
@@ -150,6 +150,48 @@ func TestSweepNamesThePanickingCell(t *testing.T) {
 					return runSpec{tech: tech, sc: strategy.Scenario{Active: 2, App: a}}
 				})
 			t.Fatal("sweep returned; the broken cell's panic was lost")
+		})
+	}
+}
+
+// A panic raised inside a technique's run — here the policy a swap
+// boundary decides with rejects its own history window — is the run's
+// panic: sweep names the cell it broke, serial or parallel, instead of the
+// process dying with it.
+func TestSweepNamesAPanicInsideARun(t *testing.T) {
+	a := app.Iterative{Iterations: 3, WorkPerProcIter: app.RefSpeed, BytesPerIter: 1e3, StateBytes: 1e3}
+	bad := core.Policy{Name: "bad", HistoryWindow: -1}
+	for _, mode := range []struct {
+		name   string
+		serial bool
+	}{{"serial", true}, {"parallel", false}} {
+		t.Run(mode.name, func(t *testing.T) {
+			defer func() {
+				v := recover()
+				err, _ := v.(error)
+				var cp *CellPanic
+				if !errors.As(err, &cp) {
+					t.Fatalf("sweep panicked with %T %v, want *CellPanic", v, v)
+				}
+				if cp.Figure != "figX" || cp.Series != "swap" || cp.X != 0.5 || cp.Rep != 0 {
+					t.Errorf("CellPanic names %+v", cp)
+				}
+				if !strings.Contains(cp.Error(), `policy "bad": negative history window`) {
+					t.Errorf("message lacks the run's panic:\n%s", cp.Error())
+				}
+			}()
+			fig := &FigureResult{ID: "figX"}
+			sweep(Options{Seeds: 1, BaseSeed: 5, Serial: mode.serial}, fig, []float64{0.1, 0.5, 0.9},
+				[]string{"none", "swap"}, onOffEnv(4),
+				func(x float64, series string) runSpec {
+					tech, _ := strategy.ByName(series)
+					sc := strategy.Scenario{Active: 2, App: a}
+					if x == 0.5 {
+						sc.Policy = bad
+					}
+					return runSpec{tech: tech, sc: sc}
+				})
+			t.Fatal("sweep returned; the run's panic was lost")
 		})
 	}
 }

@@ -1,7 +1,13 @@
 // Package simkern is a discrete-event simulation kernel in the style of
-// SimGrid/SimPy: a virtual clock, a cancellable event queue, and
-// coroutine-style simulated processes that can sleep on virtual time or
-// park until another component wakes them.
+// SimGrid/SimPy: a virtual clock and a cancellable event queue. A
+// simulated activity is a chain of events — each callback schedules the
+// next — and runs on the goroutine that calls Run, so a panic inside it
+// reaches Run's caller. That is how the execution techniques run.
+//
+// Proc is the process-per-rank facility: a coroutine-style simulated
+// process on its own goroutine that can sleep on virtual time or park
+// until another component wakes it, for models written as one
+// sequential body per process.
 //
 // The kernel is strictly sequential: at most one event callback or one
 // simulated process runs at a time, so simulation state needs no locking.
@@ -24,22 +30,16 @@ type Kernel struct {
 	events eventHeap
 	free   []*event // executed or discarded events, for reuse by At
 	// yield synchronizes the kernel goroutine with the single running
-	// simulated process: a process sends on yield exactly once each time
-	// it blocks or terminates.
+	// Proc: a process sends on yield exactly once each time it blocks or
+	// terminates. yield and parked are made by the first Go.
 	yield  chan struct{}
 	parked map[*Proc]struct{}
-	nprocs int // live (started, not finished) processes
 	tracer *obs.Tracer
 	causal *obs.Causal
 }
 
 // New returns an empty kernel at virtual time 0.
-func New() *Kernel {
-	return &Kernel{
-		yield:  make(chan struct{}),
-		parked: make(map[*Proc]struct{}),
-	}
-}
+func New() *Kernel { return &Kernel{} }
 
 // Now reports the current virtual time in seconds.
 func (k *Kernel) Now() float64 { return k.now }

@@ -3,31 +3,33 @@ package simkern
 import "fmt"
 
 // Proc is a simulated process: a goroutine that runs in lockstep with the
-// kernel. Inside the process body, Sleep and Park block in virtual time
-// without blocking the kernel. Proc methods must only be called from the
-// process's own goroutine, except Unpark, which is called by whoever wakes
-// the process (an event callback or another process).
+// kernel, for models written as one sequential body per process (one per
+// MPI rank, say). Inside the process body, Sleep and Park block in
+// virtual time without blocking the kernel; each costs an event plus two
+// goroutine hand-offs, which is why hot paths are written as event chains
+// instead. Proc methods must only be called from the process's own
+// goroutine, except Unpark, which is called by whoever wakes the process
+// (an event callback or another process). A panic in the body kills the
+// program: nothing on the kernel's goroutine can recover it.
 type Proc struct {
-	k       *Kernel
-	name    string
-	resume  chan struct{}
-	parked  bool
-	stopped bool
+	k      *Kernel
+	name   string
+	resume chan struct{}
+	parked bool
 }
 
 // Go starts a simulated process at the current virtual time. The function
 // fn runs on its own goroutine but only while the kernel is dispatching
-// it, so fn may freely touch simulation state.
+// it, so fn may freely touch simulation state. A kernel that never starts
+// a process never builds the hand-off machinery.
 func (k *Kernel) Go(name string, fn func(p *Proc)) *Proc {
+	if k.yield == nil {
+		k.yield, k.parked = make(chan struct{}), make(map[*Proc]struct{})
+	}
 	p := &Proc{k: k, name: name, resume: make(chan struct{})}
-	k.nprocs++
 	k.At(k.now, func() {
 		go func() {
-			defer func() {
-				p.stopped = true
-				k.nprocs--
-				k.yield <- struct{}{}
-			}()
+			defer func() { k.yield <- struct{}{} }()
 			fn(p)
 		}()
 		<-k.yield

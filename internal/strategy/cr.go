@@ -1,12 +1,12 @@
 package strategy
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/platform"
-	"repro/internal/simkern"
 )
 
 // CR is checkpoint/restart used for performance: at every iteration
@@ -29,40 +29,41 @@ func (CR) Run(p *platform.Platform, sc Scenario) Result {
 	return run(p, sc, "cr", equalChunks, crBoundary)
 }
 
-func crBoundary(d *driver, proc *simkern.Proc, iter int, iterTime float64) {
+func crBoundary(d *driver, iter int, iterTime float64, done func()) {
 	if iterTime <= 0 {
+		done()
 		return
 	}
-	now := proc.Now()
+	now := d.k.Now()
 	rates := d.rates(now)
 	n := d.sc.Active
 
-	// Best candidate set: the n hosts with the highest estimated rates.
-	ids := make([]int, len(d.p.Hosts))
-	for i := range ids {
-		ids[i] = i
-	}
-	sort.Slice(ids, func(a, b int) bool {
-		if rates[ids[a]] != rates[ids[b]] {
-			return rates[ids[a]] > rates[ids[b]]
+	// Best candidate set: the n hosts with the highest estimated rates,
+	// ties to the lower ID. The order is total, so sorting the previous
+	// boundary's ranking gives the same result as sorting from scratch.
+	if d.ids == nil {
+		d.ids = make([]int, len(d.p.Hosts))
+		for i := range d.ids {
+			d.ids[i] = i
 		}
-		return ids[a] < ids[b]
+	}
+	slices.SortFunc(d.ids, func(a, b int) int {
+		if c := cmp.Compare(rates[b], rates[a]); c != 0 {
+			return c
+		}
+		return cmp.Compare(a, b)
 	})
-	best := append([]int(nil), ids[:n]...)
+	best := d.ids[:n]
 
-	sameSet := func(a, b []int) bool {
-		x := append([]int(nil), a...)
-		y := append([]int(nil), b...)
-		sort.Ints(x)
-		sort.Ints(y)
-		for i := range x {
-			if x[i] != y[i] {
-				return false
-			}
-		}
-		return true
+	// Both sets hold n distinct hosts: they are equal when every best
+	// host is already active.
+	d.markActive()
+	same := true
+	for _, h := range best {
+		same = same && d.isActive[h]
 	}
-	if sameSet(best, d.hosts) {
+	if same {
+		done()
 		return
 	}
 
@@ -87,7 +88,7 @@ func crBoundary(d *driver, proc *simkern.Proc, iter int, iterTime float64) {
 		IterTime: iterTime,
 		Overhead: overhead,
 	})
-	tr := d.p.Kernel.Tracer()
+	tr := d.k.Tracer()
 	if tr.Enabled() {
 		verdict := "stay"
 		if ok {
@@ -98,27 +99,32 @@ func crBoundary(d *driver, proc *simkern.Proc, iter int, iterTime float64) {
 			Verdict: verdict, Detail: "relocation"})
 	}
 	if !ok {
+		done()
 		return
 	}
 
+	to := slices.Clone(best)
 	d.res.Events = append(d.res.Events, Event{
-		T: now, Kind: EventCheckpoint, Iter: iter, From: d.hosts, To: best, Payback: payback,
+		T: now, Kind: EventCheckpoint, Iter: iter, From: d.hosts, To: to, Payback: payback,
 	})
 	d.res.Swaps++
 
 	// Enact: checkpoint write, restart, checkpoint read.
-	writeStart := proc.Now()
-	d.transferAll(proc, n, state)
-	if tr.Enabled() {
-		tr.Emit(obs.Event{Kind: obs.KindStateTransfer, Rank: obs.RankRuntime, T: writeStart,
-			Dur: proc.Now() - writeStart, Bytes: int64(float64(n) * state), Detail: "checkpoint write"})
+	leg := func(start float64, detail string) {
+		if tr.Enabled() {
+			tr.Emit(obs.Event{Kind: obs.KindStateTransfer, Rank: obs.RankRuntime, T: start,
+				Dur: d.k.Now() - start, Bytes: int64(float64(n) * state), Detail: detail})
+		}
 	}
-	proc.Sleep(d.p.StartupTime(n))
-	readStart := proc.Now()
-	d.transferAll(proc, n, state)
-	if tr.Enabled() {
-		tr.Emit(obs.Event{Kind: obs.KindStateTransfer, Rank: obs.RankRuntime, T: readStart,
-			Dur: proc.Now() - readStart, Bytes: int64(float64(n) * state), Detail: "checkpoint read"})
-	}
-	d.hosts = best
+	d.transferAll(n, state, func() {
+		leg(now, "checkpoint write")
+		d.k.After(d.p.StartupTime(n), func() {
+			readStart := d.k.Now()
+			d.transferAll(n, state, func() {
+				leg(readStart, "checkpoint read")
+				d.hosts = to
+				done()
+			})
+		})
+	})
 }

@@ -1,9 +1,6 @@
 package strategy
 
-import (
-	"repro/internal/platform"
-	"repro/internal/simkern"
-)
+import "repro/internal/platform"
 
 // DLB is idealized dynamic load balancing: at every iteration boundary
 // the total work is repartitioned so iteration times are perfectly
@@ -41,7 +38,9 @@ func balancedChunks(d *driver, t float64) []float64 {
 	return chunks
 }
 
-func dlbBoundary(d *driver, proc *simkern.Proc, iter int, iterTime float64) {
-	d.chunks = balancedChunks(d, proc.Now())
-	d.res.Events = append(d.res.Events, Event{T: proc.Now(), Kind: EventRebalance})
+func dlbBoundary(d *driver, iter int, iterTime float64, done func()) {
+	now := d.k.Now()
+	d.chunks = balancedChunks(d, now)
+	d.res.Events = append(d.res.Events, Event{T: now, Kind: EventRebalance})
+	done()
 }

@@ -176,10 +176,18 @@ func ByName(name string) (Technique, error) {
 // ---------------------------------------------------------------------------
 // Shared driver.
 
-// driver holds the state of one run while its simulated process executes.
+// driver holds the state of one run. A run is a chain of kernel events:
+// iterate schedules one send per rank at its compute-finish time, the
+// last transfer to land schedules iterEnd, iterEnd hands the boundary to
+// the technique, and the boundary's done callback starts the next
+// iteration. Every link in the chain is scheduled where the simulated
+// process of a goroutine driver would have been woken, so events keep
+// their (time, sequence) order.
 type driver struct {
-	p  *platform.Platform
-	sc Scenario
+	p    *platform.Platform
+	k    *simkern.Kernel
+	sc   Scenario
+	hook boundaryHook
 	// hosts is the host ID per rank. It is never written in place: a
 	// boundary that moves a process installs a new slice, so iteration
 	// records and events keep the one they saw without copying it.
@@ -187,6 +195,21 @@ type driver struct {
 	chunks    []float64 // flops per rank for the coming iteration
 	selStream *rng.Stream
 	res       Result
+
+	// The iteration in flight: its index, per-rank compute-finish times,
+	// and its record, completed by iterEnd and closed by boundaryDone.
+	iter   int
+	finish []float64
+	rec    IterRecord
+
+	// remaining counts the transfers of the current phase still in
+	// flight; the last to land schedules then.
+	remaining int
+	then      func()
+
+	// The chain's callbacks, bound once per run: evaluating a method
+	// value allocates.
+	sendFn, landedFn, iterEndFn, boundaryDoneFn func()
 
 	// boundary decides the Swap technique's swaps and audits them on the
 	// virtual clock, as the live runtime's LocalDecider does (its lens is
@@ -196,18 +219,21 @@ type driver struct {
 	boundary policylens.Boundary
 	epoch    uint64
 
-	// Per-boundary scratch of the Swap technique, sized once per run:
-	// the estimated rate and active flag of every host, and the
-	// candidate lists as collected.
+	// Per-boundary scratch, sized once per run: the estimated rate and
+	// active flag of every host, the Swap technique's candidate lists as
+	// collected, and CR's host ranking (allocated at its first boundary).
 	rateBuf       []float64
 	isActive      []bool
 	active, spare []core.Candidate
+	ids           []int
 }
 
-// boundaryHook runs at each iteration boundary (application barrier); it
-// returns the overhead seconds it consumed (it must advance virtual time
-// itself via proc).
-type boundaryHook func(d *driver, proc *simkern.Proc, iter int, iterTime float64)
+// boundaryHook runs at each iteration boundary (application barrier) but
+// the last. It may schedule events — state transfers, a restart — and
+// calls done once, at the virtual time the boundary ends; the time it
+// took is the iteration's overhead. A hook with nothing to do calls done
+// before returning.
+type boundaryHook func(d *driver, iter int, iterTime float64, done func())
 
 // initialChunks computes the starting partition. Equal by default;
 // DLB overrides with a balanced partition.
@@ -223,7 +249,10 @@ func equalChunks(d *driver, _ float64) []float64 {
 }
 
 // run executes the common iterate/communicate/barrier loop with the
-// technique-specific partitioning and boundary behaviour.
+// technique-specific partitioning and boundary behaviour, on the calling
+// goroutine: a panic inside the run reaches the caller. A run whose event
+// queue drains before its last iteration ends — a boundary that never
+// called done — panics naming the technique and the iteration.
 func run(p *platform.Platform, sc Scenario, name string, chunks chunkFunc, boundary boundaryHook) Result {
 	if err := sc.App.Validate(); err != nil {
 		panic(err)
@@ -231,94 +260,116 @@ func run(p *platform.Platform, sc Scenario, name string, chunks chunkFunc, bound
 	if sc.Active <= 0 || sc.Active > len(p.Hosts) {
 		panic(fmt.Sprintf("strategy: %d active processes on %d hosts", sc.Active, len(p.Hosts)))
 	}
-	d := &driver{p: p, sc: sc,
+	k := p.Kernel
+	d := &driver{p: p, k: k, sc: sc, hook: boundary,
+		finish:   make([]float64, sc.Active),
 		boundary: policylens.Boundary{Policy: sc.policy()},
 		rateBuf:  make([]float64, len(p.Hosts)),
 		isActive: make([]bool, len(p.Hosts))}
+	d.sendFn, d.landedFn, d.iterEndFn, d.boundaryDoneFn = d.send, d.landed, d.iterEnd, d.boundaryDone
 	d.res.Strategy = name
 	d.res.Iters = make([]IterRecord, 0, sc.App.Iterations)
 	if sc.SwapSelection == "random" {
 		d.selStream = rng.NewSource(sc.SelectSeed).Stream("swap-select")
 	}
-	k := p.Kernel
 
-	k.Go("driver-"+name, func(proc *simkern.Proc) {
-		// MPI startup: 3/4 s per allocated process, including the
-		// over-allocated spares.
-		startup := p.StartupTime(len(p.Hosts))
-		proc.Sleep(startup)
-		d.res.StartupTime = startup
-		d.res.Events = append(d.res.Events, Event{T: proc.Now(), Kind: EventStartup, Procs: len(p.Hosts)})
-
+	// MPI startup: 3/4 s per allocated process, including the
+	// over-allocated spares.
+	d.res.StartupTime = p.StartupTime(len(p.Hosts))
+	k.After(d.res.StartupTime, func() {
+		now := k.Now()
+		d.res.Events = append(d.res.Events, Event{T: now, Kind: EventStartup, Procs: len(p.Hosts)})
 		// Initial schedule: the fastest processors at startup time.
-		d.hosts = p.FastestAt(proc.Now(), sc.Active, nil)
-		d.chunks = chunks(d, proc.Now())
-
-		finish := make([]float64, sc.Active)
-		for it := 0; it < sc.App.Iterations; it++ {
-			start := proc.Now()
-
-			// Compute phase: each rank computes its chunk under its
-			// host's time-varying load.
-			computeDone := start
-			for r := 0; r < sc.Active; r++ {
-				finish[r] = p.Hosts[d.hosts[r]].ComputeFinish(start, d.chunks[r])
-				if finish[r] > computeDone {
-					computeDone = finish[r]
-				}
-			}
-
-			// Communication phase: each rank sends its iteration data
-			// over the shared link as soon as it finishes computing; the
-			// iteration barrier completes when the last transfer lands.
-			end := d.commPhase(proc, finish, sc.App.BytesPerIter)
-			if end < computeDone {
-				end = computeDone
-			}
-			proc.SleepUntil(end)
-
-			rec := IterRecord{
-				Index:       it,
-				Start:       start,
-				ComputeDone: computeDone,
-				End:         end,
-				Hosts:       d.hosts,
-			}
-			// Trace the iteration per rank with explicit virtual
-			// timestamps, so simulated runs export in the same format as
-			// live ones (one track per rank, B/E iteration slices).
-			if tr := k.Tracer(); tr.Enabled() {
-				for r := 0; r < sc.Active; r++ {
-					tr.Emit(obs.Event{Kind: obs.KindIterStart, Rank: r, T: start,
-						Peer: d.hosts[r]})
-					tr.Emit(obs.Event{Kind: obs.KindIterEnd, Rank: r, T: end,
-						Value: end - start, Peer: d.hosts[r]})
-				}
-				emitCausalBarrier(tr, k.Causal(), sc.Active, finish, computeDone, end,
-					sc.App.BytesPerIter)
-			}
-
-			// Boundary: the technique may swap, rebalance or checkpoint.
-			if boundary != nil && it < sc.App.Iterations-1 {
-				before := proc.Now()
-				boundary(d, proc, it, end-start)
-				rec.Overhead = proc.Now() - before
-				d.res.Overhead += rec.Overhead
-			}
-			d.res.Iters = append(d.res.Iters, rec)
-		}
-		d.res.TotalTime = proc.Now()
-		d.res.FinalHosts = d.hosts
-		if d.boundary.Lens != nil {
-			rep := d.boundary.Lens.Report()
-			d.res.Lens = &rep
-		}
+		d.hosts = p.FastestAt(now, sc.Active, nil)
+		d.chunks = chunks(d, now)
+		d.iterate()
 	})
 	k.Run()
-	if stuck := k.Stuck(); stuck != nil {
-		panic(fmt.Sprintf("strategy: run %s deadlocked: %v", name, stuck))
+	if len(d.res.Iters) < sc.App.Iterations {
+		panic(fmt.Sprintf("strategy: run %s stalled in iteration %d: the event queue drained before the last iteration",
+			name, d.iter))
 	}
 	return d.res
+}
+
+// iterate starts iteration d.iter at the current virtual time. Compute
+// phase: each rank computes its chunk under its host's time-varying load.
+// Communication phase: each rank sends its iteration data over the shared
+// link as soon as it finishes computing; the iteration barrier completes
+// when the last transfer lands, or when the last rank finishes computing
+// if there is nothing to send.
+func (d *driver) iterate() {
+	start := d.k.Now()
+	computeDone := start
+	for r, h := range d.hosts {
+		d.finish[r] = d.p.Hosts[h].ComputeFinish(start, d.chunks[r])
+		if d.finish[r] > computeDone {
+			computeDone = d.finish[r]
+		}
+	}
+	d.rec = IterRecord{Index: d.iter, Start: start, ComputeDone: computeDone, Hosts: d.hosts}
+	if d.sc.App.BytesPerIter <= 0 {
+		d.k.At(computeDone, d.iterEndFn)
+		return
+	}
+	d.remaining, d.then = len(d.finish), d.iterEndFn
+	for _, t := range d.finish {
+		d.k.At(t, d.sendFn)
+	}
+}
+
+// send starts one rank's iteration data on the link.
+func (d *driver) send() { d.p.Link.Start(d.sc.App.BytesPerIter, d.landedFn) }
+
+// landed counts one transfer of the current phase in; the last one wakes
+// the phase's continuation at the current virtual time.
+func (d *driver) landed() {
+	if d.remaining--; d.remaining == 0 {
+		d.k.At(d.k.Now(), d.then)
+	}
+}
+
+// iterEnd closes the iteration at the barrier and hands the boundary to
+// the technique: it may swap, rebalance or checkpoint.
+func (d *driver) iterEnd() {
+	end := d.k.Now()
+	d.rec.End = end
+	// Trace the iteration per rank with explicit virtual timestamps, so
+	// simulated runs export in the same format as live ones (one track
+	// per rank, B/E iteration slices).
+	if tr := d.k.Tracer(); tr.Enabled() {
+		start := d.rec.Start
+		for r, h := range d.hosts {
+			tr.Emit(obs.Event{Kind: obs.KindIterStart, Rank: r, T: start, Peer: h})
+			tr.Emit(obs.Event{Kind: obs.KindIterEnd, Rank: r, T: end, Value: end - start, Peer: h})
+		}
+		emitCausalBarrier(tr, d.k.Causal(), d.sc.Active, d.finish, d.rec.ComputeDone, end,
+			d.sc.App.BytesPerIter)
+	}
+	if d.hook != nil && d.iter < d.sc.App.Iterations-1 {
+		d.hook(d, d.iter, end-d.rec.Start, d.boundaryDoneFn)
+		return
+	}
+	d.boundaryDone()
+}
+
+// boundaryDone charges the boundary's time to the iteration as overhead
+// and starts the next iteration, or finishes the run after the last.
+func (d *driver) boundaryDone() {
+	now := d.k.Now()
+	d.rec.Overhead = now - d.rec.End
+	d.res.Overhead += d.rec.Overhead
+	d.res.Iters = append(d.res.Iters, d.rec)
+	if d.iter++; d.iter < d.sc.App.Iterations {
+		d.iterate()
+		return
+	}
+	d.res.TotalTime = now
+	d.res.FinalHosts = d.hosts
+	if d.boundary.Lens != nil {
+		rep := d.boundary.Lens.Report()
+		d.res.Lens = &rep
+	}
 }
 
 // emitCausalBarrier traces the iteration barrier as explicit Lamport
@@ -353,56 +404,27 @@ func emitCausalBarrier(tr *obs.Tracer, cz *obs.Causal, active int, finish []floa
 	}
 }
 
-// commPhase starts one transfer per rank at its ready time and blocks the
-// driver until all have completed, returning the completion time of the
-// last one. Zero-byte communication completes immediately at the latest
-// ready time.
-func (d *driver) commPhase(proc *simkern.Proc, readyAt []float64, bytes float64) float64 {
-	latest := 0.0
-	for _, t := range readyAt {
-		if t > latest {
-			latest = t
-		}
-	}
-	if bytes <= 0 {
-		return latest
-	}
-	k := d.p.Kernel
-	remaining := len(readyAt)
-	endAt := 0.0
-	landed := func() {
-		remaining--
-		if remaining == 0 {
-			endAt = k.Now()
-			proc.Unpark()
-		}
-	}
-	send := func() { d.p.Link.Start(bytes, landed) }
-	for _, t := range readyAt {
-		k.At(t, send)
-	}
-	proc.Park()
-	return endAt
-}
-
-// transferAll starts one state transfer per entry in bytes and blocks the
-// driver until all complete (used for swaps and checkpoint write/read
-// phases, which happen inside the application barrier).
-func (d *driver) transferAll(proc *simkern.Proc, count int, bytes float64) {
+// transferAll starts count concurrent transfers of bytes each and runs
+// then when the last one lands (swaps and checkpoint write/read phases,
+// which happen inside the application barrier). With nothing to move it
+// runs then at once.
+func (d *driver) transferAll(count int, bytes float64, then func()) {
 	if count <= 0 || bytes <= 0 {
+		then()
 		return
 	}
-	remaining := count
-	landed := func() {
-		remaining--
-		if remaining == 0 {
-			proc.Unpark()
-		}
-	}
+	d.remaining, d.then = count, then
 	for i := 0; i < count; i++ {
-		d.p.Link.Start(bytes, landed)
+		d.p.Link.Start(bytes, d.landedFn)
 	}
-	proc.Park()
+}
+
+// markActive flags the hosts of the current placement in isActive.
+func (d *driver) markActive() {
+	clear(d.isActive)
+	for _, h := range d.hosts {
+		d.isActive[h] = true
+	}
 }
 
 // rates returns the estimated rate of every host, using the policy's

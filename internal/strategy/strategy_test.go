@@ -1,7 +1,9 @@
 package strategy
 
 import (
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/app"
@@ -395,4 +397,24 @@ func TestRunPanicsOnBadScenario(t *testing.T) {
 		}
 	}()
 	None{}.Run(p, Scenario{Active: 5, App: app.Default(1)})
+}
+
+// A boundary that never calls done leaves the run with nothing scheduled:
+// the queue drains mid-run, and the run says which technique stalled and
+// in which iteration instead of returning a truncated Result.
+func TestBoundaryThatNeverEndsPanics(t *testing.T) {
+	defer func() {
+		msg := fmt.Sprint(recover())
+		if !strings.Contains(msg, "run stuck stalled in iteration 2") {
+			t.Fatalf("panic %q does not name the technique and iteration", msg)
+		}
+	}()
+	p := testPlatform(4, loadgen.Constant{N: 0}, 1)
+	run(p, Scenario{Active: 2, App: app.Default(5)}, "stuck", equalChunks,
+		func(d *driver, iter int, iterTime float64, done func()) {
+			if iter < 2 {
+				done()
+			}
+		})
+	t.Fatal("a run whose boundary never ended returned")
 }

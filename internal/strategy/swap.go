@@ -7,7 +7,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/platform"
 	"repro/internal/rng"
-	"repro/internal/simkern"
 	"repro/internal/swaprt/policylens"
 )
 
@@ -27,25 +26,23 @@ func (Swap) Run(p *platform.Platform, sc Scenario) Result {
 	return run(p, sc, "swap", equalChunks, swapBoundary)
 }
 
-func swapBoundary(d *driver, proc *simkern.Proc, iter int, iterTime float64) {
+func swapBoundary(d *driver, iter int, iterTime float64, done func()) {
 	if iterTime <= 0 {
+		done()
 		return
 	}
-	now := proc.Now()
+	now := d.k.Now()
 	rates := d.rates(now)
 
 	// The candidate lists live in driver-owned buffers: the boundary
 	// only reads them, so nothing holds them past this call.
 	active, spare := d.active[:0], d.spare[:0]
-	for i := range d.isActive {
-		d.isActive[i] = false
-	}
 	for r, h := range d.hosts {
 		// Candidate ID is the rank index for actives so a decision can
 		// be applied to the right process; rate is the host's estimate.
 		active = append(active, core.Candidate{ID: r, Rate: rates[h]})
-		d.isActive[h] = true
 	}
+	d.markActive()
 	for h, on := range d.isActive {
 		if !on {
 			spare = append(spare, core.Candidate{ID: h, Rate: rates[h]})
@@ -53,7 +50,7 @@ func swapBoundary(d *driver, proc *simkern.Proc, iter int, iterTime float64) {
 	}
 	d.active, d.spare = active, spare
 
-	tr := d.p.Kernel.Tracer()
+	tr := d.k.Tracer()
 	swapTime := d.predictedSwapTime()
 	// The sim audits through the same boundary type as the live runtime,
 	// on the virtual clock, so simulated and live traces carry the same
@@ -93,6 +90,7 @@ func swapBoundary(d *driver, proc *simkern.Proc, iter int, iterTime float64) {
 		}
 	}
 	if len(swaps) == 0 {
+		done()
 		return
 	}
 
@@ -108,19 +106,23 @@ func swapBoundary(d *driver, proc *simkern.Proc, iter int, iterTime float64) {
 	}
 	d.hosts = to
 	d.res.Swaps += len(swaps)
-	d.transferAll(proc, len(swaps), d.sc.App.StateBytes)
-	// Sim swaps always land: commit the proposed epoch (live convention:
-	// a decision at epoch e establishes e+1) so later events carrying
-	// the new epoch are the trace's commit evidence for the audit.
-	d.epoch++
-	d.boundary.Lens.ObserveOutcome(proc.Now(), d.epoch, true)
-	if tr.Enabled() {
-		for _, s := range swaps {
-			tr.Emit(obs.Event{Kind: obs.KindStateTransfer, Rank: s.Out.ID, T: now,
-				Dur: proc.Now() - now, Peer: s.In.ID,
-				Bytes: int64(d.sc.App.StateBytes), Detail: "out", Epoch: d.epoch})
+	d.transferAll(len(swaps), d.sc.App.StateBytes, func() {
+		// Sim swaps always land: commit the proposed epoch (live
+		// convention: a decision at epoch e establishes e+1) so later
+		// events carrying the new epoch are the trace's commit evidence
+		// for the audit.
+		landed := d.k.Now()
+		d.epoch++
+		d.boundary.Lens.ObserveOutcome(landed, d.epoch, true)
+		if tr.Enabled() {
+			for _, s := range swaps {
+				tr.Emit(obs.Event{Kind: obs.KindStateTransfer, Rank: s.Out.ID, T: now,
+					Dur: landed - now, Peer: s.In.ID,
+					Bytes: int64(d.sc.App.StateBytes), Detail: "out", Epoch: d.epoch})
+			}
 		}
-	}
+		done()
+	})
 }
 
 // randomSelect is the pair-selection ablation: instead of pairing the
