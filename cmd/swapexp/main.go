@@ -244,9 +244,6 @@ func liveDemo(traceFlags *obsflag.Flags, chaos string, tm clock.Clock) error {
 		Tracer:    tracer,
 		Telemetry: hub,
 		Lens:      lens,
-		Logf: func(format string, args ...any) {
-			fmt.Printf("  "+format+"\n", args...)
-		},
 	}
 	if plan != nil {
 		cfg.TransferTimeout = 500 * time.Millisecond

@@ -202,7 +202,6 @@ func main() {
 		Active:          *active,
 		Policy:          pol,
 		Probe:           inj.probe,
-		Logf:            log.Printf,
 		HandlerInterval: *handler,
 		TransferTimeout: *transfer,
 		Tracer:          tracer,

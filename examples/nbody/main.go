@@ -42,7 +42,7 @@ func busyWait(d time.Duration) {
 	_ = x
 }
 
-func run(worldSize int, probe func(int) float64, slowdown func(int) float64, logf func(string, ...any)) ([]float64, float64, float64) {
+func run(worldSize int, probe func(int) float64, slowdown func(int) float64) ([]float64, float64, float64) {
 	nb := apps.NBody{N: particles, G: 0.002, Dt: 0.01, Softening: 0.1}
 	var mu sync.Mutex
 	finalX := make([]float64, particles)
@@ -52,7 +52,6 @@ func run(worldSize int, probe func(int) float64, slowdown func(int) float64, log
 		Active: active,
 		Policy: core.Safe(),
 		Probe:  probe,
-		Logf:   logf,
 	}, func(s *swaprt.Session) error {
 		iter := 0
 		var st *apps.NBodyState
@@ -104,7 +103,7 @@ func run(worldSize int, probe func(int) float64, slowdown func(int) float64, log
 func main() {
 	// Reference: no spares, equal probes — no swaps possible.
 	noSlow := func(int) float64 { return 1 }
-	refX, refPx, refPy := run(active, func(int) float64 { return 100 }, noSlow, nil)
+	refX, refPx, refPy := run(active, func(int) float64 { return 100 }, noSlow)
 
 	// Live run: 3 spares; rank 0's host collapses shortly after start.
 	var mu sync.Mutex
@@ -127,7 +126,7 @@ func main() {
 		defer mu.Unlock()
 		return 100 / rates[rank]
 	}
-	liveX, livePx, livePy := run(5, probe, slowdown, log.Printf)
+	liveX, livePx, livePy := run(5, probe, slowdown)
 
 	diverged := 0
 	for i := range refX {

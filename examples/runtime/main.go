@@ -66,7 +66,6 @@ func main() {
 		Active: active,
 		Policy: core.Greedy(),
 		Probe:  inj.probe,
-		Logf:   log.Printf,
 	}
 
 	var mu sync.Mutex

@@ -16,7 +16,7 @@
 //   - mpierr: no silently discarded error from MPI operations or gob
 //     encode/decode.
 //   - obsdiscipline: no direct console printing from the runtime packages —
-//     diagnostics go through obs events or the injected cfg.Logf.
+//     diagnostics go through obs events or returned errors.
 //   - clockdiscipline: no bare wall-clock use (time.Now/Sleep/After/timers)
 //     in the live runtime packages — time flows through an injected
 //     clock.Clock so tests and sweeps can fake or compress it.

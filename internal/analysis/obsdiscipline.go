@@ -10,9 +10,9 @@ import (
 // the MPI substrate, the swapping runtime, the simulation kernel and
 // the telemetry series primitives the hub samples into. Diagnostics go
 // through obs events (structured, exportable, cheap when disabled) or
-// the injected cfg.Logf; direct printing from these packages bypasses
-// both the rank attribution and the enabled gate, and corrupts the
-// stdout of every command that embeds them.
+// back to the caller as errors; direct printing from these packages
+// bypasses both the rank attribution and the enabled gate, and corrupts
+// the stdout of every command that embeds them.
 var obsPkgs = map[string]bool{
 	"repro/internal/mpi":        true,
 	"repro/internal/swaprt":     true,
@@ -52,11 +52,11 @@ var logFuncs = map[string]bool{
 // ObsDiscipline forbids direct console output in the runtime packages:
 // fmt print functions (including Fprint* aimed at os.Stdout/os.Stderr),
 // the global log package, and the println/print builtins. Structured
-// events belong in obs; operator messages belong in the caller-injected
-// Logf.
+// events belong in obs; failures go back to the caller as errors, or to
+// a caller-injected log sink where a component has one.
 var ObsDiscipline = &Analyzer{
 	Name:    "obsdiscipline",
-	Doc:     "forbid fmt/log console printing in the runtime packages (mpi, swaprt, simkern, obs/series, obs/flight, swapmon/monclient); use obs events or cfg.Logf",
+	Doc:     "forbid fmt/log console printing in the runtime packages (mpi, swaprt, simkern, obs/series, obs/flight, swapmon/monclient); use obs events or return errors",
 	Applies: obsApplies,
 	Run:     runObsDiscipline,
 }
@@ -77,7 +77,7 @@ func runObsDiscipline(p *Pass) {
 func (p *Pass) checkObsCall(call *ast.CallExpr) {
 	if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok {
 		if b, ok := p.Info.Uses[id].(*types.Builtin); ok && (b.Name() == "println" || b.Name() == "print") {
-			p.Reportf(call.Pos(), "builtin %s in a runtime package; emit an obs event or use cfg.Logf", b.Name())
+			p.Reportf(call.Pos(), "builtin %s in a runtime package; emit an obs event or return an error", b.Name())
 			return
 		}
 	}
@@ -89,15 +89,15 @@ func (p *Pass) checkObsCall(call *ast.CallExpr) {
 	case "fmt":
 		switch name {
 		case "Print", "Printf", "Println":
-			p.Reportf(call.Pos(), "fmt.%s in a runtime package; emit an obs event or use cfg.Logf", name)
+			p.Reportf(call.Pos(), "fmt.%s in a runtime package; emit an obs event or return an error", name)
 		case "Fprint", "Fprintf", "Fprintln":
 			if len(call.Args) > 0 && isStdStream(p, call.Args[0]) {
-				p.Reportf(call.Pos(), "fmt.%s to a standard stream in a runtime package; emit an obs event or use cfg.Logf", name)
+				p.Reportf(call.Pos(), "fmt.%s to a standard stream in a runtime package; emit an obs event or return an error", name)
 			}
 		}
 	case "log":
 		if logFuncs[name] {
-			p.Reportf(call.Pos(), "log.%s in a runtime package; emit an obs event or use cfg.Logf", name)
+			p.Reportf(call.Pos(), "log.%s in a runtime package; emit an obs event or return an error", name)
 		}
 	}
 }

@@ -1,6 +1,6 @@
 // Package fixture seeds console-output violations for the obsdiscipline
 // golden test: direct fmt/log printing and the println builtin, which
-// the runtime packages must route through obs events or cfg.Logf.
+// the runtime packages must route through obs events or returned errors.
 package fixture
 
 import (
@@ -11,7 +11,8 @@ import (
 	"strings"
 )
 
-// logf stands in for the caller-injected Config.Logf sink.
+// logf stands in for a caller-injected log sink, such as the flight
+// recorder's.
 var logf = func(format string, args ...any) {}
 
 func directPrints(rank int) {
@@ -30,7 +31,8 @@ func fatalExit() {
 }
 
 // allowed shows the sanctioned forms: formatting without printing,
-// writing to an arbitrary (injected) writer, and the Logf indirection.
+// writing to an arbitrary (injected) writer, an injected log sink, and
+// an error for the caller.
 func allowed(rank int, sb *strings.Builder) string {
 	s := fmt.Sprintf("rank %d", rank)
 	fmt.Fprintf(sb, "into a builder: %s", s)

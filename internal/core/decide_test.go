@@ -2,6 +2,8 @@ package core
 
 import (
 	"math"
+	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -267,6 +269,90 @@ func TestDecideProperties(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
+	}
+}
+
+// randomBoundary draws one boundary for the decision properties: 1-8
+// actives and 0-8 spares whose rates are spread, or clustered on three
+// levels so that ties leave the order to the IDs, and a positive
+// iteration time and swap cost.
+func randomBoundary(st *rng.Stream, nA, nS uint8, itRaw, swRaw uint16, clustered bool) DecideInput {
+	rate := func() float64 {
+		if clustered {
+			return float64(100 * (1 + st.Intn(3)))
+		}
+		return st.Uniform(50, 800)
+	}
+	in := DecideInput{IterTime: float64(itRaw%600) + 1, SwapTime: float64(swRaw%300) + 0.01}
+	for i := 0; i < int(nA%8)+1; i++ {
+		in.Active = append(in.Active, Candidate{ID: i, Rate: rate()})
+	}
+	for i := 0; i < int(nS%9); i++ {
+		in.Spare = append(in.Spare, Candidate{ID: 100 + i, Rate: rate()})
+	}
+	return in
+}
+
+// Property: no policy proposes a pair whose payback distance Beneficial
+// rejects; every policy's gates are at least as strict. The swap cost is
+// positive, as the cost model's latency makes it: a free swap pays back
+// at distance 0, which Beneficial does not count as a benefit.
+func TestDecideProposesOnlyBeneficialPairs(t *testing.T) {
+	st := rng.NewSource(31).Stream("beneficial")
+	proposed := 0
+	f := func(nA, nS uint8, itRaw, swRaw uint16, clustered bool) bool {
+		in := randomBoundary(st, nA, nS, itRaw, swRaw, clustered)
+		for _, p := range []Policy{Greedy(), Safe(), Friendly()} {
+			for _, pair := range p.Decide(in) {
+				proposed++
+				if !Beneficial(pair.Payback) {
+					t.Logf("%s proposed %+v on %+v", p.Name, pair, in)
+					return false
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300, Rand: rand.New(rand.NewSource(31))}); err != nil {
+		t.Fatal(err)
+	}
+	if proposed < 100 {
+		t.Fatalf("only %d pairs proposed: the property was barely exercised", proposed)
+	}
+}
+
+// Property: the order candidates arrive in does not matter. Deciding on
+// any permutation of an input returns the pairs and the Explanation that
+// deciding on its Ordered view does.
+func TestDecideOnAnyPermutationEqualsOrdered(t *testing.T) {
+	st := rng.NewSource(32).Stream("permutation")
+	swapped := 0
+	f := func(nA, nS uint8, itRaw, swRaw uint16, clustered bool) bool {
+		in := randomBoundary(st, nA, nS, itRaw, swRaw, clustered)
+		ordered := in.Ordered(nil)
+		perm := in
+		perm.Active = append([]Candidate(nil), in.Active...)
+		perm.Spare = append([]Candidate(nil), in.Spare...)
+		st.Shuffle(len(perm.Active), func(i, j int) { perm.Active[i], perm.Active[j] = perm.Active[j], perm.Active[i] })
+		st.Shuffle(len(perm.Spare), func(i, j int) { perm.Spare[i], perm.Spare[j] = perm.Spare[j], perm.Spare[i] })
+		for _, p := range []Policy{Greedy(), Safe(), Friendly()} {
+			pairs, exp := p.DecideExplained(ordered)
+			ppairs, pexp := p.DecideExplained(perm)
+			if !reflect.DeepEqual(pairs, ppairs) || exp != pexp {
+				t.Logf("%s on %v %v: %v %+v\non Ordered: %v %+v", p.Name, perm.Active, perm.Spare, ppairs, pexp, pairs, exp)
+				return false
+			}
+			if len(pairs) > 0 {
+				swapped++
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300, Rand: rand.New(rand.NewSource(32))}); err != nil {
+		t.Fatal(err)
+	}
+	if swapped < 100 {
+		t.Fatalf("only %d decisions swapped: the property was barely exercised", swapped)
 	}
 }
 

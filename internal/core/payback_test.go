@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -73,6 +74,30 @@ func TestPaybackMonotoneInSpeedup(t *testing.T) {
 		return p2 < p1
 	}
 	if err := quick.Check(f, nil); err != nil {
+		t.Error(err)
+	}
+}
+
+// Property: the costlier the swap, the further its payback — monotone in
+// swapTime: increasing for a faster host, and for a slower one, where the
+// distance is negative, decreasing.
+func TestPaybackMonotoneInSwapTime(t *testing.T) {
+	f := func(a, b, c, d uint16) bool {
+		s1 := float64(a%1000) / 10
+		s2 := s1 + float64(b%1000)/10 + 0.01
+		iter := float64(c%600) + 1
+		newPerf := 0.1 + float64(d%1000)/100 // oldPerf is 1
+		p1 := PaybackDistance(s1, iter, 1, newPerf)
+		p2 := PaybackDistance(s2, iter, 1, newPerf)
+		switch {
+		case newPerf > 1:
+			return p2 > p1
+		case newPerf < 1:
+			return p2 < p1
+		}
+		return math.IsInf(p1, 1) && math.IsInf(p2, 1)
+	}
+	if err := quick.Check(f, &quick.Config{Rand: rand.New(rand.NewSource(28))}); err != nil {
 		t.Error(err)
 	}
 }

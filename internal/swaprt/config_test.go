@@ -9,7 +9,7 @@ import (
 
 func TestConfigFillDefaults(t *testing.T) {
 	c := Config{}.fill()
-	if c.Probe == nil || c.Logf == nil {
+	if c.Probe == nil {
 		t.Fatal("fill left nil hooks")
 	}
 	if c.LinkLatency == nil || *c.LinkLatency <= 0 || c.LinkBandwidth == nil || *c.LinkBandwidth <= 0 {

@@ -90,7 +90,7 @@ func (g GatedDecider) Ping() error {
 // serves at a new address) and circuit transitions go to the manager's
 // WAL. With neither, a second LocalDecider stands in, so a chaos plan
 // has something to take down. Clock and metrics registry are world's,
-// tracer and log sink cfg's; the caller owns Close.
+// the tracer is cfg's; the caller owns Close.
 func NewDecisionStack(world *mpi.World, cfg Config, primary Decider, sup *ManagerSupervisor,
 	gate func() error) *ResilientDecider {
 
@@ -108,7 +108,6 @@ func NewDecisionStack(world *mpi.World, cfg Config, primary Decider, sup *Manage
 		ProbeInterval: 50 * time.Millisecond,
 		Clock:         world.Clock(),
 		Tracer:        cfg.Tracer,
-		Logf:          cfg.Logf,
 		Metrics:       world.Metrics(),
 	}
 	if sup != nil {

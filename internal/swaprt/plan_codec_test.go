@@ -13,22 +13,25 @@ import (
 // checked against the bytes behind it before the make), and the layout
 // has no slack — an input either decoder accepts re-encodes to itself.
 func FuzzPlanCommitDecode(f *testing.F) {
-	plan := encodePlan(planMsg{NewEpoch: 7, Swaps: []SwapDirective{{Out: 0, In: 3}, {Out: -1, In: 2}}})
+	plan := encodePlan([]SwapDirective{{Out: 0, In: 3}, {Out: -1, In: 2}})
 	commit := encodeCommit(commitMsg{Epoch: 7, Commit: true, NewSet: []int{3, 1, -2}})
 	for _, msg := range [][]byte{
 		plan, commit,
-		encodePlan(planMsg{NewEpoch: 1}), encodeCommit(commitMsg{Epoch: 1}),
+		encodePlan(nil), encodeCommit(commitMsg{Epoch: 1}),
 	} {
 		f.Add(msg)
 		f.Add(msg[:len(msg)-1])                   // truncated
 		f.Add(append(msg[:len(msg):len(msg)], 0)) // a trailing byte
 	}
 	// Counts the bytes do not back, and a commit flag that is not a bool.
-	f.Add(patched(plan, func(b []byte) { binary.LittleEndian.PutUint64(b[8:], 1<<60) }))
-	f.Add(patched(plan, func(b []byte) { binary.LittleEndian.PutUint64(b[8:], 1) }))
+	f.Add(patched(plan, func(b []byte) { binary.LittleEndian.PutUint64(b, 1<<60) }))
+	f.Add(patched(plan, func(b []byte) { binary.LittleEndian.PutUint64(b, 1) }))
 	f.Add(patched(commit, func(b []byte) { binary.LittleEndian.PutUint64(b[9:], 1<<60) }))
 	f.Add(patched(commit, func(b []byte) { b[8] = 2 }))
 	f.Add([]byte{})
+	// An ack: the epoch prefix the state, ack and commit messages share,
+	// with nothing behind it.
+	f.Add(binary.LittleEndian.AppendUint64(nil, 7))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var before, after runtime.MemStats
