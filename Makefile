@@ -10,8 +10,12 @@ all: build vet lint test
 build:
 	$(GO) build ./...
 
+# vet also fails on any file gofmt would rewrite, listing them.
 vet:
 	$(GO) vet ./...
+	@UNFORMATTED=$$(gofmt -l .); if [ -n "$$UNFORMATTED" ]; then \
+		echo "gofmt: not formatted:"; echo "$$UNFORMATTED"; exit 1; \
+	fi
 
 # Project-specific static analysis (cmd/swapvet): determinism of the
 # simulation/figure packages, lock/I-O discipline, conn deadlines, and
@@ -20,7 +24,8 @@ vet:
 lint:
 	$(GO) run ./cmd/swapvet ./...
 
-# The concurrency-heavy packages (transport, runtime) run under the race
+# The concurrency-heavy packages (transport, runtime) and the policy core
+# (whose allocation pins skip themselves under -race) run under the race
 # detector as part of the default test target; the manager failover and
 # lease hand-over tests twenty times over, because the race they guard
 # (a renewal in flight across a release) showed once in a dozen runs, and
@@ -30,7 +35,7 @@ test: race
 	$(GO) test ./...
 
 race:
-	$(GO) test -race ./internal/mpi/ ./internal/mpi/wire/ ./internal/swaprt/ ./internal/apps/ ./internal/experiment/
+	$(GO) test -race ./internal/mpi/ ./internal/mpi/wire/ ./internal/swaprt/ ./internal/apps/ ./internal/experiment/ ./internal/core/
 	$(GO) test -race -count=20 -run 'Failover|Supervisor' ./internal/swaprt/
 	$(GO) test -race -count=20 -run 'TestTCPSharedConnection' ./internal/mpi/
 
@@ -81,7 +86,9 @@ bench-transport:
 # send path and one kernel event — so the artifact cannot disagree with
 # the gate that admitted it. The decision layer's flat-cost pair (results/bench-decide.txt: a LocalDecider decision over
 # 256 and over 20,000 samples of history, and the lens auditing a 4+28
-# boundary) is gated there too: 20k within 2x of 256.
+# boundary) is gated there too: 20k within 2x of 256. The same file
+# carries one manager call over loopback TCP (BenchmarkRemoteDecideRoundTrip,
+# ungated).
 bench-all:
 	mkdir -p results
 	$(GO) test -run '^$$' -bench '^BenchmarkTCPSendDistinctRanks(Causal)?$$' \
@@ -99,6 +106,8 @@ bench-all:
 		-benchmem -count 3 . | tee -a results/bench-sim.txt
 	$(GO) test -run '^$$' -bench '^Benchmark(LocalDeciderDecide|LensObserveDecision)$$' \
 		-benchmem -count 3 . | tee results/bench-decide.txt
+	$(GO) test -run '^$$' -bench '^BenchmarkRemoteDecideRoundTrip$$' \
+		-benchmem -count 3 . | tee -a results/bench-decide.txt
 	$(GO) run ./cmd/benchagg -out results/BENCH_summary.json \
 		-zero-alloc '^Benchmark(TCPSendDistinctRanks(Causal)?|KernelEventThroughput)$$' \
 		results/bench-transport.txt results/bench-lens.txt results/bench-codec.txt \

@@ -3,15 +3,18 @@ package repro
 import (
 	"bytes"
 	"math/rand"
+	"net"
 	"sync"
 	"testing"
 
 	"repro/internal/apps"
+	"repro/internal/clock"
 	"repro/internal/core"
 	"repro/internal/mpi"
 	"repro/internal/rng"
 	"repro/internal/strategy"
 	"repro/internal/swaprt"
+	"repro/internal/swaprt/mgrstore"
 	"repro/internal/swaprt/policylens"
 )
 
@@ -154,6 +157,49 @@ func BenchmarkLocalDeciderDecide(b *testing.B) {
 				decide()
 			}
 		})
+	}
+}
+
+// BenchmarkRemoteDecideRoundTrip measures one manager call over loopback
+// TCP: a RemoteDecider against a served DurableDecider on a MemStore
+// (no fsync), a swap decision and the outcome committing it alternating,
+// as a run's leader makes them. It prices the wire and the decider stack
+// behind it, apart from the swap the benchmark harness wraps around them.
+func BenchmarkRemoteDecideRoundTrip(b *testing.B) {
+	durable, err := swaprt.NewDurableDecider(swaprt.NewLocalDecider(core.Greedy()),
+		mgrstore.NewMemStore(clock.Real{}), nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer ln.Close()
+	go func() { _ = swaprt.ServeManager(ln, durable, nil) }()
+	d := &swaprt.RemoteDecider{Addr: ln.Addr().String()}
+	req := swaprt.DecideRequest{
+		ActiveSet: []int{0, 1}, ActiveRates: []float64{100, 1000},
+		SpareSet: []int{2}, SpareRates: []float64{1000},
+		IterTime: 300e-6, SwapTime: 0.0005,
+	}
+	outcome := swaprt.OutcomeMsg{Committed: true, NewSet: []int{2, 1}}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if i%2 == 1 {
+			outcome.Epoch = req.Epoch + 1
+			if err := d.ReportOutcome(outcome); err != nil {
+				b.Fatal(err)
+			}
+			req.Epoch++
+			continue
+		}
+		req.Now += 300e-6
+		resp, err := d.Decide(req)
+		if err != nil || len(resp.Swaps) != 1 {
+			b.Fatalf("decide: %v %v", resp.Swaps, err)
+		}
 	}
 }
 

@@ -1,9 +1,9 @@
 // Command swapmgr runs a standalone swap-manager daemon: the "possibly
 // remote process responsible for collecting information and making
 // swapping decisions" of the paper's runtime architecture. Applications
-// using the swaprt runtime point a swaprt.RemoteDecider at its address;
-// each connection carries one JSON DecideRequest and receives one JSON
-// DecideResponse.
+// using the swaprt runtime point a *swaprt.RemoteDecider at its address;
+// a connection carries any number of JSON requests, each answered by one
+// JSON response, and stays open between them.
 //
 // With -debug-addr it also serves an HTTP endpoint exposing
 // net/http/pprof profiles, /metrics in Prometheus text format (including

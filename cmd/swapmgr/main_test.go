@@ -57,7 +57,7 @@ func TestEveryLayerForwardsEveryCallOnce(t *testing.T) {
 		}
 		t.Cleanup(func() { ln.Close() })
 		go func() { _ = swaprt.ServeManager(ln, next, nil) }()
-		return swaprt.RemoteDecider{Addr: ln.Addr().String()}
+		return &swaprt.RemoteDecider{Addr: ln.Addr().String()}
 	}
 	gated := func(next swaprt.Decider) swaprt.Decider {
 		return swaprt.GatedDecider{Forward: swaprt.Forward{Next: next}, Gate: pass}

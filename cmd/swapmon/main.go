@@ -32,9 +32,9 @@ import (
 
 func main() {
 	var (
-		addr     = flag.String("addr", "127.0.0.1:7081", "debug endpoint host:port (or a full /telemetry URL)")
-		interval = flag.Duration("interval", time.Second, "poll interval")
-		once     = flag.Bool("once", false, "poll until the check passes or -timeout, print one report, exit 0/1")
+		addr       = flag.String("addr", "127.0.0.1:7081", "debug endpoint host:port (or a full /telemetry URL)")
+		interval   = flag.Duration("interval", time.Second, "poll interval")
+		once       = flag.Bool("once", false, "poll until the check passes or -timeout, print one report, exit 0/1")
 		minSwaps   = flag.Int("min-swaps", 0, "with -once: require at least this many committed swaps")
 		minAnoms   = flag.Int("min-anomalies", 0, "with -once: require at least this many detected anomalies")
 		minShadow  = flag.Int("min-shadow", 0, "with -once: require at least this many shadow-policy decisions from the policy lens")

@@ -240,7 +240,7 @@ func main() {
 			plan.SetManagerKiller(sup.Kill)
 		}
 	} else if *manager != "" {
-		primary = swaprt.RemoteDecider{Addr: *manager}
+		primary = &swaprt.RemoteDecider{Addr: *manager}
 		log.Printf("using remote swap manager at %s", *manager)
 	}
 	// A manager that can fail — supervised, remote, or a local stand-in a

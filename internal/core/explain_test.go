@@ -340,6 +340,9 @@ func TestOrderedSelectionEqualsFullSort(t *testing.T) {
 // decision order no copy either. Selecting four spares of 28 instead of
 // sorting them allocates what sorting did.
 func TestDecideAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts include the race runtime's own")
+	}
 	in := DecideInput{IterTime: 120, SwapTime: 0.17}
 	st := rng.NewSource(3).Stream("allocs")
 	for i := 0; i < 4; i++ {

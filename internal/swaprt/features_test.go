@@ -225,7 +225,7 @@ func TestRemoteReportRoundTrip(t *testing.T) {
 	d := NewLocalDecider(core.Greedy())
 	go func() { _ = ServeManager(ln, d, nil) }()
 
-	r := RemoteDecider{Addr: ln.Addr().String()}
+	r := &RemoteDecider{Addr: ln.Addr().String()}
 	if err := r.Report(ReportMsg{Rank: 3, Now: 1, Rate: 42}); err != nil {
 		t.Fatal(err)
 	}
@@ -244,7 +244,7 @@ func TestRemoteUnknownKindErrors(t *testing.T) {
 	defer ln.Close()
 	go func() { _ = ServeManager(ln, NewLocalDecider(core.Greedy()), nil) }()
 
-	d := RemoteDecider{Addr: ln.Addr().String()}
+	d := &RemoteDecider{Addr: ln.Addr().String()}
 	if _, err := d.roundTrip(wireRequest{Kind: "bogus"}); err == nil {
 		t.Fatal("unknown kind accepted")
 	}
@@ -260,13 +260,15 @@ func TestRemotePing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	go func() { _ = ServeManager(ln, NewLocalDecider(core.Greedy()), nil) }()
+	served := make(chan error, 1)
+	go func() { served <- ServeManager(ln, NewLocalDecider(core.Greedy()), nil) }()
 
-	d := RemoteDecider{Addr: ln.Addr().String(), Timeout: time.Second}
+	d := &RemoteDecider{Addr: ln.Addr().String(), Timeout: time.Second}
 	if err := d.Ping(); err != nil {
 		t.Fatalf("ping against live manager: %v", err)
 	}
 	ln.Close()
+	<-served // every connection it served, the kept one included, is closed
 	if err := d.Ping(); err == nil {
 		t.Fatal("ping against closed manager succeeded")
 	}
@@ -292,7 +294,7 @@ func TestHandlersReportToRemoteManager(t *testing.T) {
 	var finals sync.Map
 	err = Run(w, Config{
 		Active:          1,
-		Decider:         RemoteDecider{Addr: ln.Addr().String()},
+		Decider:         &RemoteDecider{Addr: ln.Addr().String()},
 		Probe:           rt.probe,
 		HandlerInterval: 2 * time.Millisecond,
 	}, iterBody(6, nil, func(s *Session, iter int, sum float64) {

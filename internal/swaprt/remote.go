@@ -1,16 +1,21 @@
 package swaprt
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net"
+	"os"
+	"sync"
+	"syscall"
 	"time"
 
 	"repro/internal/clock"
 )
 
-// wireRequest is the swapmgr wire envelope: one request per connection —
+// wireRequest is the swapmgr wire envelope, one JSON value per request —
 // a decision query, an asynchronous handler report, a swap-outcome
 // report closing a proposed epoch, or a liveness ping (used by
 // ResilientDecider's recovery probe).
@@ -28,11 +33,22 @@ type wireResponse struct {
 }
 
 // RemoteDecider consults a swap-manager daemon (cmd/swapmgr) over TCP:
-// one JSON-encoded request per connection. This is the paper's "possibly
-// remote process that is responsible for collecting information and
-// making swapping decisions". It is a leaf on the client side: each of
-// Decider's four calls is one request kind on the wire, and ServeManager
-// hands it to the decider on the other end.
+// each call is one JSON request answered by one JSON response. This is
+// the paper's "possibly remote process that is responsible for
+// collecting information and making swapping decisions". It is a leaf on
+// the client side: each of Decider's four calls is one request kind on
+// the wire, and ServeManager hands it to the decider on the other end.
+//
+// A call is a message, not a connection. The decider keeps at most one
+// idle connection: a call takes it, or dials when there is none (another
+// call holds it); a call that succeeds puts its connection back when the
+// slot is empty and closes it otherwise; a call that fails closes it.
+// A kept connection found dead before any byte of the answer arrived —
+// the request write fails, or the read meets EOF or a reset, as when the
+// manager closed it idle or is an old daemon that answers one request per
+// connection — is retried once on a fresh dial. Nothing else is retried
+// here; retries belong to ResilientDecider. Use it by pointer: it is safe
+// for concurrent calls and must not be copied.
 type RemoteDecider struct {
 	Addr string
 	// Timeout bounds each round trip; zero means 5 s.
@@ -40,30 +56,99 @@ type RemoteDecider struct {
 	// Clock translates the round-trip budget into real socket deadlines
 	// (a scaled clock compresses it); nil means clock.Real.
 	Clock clock.Clock
+
+	mu   sync.Mutex
+	idle *managerConn // the kept connection, nil when none
 }
 
-func (d RemoteDecider) roundTrip(req wireRequest) (wireResponse, error) {
+// managerConn is one connection to a manager, with the JSON codecs that
+// live as long as it does.
+type managerConn struct {
+	conn net.Conn
+	enc  *json.Encoder
+	dec  *json.Decoder
+}
+
+func (d *RemoteDecider) roundTrip(req wireRequest) (wireResponse, error) {
 	timeout := d.Timeout
 	if timeout == 0 {
 		timeout = 5 * time.Second
 	}
-	conn, err := net.DialTimeout("tcp", d.Addr, clock.RealTimeout(clock.Or(d.Clock), timeout))
+	clk := clock.Or(d.Clock)
+	c := d.take()
+	kept := c != nil
+	if !kept {
+		var err error
+		if c, err = d.dial(clk, timeout); err != nil {
+			return wireResponse{}, err
+		}
+	}
+	resp, dead, err := c.exchange(req, clock.RealDeadline(clk, timeout))
+	if kept && dead {
+		c.conn.Close()
+		if c, err = d.dial(clk, timeout); err != nil {
+			return wireResponse{}, err
+		}
+		resp, _, err = c.exchange(req, clock.RealDeadline(clk, timeout))
+	}
 	if err != nil {
-		return wireResponse{}, fmt.Errorf("swaprt: dial manager: %w", err)
+		c.conn.Close()
+		return wireResponse{}, err
 	}
-	defer conn.Close()
-	_ = conn.SetDeadline(clock.RealDeadline(clock.Or(d.Clock), timeout))
-	if err := json.NewEncoder(conn).Encode(req); err != nil {
-		return wireResponse{}, fmt.Errorf("swaprt: send manager request: %w", err)
-	}
-	var resp wireResponse
-	if err := json.NewDecoder(conn).Decode(&resp); err != nil {
-		return wireResponse{}, fmt.Errorf("swaprt: read manager response: %w", err)
-	}
+	d.put(c)
 	if resp.Error != "" {
 		return wireResponse{}, wireErr{resp.Error}
 	}
 	return resp, nil
+}
+
+func (d *RemoteDecider) dial(clk clock.Clock, timeout time.Duration) (*managerConn, error) {
+	conn, err := net.DialTimeout("tcp", d.Addr, clock.RealTimeout(clk, timeout))
+	if err != nil {
+		return nil, fmt.Errorf("swaprt: dial manager: %w", err)
+	}
+	return &managerConn{conn: conn, enc: json.NewEncoder(conn), dec: json.NewDecoder(conn)}, nil
+}
+
+// take empties the slot and returns what it held.
+func (d *RemoteDecider) take() *managerConn {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	c := d.idle
+	d.idle = nil
+	return c
+}
+
+// put keeps c for the next call, or closes it when the slot is taken.
+func (d *RemoteDecider) put(c *managerConn) {
+	d.mu.Lock()
+	kept := d.idle == nil
+	if kept {
+		d.idle = c
+	}
+	d.mu.Unlock()
+	if !kept {
+		c.conn.Close()
+	}
+}
+
+// exchange writes one request and reads its answer. dead reports a
+// failure that left the request unanswered on a connection the peer had
+// already closed or reset: the write failed (not by timing out), or the
+// read met EOF or a reset before any byte of the answer arrived.
+func (c *managerConn) exchange(req wireRequest, deadline time.Time) (resp wireResponse, dead bool, err error) {
+	_ = c.conn.SetDeadline(deadline)
+	if err := c.enc.Encode(req); err != nil {
+		return resp, !errors.Is(err, os.ErrDeadlineExceeded), fmt.Errorf("swaprt: send manager request: %w", err)
+	}
+	if err := c.dec.Decode(&resp); err != nil {
+		// A clean EOF already means only whitespace arrived (a partial
+		// value is io.ErrUnexpectedEOF); a reset needs the buffer checked.
+		partial, _ := io.ReadAll(c.dec.Buffered())
+		dead = (errors.Is(err, io.EOF) || errors.Is(err, syscall.ECONNRESET)) && len(bytes.TrimSpace(partial)) == 0
+		return resp, dead, fmt.Errorf("swaprt: read manager response: %w", err)
+	}
+	return resp, false, nil
 }
 
 // wireErr is an error the manager itself reported: the transport worked
@@ -78,7 +163,7 @@ func isWireError(err error) bool {
 }
 
 // Decide implements Decider.
-func (d RemoteDecider) Decide(req DecideRequest) (DecideResponse, error) {
+func (d *RemoteDecider) Decide(req DecideRequest) (DecideResponse, error) {
 	resp, err := d.roundTrip(wireRequest{Kind: "decide", Decide: &req})
 	if err != nil {
 		return DecideResponse{}, err
@@ -90,7 +175,7 @@ func (d RemoteDecider) Decide(req DecideRequest) (DecideResponse, error) {
 }
 
 // Report implements Decider.
-func (d RemoteDecider) Report(r ReportMsg) error {
+func (d *RemoteDecider) Report(r ReportMsg) error {
 	_, err := d.roundTrip(wireRequest{Kind: "report", Report: &r})
 	return err
 }
@@ -99,7 +184,7 @@ func (d RemoteDecider) Report(r ReportMsg) error {
 // predate the "outcome" kind decline it with an error payload; that is
 // interop, not failure — the manager reconciles from the next decide's
 // epoch instead — so a wire-level decline reports success.
-func (d RemoteDecider) ReportOutcome(o OutcomeMsg) error {
+func (d *RemoteDecider) ReportOutcome(o OutcomeMsg) error {
 	_, err := d.roundTrip(wireRequest{Kind: "outcome", Outcome: &o})
 	if err != nil && isWireError(err) {
 		return nil
@@ -111,7 +196,7 @@ func (d RemoteDecider) ReportOutcome(o OutcomeMsg) error {
 // ResilientDecider's background recovery probe. Old swapmgr daemons that
 // predate the "ping" kind answer with an error payload, which still
 // proves the manager is reachable and serving — so that counts as alive.
-func (d RemoteDecider) Ping() error {
+func (d *RemoteDecider) Ping() error {
 	_, err := d.roundTrip(wireRequest{Kind: "ping"})
 	if err != nil && isWireError(err) {
 		return nil
@@ -119,36 +204,67 @@ func (d RemoteDecider) Ping() error {
 	return err
 }
 
-// ServeManager runs a swap-manager service on the listener: each
-// connection carries one JSON request — one of Decider's four calls —
-// answered by one JSON response. It returns when the listener closes.
+// ServeManager runs a swap-manager service on the listener. A connection
+// carries any number of requests, each one JSON value — one of Decider's
+// four calls — answered in order by one JSON response. ServeManager
+// returns when the listener closes, once it has closed every connection
+// it was serving: a manager whose listener is gone answers nothing more,
+// not even on a connection a client kept.
 func ServeManager(ln net.Listener, decider Decider, logf func(string, ...any)) error {
 	if logf == nil {
 		logf = func(string, ...any) {}
 	}
+	var mu sync.Mutex
+	conns := map[net.Conn]struct{}{}
+	defer func() {
+		mu.Lock()
+		defer mu.Unlock()
+		for conn := range conns {
+			conn.Close()
+		}
+	}()
 	for {
 		conn, err := ln.Accept()
 		if err != nil {
 			return err
 		}
-		go serveConn(conn, decider, logf)
+		mu.Lock()
+		conns[conn] = struct{}{}
+		mu.Unlock()
+		go func() {
+			serveConn(conn, decider, logf)
+			mu.Lock()
+			delete(conns, conn)
+			mu.Unlock()
+		}()
 	}
 }
 
 func serveConn(conn net.Conn, decider Decider, logf func(string, ...any)) {
 	defer conn.Close()
-	// A generous server-side cap on one request's whole conversation. It
-	// is a leak guard against wedged clients, not a tuned wait, so it
-	// stays on the wall clock even in accelerated runs.
-	//swapvet:ignore clockdiscipline -- server-side leak guard; kernel deadline is wall-clock by nature
-	_ = conn.SetDeadline(time.Now().Add(30 * time.Second))
-	var req wireRequest
-	if err := json.NewDecoder(conn).Decode(&req); err != nil {
-		logf("swapmgr: bad request from %s: %v", conn.RemoteAddr(), err)
-		return
-	}
-	if err := json.NewEncoder(conn).Encode(answer(req, decider, logf)); err != nil {
-		logf("swapmgr: write response: %v", err)
+	// A generous cap on the wait for each request and on each answer. It
+	// is a leak guard against wedged or idle clients, not a tuned wait, so
+	// it stays on the wall clock even in accelerated runs; a client finds
+	// a connection closed idle dead and redials. Re-arming it for the
+	// answer keeps a request that lands just before the cap from being
+	// carried out and then left unanswered.
+	guard := func() time.Time { return clock.RealDeadline(clock.Real{}, 30*time.Second) }
+	dec, enc := json.NewDecoder(conn), json.NewEncoder(conn)
+	for {
+		_ = conn.SetDeadline(guard())
+		var req wireRequest
+		if err := dec.Decode(&req); err != nil {
+			if !errors.Is(err, io.EOF) && !errors.Is(err, net.ErrClosed) && !errors.Is(err, os.ErrDeadlineExceeded) {
+				logf("swapmgr: bad request from %s: %v", conn.RemoteAddr(), err)
+			}
+			return
+		}
+		resp := answer(req, decider, logf)
+		_ = conn.SetDeadline(guard())
+		if err := enc.Encode(resp); err != nil {
+			logf("swapmgr: write response: %v", err)
+			return
+		}
 	}
 }
 

@@ -438,7 +438,7 @@ func TestRemoteDeciderAgainstServer(t *testing.T) {
 	defer ln.Close()
 	go func() { _ = ServeManager(ln, NewLocalDecider(core.Greedy()), nil) }()
 
-	d := RemoteDecider{Addr: ln.Addr().String()}
+	d := &RemoteDecider{Addr: ln.Addr().String()}
 	resp, err := d.Decide(DecideRequest{
 		Now:         1,
 		ActiveSet:   []int{0},
@@ -469,7 +469,7 @@ func TestRunWithRemoteDecider(t *testing.T) {
 	var finals sync.Map
 	err = Run(w, Config{
 		Active:  1,
-		Decider: RemoteDecider{Addr: ln.Addr().String()},
+		Decider: &RemoteDecider{Addr: ln.Addr().String()},
 		Probe:   rt.probe,
 	}, iterBody(8, clk, func(s *Session, iter int, sum float64) {
 		finals.Store(s.Rank(), float64(iter))

@@ -40,8 +40,8 @@ type SupervisorConfig struct {
 // replay (emitting the MgrRecover evidence event), and serves the
 // manager wire protocol on its own listener until killed. Kill is the
 // process-level chaos hook a fault.Plan's mgrkill/mgrrestart rules
-// invoke: the incarnation's listener and store handles drop on the
-// floor — no compaction, no lease release — exactly as a SIGKILL would
+// invoke: the incarnation's listener, connections and store handles drop
+// on the floor — no compaction, no lease release — exactly as a SIGKILL would
 // leave them, and recovery has to work from the files alone.
 type ManagerSupervisor struct {
 	cfg SupervisorConfig
@@ -51,6 +51,7 @@ type ManagerSupervisor struct {
 	incarnations int
 	recoveries   int
 	closed       bool
+	client       *RemoteDecider // what Resolve hands out for client.Addr
 }
 
 // mgrIncarnation is one manager lifetime: store handle, durable
@@ -62,6 +63,7 @@ type mgrIncarnation struct {
 	ln      net.Listener
 	stop    chan struct{} // closed to end the renewal loop
 	renewed chan struct{} // closed once the renewal loop has returned
+	served  chan struct{} // closed once ServeManager has closed every connection
 	stopped sync.Once
 	crashed sync.Once
 }
@@ -72,7 +74,9 @@ func (m *mgrIncarnation) stopRenewing() {
 }
 
 // crash drops the incarnation the way a kill -9 would: listener and
-// file handles close, the lease stays behind to expire on its own.
+// file handles close, the lease stays behind to expire on its own. Its
+// served connections close when ServeManager sees the listener gone;
+// wait on served for that.
 func (m *mgrIncarnation) crash() {
 	m.stopRenewing()
 	m.crashed.Do(func() {
@@ -131,7 +135,9 @@ func (s *ManagerSupervisor) startIncarnation(serving chan<- error) {
 			s.cfg.Logf("swapmgr-sup: %s: %v", owner, err)
 			return
 		}
-		if err := ServeManager(inc.ln, inc.durable, s.cfg.Logf); err != nil && !errors.Is(err, net.ErrClosed) {
+		err = ServeManager(inc.ln, inc.durable, s.cfg.Logf)
+		close(inc.served)
+		if err != nil && !errors.Is(err, net.ErrClosed) {
 			s.cfg.Logf("swapmgr-sup: %s serve: %v", owner, err)
 		}
 	}()
@@ -152,7 +158,7 @@ func (s *ManagerSupervisor) bringUp(owner string) (*mgrIncarnation, error) {
 		return nil, fmt.Errorf("listen: %w", err)
 	}
 	inc := &mgrIncarnation{owner: owner, store: store, ln: ln,
-		stop: make(chan struct{}), renewed: make(chan struct{})}
+		stop: make(chan struct{}), renewed: make(chan struct{}), served: make(chan struct{})}
 	addr := ln.Addr().String()
 
 	// Standby: the previous incarnation's lease outlives its crash by
@@ -212,10 +218,12 @@ func (s *ManagerSupervisor) dropIfCurrent(inc *mgrIncarnation) {
 }
 
 // Kill crashes the current incarnation (the fault plan's
-// mgrkill/mgrrestart hook — pass it to fault.Plan.SetManagerKiller).
-// With restart, a fresh incarnation is stood up after down of
-// supervisor-clock downtime; it still has to wait out the dead leader's
-// lease, so effective downtime is max(down, lease remainder).
+// mgrkill/mgrrestart hook — pass it to fault.Plan.SetManagerKiller). It
+// returns once every connection the incarnation served is closed, so a
+// client's kept connection gets no answer from it either. With restart,
+// a fresh incarnation is stood up after down of supervisor-clock
+// downtime; it still has to wait out the dead leader's lease, so
+// effective downtime is max(down, lease remainder).
 func (s *ManagerSupervisor) Kill(restart bool, down time.Duration) {
 	s.mu.Lock()
 	inc := s.cur
@@ -231,6 +239,7 @@ func (s *ManagerSupervisor) Kill(restart bool, down time.Duration) {
 		s.cfg.Tracer.EmitNow(obs.Event{Kind: obs.KindMgrCrash, Rank: obs.RankRuntime, Detail: detail})
 		s.cfg.Logf("swapmgr-sup: killed %s (%s)", inc.owner, detail)
 		inc.crash()
+		<-inc.served
 	}
 	if !restart || closed {
 		return
@@ -244,7 +253,8 @@ func (s *ManagerSupervisor) Kill(restart bool, down time.Duration) {
 
 // Resolve returns a RemoteDecider for the current lease holder — the
 // ResilientDecider.Resolver hook that re-finds the leader (old or new)
-// after a circuit-opening outage.
+// after a circuit-opening outage. While the lease names one address it
+// is the same *RemoteDecider, so callers share its kept connection.
 func (s *ManagerSupervisor) Resolve() (Decider, error) {
 	lease, held, err := mgrstore.ReadLease(s.cfg.Dir, clock.Or(s.cfg.Clock))
 	if err != nil {
@@ -257,8 +267,13 @@ func (s *ManagerSupervisor) Resolve() (Decider, error) {
 }
 
 // remote is the client end for an incarnation serving at addr.
-func (s *ManagerSupervisor) remote(addr string) RemoteDecider {
-	return RemoteDecider{Addr: addr, Timeout: s.cfg.Timeout, Clock: s.cfg.Clock}
+func (s *ManagerSupervisor) remote(addr string) *RemoteDecider {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.client == nil || s.client.Addr != addr {
+		s.client = &RemoteDecider{Addr: addr, Timeout: s.cfg.Timeout, Clock: s.cfg.Clock}
+	}
+	return s.client
 }
 
 // RecordCircuit durably logs a decision-path circuit transition in the
@@ -326,5 +341,6 @@ func (s *ManagerSupervisor) Close() error {
 		firstErr = err
 	}
 	inc.crash()
+	<-inc.served
 	return firstErr
 }

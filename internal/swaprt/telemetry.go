@@ -79,16 +79,16 @@ type FlightTelemetry struct {
 // decision telemetry, and the runtime control state (epoch, active set,
 // quarantine, circuit breaker, causal clocks, flight recorder).
 type TelemetryReport struct {
-	Now         float64           `json:"now"`
-	Epoch       uint64            `json:"epoch"`
-	ActiveSet   []int             `json:"active_set,omitempty"`
-	Quarantined []int             `json:"quarantined,omitempty"`
-	Circuit     string            `json:"circuit,omitempty"` // resilient-decider breaker state
-	Causal      *CausalTelemetry  `json:"causal,omitempty"`
-	Flight      *FlightTelemetry  `json:"flight,omitempty"`
+	Now         float64            `json:"now"`
+	Epoch       uint64             `json:"epoch"`
+	ActiveSet   []int              `json:"active_set,omitempty"`
+	Quarantined []int              `json:"quarantined,omitempty"`
+	Circuit     string             `json:"circuit,omitempty"` // resilient-decider breaker state
+	Causal      *CausalTelemetry   `json:"causal,omitempty"`
+	Flight      *FlightTelemetry   `json:"flight,omitempty"`
 	Lens        *policylens.Report `json:"lens,omitempty"`
-	Ranks       []RankTelemetry   `json:"ranks"`
-	Decisions   DecisionTelemetry `json:"decisions"`
+	Ranks       []RankTelemetry    `json:"ranks"`
+	Decisions   DecisionTelemetry  `json:"decisions"`
 }
 
 // rankSeries is the hub's per-rank working state.

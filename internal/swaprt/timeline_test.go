@@ -179,7 +179,7 @@ func steppedRun(t *testing.T, policy core.Policy, iters int, step time.Duration,
 		}
 		defer ln.Close()
 		go func() { _ = ServeManager(ln, durable, nil) }()
-		leaf = RemoteDecider{Addr: ln.Addr().String()}
+		leaf = &RemoteDecider{Addr: ln.Addr().String()}
 	} else {
 		cfg.Lens = audit.lens
 		leaf = cfg.localDecider()
