@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet lint test race bench bench-transport bench-all bench-smoke figures ablations extensions figures-check check fuzz trace-smoke chaos-smoke mon-smoke postmortem-smoke failover-smoke lens-smoke smoke-timing clean
+.PHONY: all build vet lint test race bench bench-transport bench-all bench-smoke figures ablations extensions figures-check check fuzz clean
 
 all: build vet lint test
 
@@ -17,15 +17,17 @@ vet:
 		echo "gofmt: not formatted:"; echo "$$UNFORMATTED"; exit 1; \
 	fi
 
-# Project-specific static analysis (cmd/swapvet): determinism of the
-# simulation/figure packages, lock/I-O discipline, conn deadlines, and
-# unchecked MPI errors. Exits non-zero on any finding. DESIGN.md §11
-# documents each rule; suppress intentional cases with //swapvet:ignore.
+# Project-specific static analysis (cmd/swapvet) of every non-test file:
+# determinism of the simulation/figure packages, lock/I-O discipline,
+# conn deadlines, and unchecked MPI errors. Exits non-zero on any
+# finding. DESIGN.md §11 documents each rule; suppress intentional cases
+# with //swapvet:ignore.
 lint:
 	$(GO) run ./cmd/swapvet ./...
 
-# The concurrency-heavy packages (transport, runtime) and the policy core
-# (whose allocation pins skip themselves under -race) run under the race
+# The concurrency-heavy packages (transport, runtime, and swaprun, whose
+# tests are the end-to-end smoke scenarios) and the policy core (whose
+# allocation pins skip themselves under -race) run under the race
 # detector as part of the default test target; the manager failover and
 # lease hand-over tests twenty times over, because the race they guard
 # (a renewal in flight across a release) showed once in a dozen runs, and
@@ -35,7 +37,8 @@ test: race
 	$(GO) test ./...
 
 race:
-	$(GO) test -race ./internal/mpi/ ./internal/mpi/wire/ ./internal/swaprt/ ./internal/apps/ ./internal/experiment/ ./internal/core/
+	$(GO) test -race ./internal/mpi/ ./internal/mpi/wire/ ./internal/swaprt/ ./internal/apps/ ./internal/experiment/ ./internal/core/ \
+		./cmd/swaprun/
 	$(GO) test -race -count=20 -run 'Failover|Supervisor' ./internal/swaprt/
 	$(GO) test -race -count=20 -run 'TestTCPSharedConnection' ./internal/mpi/
 
@@ -155,154 +158,6 @@ figures-check:
 check: lint figures-check
 	$(GO) run ./cmd/swapexp -check
 
-# End-to-end trace validation: a 2-rank live run with an injected
-# slowdown that forces a swap, exported as a Chrome/Perfetto trace, then
-# checked by cmd/tracecheck (trace_event schema, one timeline, a
-# SwapDecision with payback distance and policy verdict). The live leg
-# runs accelerated with the lens armed, so the timeline check sees rank,
-# lens and MPI events of a run whose virtual clock is not the wall clock.
-# A virtual-clock simulation trace is validated the same way.
-trace-smoke:
-	mkdir -p results
-	$(GO) run ./cmd/swaprun -ranks 2 -active 1 -iters 20 -work 10 \
-		-inject 0@0.05:8 -accel 10 -lens \
-		-trace-out results/trace-smoke-live.json \
-		-events-out results/trace-smoke-live.jsonl
-	$(GO) run ./cmd/tracecheck results/trace-smoke-live.json
-	$(GO) run ./cmd/swapsim -tech swap -hosts 6 -active 2 -iters 10 -seed 63 \
-		-trace-out results/trace-smoke-sim.json
-	$(GO) run ./cmd/tracecheck results/trace-smoke-sim.json
-
-# Fault-injected end-to-end run (DESIGN.md §13): the fastest spare dies
-# mid-run (its swap must abort and quarantine it), the decision service
-# goes down for a window (the circuit breaker must open, probe, and
-# close), and the run must still finish with the exact fault-free
-# result — swaprun exits non-zero on a corrupted accumulator. tracecheck
-# -chaos then requires the quarantine and circuit-recovery evidence in
-# the exported trace.
-#
-# The run rides a 25x scaled clock (DESIGN.md §16): every wait — work
-# spinning, injection delays, retry backoffs, transfer deadlines — is in
-# virtual time, so the timeouts are generous in virtual units (2s per
-# transfer leg) yet cost 1/25th of that on the wall.
-chaos-smoke:
-	mkdir -p results
-	$(GO) run ./cmd/swaprun -ranks 3 -active 1 -iters 25 -work 5 \
-		-inject '0@0.05:8,1@0:4' \
-		-chaos 'seed=7;die:rank=2,iter=3;mgrdown:after=2,count=6' \
-		-transfer-timeout 2s -accel 25 -trace-out results/trace-chaos.json
-	$(GO) run ./cmd/tracecheck -chaos results/trace-chaos.json
-
-# Live-monitoring smoke (DESIGN.md §14): a fault-injected run serves
-# /metrics, /telemetry and /healthz on -debug-addr while swapmon -once
-# polls the telemetry document until it shows at least one committed
-# swap and one detected slowdown anomaly (or times out, failing the
-# build). The chaos plan reuses the chaos-smoke shape so the report also
-# carries quarantine and circuit-breaker state.
-# The 5s-of-virtual-work schedule runs on a 10x scaled clock, so the
-# monitored run lasts well under a second of wall time; swapmon polls
-# every 50ms to catch the telemetry window.
-mon-smoke:
-	mkdir -p results
-	$(GO) build -o results/mon-swaprun ./cmd/swaprun
-	$(GO) build -o results/mon-swapmon ./cmd/swapmon
-	./results/mon-swaprun -ranks 3 -active 1 -iters 1000 -work 5 \
-		-inject '0@0.2:8,1@0:4' \
-		-chaos 'seed=7;die:rank=2,iter=3;mgrdown:after=2,count=6' \
-		-transfer-timeout 2s -accel 10 \
-		-telemetry -debug-addr 127.0.0.1:7091 & \
-	RUN_PID=$$!; \
-	./results/mon-swapmon -addr 127.0.0.1:7091 -once -interval 50ms \
-		-min-swaps 1 -min-anomalies 1 -timeout 60s; \
-	STATUS=$$?; \
-	kill $$RUN_PID 2>/dev/null; wait $$RUN_PID 2>/dev/null; \
-	exit $$STATUS
-
-# Post-mortem smoke (DESIGN.md §17): the chaos-smoke plan re-run with
-# causal tracing and the flight recorder armed. The mid-run manager
-# outage forces swap aborts; each abort dumps every rank's recent event
-# window to results/flight/. The gate requires a dump per rank, then
-# feeds the dumps to tracecheck -postmortem, which must merge them into
-# one causally ordered cross-rank timeline whose validations pass and
-# which contains the abort evidence (-require-abort).
-postmortem-smoke:
-	mkdir -p results/flight
-	rm -f results/flight/flight-*.jsonl
-	$(GO) run ./cmd/swaprun -ranks 3 -active 1 -iters 25 -work 5 \
-		-inject '0@0.05:8,1@0:4' \
-		-chaos 'seed=7;die:rank=2,iter=3;mgrdown:after=2,count=6' \
-		-transfer-timeout 2s -accel 25 \
-		-causal -flight-dir results/flight
-	@for r in 0 1 2; do \
-		if [ ! -s results/flight/flight-rank$$r.jsonl ]; then \
-			echo "postmortem-smoke: FAIL - no flight dump for rank $$r"; exit 1; \
-		fi; \
-	done
-	$(GO) run ./cmd/tracecheck -postmortem -require-abort results/flight
-
-# Manager-failover smoke (DESIGN.md §18): a durable-store run where the
-# chaos plan SIGKILLs the manager after its 4th call — mid two-phase
-# swap, with a proposal already fsynced to the WAL — and restarts it
-# 100ms (virtual) later. The run must finish with the exact fault-free
-# result (swaprun exits non-zero on a corrupted accumulator), and
-# tracecheck -failover requires the restart-recovery evidence in the
-# trace: an MgrCrash, a later MgrRecover whose detail proves a non-empty
-# WAL replay, decision epochs that never step backwards (epoch fencing),
-# and decisions after the recovery. The injected slowdown guarantees a
-# swap proposal lands in the WAL before the kill; the 250ms lease (in
-# virtual time, on the 25x clock) keeps takeover fast.
-failover-smoke:
-	mkdir -p results
-	rm -rf results/failover-store
-	$(GO) run ./cmd/swaprun -ranks 4 -active 2 -iters 80 -work 20 \
-		-inject '1@0.02:8' \
-		-chaos 'seed=7;mgrrestart:after=4,downms=100' \
-		-mgr-store results/failover-store -mgr-lease-ttl 250ms \
-		-accel 25 -trace-out results/trace-failover.json
-	$(GO) run ./cmd/tracecheck -failover results/trace-failover.json
-
-# Policy-lens smoke (DESIGN.md §19): the observability loop end to end.
-# First leg: the trace-smoke live shape re-run with -lens, exporting the
-# JSONL event log — the lens must have armed a payback prediction at the
-# forced swap, realized it, and replayed the shadow panel; tracecheck
-# -audit replays the whole log offline and fails on any bookkeeping
-# violation (committed swap without a realized payback, realization for
-# an epoch that never committed, ok-verdict contradicting its own error).
-# Second leg: the mon-smoke shape with -lens serving /telemetry while
-# swapmon -once gates on the lens panel itself (-min-shadow 1 proves the
-# shadow scoreboard is live alongside the committed swap).
-lens-smoke:
-	mkdir -p results
-	$(GO) run ./cmd/swaprun -ranks 2 -active 1 -iters 20 -work 10 \
-		-inject 0@0.05:8 -lens -events-out results/lens-events.jsonl
-	$(GO) run ./cmd/tracecheck -audit results/lens-events.jsonl
-	$(GO) build -o results/lens-swaprun ./cmd/swaprun
-	$(GO) build -o results/lens-swapmon ./cmd/swapmon
-	./results/lens-swaprun -ranks 3 -active 1 -iters 1000 -work 5 \
-		-inject '0@0.2:8,1@0:4' -accel 10 \
-		-lens -telemetry -debug-addr 127.0.0.1:7093 & \
-	RUN_PID=$$!; \
-	./results/lens-swapmon -addr 127.0.0.1:7093 -once -interval 50ms \
-		-min-swaps 1 -min-shadow 1 -timeout 60s; \
-	STATUS=$$?; \
-	kill $$RUN_PID 2>/dev/null; wait $$RUN_PID 2>/dev/null; \
-	exit $$STATUS
-
-# Wall-clock budget on the accelerated smokes (DESIGN.md §16): the
-# fault-injected end-to-end gates plus the lens smoke together must
-# finish inside 30s, so a regression that reintroduces real-time waits
-# anywhere on their path (a bare sleep, an unscaled deadline) fails CI
-# by timing alone.
-smoke-timing:
-	@START=$$(date +%s); \
-	$(MAKE) chaos-smoke mon-smoke lens-smoke; STATUS=$$?; \
-	END=$$(date +%s); ELAPSED=$$((END-START)); \
-	echo "smoke-timing: chaos-smoke + mon-smoke + lens-smoke took $${ELAPSED}s (budget 30s)"; \
-	if [ $$STATUS -ne 0 ]; then exit $$STATUS; fi; \
-	if [ $$ELAPSED -gt 30 ]; then \
-		echo "smoke-timing: FAIL - exceeded the 30s budget"; exit 1; \
-	fi
-
 fuzz:
 	$(GO) test -fuzz FuzzParseTraceCSV -fuzztime 30s ./internal/loadgen/
 	$(GO) test -fuzz FuzzUnpackParts -fuzztime 30s ./internal/mpi/
@@ -320,6 +175,4 @@ fuzz:
 # them across runs, keyed on go.sum, and `make lint` relies on the build
 # cache to keep swapvet compilation cheap.
 clean:
-	rm -rf results/*.csv results/*.txt results/*.json results/*.jsonl \
-		results/flight results/failover-store results/mon-swaprun results/mon-swapmon \
-		results/lens-swaprun results/lens-swapmon
+	rm -rf results/*.csv results/*.txt results/*.json

@@ -1,10 +1,10 @@
 // Package monclient is the non-UI core of the swapmon dashboard: it
 // fetches /telemetry documents from a runtime or manager debug
 // endpoint, renders them as deterministic text onto a caller-supplied
-// writer, and checks machine-verifiable conditions for the -once mode.
+// writer, and checks machine-verifiable conditions on a report.
 // Keeping it free of direct console output (swapvet obsdiscipline
 // covers this package) means the same code drives the interactive
-// dashboard, the CI smoke check and tests.
+// dashboard and swaprun's smoke tests.
 package monclient
 
 import (
@@ -59,11 +59,10 @@ func Anomalies(rep swaprt.TelemetryReport) int {
 	return n
 }
 
-// Check verifies the report against the -once acceptance conditions:
-// at least minSwaps committed swaps and minAnomalies detected
-// slowdowns, with per-rank telemetry present. It returns nil when all
-// hold and a descriptive error naming the first unmet condition
-// otherwise.
+// Check verifies the report's acceptance conditions: at least minSwaps
+// committed swaps and minAnomalies detected slowdowns, with per-rank
+// telemetry present. It returns nil when all hold and a descriptive
+// error naming the first unmet condition otherwise.
 func Check(rep swaprt.TelemetryReport, minSwaps, minAnomalies int) error {
 	if len(rep.Ranks) == 0 {
 		return fmt.Errorf("monclient: no per-rank telemetry yet")
@@ -77,11 +76,11 @@ func Check(rep swaprt.TelemetryReport, minSwaps, minAnomalies int) error {
 	return nil
 }
 
-// CheckLens verifies the policy-lens acceptance conditions for -once:
-// at least minShadow shadow-policy decisions replayed, and (when
-// maxMispredict >= 0) a mispredict fraction no worse than it. It
-// returns nil when the gates hold; a report without a lens section
-// fails only when a gate was actually requested.
+// CheckLens verifies the policy-lens acceptance conditions: at least
+// minShadow shadow-policy decisions replayed, and (when maxMispredict >=
+// 0) a mispredict fraction no worse than it. It returns nil when the
+// gates hold; a report without a lens section fails only when a gate
+// was actually requested.
 func CheckLens(rep swaprt.TelemetryReport, minShadow int, maxMispredict float64) error {
 	if minShadow <= 0 && maxMispredict < 0 {
 		return nil

@@ -133,7 +133,7 @@ func TestRenderDeterministic(t *testing.T) {
 // cannedCausalTelemetry is a verbatim /telemetry document from a run
 // with -causal and -flight-dir armed, as the hub serves it (omitempty
 // pointers present). No live server: the test decodes and renders it
-// exactly as swapmon -once would.
+// exactly as swapmon does.
 const cannedCausalTelemetry = `{
   "now": 31.25,
   "epoch": 3,

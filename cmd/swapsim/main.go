@@ -59,7 +59,7 @@ func main() {
 	if traceFlags.Telemetry || traceFlags.MetricsOut != "" {
 		// The telemetry hub and the Prometheus registry observe the live
 		// runtime; a simulated run has neither wall time nor transports.
-		fatal(fmt.Errorf("-telemetry/-metrics-out apply to live runs (swaprun, swapexp -live); analyze simulated traces offline with -events-out + tracecheck -analyze"))
+		fatal(fmt.Errorf("-telemetry/-metrics-out apply to live runs (swaprun); analyze simulated traces offline with -events-out + tracecheck -analyze"))
 	}
 
 	technique, err := strategy.ByName(*tech)

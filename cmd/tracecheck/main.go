@@ -1,22 +1,11 @@
 // Command tracecheck validates a Chrome/Perfetto trace_event JSON file
-// produced by -trace-out: every entry must carry the required
-// trace_event keys, the trace must be on one timeline (obs.CheckTimeline:
-// each rank's measured iteration times fit inside the span of its events,
-// and lens and anomaly events fall inside the ranks' span), and (unless
-// -no-decision) at least one SwapDecision instant must include the
-// payback distance and policy verdict the swapping policy computed. With
-// -chaos it additionally requires the evidence a fault-injected run must
-// leave behind: at least one Quarantine event and a Circuit "open"
-// transition followed by a "close". CI's trace-smoke and chaos-smoke
-// targets run it against fresh swaprun demos.
-//
-// With -failover it requires manager-restart evidence instead: at
-// least one MgrCrash followed (in trace time) by a MgrRecover whose
-// detail proves a WAL replay, decision epochs nondecreasing across the
-// whole run (a fenced stale leader can never re-commit an old epoch),
-// and at least one decision after the recovery showing the world kept
-// swapping under the reborn manager. CI's failover-smoke target runs
-// it against an accelerated run that kills swapmgr mid-swap.
+// produced by -trace-out in one pass (obs.CheckTrace) and prints what it
+// found section by section: decisions and how many carry the payback
+// distance and policy verdict, fault evidence (quarantines, circuit
+// open→close), and manager crashes, WAL-replay recoveries and the
+// decisions after them. It fails only on what is wrong in any trace: a
+// broken trace_event schema, two clocks in one timeline
+// (obs.CheckTimeline), or a decision epoch stepping backwards.
 //
 // With -analyze the argument is a JSONL event log (-events-out) instead:
 // tracecheck replays it offline and prints a deterministic analysis
@@ -30,18 +19,16 @@
 // realized-payback attribution (unless too close to the trace end to
 // score), every realization must be internally consistent with the
 // tolerance, and the shadow-policy scoreboard is summarized per policy.
-// Mispredictions are reported as findings; contract violations exit
-// non-zero. CI's lens-smoke target runs it against a fresh -lens run.
+// Mispredictions are reported as findings; contract violations fail.
 //
 // With -postmortem the arguments are per-rank flight-recorder dumps
 // (JSONL files or a directory of them, as written on a swap abort,
 // quarantine, rank panic or world close): tracecheck merges them into a
 // single causally-ordered cross-rank timeline using the Lamport clocks
-// piggybacked on messages, prints it, and runs the causality
-// validations (no recv before its send, per-rank Lamport monotonicity,
-// epoch monotonicity) tolerating the bounded-ring truncation of old
-// events. -require-abort additionally demands swap-abort or quarantine
-// evidence, which CI's postmortem-smoke uses against a chaos run.
+// piggybacked on messages, prints it with the swap-abort and quarantine
+// evidence it holds, and runs the causality validations (no recv before
+// its send, per-rank Lamport monotonicity, epoch monotonicity) tolerating
+// the bounded-ring truncation of old events.
 //
 // Example:
 //
@@ -51,282 +38,106 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
-	"math"
+	"io"
 	"os"
-	"sort"
-	"strings"
 
 	"repro/internal/obs"
 	"repro/internal/swaprt/policylens"
 )
 
 func main() {
-	noDecision := flag.Bool("no-decision", false, "skip the SwapDecision payload requirement (traces from runs that never reach a decision point)")
-	chaosCheck := flag.Bool("chaos", false, "require fault-injection evidence: a Quarantine event and a Circuit open followed by a close")
-	failoverCheck := flag.Bool("failover", false, "require manager-restart evidence: MgrCrash then a WAL-replay MgrRecover, nondecreasing decision epochs, and a post-recovery decision")
-	analyze := flag.Bool("analyze", false, "treat the argument as a JSONL event log and print the offline analysis report")
-	audit := flag.Bool("audit", false, "treat the argument as a JSONL event log and verify the policy-lens contract: committed swaps carry realized-payback attribution")
-	auditTolerance := flag.Float64("audit-tolerance", 0, "with -audit, relative payback error counted as a misprediction (0 = lens default)")
-	postmortem := flag.Bool("postmortem", false, "treat the arguments as flight-recorder dumps (files or a directory) and reconstruct the causal cross-rank timeline")
-	requireAbort := flag.Bool("require-abort", false, "with -postmortem, require swap-abort or quarantine evidence in the merged timeline")
-	flag.Parse()
-	if *postmortem {
-		if flag.NArg() < 1 {
-			fmt.Fprintln(os.Stderr, "usage: tracecheck -postmortem [-require-abort] <flight-dir | dump.jsonl...>")
-			os.Exit(2)
-		}
-		runPostmortem(flag.Args(), *requireAbort)
-		return
-	}
-	if flag.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: tracecheck [-no-decision|-chaos|-failover] <trace.json> | tracecheck -analyze <events.jsonl> | tracecheck -postmortem <flight-dir>")
-		os.Exit(2)
-	}
-	path := flag.Arg(0)
-	if *analyze {
-		runAnalyze(path)
-		return
-	}
-	if *audit {
-		runAudit(path, *auditTolerance)
-		return
-	}
-	f, err := os.Open(path)
-	if err != nil {
-		fatal(err)
-	}
-	defer f.Close()
-
-	entries, err := obs.ValidateChromeTrace(f)
-	if err != nil {
-		fatal(fmt.Errorf("%s: %w", path, err))
-	}
-
-	if err := obs.CheckTimeline(timelineEvents(entries)); err != nil {
-		fatal(fmt.Errorf("%s: %w", path, err))
-	}
-
-	decisions := 0
-	complete := 0
-	for _, e := range entries {
-		name, _ := e["name"].(string)
-		if name != obs.KindSwapDecision.String() {
-			continue
-		}
-		decisions++
-		args, _ := e["args"].(map[string]any)
-		if args == nil {
-			continue
-		}
-		_, hasPayback := args["payback"].(float64)
-		verdict, _ := args["verdict"].(string)
-		if verdict == "stay" {
-			// A rejected decision legitimately has no payback (the gate
-			// may fire before the payback is computed); the verdict and
-			// reason alone make it complete.
-			if _, ok := args["reason"].(string); ok {
-				complete++
-			}
-			continue
-		}
-		if hasPayback && verdict != "" {
-			complete++
-		}
-	}
-
-	if !*noDecision {
-		if decisions == 0 {
-			fatal(fmt.Errorf("%s: no SwapDecision events in trace (%d entries)", path, len(entries)))
-		}
-		if complete == 0 {
-			fatal(fmt.Errorf("%s: %d SwapDecision events but none carry payback + verdict", path, decisions))
-		}
-	}
-
-	quarantines := 0
-	if *chaosCheck {
-		firstOpen, lastClose := math.Inf(1), math.Inf(-1)
-		opens, closes := 0, 0
-		for _, e := range entries {
-			name, _ := e["name"].(string)
-			ts, _ := e["ts"].(float64)
-			args, _ := e["args"].(map[string]any)
-			detail, _ := args["detail"].(string)
-			switch name {
-			case obs.KindQuarantine.String():
-				quarantines++
-			case obs.KindCircuit.String():
-				switch detail {
-				case "open":
-					opens++
-					firstOpen = math.Min(firstOpen, ts)
-				case "close":
-					closes++
-					lastClose = math.Max(lastClose, ts)
-				}
-			}
-		}
-		if quarantines == 0 {
-			fatal(fmt.Errorf("%s: chaos run left no Quarantine event", path))
-		}
-		if opens == 0 || closes == 0 {
-			fatal(fmt.Errorf("%s: circuit transitions open=%d close=%d, want at least one of each", path, opens, closes))
-		}
-		if lastClose < firstOpen {
-			fatal(fmt.Errorf("%s: circuit closed (ts %.0f) only before it first opened (ts %.0f)", path, lastClose, firstOpen))
-		}
-	}
-
-	crashes, recoveries := 0, 0
-	if *failoverCheck {
-		crashes, recoveries = checkFailover(path, entries)
-	}
-
-	fmt.Printf("tracecheck: %s ok — %d entries, %d decisions (%d with full payback payload)", path, len(entries), decisions, complete)
-	if *chaosCheck {
-		fmt.Printf(", %d quarantines + circuit recovery", quarantines)
-	}
-	if *failoverCheck {
-		fmt.Printf(", %d manager crashes + %d recoveries (WAL replay verified)", crashes, recoveries)
-	}
-	fmt.Println()
-}
-
-// timelineEvents rebuilds, from Chrome trace entries, as much of each
-// event as obs.CheckTimeline reads: kind, rank (the "runtime" track is
-// rank -1), time, duration and the IterEnd value.
-func timelineEvents(entries []map[string]any) []obs.Event {
-	runtimeTID := -1.0
-	for _, e := range entries {
-		if args, _ := e["args"].(map[string]any); e["ph"] == "M" && args["name"] == "runtime" {
-			runtimeTID, _ = e["tid"].(float64)
-		}
-	}
-	var events []obs.Event
-	for _, e := range entries {
-		name, _ := e["name"].(string)
-		kind, ok := obs.KindByName(name)
-		if name == "iteration" {
-			kind, ok = obs.KindIterStart, true
-			if e["ph"] == "E" {
-				kind = obs.KindIterEnd
-			}
-		}
-		if !ok {
-			continue
-		}
-		ts, _ := e["ts"].(float64)
-		dur, _ := e["dur"].(float64)
-		tid, _ := e["tid"].(float64)
-		args, _ := e["args"].(map[string]any)
-		value, _ := args["value"].(float64)
-		ev := obs.Event{Kind: kind, Rank: int(tid), T: ts / 1e6, Dur: dur / 1e6, Value: value}
-		if tid == runtimeTID {
-			ev.Rank = obs.RankRuntime
-		}
-		events = append(events, ev)
-	}
-	return events
-}
-
-// checkFailover enforces the evidence a manager kill/restart run must
-// leave behind: a crash, a later recovery that replayed the WAL, epoch
-// fencing (decision epochs never step backwards), and a decision after
-// the recovery proving the reborn manager kept serving. It fatals on
-// the first violation and returns (crashes, recoveries) on success.
-func checkFailover(path string, entries []map[string]any) (int, int) {
-	firstCrash := math.Inf(1)
-	walRecover := math.Inf(1)
-	crashes, recoveries := 0, 0
-	type decision struct {
-		ts, epoch float64
-	}
-	var decisions []decision
-	for _, e := range entries {
-		name, _ := e["name"].(string)
-		ts, _ := e["ts"].(float64)
-		args, _ := e["args"].(map[string]any)
-		detail, _ := args["detail"].(string)
-		switch name {
-		case obs.KindMgrCrash.String():
-			crashes++
-			firstCrash = math.Min(firstCrash, ts)
-		case obs.KindMgrRecover.String():
-			recoveries++
-			if strings.Contains(detail, "wal-replay") && strings.Contains(detail, "records=") &&
-				!strings.Contains(detail, "records=0 ") && ts >= firstCrash {
-				walRecover = math.Min(walRecover, ts)
-			}
-		case obs.KindSwapDecision.String():
-			epoch, _ := args["epoch"].(float64) // omitted while zero
-			decisions = append(decisions, decision{ts: ts, epoch: epoch})
-		}
-	}
-	if crashes == 0 {
-		fatal(fmt.Errorf("%s: failover run left no MgrCrash event", path))
-	}
-	if math.IsInf(walRecover, 1) {
-		fatal(fmt.Errorf("%s: no MgrRecover after the crash carries WAL-replay evidence (%d recoveries total)", path, recoveries))
-	}
-	sort.SliceStable(decisions, func(i, j int) bool { return decisions[i].ts < decisions[j].ts })
-	post := 0
-	for i, d := range decisions {
-		if i > 0 && d.epoch < decisions[i-1].epoch {
-			fatal(fmt.Errorf("%s: decision epoch stepped backwards %g -> %g at ts %.0f — a stale leader escaped the fence",
-				path, decisions[i-1].epoch, d.epoch, d.ts))
-		}
-		if d.ts > walRecover {
-			post++
-		}
-	}
-	if post == 0 {
-		fatal(fmt.Errorf("%s: no SwapDecision after the WAL-replay recovery (ts %.0f) — the reborn manager never served", path, walRecover))
-	}
-	return crashes, recoveries
-}
-
-// runAnalyze reads a JSONL event log and prints the deterministic
-// offline analysis report.
-func runAnalyze(path string) {
-	f, err := os.Open(path)
-	if err != nil {
-		fatal(err)
-	}
-	defer f.Close()
-	events, err := obs.ReadJSONL(f)
-	if err != nil {
-		fatal(err)
-	}
-	if err := obs.Analyze(events).WriteReport(os.Stdout); err != nil {
-		fatal(err)
-	}
-}
-
-// runAudit reads a JSONL event log, replays the policy-lens contract
-// and prints the deterministic audit report, exiting non-zero when the
-// trace violates it.
-func runAudit(path string, tolerance float64) {
-	f, err := os.Open(path)
-	if err != nil {
-		fatal(err)
-	}
-	defer f.Close()
-	events, err := obs.ReadJSONL(f)
-	if err != nil {
-		fatal(err)
-	}
-	res := policylens.Audit(events, policylens.AuditConfig{Tolerance: tolerance})
-	if err := res.WriteReport(os.Stdout); err != nil {
-		fatal(err)
-	}
-	if !res.OK() {
+	if err := run(os.Args[1:], os.Stdout); err != nil && !errors.Is(err, flag.ErrHelp) {
+		fmt.Fprintln(os.Stderr, "tracecheck:", err)
 		os.Exit(1)
 	}
 }
 
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "tracecheck:", err)
-	os.Exit(1)
+const usage = "usage: tracecheck <trace.json> | tracecheck -analyze|-audit <events.jsonl> | tracecheck -postmortem <flight-dir | dump.jsonl...>"
+
+// run checks what args name and reports on stdout; a failed check is
+// its error.
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("tracecheck", flag.ContinueOnError)
+	analyze := fs.Bool("analyze", false, "treat the argument as a JSONL event log and print the offline analysis report")
+	audit := fs.Bool("audit", false, "treat the argument as a JSONL event log and verify the policy-lens contract: committed swaps carry realized-payback attribution")
+	auditTolerance := fs.Float64("audit-tolerance", 0, "with -audit, relative payback error counted as a misprediction (0 = lens default)")
+	postmortem := fs.Bool("postmortem", false, "treat the arguments as flight-recorder dumps (files or a directory) and reconstruct the causal cross-rank timeline")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	switch {
+	case *postmortem && fs.NArg() > 0:
+		return runPostmortem(stdout, fs.Args())
+	case *postmortem || fs.NArg() != 1:
+		return errors.New(usage)
+	case *analyze:
+		events, err := readJSONL(fs.Arg(0))
+		if err != nil {
+			return err
+		}
+		return obs.Analyze(events).WriteReport(stdout)
+	case *audit:
+		events, err := readJSONL(fs.Arg(0))
+		if err != nil {
+			return err
+		}
+		res := policylens.Audit(events, policylens.AuditConfig{Tolerance: *auditTolerance})
+		if err := res.WriteReport(stdout); err != nil {
+			return err
+		}
+		if !res.OK() {
+			return fmt.Errorf("%s: the policy-lens contract does not hold", fs.Arg(0))
+		}
+		return nil
+	}
+	return checkTrace(stdout, fs.Arg(0))
+}
+
+// checkTrace validates one Chrome trace and prints every section of its
+// obs.CheckTrace.
+func checkTrace(stdout io.Writer, path string) error {
+	f, err := os.Open(path)
+	if err != nil {
+		return err
+	}
+	defer f.Close()
+	entries, err := obs.ValidateChromeTrace(f)
+	if err != nil {
+		return fmt.Errorf("%s: %w", path, err)
+	}
+	c := obs.CheckTrace(entries)
+	recovered := ""
+	if c.CircuitRecovered {
+		recovered = ", recovered"
+	}
+	fmt.Fprintf(stdout, "tracecheck: %s — %d entries\n", path, c.Entries)
+	fmt.Fprintf(stdout, "  decisions: %d (%d with full payback payload)\n", c.Decisions, c.Complete)
+	fmt.Fprintf(stdout, "  faults:    %d quarantines, circuit %d open / %d close%s\n",
+		c.Quarantines, c.CircuitOpens, c.CircuitCloses, recovered)
+	fmt.Fprintf(stdout, "  manager:   %d crashes, %d recoveries (%d WAL replays), %d decisions after recovery\n",
+		c.Crashes, c.Recoveries, c.WALRecoveries, c.PostRecovery)
+	for _, v := range c.Violations {
+		fmt.Fprintf(stdout, "  VIOLATION: %s\n", v)
+	}
+	if !c.Ok() {
+		return fmt.Errorf("%s: %d violations", path, len(c.Violations))
+	}
+	fmt.Fprintf(stdout, "tracecheck: %s ok — one timeline, decision epochs monotone\n", path)
+	return nil
+}
+
+func readJSONL(path string) ([]obs.Event, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	evs, err := obs.ReadJSONL(f)
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", path, err)
+	}
+	return evs, nil
 }

@@ -2,6 +2,7 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -11,21 +12,19 @@ import (
 )
 
 // runPostmortem merges per-rank flight-recorder dumps into one causally
-// ordered cross-rank timeline, prints it, and runs the causality
-// validations. Violations — and, with requireAbort, missing swap-abort
-// evidence — are fatal, so CI can gate on the exit code.
-func runPostmortem(args []string, requireAbort bool) {
+// ordered cross-rank timeline, prints it with its abort evidence, and
+// runs the causality validations; a violation is its error.
+func runPostmortem(stdout io.Writer, args []string) error {
 	paths, err := expandDumps(args)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	var merged []obs.Event
-	reasons := map[string]bool{}
-	fmt.Printf("postmortem: merging %d flight dumps\n", len(paths))
+	fmt.Fprintf(stdout, "postmortem: merging %d flight dumps\n", len(paths))
 	for _, p := range paths {
-		evs, err := readDump(p)
+		evs, err := readJSONL(p)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		reason := "(no dump marker)"
 		if len(evs) > 0 && evs[0].Kind == obs.KindRuntimeError &&
@@ -33,26 +32,25 @@ func runPostmortem(args []string, requireAbort bool) {
 			reason = strings.TrimPrefix(evs[0].Detail, "flight-dump: ")
 			evs = evs[1:] // the marker is dump metadata, not runtime history
 		}
-		reasons[reason] = true
-		fmt.Printf("  %s: %d events, dumped on %q\n", p, len(evs), reason)
+		fmt.Fprintf(stdout, "  %s: %d events, dumped on %q\n", p, len(evs), reason)
 		merged = append(merged, evs...)
 	}
 	if len(merged) == 0 {
-		fatal(fmt.Errorf("postmortem: dumps contain no events"))
+		return fmt.Errorf("postmortem: dumps contain no events")
 	}
 	obs.SortCausal(merged)
 
-	fmt.Printf("\n== causal cross-rank timeline (%d events) ==\n", len(merged))
+	fmt.Fprintf(stdout, "\n== causal cross-rank timeline (%d events) ==\n", len(merged))
 	for _, ev := range merged {
-		fmt.Println(formatEvent(ev))
+		fmt.Fprintln(stdout, formatEvent(ev))
 	}
 
 	check := obs.CheckCausality(merged)
-	fmt.Printf("\n== causality validations ==\n")
-	fmt.Printf("sends=%d recvs=%d matched_edges=%d truncated=%d max_clock=%d\n",
+	fmt.Fprintf(stdout, "\n== causality validations ==\n")
+	fmt.Fprintf(stdout, "sends=%d recvs=%d matched_edges=%d truncated=%d max_clock=%d\n",
 		check.Sends, check.Recvs, check.Matched, check.Truncated, check.MaxClock)
 	for _, v := range check.Violations {
-		fmt.Printf("VIOLATION: %s\n", v)
+		fmt.Fprintf(stdout, "VIOLATION: %s\n", v)
 	}
 
 	aborts, quarantines := 0, 0
@@ -64,16 +62,14 @@ func runPostmortem(args []string, requireAbort bool) {
 			quarantines++
 		}
 	}
-	fmt.Printf("abort evidence: %d swap aborts, %d quarantines\n", aborts, quarantines)
+	fmt.Fprintf(stdout, "abort evidence: %d swap aborts, %d quarantines\n", aborts, quarantines)
 
 	if !check.Ok() {
-		fatal(fmt.Errorf("postmortem: %d causality violations", len(check.Violations)))
+		return fmt.Errorf("postmortem: %d causality violations", len(check.Violations))
 	}
-	if requireAbort && aborts == 0 && quarantines == 0 {
-		fatal(fmt.Errorf("postmortem: -require-abort but the merged timeline holds no SwapAbort or Quarantine event"))
-	}
-	fmt.Printf("postmortem: ok — %d dumps, %d events, causally ordered, validations passed\n",
+	fmt.Fprintf(stdout, "postmortem: ok — %d dumps, %d events, causally ordered, validations passed\n",
 		len(paths), len(merged))
+	return nil
 }
 
 // expandDumps turns the argument list into the dump files to merge: a
@@ -98,19 +94,6 @@ func expandDumps(args []string) ([]string, error) {
 		}
 	}
 	return args, nil
-}
-
-func readDump(path string) ([]obs.Event, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	evs, err := obs.ReadJSONL(f)
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	return evs, nil
 }
 
 // formatEvent renders one timeline line: timestamp, rank, kind, then

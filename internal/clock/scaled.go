@@ -10,7 +10,7 @@ import (
 // 40ms of real time, and Now advances 25 virtual seconds per real
 // second. Unlike Fake it needs no Advance driver, so it accelerates
 // live runs where goroutines do real work (compute, real sockets)
-// between waits — the `swaprun -accel` / `swapexp -live -accel` mode.
+// between waits — the `swaprun -accel` mode.
 //
 // The zero value is invalid; use NewScaled.
 type Scaled struct {

@@ -86,7 +86,7 @@ const (
 	// boundary: a crash (process-level kill, injected or real) and the
 	// successor's recovery. The recover event's Detail carries the
 	// WAL-replay evidence ("wal-replay records=N epoch=E ...") that
-	// tracecheck -failover requires; both are appended after the earlier
+	// CheckTrace counts; both are appended after the earlier
 	// kinds so the numeric JSONL encoding of existing traces is
 	// unchanged.
 	KindMgrCrash

@@ -1,5 +1,5 @@
 // Package obsflag binds the standard observability flags shared by the
-// swaprun, swapexp and swapsim commands — the tracing trio -trace-out,
+// swaprun and swapsim commands — the tracing trio -trace-out,
 // -events-out and -trace-ranks, plus the telemetry pair -telemetry and
 // -telemetry-interval, the -metrics-out dump, and the post-mortem pair
 // -causal and -flight-dir — so every command exports the same formats

@@ -95,8 +95,14 @@ func TestSimTraceSwap(t *testing.T) {
 	if err := tr2.WriteChromeTrace(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := obs.ValidateChromeTrace(&buf); err != nil {
+	entries, err := obs.ValidateChromeTrace(&buf)
+	if err != nil {
 		t.Fatal(err)
+	}
+	// And pass the same trace checks: one clock, epochs monotone,
+	// decisions carrying their payback algebra.
+	if c := obs.CheckTrace(entries); !c.Ok() || c.Complete == 0 {
+		t.Fatalf("sim trace check: %d of %d decisions complete, violations %v", c.Complete, c.Decisions, c.Violations)
 	}
 }
 
