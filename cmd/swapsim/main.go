@@ -6,11 +6,14 @@
 //
 //	swapsim -tech swap -policy safe -hosts 32 -active 4 \
 //	        -p 0.2 -state 100e6 -iters 30 -trace
+//	swapsim -lens -lens-tolerance 0.3 -events-out run.jsonl
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -23,52 +26,65 @@ import (
 	"repro/internal/rng"
 	"repro/internal/simkern"
 	"repro/internal/strategy"
+	"repro/internal/swaprt/policylens"
 	"repro/internal/trace"
 )
 
 func main() {
+	if err := run(os.Args[1:], os.Stdout); err != nil && !errors.Is(err, flag.ErrHelp) {
+		fmt.Fprintln(os.Stderr, "swapsim:", err)
+		os.Exit(1)
+	}
+}
+
+// run parses args, simulates the run they describe and reports it on
+// stdout.
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("swapsim", flag.ContinueOnError)
 	var (
-		tech      = flag.String("tech", "swap", "technique: none, swap, dlb or cr")
-		policy    = flag.String("policy", "greedy", "swap policy: greedy, safe or friendly")
-		hosts     = flag.Int("hosts", 32, "allocated hosts (actives + spares)")
-		active    = flag.Int("active", 4, "active processes")
-		iters     = flag.Int("iters", 30, "application iterations")
-		iterSec   = flag.Float64("itersec", 120, "unloaded compute seconds per iteration (reference host)")
-		state     = flag.Float64("state", 1e6, "process state bytes")
-		comm      = flag.Float64("comm", 1e6, "communication bytes per process per iteration")
-		model     = flag.String("model", "onoff", "load model: onoff, hyperexp, trace or none")
-		p         = flag.Float64("p", 0.2, "onoff load probability")
-		lifetime  = flag.Float64("lifetime", 300, "hyperexp mean process lifetime (s)")
-		traceFile = flag.String("tracefiles", "", "trace model: comma-separated change-point CSV files (cycled across hosts)")
-		seed      = flag.Int64("seed", 1, "random seed")
-		showTrace = flag.Bool("trace", false, "print the per-iteration trace")
-		showGantt = flag.Bool("gantt", false, "print the host-occupancy timeline")
-		compare   = flag.Bool("compare", false, "run all four techniques on the identical platform and print a comparison")
+		tech      = fs.String("tech", "swap", "technique: none, swap, dlb or cr")
+		policy    = fs.String("policy", "greedy", "swap policy: greedy, safe or friendly")
+		hosts     = fs.Int("hosts", 32, "allocated hosts (actives + spares)")
+		active    = fs.Int("active", 4, "active processes")
+		iters     = fs.Int("iters", 30, "application iterations")
+		iterSec   = fs.Float64("itersec", 120, "unloaded compute seconds per iteration (reference host)")
+		state     = fs.Float64("state", 1e6, "process state bytes")
+		comm      = fs.Float64("comm", 1e6, "communication bytes per process per iteration")
+		model     = fs.String("model", "onoff", "load model: onoff, hyperexp, trace or none")
+		p         = fs.Float64("p", 0.2, "onoff load probability")
+		lifetime  = fs.Float64("lifetime", 300, "hyperexp mean process lifetime (s)")
+		traceFile = fs.String("tracefiles", "", "trace model: comma-separated change-point CSV files (cycled across hosts)")
+		seed      = fs.Int64("seed", 1, "random seed")
+		showTrace = fs.Bool("trace", false, "print the per-iteration trace")
+		showGantt = fs.Bool("gantt", false, "print the host-occupancy timeline")
+		compare   = fs.Bool("compare", false, "run all four techniques on the identical platform and print a comparison")
 
 		// Custom policy knobs: any set flag overrides the named policy's
 		// corresponding parameter, so arbitrary points of the paper's
 		// policy space can be explored from the command line.
-		payback = flag.Float64("payback", -1, "override: payback threshold in iterations (-1 = policy default)")
-		minProc = flag.Float64("minproc", -1, "override: minimum process improvement fraction")
-		minApp  = flag.Float64("minapp", -1, "override: minimum application improvement fraction")
-		history = flag.Float64("history", -1, "override: history window seconds")
+		payback = fs.Float64("payback", -1, "override: payback threshold in iterations (-1 = policy default)")
+		minProc = fs.Float64("minproc", -1, "override: minimum process improvement fraction")
+		minApp  = fs.Float64("minapp", -1, "override: minimum application improvement fraction")
+		history = fs.Float64("history", -1, "override: history window seconds")
 	)
-	traceFlags := obsflag.Register(flag.CommandLine)
-	flag.Parse()
+	traceFlags := obsflag.Register(fs)
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	if traceFlags.Telemetry || traceFlags.MetricsOut != "" {
 		// The telemetry hub and the Prometheus registry observe the live
 		// runtime; a simulated run has neither wall time nor transports.
-		fatal(fmt.Errorf("-telemetry/-metrics-out apply to live runs (swaprun); analyze simulated traces offline with -events-out + tracecheck -analyze"))
+		return fmt.Errorf("-telemetry/-metrics-out apply to live runs (swaprun); analyze simulated traces offline with -events-out + tracecheck -analyze")
 	}
 
 	technique, err := strategy.ByName(*tech)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	pol, err := core.Named(*policy)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	custom := false
 	if *payback >= 0 {
@@ -86,7 +102,7 @@ func main() {
 	if custom {
 		pol.Name = pol.Name + "+custom"
 		if err := pol.Validate(); err != nil {
-			fatal(err)
+			return err
 		}
 	}
 	var load loadgen.Model
@@ -99,24 +115,24 @@ func main() {
 		load = loadgen.Constant{N: 0}
 	case "trace":
 		if *traceFile == "" {
-			fatal(fmt.Errorf("-model trace needs -tracefiles"))
+			return fmt.Errorf("-model trace needs -tracefiles")
 		}
 		var set loadgen.TraceSet
 		for _, path := range strings.Split(*traceFile, ",") {
 			f, err := os.Open(path)
 			if err != nil {
-				fatal(err)
+				return err
 			}
 			segs, tail, err := loadgen.ParseTraceCSV(f)
 			_ = f.Close()
 			if err != nil {
-				fatal(fmt.Errorf("%s: %w", path, err))
+				return fmt.Errorf("%s: %w", path, err)
 			}
 			set.Traces = append(set.Traces, loadgen.Replay{Segments: segs, Tail: tail})
 		}
 		load = set
 	default:
-		fatal(fmt.Errorf("unknown load model %q", *model))
+		return fmt.Errorf("unknown load model %q", *model)
 	}
 
 	a := app.Iterative{
@@ -126,21 +142,21 @@ func main() {
 		StateBytes:      *state,
 	}
 	if *compare {
-		fmt.Printf("comparing all techniques: %s, %s, %d/%d hosts, seed %d\n\n",
+		fmt.Fprintf(stdout, "comparing all techniques: %s, %s, %d/%d hosts, seed %d\n\n",
 			load.Describe(), a, *active, *hosts, *seed)
-		fmt.Printf("%-6s %12s %14s %10s %12s\n", "tech", "total (s)", "mean iter (s)", "events", "overhead (s)")
+		fmt.Fprintf(stdout, "%-6s %12s %14s %10s %12s\n", "tech", "total (s)", "mean iter (s)", "events", "overhead (s)")
 		for _, name := range []string{"none", "swap", "dlb", "cr"} {
 			tech, err := strategy.ByName(name)
 			if err != nil {
-				fatal(err)
+				return err
 			}
 			k := simkern.New()
 			plat := platform.New(k, platform.Default(*hosts, load), rng.NewSource(*seed))
 			r := tech.Run(plat, strategy.Scenario{Active: *active, App: a, Policy: pol})
-			fmt.Printf("%-6s %12.1f %14.1f %10d %12.1f\n",
+			fmt.Fprintf(stdout, "%-6s %12.1f %14.1f %10d %12.1f\n",
 				name, r.TotalTime, r.MeanIterTime(), r.Swaps, r.Overhead)
 		}
-		return
+		return nil
 	}
 
 	k := simkern.New()
@@ -149,7 +165,7 @@ func main() {
 	// Chrome/Perfetto trace format as live swaprun executions.
 	tracer, err := traceFlags.Tracer(*active, obs.WithClock(k.Now))
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	k.SetTracer(tracer)
 	if traceFlags.Causal && tracer != nil {
@@ -157,32 +173,42 @@ func main() {
 		// happens-before edges as a live -causal world, on virtual time.
 		k.SetCausal(obs.NewCausal(*active))
 	}
-	res := technique.Run(plat, strategy.Scenario{Active: *active, App: a, Policy: pol})
+	sc := strategy.Scenario{Active: *active, App: a, Policy: pol}
+	if traceFlags.Lens {
+		// The lens audits on the virtual clock: its events land in the
+		// run's trace beside the decisions they judge.
+		sc.Lens = policylens.New(policylens.Config{Tolerance: traceFlags.LensTolerance, Tracer: tracer})
+	}
+	res := technique.Run(plat, sc)
 	if err := traceFlags.Write(tracer, func(format string, args ...any) {
-		fmt.Printf(format+"\n", args...)
+		fmt.Fprintf(stdout, format+"\n", args...)
 	}); err != nil {
-		fatal(err)
+		return err
 	}
 
-	fmt.Printf("technique       %s\n", res.Strategy)
-	fmt.Printf("policy          %s\n", pol)
-	fmt.Printf("load model      %s\n", load.Describe())
-	fmt.Printf("application     %s\n", a)
-	fmt.Printf("hosts/active    %d / %d\n", *hosts, *active)
-	fmt.Printf("total time      %.1f s\n", res.TotalTime)
-	fmt.Printf("startup         %.1f s\n", res.StartupTime)
-	fmt.Printf("mean iteration  %.1f s\n", res.MeanIterTime())
-	fmt.Printf("swap/ckpt count %d\n", res.Swaps)
-	fmt.Printf("overhead        %.1f s\n", res.Overhead)
-	fmt.Printf("final hosts     %v\n", res.FinalHosts)
+	fmt.Fprintf(stdout, "technique       %s\n", res.Strategy)
+	fmt.Fprintf(stdout, "policy          %s\n", pol)
+	fmt.Fprintf(stdout, "load model      %s\n", load.Describe())
+	fmt.Fprintf(stdout, "application     %s\n", a)
+	fmt.Fprintf(stdout, "hosts/active    %d / %d\n", *hosts, *active)
+	fmt.Fprintf(stdout, "total time      %.1f s\n", res.TotalTime)
+	fmt.Fprintf(stdout, "startup         %.1f s\n", res.StartupTime)
+	fmt.Fprintf(stdout, "mean iteration  %.1f s\n", res.MeanIterTime())
+	fmt.Fprintf(stdout, "swap/ckpt count %d\n", res.Swaps)
+	fmt.Fprintf(stdout, "overhead        %.1f s\n", res.Overhead)
+	fmt.Fprintf(stdout, "final hosts     %v\n", res.FinalHosts)
+	if l := res.Lens; l != nil {
+		fmt.Fprintf(stdout, "lens            %d decisions, %d realized, %d mispredicted (tolerance %g)\n",
+			l.Decisions, l.Realized, l.Mispredicts, l.Tolerance)
+	}
 
 	if *showGantt {
-		fmt.Println()
-		fmt.Print(strategy.Gantt(res))
+		fmt.Fprintln(stdout)
+		fmt.Fprint(stdout, strategy.Gantt(res))
 	}
 
 	if *showTrace {
-		fmt.Println()
+		fmt.Fprintln(stdout)
 		tbl := &trace.Table{
 			Title:  "per-iteration trace",
 			Header: []string{"iter", "start", "compute_done", "end", "overhead", "hosts"},
@@ -197,17 +223,13 @@ func main() {
 				fmt.Sprint(it.Hosts),
 			)
 		}
-		if err := tbl.WriteText(os.Stdout); err != nil {
-			fatal(err)
+		if err := tbl.WriteText(stdout); err != nil {
+			return err
 		}
-		fmt.Println()
+		fmt.Fprintln(stdout)
 		for _, e := range res.Events {
-			fmt.Printf("%10.1f  %-10s %s\n", e.T, e.Kind, e.Detail())
+			fmt.Fprintf(stdout, "%10.1f  %-10s %s\n", e.T, e.Kind, e.Detail())
 		}
 	}
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "swapsim:", err)
-	os.Exit(1)
+	return nil
 }

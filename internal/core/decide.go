@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 )
 
 // Candidate is a host (or processor) with its predicted effective
@@ -308,6 +307,10 @@ const (
 	gateProcGain
 	gatePayback
 	gateAppGain
+	// Relocation only: an empty set, no iteration time, no payback ever.
+	gateEmpty
+	gateIterTime
+	gateNotBeneficial
 )
 
 // processGates applies the gates that look at the pair alone. On
@@ -379,9 +382,10 @@ type RelocateInput struct {
 }
 
 // DecideRelocation reports whether the policy allows the relocation, and
-// the application-level payback distance of doing it.
+// the application-level payback distance of doing it: the numbers of
+// DecideRelocationExplained without the Reason sentence.
 func (p Policy) DecideRelocation(in RelocateInput) (ok bool, payback float64) {
-	ok, payback, _ = p.DecideRelocationExplained(in)
+	ok, payback, _, _ = p.relocate(in)
 	return ok, payback
 }
 
@@ -393,6 +397,25 @@ func (p Policy) DecideRelocation(in RelocateInput) (ok bool, payback float64) {
 // only finite numbers (Payback stays zero when the distance is
 // infinite) so it remains JSON-encodable.
 func (p Policy) DecideRelocationExplained(in RelocateInput) (ok bool, payback float64, exp Explanation) {
+	ok, payback, exp, g := p.relocate(in)
+	switch g {
+	case gateEmpty:
+		exp.Reason = "no processes to relocate"
+	case gateIterTime:
+		exp.Reason = fmt.Sprintf("iteration time %.4g not positive", in.IterTime)
+	case gateNotFaster:
+		exp.Reason = fmt.Sprintf("new set performance %.4g not above old %.4g", exp.NewPerf, exp.OldPerf)
+	case gateNotBeneficial:
+		exp.Reason = fmt.Sprintf("payback %.3g iterations is not beneficial", payback)
+	default:
+		exp.Reason = p.gateText(g, exp)
+	}
+	return ok, payback, exp
+}
+
+// relocate is the relocation decision itself: the verdict, the payback,
+// the Explanation without its Reason, and the gate that decided.
+func (p Policy) relocate(in RelocateInput) (bool, float64, Explanation, gate) {
 	if err := p.Validate(); err != nil {
 		panic(err)
 	}
@@ -400,71 +423,47 @@ func (p Policy) DecideRelocationExplained(in RelocateInput) (ok bool, payback fl
 		panic(fmt.Sprintf("core: DecideRelocation with %d old vs %d new rates",
 			len(in.OldRates), len(in.NewRates)))
 	}
-	exp = Explanation{IterTime: in.IterTime, SwapTime: in.Overhead, Verdict: "stay"}
+	exp := Explanation{IterTime: in.IterTime, SwapTime: in.Overhead, Verdict: "stay"}
+	never := math.Inf(1)
 	if len(in.OldRates) == 0 {
-		exp.Reason = "no processes to relocate"
-		return false, math.Inf(1), exp
+		return false, never, exp, gateEmpty
 	}
 	if in.IterTime <= 0 {
-		exp.Reason = fmt.Sprintf("iteration time %.4g not positive", in.IterTime)
-		return false, math.Inf(1), exp
+		return false, never, exp, gateIterTime
 	}
 	appPerf := in.AppPerf
 	if appPerf == nil {
 		appPerf = BottleneckAppPerf
 	}
-	oldPerf := appPerf(in.OldRates)
-	newPerf := appPerf(in.NewRates)
-	exp.Considered = 1
-	exp.OldPerf = oldPerf
-	exp.NewPerf = newPerf
+	oldPerf, newPerf := appPerf(in.OldRates), appPerf(in.NewRates)
+	exp.Considered, exp.OldPerf, exp.NewPerf = 1, oldPerf, newPerf
 	if newPerf <= oldPerf || oldPerf <= 0 {
-		exp.Reason = fmt.Sprintf("new set performance %.4g not above old %.4g",
-			newPerf, oldPerf)
-		return false, math.Inf(1), exp
+		return false, never, exp, gateNotFaster
 	}
-	// Per-process gate: pair slowest-old with fastest-new; every changed
-	// pair must clear the process threshold, mirroring Decide.
-	old := append([]float64(nil), in.OldRates...)
-	neu := append([]float64(nil), in.NewRates...)
-	sort.Float64s(old)
-	sort.Sort(sort.Reverse(sort.Float64Slice(neu)))
-	for i := range old {
-		if neu[i] <= old[i] {
-			break // unchanged or not improved beyond this pairing
-		}
-		exp.ProcGain = neu[i]/old[i] - 1
+	// Per-process gate, mirroring Decide: only the decisive pair, slowest
+	// old host with fastest new one, must clear the process threshold
+	// (further pairs may be unchanged members of the set); a set whose
+	// fastest newcomer is no faster than its slowest incumbent has none.
+	if slowest, fastest := slices.Min(in.OldRates), slices.Max(in.NewRates); fastest > slowest {
+		exp.ProcGain = fastest/slowest - 1
 		if exp.ProcGain <= p.MinProcImprovement {
-			exp.Reason = fmt.Sprintf("process gain %.3g <= minimum %.3g",
-				exp.ProcGain, p.MinProcImprovement)
-			return false, math.Inf(1), exp
+			return false, never, exp, gateProcGain
 		}
-		// Only the first changed pair must clear the threshold for a
-		// relocation to be worthwhile at all; further pairs may be
-		// unchanged members of the set.
-		break
 	}
-	payback = PaybackDistance(in.Overhead, in.IterTime, oldPerf, newPerf)
+	payback := PaybackDistance(in.Overhead, in.IterTime, oldPerf, newPerf)
 	if !math.IsInf(payback, 0) {
 		exp.Payback = payback
 	}
 	exp.AppGain = newPerf/oldPerf - 1
 	if in.Overhead > 0 && !Beneficial(payback) {
-		exp.Reason = fmt.Sprintf("payback %.3g iterations is not beneficial", payback)
-		return false, payback, exp
+		return false, payback, exp, gateNotBeneficial
 	}
 	if payback > p.PaybackThreshold {
-		exp.Reason = fmt.Sprintf("payback %.3g iterations > threshold %.3g",
-			payback, p.PaybackThreshold)
-		return false, payback, exp
+		return false, payback, exp, gatePayback
 	}
 	if p.MinAppImprovement > 0 && exp.AppGain <= p.MinAppImprovement {
-		exp.Reason = fmt.Sprintf("application gain %.3g <= minimum %.3g",
-			exp.AppGain, p.MinAppImprovement)
-		return false, payback, exp
+		return false, payback, exp, gateAppGain
 	}
 	exp.Verdict = "relocate"
-	exp.Reason = fmt.Sprintf("payback %.3g iterations within threshold %.3g",
-		payback, p.PaybackThreshold)
-	return true, payback, exp
+	return true, payback, exp, gateAccepted
 }

@@ -5,6 +5,9 @@ import (
 	"math"
 	"strings"
 	"testing"
+	"testing/quick"
+
+	"repro/internal/rng"
 )
 
 // TestDecideRelocationExplainedTable drives every gate of
@@ -143,6 +146,90 @@ func TestDecideRelocationExplainedTable(t *testing.T) {
 				t.Fatalf("explanation not JSON-encodable: %v", err)
 			}
 		})
+	}
+}
+
+// DecideRelocation is DecideRelocationExplained without the words: the
+// same verdict and the same payback, on the inputs where reading only
+// the slowest old and fastest new rate could go wrong — equal sets, ties,
+// a process gain exactly at the minimum, free and never-paying moves, and
+// an application model that is not the bottleneck — and on random sets.
+// Under the bottleneck model it allocates nothing.
+func TestQuietRelocationEqualsExplained(t *testing.T) {
+	sum := func(rates []float64) float64 {
+		s := 0.0
+		for _, r := range rates {
+			s += r
+		}
+		return s
+	}
+	edge := Policy{Name: "edge", PaybackThreshold: math.Inf(1), MinProcImprovement: 0.5}
+	policies := []Policy{Greedy(), Safe(), Friendly(), ablated(), edge}
+	relocated, stayed := 0, 0
+	same := func(in RelocateInput) bool {
+		for _, p := range policies {
+			ok, payback := p.DecideRelocation(in)
+			eok, epayback, exp := p.DecideRelocationExplained(in)
+			if ok != eok || !sameFloat(payback, epayback) {
+				t.Logf("%s on %+v: quiet (%v, %g), explained (%v, %g) %q", p.Name, in, ok, payback, eok, epayback, exp.Reason)
+				return false
+			}
+			if ok {
+				relocated++
+			} else {
+				stayed++
+			}
+			if !raceEnabled && in.AppPerf == nil {
+				if n := testing.AllocsPerRun(20, func() { p.DecideRelocation(in) }); n != 0 {
+					t.Logf("%s on %+v: %v allocs", p.Name, in, n)
+					return false
+				}
+			}
+		}
+		return true
+	}
+	for _, c := range []struct {
+		name string
+		in   RelocateInput
+	}{
+		{"equal sets", RelocateInput{OldRates: []float64{3, 1, 2}, NewRates: []float64{1, 2, 3}, IterTime: 10, Overhead: 1}},
+		{"ties", RelocateInput{OldRates: []float64{2, 1, 1}, NewRates: []float64{2, 2, 2}, IterTime: 10, Overhead: 1}},
+		{"gain at the minimum", RelocateInput{OldRates: []float64{2, 4}, NewRates: []float64{3, 4}, IterTime: 10, Overhead: 1}},
+		{"gain just above the minimum", RelocateInput{OldRates: []float64{2, 4}, NewRates: []float64{3.0000001, 4}, IterTime: 10, Overhead: 1}},
+		{"zero overhead", RelocateInput{OldRates: []float64{1, 2}, NewRates: []float64{2, 2}, IterTime: 10}},
+		{"+Inf payback", RelocateInput{OldRates: []float64{2, 2}, NewRates: []float64{1, 3}, IterTime: 10, Overhead: 1}},
+		{"no processes", RelocateInput{IterTime: 10, Overhead: 1}},
+		{"sum of rates", RelocateInput{OldRates: []float64{1, 1}, NewRates: []float64{1.1, 1}, IterTime: 10, Overhead: 0.1, AppPerf: sum}},
+		{"sum of rates, slower newcomer", RelocateInput{OldRates: []float64{2, 2}, NewRates: []float64{1, 4}, IterTime: 10, Overhead: 0.1, AppPerf: sum}},
+	} {
+		if !same(c.in) {
+			t.Errorf("%s: the quiet and explained relocations disagree", c.name)
+		}
+	}
+
+	st := rng.NewSource(47).Stream("relocate")
+	f := func(n uint8, itRaw, ovRaw uint16, clustered, bySum bool) bool {
+		in := RelocateInput{IterTime: float64(itRaw%600) + 1, Overhead: float64(ovRaw%300) / 10}
+		if bySum {
+			in.AppPerf = sum
+		}
+		rate := func() float64 {
+			if clustered { // many ties between and within the sets
+				return float64(100 * (1 + st.Intn(3)))
+			}
+			return st.Uniform(50, 800)
+		}
+		for i := 0; i < 1+int(n%8); i++ {
+			in.OldRates = append(in.OldRates, rate())
+			in.NewRates = append(in.NewRates, rate())
+		}
+		return same(in)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 400}); err != nil {
+		t.Fatal(err)
+	}
+	if relocated < 100 || stayed < 100 {
+		t.Fatalf("inputs too one-sided to mean anything: %d relocations, %d stays", relocated, stayed)
 	}
 }
 

@@ -18,7 +18,6 @@ import (
 // time-sharing, the model used by the paper's SimGrid simulator).
 type Host struct {
 	ID    int
-	Name  string
 	Speed float64 // peak flop/s
 	load  *loadgen.Trace
 }
@@ -28,7 +27,7 @@ func NewHost(id int, speed float64, load *loadgen.Trace) *Host {
 	if speed <= 0 {
 		panic(fmt.Sprintf("platform: host %d speed %g", id, speed))
 	}
-	return &Host{ID: id, Name: fmt.Sprintf("host-%d", id), Speed: speed, load: load}
+	return &Host{ID: id, Speed: speed, load: load}
 }
 
 // LoadAt reports the number of competing processes at time t.
@@ -79,5 +78,5 @@ func (h *Host) ComputeDuration(start, flops float64) float64 {
 
 // String implements fmt.Stringer.
 func (h *Host) String() string {
-	return fmt.Sprintf("%s(%.0f MFlop/s)", h.Name, h.Speed/1e6)
+	return fmt.Sprintf("host-%d(%.0f MFlop/s)", h.ID, h.Speed/1e6)
 }

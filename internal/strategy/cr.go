@@ -1,7 +1,6 @@
 package strategy
 
 import (
-	"cmp"
 	"slices"
 
 	"repro/internal/core"
@@ -38,22 +37,28 @@ func crBoundary(d *driver, iter int, iterTime float64, done func()) {
 	rates := d.rates(now)
 	n := d.sc.Active
 
-	// Best candidate set: the n hosts with the highest estimated rates,
-	// ties to the lower ID. The order is total, so sorting the previous
-	// boundary's ranking gives the same result as sorting from scratch.
-	if d.ids == nil {
-		d.ids = make([]int, len(d.p.Hosts))
-		for i := range d.ids {
-			d.ids[i] = i
-		}
+	if d.best == nil {
+		d.best, d.relocRates = make([]int, 0, n), make([]float64, 2*n)
 	}
-	slices.SortFunc(d.ids, func(a, b int) int {
-		if c := cmp.Compare(rates[b], rates[a]); c != 0 {
-			return c
+	// Best candidate set: the n hosts with the highest estimated rates,
+	// ties to the lower ID: hosts are offered in ID order and inserted
+	// into the sorted prefix, where an equal rate displaces nothing.
+	best := d.best[:0]
+	for h, r := range rates {
+		if len(best) == n {
+			if r <= rates[best[n-1]] {
+				continue
+			}
+			best = best[:n-1]
 		}
-		return cmp.Compare(a, b)
-	})
-	best := d.ids[:n]
+		j := len(best)
+		best = append(best, h)
+		for ; j > 0 && rates[best[j-1]] < r; j-- {
+			best[j] = best[j-1]
+		}
+		best[j] = h
+	}
+	d.best = best
 
 	// Both sets hold n distinct hosts: they are equal when every best
 	// host is already active.
@@ -67,8 +72,7 @@ func crBoundary(d *driver, iter int, iterTime float64, done func()) {
 		return
 	}
 
-	oldRates := make([]float64, n)
-	newRates := make([]float64, n)
+	oldRates, newRates := d.relocRates[:n], d.relocRates[n:]
 	for r := 0; r < n; r++ {
 		oldRates[r] = rates[d.hosts[r]]
 		newRates[r] = rates[best[r]]

@@ -12,16 +12,19 @@ import (
 	"repro/internal/platform"
 	"repro/internal/rng"
 	"repro/internal/simkern"
+	"repro/internal/swaprt/policylens"
 )
 
 // tracedSwapRun executes one Swap run with a tracer attached to the
-// kernel and returns the result plus the merged event stream.
+// kernel and a lens tracing to it, and returns the result plus the
+// merged event stream.
 func tracedSwapRun(seed int64) (Result, []obs.Event) {
 	p := testPlatform(8, loadgen.NewOnOff(0.3), seed)
 	tr := obs.New(4, obs.WithClock(p.Kernel.Now))
 	tr.Enable()
 	p.Kernel.SetTracer(tr)
-	res := Swap{}.Run(p, Scenario{Active: 4, App: app.Default(8).WithState(50e6), Policy: core.Greedy()})
+	res := Swap{}.Run(p, Scenario{Active: 4, App: app.Default(8).WithState(50e6), Policy: core.Greedy(),
+		Lens: policylens.New(policylens.Config{Tracer: tr})})
 	return res, tr.Events()
 }
 
@@ -262,12 +265,14 @@ func TestSimTraceCausal(t *testing.T) {
 func TestTracerDoesNotChangeTheRun(t *testing.T) {
 	for _, pol := range []core.Policy{core.Greedy(), core.Safe(), core.Friendly()} {
 		sc := Scenario{Active: 4, App: app.Default(12).WithState(50e6), Policy: pol}
+		sc.Lens = policylens.New(policylens.Config{})
 		quiet := Swap{}.Run(testPlatform(8, loadgen.NewOnOff(0.3), 63), sc)
 
 		p := testPlatform(8, loadgen.NewOnOff(0.3), 63)
 		tr := obs.New(4, obs.WithClock(p.Kernel.Now))
 		tr.Enable()
 		p.Kernel.SetTracer(tr)
+		sc.Lens = policylens.New(policylens.Config{Tracer: tr})
 		traced := Swap{}.Run(p, sc)
 
 		if quiet.Lens == nil || quiet.Lens.Realized == 0 {
@@ -275,6 +280,42 @@ func TestTracerDoesNotChangeTheRun(t *testing.T) {
 		}
 		if !reflect.DeepEqual(quiet, traced) {
 			t.Errorf("%s: a tracer changed the run:\nquiet  %+v\ntraced %+v", pol.Name, quiet, traced)
+		}
+	}
+}
+
+// A run audits only when handed a lens, and auditing is read-only: with
+// and without one, a Swap run's Result is the same apart from Lens, which
+// only the audited run fills — a tracer alone implies no lens.
+func TestLensDoesNotChangeTheRun(t *testing.T) {
+	for _, pol := range []core.Policy{core.Greedy(), core.Safe(), core.Friendly()} {
+		sc := Scenario{Active: 4, App: app.Default(12).WithState(50e6), Policy: pol}
+		p := testPlatform(8, loadgen.NewOnOff(0.3), 63)
+		tr := obs.New(4, obs.WithClock(p.Kernel.Now))
+		tr.Enable()
+		p.Kernel.SetTracer(tr)
+		plain := Swap{}.Run(p, sc)
+
+		sc.Lens = policylens.New(policylens.Config{})
+		audited := Swap{}.Run(testPlatform(8, loadgen.NewOnOff(0.3), 63), sc)
+
+		if plain.Lens != nil {
+			t.Fatalf("%s: a run without a lens reported %+v", pol.Name, plain.Lens)
+		}
+		for _, ev := range tr.Events() {
+			if ev.Kind == obs.KindShadowDecision || ev.Kind == obs.KindPaybackRealized {
+				t.Fatalf("%s: a run without a lens traced %+v", pol.Name, ev)
+			}
+		}
+		if audited.Lens == nil || audited.Lens.Decisions == 0 {
+			t.Fatalf("%s: the lens saw no decision: %+v", pol.Name, audited.Lens)
+		}
+		if audited.Swaps == 0 {
+			t.Fatalf("%s: no swap, so the lens audited only stays", pol.Name)
+		}
+		audited.Lens = nil
+		if !reflect.DeepEqual(plain, audited) {
+			t.Errorf("%s: a lens changed the run:\nplain   %+v\naudited %+v", pol.Name, plain, audited)
 		}
 	}
 }

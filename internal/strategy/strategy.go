@@ -39,6 +39,9 @@ type Scenario struct {
 	SwapSelection string
 	// SelectSeed seeds the random selector.
 	SelectSeed int64
+	// Lens, when set, audits the Swap technique's decisions on the
+	// virtual clock and its report is Result.Lens; nil audits nothing.
+	Lens *policylens.Lens
 }
 
 func (sc Scenario) policy() core.Policy {
@@ -127,9 +130,8 @@ type Result struct {
 	Iters       []IterRecord
 	Events      []Event
 	FinalHosts  []int
-	// Lens is the policy lens report for techniques that audit their
-	// decisions (Swap); nil otherwise. Sweeps read prediction accuracy
-	// and the shadow scoreboard from here.
+	// Lens is the report of Scenario.Lens: the prediction accuracy and
+	// shadow scoreboard of a Swap run's decisions; nil without a lens.
 	Lens *policylens.Report
 }
 
@@ -212,20 +214,20 @@ type driver struct {
 	sendFn, landedFn, iterEndFn, boundaryDoneFn func()
 
 	// boundary decides the Swap technique's swaps and audits them on the
-	// virtual clock, as the live runtime's LocalDecider does (its lens is
-	// created at the first swap boundary); epoch counts committed swap
-	// rounds with the live runtime's convention: a decision at epoch e
-	// proposes e+1.
+	// virtual clock through the scenario's lens, as the live runtime's
+	// LocalDecider does; epoch counts committed swap rounds with the live
+	// runtime's convention: a decision at epoch e proposes e+1.
 	boundary policylens.Boundary
 	epoch    uint64
 
 	// Per-boundary scratch, sized once per run: the estimated rate and
-	// active flag of every host, the Swap technique's candidate lists as
-	// collected, and CR's host ranking (allocated at its first boundary).
+	// active flag of every host, the Swap technique's candidate lists, and
+	// CR's best hosts and old+new set rates (made at its first boundary).
 	rateBuf       []float64
 	isActive      []bool
 	active, spare []core.Candidate
-	ids           []int
+	best          []int
+	relocRates    []float64
 }
 
 // boundaryHook runs at each iteration boundary (application barrier) but
@@ -263,7 +265,7 @@ func run(p *platform.Platform, sc Scenario, name string, chunks chunkFunc, bound
 	k := p.Kernel
 	d := &driver{p: p, k: k, sc: sc, hook: boundary,
 		finish:   make([]float64, sc.Active),
-		boundary: policylens.Boundary{Policy: sc.policy()},
+		boundary: policylens.Boundary{Policy: sc.policy(), Lens: sc.Lens},
 		rateBuf:  make([]float64, len(p.Hosts)),
 		isActive: make([]bool, len(p.Hosts))}
 	d.sendFn, d.landedFn, d.iterEndFn, d.boundaryDoneFn = d.send, d.landed, d.iterEnd, d.boundaryDone
@@ -279,8 +281,9 @@ func run(p *platform.Platform, sc Scenario, name string, chunks chunkFunc, bound
 	k.After(d.res.StartupTime, func() {
 		now := k.Now()
 		d.res.Events = append(d.res.Events, Event{T: now, Kind: EventStartup, Procs: len(p.Hosts)})
-		// Initial schedule: the fastest processors at startup time.
-		d.hosts = p.FastestAt(now, sc.Active, nil)
+		// Initial schedule: the fastest processors at startup time (d.sc:
+		// capturing sc, over 128 bytes, would move it to the heap).
+		d.hosts = p.FastestAt(now, d.sc.Active, nil)
 		d.chunks = chunks(d, now)
 		d.iterate()
 	})

@@ -7,7 +7,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/platform"
 	"repro/internal/rng"
-	"repro/internal/swaprt/policylens"
 )
 
 // Swap is MPI process swapping: the application computes on N of the
@@ -52,12 +51,6 @@ func swapBoundary(d *driver, iter int, iterTime float64, done func()) {
 
 	tr := d.k.Tracer()
 	swapTime := d.predictedSwapTime()
-	// The sim audits through the same boundary type as the live runtime,
-	// on the virtual clock, so simulated and live traces carry the same
-	// lens attribution (ShadowDecision / PaybackRealized events).
-	if d.boundary.Lens == nil {
-		d.boundary.Lens = policylens.New(policylens.Config{Tracer: tr})
-	}
 	in := core.DecideInput{
 		Active:   active,
 		Spare:    spare,

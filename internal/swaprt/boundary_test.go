@@ -56,7 +56,8 @@ func TestOwnShadowAgreesWithPrimary(t *testing.T) {
 			tr.Enable()
 			p.Kernel.SetTracer(tr)
 			a := app.Default(8).WithState(50e6)
-			res := strategy.Swap{}.Run(p, strategy.Scenario{Active: 4, App: a, Policy: pol})
+			res := strategy.Swap{}.Run(p, strategy.Scenario{Active: 4, App: a, Policy: pol,
+				Lens: policylens.New(policylens.Config{Tracer: tr})})
 			checkOwnShadow(t, pol, tr.Events(), *res.Lens, a.Iterations-1)
 		})
 	}
