@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet lint test race bench bench-transport bench-all bench-smoke figures ablations extensions figures-check check fuzz clean
+.PHONY: all build vet lint test race bench bench-transport bench-all bench-smoke figures ablations extensions check fuzz clean
 
 all: build vet lint test
 
@@ -25,20 +25,21 @@ vet:
 lint:
 	$(GO) run ./cmd/swapvet ./...
 
-# The concurrency-heavy packages (transport, runtime, and swaprun, whose
-# tests are the end-to-end smoke scenarios) and the policy core (whose
-# allocation pins skip themselves under -race) run under the race
-# detector as part of the default test target; the manager failover and
-# lease hand-over tests twenty times over, because the race they guard
-# (a renewal in flight across a release) showed once in a dozen runs, and
-# so the shared-connection test, whose ranks contend for one write token
+# The concurrency-heavy packages (transport, runtime, swaprun, whose
+# tests are the end-to-end smoke scenarios, and swapmgr, whose daemons
+# hand the lease over) and the policy core (whose allocation pins skip
+# themselves under -race) run under the race detector as part of the
+# default test target; the manager failover and lease hand-over tests
+# twenty times over, because the race they guard (a renewal in flight
+# across a release) showed once in a dozen runs, and so the
+# shared-connection test, whose ranks contend for one write token
 # differently every time.
 test: race
 	$(GO) test ./...
 
 race:
 	$(GO) test -race ./internal/mpi/ ./internal/mpi/wire/ ./internal/swaprt/ ./internal/apps/ ./internal/experiment/ ./internal/core/ \
-		./cmd/swaprun/
+		./cmd/swaprun/ ./cmd/swapmgr/
 	$(GO) test -race -count=20 -run 'Failover|Supervisor' ./internal/swaprt/
 	$(GO) test -race -count=20 -run 'TestTCPSharedConnection' ./internal/mpi/
 
@@ -134,28 +135,12 @@ ablations:
 extensions:
 	$(GO) run ./cmd/swapexp -fig extensions -out results -format csv
 
-# Byte-identity of the committed figure data: regenerate every figure,
-# ablation and extension into a temporary directory and cmp each CSV
-# against results/. A simulator change that moves one digit of one cell
-# (or adds or drops a file) fails here, by name.
-figures-check:
-	@TMP=$$(mktemp -d); trap 'rm -rf "$$TMP"' EXIT; \
-	for set in all ablations extensions; do \
-		$(GO) run ./cmd/swapexp -fig $$set -out "$$TMP" -format csv >/dev/null || exit 1; \
-	done; \
-	if [ "$$(cd "$$TMP" && ls *.csv)" != "$$(cd results && ls *.csv)" ]; then \
-		echo "figures-check: FAIL - regenerated file set differs from results/*.csv"; exit 1; \
-	fi; \
-	BAD=0; for f in results/*.csv; do \
-		cmp "$$f" "$$TMP/$$(basename $$f)" || BAD=1; \
-	done; \
-	if [ $$BAD -ne 0 ]; then echo "figures-check: FAIL - regenerated CSVs differ from results/"; exit 1; fi; \
-	echo "figures-check: $$(ls results/*.csv | wc -l) CSVs byte-identical to results/"
-
 # Verify the paper's claims against freshly generated figures; the static
 # analyzers run first so a non-reproducible tree cannot "pass" the check,
-# and the committed CSVs must still be what the simulator produces.
-check: lint figures-check
+# and swapexp's tests hold the committed CSVs to what the simulator
+# produces, byte for byte.
+check: lint
+	$(GO) test ./cmd/swapexp/
 	$(GO) run ./cmd/swapexp -check
 
 fuzz:

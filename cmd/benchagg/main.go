@@ -26,8 +26,10 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -79,8 +81,8 @@ var (
 	memCols   = regexp.MustCompile(`\s(\d+) B/op\s+(\d+) allocs/op`)
 )
 
-// run is one parsed benchmark execution.
-type run struct {
+// benchRun is one parsed benchmark execution.
+type benchRun struct {
 	name     string
 	source   string
 	nsOp     float64
@@ -89,14 +91,14 @@ type run struct {
 }
 
 // parseBench extracts every benchmark run from one -bench text output.
-func parseBench(source string, text string) []run {
-	var runs []run
+func parseBench(source string, text string) []benchRun {
+	var runs []benchRun
 	for _, line := range strings.Split(text, "\n") {
 		m := benchLine.FindStringSubmatch(line)
 		if m == nil {
 			continue
 		}
-		r := run{name: m[1], source: source}
+		r := benchRun{name: m[1], source: source}
 		r.nsOp, _ = strconv.ParseFloat(m[3], 64)
 		if mem := memCols.FindStringSubmatch(m[4]); mem != nil {
 			r.bOp, _ = strconv.ParseInt(mem[1], 10, 64)
@@ -108,9 +110,9 @@ func parseBench(source string, text string) []run {
 }
 
 // aggregate groups runs by (source, name) into sorted Bench rows.
-func aggregate(runs []run) []Bench {
+func aggregate(runs []benchRun) []Bench {
 	type key struct{ source, name string }
-	groups := make(map[key][]run)
+	groups := make(map[key][]benchRun)
 	for _, r := range runs {
 		k := key{r.source, r.name}
 		groups[k] = append(groups[k], r)
@@ -256,32 +258,46 @@ func structCodecGate(benches []Bench) Gate {
 }
 
 func main() {
+	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil && !errors.Is(err, flag.ErrHelp) {
+		fmt.Fprintln(os.Stderr, "benchagg:", err)
+		os.Exit(1)
+	}
+}
+
+// run folds the bench captures args name into one summary, written to
+// -out or stdout, and reports each gate on stderr; a failed gate is its
+// error.
+func run(args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("benchagg", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		out       = flag.String("out", "", "write the summary JSON here (default stdout)")
-		zeroAlloc = flag.String("zero-alloc", "", "regexp of benchmark names that must report 0 allocs/op in every run")
+		out       = fs.String("out", "", "write the summary JSON here (default stdout)")
+		zeroAlloc = fs.String("zero-alloc", "", "regexp of benchmark names that must report 0 allocs/op in every run")
 	)
-	flag.Parse()
-	if flag.NArg() == 0 {
-		fatal(fmt.Errorf("no bench output files named (want `go test -bench` text captures)"))
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	if fs.NArg() == 0 {
+		return fmt.Errorf("no bench output files named (want `go test -bench` text captures)")
 	}
 
 	var zre *regexp.Regexp
 	if *zeroAlloc != "" {
 		var err error
 		if zre, err = regexp.Compile(*zeroAlloc); err != nil {
-			fatal(err)
+			return err
 		}
 	}
 
-	var runs []run
-	for _, path := range flag.Args() {
+	var runs []benchRun
+	for _, path := range fs.Args() {
 		text, err := os.ReadFile(path)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		rs := parseBench(filepath.Base(path), string(text))
 		if len(rs) == 0 {
-			fatal(fmt.Errorf("%s contains no benchmark result lines", path))
+			return fmt.Errorf("%s contains no benchmark result lines", path)
 		}
 		runs = append(runs, rs...)
 	}
@@ -291,13 +307,16 @@ func main() {
 
 	enc, err := json.MarshalIndent(sum, "", "  ")
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	enc = append(enc, '\n')
 	if *out == "" {
-		os.Stdout.Write(enc)
-	} else if err := os.WriteFile(*out, enc, 0o644); err != nil {
-		fatal(err)
+		_, err = stdout.Write(enc)
+	} else {
+		err = os.WriteFile(*out, enc, 0o644)
+	}
+	if err != nil {
+		return err
 	}
 
 	failed := 0
@@ -307,14 +326,10 @@ func main() {
 			status = "FAIL"
 			failed++
 		}
-		fmt.Fprintf(os.Stderr, "benchagg: gate %s: %s (%s)\n", g.Name, status, g.Detail)
+		fmt.Fprintf(stderr, "benchagg: gate %s: %s (%s)\n", g.Name, status, g.Detail)
 	}
 	if failed > 0 {
-		os.Exit(1)
+		return fmt.Errorf("%d gate(s) failed", failed)
 	}
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "benchagg:", err)
-	os.Exit(1)
+	return nil
 }

@@ -1,7 +1,12 @@
 package main
 
 import (
+	"bytes"
+	"encoding/json"
+	"os"
+	"path/filepath"
 	"regexp"
+	"strings"
 	"testing"
 )
 
@@ -164,6 +169,40 @@ func TestStructCodecGate(t *testing.T) {
 	} {
 		if g := structCodecGate(aggregate(parseBench("bench-codec.txt", c.text))); g.Pass != c.pass {
 			t.Errorf("%s: gate %+v, want pass=%v", c.name, g, c.pass)
+		}
+	}
+}
+
+// TestRun: the summary is written even when a gate fails, every gate is
+// reported, and a failed gate is run's error.
+func TestRun(t *testing.T) {
+	dir := t.TempDir()
+	capture, out := filepath.Join(dir, "bench.txt"), filepath.Join(dir, "summary.json")
+	if err := os.WriteFile(capture, []byte(sampleBench), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var stdout, stderr bytes.Buffer
+	err := run([]string{"-out", out, "-zero-alloc", "^BenchmarkTCPSendDistinctRanks$", capture}, &stdout, &stderr)
+	// The capture holds neither the decision pair, the transfer nor the
+	// codec benchmark, so their three gates fail.
+	if err == nil || err.Error() != "3 gate(s) failed" {
+		t.Fatalf("run = %v, want 3 failed gates", err)
+	}
+	if !strings.Contains(stderr.String(), "gate zero-alloc: ok") {
+		t.Errorf("stderr %q, want the zero-alloc gate reported ok", stderr.String())
+	}
+	data, err := os.ReadFile(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sum Summary
+	if err := json.Unmarshal(data, &sum); err != nil || sum.Schema != "repro/bench-summary/v1" || len(sum.Benchmarks) != 2 || len(sum.Gates) != 5 {
+		t.Fatalf("summary %s (%v), want 2 benchmarks and 5 gates", data, err)
+	}
+
+	for _, args := range [][]string{nil, {filepath.Join(dir, "missing.txt")}, {"-zero-alloc", "(", capture}} {
+		if err := run(args, &stdout, &stderr); err == nil {
+			t.Errorf("run(%q) = nil, want an error", args)
 		}
 	}
 }

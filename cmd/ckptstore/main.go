@@ -18,9 +18,11 @@
 package main
 
 import (
+	"context"
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"net"
 	"os"
@@ -31,48 +33,54 @@ import (
 )
 
 func main() {
-	var (
-		addr  = flag.String("addr", "127.0.0.1:7080", "listen address")
-		dir   = flag.String("dir", "", "durable blob directory (empty = in-memory)")
-		quiet = flag.Bool("quiet", false, "suppress per-operation logging")
-	)
-	flag.Parse()
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	err := run(ctx, os.Args[1:], os.Stderr)
+	stop()
+	if err != nil && !errors.Is(err, flag.ErrHelp) {
+		fmt.Fprintln(os.Stderr, "ckptstore:", err)
+		os.Exit(1)
+	}
+}
 
-	logf := log.Printf
+// run parses args and serves the store they describe, logging on
+// stderr, until ctx ends (nil: a clean shutdown) or serving fails.
+func run(ctx context.Context, args []string, stderr io.Writer) error {
+	fs := flag.NewFlagSet("ckptstore", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	var (
+		addr  = fs.String("addr", "127.0.0.1:7080", "listen address")
+		dir   = fs.String("dir", "", "durable blob directory (empty = in-memory)")
+		quiet = fs.Bool("quiet", false, "suppress per-operation logging")
+	)
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+
+	logger := log.New(stderr, "", log.LstdFlags)
+	logf := logger.Printf
 	if *quiet {
 		logf = nil
 	}
 	srv := swaprt.NewStoreServer(logf)
+	where := "in-memory"
 	if *dir != "" {
 		var err error
-		srv, err = swaprt.NewStoreServerDir(*dir, logf)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "ckptstore:", err)
-			os.Exit(1)
+		if srv, err = swaprt.NewStoreServerDir(*dir, logf); err != nil {
+			return err
 		}
+		where = "durable dir " + *dir
 	}
-
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "ckptstore:", err)
-		os.Exit(1)
+		return err
 	}
+	defer ln.Close()
+	defer context.AfterFunc(ctx, func() { ln.Close() })()
 
-	sigCh := make(chan os.Signal, 1)
-	signal.Notify(sigCh, os.Interrupt, syscall.SIGTERM)
-	go func() {
-		sig := <-sigCh
-		log.Printf("ckptstore: %s: shutting down", sig)
-		ln.Close()
-	}()
-
-	if *dir != "" {
-		log.Printf("ckptstore: serving on %s (durable dir %s)", ln.Addr(), *dir)
-	} else {
-		log.Printf("ckptstore: serving on %s (in-memory)", ln.Addr())
+	logger.Printf("ckptstore: serving on %s (%s)", ln.Addr(), where)
+	if err := srv.Serve(ln); !errors.Is(err, net.ErrClosed) {
+		return err
 	}
-	if err := srv.Serve(ln); err != nil && !errors.Is(err, net.ErrClosed) {
-		log.Fatalf("ckptstore: %v", err)
-	}
-	log.Printf("ckptstore: clean shutdown")
+	logger.Printf("ckptstore: clean shutdown")
+	return nil
 }

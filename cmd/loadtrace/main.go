@@ -9,8 +9,11 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
+	"math"
 	"os"
 
 	"repro/internal/loadgen"
@@ -19,20 +22,51 @@ import (
 )
 
 func main() {
+	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil && !errors.Is(err, flag.ErrHelp) {
+		fmt.Fprintln(os.Stderr, "loadtrace:", err)
+		os.Exit(1)
+	}
+}
+
+// run parses args and writes the trace they describe to stdout. A
+// parameter the model cannot run with is refused up front, by flag.
+func run(args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("loadtrace", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		model    = flag.String("model", "onoff", "load model: onoff or hyperexp")
-		p        = flag.Float64("p", 0.3, "onoff: per-step load probability")
-		q        = flag.Float64("q", 0.08, "onoff: per-step unload probability")
-		step     = flag.Float64("step", loadgen.DefaultStep, "model step seconds")
-		lifetime = flag.Float64("lifetime", 300, "hyperexp: mean process lifetime (s)")
-		arrival  = flag.Float64("arrival", 0.05, "hyperexp: arrival probability per step")
-		horizon  = flag.Float64("horizon", 3600, "trace length (s)")
-		interval = flag.Float64("interval", 0, "sampling interval (s); 0 = model step")
-		seed     = flag.Int64("seed", 1, "random seed")
-		segments = flag.Bool("segments", false, "emit change-point segments instead of samples")
-		plot     = flag.Bool("plot", false, "render an ASCII chart instead of CSV")
+		model    = fs.String("model", "onoff", "load model: onoff or hyperexp")
+		p        = fs.Float64("p", 0.3, "onoff: per-step load probability")
+		q        = fs.Float64("q", 0.08, "onoff: per-step unload probability")
+		step     = fs.Float64("step", loadgen.DefaultStep, "model step seconds")
+		lifetime = fs.Float64("lifetime", 300, "hyperexp: mean process lifetime (s)")
+		arrival  = fs.Float64("arrival", 0.05, "hyperexp: arrival probability per step")
+		horizon  = fs.Float64("horizon", 3600, "trace length (s)")
+		interval = fs.Float64("interval", 0, "sampling interval (s); 0 = model step")
+		seed     = fs.Int64("seed", 1, "random seed")
+		segments = fs.Bool("segments", false, "emit change-point segments instead of samples")
+		plot     = fs.Bool("plot", false, "render an ASCII chart instead of CSV")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	finite := func(v float64) bool { return !math.IsInf(v, 0) && !math.IsNaN(v) }
+	for _, c := range []struct {
+		flag string
+		v    float64
+		ok   bool
+		want string
+	}{
+		{"-step", *step, *step > 0 && finite(*step), "a positive step"},
+		{"-p", *p, *p >= 0 && *p <= 1, "a probability in [0, 1]"},
+		{"-q", *q, *q >= 0 && *q <= 1, "a probability in [0, 1]"},
+		{"-arrival", *arrival, *arrival >= 0 && *arrival <= 1, "a probability in [0, 1]"},
+		{"-lifetime", *lifetime, *lifetime > 0 && finite(*lifetime), "a positive mean"},
+		{"-horizon", *horizon, *horizon >= 0 && finite(*horizon), "a finite length, 0 or more"},
+	} {
+		if !c.ok {
+			return fmt.Errorf("%s %g: want %s", c.flag, c.v, c.want)
+		}
+	}
 
 	var m loadgen.Model
 	switch *model {
@@ -44,16 +78,15 @@ func main() {
 		h.Step = *step
 		m = h
 	default:
-		fmt.Fprintf(os.Stderr, "loadtrace: unknown model %q\n", *model)
-		os.Exit(2)
+		return fmt.Errorf("-model %q: want onoff or hyperexp", *model)
 	}
 
 	tr := loadgen.NewTrace(m.NewSource(rng.NewSource(*seed), 0))
+	iv := *interval
+	if iv <= 0 {
+		iv = *step
+	}
 	if *plot {
-		iv := *interval
-		if iv <= 0 {
-			iv = *step
-		}
 		samples := tr.Sample(*horizon, iv)
 		p := &trace.Plot{
 			Title:  fmt.Sprintf("%s seed=%d", m.Describe(), *seed),
@@ -66,30 +99,23 @@ func main() {
 			ys[i] = float64(v)
 		}
 		p.Series = []trace.PlotSeries{{Name: "load", Y: ys}}
-		if err := p.Render(os.Stdout); err != nil {
-			fmt.Fprintln(os.Stderr, "loadtrace:", err)
-			os.Exit(1)
-		}
-		return
+		return p.Render(stdout)
 	}
-	fmt.Printf("# %s seed=%d\n", m.Describe(), *seed)
+	fmt.Fprintf(stdout, "# %s seed=%d\n", m.Describe(), *seed)
 	if *segments {
 		starts, vals := tr.Segments(*horizon)
-		fmt.Println("start_s,competing_processes")
+		fmt.Fprintln(stdout, "start_s,competing_processes")
 		for i := range starts {
 			if starts[i] > *horizon {
 				break
 			}
-			fmt.Printf("%.3f,%d\n", starts[i], vals[i])
+			fmt.Fprintf(stdout, "%.3f,%d\n", starts[i], vals[i])
 		}
-		return
+		return nil
 	}
-	iv := *interval
-	if iv <= 0 {
-		iv = *step
-	}
-	fmt.Println("time_s,competing_processes")
+	fmt.Fprintln(stdout, "time_s,competing_processes")
 	for i, v := range tr.Sample(*horizon, iv) {
-		fmt.Printf("%.3f,%d\n", float64(i)*iv, v)
+		fmt.Fprintf(stdout, "%.3f,%d\n", float64(i)*iv, v)
 	}
+	return nil
 }

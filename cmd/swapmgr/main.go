@@ -22,8 +22,9 @@
 //
 // SIGINT/SIGTERM trigger a graceful shutdown: the listener closes, the
 // store is compacted and the lease released, and the process exits 0.
-// Losing the lease (another incarnation fenced us out) or any other
-// serve failure exits non-zero.
+// Losing the lease (another incarnation fenced this one out) or any
+// other serve failure exits non-zero. The durable lifecycle is
+// swaprt.StartIncarnation, the one the in-process supervisor runs.
 //
 // Example:
 //
@@ -31,24 +32,23 @@
 package main
 
 import (
+	"context"
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"net"
 	"net/http"
 	_ "net/http/pprof"
 	"os"
 	"os/signal"
-	"sync/atomic"
 	"syscall"
 	"time"
 
-	"repro/internal/clock"
 	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/swaprt"
-	"repro/internal/swaprt/mgrstore"
 	"repro/internal/swaprt/policylens"
 )
 
@@ -105,27 +105,45 @@ func (d *meteredDecider) Report(r swaprt.ReportMsg) error {
 }
 
 func main() {
-	var (
-		addr      = flag.String("addr", "127.0.0.1:7070", "listen address")
-		policy    = flag.String("policy", "greedy", "swap policy: greedy, safe or friendly")
-		quiet     = flag.Bool("quiet", false, "suppress per-decision logging")
-		debugAddr = flag.String("debug-addr", "", "opt-in HTTP debug endpoint serving /metrics, /telemetry and pprof (e.g. 127.0.0.1:7071)")
-		storeDir  = flag.String("store", "", "durable manager store directory: WAL-backed decisions, leader lease, crash recovery")
-		leaseTTL  = flag.Duration("lease-ttl", 2*time.Second, "leader lease duration when -store is set; standbys take over after it expires")
-		lensOn    = flag.Bool("lens", false, "arm the policy lens on the debug endpoint: payback audit + shadow-policy scoreboard at /policy (needs -debug-addr)")
-	)
-	flag.Parse()
-
-	pol, err := core.Named(*policy)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "swapmgr:", err)
-		os.Exit(2)
-	}
-	ln, err := net.Listen("tcp", *addr)
-	if err != nil {
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	err := run(ctx, os.Args[1:], os.Stderr)
+	stop()
+	if err != nil && !errors.Is(err, flag.ErrHelp) {
 		fmt.Fprintln(os.Stderr, "swapmgr:", err)
 		os.Exit(1)
 	}
+}
+
+// run parses args and serves the manager they describe, logging on
+// stderr, until ctx ends (nil: a clean shutdown) or serving fails. A
+// standby whose ctx ends before it leads shuts down cleanly too.
+func run(ctx context.Context, args []string, stderr io.Writer) error {
+	fs := flag.NewFlagSet("swapmgr", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	var (
+		addr      = fs.String("addr", "127.0.0.1:7070", "listen address")
+		policy    = fs.String("policy", "greedy", "swap policy: greedy, safe or friendly")
+		quiet     = fs.Bool("quiet", false, "suppress per-decision logging")
+		debugAddr = fs.String("debug-addr", "", "opt-in HTTP debug endpoint serving /metrics, /telemetry and pprof (e.g. 127.0.0.1:7071)")
+		storeDir  = fs.String("store", "", "durable manager store directory: WAL-backed decisions, leader lease, crash recovery")
+		leaseTTL  = fs.Duration("lease-ttl", 2*time.Second, "leader lease duration when -store is set; standbys take over after it expires")
+		lensOn    = fs.Bool("lens", false, "arm the policy lens on the debug endpoint: payback audit + shadow-policy scoreboard at /policy (needs -debug-addr)")
+	)
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	pol, err := core.Named(*policy)
+	if err != nil {
+		return err
+	}
+	logger := log.New(stderr, "swapmgr: ", log.LstdFlags)
+	ln, err := net.Listen("tcp", *addr)
+	if err != nil {
+		return err
+	}
+	defer ln.Close()
+	// The end of ctx closes the listener, and that ends ServeManager.
+	defer context.AfterFunc(ctx, func() { ln.Close() })()
 
 	local := swaprt.NewLocalDecider(pol)
 	var decider swaprt.Decider = local
@@ -135,112 +153,70 @@ func main() {
 		if *lensOn {
 			local.Lens = policylens.New(policylens.Config{Registry: reg})
 			hub.SetLensProbe(local.Lens.Report)
-			log.Printf("swapmgr: policy lens armed (shadow greedy/safe/friendly)")
+			logger.Printf("policy lens armed (shadow greedy/safe/friendly)")
 		}
 		decider = newMeteredDecider(decider, hub, reg)
-		// DefaultServeMux carries pprof's /debug/pprof/* handlers via the
-		// package's init side effect; the observability endpoints join
-		// them.
-		http.Handle("/metrics", obs.PromHandler(reg))
-		http.Handle("/telemetry", swaprt.TelemetryHandler(hub))
-		http.Handle("/policy", policylens.Handler(local.Lens))
-		http.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
+		mux := http.NewServeMux()
+		// pprof's /debug/pprof/* handlers live on DefaultServeMux, put
+		// there by the package's init side effect.
+		mux.Handle("/debug/pprof/", http.DefaultServeMux)
+		mux.Handle("/metrics", obs.PromHandler(reg))
+		mux.Handle("/telemetry", swaprt.TelemetryHandler(hub))
+		mux.Handle("/policy", policylens.Handler(local.Lens))
+		mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
 			fmt.Fprintln(w, "ok")
 		})
 		dln, err := net.Listen("tcp", *debugAddr)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "swapmgr:", err)
-			os.Exit(1)
+			return err
 		}
+		srv := &http.Server{Handler: mux}
+		defer srv.Close()
 		go func() {
-			if err := http.Serve(dln, nil); err != nil {
-				log.Printf("swapmgr: debug endpoint: %v", err)
+			if err := srv.Serve(dln); !errors.Is(err, http.ErrServerClosed) {
+				logger.Printf("debug endpoint: %v", err)
 			}
 		}()
-		log.Printf("swapmgr: debug endpoint on http://%s (/debug/pprof /metrics /telemetry /policy /healthz)", dln.Addr())
+		logger.Printf("debug endpoint on http://%s (/debug/pprof /metrics /telemetry /policy /healthz)", dln.Addr())
 	}
 
-	logf := log.Printf
+	logf := logger.Printf
 	if *quiet {
 		logf = nil
 	}
 
-	// Durable mode: wrap the decision core so every transition hits the
-	// WAL before the ack, and hold the leader lease for the listen
-	// address. A second daemon on the same -store directory blocks here
-	// as a standby until the lease frees up.
-	var (
-		store     *mgrstore.FileStore
-		owner     string
-		lostLease atomic.Bool
-		stopRenew = make(chan struct{})
-		renewed   = make(chan struct{}) // closed once the renewal loop has returned
-	)
+	// Durable mode: one incarnation over the store directory, the same
+	// lifecycle the in-process supervisor runs. A second daemon on the
+	// same directory waits here as a standby until the lease frees up.
+	var inc *swaprt.Incarnation
 	if *storeDir != "" {
-		store, err = mgrstore.Open(*storeDir, clock.Real{})
+		owner := fmt.Sprintf("swapmgr-%d@%s", os.Getpid(), ln.Addr())
+		inc, err = swaprt.StartIncarnation(*storeDir, owner, *leaseTTL, nil, ln, decider, func() bool {
+			logger.Printf("standby: lease held elsewhere, retrying every %s", *leaseTTL/4)
+			return ctx.Err() == nil
+		}, logf)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "swapmgr:", err)
-			os.Exit(1)
-		}
-		owner = fmt.Sprintf("swapmgr-%d", os.Getpid())
-		err = store.AwaitLease(owner, ln.Addr().String(), *leaseTTL, func() bool {
-			log.Printf("swapmgr: standby: lease held elsewhere, retrying every %s", *leaseTTL/4)
-			return true
-		})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "swapmgr:", err)
-			os.Exit(1)
-		}
-		durable, err := swaprt.NewDurableDecider(decider, store, logf)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "swapmgr:", err)
-			os.Exit(1)
-		}
-		log.Printf("swapmgr: durable store %s: replayed %d WAL records, epoch %d",
-			*storeDir, durable.Replayed(), durable.DurableState().Epoch)
-		decider = durable
-		go func() {
-			defer close(renewed)
-			if err := store.KeepLease(owner, ln.Addr().String(), *leaseTTL, stopRenew); err != nil {
-				log.Printf("swapmgr: lease lost (%v): fenced out, shutting down", err)
-				lostLease.Store(true)
-				ln.Close()
+			if ctx.Err() != nil {
+				return nil
 			}
-		}()
+			return err
+		}
+		logger.Printf("durable store %s: replayed %d WAL records, epoch %d",
+			*storeDir, inc.Durable.Replayed(), inc.Durable.DurableState().Epoch)
+		decider = inc.Durable
 	}
 
-	sigCh := make(chan os.Signal, 1)
-	signal.Notify(sigCh, os.Interrupt, syscall.SIGTERM)
-	go func() {
-		sig := <-sigCh
-		log.Printf("swapmgr: %s: shutting down", sig)
-		ln.Close()
-	}()
-
-	log.Printf("swapmgr: serving policy %s on %s", pol, ln.Addr())
-	serveErr := swaprt.ServeManager(ln, decider, logf)
-	close(stopRenew)
-	if serveErr != nil && !errors.Is(serveErr, net.ErrClosed) {
-		log.Fatalf("swapmgr: %v", serveErr)
+	logger.Printf("serving policy %s on %s", pol, ln.Addr())
+	err = swaprt.ServeManager(ln, decider, logf)
+	if errors.Is(err, net.ErrClosed) {
+		err = nil
 	}
-	if lostLease.Load() {
-		log.Fatalf("swapmgr: exited because the leader lease was lost")
+	if inc != nil {
+		err = errors.Join(err, inc.Close())
 	}
-	if store != nil {
-		// Clean handover: compact so the successor replays a snapshot, and
-		// release the lease so it does not have to wait out the TTL — once
-		// the renewal loop is gone, or a renewal in flight would take the
-		// released lease right back.
-		<-renewed
-		if err := store.Compact(); err != nil {
-			log.Fatalf("swapmgr: compact on shutdown: %v", err)
-		}
-		if err := store.ReleaseLease(owner); err != nil {
-			log.Fatalf("swapmgr: release lease: %v", err)
-		}
-		if err := store.Close(); err != nil {
-			log.Fatalf("swapmgr: close store: %v", err)
-		}
+	if err != nil {
+		return err
 	}
-	log.Printf("swapmgr: clean shutdown")
+	logger.Printf("clean shutdown")
+	return nil
 }

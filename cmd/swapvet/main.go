@@ -14,51 +14,64 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"repro/internal/analysis"
 )
 
-func main() {
-	dir := flag.String("C", ".", "module directory to analyze")
-	run := flag.String("run", "", "comma-separated analyzers to run (default: all)")
-	list := flag.Bool("list", false, "list analyzers and exit")
-	flag.Parse()
+// errFindings is run's error when the analyzers found something (exit
+// 1); any other error is a usage or load failure (exit 2).
+var errFindings = errors.New("finding(s)")
 
-	analyzers := analysis.ByName(*run)
+func main() {
+	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil && !errors.Is(err, flag.ErrHelp) {
+		fmt.Fprintln(os.Stderr, "swapvet:", err)
+		if errors.Is(err, errFindings) {
+			os.Exit(1)
+		}
+		os.Exit(2)
+	}
+}
+
+// run analyzes the packages args name and prints each finding on stdout.
+func run(args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("swapvet", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	dir := fs.String("C", ".", "module directory to analyze")
+	names := fs.String("run", "", "comma-separated analyzers to run (default: all)")
+	list := fs.Bool("list", false, "list analyzers and exit")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+
+	analyzers := analysis.ByName(*names)
 	if *list {
 		for _, a := range analyzers {
-			fmt.Printf("%-16s %s\n", a.Name, a.Doc)
+			fmt.Fprintf(stdout, "%-16s %s\n", a.Name, a.Doc)
 		}
-		return
+		return nil
 	}
 	if len(analyzers) == 0 {
-		fmt.Fprintf(os.Stderr, "swapvet: no analyzer matches %q\n", *run)
-		os.Exit(2)
+		return fmt.Errorf("-run %q: no analyzer matches", *names)
 	}
 
-	patterns := flag.Args()
-	if len(patterns) == 0 {
-		patterns = []string{"./..."}
-	}
-	loader := analysis.NewLoader()
-	pkgs, err := loader.LoadModule(*dir, patterns...)
+	pkgs, err := analysis.NewLoader().LoadModule(*dir, fs.Args()...)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "swapvet: %v\n", err)
-		os.Exit(2)
+		return err
 	}
-
 	total := 0
 	for _, pkg := range pkgs {
 		for _, f := range analysis.RunAll(analyzers, pkg) {
-			fmt.Printf("%s\n", f)
+			fmt.Fprintln(stdout, f)
 			total++
 		}
 	}
 	if total > 0 {
-		fmt.Fprintf(os.Stderr, "swapvet: %d finding(s)\n", total)
-		os.Exit(1)
+		return fmt.Errorf("%d %w", total, errFindings)
 	}
+	return nil
 }

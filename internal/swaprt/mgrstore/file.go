@@ -176,10 +176,7 @@ func (f *FileStore) Compact() error {
 	if err != nil {
 		return err
 	}
-	if err := writeFileDurable(filepath.Join(f.dir, snapshotFile), data); err != nil {
-		return err
-	}
-	if err := syncDir(f.dir); err != nil {
+	if err := WriteFileDurable(filepath.Join(f.dir, snapshotFile), data); err != nil {
 		return err
 	}
 
@@ -299,10 +296,7 @@ func (f *FileStore) writeLease(l Lease) error {
 	if err != nil {
 		return fmt.Errorf("mgrstore: encode lease: %w", err)
 	}
-	if err := writeFileDurable(filepath.Join(f.dir, leaseFile), data); err != nil {
-		return err
-	}
-	return syncDir(f.dir)
+	return WriteFileDurable(filepath.Join(f.dir, leaseFile), data)
 }
 
 // ReadLease reads the lease in a store directory without opening the
@@ -344,10 +338,11 @@ func (f *FileStore) Close() error {
 	return f.wal.Close()
 }
 
-// writeFileDurable writes data to path via a temp file in the same
-// directory, fsyncs it, and renames it into place: readers see either
-// the old content or the new, never a torn mix.
-func writeFileDurable(path string, data []byte) error {
+// WriteFileDurable replaces path with data so that a crash leaves the
+// old content or the new, never a torn mix, and loses neither once it
+// returns: it writes a temp file in the same directory, fsyncs it,
+// renames it into place and fsyncs the directory entry.
+func WriteFileDurable(path string, data []byte) error {
 	dir, base := filepath.Split(path)
 	tmp, err := os.CreateTemp(dir, base+".tmp-*")
 	if err != nil {
@@ -372,7 +367,7 @@ func writeFileDurable(path string, data []byte) error {
 		os.Remove(tmpName)
 		return fmt.Errorf("mgrstore: rename %s: %w", base, err)
 	}
-	return nil
+	return syncDir(filepath.Dir(path))
 }
 
 // syncDir fsyncs a directory so a just-renamed entry survives a crash.

@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"repro/internal/clock"
+	"repro/internal/swaprt/mgrstore"
 )
 
 // The checkpoint store models the paper's checkpoint/restart technique
@@ -103,35 +104,15 @@ func (s *StoreServer) blobPath(key string) string {
 // and the manager WAL.
 const blobHeaderLen = 4
 
-// putFile durably stores one blob: CRC-framed, written to a temp file,
-// fsynced, renamed over the key's path, directory entry fsynced. Runs
-// outside the store mutex — temp names are unique and the rename is
-// atomic, so concurrent puts to one key linearize to "last ack wins".
+// putFile durably stores one blob, CRC-framed, with
+// mgrstore.WriteFileDurable. Runs outside the store mutex — temp names
+// are unique and the rename is atomic, so concurrent puts to one key
+// linearize to "last ack wins".
 func (s *StoreServer) putFile(key string, body []byte) error {
 	framed := make([]byte, blobHeaderLen+len(body))
 	binary.BigEndian.PutUint32(framed, crc32.ChecksumIEEE(body))
 	copy(framed[blobHeaderLen:], body)
-	path := s.blobPath(key)
-	tmp, err := os.CreateTemp(s.dir, ".put-*")
-	if err != nil {
-		return err
-	}
-	defer os.Remove(tmp.Name())
-	if _, err := tmp.Write(framed); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		return err
-	}
-	return syncStoreDir(s.dir)
+	return mgrstore.WriteFileDurable(s.blobPath(key), framed)
 }
 
 // getFile reads and CRC-verifies one durable blob.
@@ -151,17 +132,6 @@ func (s *StoreServer) getFile(key string) ([]byte, error) {
 		return nil, fmt.Errorf("checkpoint %q: %w", key, ErrCheckpointCorrupt)
 	}
 	return body, nil
-}
-
-// syncStoreDir fsyncs a directory so a just-renamed file's entry is
-// durable before the put is acked.
-func syncStoreDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	defer d.Close()
-	return d.Sync()
 }
 
 // SetConnTimeout bounds each connection's whole conversation (one

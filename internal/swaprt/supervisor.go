@@ -54,42 +54,100 @@ type ManagerSupervisor struct {
 	client       *RemoteDecider // what Resolve hands out for client.Addr
 }
 
-// mgrIncarnation is one manager lifetime: store handle, durable
-// decider, listener, renewal loop.
+// mgrIncarnation is one supervised Incarnation and the close of its
+// serving goroutine.
 type mgrIncarnation struct {
+	*Incarnation
+	served chan struct{} // closed once ServeManager has closed every connection
+}
+
+// Incarnation is one lifetime of a durable swap manager: its store
+// handle, the decider recovered from it, the listener it serves on and
+// the loop that renews its leader lease. StartIncarnation brings one up
+// and Close hands it over; fenced out, or killed by its supervisor, it
+// crashes instead. ManagerSupervisor runs every incarnation through it,
+// and so does the swapmgr daemon with -store.
+type Incarnation struct {
+	// Durable is the decider recovered from the store: serve it on the
+	// incarnation's listener.
+	Durable *DurableDecider
+
 	owner   string
 	store   *mgrstore.FileStore
-	durable *DurableDecider
 	ln      net.Listener
 	stop    chan struct{} // closed to end the renewal loop
 	renewed chan struct{} // closed once the renewal loop has returned
-	served  chan struct{} // closed once ServeManager has closed every connection
+	fenced  error         // why the renewal loop failed; read after renewed
 	stopped sync.Once
 	crashed sync.Once
 }
 
-// stopRenewing tells the renewal loop to end, without waiting for it.
-func (m *mgrIncarnation) stopRenewing() {
-	m.stopped.Do(func() { close(m.stop) })
+// StartIncarnation brings up the incarnation owner over the store in
+// dir: it opens the store and takes the leader lease for ln's address —
+// while another owner holds it, standby is asked before each retry
+// whether to keep waiting — then recovers a DurableDecider over inner
+// from the store and renews the lease every ttl/3 on clk (nil means
+// clock.Real). A failed renewal means another incarnation fenced this
+// one out: it crashes, which closes ln, and Close reports the fence. On
+// error nothing is left open, ln included. logf, which may be nil,
+// receives the durable decider's diagnostics.
+func StartIncarnation(dir, owner string, ttl time.Duration, clk clock.Clock, ln net.Listener,
+	inner Decider, standby func() bool, logf func(string, ...any)) (*Incarnation, error) {
+	store, err := mgrstore.Open(dir, clock.Or(clk))
+	if err != nil {
+		ln.Close()
+		return nil, fmt.Errorf("open store: %w", err)
+	}
+	inc := &Incarnation{owner: owner, store: store, ln: ln,
+		stop: make(chan struct{}), renewed: make(chan struct{})}
+	addr := ln.Addr().String()
+	if err := store.AwaitLease(owner, addr, ttl, standby); err != nil {
+		inc.crash()
+		return nil, fmt.Errorf("acquire lease: %w", err)
+	}
+	if inc.Durable, err = NewDurableDecider(inner, store, logf); err != nil {
+		inc.crash()
+		return nil, fmt.Errorf("recover: %w", err)
+	}
+	go func() {
+		defer close(inc.renewed)
+		if err := store.KeepLease(owner, addr, ttl, inc.stop); err != nil {
+			inc.fenced = fmt.Errorf("%s fenced out: %w", owner, err)
+			inc.crash()
+		}
+	}()
+	return inc, nil
 }
 
-// crash drops the incarnation the way a kill -9 would: listener and
-// file handles close, the lease stays behind to expire on its own. Its
-// served connections close when ServeManager sees the listener gone;
-// wait on served for that.
-func (m *mgrIncarnation) crash() {
-	m.stopRenewing()
-	m.crashed.Do(func() {
-		m.ln.Close()
-		m.store.Close()
+// crash drops the incarnation the way a kill -9 would: the listener and
+// the store close, and the lease stays behind to expire on its own.
+func (inc *Incarnation) crash() {
+	inc.stopped.Do(func() { close(inc.stop) })
+	inc.crashed.Do(func() {
+		inc.ln.Close()
+		inc.store.Close()
 	})
 }
 
-func (c SupervisorConfig) ttl() time.Duration {
-	if c.LeaseTTL > 0 {
-		return c.LeaseTTL
+// Close hands the incarnation over cleanly. The renewal loop ends first
+// and is waited out: a renewal in flight would write a live lease over
+// the released one, and the successor would wait out a TTL nobody is
+// holding. Then the store is compacted, so the successor replays a
+// snapshot; the lease is released, so it takes over at once; and the
+// incarnation crashes. A fenced-out incarnation has nothing to hand
+// over: Close reports the fence.
+func (inc *Incarnation) Close() error {
+	inc.stopped.Do(func() { close(inc.stop) })
+	<-inc.renewed
+	if inc.fenced != nil {
+		return inc.fenced
 	}
-	return 2 * time.Second
+	err := inc.store.Compact()
+	if rerr := inc.store.ReleaseLease(inc.owner); err == nil {
+		err = rerr
+	}
+	inc.crash()
+	return err
 }
 
 // StartManagerSupervisor validates the config and brings up the first
@@ -106,6 +164,9 @@ func StartManagerSupervisor(cfg SupervisorConfig) (*ManagerSupervisor, error) {
 	}
 	if cfg.Logf == nil {
 		cfg.Logf = func(string, ...any) {}
+	}
+	if cfg.LeaseTTL <= 0 {
+		cfg.LeaseTTL = 2 * time.Second
 	}
 	s := &ManagerSupervisor{cfg: cfg}
 	serving := make(chan error, 1)
@@ -135,45 +196,35 @@ func (s *ManagerSupervisor) startIncarnation(serving chan<- error) {
 			s.cfg.Logf("swapmgr-sup: %s: %v", owner, err)
 			return
 		}
-		err = ServeManager(inc.ln, inc.durable, s.cfg.Logf)
+		err = ServeManager(inc.ln, inc.Durable, s.cfg.Logf)
 		close(inc.served)
-		if err != nil && !errors.Is(err, net.ErrClosed) {
-			s.cfg.Logf("swapmgr-sup: %s serve: %v", owner, err)
+		if s.dropIfCurrent(inc) {
+			// Neither Kill nor Close ended it: fenced out, or the serve failed.
+			inc.crash()
+			<-inc.renewed
+			s.cfg.Logf("swapmgr-sup: %s stopped serving: %v", owner, errors.Join(inc.fenced, err))
 		}
 	}()
 }
 
-// bringUp takes one incarnation from nothing to current: store handle,
-// listener, lease, WAL replay, renewal loop. On error nothing is left
-// open.
+// bringUp takes one incarnation from nothing to current: a listener,
+// then StartIncarnation over the supervisor's store. On error nothing is
+// left open.
 func (s *ManagerSupervisor) bringUp(owner string) (*mgrIncarnation, error) {
-	ttl := s.cfg.ttl()
-	store, err := mgrstore.Open(s.cfg.Dir, clock.Or(s.cfg.Clock))
-	if err != nil {
-		return nil, fmt.Errorf("open store: %w", err)
-	}
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
-		store.Close()
 		return nil, fmt.Errorf("listen: %w", err)
 	}
-	inc := &mgrIncarnation{owner: owner, store: store, ln: ln,
-		stop: make(chan struct{}), renewed: make(chan struct{}), served: make(chan struct{})}
-	addr := ln.Addr().String()
-
 	// Standby: the previous incarnation's lease outlives its crash by
 	// design; wait until the clock expires it, unless the supervisor
 	// shuts down first.
-	if err := store.AwaitLease(owner, addr, ttl, func() bool { return !s.isClosed() }); err != nil {
-		inc.crash()
-		return nil, fmt.Errorf("acquire lease: %w", err)
-	}
-	inc.durable, err = NewDurableDecider(NewLocalDecider(s.cfg.Policy), store, s.cfg.Logf)
+	started, err := StartIncarnation(s.cfg.Dir, owner, s.cfg.LeaseTTL, s.cfg.Clock, ln,
+		NewLocalDecider(s.cfg.Policy), func() bool { return !s.isClosed() }, s.cfg.Logf)
 	if err != nil {
-		inc.crash()
-		return nil, fmt.Errorf("recover: %w", err)
+		return nil, err
 	}
-	st := inc.durable.DurableState()
+	inc := &mgrIncarnation{Incarnation: started, served: make(chan struct{})}
+	st := inc.Durable.DurableState()
 
 	s.mu.Lock()
 	if s.closed || s.cur != nil {
@@ -188,18 +239,9 @@ func (s *ManagerSupervisor) bringUp(owner string) (*mgrIncarnation, error) {
 	s.cfg.Tracer.EmitNow(obs.Event{Kind: obs.KindMgrRecover, Rank: obs.RankRuntime,
 		Epoch: st.Epoch,
 		Detail: fmt.Sprintf("wal-replay records=%d epoch=%d quarantined=%d pending=%v owner=%s",
-			inc.durable.Replayed(), st.Epoch, len(st.Quarantined), st.Pending != nil, owner)})
+			inc.Durable.Replayed(), st.Epoch, len(st.Quarantined), st.Pending != nil, owner)})
 	s.cfg.Logf("swapmgr-sup: %s serving on %s (replayed %d records, epoch %d)",
-		owner, addr, inc.durable.Replayed(), st.Epoch)
-
-	go func() {
-		defer close(inc.renewed)
-		if err := store.KeepLease(owner, addr, ttl, inc.stop); err != nil {
-			s.cfg.Logf("swapmgr-sup: %s fenced out: %v", owner, err)
-			s.dropIfCurrent(inc)
-			inc.crash()
-		}
-	}()
+		owner, ln.Addr(), inc.Durable.Replayed(), st.Epoch)
 	return inc, nil
 }
 
@@ -209,12 +251,16 @@ func (s *ManagerSupervisor) isClosed() bool {
 	return s.closed
 }
 
-func (s *ManagerSupervisor) dropIfCurrent(inc *mgrIncarnation) {
+// dropIfCurrent unsets inc as the current incarnation, reporting
+// whether it was.
+func (s *ManagerSupervisor) dropIfCurrent(inc *mgrIncarnation) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.cur == inc {
-		s.cur = nil
+	if s.cur != inc {
+		return false
 	}
+	s.cur = nil
+	return true
 }
 
 // Kill crashes the current incarnation (the fault plan's
@@ -288,7 +334,7 @@ func (s *ManagerSupervisor) RecordCircuit(transition, reason string) {
 	if inc == nil {
 		return
 	}
-	if err := inc.durable.RecordCircuit(transition + ": " + reason); err != nil {
+	if err := inc.Durable.RecordCircuit(transition + ": " + reason); err != nil {
 		s.cfg.Logf("swapmgr-sup: record circuit %s: %v", transition, err)
 	}
 }
@@ -328,19 +374,7 @@ func (s *ManagerSupervisor) Close() error {
 	if inc == nil {
 		return nil
 	}
-	// The renewal loop has to be gone before the release: a renewal in
-	// flight would write a live lease over the released one, and the
-	// successor would wait out a TTL nobody is holding.
-	inc.stopRenewing()
-	<-inc.renewed
-	var firstErr error
-	if err := inc.store.Compact(); err != nil {
-		firstErr = err
-	}
-	if err := inc.store.ReleaseLease(inc.owner); err != nil && firstErr == nil {
-		firstErr = err
-	}
-	inc.crash()
+	err := inc.Incarnation.Close()
 	<-inc.served
-	return firstErr
+	return err
 }
