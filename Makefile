@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet lint test race bench bench-transport bench-all bench-smoke figures ablations extensions check fuzz clean
+.PHONY: all build vet lint test race bench bench-smoke figures ablations extensions check fuzz clean
 
 all: build vet lint test
 
@@ -25,15 +25,19 @@ vet:
 lint:
 	$(GO) run ./cmd/swapvet ./...
 
-# The concurrency-heavy packages (transport, runtime, swaprun, whose
-# tests are the end-to-end smoke scenarios, and swapmgr, whose daemons
-# hand the lease over) and the policy core (whose allocation pins skip
-# themselves under -race) run under the race detector as part of the
-# default test target; the manager failover and lease hand-over tests
-# twenty times over, because the race they guard (a renewal in flight
-# across a release) showed once in a dozen runs, and so the
-# shared-connection test, whose ranks contend for one write token
-# differently every time.
+# `go test ./...` holds every gate: figures byte for byte, goldens, and
+# the cost gates beside the code they guard (the TCP send path at 0
+# allocations per send, plain and causal; a 1 MiB transfer under 64 KiB;
+# a decision over 20k samples of history within 2x of one over 256; a
+# kernel event and the struct-bearing state codec at 0 allocations). The
+# concurrency-heavy packages (transport, runtime, swaprun, whose tests are
+# the end-to-end smokes, and swapmgr, whose daemons hand the lease over)
+# and the policy core run under the race detector first, where the
+# transport and decision-cost gates skip themselves; the manager failover
+# and lease hand-over tests twenty times over, because the race they
+# guard (a renewal in flight across a release) showed once in a dozen
+# runs, and so the shared-connection test, whose ranks contend for one
+# write token differently every time.
 test: race
 	$(GO) test ./...
 
@@ -45,78 +49,6 @@ race:
 
 bench:
 	$(GO) test -bench=. -benchmem ./...
-
-# Zero-allocation gate on the TCP send hot path (DESIGN.md §15): the
-# benchmark must report exactly 0 allocs/op, or the pooled wire encoder
-# has regressed into per-send garbage. The Causal variant holds the same
-# line with Lamport piggybacking on the wire and the flight recorder
-# attached (DESIGN.md §17) — causal tracing is priced into the gate, not
-# exempted from it. allocs/op is floor(all goroutines' allocations / N),
-# so one allocation per received frame sits exactly on the boundary and
-# reads non-zero in some runs only: that was the causal extension read
-# into a local array that escaped (fixed in PR 19, pinned by
-# wire.TestDecodeCausalFrameAllocations); a gate that fails now and then
-# means a per-frame allocation is back. The awk gate matches the names
-# with or without the GOMAXPROCS suffix (-N) and also fails if the
-# benchmarks never ran (compile error, -run filter typo).
-bench-transport:
-	$(GO) test -run '^$$' -bench '^BenchmarkTCPSendDistinctRanks(Causal)?$$' \
-		-benchmem -benchtime 5000x -count 3 . | tee /tmp/bench-transport.txt
-	@awk ' \
-		$$1 ~ /^BenchmarkTCPSendDistinctRanks(Causal)?(-[0-9]+)?$$/ { ran++; \
-			if ($$7+0 != 0) { print "FAIL: " $$7 " allocs/op on the send hot path (want 0)"; bad=1 } } \
-		END { if (ran < 6) { print "FAIL: expected 6 benchmark runs, saw " ran; exit 1 }; exit bad } \
-	' /tmp/bench-transport.txt
-	@echo "bench-transport: 0 allocs/op held (plain and causal+flight)"
-
-# Aggregate benchmark evidence into one schema-stable artifact
-# (results/BENCH_summary.json, uploaded by CI): fresh runs of the
-# transport gate benchmarks, the policy-lens disabled-path benchmarks
-# and the state codec (BenchmarkStateCodec/{4KiB,4KiB+struct,1MiB}: one
-# checkpoint save + load, MB/s and allocations; benchagg holds the
-# 4KiB+struct case, the shape bench/ registers, at 0 allocs/op, beside
-# TestStateCodecAllocations, a plain test under `make test`) and the
-# simulator (results/bench-sim.txt: Fig. 4 and Fig. 7 at quick size, what
-# a cell pays before them — one stream seeded and read twelve times, one
-# 32-host environment — one run of each technique over an environment
-# built once (BenchmarkTechniqueRun/{none,swap,dlb,cr}), the kernel's
-# event throughput, the policy decision with and without its explanation)
-# and the transfer layer (appended to
-# results/bench-transport.txt: BenchmarkTCPXfer/{16B,4KiB,1MiB}, a payload
-# and its 8-byte ack through the mesh, beside BenchmarkLoopbackRaw, the
-# same exchange on a bare socket; benchagg holds the 1 MiB transfer under
-# 64 KiB/op — no staging buffer), folded together by cmd/benchagg,
-# which re-applies the zero-alloc gate on the parsed rows — the transport
-# send path and one kernel event — so the artifact cannot disagree with
-# the gate that admitted it. The decision layer's flat-cost pair (results/bench-decide.txt: a LocalDecider decision over
-# 256 and over 20,000 samples of history, and the lens auditing a 4+28
-# boundary) is gated there too: 20k within 2x of 256. The same file
-# carries one manager call over loopback TCP (BenchmarkRemoteDecideRoundTrip,
-# ungated).
-bench-all:
-	mkdir -p results
-	$(GO) test -run '^$$' -bench '^BenchmarkTCPSendDistinctRanks(Causal)?$$' \
-		-benchmem -benchtime 5000x -count 3 . | tee results/bench-transport.txt
-	$(GO) test -run '^$$' -bench '^Benchmark(TCPXfer|LoopbackRaw)$$' \
-		-benchmem -benchtime 2000x -count 3 . | tee -a results/bench-transport.txt
-	$(GO) test -run '^$$' -bench '^BenchmarkLens(Disabled|Nil)$$' \
-		-benchmem -count 3 ./internal/swaprt/policylens/ | tee results/bench-lens.txt
-	$(GO) test -run '^$$' -bench '^BenchmarkStateCodec$$' \
-		-benchmem -count 3 . | tee results/bench-codec.txt
-	$(GO) test -run '^$$' \
-		-bench '^Benchmark(Fig4Techniques|Fig7Policies|StreamSeedDraw12|NewEnvironment32|KernelEventThroughput|PolicyDecide)$$' \
-		-benchmem -count 3 . | tee results/bench-sim.txt
-	$(GO) test -run '^$$' -bench '^BenchmarkTechniqueRun$$' \
-		-benchmem -count 3 . | tee -a results/bench-sim.txt
-	$(GO) test -run '^$$' -bench '^Benchmark(LocalDeciderDecide|LensObserveDecision)$$' \
-		-benchmem -count 3 . | tee results/bench-decide.txt
-	$(GO) test -run '^$$' -bench '^BenchmarkRemoteDecideRoundTrip$$' \
-		-benchmem -count 3 . | tee -a results/bench-decide.txt
-	$(GO) run ./cmd/benchagg -out results/BENCH_summary.json \
-		-zero-alloc '^Benchmark(TCPSendDistinctRanks(Causal)?|KernelEventThroughput)$$' \
-		results/bench-transport.txt results/bench-lens.txt results/bench-codec.txt \
-		results/bench-sim.txt results/bench-decide.txt
-	@echo "bench-all: wrote results/BENCH_summary.json"
 
 # The swap-cost benchmark harness (bench/, BENCHMARK.json) at toy sizes:
 # every workload runs a few operations and checks its outputs, so an API

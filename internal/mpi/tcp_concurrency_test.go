@@ -135,8 +135,11 @@ func TestTCPConcurrentSends(t *testing.T) {
 // slice the moment Send returns. Whoever wrote a frame — its sender
 // holding the write token, its sender after waiting for the token, the
 // flusher — rank 0 must see every source's messages in order and intact,
-// and both write paths must have been taken. `make race` runs it twenty
-// times over.
+// and both write paths must have been taken. Contention alone does not
+// make a sender queue (one run saw 900 sends written by their senders and
+// none by the flusher), so rank 1 holds the write token while it sends
+// one small message, which must queue. `make race` runs it twenty times
+// over.
 func TestTCPSharedConnectionOrderAndAliasing(t *testing.T) {
 	const (
 		senders = 4
@@ -164,8 +167,15 @@ func TestTCPSharedConnectionOrderAndAliasing(t *testing.T) {
 				binary.LittleEndian.PutUint32(p[4:], uint32(seq))
 				binary.LittleEndian.PutUint32(p[len(p)-4:], uint32(seq)) // 16 B: the whole body
 				binary.LittleEndian.PutUint32(p[8:], crc32.ChecksumIEEE(p[hdr:]))
+				var release func()
+				if me == 1 && seq == len(sizes) { // 16 B, on a dialed connection
+					release = holdWriteToken(w, 0)
+				}
 				if err := c.Send(0, 3, p); err != nil {
 					return err
+				}
+				if release != nil {
+					release()
 				}
 				clear(p) // the slice is the caller's again
 				if seq%window == window-1 {
@@ -207,6 +217,27 @@ func TestTCPSharedConnectionOrderAndAliasing(t *testing.T) {
 	t.Logf("%d sends written by their sender, %d by the flusher", direct, queued)
 	if want := uint64(senders * (msgs + msgs/window)); direct+queued != want || direct == 0 || queued == 0 {
 		t.Fatalf("%d sends written by their sender + %d queued for the flusher, want both paths taken and %d in all", direct, queued, want)
+	}
+}
+
+// holdWriteToken takes the write token of the connection to dst, once
+// whoever holds it lets it go, as a sender about to write would: until
+// release, a small send to dst queues for the flusher. The connection
+// must be dialed.
+func holdWriteToken(w *World, dst int) (release func()) {
+	cc := w.transport.(*tcpTransport).conns[dst]
+	cc.mu.Lock()
+	for cc.writing {
+		cc.drain.Wait()
+	}
+	cc.writing = true
+	cc.mu.Unlock()
+	return func() {
+		cc.mu.Lock()
+		cc.writing = false
+		cc.wake.Signal()
+		cc.drain.Broadcast()
+		cc.mu.Unlock()
 	}
 }
 

@@ -346,11 +346,11 @@ func (m *manager) decide(epoch uint64, now float64, activeSet []int, activeRates
 	if err != nil {
 		return DecideResponse{}, err
 	}
-	// Validate: Out must be active, In must be a non-quarantined spare,
-	// no rank reused.
+	// Validate: Out must be active, In must be a spare that is neither
+	// quarantined nor evicted, no rank reused.
 	for _, s := range resp.Swaps {
 		if s.Out < 0 || s.Out >= allRanks || s.In < 0 || s.In >= allRanks ||
-			marks[s.Out] != markActive || marks[s.In] != 0 || m.isQuarantined(s.In) {
+			marks[s.Out] != markActive || marks[s.In] != 0 || m.isQuarantined(s.In) || evicted(s.In) {
 			return DecideResponse{}, fmt.Errorf("swaprt: invalid swap directive %+v", s)
 		}
 		marks[s.Out] |= markTaken

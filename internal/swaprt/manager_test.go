@@ -2,6 +2,7 @@ package swaprt
 
 import (
 	"testing"
+	"time"
 
 	"repro/internal/core"
 )
@@ -52,13 +53,71 @@ func TestLocalDeciderHistoryStaysBounded(t *testing.T) {
 	}
 }
 
+// A decision costs the same whatever history it looks back over: under
+// the safe policy (a 300 s window), a 2+1 world's decision with 20,000
+// samples of history in each rank's window takes at most twice one with
+// 256, or the window mean has gone back to scanning its samples. The swap
+// points are spaced so that each window holds its number of samples
+// throughout; each side's cost is the best of a few fixed-size loops,
+// the two sides taking turns, so a busy host slows both alike.
+func TestLocalDeciderCostIsFlatInHistory(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race runtime's instrumentation does not cost the same per sample")
+	}
+	const rounds, loop = 7, 500
+	type side struct {
+		samples int
+		decide  func()
+		best    time.Duration
+	}
+	newSide := func(samples int) *side {
+		pol := core.Safe()
+		d := NewLocalDecider(pol)
+		req := DecideRequest{
+			ActiveSet: []int{0, 1}, ActiveRates: []float64{1000, 1001},
+			SpareSet: []int{2}, SpareRates: []float64{1002},
+			IterTime: 300e-6, SwapTime: 0.0005,
+		}
+		step := pol.HistoryWindow / float64(samples)
+		sd := &side{samples: samples, best: time.Duration(1<<63 - 1)}
+		sd.decide = func() {
+			req.Now += step
+			if _, err := d.Decide(req); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := 0; i < samples; i++ {
+			sd.decide()
+		}
+		return sd
+	}
+	short, long := newSide(256), newSide(20_000)
+	for r := 0; r < rounds; r++ {
+		for _, sd := range []*side{short, long} {
+			start := time.Now()
+			for i := 0; i < loop; i++ {
+				sd.decide()
+			}
+			sd.best = min(sd.best, time.Since(start))
+		}
+	}
+	t.Logf("a decision over %d samples: %v, over %d samples: %v", short.samples, short.best/loop, long.samples, long.best/loop)
+	if long.best > 2*short.best {
+		t.Errorf("a decision over %d samples of history took %v, over %d samples %v: want within 2x",
+			long.samples, long.best/loop, short.samples, short.best/loop)
+	}
+}
+
 // The leader's manager checks every directive a decider hands back —
 // deciders can be remote — and its per-decision scratch carries nothing
 // from one decision into the next.
 func TestManagerDecideValidatesDirectives(t *testing.T) {
-	const ranks = 5 // active 0 and 1, spares 2, 3 and 4 (quarantined)
+	const ranks = 6 // active 0 and 1, spares 2, 3, 4 (quarantined) and 5 (evicted)
 	inner := &scriptDecider{}
-	m := newManager(ranks, Config{Probe: func(int) float64 { return 1000 }}, inner)
+	m := newManager(ranks, Config{
+		Probe:   func(int) float64 { return 1000 },
+		Evicted: func(rank int) bool { return rank == 5 },
+	}, inner)
 	m.quarantine(4)
 	decide := func(swaps ...SwapDirective) (DecideResponse, error) {
 		inner.resp = DecideResponse{Swaps: swaps}
@@ -76,6 +135,7 @@ func TestManagerDecideValidatesDirectives(t *testing.T) {
 		{"out is a spare", []SwapDirective{{Out: 3, In: 2}}, false},
 		{"in is active", []SwapDirective{{Out: 0, In: 1}}, false},
 		{"in is quarantined", []SwapDirective{{Out: 0, In: 4}}, false},
+		{"in is evicted", []SwapDirective{{Out: 0, In: 5}}, false},
 		{"spare named twice", []SwapDirective{{Out: 0, In: 2}, {Out: 1, In: 2}}, false},
 		{"active named twice", []SwapDirective{{Out: 0, In: 2}, {Out: 0, In: 3}}, false},
 		{"the first pair again, after the failures", []SwapDirective{{Out: 0, In: 2}, {Out: 1, In: 3}}, true},

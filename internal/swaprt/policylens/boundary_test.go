@@ -12,13 +12,11 @@ import (
 // A Boundary decides exactly as its policy does, whether or not a lens
 // listens, leaves its caller's candidates in the order they came, and
 // hands the lens the input it decided on: the shadow of its own policy
-// agrees on every decision. A disabled lens hears nothing.
+// agrees on every decision.
 func TestBoundaryDecidesAsItsPolicyAndAuditsThat(t *testing.T) {
 	st := rng.NewSource(9).Stream("boundary")
 	for _, pol := range []core.Policy{core.Greedy(), core.Safe(), core.Friendly()} {
 		audited := Boundary{Policy: pol, Lens: New(Config{})}
-		deaf := Boundary{Policy: pol, Lens: New(Config{})}
-		deaf.Lens.SetEnabled(false)
 		bare := Boundary{Policy: pol}
 		for i := 0; i < 200; i++ {
 			in := core.DecideInput{IterTime: st.Uniform(5, 200), SwapTime: st.Uniform(0, 40)}
@@ -30,7 +28,7 @@ func TestBoundaryDecidesAsItsPolicyAndAuditsThat(t *testing.T) {
 			}
 			raw := append(append([]core.Candidate(nil), in.Active...), in.Spare...)
 			wantPairs, wantExp := pol.DecideExplained(in)
-			for _, b := range []*Boundary{&audited, &deaf, &bare} {
+			for _, b := range []*Boundary{&audited, &bare} {
 				pairs, exp := b.Decide(float64(i), uint64(i), in, true)
 				if !reflect.DeepEqual(pairs, wantPairs) || exp != wantExp {
 					t.Fatalf("%s, decision %d: boundary decided %v (%+v), policy %v (%+v)",
@@ -49,9 +47,6 @@ func TestBoundaryDecidesAsItsPolicyAndAuditsThat(t *testing.T) {
 			if s.Policy == pol.Name && s.Agreements != 200 {
 				t.Errorf("%s: own-policy shadow agreed on %d of 200 decisions", pol.Name, s.Agreements)
 			}
-		}
-		if rep := deaf.Lens.Report(); rep.Enabled || rep.Decisions != 0 {
-			t.Errorf("%s: a disabled lens recorded %+v", pol.Name, rep)
 		}
 	}
 }

@@ -29,9 +29,9 @@
 //     s·(H − p) iterations (negative when the swap would not have
 //     amortized within the horizon).
 //
-// Like the TelemetryHub, the Lens is nil-safe and atomic-gated: a nil
-// or disabled lens makes every observation a no-op, keeping the
-// swap-point hot path at its unaudited cost. Timestamps are supplied by
+// Like the TelemetryHub, the Lens is nil-safe: a nil lens is the lens
+// switched off, every observation a no-op, keeping the swap-point hot
+// path at its unaudited cost. Timestamps are supplied by
 // callers (wall seconds live, virtual seconds under the simulator), so
 // the same lens produces byte-identical event streams from simulated
 // runs.
@@ -43,7 +43,6 @@ import (
 	"math"
 	"net/http"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/core"
 	"repro/internal/obs"
@@ -205,7 +204,7 @@ type Boundary struct {
 // Decide feeds the iteration time to the lens's tracked predictions,
 // orders in once (its slices are only read), decides on it — with the
 // Reason sentence when explain is set — and hands the lens that ordered
-// input with the verdict. A nil or disabled lens costs one atomic load.
+// input with the verdict. A nil lens costs one nil check.
 func (b *Boundary) Decide(t float64, epoch uint64, in core.DecideInput, explain bool) ([]core.SwapPair, core.Explanation) {
 	audit := b.Lens.Enabled()
 	if audit {
@@ -244,11 +243,9 @@ type lensCounters struct {
 	errHist     *obs.LockedHistogram
 }
 
-// Lens is the online policy auditor. All methods are nil-safe; a
-// disabled lens drops every observation.
+// Lens is the online policy auditor. All methods are nil-safe; a nil
+// lens drops every observation.
 type Lens struct {
-	enabled atomic.Bool
-
 	mu  sync.Mutex
 	cfg Config
 	c   lensCounters
@@ -268,7 +265,7 @@ type Lens struct {
 	cands  []core.Candidate // ObserveDecision's ordered copy of its input
 }
 
-// New builds an enabled lens.
+// New builds a lens.
 func New(cfg Config) *Lens {
 	if cfg.Tolerance <= 0 {
 		cfg.Tolerance = DefaultTolerance
@@ -307,21 +304,12 @@ func New(cfg Config) *Lens {
 		}
 		l.shadow = append(l.shadow, &shadowEntry{pol: p, score: PolicyScore{Policy: p.Name}})
 	}
-	l.enabled.Store(true)
 	return l
 }
 
-// SetEnabled flips the atomic guard; a disabled lens drops every
-// observation and reports empty. Nil-safe.
-func (l *Lens) SetEnabled(on bool) {
-	if l != nil {
-		l.enabled.Store(on)
-	}
-}
-
-// Enabled reports whether the lens is recording; callers use it to skip
-// building observation payloads on the hot path. Nil-safe.
-func (l *Lens) Enabled() bool { return l != nil && l.enabled.Load() }
+// Enabled reports whether the lens is recording — whether it is not nil;
+// callers use it to skip building observation payloads on the hot path.
+func (l *Lens) Enabled() bool { return l != nil }
 
 // ObserveDecision records one primary decision, replays the shadow
 // panel over the same input, and — when the primary ordered swaps —
@@ -559,8 +547,8 @@ func (l *Lens) realizeLocked(t float64, p *prediction) []obs.Event {
 	return events
 }
 
-// Report renders the /policy document. Nil-safe: a nil or disabled lens
-// reports Enabled false with an empty scoreboard.
+// Report renders the /policy document. Nil-safe: a nil lens reports
+// Enabled false with an empty scoreboard.
 func (l *Lens) Report() Report {
 	if !l.Enabled() {
 		return Report{Shadow: []PolicyScore{}}

@@ -455,6 +455,31 @@ func TestStateCodecAllocations(t *testing.T) {
 	}); allocs != 0 {
 		t.Errorf("decode into sized targets: %v allocations, want 0", allocs)
 	}
+	// The same through a session's checkpoint calls, on the benchmark
+	// workloads' registration (a counter, a four-field struct, a 4 KiB
+	// grid): a save into a reused buffer and a load back allocate nothing.
+	err = Run(mpi.NewWorld(1), Config{Active: 1}, func(s *Session) error {
+		iter, meta, grid := 1, benchMeta{Seed: 20030623, Step: 1, Pos: 1, Label: "swap-small"}, filled((4<<10)/8)
+		s.Register("iter", &iter)
+		s.Register("meta", &meta)
+		s.Register("grid", &grid)
+		var blob bytes.Buffer
+		if allocs := testing.AllocsPerRun(20, func() {
+			blob.Reset()
+			if err := s.SaveCheckpoint(&blob); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.LoadCheckpoint(&blob); err != nil {
+				t.Fatal(err)
+			}
+		}); allocs != 0 {
+			t.Errorf("checkpoint save and load: %v allocations, want 0", allocs)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
 }
 
 // TestSwapLoopAllocatesNoStateSizedBuffer is the same budget through a

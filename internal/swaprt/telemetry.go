@@ -5,7 +5,6 @@ import (
 	"net/http"
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	clockpkg "repro/internal/clock"
 	"repro/internal/core"
@@ -104,16 +103,13 @@ type rankSeries struct {
 // TelemetryHub collects live runtime telemetry: windowed per-rank
 // iteration times with rolling slowdown detection, probe rates, decision
 // payback distances, and the control state a dashboard needs. All
-// methods are nil-safe and, past construction, guarded by one atomic
-// enabled load — a nil or disabled hub makes every observation a no-op,
-// keeping the swap-point hot path at its untraced cost.
+// methods are nil-safe: a nil hub is the hub switched off, every
+// observation a no-op, so the swap-point hot path pays one nil check.
 //
 // The same type serves both sides of the report channel: the runtime
 // observes locally and snapshots per-rank telemetry onto ReportMsg; the
 // manager absorbs those snapshots into its own hub for the fleet view.
 type TelemetryHub struct {
-	enabled atomic.Bool
-
 	mu          sync.Mutex
 	clock       func() float64
 	tr          *obs.Tracer
@@ -139,14 +135,14 @@ type TelemetryHub struct {
 	lastPay    float64
 }
 
-// NewTelemetryHub builds an enabled hub. clock reports seconds since
+// NewTelemetryHub builds a hub. clock reports seconds since
 // application start (nil selects wall time from construction) and
 // timestamps every series sample and report.
 func NewTelemetryHub(clock func() float64) *TelemetryHub {
 	if clock == nil {
 		clock = clockpkg.Seconds(clockpkg.Real{})
 	}
-	h := &TelemetryHub{
+	return &TelemetryHub{
 		clock:       clock,
 		ranks:       map[int]*rankSeries{},
 		absorbed:    map[int]RankTelemetry{},
@@ -154,20 +150,7 @@ func NewTelemetryHub(clock func() float64) *TelemetryHub {
 		paybacks:    series.NewRing(telemetryPaybackWindow),
 		latencies:   series.NewRing(telemetryIterWindow),
 	}
-	h.enabled.Store(true)
-	return h
 }
-
-// SetEnabled flips the atomic guard; a disabled hub drops every
-// observation and reports empty.
-func (h *TelemetryHub) SetEnabled(on bool) {
-	if h != nil {
-		h.enabled.Store(on)
-	}
-}
-
-// on reports whether observations should be recorded.
-func (h *TelemetryHub) on() bool { return h != nil && h.enabled.Load() }
 
 // AttachTracer routes anomaly detections into the trace stream.
 func (h *TelemetryHub) AttachTracer(tr *obs.Tracer) {
@@ -197,7 +180,7 @@ func (h *TelemetryHub) rank(r int) *rankSeries {
 // slowdown detector; a detection is counted, kept as the rank's last
 // anomaly, and emitted as a KindAnomaly trace event.
 func (h *TelemetryHub) ObserveIteration(rank int, t, iterTime float64) {
-	if !h.on() {
+	if h == nil {
 		return
 	}
 	h.mu.Lock()
@@ -221,7 +204,7 @@ func (h *TelemetryHub) ObserveIteration(rank int, t, iterTime float64) {
 
 // ObserveProbe records one swap-handler probe measurement.
 func (h *TelemetryHub) ObserveProbe(rank int, t, rate float64) {
-	if !h.on() {
+	if h == nil {
 		return
 	}
 	h.mu.Lock()
@@ -232,7 +215,7 @@ func (h *TelemetryHub) ObserveProbe(rank int, t, rate float64) {
 // ObserveDecision records one leader decision: verdict, payback distance
 // (when the decider explained itself) and decide latency in seconds.
 func (h *TelemetryHub) ObserveDecision(t float64, eval *core.Explanation, swaps int, latency float64) {
-	if !h.on() {
+	if h == nil {
 		return
 	}
 	h.mu.Lock()
@@ -257,7 +240,7 @@ func (h *TelemetryHub) ObserveDecision(t float64, eval *core.Explanation, swaps 
 
 // ObserveSwap counts one committed swap directive.
 func (h *TelemetryHub) ObserveSwap() {
-	if !h.on() {
+	if h == nil {
 		return
 	}
 	h.mu.Lock()
@@ -267,7 +250,7 @@ func (h *TelemetryHub) ObserveSwap() {
 
 // ObserveAbort counts one aborted swap directive.
 func (h *TelemetryHub) ObserveAbort() {
-	if !h.on() {
+	if h == nil {
 		return
 	}
 	h.mu.Lock()
@@ -277,7 +260,7 @@ func (h *TelemetryHub) ObserveAbort() {
 
 // ObserveQuarantine records a spare's quarantine.
 func (h *TelemetryHub) ObserveQuarantine(rank int) {
-	if !h.on() {
+	if h == nil {
 		return
 	}
 	h.mu.Lock()
@@ -287,7 +270,7 @@ func (h *TelemetryHub) ObserveQuarantine(rank int) {
 
 // ObserveEpoch records the committed epoch and active set after a swap.
 func (h *TelemetryHub) ObserveEpoch(epoch uint64, activeSet []int) {
-	if !h.on() {
+	if h == nil {
 		return
 	}
 	h.mu.Lock()
@@ -364,7 +347,7 @@ func (h *TelemetryHub) snapshotLocked(r int, now float64) RankTelemetry {
 // RankSnapshot returns the rank's current telemetry for piggybacking on
 // a ReportMsg, or nil when the hub is off or has nothing for the rank.
 func (h *TelemetryHub) RankSnapshot(rank int) *RankTelemetry {
-	if !h.on() {
+	if h == nil {
 		return nil
 	}
 	h.mu.Lock()
@@ -380,7 +363,7 @@ func (h *TelemetryHub) RankSnapshot(rank int) *RankTelemetry {
 // into the fleet view. Later snapshots of the same rank replace earlier
 // ones; local observations for a rank take precedence in Report.
 func (h *TelemetryHub) Absorb(rt *RankTelemetry) {
-	if rt == nil || !h.on() {
+	if rt == nil || h == nil {
 		return
 	}
 	h.mu.Lock()
@@ -390,7 +373,7 @@ func (h *TelemetryHub) Absorb(rt *RankTelemetry) {
 
 // Report renders the full telemetry document.
 func (h *TelemetryHub) Report() TelemetryReport {
-	if !h.on() {
+	if h == nil {
 		return TelemetryReport{Ranks: []RankTelemetry{}}
 	}
 	h.mu.Lock()
@@ -447,18 +430,13 @@ func (h *TelemetryHub) Report() TelemetryReport {
 }
 
 // TelemetryHandler serves the hub's report as JSON — mount it at
-// /telemetry on a debug endpoint. A nil or disabled hub serves an empty
-// report rather than erroring, so dashboards poll safely across enable
-// toggles.
+// /telemetry on a debug endpoint. A nil hub serves an empty report rather
+// than erroring, so a dashboard can poll a run that keeps no telemetry.
 func TelemetryHandler(h *TelemetryHub) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
 		enc := json.NewEncoder(w)
 		enc.SetIndent("", " ")
-		if h == nil {
-			_ = enc.Encode(TelemetryReport{Ranks: []RankTelemetry{}})
-			return
-		}
 		_ = enc.Encode(h.Report())
 	})
 }
