@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"repro/internal/clock"
+	"repro/internal/mpi"
 	"repro/internal/obs"
 	"repro/internal/swaprt"
 	"repro/internal/swaprt/mgrstore"
@@ -70,9 +71,16 @@ func TestEveryLayerForwardsEveryCallOnce(t *testing.T) {
 	gated := func(next swaprt.Decider) swaprt.Decider {
 		return swaprt.GatedDecider{Forward: swaprt.Forward{Next: next}, Gate: pass}
 	}
-	resilient := func(next swaprt.Decider) swaprt.Decider {
-		return &swaprt.ResilientDecider{Primary: next}
+	// The resilient layer is the one every run assembles: the stack over
+	// next, falling back to a local decider.
+	world := mpi.NewWorld(1)
+	t.Cleanup(world.Close)
+	stack := func(next swaprt.Decider) *swaprt.ResilientDecider {
+		d := swaprt.NewDecisionStack(world, swaprt.Config{}, next, nil, nil)
+		t.Cleanup(d.Close)
+		return d
 	}
+	resilient := func(next swaprt.Decider) swaprt.Decider { return stack(next) }
 	for _, tc := range []struct {
 		name string
 		wrap func(leaf swaprt.Decider) swaprt.Decider
@@ -104,7 +112,9 @@ func TestEveryLayerForwardsEveryCallOnce(t *testing.T) {
 	// fallback's lens.
 	t.Run("Resilient fallback", func(t *testing.T) {
 		fallback := &recordingLeaf{calls: map[string]int{}}
-		callEach(t, &swaprt.ResilientDecider{Primary: &recordingLeaf{calls: map[string]int{}}, Fallback: fallback})
+		d := stack(&recordingLeaf{calls: map[string]int{}})
+		d.Fallback = fallback
+		callEach(t, d)
 		for call, want := range map[string]int{"Decide": 0, "Report": 1, "ReportOutcome": 1, "Ping": 0} {
 			if got := fallback.calls[call]; got != want {
 				t.Errorf("%s reached the fallback %d times, want %d", call, got, want)

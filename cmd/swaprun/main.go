@@ -47,6 +47,10 @@ func main() {
 	}
 }
 
+// telemetryCadence is the swap-handler report interval a -telemetry run
+// uses when -handler does not set one.
+const telemetryCadence = 250 * time.Millisecond
+
 // options is one parsed command line.
 type options struct {
 	ranks, active, iters, state, scenarios int
@@ -326,10 +330,10 @@ func (o *options) scenario(i int, logger *log.Logger) (swaprt.RunStats, *policyl
 		return swaprt.RunStats{}, nil, err
 	}
 	// Telemetry rides on the swap handlers' periodic reports; give them
-	// the telemetry cadence unless the user picked their own.
+	// the telemetry cadence unless -handler picked its own.
 	handler := o.handler
 	if live.Hub != nil && handler == 0 {
-		handler = o.obs.TelemetryInterval
+		handler = telemetryCadence
 	}
 	if world.Causal() != nil {
 		logger.Printf("causal: Lamport clocks armed on %d ranks", o.ranks)

@@ -122,7 +122,7 @@ var smokes = []smoke{{
 	args:   forcedSwap + " -lens -events-out {dir}/run.jsonl",
 	budget: true,
 	check: func(t *testing.T, dir, _ string) {
-		res := policylens.Audit(readEvents(t, filepath.Join(dir, "run.jsonl")), policylens.AuditConfig{})
+		res := policylens.Audit(readEvents(t, filepath.Join(dir, "run.jsonl")))
 		if !res.OK() {
 			var report bytes.Buffer
 			_ = res.WriteReport(&report)

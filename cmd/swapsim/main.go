@@ -6,7 +6,7 @@
 //
 //	swapsim -tech swap -policy safe -hosts 32 -active 4 \
 //	        -p 0.2 -state 100e6 -iters 30 -trace
-//	swapsim -lens -lens-tolerance 0.3 -events-out run.jsonl
+//	swapsim -lens -events-out run.jsonl && tracecheck -audit run.jsonl
 package main
 
 import (
@@ -177,7 +177,7 @@ func run(args []string, stdout io.Writer) error {
 	if traceFlags.Lens {
 		// The lens audits on the virtual clock: its events land in the
 		// run's trace beside the decisions they judge.
-		sc.Lens = policylens.New(policylens.Config{Tolerance: traceFlags.LensTolerance, Tracer: tracer})
+		sc.Lens = policylens.New(policylens.Config{Tracer: tracer})
 	}
 	res := technique.Run(plat, sc)
 	if err := traceFlags.Write(tracer, func(format string, args ...any) {

@@ -32,8 +32,8 @@ func swapsim(t *testing.T, args ...string) (string, []obs.Event) {
 	return out.String(), events
 }
 
-// A simulated run audits only when -lens asks it to, at the tolerance
-// -lens-tolerance gives.
+// A simulated run audits only when -lens asks it to, at the lens's one
+// tolerance.
 func TestLensFlags(t *testing.T) {
 	for _, c := range []struct {
 		name          string
@@ -43,8 +43,6 @@ func TestLensFlags(t *testing.T) {
 	}{
 		{name: "lens", args: []string{"-lens"}, lens: true, tol: "tol=0.5 ", reported: "(tolerance 0.5)"},
 		{name: "no lens", args: nil},
-		{name: "tolerance", args: []string{"-lens", "-lens-tolerance", "0.3"}, lens: true,
-			tol: "tol=0.3 ", reported: "(tolerance 0.3)"},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			out, events := swapsim(t, c.args...)

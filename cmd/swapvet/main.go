@@ -1,8 +1,9 @@
 // Command swapvet runs the project's static-analysis suite: six analyzers
 // (simdeterminism, lockedio, deadlineio, mpierr, obsdiscipline,
 // clockdiscipline) encoding the runtime invariants the codebase depends on.
-// It is standard-library only — package loading is `go list` plus the
-// go/importer source importer — and exits non-zero when any finding survives
+// It is standard-library only — package loading is `go list -export` plus
+// the go/importer "gc" importer reading the dependencies' export data — and
+// exits non-zero when any finding survives
 // the //swapvet:ignore directives. The directives themselves are audited:
 // naming an unknown analyzer or omitting the `-- rationale` is a finding.
 //

@@ -63,7 +63,6 @@ func run(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("tracecheck", flag.ContinueOnError)
 	analyze := fs.Bool("analyze", false, "treat the argument as a JSONL event log and print the offline analysis report")
 	audit := fs.Bool("audit", false, "treat the argument as a JSONL event log and verify the policy-lens contract: committed swaps carry realized-payback attribution")
-	auditTolerance := fs.Float64("audit-tolerance", 0, "with -audit, relative payback error counted as a misprediction (0 = lens default)")
 	postmortem := fs.Bool("postmortem", false, "treat the arguments as flight-recorder dumps (files or a directory) and reconstruct the causal cross-rank timeline")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -84,7 +83,7 @@ func run(args []string, stdout io.Writer) error {
 		if err != nil {
 			return err
 		}
-		res := policylens.Audit(events, policylens.AuditConfig{Tolerance: *auditTolerance})
+		res := policylens.Audit(events)
 		if err := res.WriteReport(stdout); err != nil {
 			return err
 		}

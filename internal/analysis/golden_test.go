@@ -12,8 +12,8 @@ import (
 	"repro/internal/analysis"
 )
 
-// sharedLoader amortizes the source-importer's dependency cache (net, gob,
-// time, ... type-checked from source once) across every test in the package.
+// sharedLoader amortizes the importer's dependency cache (net, gob, time,
+// ... each read from its export data once) across every test in the package.
 var (
 	loaderOnce   sync.Once
 	sharedLoader *analysis.Loader

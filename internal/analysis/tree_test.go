@@ -13,7 +13,7 @@ import (
 // operation, or a silently dropped MPI error.
 func TestTreeIsClean(t *testing.T) {
 	if testing.Short() {
-		t.Skip("type-checks the whole module from source; skipped in -short")
+		t.Skip("type-checks the whole module; skipped in -short")
 	}
 	pkgs, err := loader().LoadModule("../..", "./...")
 	if err != nil {

@@ -134,7 +134,7 @@ func TestFlightDumpOnPanic(t *testing.T) {
 		t.Fatal(err)
 	}
 	tr := obs.New(2)
-	rec := flight.New(2, flight.Config{Dir: dir, Events: 16})
+	rec := flight.New(2, flight.Config{Dir: dir})
 	tr.AttachSink(rec)
 	w.SetTracer(tr)
 	err = w.Run(func(r *Rank) error {
@@ -168,7 +168,7 @@ func TestFlightDumpOnClose(t *testing.T) {
 	dir := t.TempDir()
 	w := NewWorld(1)
 	tr := obs.New(1)
-	rec := flight.New(1, flight.Config{Dir: dir, Events: 4})
+	rec := flight.New(1, flight.Config{Dir: dir})
 	tr.AttachSink(rec)
 	w.SetTracer(tr)
 	if err := w.Run(func(r *Rank) error { return nil }); err != nil {

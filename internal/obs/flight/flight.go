@@ -21,23 +21,21 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/clock"
 	"repro/internal/obs"
 )
 
-// DefaultEvents is the per-rank ring capacity when Config.Events is 0:
-// enough to hold several swap rounds of causal traffic without the
-// memory cost scaling with run length.
+// DefaultEvents is the per-rank ring capacity: enough to hold several
+// swap rounds of causal traffic without the memory cost scaling with
+// run length.
 const DefaultEvents = 256
 
 // Config configures a Recorder.
 type Config struct {
-	Dir    string         // dump directory (created on first dump)
-	Events int            // ring capacity per rank; 0 = DefaultEvents
-	Clock  func() float64 // dump-marker timestamps; nil = wall seconds
-	Logf   func(string, ...any)
+	Dir   string         // dump directory (created on first dump)
+	Clock func() float64 // dump-marker timestamps; nil = wall seconds
+	Logf  func(string, ...any)
 }
 
 // ring is one rank's bounded event window.
@@ -85,10 +83,9 @@ type Status struct {
 }
 
 // Recorder implements obs.EventSink. It is safe for concurrent use by
-// every rank goroutine; a disabled recorder (see Disable) drops events
-// after one atomic load.
+// every rank goroutine. There is no off switch: a run without a flight
+// recorder attaches none.
 type Recorder struct {
-	enabled atomic.Bool
 	dir     string
 	clock   func() float64
 	logf    func(string, ...any)
@@ -100,24 +97,20 @@ type Recorder struct {
 	lastDump string
 }
 
-// New creates an enabled recorder for a world of nranks ranks.
+// New creates a recorder for a world of nranks ranks.
 func New(nranks int, cfg Config) *Recorder {
 	if nranks < 0 {
 		panic(fmt.Sprintf("flight: New(%d)", nranks))
-	}
-	n := cfg.Events
-	if n <= 0 {
-		n = DefaultEvents
 	}
 	r := &Recorder{
 		dir:     cfg.Dir,
 		clock:   cfg.Clock,
 		logf:    cfg.Logf,
 		ranks:   make([]*ring, nranks),
-		runtime: &ring{buf: make([]obs.Event, n)},
+		runtime: &ring{buf: make([]obs.Event, DefaultEvents)},
 	}
 	for i := range r.ranks {
-		r.ranks[i] = &ring{buf: make([]obs.Event, n)}
+		r.ranks[i] = &ring{buf: make([]obs.Event, DefaultEvents)}
 	}
 	if r.clock == nil {
 		r.clock = clock.Seconds(clock.Real{})
@@ -125,22 +118,12 @@ func New(nranks int, cfg Config) *Recorder {
 	if r.logf == nil {
 		r.logf = func(string, ...any) {}
 	}
-	r.enabled.Store(true)
 	return r
 }
 
-// Disable stops recording (already-buffered events remain dumpable).
-func (r *Recorder) Disable() { r.enabled.Store(false) }
-
-// Enable resumes recording.
-func (r *Recorder) Enable() { r.enabled.Store(true) }
-
 // Observe records one event into its rank's ring. This is the
-// obs.EventSink hot path: an atomic load, one mutex, one struct copy.
+// obs.EventSink hot path: one mutex, one struct copy.
 func (r *Recorder) Observe(ev obs.Event) {
-	if !r.enabled.Load() {
-		return
-	}
 	rg := r.runtime
 	if ev.Rank >= 0 && ev.Rank < len(r.ranks) {
 		rg = r.ranks[ev.Rank]

@@ -10,25 +10,28 @@ import (
 	"repro/internal/obs"
 )
 
-// TestRingWrap pins the bounded-window contract: a ring holding n events
-// keeps exactly the most recent n, snapshotted oldest-first.
+// TestRingWrap pins the bounded-window contract: a ring holding
+// DefaultEvents events keeps exactly the most recent DefaultEvents,
+// snapshotted oldest-first.
 func TestRingWrap(t *testing.T) {
-	r := New(1, Config{Dir: t.TempDir(), Events: 4})
-	for i := 1; i <= 10; i++ {
+	const over = 6 // events past a full ring
+	const seen = DefaultEvents + over
+	r := New(1, Config{Dir: t.TempDir()})
+	for i := 1; i <= seen; i++ {
 		r.Observe(obs.Event{Kind: obs.KindIterStart, Rank: 0, T: float64(i)})
 	}
 	evs := r.ranks[0].snapshot()
-	if len(evs) != 4 {
-		t.Fatalf("snapshot holds %d events, want 4", len(evs))
+	if len(evs) != DefaultEvents {
+		t.Fatalf("snapshot holds %d events, want %d", len(evs), DefaultEvents)
 	}
 	for i, ev := range evs {
-		if want := float64(7 + i); ev.T != want {
+		if want := float64(over + 1 + i); ev.T != want {
 			t.Fatalf("snapshot[%d].T = %g, want %g (oldest-first window)", i, ev.T, want)
 		}
 	}
 	st := r.Status()
-	if st.Buffered != 4 || st.Observed != 10 {
-		t.Fatalf("status = %+v, want buffered 4, observed 10", st)
+	if st.Buffered != DefaultEvents || st.Observed != seen {
+		t.Fatalf("status = %+v, want buffered %d, observed %d", st, DefaultEvents, seen)
 	}
 }
 
@@ -37,7 +40,7 @@ func TestRingWrap(t *testing.T) {
 // every file parseable by obs.ReadJSONL with the buffered events intact.
 func TestRecorderDumpRoundTrip(t *testing.T) {
 	dir := t.TempDir()
-	r := New(2, Config{Dir: dir, Events: 8, Clock: func() float64 { return 42 }})
+	r := New(2, Config{Dir: dir, Clock: func() float64 { return 42 }})
 	r.Observe(obs.Event{Kind: obs.KindIterStart, Rank: 0, T: 1})
 	r.Observe(obs.Event{Kind: obs.KindMsgSend, Rank: 0, T: 2, Peer: 1, LC: 3, Seq: 1})
 	r.Observe(obs.Event{Kind: obs.KindMsgRecv, Rank: 1, T: 2.1, Peer: 0, LC: 4, Seq: 1, PeerLC: 3})
@@ -113,16 +116,10 @@ func TestRecorderDumpRoundTrip(t *testing.T) {
 	}
 }
 
-// TestRecorderDisable pins the atomic gate: a disabled recorder drops
-// events, an out-of-range rank routes to the runtime ring.
-func TestRecorderDisable(t *testing.T) {
+// TestOutOfRangeRankGoesToRuntimeRing pins the routing of an event whose
+// rank is no rank of the world: the runtime ring keeps it.
+func TestOutOfRangeRankGoesToRuntimeRing(t *testing.T) {
 	r := New(1, Config{Dir: t.TempDir()})
-	r.Disable()
-	r.Observe(obs.Event{Kind: obs.KindIterStart, Rank: 0, T: 1})
-	if st := r.Status(); st.Observed != 0 {
-		t.Fatalf("disabled recorder observed %d events", st.Observed)
-	}
-	r.Enable()
 	r.Observe(obs.Event{Kind: obs.KindIterStart, Rank: 99, T: 1})
 	if n := len(r.runtime.snapshot()); n != 1 {
 		t.Fatalf("out-of-range rank not routed to runtime ring (%d events)", n)
@@ -135,7 +132,7 @@ func TestRecorderDisable(t *testing.T) {
 // Tracer.DumpFlight triggers the dump.
 func TestTracerSinkIntegration(t *testing.T) {
 	dir := t.TempDir()
-	rec := New(2, Config{Dir: dir, Events: 8})
+	rec := New(2, Config{Dir: dir})
 	tr := obs.New(2)
 	if tr.Enabled() {
 		t.Fatal("tracer enabled before sink attach")

@@ -1,9 +1,9 @@
 // Package obsflag binds the standard observability flags shared by the
 // swaprun and swapsim commands — the tracing trio -trace-out,
-// -events-out and -trace-ranks, plus the telemetry pair -telemetry and
-// -telemetry-interval, the -metrics-out dump, and the post-mortem pair
-// -causal and -flight-dir — so every command exports the same formats
-// with the same spelling.
+// -events-out and -trace-ranks, the -telemetry switch and the
+// -metrics-out dump, the post-mortem pair -causal and -flight-dir, and
+// the -lens switch — so every command exports the same formats with the
+// same spelling.
 package obsflag
 
 import (
@@ -13,7 +13,6 @@ import (
 	"os"
 	"strconv"
 	"strings"
-	"time"
 
 	"repro/internal/clock"
 	"repro/internal/mpi"
@@ -29,16 +28,13 @@ type Flags struct {
 	EventsOut string // JSONL event log, one event per line
 	Ranks     string // comma-separated rank filter, "" = every rank
 
-	Telemetry         bool          // enable the live telemetry hub
-	TelemetryInterval time.Duration // snapshot/report cadence
-	MetricsOut        string        // final Prometheus-text metrics dump
+	Telemetry  bool   // enable the live telemetry hub
+	MetricsOut string // final Prometheus-text metrics dump
 
-	Causal       bool   // arm Lamport causal clocks + MsgSend/MsgRecv events
-	FlightDir    string // flight-recorder dump directory ("" = recorder off)
-	FlightEvents int    // per-rank flight ring capacity (0 = flight.DefaultEvents)
+	Causal    bool   // arm Lamport causal clocks + MsgSend/MsgRecv events
+	FlightDir string // flight-recorder dump directory ("" = recorder off)
 
-	Lens          bool    // arm the policy lens (payback audit + shadow policies)
-	LensTolerance float64 // relative payback error counted as a misprediction
+	Lens bool // arm the policy lens (payback audit + shadow policies)
 
 	// Recorder is the flight recorder Tracer attached, nil when
 	// -flight-dir was not given. Commands use it for telemetry probes
@@ -54,13 +50,10 @@ func Register(fs *flag.FlagSet) *Flags {
 	fs.StringVar(&f.EventsOut, "events-out", "", "write a JSONL event log file")
 	fs.StringVar(&f.Ranks, "trace-ranks", "", "restrict tracing to these comma-separated ranks (empty = all)")
 	fs.BoolVar(&f.Telemetry, "telemetry", false, "enable live telemetry (windowed per-rank series, slowdown detection, /telemetry on -debug-addr)")
-	fs.DurationVar(&f.TelemetryInterval, "telemetry-interval", 250*time.Millisecond, "telemetry snapshot cadence (with -telemetry)")
 	fs.StringVar(&f.MetricsOut, "metrics-out", "", "write a final Prometheus-text metrics dump file")
 	fs.BoolVar(&f.Causal, "causal", false, "stamp messages with Lamport clocks and trace MsgSend/MsgRecv happens-before edges")
 	fs.StringVar(&f.FlightDir, "flight-dir", "", "enable the crash-safe flight recorder, dumping per-rank JSONL windows to this directory on aborts/panics/close")
-	fs.IntVar(&f.FlightEvents, "flight-events", 0, "flight-recorder ring capacity per rank (0 = default)")
 	fs.BoolVar(&f.Lens, "lens", false, "arm the policy lens: audit realized payback of committed swaps, replay shadow policies, /policy on -debug-addr")
-	fs.Float64Var(&f.LensTolerance, "lens-tolerance", 0, "relative payback prediction error counted as a misprediction (0 = lens default)")
 	return f
 }
 
@@ -115,11 +108,7 @@ func (f *Flags) Tracer(nranks int, opts ...obs.Option) (*obs.Tracer, error) {
 		tr.Enable()
 	}
 	if f.FlightDir != "" {
-		f.Recorder = flight.New(nranks, flight.Config{
-			Dir:    f.FlightDir,
-			Events: f.FlightEvents,
-			Clock:  tr.Now,
-		})
+		f.Recorder = flight.New(nranks, flight.Config{Dir: f.FlightDir, Clock: tr.Now})
 		tr.AttachSink(f.Recorder)
 	}
 	return tr, nil
@@ -163,12 +152,7 @@ func (f *Flags) Live(world *mpi.World) (Live, error) {
 	}
 	var lens *policylens.Lens
 	if f.Lens {
-		lens = policylens.New(policylens.Config{
-			Tolerance: f.LensTolerance,
-			Tracer:    tracer,
-			Registry:  world.Metrics(),
-			Clock:     secs,
-		})
+		lens = policylens.New(policylens.Config{Tracer: tracer, Registry: world.Metrics(), Clock: secs})
 		hub.SetLensProbe(lens.Report)
 	}
 	return Live{Tracer: tracer, Hub: hub, Lens: lens}, nil

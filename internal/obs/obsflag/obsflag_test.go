@@ -6,7 +6,6 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/obs"
 )
@@ -104,17 +103,17 @@ func TestTelemetryFlags(t *testing.T) {
 	if err := fs.Parse(nil); err != nil {
 		t.Fatal(err)
 	}
-	if f.Telemetry || f.TelemetryInterval != 250*time.Millisecond || f.MetricsOut != "" {
+	if f.Telemetry || f.MetricsOut != "" {
 		t.Fatalf("defaults: %+v", f)
 	}
 
 	fs2 := flag.NewFlagSet("x", flag.ContinueOnError)
 	f2 := Register(fs2)
 	out := filepath.Join(t.TempDir(), "metrics.prom")
-	if err := fs2.Parse([]string{"-telemetry", "-telemetry-interval", "50ms", "-metrics-out", out}); err != nil {
+	if err := fs2.Parse([]string{"-telemetry", "-metrics-out", out}); err != nil {
 		t.Fatal(err)
 	}
-	if !f2.Telemetry || f2.TelemetryInterval != 50*time.Millisecond {
+	if !f2.Telemetry || f2.MetricsOut != out {
 		t.Fatalf("parsed: %+v", f2)
 	}
 	reg := obs.NewRegistry()

@@ -43,7 +43,7 @@ func TestAuditGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	audit := policylens.Audit(parsed, policylens.AuditConfig{})
+	audit := policylens.Audit(parsed)
 	if !audit.OK() {
 		t.Fatalf("audit violations on a lens-instrumented sim trace: %v", audit.Violations)
 	}
@@ -77,7 +77,7 @@ func TestAuditGolden(t *testing.T) {
 	// the "byte-identical lens events on the virtual clock" contract.
 	_, events2 := tracedSwapRun(63)
 	var rep2 strings.Builder
-	if err := policylens.Audit(events2, policylens.AuditConfig{}).WriteReport(&rep2); err != nil {
+	if err := policylens.Audit(events2).WriteReport(&rep2); err != nil {
 		t.Fatal(err)
 	}
 	if rep2.String() != got {

@@ -71,30 +71,37 @@ func TestChaosRunMatchesFaultFree(t *testing.T) {
 			t.Errorf("%d final active lanes, want 2", got)
 		}
 	}
-	run := func(plan *fault.Plan, decider Decider, tr *obs.Tracer) (RunStats, *sync.Map, error) {
-		cfg := mpi.Config{Size: 4}
+	// The chaos run decides through the stack swaprun builds, gated by
+	// the plan's manager outage.
+	run := func(plan *fault.Plan, tr *obs.Tracer) (RunStats, *sync.Map, error) {
+		wcfg := mpi.Config{Size: 4}
 		if plan != nil {
-			cfg.Fault = plan
+			wcfg.Fault = plan
 		}
-		w, err := mpi.NewWorldWithConfig(cfg)
+		w, err := mpi.NewWorldWithConfig(wcfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		rt := &rateTable{rates: []float64{100, 100, 5000, 2000}}
-		var out sync.Map
-		stats, err := RunWithStats(w, Config{
+		cfg := Config{
 			Active:          2,
 			Policy:          core.Greedy(),
-			Decider:         decider,
 			Probe:           rt.probe,
 			TransferTimeout: 200 * time.Millisecond,
 			Tracer:          tr,
-		}, chaosBody(iters, plan, 2*time.Millisecond, &out))
+		}
+		if plan != nil {
+			d := NewDecisionStack(w, cfg, nil, nil, plan.ManagerCall)
+			defer d.Close()
+			cfg.Decider = d
+		}
+		var out sync.Map
+		stats, err := RunWithStats(w, cfg, chaosBody(iters, plan, 2*time.Millisecond, &out))
 		return stats, &out, err
 	}
 
 	// Baseline: no faults, plain local decisions.
-	base, baseOut, err := run(nil, nil, nil)
+	base, baseOut, err := run(nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,21 +111,13 @@ func TestChaosRunMatchesFaultFree(t *testing.T) {
 	}
 
 	// Chaos: rank 2 (the fastest spare, so the first swap target) is dead
-	// from the start; manager calls 2-4 land in an outage window.
-	plan := fault.MustParse("seed=7;die:rank=2,iter=0;mgrdown:after=1,count=3")
+	// from the start; manager calls 2-5 land in an outage window. Two
+	// decides of two attempts each fail inside it, which is what opens
+	// the circuit.
+	plan := fault.MustParse("seed=7;die:rank=2,iter=0;mgrdown:after=1,count=4")
 	tr := obs.New(0)
 	tr.Enable()
-	decider := &ResilientDecider{
-		Primary:       GatedDecider{Forward: Forward{Next: NewLocalDecider(core.Greedy())}, Gate: plan.ManagerCall},
-		Fallback:      NewLocalDecider(core.Greedy()),
-		MaxAttempts:   1,
-		FailThreshold: 1,
-		BaseBackoff:   time.Millisecond,
-		ProbeInterval: 2 * time.Millisecond,
-		Tracer:        tr,
-	}
-	defer decider.Close()
-	stats, chaosOut, err := run(plan, decider, tr)
+	stats, chaosOut, err := run(plan, tr)
 	if err != nil {
 		t.Fatalf("chaos run failed instead of degrading: %v", err)
 	}

@@ -1,10 +1,6 @@
 package swaprt
 
-import (
-	"time"
-
-	"repro/internal/mpi"
-)
+import "repro/internal/mpi"
 
 // Decider is the one interface between the runtime and the swap manager
 // — the paper's "swap manager responsible for collecting information and
@@ -102,13 +98,10 @@ func NewDecisionStack(world *mpi.World, cfg Config, primary Decider, sup *Manage
 		return GatedDecider{Forward: Forward{Next: d}, Gate: gate}
 	}
 	d := &ResilientDecider{
-		Fallback:      cfg.localDecider(),
-		MaxAttempts:   2,
-		FailThreshold: 2,
-		ProbeInterval: 50 * time.Millisecond,
-		Clock:         world.Clock(),
-		Tracer:        cfg.Tracer,
-		Metrics:       world.Metrics(),
+		Fallback: cfg.localDecider(),
+		Clock:    world.Clock(),
+		Tracer:   cfg.Tracer,
+		Metrics:  world.Metrics(),
 	}
 	if sup != nil {
 		primary = sup.remote(sup.Addr())

@@ -32,11 +32,15 @@ func waitUntil(t *testing.T, what string, cond func() bool) {
 // successor to replay the WAL, hold the same durable state, and serve at
 // a fresh address that Resolve finds via the lease.
 func TestSupervisorRestartRecoversState(t *testing.T) {
+	const ttl = 30 * time.Millisecond
 	dir := t.TempDir()
 	tr := obs.New(0)
 	tr.Enable()
+	// The lease runs on a fake clock: it expires when the test advances
+	// it, never because a loaded host was slow to resolve.
+	fk := clock.NewFake()
 	sup, err := StartManagerSupervisor(SupervisorConfig{
-		Dir: dir, Policy: core.Greedy(), LeaseTTL: 30 * time.Millisecond,
+		Dir: dir, Policy: core.Greedy(), LeaseTTL: ttl, Clock: fk,
 		Timeout: time.Second, Tracer: tr, Logf: t.Logf,
 	})
 	if err != nil {
@@ -66,6 +70,9 @@ func TestSupervisorRestartRecoversState(t *testing.T) {
 	}
 
 	sup.Kill(true, 5*time.Millisecond)
+	// One step ends the downtime and expires the dead leader's lease, so
+	// the successor takes it over on its first try.
+	fk.Advance(ttl)
 	waitUntil(t, "restarted incarnation", func() bool { return sup.Recoveries() >= 2 && sup.Addr() != "" })
 	if got := sup.Addr(); got == addr1 {
 		t.Errorf("successor serves on the crashed incarnation's address %s", got)
@@ -135,44 +142,25 @@ func TestSupervisorFailoverMatchesFaultFree(t *testing.T) {
 	}
 	plan.SetManagerKiller(sup.Kill)
 
-	resolve := func() (Decider, error) {
-		d, err := sup.Resolve()
-		if err != nil {
-			return nil, err
-		}
-		return GatedDecider{Forward: Forward{Next: d}, Gate: plan.ManagerCall}, nil
-	}
-	primary, err := resolve()
-	if err != nil {
-		t.Fatal(err)
-	}
-	decider := &ResilientDecider{
-		Primary:       primary,
-		Fallback:      NewLocalDecider(core.Greedy()),
-		Resolver:      resolve,
-		OnCircuit:     sup.RecordCircuit,
-		MaxAttempts:   1,
-		FailThreshold: 1,
-		BaseBackoff:   time.Millisecond,
-		ProbeInterval: 5 * time.Millisecond,
-		Tracer:        tr,
-	}
-	defer decider.Close()
-
 	w, err := mpi.NewWorldWithConfig(mpi.Config{Size: 4, Fault: plan})
 	if err != nil {
 		t.Fatal(err)
 	}
 	rt := &rateTable{rates: []float64{100, 100, 5000, 2000}}
-	var out sync.Map
-	stats, err := RunWithStats(w, Config{
+	cfg := Config{
 		Active:          2,
 		Policy:          core.Greedy(),
-		Decider:         decider,
 		Probe:           rt.probe,
 		TransferTimeout: 500 * time.Millisecond,
 		Tracer:          tr,
-	}, chaosBody(iters, plan, 2*time.Millisecond, &out))
+	}
+	// The stack swaprun builds over a supervised manager: an open circuit
+	// re-resolves the leader from the lease, behind the plan's gate.
+	decider := NewDecisionStack(w, cfg, nil, sup, plan.ManagerCall)
+	defer decider.Close()
+	cfg.Decider = decider
+	var out sync.Map
+	stats, err := RunWithStats(w, cfg, chaosBody(iters, plan, 2*time.Millisecond, &out))
 	if err != nil {
 		t.Fatalf("run failed instead of surviving the manager restart: %v", err)
 	}

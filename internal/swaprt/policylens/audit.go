@@ -9,18 +9,6 @@ import (
 	"repro/internal/obs"
 )
 
-// AuditConfig tunes the offline replay.
-type AuditConfig struct {
-	// Tolerance is the relative payback error above which a realized
-	// event must not claim verdict "ok"; <= 0 selects DefaultTolerance.
-	Tolerance float64
-	// Window is the number of iteration samples (swap-point decisions)
-	// a realization needs; commits with fewer than Window subsequent
-	// decisions in the trace count as pending, not violations. <= 0
-	// selects DefaultRealizeAfter.
-	Window int
-}
-
 // AuditResult is the outcome of replaying a JSONL trace against the
 // lens contract: every committed swap must carry realized-payback
 // attribution, every realized event must be internally consistent, and
@@ -49,15 +37,12 @@ type AuditResult struct {
 func (r AuditResult) OK() bool { return len(r.Violations) == 0 }
 
 // Audit replays a trace (as read by obs.ReadJSONL) against the lens
-// contract. It is pure: same events in, same result out.
-func Audit(events []obs.Event, cfg AuditConfig) AuditResult {
-	if cfg.Tolerance <= 0 {
-		cfg.Tolerance = DefaultTolerance
-	}
-	if cfg.Window <= 0 {
-		cfg.Window = DefaultRealizeAfter
-	}
-
+// contract, judged by the lens's own constants: a realized event must
+// not claim "ok" above tolerance, and a commit needs realizeAfter
+// subsequent swap-point decisions before a missing realization is a
+// violation (fewer count as pending). It is pure: same events in, same
+// result out.
+func Audit(events []obs.Event) AuditResult {
 	var res AuditResult
 
 	// Pass 1: which epochs show post-commit evidence? A proposed epoch P
@@ -106,12 +91,12 @@ func Audit(events []obs.Event, cfg AuditConfig) AuditResult {
 				res.Mispredicts++
 				res.Findings = append(res.Findings, fmt.Sprintf(
 					"epoch %d: %s (predicted payback %.4g, realized %.4g, err %.3g > tol %.3g)",
-					ev.Epoch, ev.Verdict, ev.Value, ev.Payback, ev.Z, cfg.Tolerance))
+					ev.Epoch, ev.Verdict, ev.Value, ev.Payback, ev.Z, tolerance))
 			}
-			if ev.Verdict == "ok" && ev.Z > cfg.Tolerance {
+			if ev.Verdict == "ok" && ev.Z > tolerance {
 				res.Violations = append(res.Violations, fmt.Sprintf(
 					"epoch %d: realized event claims ok but error %.3g exceeds tolerance %.3g",
-					ev.Epoch, ev.Z, cfg.Tolerance))
+					ev.Epoch, ev.Z, tolerance))
 			}
 			if !epochSeen[ev.Epoch] {
 				res.Violations = append(res.Violations, fmt.Sprintf(
@@ -160,12 +145,12 @@ func Audit(events []obs.Event, cfg AuditConfig) AuditResult {
 		res.Committed++
 		switch {
 		case realizedByEpoch[e] > 0:
-		case trailing[e] < cfg.Window:
+		case trailing[e] < realizeAfter:
 			res.Pending++
 		default:
 			res.Violations = append(res.Violations, fmt.Sprintf(
 				"epoch %d: committed swap has %d post-commit decisions but no realized payback (window %d)",
-				e, trailing[e], cfg.Window))
+				e, trailing[e], realizeAfter))
 		}
 	}
 

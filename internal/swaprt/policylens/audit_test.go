@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/obs"
 )
 
@@ -27,7 +28,7 @@ func committedSwapTrace(n int, realized bool) []obs.Event {
 }
 
 func TestAuditAcceptsRealizedCommit(t *testing.T) {
-	res := Audit(committedSwapTrace(4, true), AuditConfig{Window: 4})
+	res := Audit(committedSwapTrace(realizeAfter, true))
 	if !res.OK() {
 		t.Fatalf("violations: %v", res.Violations)
 	}
@@ -37,7 +38,7 @@ func TestAuditAcceptsRealizedCommit(t *testing.T) {
 }
 
 func TestAuditFlagsMissingRealization(t *testing.T) {
-	res := Audit(committedSwapTrace(4, false), AuditConfig{Window: 4})
+	res := Audit(committedSwapTrace(realizeAfter, false))
 	if res.OK() {
 		t.Fatal("missing realization not flagged")
 	}
@@ -47,9 +48,9 @@ func TestAuditFlagsMissingRealization(t *testing.T) {
 }
 
 func TestAuditToleratesPendingAtTraceEnd(t *testing.T) {
-	// Only 3 decisions after the commit with a window of 4: the lens
+	// One decision short of the window after the commit: the lens
 	// could not have realized it yet.
-	res := Audit(committedSwapTrace(3, false), AuditConfig{Window: 4})
+	res := Audit(committedSwapTrace(realizeAfter-1, false))
 	if !res.OK() {
 		t.Fatalf("violations: %v", res.Violations)
 	}
@@ -66,7 +67,7 @@ func TestAuditIgnoresAbortedProposal(t *testing.T) {
 		{Kind: obs.KindSwapAbort, Rank: 0, T: 1.5, Peer: 2, Epoch: 1},
 		{Kind: obs.KindSwapDecision, Rank: obs.RankRuntime, T: 2, Swaps: 0, Epoch: 0, Verdict: "stay"},
 	}
-	res := Audit(evs, AuditConfig{Window: 1})
+	res := Audit(evs)
 	if !res.OK() {
 		t.Fatalf("violations: %v", res.Violations)
 	}
@@ -79,17 +80,17 @@ func TestAuditFlagsOrphanRealization(t *testing.T) {
 	evs := []obs.Event{
 		{Kind: obs.KindPaybackRealized, Rank: obs.RankRuntime, T: 1, Epoch: 7, Verdict: "ok"},
 	}
-	res := Audit(evs, AuditConfig{})
+	res := Audit(evs)
 	if res.OK() || !strings.Contains(res.Violations[0], "never committed") {
 		t.Fatalf("orphan realization not flagged: %v", res.Violations)
 	}
 }
 
 func TestAuditFlagsInconsistentOKVerdict(t *testing.T) {
-	evs := committedSwapTrace(4, false)
+	evs := committedSwapTrace(realizeAfter, false)
 	evs = append(evs, obs.Event{Kind: obs.KindPaybackRealized, Rank: obs.RankRuntime,
-		T: 10, Epoch: 1, Verdict: "ok", Z: 3.0}) // error way over tolerance
-	res := Audit(evs, AuditConfig{Window: 4, Tolerance: 0.5})
+		T: 10, Epoch: 1, Verdict: "ok", Z: 6 * tolerance}) // error way over tolerance
+	res := Audit(evs)
 	if res.OK() {
 		t.Fatal("inconsistent ok verdict not flagged")
 	}
@@ -105,10 +106,10 @@ func TestAuditFlagsInconsistentOKVerdict(t *testing.T) {
 }
 
 func TestAuditCountsMispredictFindings(t *testing.T) {
-	evs := committedSwapTrace(4, false)
+	evs := committedSwapTrace(realizeAfter, false)
 	evs = append(evs, obs.Event{Kind: obs.KindPaybackRealized, Rank: obs.RankRuntime,
 		T: 10, Epoch: 1, Verdict: "mispredict", Z: 2.0, Payback: 1.2, Value: 0.4})
-	res := Audit(evs, AuditConfig{Window: 4})
+	res := Audit(evs)
 	if !res.OK() {
 		t.Fatalf("mispredict must be a finding, not a violation: %v", res.Violations)
 	}
@@ -126,7 +127,7 @@ func TestAuditShadowSummary(t *testing.T) {
 		{Kind: obs.KindShadowDecision, Rank: obs.RankRuntime, T: 2, Detail: "greedy",
 			Reason: "diverge: any gain", Swaps: 1, Value: 4},
 	}
-	res := Audit(evs, AuditConfig{})
+	res := Audit(evs)
 	if len(res.Shadow) != 2 {
 		t.Fatalf("shadow rows %d, want 2", len(res.Shadow))
 	}
@@ -144,14 +145,14 @@ func TestAuditShadowSummary(t *testing.T) {
 }
 
 func TestAuditReportDeterministic(t *testing.T) {
-	evs := committedSwapTrace(4, true)
+	evs := committedSwapTrace(realizeAfter, true)
 	evs = append(evs, obs.Event{Kind: obs.KindShadowDecision, Rank: obs.RankRuntime,
 		T: 1, Detail: "greedy", Reason: "agree: x", Swaps: 1, Value: 1})
 	var a, b strings.Builder
-	if err := Audit(evs, AuditConfig{Window: 4}).WriteReport(&a); err != nil {
+	if err := Audit(evs).WriteReport(&a); err != nil {
 		t.Fatal(err)
 	}
-	if err := Audit(evs, AuditConfig{Window: 4}).WriteReport(&b); err != nil {
+	if err := Audit(evs).WriteReport(&b); err != nil {
 		t.Fatal(err)
 	}
 	if a.String() != b.String() {
@@ -159,5 +160,46 @@ func TestAuditReportDeterministic(t *testing.T) {
 	}
 	if !strings.Contains(a.String(), "audit ok") {
 		t.Fatalf("report:\n%s", a.String())
+	}
+}
+
+// TestAuditAgreesWithTheLens replays a lens's own trace: realizations on
+// both sides of the tolerance, each behind a full window of swap-point
+// decisions. The audit judges by the lens's constants, so it counts the
+// lens's mispredictions and finds no verdict to dispute.
+func TestAuditAgreesWithTheLens(t *testing.T) {
+	tr := obs.New(1)
+	tr.Enable()
+	l := New(Config{Tracer: tr})
+	now := 0.0
+	decision := func(epoch uint64, swaps int) {
+		now++
+		tr.Emit(obs.Event{Kind: obs.KindSwapDecision, Rank: obs.RankRuntime, T: now, Epoch: epoch, Swaps: swaps})
+	}
+	// swapInput predicts payback 0.4 from a 10 s iteration and a 2 s
+	// swap; a post-swap iteration of 10 − 5/(1+e) s realizes error e.
+	errs := []float64{0.2, 0.45, 0.815, 1.4}
+	for i, e := range errs {
+		epoch := uint64(i)
+		decision(epoch, 1)
+		decideWith(l, core.Greedy(), now, epoch, swapInput())
+		l.ObserveOutcome(now, epoch+1, true)
+		tr.Emit(obs.Event{Kind: obs.KindStateTransfer, Rank: 0, T: now, Peer: 2, Epoch: epoch + 1})
+		for j := 0; j < realizeAfter; j++ {
+			decision(epoch+1, 0)
+			l.ObserveIteration(now, 10-5/(1+e))
+		}
+	}
+	rep := l.Report()
+	if rep.Realized != len(errs) || rep.Mispredicts != 2 {
+		t.Fatalf("lens realized %d, mispredicted %d; want %d, 2", rep.Realized, rep.Mispredicts, len(errs))
+	}
+	res := Audit(tr.Events())
+	if !res.OK() {
+		t.Fatalf("the audit disputes the lens: %v", res.Violations)
+	}
+	if res.Realized != rep.Realized || res.Mispredicts != rep.Mispredicts {
+		t.Errorf("audit realized %d, mispredicted %d; the lens %d, %d",
+			res.Realized, res.Mispredicts, rep.Realized, rep.Mispredicts)
 	}
 }

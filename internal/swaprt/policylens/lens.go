@@ -11,23 +11,22 @@
 //     model). The lens watches the subsequent iteration telemetry,
 //     computes the realized payback — swapTime divided by the measured
 //     per-iteration saving — and scores the prediction error against a
-//     configurable tolerance. A drifting stateSizeEstimate or swapTime
+//     fixed tolerance. A drifting stateSizeEstimate or swapTime
 //     model shows up as a rising error series, which the lens feeds
 //     through the obs/series slowdown Detector so model drift raises a
 //     typed KindAnomaly ("payback_error") instead of silently degrading
 //     decisions.
 //
-//   - Shadow policies. Every registered policy (greedy/safe/friendly by
-//     default, any core.Policy set by configuration) is replayed as a
-//     counterfactual over the same DecideInput the primary decided on —
-//     same candidates, same estimated rates, same iteration and swap
-//     times — isolating the policies' threshold choices from history
-//     effects. A per-policy regret scoreboard counts where the shadow
-//     would have diverged and estimates the iterations won or lost: a
-//     pair with fractional saving s = 1 − oldPerf/newPerf and
-//     payback p, held for a horizon of H further iterations, wins
-//     s·(H − p) iterations (negative when the swap would not have
-//     amortized within the horizon).
+//   - Shadow policies. The paper's three policies (greedy, safe,
+//     friendly) are replayed as a counterfactual over the same
+//     DecideInput the primary decided on — same candidates, same
+//     estimated rates, same iteration and swap times — isolating the
+//     policies' threshold choices from history effects. A per-policy
+//     regret scoreboard counts where the shadow would have diverged and
+//     estimates the iterations won or lost: a pair with fractional
+//     saving s = 1 − oldPerf/newPerf and payback p, held for a horizon
+//     of H = 50 further iterations, wins s·(H − p) iterations (negative
+//     when the swap would not have amortized within the horizon).
 //
 // Like the TelemetryHub, the Lens is nil-safe: a nil lens is the lens
 // switched off, every observation a no-op, keeping the swap-point hot
@@ -49,17 +48,18 @@ import (
 	"repro/internal/obs/series"
 )
 
-// Defaults for Config's zero values.
+// The lens's judgement. One value each, read alike by the live lens and
+// by Audit replaying its trace, so the two cannot disagree.
 const (
-	// DefaultTolerance is the relative payback prediction error above
-	// which a realization counts as a misprediction.
-	DefaultTolerance = 0.5
-	// DefaultRealizeAfter is how many post-commit iteration samples the
-	// lens collects before scoring a prediction.
-	DefaultRealizeAfter = 4
-	// DefaultHorizon is the regret horizon in iterations for the shadow
+	// tolerance is the relative payback prediction error above which a
+	// realization counts as a misprediction.
+	tolerance = 0.5
+	// realizeAfter is how many post-commit iteration samples the lens
+	// collects before scoring a prediction.
+	realizeAfter = 4
+	// horizon is the regret horizon in iterations for the shadow
 	// scoreboard's won/lost estimates.
-	DefaultHorizon = 50.0
+	horizon = 50.0
 	// errCap bounds the relative error recorded in events, histograms
 	// and the drift detector, so a never-paying swap (realized payback
 	// infinite) stays finite in every JSON encoding.
@@ -72,21 +72,8 @@ const (
 	errWindow = 64
 )
 
-// Config configures a Lens.
+// Config wires a Lens to its run.
 type Config struct {
-	// Policies is the shadow panel, replayed in order on every decision.
-	// Nil selects the paper's three: greedy, safe, friendly.
-	Policies []core.Policy
-	// Tolerance is the relative payback error above which a realization
-	// is a misprediction; <= 0 selects DefaultTolerance.
-	Tolerance float64
-	// RealizeAfter is the number of post-commit iteration samples
-	// collected before a prediction is scored; <= 0 selects
-	// DefaultRealizeAfter.
-	RealizeAfter int
-	// Horizon is the regret horizon in iterations; <= 0 selects
-	// DefaultHorizon.
-	Horizon float64
 	// Tracer receives KindPaybackRealized, KindShadowDecision and
 	// payback_error KindAnomaly events. Nil records nothing.
 	Tracer *obs.Tracer
@@ -267,18 +254,6 @@ type Lens struct {
 
 // New builds a lens.
 func New(cfg Config) *Lens {
-	if cfg.Tolerance <= 0 {
-		cfg.Tolerance = DefaultTolerance
-	}
-	if cfg.RealizeAfter <= 0 {
-		cfg.RealizeAfter = DefaultRealizeAfter
-	}
-	if cfg.Horizon <= 0 {
-		cfg.Horizon = DefaultHorizon
-	}
-	if cfg.Policies == nil {
-		cfg.Policies = []core.Policy{core.Greedy(), core.Safe(), core.Friendly()}
-	}
 	reg := cfg.Registry
 	if reg == nil {
 		reg = obs.NewRegistry()
@@ -298,10 +273,7 @@ func New(cfg Config) *Lens {
 		errs: series.NewRing(errWindow),
 		det:  series.NewDetector(series.DefaultWindow),
 	}
-	for _, p := range cfg.Policies {
-		if err := p.Validate(); err != nil {
-			panic(err)
-		}
+	for _, p := range []core.Policy{core.Greedy(), core.Safe(), core.Friendly()} {
 		l.shadow = append(l.shadow, &shadowEntry{pol: p, score: PolicyScore{Policy: p.Name}})
 	}
 	return l
@@ -325,7 +297,7 @@ func (l *Lens) ObserveDecision(d Decision) {
 	if d.T > l.lastT {
 		l.lastT = d.T
 	}
-	// One event per shadow when traced; the default panel's fit on the
+	// One event per shadow when traced; the panel's three fit on the
 	// stack.
 	var panel [3]obs.Event
 	events := panel[:0]
@@ -410,7 +382,7 @@ func (l *Lens) regretLocked(oldPerf, newPerf, payback float64) float64 {
 		return 0
 	}
 	s := 1 - oldPerf/newPerf
-	return s * (l.cfg.Horizon - payback)
+	return s * (horizon - payback)
 }
 
 // ObserveOutcome records the two-phase outcome of the proposed epoch: a
@@ -459,7 +431,7 @@ func (l *Lens) ObserveIteration(t, iterTime float64) {
 	keep := l.tracking[:0]
 	for _, p := range l.tracking {
 		p.samples = append(p.samples, iterTime)
-		if len(p.samples) < l.cfg.RealizeAfter {
+		if len(p.samples) < realizeAfter {
 			keep = append(keep, p)
 			continue
 		}
@@ -496,7 +468,7 @@ func (l *Lens) realizeLocked(t float64, p *prediction) []obs.Event {
 			}
 		}
 	}
-	ok := !never && relErr <= l.cfg.Tolerance
+	ok := !never && relErr <= tolerance
 
 	l.realizedN++
 	l.c.realized.Inc()
@@ -535,7 +507,7 @@ func (l *Lens) realizeLocked(t float64, p *prediction) []obs.Event {
 			Payback: realPayback, Value: finiteOr(p.predPayback, 0),
 			Z: relErr, Verdict: verdict,
 			Detail: fmt.Sprintf("pred=%.4g realized=%.4g err=%.3g tol=%.3g window=%d",
-				finiteOr(p.predPayback, 0), realPayback, relErr, l.cfg.Tolerance, len(p.samples)),
+				finiteOr(p.predPayback, 0), realPayback, relErr, tolerance, len(p.samples)),
 		})
 		if hit {
 			events = append(events, obs.Event{
@@ -562,7 +534,7 @@ func (l *Lens) Report() Report {
 	rep := Report{
 		Enabled:   true,
 		Now:       now,
-		Tolerance: l.cfg.Tolerance,
+		Tolerance: tolerance,
 		Decisions: l.decisions,
 		Commits:   l.commits,
 		Aborts:    l.aborts,

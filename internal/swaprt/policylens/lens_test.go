@@ -34,7 +34,7 @@ func decideWith(l *Lens, pol core.Policy, t float64, epoch uint64, in core.Decid
 func TestLensRealizesAccuratePrediction(t *testing.T) {
 	tr := obs.New(1)
 	tr.Enable()
-	l := New(Config{Tracer: tr, RealizeAfter: 2})
+	l := New(Config{Tracer: tr})
 
 	in := swapInput()
 	if n := decideWith(l, core.Greedy(), 1.0, 0, in); n != 1 {
@@ -46,8 +46,9 @@ func TestLensRealizesAccuratePrediction(t *testing.T) {
 	// post-swap iteration time 10*1/2 = 5s, predicted payback
 	// (2/10)/(1-1/2) = 0.4 iterations. Feed exactly the predicted
 	// iteration times: realized payback 2/(10-5) = 0.4, error 0.
-	l.ObserveIteration(11, 5)
-	l.ObserveIteration(21, 5)
+	for i := 0; i < realizeAfter; i++ {
+		l.ObserveIteration(float64(11+10*i), 5)
+	}
 
 	rep := l.Report()
 	if rep.Realized != 1 || rep.Mispredicts != 0 {
@@ -79,14 +80,15 @@ func TestLensRealizesAccuratePrediction(t *testing.T) {
 }
 
 func TestLensFlagsNeverPayingSwap(t *testing.T) {
-	l := New(Config{RealizeAfter: 2})
+	l := New(Config{})
 	in := swapInput()
 	decideWith(l, core.Greedy(), 1.0, 0, in)
 	l.ObserveOutcome(1.1, 1, true)
 
 	// Post-swap iterations as slow as before: the swap never pays back.
-	l.ObserveIteration(11, 10)
-	l.ObserveIteration(21, 10)
+	for i := 0; i < realizeAfter; i++ {
+		l.ObserveIteration(float64(11+10*i), 10)
+	}
 
 	rep := l.Report()
 	if rep.Realized != 1 || rep.Mispredicts != 1 {
@@ -101,11 +103,13 @@ func TestLensFlagsNeverPayingSwap(t *testing.T) {
 }
 
 func TestLensDropsAbortedProposal(t *testing.T) {
-	l := New(Config{RealizeAfter: 1})
+	l := New(Config{})
 	decideWith(l, core.Greedy(), 1.0, 0, swapInput())
 	l.ObserveOutcome(1.1, 1, false) // every directive aborted
 
-	l.ObserveIteration(11, 5)
+	for i := 0; i < realizeAfter; i++ {
+		l.ObserveIteration(float64(11+10*i), 5)
+	}
 	rep := l.Report()
 	if rep.Aborts != 1 || rep.Commits != 0 || rep.Realized != 0 {
 		t.Fatalf("aborts=%d commits=%d realized=%d, want 1/0/0",
@@ -115,8 +119,8 @@ func TestLensDropsAbortedProposal(t *testing.T) {
 
 func TestLensShadowScoreboard(t *testing.T) {
 	// Primary is safe (payback threshold 0.5): with payback 0.4 it
-	// swaps; shrink the horizon so won/lost numbers stay small.
-	l := New(Config{Horizon: 10})
+	// swaps.
+	l := New(Config{})
 	in := swapInput()
 	decideWith(l, core.Safe(), 1.0, 0, in)
 
@@ -160,10 +164,10 @@ func TestLensShadowScoreboard(t *testing.T) {
 		if s.WouldStay != 1 {
 			t.Fatalf("safe would-stay=%d, want 1 (%+v)", s.WouldStay, s)
 		}
-		// Forfeited gain: s=0.5, H=10, payback 4 → 0.5*(10-4) = 3
+		// Forfeited gain: s=0.5, H=50, payback 4 → 0.5*(50-4) = 23
 		// iterations lost.
-		if math.Abs(s.ItersLost-3) > 1e-9 {
-			t.Fatalf("safe iters lost %g, want 3", s.ItersLost)
+		if math.Abs(s.ItersLost-23) > 1e-9 {
+			t.Fatalf("safe iters lost %g, want 23", s.ItersLost)
 		}
 	}
 }
@@ -216,10 +220,12 @@ func TestLensNilAndDisabledAreInert(t *testing.T) {
 // event the lens produces must survive encoding/json, including after a
 // prediction whose payback the policy reported as +Inf-adjacent.
 func TestLensReportJSONSafe(t *testing.T) {
-	l := New(Config{RealizeAfter: 1})
+	l := New(Config{})
 	decideWith(l, core.Greedy(), 1.0, 0, swapInput())
 	l.ObserveOutcome(1.1, 1, true)
-	l.ObserveIteration(11, 10) // never pays back
+	for i := 0; i < realizeAfter; i++ {
+		l.ObserveIteration(float64(11+10*i), 10) // never pays back
+	}
 
 	if _, err := json.Marshal(l.Report()); err != nil {
 		t.Fatalf("report not JSON-encodable: %v", err)
@@ -259,9 +265,9 @@ func BenchmarkLensNil(b *testing.B) {
 func TestReportSameWithAndWithoutTracer(t *testing.T) {
 	tr := obs.New(1)
 	tr.Enable()
-	traced := New(Config{Tracer: tr, RealizeAfter: 2})
-	quiet := New(Config{RealizeAfter: 2})
-	presorted := New(Config{RealizeAfter: 2})
+	traced := New(Config{Tracer: tr})
+	quiet := New(Config{})
+	presorted := New(Config{})
 
 	st := rng.NewSource(5).Stream("lens")
 	primaries := []core.Policy{core.Greedy(), core.Safe(), core.Friendly()}

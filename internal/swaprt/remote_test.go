@@ -207,8 +207,11 @@ func TestRemoteDeciderAgainstOneShotServer(t *testing.T) {
 // sent on either afterwards finds the connection closed, not answered.
 // The client then reaches the successor through Resolve.
 func TestKilledManagerAnswersNothing(t *testing.T) {
+	const ttl = 30 * time.Millisecond
+	// On a fake clock the lease lasts until the test expires it.
+	fk := clock.NewFake()
 	sup, err := StartManagerSupervisor(SupervisorConfig{
-		Dir: t.TempDir(), Policy: core.Greedy(), LeaseTTL: 30 * time.Millisecond,
+		Dir: t.TempDir(), Policy: core.Greedy(), LeaseTTL: ttl, Clock: fk,
 		Timeout: time.Second, Logf: t.Logf,
 	})
 	if err != nil {
@@ -233,7 +236,8 @@ func TestKilledManagerAnswersNothing(t *testing.T) {
 		t.Fatalf("Resolve on an unchanged lease = %v, %v; want the same decider", again, err)
 	}
 
-	sup.Kill(true, 0)
+	// The successor comes up once the killed leader's lease has expired.
+	sup.Kill(true, ttl)
 
 	_ = raw.SetDeadline(time.Now().Add(5 * time.Second))
 	if _, err := raw.Write([]byte(`{"kind":"ping"}` + "\n")); err == nil {
@@ -250,6 +254,7 @@ func TestKilledManagerAnswersNothing(t *testing.T) {
 		t.Fatal("a ping reached the killed incarnation")
 	}
 
+	fk.Advance(ttl)
 	waitUntil(t, "the successor", func() bool { return sup.Recoveries() >= 2 && sup.Addr() != "" })
 	rdB, err := sup.Resolve()
 	if err != nil {

@@ -9,23 +9,39 @@ import (
 	"repro/internal/obs"
 )
 
+// The resilient decider's schedule. One value each: every run decides
+// on this one, so it is the one the tests exercise.
+const (
+	// resilientAttempts is the tries per Decide against the primary: the
+	// first call and one retry.
+	resilientAttempts = 2
+	// resilientBackoff is the sleep before the retry, scaled by a jitter
+	// factor in [0.5, 1.5) drawn from a stream seeded with resilientSeed.
+	resilientBackoff = 10 * time.Millisecond
+	resilientSeed    = 1
+	// resilientThreshold is the consecutive failed Decide calls (each
+	// already retried) that open the circuit.
+	resilientThreshold = 2
+	// resilientProbe is the background ping cadence while open.
+	resilientProbe = 50 * time.Millisecond
+)
+
 // ResilientDecider wraps a primary Decider (typically a RemoteDecider)
-// with bounded retry, exponential backoff with jitter, and a circuit
-// breaker that falls back to a local decider when the primary keeps
-// failing. Losing the decision service then degrades the run to local
-// (or "stay") decisions instead of aborting it.
+// with one jittered retry and a circuit breaker that falls back to a
+// local decider when the primary keeps failing. Losing the decision
+// service then degrades the run to local (or "stay") decisions instead
+// of aborting it.
 //
 // While the circuit is open, a background goroutine pings the primary
-// every ProbeInterval and closes the circuit on the first success. Every
-// transition emits a Circuit trace event.
+// every resilientProbe and closes the circuit on the first success.
+// Every transition emits a Circuit trace event.
 //
 // It is the one wrapper that does not embed Forward: it has two places
 // to forward to, so where each call goes is written down per method.
 //
-// The zero value of every tuning field selects a sensible default, so
-// ResilientDecider{Primary: d, Fallback: f} is ready to use. Safe for
-// use from one leader plus the background prober; Report may be called
-// concurrently by swap handlers.
+// NewDecisionStack assembles the one a run uses. Safe for use from one
+// leader plus the background prober; Report may be called concurrently
+// by swap handlers.
 type ResilientDecider struct {
 	// Primary is the preferred decision service. While the circuit is
 	// open a configured Resolver may replace it (leader failover), so
@@ -45,27 +61,7 @@ type ResilientDecider struct {
 	// recovery instead of a permanent fallback to local policy.
 	Resolver func() (Decider, error)
 
-	// MaxAttempts bounds the tries per Decide call against the primary
-	// (first call + retries). <= 0 selects 3.
-	MaxAttempts int
-	// BaseBackoff is the sleep before the first retry, doubling each
-	// further retry. <= 0 selects 10ms.
-	BaseBackoff time.Duration
-	// MaxBackoff caps the per-retry sleep. <= 0 selects 500ms.
-	MaxBackoff time.Duration
-	// JitterSeed seeds the deterministic jitter stream (each backoff is
-	// scaled by a factor in [0.5, 1.5)). 0 selects seed 1.
-	JitterSeed int64
-
-	// FailThreshold is the number of consecutive failed Decide calls
-	// (each already retried MaxAttempts times) that opens the circuit.
-	// <= 0 selects 3.
-	FailThreshold int
-	// ProbeInterval is the background ping cadence while open. <= 0
-	// selects 250ms.
-	ProbeInterval time.Duration
-
-	// Clock drives every wait in the decider — retry backoff and the
+	// Clock drives every wait in the decider — the retry backoff and the
 	// probe ticker — so tests advance a fake clock instead of paying the
 	// schedule in real seconds. Nil means clock.Real.
 	Clock clock.Clock
@@ -103,27 +99,6 @@ func (d *ResilientDecider) count(name string) {
 	}
 }
 
-func (d *ResilientDecider) maxAttempts() int {
-	if d.MaxAttempts > 0 {
-		return d.MaxAttempts
-	}
-	return 3
-}
-
-func (d *ResilientDecider) failThreshold() int {
-	if d.FailThreshold > 0 {
-		return d.FailThreshold
-	}
-	return 3
-}
-
-func (d *ResilientDecider) probeInterval() time.Duration {
-	if d.ProbeInterval > 0 {
-		return d.ProbeInterval
-	}
-	return 250 * time.Millisecond
-}
-
 func (d *ResilientDecider) fallback() Decider {
 	if d.Fallback != nil {
 		return d.Fallback
@@ -150,31 +125,15 @@ func (d *ResilientDecider) primaryIfClosed() Decider {
 	return d.Primary
 }
 
-// backoff computes the jittered sleep before retry attempt i (1-based).
-func (d *ResilientDecider) backoff(i int) time.Duration {
-	base := d.BaseBackoff
-	if base <= 0 {
-		base = 10 * time.Millisecond
-	}
-	maxB := d.MaxBackoff
-	if maxB <= 0 {
-		maxB = 500 * time.Millisecond
-	}
-	b := base << (i - 1)
-	if b > maxB || b <= 0 {
-		b = maxB
-	}
+// backoff computes the jittered sleep before the retry.
+func (d *ResilientDecider) backoff() time.Duration {
 	d.mu.Lock()
 	if d.rng == nil {
-		seed := d.JitterSeed
-		if seed == 0 {
-			seed = 1
-		}
-		d.rng = rand.New(rand.NewSource(seed))
+		d.rng = rand.New(rand.NewSource(resilientSeed))
 	}
 	jitter := 0.5 + d.rng.Float64()
 	d.mu.Unlock()
-	return time.Duration(float64(b) * jitter)
+	return time.Duration(float64(resilientBackoff) * jitter)
 }
 
 // Decide implements Decider: try the primary (with retries) while the
@@ -199,17 +158,17 @@ func (d *ResilientDecider) Decide(req DecideRequest) (DecideResponse, error) {
 // tryPrimary runs the bounded retry loop against the primary.
 func (d *ResilientDecider) tryPrimary(req DecideRequest) (DecideResponse, error) {
 	var lastErr error
-	for i := 0; i < d.maxAttempts(); i++ {
+	for i := 0; i < resilientAttempts; i++ {
 		if i > 0 {
 			d.count("retries")
-			clock.Or(d.Clock).Sleep(d.backoff(i))
+			clock.Or(d.Clock).Sleep(d.backoff())
 		}
 		resp, err := d.primary().Decide(req)
 		if err == nil {
 			return resp, nil
 		}
 		lastErr = err
-		d.logf("swaprt: resilient: primary attempt %d/%d: %v", i+1, d.maxAttempts(), err)
+		d.logf("swaprt: resilient: primary attempt %d/%d: %v", i+1, resilientAttempts, err)
 	}
 	return DecideResponse{}, lastErr
 }
@@ -220,7 +179,7 @@ func (d *ResilientDecider) onFailure(err error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	d.fails++
-	if d.fails < d.failThreshold() {
+	if d.fails < resilientThreshold {
 		return
 	}
 	d.open = true
@@ -251,7 +210,7 @@ func (d *ResilientDecider) emit(transition, reason string) {
 // success installs the answering decider as primary, closes the circuit
 // and exits the loop.
 func (d *ResilientDecider) probeLoop(stop <-chan struct{}) {
-	t := clock.Or(d.Clock).NewTicker(d.probeInterval())
+	t := clock.Or(d.Clock).NewTicker(resilientProbe)
 	defer t.Stop()
 	for {
 		select {

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/clock"
 	"repro/internal/core"
 	"repro/internal/obs"
 )
@@ -60,8 +61,8 @@ func (p *pingableDecider) Ping() error {
 
 func TestResilientRetriesWithinOneCall(t *testing.T) {
 	want := DecideResponse{Swaps: []SwapDirective{{Out: 0, In: 3}}}
-	prim := &flakyDecider{failN: 2, resp: want}
-	d := &ResilientDecider{Primary: prim, MaxAttempts: 3, BaseBackoff: time.Millisecond}
+	prim := &flakyDecider{failN: 1, resp: want}
+	d := &ResilientDecider{Primary: prim, Clock: clock.NewFakeAuto()}
 	resp, err := d.Decide(DecideRequest{})
 	if err != nil {
 		t.Fatal(err)
@@ -69,8 +70,8 @@ func TestResilientRetriesWithinOneCall(t *testing.T) {
 	if len(resp.Swaps) != 1 || resp.Swaps[0] != want.Swaps[0] {
 		t.Fatalf("resp = %+v, want %+v", resp, want)
 	}
-	if prim.calls() != 3 {
-		t.Errorf("primary attempts = %d, want 3", prim.calls())
+	if prim.calls() != 2 {
+		t.Errorf("primary attempts = %d, want 2", prim.calls())
 	}
 	if d.State() != "closed" {
 		t.Errorf("state = %s, want closed", d.State())
@@ -80,12 +81,7 @@ func TestResilientRetriesWithinOneCall(t *testing.T) {
 func TestResilientFallbackWhenExhausted(t *testing.T) {
 	prim := &flakyDecider{failN: 1 << 30}
 	reg := obs.NewRegistry()
-	d := &ResilientDecider{
-		Primary:     prim,
-		MaxAttempts: 2,
-		BaseBackoff: time.Millisecond,
-		Metrics:     reg,
-	}
+	d := &ResilientDecider{Primary: prim, Clock: clock.NewFakeAuto(), Metrics: reg}
 	resp, err := d.Decide(DecideRequest{})
 	if err != nil {
 		t.Fatalf("fallback must not error: %v", err)
@@ -105,23 +101,16 @@ func TestResilientCircuitOpensAndProbeCloses(t *testing.T) {
 	prim := &pingableDecider{flakyDecider: flakyDecider{failN: 1 << 30}}
 	tr := obs.New(0)
 	tr.Enable()
-	d := &ResilientDecider{
-		Primary:       prim,
-		MaxAttempts:   1,
-		FailThreshold: 2,
-		ProbeInterval: 2 * time.Millisecond,
-		BaseBackoff:   time.Millisecond,
-		Tracer:        tr,
-	}
+	d := &ResilientDecider{Primary: prim, Tracer: tr}
 	defer d.Close()
 
-	for i := 0; i < 2; i++ {
+	for i := 0; i < resilientThreshold; i++ {
 		if _, err := d.Decide(DecideRequest{}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if d.State() != "open" {
-		t.Fatalf("state after %d failures = %s, want open", 2, d.State())
+		t.Fatalf("state after %d failures = %s, want open", resilientThreshold, d.State())
 	}
 	attemptsAtOpen := prim.calls()
 	// While open, Decide must not touch the primary.
@@ -175,7 +164,7 @@ func TestResilientCircuitOpensAndProbeCloses(t *testing.T) {
 func TestResilientReportWarmsFallback(t *testing.T) {
 	prim := &flakyDecider{failN: 1 << 30}
 	fb := NewLocalDecider(core.Greedy())
-	d := &ResilientDecider{Primary: prim, Fallback: fb, MaxAttempts: 1, BaseBackoff: time.Millisecond}
+	d := &ResilientDecider{Primary: prim, Fallback: fb}
 	if err := d.Report(ReportMsg{Rank: 3, Now: 1, Rate: 42}); err != nil {
 		t.Fatal(err)
 	}
@@ -189,10 +178,10 @@ func TestResilientReportWarmsFallback(t *testing.T) {
 
 func TestResilientJitterDeterministic(t *testing.T) {
 	seq := func() []time.Duration {
-		d := &ResilientDecider{JitterSeed: 7}
+		d := &ResilientDecider{}
 		var out []time.Duration
-		for i := 1; i <= 5; i++ {
-			out = append(out, d.backoff(i))
+		for i := 0; i < 5; i++ {
+			out = append(out, d.backoff())
 		}
 		return out
 	}
@@ -201,10 +190,8 @@ func TestResilientJitterDeterministic(t *testing.T) {
 		if a[i] != b[i] {
 			t.Fatalf("same seed diverged at %d: %v vs %v", i, a, b)
 		}
-	}
-	// Exponential shape survives the jitter: attempt 3 backs off longer
-	// than half of attempt 1's ceiling.
-	if a[2] <= a[0]/2 {
-		t.Errorf("backoff not growing: %v", a)
+		if a[i] < resilientBackoff/2 || a[i] >= resilientBackoff*3/2 {
+			t.Errorf("backoff %v outside the jitter band [%v, %v)", a[i], resilientBackoff/2, resilientBackoff*3/2)
+		}
 	}
 }
