@@ -31,9 +31,11 @@ lint:
 # a decision over 20k samples of history within 2x of one over 256; a
 # kernel event and the struct-bearing state codec at 0 allocations). The
 # concurrency-heavy packages (transport, runtime, swaprun, whose tests are
-# the end-to-end smokes, and swapmgr, whose daemons hand the lease over)
-# and the policy core run under the race detector first, where the
-# transport and decision-cost gates skip themselves; the manager failover
+# the end-to-end smokes, and swapmgr, whose daemons hand the lease over),
+# the policy core, and the sweep with the loadgen, platform and rng
+# layers each of its workers rebuilds in place run under the race
+# detector first, where the transport and decision-cost gates skip
+# themselves; the manager failover
 # and lease hand-over tests twenty times over, because the race they
 # guard (a renewal in flight across a release) showed once in a dozen
 # runs, and so the shared-connection test, whose ranks contend for one
@@ -43,7 +45,7 @@ test: race
 
 race:
 	$(GO) test -race ./internal/mpi/ ./internal/mpi/wire/ ./internal/swaprt/ ./internal/apps/ ./internal/experiment/ ./internal/core/ \
-		./cmd/swaprun/ ./cmd/swapmgr/
+		./internal/loadgen/ ./internal/platform/ ./internal/rng/ ./cmd/swaprun/ ./cmd/swapmgr/
 	$(GO) test -race -count=20 -run 'Failover|Supervisor' ./internal/swaprt/
 	$(GO) test -race -count=20 -run 'TestTCPSharedConnection' ./internal/mpi/
 
@@ -86,6 +88,7 @@ fuzz:
 	$(GO) test -fuzz FuzzStoreOpen -fuzztime 30s ./internal/swaprt/mgrstore/
 	$(GO) test -fuzz FuzzHistory -fuzztime 30s ./internal/predict/
 	$(GO) test -fuzz FuzzSourceMatchesMathRand -fuzztime 30s ./internal/rng/
+	$(GO) test -fuzz FuzzIndexedStreamMatchesNamed -fuzztime 30s ./internal/rng/
 
 # clean removes generated result files only. It must not touch the Go
 # build/test caches (or anything under ~/.cache): CI restores and reuses

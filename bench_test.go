@@ -73,8 +73,9 @@ func BenchmarkFig4Techniques(b *testing.B) {
 // What a figure cell pays before its first event, beside the figure: a
 // named stream seeded and read for the dozen values a host's load source
 // draws in a quick sweep (the median; EXPERIMENTS.md "Simulator ledger"),
-// and the 32-host ON/OFF environment of Fig. 4 — 33 such streams, built
-// once per (x, repetition) cell.
+// and the 32-host ON/OFF environment of Fig. 4 — 33 such streams — built
+// new, and rebuilt in place as a sweep worker does for each (x,
+// repetition) cell it takes.
 func BenchmarkStreamSeedDraw12(b *testing.B) {
 	src := rng.NewSource(20030623)
 	var sink float64
@@ -91,6 +92,15 @@ func BenchmarkNewEnvironment32(b *testing.B) {
 	cfg := platform.Default(32, loadgen.NewOnOff(0.2))
 	for i := 0; i < b.N; i++ {
 		platform.NewEnvironment(cfg, rng.NewSource(int64(i)))
+	}
+}
+
+func BenchmarkRebuildEnvironment32(b *testing.B) {
+	cfg := platform.Default(32, loadgen.NewOnOff(0.2))
+	e := platform.NewEnvironment(cfg, rng.NewSource(0))
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		e.Rebuild(cfg, rng.NewSource(int64(i)))
 	}
 }
 

@@ -43,6 +43,7 @@ func TestRunWritesCSV(t *testing.T) {
 	}{
 		{"-horizon 300 -step 30", "time_s,competing_processes", 11},
 		{"-model hyperexp -horizon 300 -interval 100", "time_s,competing_processes", 4},
+		{"-horizon 0.3 -interval 0.1", "time_s,competing_processes", 4},
 		{"-horizon 3600 -segments", "start_s,competing_processes", -1},
 	} {
 		var stdout, stderr bytes.Buffer

@@ -147,41 +147,17 @@ func (c *CellPanic) Error() string {
 // sweep runs a full figure grid. env gives the environment of an x — the
 // paper's techniques are compared on the same hosts under the same load,
 // so the environment belongs to the cell (x, repetition) — and spec gives
-// what a series runs there. Each cell's environment is built once, from
-// the repetition's seed, and every series runs over it back to back on
-// one worker. Cells are independent, so they fan out across all CPUs in
-// (x, repetition) order; results are accumulated in a fixed order so that
-// parallel and serial execution produce bit-identical figures.
+// what a series runs there. Each cell's environment is built from the
+// repetition's seed, and every series runs over it back to back on one
+// worker. Cells are independent, so they fan out across all CPUs in
+// (x, repetition) order; each worker owns one environment and rebuilds it
+// in place for every cell it takes, which gives the cell what a new one
+// would (platform.Environment.Rebuild). Results are accumulated in a fixed
+// order so that parallel and serial execution produce bit-identical
+// figures.
 func sweep(o Options, fig *FigureResult, xs []float64, series []string,
 	env func(x float64) platform.Config, spec func(x float64, series string) runSpec) {
-	fig.X = xs
-	fig.Series = series
-	fig.Cells = map[string][]Cell{}
-
-	// totals[(xIdx*Seeds+rep)*len(series)+s] is one run's execution time.
-	cells := len(xs) * o.Seeds
-	totals := make([]float64, cells*len(series))
-	failures := make([]*CellPanic, cells)
-	var failed atomic.Bool
-	runCell := func(cell int) {
-		x, rep := xs[cell/o.Seeds], cell%o.Seeds
-		seed := o.BaseSeed + int64(rep)*7919
-		current := ""
-		defer func() {
-			if v := recover(); v != nil {
-				failures[cell] = &CellPanic{Figure: fig.ID, Series: current, X: x,
-					Rep: rep, Seed: seed, Value: v, Stack: debug.Stack()}
-				failed.Store(true)
-			}
-		}()
-		e := platform.NewEnvironment(env(x), rng.NewSource(seed))
-		for s, name := range series {
-			current = name
-			run := spec(x, name)
-			totals[cell*len(series)+s] = run.tech.Run(e.Bind(simkern.New()), run.sc).TotalTime
-		}
-	}
-
+	g := newGrid(o, fig, xs, series, env, spec)
 	workers := runtime.GOMAXPROCS(0)
 	if o.Serial || workers < 1 {
 		workers = 1
@@ -192,40 +168,91 @@ func sweep(o Options, fig *FigureResult, xs []float64, series []string,
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			var e platform.Environment
 			for cell := range next {
-				if !failed.Load() {
-					runCell(cell)
+				if !g.failed.Load() {
+					g.run(&e, cell)
 				}
 			}
 		}()
 	}
-	for cell := 0; cell < cells; cell++ {
+	for cell := 0; cell < g.cells; cell++ {
 		next <- cell
 	}
 	close(next)
 	wg.Wait()
-	// A run that panicked is re-raised here, on the caller's goroutine,
-	// carrying the cell that broke.
-	for _, f := range failures {
+	g.finish()
+}
+
+// grid is one sweep in progress: its cells, the execution time of every
+// run in them, and the panic of any cell that broke.
+type grid struct {
+	o      Options
+	fig    *FigureResult
+	series []string
+	env    func(x float64) platform.Config
+	spec   func(x float64, series string) runSpec
+
+	cells int
+	// totals[(xIdx*Seeds+rep)*len(series)+s] is one run's execution time.
+	totals   []float64
+	failures []*CellPanic
+	failed   atomic.Bool
+}
+
+func newGrid(o Options, fig *FigureResult, xs []float64, series []string,
+	env func(x float64) platform.Config, spec func(x float64, series string) runSpec) *grid {
+	fig.X = xs
+	fig.Series = series
+	fig.Cells = map[string][]Cell{}
+	cells := len(xs) * o.Seeds
+	return &grid{o: o, fig: fig, series: series, env: env, spec: spec, cells: cells,
+		totals: make([]float64, cells*len(series)), failures: make([]*CellPanic, cells)}
+}
+
+// run measures every series of one cell over e, rebuilt for the cell. A
+// panicking run is recorded against the cell, not raised.
+func (g *grid) run(e *platform.Environment, cell int) {
+	x, rep := g.fig.X[cell/g.o.Seeds], cell%g.o.Seeds
+	seed := g.o.BaseSeed + int64(rep)*7919
+	current := ""
+	defer func() {
+		if v := recover(); v != nil {
+			g.failures[cell] = &CellPanic{Figure: g.fig.ID, Series: current, X: x,
+				Rep: rep, Seed: seed, Value: v, Stack: debug.Stack()}
+			g.failed.Store(true)
+		}
+	}()
+	e.Rebuild(g.env(x), rng.NewSource(seed))
+	for s, name := range g.series {
+		current = name
+		run := g.spec(x, name)
+		g.totals[cell*len(g.series)+s] = run.tech.Run(e.Bind(simkern.New()), run.sc).TotalTime
+	}
+}
+
+// finish re-raises the first broken cell's panic on the caller's
+// goroutine, or fills the figure's cells.
+func (g *grid) finish() {
+	for _, f := range g.failures {
 		if f != nil {
 			panic(f)
 		}
 	}
-
 	// Aggregate in repetition order per (series, x): floating-point
 	// accumulation stays deterministic no matter which worker ran which
 	// cell.
-	for s, name := range series {
-		fig.Cells[name] = make([]Cell, len(xs))
+	xs, seeds := g.fig.X, g.o.Seeds
+	for s, name := range g.series {
+		cells := make([]Cell, len(xs))
 		for i := range xs {
 			var a stats.Accumulator
-			for rep := 0; rep < o.Seeds; rep++ {
-				a.Add(totals[(i*o.Seeds+rep)*len(series)+s])
+			for rep := 0; rep < seeds; rep++ {
+				a.Add(g.totals[(i*seeds+rep)*len(g.series)+s])
 			}
-			fig.Cells[name][i] = Cell{
-				Mean: a.Mean(), CI95: a.CI95(), Min: a.Min(), Max: a.Max(), N: a.N(),
-			}
+			cells[i] = Cell{Mean: a.Mean(), CI95: a.CI95(), Min: a.Min(), Max: a.Max(), N: a.N()}
 		}
+		g.fig.Cells[name] = cells
 	}
 }
 

@@ -68,6 +68,99 @@ func TestReplayEqualsRebuild(t *testing.T) {
 	}
 }
 
+// An environment that has served other cells — another seed, another
+// load model, fewer and then more hosts — and is rebuilt for a cell gives
+// every technique the whole Result a new environment gives it, for every
+// kind of load source: those restarted in place and those built anew.
+func TestRebuiltEnvironmentEqualsFresh(t *testing.T) {
+	traces := loadgen.TraceSet{Traces: []loadgen.Replay{
+		{Segments: []loadgen.Segment{{Dur: 400, N: 0}, {Dur: 900, N: 2}, {Dur: 300, N: 0}}, Tail: 1},
+		{Segments: []loadgen.Segment{{Dur: 1500, N: 1}}, Tail: 0},
+	}}
+	models := []struct {
+		name  string
+		model loadgen.Model
+	}{
+		{"onoff", loadgen.NewOnOff(0.2)},
+		{"hyperexp", loadgen.NewHyperExp(300)},
+		{"reclaim", loadgen.Reclaim{Prob: 0.5, Horizon: 3000, Level: 49}},
+		{"aggregate", loadgen.Aggregate{Models: []loadgen.Model{
+			loadgen.NewOnOff(0.05), loadgen.Reclaim{Prob: 0.4, Horizon: 4000, Level: 49}}}},
+		{"constant", loadgen.Constant{N: 1}},
+		{"traceset", traces},
+		{"onoff-dynamic", loadgen.NewOnOff(0.6)},
+	}
+	a := fig4App(Options{Iterations: 15}, 1e6)
+	specs := []runSpec{
+		{strategy.None{}, strategy.Scenario{Active: 4, App: a}},
+		{strategy.Swap{}, strategy.Scenario{Active: 4, App: a, Policy: core.Greedy()}},
+		{strategy.DLB{}, strategy.Scenario{Active: 4, App: a}},
+		{strategy.CR{}, strategy.Scenario{Active: 4, App: a, Policy: core.Greedy()}},
+	}
+	runAll := func(e *platform.Environment) []strategy.Result {
+		var out []strategy.Result
+		for _, s := range specs {
+			out = append(out, s.tech.Run(e.Bind(simkern.New()), s.sc))
+		}
+		return out
+	}
+	var e platform.Environment
+	for i, m := range models {
+		prev := models[(i+len(models)-1)%len(models)]
+		// The cell before: another model and seed on 8 hosts, run through.
+		e.Rebuild(platform.Default(8, prev.model), rng.NewSource(int64(100+i)))
+		runAll(&e)
+		for _, cell := range []struct {
+			hosts int
+			seed  int64
+		}{{32, 20030623}, {8, 424242}, {32, 7}} {
+			cfg := platform.Default(cell.hosts, m.model)
+			e.Rebuild(cfg, rng.NewSource(cell.seed))
+			got, want := runAll(&e), runAll(platform.NewEnvironment(cfg, rng.NewSource(cell.seed)))
+			for k := range specs {
+				if !reflect.DeepEqual(got[k], want[k]) {
+					t.Errorf("%s after %s, %d hosts, seed %d: %s over a rebuilt environment differs from a new one:\n got %+v\nwant %+v",
+						m.name, prev.name, cell.hosts, cell.seed, specs[k].tech.Name(), got[k], want[k])
+				}
+			}
+		}
+	}
+}
+
+// A sweep's cells may run in any order on one worker: the worker's
+// environment, rebuilt cell after cell across host counts and load
+// models, gives the figure the sweep gives.
+func TestSweepCellsInReverseOnOneWorker(t *testing.T) {
+	o := Options{Seeds: 3, BaseSeed: 11, Serial: true}
+	xs := []float64{0, 100, 300, 50}
+	series := []string{"none", "swap", "dlb", "cr"}
+	env := func(x float64) platform.Config {
+		var m loadgen.Model = loadgen.NewOnOff(0.3)
+		if x == 100 {
+			m = loadgen.NewHyperExp(300)
+		}
+		return platform.Default(4+int(4*x/100), m)
+	}
+	spec := func(x float64, series string) runSpec {
+		tech, _ := strategy.ByName(series)
+		return runSpec{tech: tech, sc: strategy.Scenario{Active: 4,
+			App: fig4App(Options{Iterations: 12}, 1e6), Policy: core.Greedy()}}
+	}
+	want := &FigureResult{ID: "reverse"}
+	sweep(o, want, xs, series, env, spec)
+
+	got := &FigureResult{ID: "reverse"}
+	g := newGrid(o, got, xs, series, env, spec)
+	var e platform.Environment
+	for cell := g.cells - 1; cell >= 0; cell-- {
+		g.run(&e, cell)
+	}
+	g.finish()
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("cells in reverse on one worker:\n got %+v\nwant %+v", got.Cells, want.Cells)
+	}
+}
+
 // unevenFigure is a sweep whose cells differ in cost by an order of
 // magnitude (the application is longer at larger x), so workers finish
 // cells out of order.

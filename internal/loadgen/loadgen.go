@@ -45,6 +45,25 @@ type Model interface {
 	Describe() string
 }
 
+// reseeder is a model whose sources restart in place: reseed turns prev,
+// when it is one of the model's sources, into the source NewSource(src,
+// host) would return, keeping its stream and buffers. NewSource runs
+// the same code on a zero source, so the two cannot diverge.
+type reseeder interface {
+	reseed(prev Source, src *rng.Source, host int) (Source, bool)
+}
+
+// renew returns m's source for host: prev restarted in place when m
+// allows it, a new source otherwise.
+func renew(m Model, prev Source, src *rng.Source, host int) Source {
+	if r, ok := m.(reseeder); ok && prev != nil {
+		if s, ok := r.reseed(prev, src, host); ok {
+			return s
+		}
+	}
+	return m.NewSource(src, host)
+}
+
 // ---------------------------------------------------------------------------
 // ON/OFF Markov source (paper Section 6, Figure 2).
 
@@ -81,26 +100,49 @@ func (m OnOff) Describe() string {
 
 // NewSource implements Model.
 func (m OnOff) NewSource(src *rng.Source, host int) Source {
-	if m.Step <= 0 {
-		panic("loadgen: OnOff.Step must be positive")
-	}
-	if m.P < 0 || m.P > 1 || m.Q < 0 || m.Q > 1 {
-		panic(fmt.Sprintf("loadgen: OnOff probabilities out of range: p=%g q=%g", m.P, m.Q))
-	}
-	st := src.Stream(fmt.Sprintf("onoff-host-%d", host))
-	s := &onOffSource{m: m, st: st}
-	// Stationary start: P(ON) = p/(p+q); a chain that can never leave a
-	// state (p+q == 0) starts OFF.
-	if m.P+m.Q > 0 {
-		s.on = st.Bernoulli(m.P / (m.P + m.Q))
-	}
+	s := new(onOffSource)
+	s.restart(m, src, host)
 	return s
+}
+
+func (m OnOff) reseed(prev Source, src *rng.Source, host int) (Source, bool) {
+	s, ok := prev.(*onOffSource)
+	if ok {
+		s.restart(m, src, host)
+	}
+	return s, ok
 }
 
 type onOffSource struct {
 	m  OnOff
 	st *rng.Stream
 	on bool
+}
+
+// restart validates m and starts s as host's chain under it.
+func (s *onOffSource) restart(m OnOff, src *rng.Source, host int) {
+	if m.Step <= 0 {
+		panic("loadgen: OnOff.Step must be positive")
+	}
+	if m.P < 0 || m.P > 1 || m.Q < 0 || m.Q > 1 {
+		panic(fmt.Sprintf("loadgen: OnOff probabilities out of range: p=%g q=%g", m.P, m.Q))
+	}
+	s.m, s.st, s.on = m, reseedStream(s.st, src, "onoff-host-", host), false
+	// Stationary start: P(ON) = p/(p+q); a chain that can never leave a
+	// state (p+q == 0) starts OFF.
+	if m.P+m.Q > 0 {
+		s.on = s.st.Bernoulli(m.P / (m.P + m.Q))
+	}
+}
+
+// reseedStream restarts st, or a new stream when st is nil, as src's
+// stream prefix+host.
+func reseedStream(st *rng.Stream, src *rng.Source, prefix string, host int) *rng.Stream {
+	if st == nil {
+		st = new(rng.Stream)
+	}
+	src.ReseedIndexed(st, prefix, host)
+	return st
 }
 
 func (s *onOffSource) Next() Segment {
@@ -175,14 +217,17 @@ func (m HyperExp) Describe() string {
 
 // NewSource implements Model.
 func (m HyperExp) NewSource(src *rng.Source, host int) Source {
-	if m.Step <= 0 || m.ShortMean <= 0 || m.LongMean <= 0 {
-		panic("loadgen: HyperExp parameters must be positive")
+	s := new(hyperExpSource)
+	s.restart(m, src, host)
+	return s
+}
+
+func (m HyperExp) reseed(prev Source, src *rng.Source, host int) (Source, bool) {
+	s, ok := prev.(*hyperExpSource)
+	if ok {
+		s.restart(m, src, host)
 	}
-	if m.ArrivalProb < 0 || m.ArrivalProb > 1 || m.ShortProb < 0 || m.ShortProb > 1 {
-		panic("loadgen: HyperExp probabilities out of range")
-	}
-	st := src.Stream(fmt.Sprintf("hyperexp-host-%d", host))
-	return &hyperExpSource{m: m, st: st}
+	return s, ok
 }
 
 type hyperExpSource struct {
@@ -190,8 +235,18 @@ type hyperExpSource struct {
 	st  *rng.Stream
 	t   float64   // current time (start of next slot)
 	end []float64 // departure times of live processes, unsorted
-	// pending segments not yet returned (built one slot at a time and
-	// merged by the Trace layer).
+}
+
+// restart validates m and starts s as host's process mix under it at
+// time 0, with no live process.
+func (s *hyperExpSource) restart(m HyperExp, src *rng.Source, host int) {
+	if m.Step <= 0 || m.ShortMean <= 0 || m.LongMean <= 0 {
+		panic("loadgen: HyperExp parameters must be positive")
+	}
+	if m.ArrivalProb < 0 || m.ArrivalProb > 1 || m.ShortProb < 0 || m.ShortProb > 1 {
+		panic("loadgen: HyperExp probabilities out of range")
+	}
+	s.m, s.st, s.t, s.end = m, reseedStream(s.st, src, "hyperexp-host-", host), 0, s.end[:0]
 }
 
 func (s *hyperExpSource) Next() Segment {
@@ -311,18 +366,46 @@ func (m Reclaim) Describe() string {
 
 // NewSource implements Model.
 func (m Reclaim) NewSource(src *rng.Source, host int) Source {
+	s := new(reclaimSource)
+	s.restart(m, src, host)
+	return s
+}
+
+func (m Reclaim) reseed(prev Source, src *rng.Source, host int) (Source, bool) {
+	s, ok := prev.(*reclaimSource)
+	if ok {
+		s.restart(m, src, host)
+	}
+	return s, ok
+}
+
+// reclaimSource holds no load until at, then level forever. A host that
+// is never reclaimed has level 0; at 0 the owner holds it from the start.
+type reclaimSource struct {
+	st    *rng.Stream
+	at    float64 // until the first segment is emitted
+	level int
+}
+
+// restart validates m and draws whether and when the owner reclaims
+// host.
+func (s *reclaimSource) restart(m Reclaim, src *rng.Source, host int) {
 	if m.Horizon <= 0 || m.Level < 0 || m.Prob < 0 || m.Prob > 1 {
 		panic(fmt.Sprintf("loadgen: bad Reclaim %+v", m))
 	}
-	st := src.Stream(fmt.Sprintf("reclaim-host-%d", host))
-	if !st.Bernoulli(m.Prob) {
-		return constSource{n: 0}
+	s.st = reseedStream(s.st, src, "reclaim-host-", host)
+	s.at, s.level = 0, 0
+	if s.st.Bernoulli(m.Prob) {
+		s.at, s.level = s.st.Uniform(0, m.Horizon), m.Level
 	}
-	at := st.Uniform(0, m.Horizon)
-	return &replaySource{
-		segs: []Segment{{Dur: at, N: 0}},
-		tail: m.Level,
+}
+
+func (s *reclaimSource) Next() Segment {
+	if at := s.at; at > 0 {
+		s.at = 0
+		return Segment{Dur: at, N: 0}
 	}
+	return Segment{Dur: foreverDur, N: s.level}
 }
 
 // Aggregate sums the load of several models, as the paper suggests for

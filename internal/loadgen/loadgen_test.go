@@ -2,6 +2,7 @@ package loadgen
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -302,6 +303,35 @@ func TestSample(t *testing.T) {
 	for i := range want {
 		if s[i] != want[i] {
 			t.Fatalf("Sample = %v, want %v", s, want)
+		}
+	}
+}
+
+// Sample has a point at every multiple of the step up to the horizon,
+// the last one included when the quotient rounds just below an integer.
+func TestSamplePoints(t *testing.T) {
+	m := Replay{Segments: []Segment{{Dur: 0.15, N: 0}, {Dur: 0.1, N: 2}}, Tail: 1}
+	figureSized := make([]int, 121) // fig2.csv's points: 0, 30, ..., 3600
+	for i := 1; i < len(figureSized); i++ {
+		figureSized[i] = 1
+	}
+	for _, c := range []struct {
+		name              string
+		horizon, interval float64
+		want              []int
+	}{
+		{"inexact step: 0.3/0.1 rounds to 2.999...", 0.3, 0.1, []int{0, 0, 2, 1}},
+		{"inexact step: 0.7/0.1 rounds to 6.999...", 0.7, 0.1, []int{0, 0, 2, 1, 1, 1, 1, 1}},
+		{"inexact step short of the next point", 0.29, 0.1, []int{0, 0, 2}},
+		{"exact step", 0.375, 0.125, []int{0, 0, 1, 1}},
+		{"exact step, figure-sized", 3600, 30, figureSized},
+		{"horizon 0", 0, 0.1, []int{0}},
+		{"step larger than the horizon", 0.3, 0.5, []int{0}},
+		{"negative horizon", -1, 0.1, nil},
+	} {
+		got := NewTrace(m.NewSource(nil, 0)).Sample(c.horizon, c.interval)
+		if !slices.Equal(got, c.want) {
+			t.Errorf("%s: Sample(%g, %g) = %v, want %v", c.name, c.horizon, c.interval, got, c.want)
 		}
 	}
 }

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math"
 	"sort"
+
+	"repro/internal/rng"
 )
 
 // Trace materializes a Source into a queryable piecewise-constant
@@ -15,7 +17,9 @@ import (
 // far earlier queries happened to materialize the trace. A trace can
 // therefore be queried again from time 0 (by the next run over the same
 // environment) and gives each run what a trace freshly built from the
-// same source would; hint only shortens the search.
+// same source would; hint only shortens the search. For the same reason
+// a trace rewound onto a new source (Reload) answers as a trace built
+// on it: NewTrace is a rewind of a zero Trace.
 type Trace struct {
 	src    Source
 	starts []float64 // starts[i] is when vals[i] begins
@@ -26,7 +30,26 @@ type Trace struct {
 
 // NewTrace wraps src. The trace begins at time 0.
 func NewTrace(src Source) *Trace {
-	return &Trace{src: src, starts: []float64{0}, vals: []int{0}, end: 0}
+	tr := new(Trace)
+	tr.rewind(src)
+	return tr
+}
+
+// Reload rewinds tr onto m's source for host, the trace
+// NewTrace(m.NewSource(src, host)) builds. It keeps tr's segment buffers
+// and, when m's sources restart in place and tr's is one of them,
+// restarts that source instead of building one.
+func (tr *Trace) Reload(m Model, src *rng.Source, host int) {
+	tr.rewind(renew(m, tr.src, src, host))
+}
+
+// rewind empties tr onto src, keeping its buffers: one placeholder
+// segment at time 0, materialized up to 0.
+func (tr *Trace) rewind(src Source) {
+	tr.src = src
+	tr.starts = append(tr.starts[:0], 0)
+	tr.vals = append(tr.vals[:0], 0)
+	tr.end, tr.hint = 0, 0
 }
 
 // extendTo materializes segments so the trace covers time t.
@@ -159,15 +182,24 @@ func (tr *Trace) MeanLoad(t0, t1 float64) float64 {
 	return total / (t1 - t0)
 }
 
-// Sample returns the load level at regular interval points in [0, horizon]
-// — the series plotted in the paper's Figures 2 and 3.
+// Sample returns the load level at the points i·interval in [0, horizon]
+// — the series plotted in the paper's Figures 2 and 3. A horizon within
+// a relative 1e-9 of a multiple of interval includes that point, however
+// the quotient rounds: Sample(0.3, 0.1) has four points.
 func (tr *Trace) Sample(horizon, interval float64) []int {
 	if interval <= 0 {
 		panic("loadgen: Sample interval must be positive")
 	}
-	var out []int
-	for t := 0.0; t <= horizon; t += interval {
-		out = append(out, tr.ValueAt(t))
+	if math.IsInf(horizon, 1) {
+		panic("loadgen: Sample horizon must be finite")
+	}
+	if !(horizon >= 0) {
+		return nil
+	}
+	n := int(math.Floor(horizon/interval*(1+1e-9))) + 1
+	out := make([]int, n)
+	for i := range out {
+		out[i] = tr.ValueAt(float64(i) * interval)
 	}
 	return out
 }

@@ -49,14 +49,26 @@ func Default(numHosts int, load loadgen.Model) Config {
 // what it would over an environment built only for it. Not safe for
 // concurrent use.
 type Environment struct {
-	Cfg   Config
-	hosts []*Host
+	Cfg    Config
+	hosts  []*Host
+	speeds *rng.Stream
 }
 
 // NewEnvironment draws host speeds uniformly from [SpeedMin, SpeedMax]
 // and gives each host an independent load source, all deterministically
-// derived from src.
+// derived from src. It is Rebuild on a zero Environment.
 func NewEnvironment(cfg Config, src *rng.Source) *Environment {
+	e := new(Environment)
+	e.Rebuild(cfg, src)
+	return e
+}
+
+// Rebuild remakes e in place as the environment NewEnvironment(cfg, src)
+// builds. It keeps the hosts, their traces' segment buffers, and the
+// random streams and load sources that restart in place, so a worker
+// that measures cell after cell pays for one set. Every Platform bound
+// from e before is invalid afterwards.
+func (e *Environment) Rebuild(cfg Config, src *rng.Source) {
 	if cfg.NumHosts <= 0 {
 		panic(fmt.Sprintf("platform: NumHosts %d", cfg.NumHosts))
 	}
@@ -66,14 +78,26 @@ func NewEnvironment(cfg Config, src *rng.Source) *Environment {
 	if cfg.LoadModel == nil {
 		cfg.LoadModel = loadgen.Constant{N: 0}
 	}
-	speeds := src.Stream("host-speeds")
-	e := &Environment{Cfg: cfg, hosts: make([]*Host, cfg.NumHosts)}
-	for i := range e.hosts {
-		speed := speeds.Uniform(cfg.SpeedMin, cfg.SpeedMax)
-		trace := loadgen.NewTrace(cfg.LoadModel.NewSource(src, i))
-		e.hosts[i] = NewHost(i, speed, trace)
+	e.Cfg = cfg
+	if e.speeds == nil {
+		e.speeds = new(rng.Stream)
 	}
-	return e
+	src.Reseed(e.speeds, "host-speeds")
+	// Hosts past NumHosts stay in the slice's capacity for a later,
+	// larger cell.
+	if n := cfg.NumHosts; n <= cap(e.hosts) {
+		e.hosts = e.hosts[:n]
+	} else {
+		e.hosts = append(e.hosts[:cap(e.hosts)], make([]*Host, n-cap(e.hosts))...)
+	}
+	for i, h := range e.hosts {
+		if h == nil {
+			h = &Host{ID: i, load: new(loadgen.Trace)}
+			e.hosts[i] = h
+		}
+		h.Speed = e.speeds.Uniform(cfg.SpeedMin, cfg.SpeedMax)
+		h.load.Reload(cfg.LoadModel, src, i)
+	}
 }
 
 // Bind attaches the environment to a kernel for one run: the hosts are

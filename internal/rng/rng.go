@@ -12,17 +12,17 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"strconv"
 )
 
 // Stream is a deterministic random-number stream. It wraps math/rand with
 // distribution helpers used by the load models; the values are those of
 // rand.NewSource, drawn from a source that is seeded lazily (source.go).
 // A Stream is not safe for concurrent use; derive one stream per goroutine
-// instead.
+// instead. The zero Stream is ready for Reseed or ReseedIndexed.
 type Stream struct {
-	name string
-	r    *rand.Rand
-	src  source
+	r   *rand.Rand
+	src source
 }
 
 // Source identifies a root seed from which named streams are derived.
@@ -39,27 +39,53 @@ func NewSource(seed int64) *Source {
 // name returns independent Stream objects that generate identical
 // sequences.
 func (s *Source) Stream(name string) *Stream {
-	// The hash of the name is mixed with the root seed using a
-	// SplitMix64-style finalizer so that nearby seeds do not produce
-	// correlated streams.
-	st := &Stream{name: name}
-	st.src.Seed(int64(mix64(s.seed ^ fnv1a(name))))
-	st.r = rand.New(&st.src)
+	st := new(Stream)
+	s.Reseed(st, name)
 	return st
+}
+
+// Reseed restarts st, whatever it has drawn, as the stream Stream(name)
+// returns. It keeps st's generator and history buffer.
+func (s *Source) Reseed(st *Stream, name string) {
+	st.seed(s.derive(fnv1a(fnvOffset, name)))
+}
+
+// ReseedIndexed restarts st as the stream Stream(prefix +
+// strconv.Itoa(i)) returns, without building the name: it hashes the
+// prefix's bytes and then i's decimal digits.
+func (s *Source) ReseedIndexed(st *Stream, prefix string, i int) {
+	var digits [20]byte
+	st.seed(s.derive(fnv1a(fnv1a(fnvOffset, prefix), strconv.AppendInt(digits[:0], int64(i), 10))))
+}
+
+// derive mixes the hash of a stream's name with the root seed using a
+// SplitMix64-style finalizer so that nearby seeds do not produce
+// correlated streams.
+func (s *Source) derive(h uint64) int64 { return int64(mix64(s.seed ^ h)) }
+
+// seed starts st's sequence over: rand.Rand.Seed re-seeds the source and
+// drops the bytes Read had buffered, the only state a Rand keeps.
+func (st *Stream) seed(seed int64) {
+	if st.r == nil {
+		st.r = rand.New(&st.src)
+	}
+	st.r.Seed(seed)
 }
 
 // Substream derives a child source, for hierarchical naming such as
 // rep-level sources that own per-host streams.
 func (s *Source) Substream(name string) *Source {
-	return &Source{seed: mix64(s.seed ^ fnv1a(name))}
+	return &Source{seed: mix64(s.seed ^ fnv1a(fnvOffset, name))}
 }
 
-// fnv1a is the 64-bit FNV-1a hash of name, hash/fnv's New64a without the
-// hasher and the byte slice.
-func fnv1a(name string) uint64 {
-	h := uint64(14695981039346656037)
-	for i := 0; i < len(name); i++ {
-		h ^= uint64(name[i])
+const fnvOffset = 14695981039346656037
+
+// fnv1a continues the 64-bit FNV-1a hash h over b: hash/fnv's New64a
+// without the hasher, and over a string without converting it. Hashing
+// a name in two pieces gives the hash of the whole.
+func fnv1a[T string | []byte](h uint64, b T) uint64 {
+	for i := 0; i < len(b); i++ {
+		h ^= uint64(b[i])
 		h *= 1099511628211
 	}
 	return h
@@ -73,9 +99,6 @@ func mix64(x uint64) uint64 {
 	x ^= x >> 31
 	return x
 }
-
-// Name reports the name the stream was derived with.
-func (st *Stream) Name() string { return st.name }
 
 // Float64 returns a uniform variate in [0, 1).
 func (st *Stream) Float64() float64 { return st.r.Float64() }

@@ -38,12 +38,6 @@ func TestShuffleIsPermutation(t *testing.T) {
 	}
 }
 
-func TestStreamName(t *testing.T) {
-	if NewSource(1).Stream("abc").Name() != "abc" {
-		t.Fatal("Name not preserved")
-	}
-}
-
 func TestIntnRange(t *testing.T) {
 	st := NewSource(22).Stream("i")
 	seen := map[int]bool{}

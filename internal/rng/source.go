@@ -60,7 +60,12 @@ func (s *source) Seed(seed int64) {
 		seed = 89482311
 	}
 	s.seed = uint64(seed)
-	s.hist = s.boot[:0]
+	// A re-seeded source keeps a history buffer it outgrew boot into.
+	if cap(s.hist) > len(s.boot) {
+		s.hist = s.hist[:0]
+	} else {
+		s.hist = s.boot[:0]
+	}
 	s.feed = rngLen - 1
 }
 

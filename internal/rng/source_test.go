@@ -67,7 +67,7 @@ func TestSourceMatchesMathRand(t *testing.T) {
 func TestStreamMethodsMatchMathRand(t *testing.T) {
 	for seed := int64(-3); seed < 40; seed++ {
 		got := NewSource(seed).Stream("methods")
-		want := &Stream{r: rand.New(rand.NewSource(int64(mix64(uint64(seed) ^ fnv1a("methods")))))}
+		want := &Stream{r: rand.New(rand.NewSource(int64(mix64(uint64(seed) ^ fnv1a(fnvOffset, "methods")))))}
 		for round := 0; round < 400; round++ {
 			if g, w := got.Float64(), want.Float64(); g != w {
 				t.Fatalf("seed %d round %d: Float64 %v, want %v", seed, round, g, w)

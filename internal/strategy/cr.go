@@ -107,6 +107,7 @@ func crBoundary(d *driver, iter int, iterTime float64, done func()) {
 		return
 	}
 
+	d.reserveEvents(iter, 1)
 	to := slices.Clone(best)
 	d.res.Events = append(d.res.Events, Event{
 		T: now, Kind: EventCheckpoint, Iter: iter, From: d.hosts, To: to, Payback: payback,
@@ -114,21 +115,36 @@ func crBoundary(d *driver, iter int, iterTime float64, done func()) {
 	d.res.Swaps++
 
 	// Enact: checkpoint write, restart, checkpoint read.
-	leg := func(start float64, detail string) {
-		if tr.Enabled() {
-			tr.Emit(obs.Event{Kind: obs.KindStateTransfer, Rank: obs.RankRuntime, T: start,
-				Dur: d.k.Now() - start, Bytes: int64(float64(n) * state), Detail: detail})
-		}
+	d.actedAt, d.relocTo, d.done = now, to, done
+	if d.crWrittenFn == nil {
+		d.crWrittenFn, d.crRestartedFn, d.crReadFn = d.crWritten, d.crRestarted, d.crRead
 	}
-	d.transferAll(n, state, func() {
-		leg(now, "checkpoint write")
-		d.k.After(d.p.StartupTime(n), func() {
-			readStart := d.k.Now()
-			d.transferAll(n, state, func() {
-				leg(readStart, "checkpoint read")
-				d.hosts = to
-				done()
-			})
-		})
-	})
+	d.transferAll(n, state, d.crWrittenFn)
+}
+
+// crWritten restarts the application once the checkpoint is written.
+func (d *driver) crWritten() {
+	d.crLeg(d.actedAt, "checkpoint write")
+	d.k.After(d.p.StartupTime(d.sc.Active), d.crRestartedFn)
+}
+
+// crRestarted reads the checkpoint back on the restarted processes.
+func (d *driver) crRestarted() {
+	d.readStart = d.k.Now()
+	d.transferAll(d.sc.Active, d.sc.App.StateBytes, d.crReadFn)
+}
+
+// crRead ends a relocation on the new hosts once the checkpoint is read.
+func (d *driver) crRead() {
+	d.crLeg(d.readStart, "checkpoint read")
+	d.hosts, d.relocTo = d.relocTo, nil
+	d.done()
+}
+
+// crLeg traces one checkpoint transfer phase, from start to now.
+func (d *driver) crLeg(start float64, detail string) {
+	if tr := d.k.Tracer(); tr.Enabled() {
+		tr.Emit(obs.Event{Kind: obs.KindStateTransfer, Rank: obs.RankRuntime, T: start,
+			Dur: d.k.Now() - start, Bytes: int64(float64(d.sc.Active) * d.sc.App.StateBytes), Detail: detail})
+	}
 }

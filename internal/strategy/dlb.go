@@ -41,6 +41,7 @@ func balancedChunks(d *driver, t float64) []float64 {
 func dlbBoundary(d *driver, iter int, iterTime float64, done func()) {
 	now := d.k.Now()
 	d.chunks = balancedChunks(d, now)
+	d.reserveEvents(iter, 1)
 	d.res.Events = append(d.res.Events, Event{T: now, Kind: EventRebalance})
 	done()
 }

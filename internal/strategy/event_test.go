@@ -93,3 +93,32 @@ func TestIterRecordsShareUnchangedHosts(t *testing.T) {
 		t.Errorf("final hosts %v, want %v", res.FinalHosts, want[7])
 	}
 }
+
+// Events grows once past the startup event, to what the technique
+// reserves at its first acting boundary — the most events a boundary
+// appends, for every boundary left — and never again: its capacity is
+// that reservation exactly, or the startup event's 1 when no boundary
+// acted.
+func TestEventsGrowOnce(t *testing.T) {
+	a := app.Iterative{Iterations: 15, WorkPerProcIter: 120 * app.RefSpeed, BytesPerIter: 1e6, StateBytes: 1e6}
+	const hosts, active = 32, 4
+	perBoundary := map[string]int{"none": 0, "swap": min(active, hosts-active), "dlb": 1, "cr": 1}
+	for _, p := range []float64{0, 0.05, 0.2, 0.6} {
+		for seed := int64(1); seed <= 4; seed++ {
+			for _, tech := range []Technique{None{}, Swap{}, DLB{}, CR{}} {
+				for _, pol := range []core.Policy{core.Greedy(), core.Safe(), core.Friendly()} {
+					res := tech.Run(testPlatform(hosts, loadgen.NewOnOff(p), seed),
+						Scenario{Active: active, App: a, Policy: pol})
+					want := 1
+					if len(res.Events) > 1 {
+						want += perBoundary[tech.Name()] * (a.Iterations - 1 - res.Events[1].Iter)
+					}
+					if cap(res.Events) != want {
+						t.Errorf("%s (%s) p=%g seed %d: %d events in capacity %d, want capacity %d",
+							tech.Name(), pol.Name, p, seed, len(res.Events), cap(res.Events), want)
+					}
+				}
+			}
+		}
+	}
+}

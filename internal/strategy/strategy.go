@@ -213,6 +213,17 @@ type driver struct {
 	// value allocates.
 	sendFn, landedFn, iterEndFn, boundaryDoneFn func()
 
+	// An acting boundary's enactment, for the continuations Swap and CR
+	// bind at their first acting boundary: when the boundary acted, the
+	// swaps it enacted or the hosts CR relocates to, when CR's
+	// checkpoint read began, and the boundary's done.
+	actedAt, readStart        float64
+	swaps                     []core.SwapPair
+	relocTo                   []int
+	done                      func()
+	swapLandedFn, crWrittenFn func()
+	crRestartedFn, crReadFn   func()
+
 	// boundary decides the Swap technique's swaps and audits them on the
 	// virtual clock through the scenario's lens, as the live runtime's
 	// LocalDecider does; epoch counts committed swap rounds with the live
@@ -419,6 +430,17 @@ func (d *driver) transferAll(count int, bytes float64, then func()) {
 	d.remaining, d.then = count, then
 	for i := 0; i < count; i++ {
 		d.p.Link.Start(bytes, d.landedFn)
+	}
+}
+
+// reserveEvents makes room for perBoundary events at this boundary and
+// every one after it. A technique calls it at each acting boundary with
+// the most events one boundary appends: Events then grows once past the
+// startup event, at the first acting boundary, and never again.
+func (d *driver) reserveEvents(iter, perBoundary int) {
+	need := len(d.res.Events) + perBoundary*(d.sc.App.Iterations-1-iter)
+	if need > cap(d.res.Events) {
+		d.res.Events = append(make([]Event, 0, need), d.res.Events...)
 	}
 }
 

@@ -88,7 +88,9 @@ func swapBoundary(d *driver, iter int, iterTime float64, done func()) {
 	}
 
 	// Enact: all state transfers proceed concurrently over the shared
-	// link; the application is paused for the duration.
+	// link; the application is paused for the duration. A boundary swaps
+	// each active process at most once.
+	d.reserveEvents(iter, min(len(active), len(spare)))
 	from, to := d.hosts, slices.Clone(d.hosts)
 	for _, s := range swaps {
 		to[s.Out.ID] = s.In.ID
@@ -99,23 +101,30 @@ func swapBoundary(d *driver, iter int, iterTime float64, done func()) {
 	}
 	d.hosts = to
 	d.res.Swaps += len(swaps)
-	d.transferAll(len(swaps), d.sc.App.StateBytes, func() {
-		// Sim swaps always land: commit the proposed epoch (live
-		// convention: a decision at epoch e establishes e+1) so later
-		// events carrying the new epoch are the trace's commit evidence
-		// for the audit.
-		landed := d.k.Now()
-		d.epoch++
-		d.boundary.Lens.ObserveOutcome(landed, d.epoch, true)
-		if tr.Enabled() {
-			for _, s := range swaps {
-				tr.Emit(obs.Event{Kind: obs.KindStateTransfer, Rank: s.Out.ID, T: now,
-					Dur: landed - now, Peer: s.In.ID,
-					Bytes: int64(d.sc.App.StateBytes), Detail: "out", Epoch: d.epoch})
-			}
+	d.actedAt, d.swaps, d.done = now, swaps, done
+	if d.swapLandedFn == nil {
+		d.swapLandedFn = d.swapLanded
+	}
+	d.transferAll(len(swaps), d.sc.App.StateBytes, d.swapLandedFn)
+}
+
+// swapLanded ends a swap boundary when its last state transfer lands.
+// Sim swaps always land: commit the proposed epoch (live convention: a
+// decision at epoch e establishes e+1) so later events carrying the new
+// epoch are the trace's commit evidence for the audit.
+func (d *driver) swapLanded() {
+	landed := d.k.Now()
+	d.epoch++
+	d.boundary.Lens.ObserveOutcome(landed, d.epoch, true)
+	if tr := d.k.Tracer(); tr.Enabled() {
+		for _, s := range d.swaps {
+			tr.Emit(obs.Event{Kind: obs.KindStateTransfer, Rank: s.Out.ID, T: d.actedAt,
+				Dur: landed - d.actedAt, Peer: s.In.ID,
+				Bytes: int64(d.sc.App.StateBytes), Detail: "out", Epoch: d.epoch})
 		}
-		done()
-	})
+	}
+	d.swaps = nil
+	d.done()
 }
 
 // randomSelect is the pair-selection ablation: instead of pairing the
