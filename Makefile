@@ -39,7 +39,9 @@ lint:
 # and lease hand-over tests twenty times over, because the race they
 # guard (a renewal in flight across a release) showed once in a dozen
 # runs, and so the shared-connection test, whose ranks contend for one
-# write token differently every time.
+# write token differently every time; the swap round's fault rows and
+# multi-rank rounds ten times, because every member settles a round from
+# votes that arrive in a different order every time.
 test: race
 	$(GO) test ./...
 
@@ -48,6 +50,7 @@ race:
 		./internal/loadgen/ ./internal/platform/ ./internal/rng/ ./cmd/swaprun/ ./cmd/swapmgr/
 	$(GO) test -race -count=20 -run 'Failover|Supervisor' ./internal/swaprt/
 	$(GO) test -race -count=20 -run 'TestTCPSharedConnection' ./internal/mpi/
+	$(GO) test -race -count=10 -run 'TestEverySingleFaultAtEveryStep|TestMultiRankSwap|TestVoteSettlesInOneHop' ./internal/swaprt/
 
 bench:
 	$(GO) test -bench=. -benchmem ./...

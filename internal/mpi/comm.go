@@ -3,8 +3,8 @@ package mpi
 import (
 	"encoding/binary"
 	"fmt"
-	"hash/fnv"
 	"math"
+	"slices"
 	"sort"
 	"time"
 
@@ -22,6 +22,7 @@ const (
 	tagGather     = -5
 	tagReduce     = -6
 	tagSplit      = -7
+	tagAnnounce   = -9 // -8 is tagScatter (ops.go)
 )
 
 // Comm is a communicator: an ordered group of world ranks with an ID that
@@ -371,6 +372,61 @@ func (c *Comm) gather(root int, data []byte) ([][]byte, error) {
 	return out, nil
 }
 
+// Announce is a one-hop exchange in which only some members speak: each
+// member whose comm rank is listed in from sends data to every other
+// member, and every member receives from each of them. It returns out,
+// resized to len(from), with out[i] what comm rank from[i] sent; a
+// speaker's own slot holds its data itself, not a copy. Every member must
+// call it with the same from, which lists distinct members. A member not
+// in from sends nothing, so k speakers among n members cost k·(n−1)
+// messages, all in one hop. It counts as a gather.
+func (c *Comm) Announce(from []int, data []byte, out [][]byte) ([][]byte, error) {
+	c.checkMember()
+	c.w.counters[c.me].gathers.Inc()
+	err := c.traceOp(obs.KindMPICollective, "announce", func() error {
+		var err error
+		out, err = c.announce(from, data, out)
+		return err
+	})
+	return out, err
+}
+
+func (c *Comm) announce(from []int, data []byte, out [][]byte) ([][]byte, error) {
+	n, me := c.Size(), c.Rank()
+	speaks := false
+	for i, f := range from {
+		if f < 0 || f >= n || slices.Contains(from[:i], f) {
+			return nil, fmt.Errorf("mpi: announce from comm rank %d of %d, speakers %v", f, n, from)
+		}
+		speaks = speaks || f == me
+	}
+	if speaks {
+		for to := 0; to < n; to++ {
+			if to == me {
+				continue
+			}
+			if err := c.send(to, tagAnnounce, data); err != nil {
+				return nil, err
+			}
+		}
+	}
+	out = slices.Grow(out[:0], len(from))[:len(from)]
+	// Receive from each speaker explicitly: per-pair FIFO then guarantees
+	// that consecutive Announces cannot cross-match.
+	for i, f := range from {
+		if f == me {
+			out[i] = data
+			continue
+		}
+		got, _, err := c.recv(f, tagAnnounce)
+		if err != nil {
+			return nil, err
+		}
+		out[i] = got
+	}
+	return out, nil
+}
+
 // ReduceOp combines two float64 values.
 type ReduceOp func(a, b float64) float64
 
@@ -510,36 +566,45 @@ func (r *Rank) CommOf(members []int, epoch uint64) *Comm {
 	if len(members) == 0 {
 		panic("mpi: CommOf with no members")
 	}
-	seen := map[int]bool{}
-	for _, m := range members {
+	for i, m := range members {
 		if m < 0 || m >= r.w.size {
 			panic(fmt.Sprintf("mpi: CommOf member %d out of range", m))
 		}
-		if seen[m] {
+		if slices.Contains(members[:i], m) {
 			panic(fmt.Sprintf("mpi: CommOf duplicate member %d", m))
 		}
-		seen[m] = true
 	}
 	id := deriveCommID(worldCommID+1, epoch, members)
 	return &Comm{w: r.w, me: r.rank, id: id, members: append([]int(nil), members...)}
 }
 
+// deriveCommID is the 64-bit FNV-1a hash of parent, salt and members,
+// each as a big-endian 8-byte word, with the world's ID moved to 1. IDs
+// travel on the wire, so every rank must derive them bit for bit alike.
 func deriveCommID(parent, salt uint64, members []int) uint64 {
-	h := fnv.New64a()
-	var b [8]byte
-	binary.BigEndian.PutUint64(b[:], parent)
-	_, _ = h.Write(b[:])
-	binary.BigEndian.PutUint64(b[:], salt)
-	_, _ = h.Write(b[:])
+	id := fnvWord(fnvWord(fnvOffset64, parent), salt)
 	for _, m := range members {
-		binary.BigEndian.PutUint64(b[:], uint64(m))
-		_, _ = h.Write(b[:])
+		id = fnvWord(id, uint64(m))
 	}
-	id := h.Sum64()
 	if id == worldCommID {
 		id = 1
 	}
 	return id
+}
+
+const (
+	fnvOffset64 = 14695981039346656037
+	fnvPrime64  = 1099511628211
+)
+
+// fnvWord folds v's eight bytes, most significant first, into the FNV-1a
+// hash h.
+func fnvWord(h, v uint64) uint64 {
+	for shift := 56; shift >= 0; shift -= 8 {
+		h ^= v >> shift & 0xff
+		h *= fnvPrime64
+	}
+	return h
 }
 
 func encodeFloat(x float64) []byte {

@@ -174,3 +174,53 @@ func TestStressManyRanksManyRounds(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestCommIDsArePinned: communicator IDs travel on the wire and scope
+// message matching, so every rank must derive them bit for bit as the
+// ranks it talks to do. These are the IDs CommOf and Split derive from
+// the 64-bit FNV-1a of the parent ID, the salt and the members.
+func TestCommIDsArePinned(t *testing.T) {
+	w := NewWorld(6)
+	for _, c := range []struct {
+		members []int
+		epoch   uint64
+		id      uint64
+	}{
+		{[]int{0}, 0, 0x32fafbde9363ec92},
+		{[]int{0, 1}, 0, 0xf3b31ff57291b485},
+		{[]int{2, 1}, 1, 0x1bb5b732b633fb6c},
+		{[]int{3, 0, 5}, 7, 0x07aab0902e80b1e5},
+		{[]int{5, 4, 3, 2, 1, 0}, 1 << 40, 0x9c187a1d5543fc38},
+		{[]int{1, 0}, ^uint64(0), 0xc1ba2f0023fa3f5d},
+		// These two hash to the world's ID, 0, and are moved to 1.
+		{[]int{0, 1}, 0x98a0a738b367cd9f, 1},
+		{[]int{1, 0}, 0x6ea2b69dc643a3e4, 1},
+	} {
+		if id := newRank(w, 0).CommOf(c.members, c.epoch).ID(); id != c.id {
+			t.Errorf("CommOf(%v, %d).ID() = %#x, want %#x", c.members, c.epoch, id, c.id)
+		}
+	}
+
+	// Split by parity, keyed in reverse, then each half split again.
+	want := map[int][2]uint64{
+		0: {0xdea4e370145f9653, 0x222f2ca9d99fc5a4},
+		1: {0x8142e18811a39593, 0x11c212fc0101a306},
+	}
+	err := w.Run(func(r *Rank) error {
+		sub, err := r.World().Split(r.Rank()%2, -r.Rank())
+		if err != nil {
+			return err
+		}
+		sub2, err := sub.Split(0, r.Rank())
+		if err != nil {
+			return err
+		}
+		if got := [2]uint64{sub.ID(), sub2.ID()}; got != want[r.Rank()%2] {
+			return fmt.Errorf("rank %d: split IDs %#x, want %#x", r.Rank(), got, want[r.Rank()%2])
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}

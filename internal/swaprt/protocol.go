@@ -24,22 +24,29 @@ import (
 // pass between an outgoing rank and its spare start with the proposed
 // epoch, so one await drops whatever an aborted proposal left behind:
 //
-//	plan:    n(u64) n x { out(u64) in(u64) }             leader → members
-//	state:   epoch(u64) encoded state set                out → spare
-//	ack:     epoch(u64)                                  spare → out
-//	outcome: epoch(u64) commit(u8) n(u64) n x rank(u64)  out → spare
+//	plan:    n(u64) n x { out(u64) in(u64) }             leader → members   bcast
+//	state:   epoch(u64) encoded state set                out → spare        0x5a17
+//	ack:     epoch(u64)                                  spare → out        0x5a18
+//	vote:    n x outcome(u8)                             out → members      announce
+//	outcome: epoch(u64) commit(u8) n(u64) n x rank(u64)  out → spare        0x5a19
 //
-// The proposed epoch is always the current one plus one, which every
-// member holds, so the plan does not carry it. Ranks are two's-complement
-// int64; a decoder checks n against the bytes that follow before it
-// allocates.
+// The plan and the votes travel on the members' communicator under the
+// transport's internal collective tags. The vote goes in one hop from
+// each outgoing rank to every other member (mpi.Comm.Announce); a member
+// that is no directive's outgoing rank sends none. It carries no epoch:
+// an aborted round keeps the communicator and each round consumes one
+// vote per outgoing rank, so per-pair FIFO matches every vote to its
+// round. The proposed epoch is always the current one plus one, which
+// every member holds, so the plan does not carry it either. Ranks are
+// two's-complement int64; a decoder checks n against the bytes that
+// follow before it allocates.
 const (
 	tagState       = 0x5a17
 	tagStateAck    = 0x5a18
 	tagStateCommit = 0x5a19
 )
 
-// A member's vote on each directive of a round, gathered at the leader.
+// An outgoing rank's vote on each directive of a round.
 const (
 	outcomeNone = 0 // the member is not the directive's outgoing rank
 	outcomeOK   = 1 // the state reached the spare and was acknowledged
@@ -65,12 +72,11 @@ type round struct {
 
 func (r round) committed(i int) bool { return r.verdict[i] == outcomeOK }
 
-// newRound settles a round from the members' votes alone. A directive's
-// outgoing rank votes in its slot and every other member leaves it
-// outcomeNone, so the leader settles from the gathered votes and the
-// other members from the one verdict it broadcasts: a verdict tallies to
-// itself. A committed directive replaces Out by In; the spare of every
-// other one is quarantined.
+// newRound settles a round from the outgoing ranks' votes alone. A
+// directive's outgoing rank votes in its slot and leaves every other slot
+// outcomeNone, so each member settles from the votes it received, and a
+// verdict tallies to itself. A committed directive replaces Out by In;
+// the spare of every other one is quarantined.
 func newRound(set []int, epoch uint64, swaps []SwapDirective, votes [][]byte) round {
 	r := round{verdict: make([]byte, len(swaps)), set: slices.Clone(set), epoch: epoch}
 	for _, v := range votes {
@@ -209,35 +215,38 @@ func (s *Session) propose(now, iterTime float64, rates []float64) ([]byte, error
 // directive committed out of the set.
 func (s *Session) swap(swaps []SwapDirective) error {
 	proposed := s.epoch + 1
-	vote := make([]byte, len(swaps))
+	s.vote = slices.Grow(s.vote[:0], len(swaps))[:len(swaps)]
+	clear(s.vote)
+	s.outgoing = s.outgoing[:0]
 	var acked time.Time
 	for i, sw := range swaps {
+		if j := slices.Index(s.activeSet, sw.Out); j >= 0 && !slices.Contains(s.outgoing, j) {
+			s.outgoing = append(s.outgoing, j)
+		}
 		if sw.Out == s.r.Rank() {
-			vote[i] = outcomeFail
+			s.vote[i] = outcomeFail
 			if acked = s.transferOut(sw, proposed); !acked.IsZero() {
-				vote[i] = outcomeOK
+				s.vote[i] = outcomeOK
 			}
 		}
 	}
 
 	// The vote runs on the old communicator, where the outgoing ranks are
-	// still members.
-	votes, err := s.comm.Gather(0, vote)
+	// still members: each sends its vote straight to every other member,
+	// and every member settles the round from the same votes.
+	votes, err := s.comm.Announce(s.outgoing, s.vote, s.votes)
 	if err != nil {
 		return err
 	}
-	var r round
-	if s.comm.Rank() == 0 {
-		r = newRound(s.activeSet, s.epoch, swaps, votes)
+	s.votes = votes
+	for i, v := range votes {
+		if err := checkVote(s.activeSet[s.outgoing[i]], v, len(swaps)); err != nil {
+			return err
+		}
 	}
-	verdict, err := s.comm.Bcast(0, r.verdict)
-	if err != nil {
-		return err
-	}
+	r := newRound(s.activeSet, s.epoch, swaps, votes)
 	if s.comm.Rank() == 0 {
 		s.record(r, swaps, proposed)
-	} else {
-		r = newRound(s.activeSet, s.epoch, swaps, [][]byte{verdict})
 	}
 
 	for i, sw := range swaps {
@@ -254,6 +263,21 @@ func (s *Session) swap(swaps []SwapDirective) error {
 	if r.epoch != s.epoch {
 		s.activeSet, s.epoch = r.set, r.epoch
 		s.comm = s.r.CommOf(s.activeSet, s.epoch)
+	}
+	return nil
+}
+
+// checkVote rejects a vote from world rank from that is not one outcome
+// per directive of a plan of n. A malformed vote is never read as
+// outcomeNone: it ends the run.
+func checkVote(from int, vote []byte, n int) error {
+	if len(vote) != n {
+		return fmt.Errorf("swaprt: vote from rank %d: %d bytes for %d directives", from, len(vote), n)
+	}
+	for i, v := range vote {
+		if v != outcomeNone && v != outcomeOK && v != outcomeFail {
+			return fmt.Errorf("swaprt: vote from rank %d: outcome %d for directive %d", from, v, i)
+		}
 	}
 	return nil
 }

@@ -17,9 +17,9 @@ import (
 )
 
 // TestRoundSettles drives the deciding step of the two-phase swap with a
-// table and no world: the leader settles a round from the gathered
-// votes, every other member from the verdict the leader broadcasts, and
-// both must reach the same set, epoch and quarantines.
+// table and no world: a round settled from the votes, and one settled
+// from the verdict they tally to, must reach the same set, epoch and
+// quarantines.
 func TestRoundSettles(t *testing.T) {
 	const ok, fail, none = outcomeOK, outcomeFail, outcomeNone
 	for _, c := range []struct {
@@ -78,6 +78,129 @@ func TestRoundSettles(t *testing.T) {
 				t.Fatalf("settling rewrote the old set: %v, was %v", set, c.set)
 			}
 		})
+	}
+}
+
+// TestCheckVote: a vote that is not one outcome per directive of the
+// plan is an error naming its sender, never read as outcomeNone.
+func TestCheckVote(t *testing.T) {
+	for _, c := range []struct {
+		name       string
+		vote       []byte
+		directives int
+		err        string // "" for a valid vote
+	}{
+		{name: "one per directive", vote: []byte{outcomeOK, outcomeNone, outcomeFail}, directives: 3},
+		{name: "too short", vote: []byte{outcomeOK}, directives: 2, err: "vote from rank 3: 1 bytes for 2 directives"},
+		{name: "too long", vote: []byte{outcomeOK, outcomeOK}, directives: 1, err: "vote from rank 3: 2 bytes for 1 directives"},
+		{name: "unknown outcome", vote: []byte{outcomeNone, 7}, directives: 2, err: "vote from rank 3: outcome 7 for directive 1"},
+		{name: "empty plan", vote: []byte{}, directives: 0},
+		{name: "a vote on an empty plan", vote: []byte{outcomeNone}, directives: 0, err: "vote from rank 3: 1 bytes for 0 directives"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			err := checkVote(3, c.vote, c.directives)
+			if c.err == "" && err != nil || c.err != "" && (err == nil || !strings.Contains(err.Error(), c.err)) {
+				t.Fatalf("checkVote(3, %v, %d) = %v, want %q", c.vote, c.directives, err, c.err)
+			}
+		})
+	}
+}
+
+// twoDirectives proposes its swaps at the first decision and stays after.
+type twoDirectives struct {
+	StayDecider
+	swaps     []SwapDirective
+	decisions int
+}
+
+func (d *twoDirectives) Decide(DecideRequest) (DecideResponse, error) {
+	d.decisions++
+	if d.decisions > 1 {
+		return DecideResponse{}, nil
+	}
+	return DecideResponse{Swaps: d.swaps}, nil
+}
+
+// TestVoteSettlesInOneHop: 4 members and 2 spares, one round of two
+// directives, the second aborted by dropping its state. Only the two
+// outgoing ranks vote, each straight to the 3 other members: k·(n−1) = 6
+// messages, from which every member settles the same set and epoch.
+func TestVoteSettlesInOneHop(t *testing.T) {
+	plan := fault.MustParse("drop:src=2,dst=5,after=0,count=1")
+	w, err := mpi.NewWorldWithConfig(mpi.Config{Size: 6, Fault: plan})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := obs.New(6)
+	tr.Enable()
+	var mu sync.Mutex
+	ends := map[int][]int{}
+	ids := map[uint64]bool{}
+	rs, err := RunWithStats(w, Config{Active: 4, Probe: func(int) float64 { return 1000 }, Tracer: tr,
+		TransferTimeout: 100 * time.Millisecond,
+		Decider:         &twoDirectives{swaps: []SwapDirective{{Out: 1, In: 4}, {Out: 2, In: 5}}}},
+		func(s *Session) error {
+			iter := 0
+			s.Register("iter", &iter)
+			for !s.Done() && iter < 1 {
+				if s.Active() {
+					iter++
+				}
+				if err := s.SwapPoint(); err != nil {
+					return err
+				}
+			}
+			if s.Active() {
+				mu.Lock()
+				ends[s.Rank()], ids[s.Comm().ID()] = s.Comm().Members(), true
+				mu.Unlock()
+			}
+			return nil
+		})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rs.Swaps != 1 || rs.SwapAborts != 1 || rs.Quarantined != 1 {
+		t.Fatalf("%d swaps, %d aborts, %d quarantined; want 1 each", rs.Swaps, rs.SwapAborts, rs.Quarantined)
+	}
+	want := []int{0, 4, 2, 3}
+	for _, rank := range want {
+		if !slices.Equal(ends[rank], want) {
+			t.Errorf("rank %d ended with set %v, want %v", rank, ends[rank], want)
+		}
+	}
+	if len(ends) != len(want) || len(ids) != 1 {
+		t.Errorf("%d ranks ended active on %d communicators, want %d on one", len(ends), len(ids), len(want))
+	}
+	epochs := map[int]uint64{}
+	quarantined := false
+	for _, ev := range tr.Events() {
+		switch ev.Kind {
+		case obs.KindIterStart:
+			epochs[ev.Rank] = ev.Epoch
+		case obs.KindQuarantine:
+			quarantined = quarantined || ev.Peer == 5
+		}
+	}
+	for _, rank := range want {
+		if epochs[rank] != 1 {
+			t.Errorf("rank %d started its last iteration at epoch %d, want 1", rank, epochs[rank])
+		}
+	}
+	if !quarantined {
+		t.Error("the aborted spare, rank 5, was not quarantined")
+	}
+
+	// What each rank sends besides its vote: the rates' gather, the
+	// binomial broadcasts of the rates and the plan from comm rank 0
+	// (0→1, 0→2, 1→3), each outgoing rank's state and outcome (the
+	// dropped state counts as sent), and the committing spare's ack.
+	others := []uint64{4, 5, 3, 1, 1, 0}
+	votes := []uint64{0, 3, 3, 0, 0, 0}
+	for rank, st := range rs.MPI.PerRank {
+		if got := st.MsgsSent - others[rank]; got != votes[rank] {
+			t.Errorf("rank %d sent %d vote messages, want %d", rank, got, votes[rank])
+		}
 	}
 }
 

@@ -221,6 +221,12 @@ type Session struct {
 	// it. Send and Write copy before they return, so it is reused by the
 	// next swap or checkpoint instead of being allocated per swap (keepBuf).
 	buf []byte
+	// A round's scratch, kept from one round to the next: this rank's
+	// vote, the comm ranks of the round's outgoing ranks, and the votes
+	// they sent.
+	vote     []byte
+	outgoing []int
+	votes    [][]byte
 }
 
 // maxKeptBuf is the largest message buffer a rank holds on to between

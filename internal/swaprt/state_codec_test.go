@@ -536,11 +536,14 @@ func TestSwapLoopAllocatesNoStateSizedBuffer(t *testing.T) {
 // world: 2 active ranks and a spare over TCP, the benchmark workloads'
 // registration (a counter, a four-field struct, a 4 KiB grid) and a swap
 // forced at every iteration. Once the buffers are warm a swap allocates at
-// most 80 objects on all ranks together (≈ 60 measured; ≈ 244 while the
-// struct went through gob, whose decoder engine was compiled per swap-in).
-// Whatever a later change adds per swap shows here.
+// most 41 objects on all ranks together (≈ 37 measured; ≈ 42 while the
+// leader gathered the votes and broadcast a verdict, ≈ 244 while the
+// struct went through gob, whose decoder engine was compiled per swap-in),
+// and sends 7 messages: the rates' gather and broadcast, the plan, the
+// state, its ack, the outgoing rank's vote and its outcome. Whatever a
+// later change adds per swap shows here.
 func TestSwapLoopObjectBudget(t *testing.T) {
-	const warm, timed, budget = 10, 40, 80
+	const warm, timed, budget, msgsPerSwap = 10, 40, 41, 7
 	w, err := mpi.NewTCPWorld(3)
 	if err != nil {
 		t.Fatal(err)
@@ -586,6 +589,9 @@ func TestSwapLoopObjectBudget(t *testing.T) {
 	}
 	if perSwap := float64(after.Mallocs-before.Mallocs) / timed; perSwap > budget {
 		t.Errorf("a swap of 4 KiB of state allocated %.1f objects, want at most %d", perSwap, budget)
+	}
+	if msgs := rs.MPI.Total().MsgsSent; msgs != msgsPerSwap*uint64(rs.Swaps) {
+		t.Errorf("%d swaps sent %d messages, want %d each", rs.Swaps, msgs, msgsPerSwap)
 	}
 }
 
