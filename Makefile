@@ -41,7 +41,10 @@ lint:
 # runs, and so the shared-connection test, whose ranks contend for one
 # write token differently every time; the swap round's fault rows and
 # multi-rank rounds ten times, because every member settles a round from
-# votes that arrive in a different order every time.
+# votes that arrive in a different order every time; and the manager's
+# wire and durable layer twenty times, because their clients share one
+# kept connection and its buffers, and a killed incarnation must close
+# every connection it served.
 test: race
 	$(GO) test ./...
 
@@ -51,6 +54,7 @@ race:
 	$(GO) test -race -count=20 -run 'Failover|Supervisor' ./internal/swaprt/
 	$(GO) test -race -count=20 -run 'TestTCPSharedConnection' ./internal/mpi/
 	$(GO) test -race -count=10 -run 'TestEverySingleFaultAtEveryStep|TestMultiRankSwap|TestVoteSettlesInOneHop' ./internal/swaprt/
+	$(GO) test -race -count=20 -run 'RemoteDecider|KilledManager|Durable' ./internal/swaprt/
 
 bench:
 	$(GO) test -bench=. -benchmem ./...
@@ -85,7 +89,7 @@ fuzz:
 	$(GO) test -fuzz FuzzUnpackParts -fuzztime 30s ./internal/mpi/
 	$(GO) test -fuzz FuzzUnpackFloats -fuzztime 30s ./internal/mpi/
 	$(GO) test -fuzz FuzzDecode -fuzztime 30s ./internal/mpi/wire/
-	$(GO) test -fuzz FuzzServeManagerRequest -fuzztime 30s ./internal/swaprt/
+	$(GO) test -fuzz FuzzManagerFrame -fuzztime 30s ./internal/swaprt/
 	$(GO) test -fuzz FuzzStateDecode -fuzztime 30s ./internal/swaprt/
 	$(GO) test -fuzz FuzzPlanCommitDecode -fuzztime 30s ./internal/swaprt/
 	$(GO) test -fuzz FuzzStoreOpen -fuzztime 30s ./internal/swaprt/mgrstore/

@@ -36,6 +36,8 @@ var ErrStaleEpoch = errors.New("swaprt: decide request carries a stale epoch")
 //     assignment per directive, fsynced before the response leaves.
 //   - The leader's outcome report appends the commit or abort, the
 //     quarantines, and the spare releases.
+//   - Each of these steps, and each re-drive below, is one Append: one
+//     write and one fsync, and the mirror moves only once it succeeded.
 //   - Restart recovery is epoch fencing at the next Decide: a request
 //     below the durable epoch is rejected (ErrStaleEpoch); a request at
 //     or above a pending proposal's epoch proves the ranks adopted it
@@ -86,13 +88,16 @@ func (d *DurableDecider) DurableState() *mgrstore.State {
 	return d.st.Clone()
 }
 
-// append writes one record through to the store (which fsyncs it) and
-// folds it into the live mirror. Caller holds d.mu.
-func (d *DurableDecider) append(r *mgrstore.Record) error {
-	if err := d.store.Append(r); err != nil {
+// append makes one step's records durable together — one write and one
+// fsync on a FileStore — and only then folds them into the live mirror.
+// Caller holds d.mu.
+func (d *DurableDecider) append(rs ...*mgrstore.Record) error {
+	if err := d.store.Append(rs...); err != nil {
 		return fmt.Errorf("swaprt: durable decider: %w", err)
 	}
-	d.st.Apply(r)
+	for _, r := range rs {
+		d.st.Apply(r)
+	}
 	return nil
 }
 
@@ -113,15 +118,17 @@ func (d *DurableDecider) Decide(req DecideRequest) (DecideResponse, error) {
 		// adopt it durably. The commit also closes a pending proposal at
 		// or below the observed epoch — that is the re-drive to commit.
 		pending := d.st.Pending
-		if err := d.append(&mgrstore.Record{Op: mgrstore.OpEpochCommit, Epoch: req.Epoch,
-			Detail: "observed from leader after recovery"}); err != nil {
+		step := []*mgrstore.Record{{Op: mgrstore.OpEpochCommit, Epoch: req.Epoch,
+			Detail: "observed from leader after recovery"}}
+		redrive := pending != nil && pending.Epoch <= req.Epoch
+		if redrive {
+			step = releases(step, pending.Swaps)
+		}
+		if err := d.append(step...); err != nil {
 			return DecideResponse{}, err
 		}
-		if pending != nil && pending.Epoch <= req.Epoch {
+		if redrive {
 			d.logf("swapmgr: re-drove pending epoch %d to commit (leader at %d)", pending.Epoch, req.Epoch)
-			if err := d.releaseSwaps(pending.Swaps); err != nil {
-				return DecideResponse{}, err
-			}
 		}
 	}
 	if p := d.st.Pending; p != nil && p.Epoch > req.Epoch {
@@ -131,12 +138,9 @@ func (d *DurableDecider) Decide(req DecideRequest) (DecideResponse, error) {
 		// ReportOutcome with the failed spares named; this path only fires
 		// when the proposal died with the manager.
 		d.logf("swapmgr: re-drove pending epoch %d to abort (leader at %d)", p.Epoch, req.Epoch)
-		swaps := p.Swaps
-		if err := d.append(&mgrstore.Record{Op: mgrstore.OpEpochAbort, Epoch: p.Epoch,
-			Detail: "re-driven after recovery"}); err != nil {
-			return DecideResponse{}, err
-		}
-		if err := d.releaseSwaps(swaps); err != nil {
+		step := releases([]*mgrstore.Record{{Op: mgrstore.OpEpochAbort, Epoch: p.Epoch,
+			Detail: "re-driven after recovery"}}, p.Swaps)
+		if err := d.append(step...); err != nil {
 			return DecideResponse{}, err
 		}
 	}
@@ -164,38 +168,35 @@ func (d *DurableDecider) Decide(req DecideRequest) (DecideResponse, error) {
 	}
 
 	// Durability before ack: the proposal record first (it is the one a
-	// re-drive reconstructs everything from), then the assignments.
+	// re-drive reconstructs everything from), then the assignments, in
+	// one append.
 	swaps := make([]mgrstore.Swap, len(resp.Swaps))
 	for i, sw := range resp.Swaps {
 		swaps[i] = mgrstore.Swap{Out: sw.Out, In: sw.In}
 	}
-	if err := d.append(&mgrstore.Record{Op: mgrstore.OpEpochPropose, Epoch: req.Epoch + 1,
-		Swaps: swaps}); err != nil {
-		return DecideResponse{}, err
+	step := append(make([]*mgrstore.Record, 0, 1+len(swaps)),
+		&mgrstore.Record{Op: mgrstore.OpEpochPropose, Epoch: req.Epoch + 1, Swaps: swaps})
+	for _, sw := range swaps {
+		step = append(step, &mgrstore.Record{Op: mgrstore.OpSpareAssign, Rank: sw.In})
 	}
-	for _, sw := range resp.Swaps {
-		if err := d.append(&mgrstore.Record{Op: mgrstore.OpSpareAssign, Rank: sw.In}); err != nil {
-			return DecideResponse{}, err
-		}
+	if err := d.append(step...); err != nil {
+		return DecideResponse{}, err
 	}
 	return resp, nil
 }
 
-// releaseSwaps appends one spare-release record per directive. Caller
-// holds d.mu.
-func (d *DurableDecider) releaseSwaps(swaps []mgrstore.Swap) error {
+// releases appends one spare-release record per directive to step.
+func releases(step []*mgrstore.Record, swaps []mgrstore.Swap) []*mgrstore.Record {
 	for _, sw := range swaps {
-		if err := d.append(&mgrstore.Record{Op: mgrstore.OpSpareRelease, Rank: sw.In}); err != nil {
-			return err
-		}
+		step = append(step, &mgrstore.Record{Op: mgrstore.OpSpareRelease, Rank: sw.In})
 	}
-	return nil
+	return step
 }
 
 // ReportOutcome implements Decider: the leader's verdict becomes the
 // durable commit or abort, the failed spares' quarantines, and the
-// releases that return the proposal's spares to the pool — and then goes
-// on to the wrapped decider.
+// releases that return the proposal's spares to the pool, in one
+// append — and then goes on to the wrapped decider.
 func (d *DurableDecider) ReportOutcome(o OutcomeMsg) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -204,18 +205,15 @@ func (d *DurableDecider) ReportOutcome(o OutcomeMsg) error {
 	if o.Committed {
 		op = mgrstore.OpEpochCommit
 	}
-	if err := d.append(&mgrstore.Record{Op: op, Epoch: o.Epoch, Detail: "leader outcome"}); err != nil {
-		return err
-	}
+	step := []*mgrstore.Record{{Op: op, Epoch: o.Epoch, Detail: "leader outcome"}}
 	for _, q := range o.Quarantined {
-		if err := d.append(&mgrstore.Record{Op: mgrstore.OpQuarantine, Rank: q}); err != nil {
-			return err
-		}
+		step = append(step, &mgrstore.Record{Op: mgrstore.OpQuarantine, Rank: q})
 	}
 	if pending != nil && pending.Epoch == o.Epoch {
-		if err := d.releaseSwaps(pending.Swaps); err != nil {
-			return err
-		}
+		step = releases(step, pending.Swaps)
+	}
+	if err := d.append(step...); err != nil {
+		return err
 	}
 	return d.Next.ReportOutcome(o)
 }

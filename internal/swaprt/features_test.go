@@ -245,13 +245,13 @@ func TestRemoteUnknownKindErrors(t *testing.T) {
 	go func() { _ = ServeManager(ln, NewLocalDecider(core.Greedy()), nil) }()
 
 	d := &RemoteDecider{Addr: ln.Addr().String()}
-	if _, err := d.roundTrip(wireRequest{Kind: "bogus"}); err == nil {
-		t.Fatal("unknown kind accepted")
+	if _, err := d.roundTrip(wireRequest{Kind: 99}); err == nil || !strings.Contains(err.Error(), "unknown request kind 99") {
+		t.Fatalf("unknown kind answered with %v", err)
 	}
-	// The error came from the manager over a working connection, so the
-	// liveness probe still treats the daemon as alive.
-	if !isWireError(func() error { _, err := d.roundTrip(wireRequest{Kind: "bogus"}); return err }()) {
-		t.Fatal("manager-reported error not marked as wire error")
+	// The manager refused the request, not the connection: the next call
+	// is answered.
+	if err := d.Ping(); err != nil {
+		t.Fatalf("ping after an unknown kind: %v", err)
 	}
 }
 

@@ -53,9 +53,7 @@ type SwapDirective struct {
 }
 
 // DecideResponse is the manager's decision. Eval, when present, explains
-// the verdict (decisive pair, payback distance, which gate decided); it
-// is optional on the wire, so old swapmgr daemons interoperate with new
-// runtimes and vice versa.
+// the verdict (decisive pair, payback distance, which gate decided).
 type DecideResponse struct {
 	Swaps []SwapDirective   `json:"swaps"`
 	Eval  *core.Explanation `json:"eval,omitempty"`
@@ -64,9 +62,7 @@ type DecideResponse struct {
 // ReportMsg is one asynchronous performance measurement pushed by a swap
 // handler between swap points. Telemetry, when the runtime has a hub
 // enabled, piggybacks the rank's windowed telemetry snapshot on the same
-// message — the JSON wire format extends compatibly, so managers without
-// telemetry simply ignore the field (and old-format reports decode with
-// it nil).
+// message.
 type ReportMsg struct {
 	Rank      int            `json:"rank"`
 	Now       float64        `json:"now"`

@@ -19,7 +19,7 @@ import (
 //	snapshot.json one framed State snapshot (Compact)
 //	lease.json    the leader lease, atomically replaced
 //
-// Append writes and fsyncs the frame before returning, so an acked
+// Append writes and fsyncs its frames before returning, so an acked
 // decision survives any later crash. The in-memory state mirror is
 // updated under the store mutex, but the fsync itself runs outside it
 // (concurrent Syncs on one *os.File are safe, and each append's Sync
@@ -37,6 +37,7 @@ type FileStore struct {
 
 	mu         sync.Mutex
 	wal        *os.File
+	buf        []byte // an append's frames, call to call
 	st         State
 	walRecords int
 	replayed   int
@@ -105,28 +106,38 @@ func (f *FileStore) compactEvery() int {
 	return f.CompactEvery
 }
 
-// Append implements Store: assign the sequence number, write the frame,
-// fsync, then return. The write happens under the mutex (frames must
-// stay contiguous); the fsync happens outside it, after this record's
-// write, which still orders durability correctly.
-func (f *FileStore) Append(r *Record) error {
+// Append implements Store: assign the sequence numbers, frame the
+// records into one buffer, write it once, fsync once, then return. The
+// write happens under the mutex (frames must stay contiguous); the
+// fsync happens outside it, after this call's write, which still orders
+// durability correctly.
+func (f *FileStore) Append(rs ...*Record) error {
+	if len(rs) == 0 {
+		return nil
+	}
 	f.mu.Lock()
 	if f.closed {
 		f.mu.Unlock()
 		return fmt.Errorf("mgrstore: append on closed store")
 	}
-	r.Seq = f.st.Seq + 1
-	frame, err := encodeRecordFrame(r)
-	if err != nil {
-		f.mu.Unlock()
-		return err
+	buf := f.buf[:0]
+	for i, r := range rs {
+		r.Seq = f.st.Seq + 1 + uint64(i)
+		var err error
+		if buf, err = appendRecordFrame(buf, r); err != nil {
+			f.mu.Unlock()
+			return err
+		}
 	}
-	if _, err := f.wal.Write(frame); err != nil {
+	f.buf = buf
+	if _, err := f.wal.Write(buf); err != nil {
 		f.mu.Unlock()
 		return fmt.Errorf("mgrstore: append wal: %w", err)
 	}
-	f.st.Apply(r)
-	f.walRecords++
+	for _, r := range rs {
+		f.st.Apply(r)
+	}
+	f.walRecords += len(rs)
 	wal, due := f.wal, f.walRecords >= f.compactEvery() && f.compactEvery() > 0
 	f.mu.Unlock()
 

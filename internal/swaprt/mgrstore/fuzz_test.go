@@ -19,7 +19,7 @@ import (
 func FuzzStoreOpen(f *testing.F) {
 	var wal []byte
 	for _, r := range sampleRecords() {
-		frame, err := encodeRecordFrame(r)
+		frame, err := appendRecordFrame(nil, r)
 		if err != nil {
 			f.Fatal(err)
 		}
@@ -29,7 +29,7 @@ func FuzzStoreOpen(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	first, _ := encodeRecordFrame(sampleRecords()[0])
+	first, _ := appendRecordFrame(nil, sampleRecords()[0])
 	badCRC := append([]byte(nil), first...)
 	badCRC[4] ^= 0xff
 	lying := append([]byte(nil), first...)

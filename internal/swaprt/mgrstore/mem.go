@@ -30,15 +30,17 @@ func NewMemStore(clk clock.Clock) *MemStore {
 }
 
 // Append implements Store.
-func (m *MemStore) Append(r *Record) error {
+func (m *MemStore) Append(rs ...*Record) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.closed {
 		return fmt.Errorf("mgrstore: append on closed store")
 	}
-	r.Seq = m.st.Seq + 1
-	m.st.Apply(r)
-	m.applied++
+	for _, r := range rs {
+		r.Seq = m.st.Seq + 1
+		m.st.Apply(r)
+		m.applied++
+	}
 	return nil
 }
 

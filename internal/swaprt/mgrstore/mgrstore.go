@@ -13,7 +13,7 @@
 //	snapshot.json one framed State snapshot written by Compact
 //	lease.json    the current leader lease, atomically replaced
 //
-// Append is durable-before-return: the record is written and fsynced
+// Append is durable-before-return: the records are written and fsynced
 // before the call comes back, so a manager that acked a decision can
 // always replay it. Load replays snapshot+WAL and tolerates a torn tail
 // (a crash mid-append): replay stops cleanly at the first incomplete or
@@ -211,9 +211,11 @@ var ErrCorrupt = errors.New("mgrstore: corrupt store artifact")
 
 // Store is the manager's durability contract.
 //
-// Append assigns the record's sequence number and makes it durable
-// before returning: after Append comes back, a crash-and-replay sees the
-// record. Load returns the replayed state plus the number of WAL records
+// Append assigns each record its sequence number, in order, and makes
+// them durable before returning: after Append comes back, a
+// crash-and-replay sees every one of them. Records handed over together
+// are written together (one write and one fsync on a FileStore), each
+// in its own frame, so a crash mid-call replays a prefix of them. Load returns the replayed state plus the number of WAL records
 // replayed on top of the snapshot (recovery evidence for traces and
 // tests). Compact folds the current state into a snapshot and truncates
 // the WAL.
@@ -223,7 +225,7 @@ var ErrCorrupt = errors.New("mgrstore: corrupt store artifact")
 // by owner (renewal); it refuses with ErrLeaseHeld otherwise.
 // Implementations must be safe for concurrent use.
 type Store interface {
-	Append(r *Record) error
+	Append(rs ...*Record) error
 	Load() (*State, int, error)
 	Compact() error
 	AcquireLease(owner, addr string, ttl time.Duration) (Lease, error)

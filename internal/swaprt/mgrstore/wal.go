@@ -21,7 +21,8 @@ import (
 // the checksum. Replay treats anything that fails these checks as the
 // torn tail of a crashed append — every frame before it is intact (each
 // Append is fsynced before the next begins), so stopping there loses at
-// most the record whose ack never happened.
+// most the records of the one call whose ack never happened, or a
+// suffix of them.
 //
 // The snapshot file reuses the same frame around a JSON-encoded State:
 // one frame, read back with the same bounds and checksum checks. Unlike
@@ -48,13 +49,13 @@ func appendFrame(buf, payload []byte) ([]byte, error) {
 	return append(buf, payload...), nil
 }
 
-// encodeRecordFrame frames one JSON-encoded record.
-func encodeRecordFrame(r *Record) ([]byte, error) {
+// appendRecordFrame appends one framed, JSON-encoded record to buf.
+func appendRecordFrame(buf []byte, r *Record) ([]byte, error) {
 	payload, err := json.Marshal(r)
 	if err != nil {
-		return nil, fmt.Errorf("mgrstore: encode record: %w", err)
+		return buf, fmt.Errorf("mgrstore: encode record: %w", err)
 	}
-	return appendFrame(nil, payload)
+	return appendFrame(buf, payload)
 }
 
 // decodeFrame reads the frame at data[off:]. ok is false when the bytes

@@ -256,3 +256,65 @@ func TestLeaseFileTornWrite(t *testing.T) {
 		t.Fatalf("ReadLease on torn lease: err=%v, want ErrCorrupt", err)
 	}
 }
+
+// TestBatchAppendMatchesSingleAppends: records handed to one Append get
+// the sequence numbers, the file bytes and the replayed state that one
+// Append per record gives; a batch torn mid-file replays the records
+// whose frames are whole. MemStore agrees.
+func TestBatchAppendMatchesSingleAppends(t *testing.T) {
+	wal, states := writeSampleWAL(t)
+	dir := t.TempDir()
+	fs, err := Open(dir, clock.NewFake())
+	if err != nil {
+		t.Fatal(err)
+	}
+	mem := NewMemStore(clock.NewFake())
+	recs := sampleRecords()
+	for _, batch := range [][]*Record{recs[:1], recs[1:4], recs[4:5], recs[5:]} {
+		if err := fs.Append(batch...); err != nil {
+			t.Fatalf("append %d records: %v", len(batch), err)
+		}
+		if err := mem.Append(batch...); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := fs.Append(); err != nil {
+		t.Fatalf("empty append: %v", err)
+	}
+	for i, r := range recs {
+		if r.Seq != uint64(i+1) {
+			t.Fatalf("record %d has seq %d, want %d", i, r.Seq, i+1)
+		}
+	}
+	if err := fs.Close(); err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(filepath.Join(dir, walFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, wal) {
+		t.Fatalf("batched WAL differs from one append per record:\n%x\n%x", got, wal)
+	}
+	want := states[len(states)-1]
+	if st, _, _ := mem.Load(); !reflect.DeepEqual(st, want) {
+		t.Fatalf("mem store state %+v, want %+v", st, want)
+	}
+
+	// The batch recs[1:4] cut inside its third frame: its first two
+	// records replay.
+	ends := frameEnds(t, wal)
+	torn := t.TempDir()
+	if err := os.WriteFile(filepath.Join(torn, walFile), wal[:ends[3]-2], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	re, err := Open(torn, clock.NewFake())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	st, replayed, _ := re.Load()
+	if replayed != 3 || !reflect.DeepEqual(st, states[3]) {
+		t.Fatalf("torn batch replayed %d records to %+v, want 3 to %+v", replayed, st, states[3])
+	}
+}

@@ -1,8 +1,7 @@
 package swaprt
 
 import (
-	"bytes"
-	"encoding/json"
+	"bufio"
 	"errors"
 	"fmt"
 	"io"
@@ -15,29 +14,13 @@ import (
 	"repro/internal/clock"
 )
 
-// wireRequest is the swapmgr wire envelope, one JSON value per request —
-// a decision query, an asynchronous handler report, a swap-outcome
-// report closing a proposed epoch, or a liveness ping (used by
-// ResilientDecider's recovery probe).
-type wireRequest struct {
-	Kind    string         `json:"kind"` // "decide", "report", "outcome" or "ping"
-	Decide  *DecideRequest `json:"decide,omitempty"`
-	Report  *ReportMsg     `json:"report,omitempty"`
-	Outcome *OutcomeMsg    `json:"outcome,omitempty"`
-}
-
-// wireResponse answers a wireRequest.
-type wireResponse struct {
-	Decide *DecideResponse `json:"decide,omitempty"`
-	Error  string          `json:"error,omitempty"`
-}
-
 // RemoteDecider consults a swap-manager daemon (cmd/swapmgr) over TCP:
-// each call is one JSON request answered by one JSON response. This is
-// the paper's "possibly remote process that is responsible for
-// collecting information and making swapping decisions". It is a leaf on
-// the client side: each of Decider's four calls is one request kind on
-// the wire, and ServeManager hands it to the decider on the other end.
+// each call is one request frame answered by one response frame
+// (mgrframe.go). This is the paper's "possibly remote process that is
+// responsible for collecting information and making swapping
+// decisions". It is a leaf on the client side: each of Decider's four
+// calls is one request kind on the wire, and ServeManager hands it to
+// the decider on the other end.
 //
 // A call is a message, not a connection. The decider keeps at most one
 // idle connection: a call takes it, or dials when there is none (another
@@ -45,10 +28,9 @@ type wireResponse struct {
 // slot is empty and closes it otherwise; a call that fails closes it.
 // A kept connection found dead before any byte of the answer arrived —
 // the request write fails, or the read meets EOF or a reset, as when the
-// manager closed it idle or is an old daemon that answers one request per
-// connection — is retried once on a fresh dial. Nothing else is retried
-// here; retries belong to ResilientDecider. Use it by pointer: it is safe
-// for concurrent calls and must not be copied.
+// manager closed it idle — is retried once on a fresh dial. Nothing else
+// is retried here; retries belong to ResilientDecider. Use it by
+// pointer: it is safe for concurrent calls and must not be copied.
 type RemoteDecider struct {
 	Addr string
 	// Timeout bounds each round trip; zero means 5 s.
@@ -61,12 +43,13 @@ type RemoteDecider struct {
 	idle *managerConn // the kept connection, nil when none
 }
 
-// managerConn is one connection to a manager, with the JSON codecs that
+// managerConn is one connection to a manager, with the buffers that
 // live as long as it does.
 type managerConn struct {
 	conn net.Conn
-	enc  *json.Encoder
-	dec  *json.Decoder
+	br   *bufio.Reader
+	wbuf []byte // the request frame, call to call
+	rbuf []byte // the answer's body, call to call
 }
 
 func (d *RemoteDecider) roundTrip(req wireRequest) (wireResponse, error) {
@@ -83,13 +66,13 @@ func (d *RemoteDecider) roundTrip(req wireRequest) (wireResponse, error) {
 			return wireResponse{}, err
 		}
 	}
-	resp, dead, err := c.exchange(req, clock.RealDeadline(clk, timeout))
+	resp, dead, err := c.exchange(&req, clock.RealDeadline(clk, timeout))
 	if kept && dead {
 		c.conn.Close()
 		if c, err = d.dial(clk, timeout); err != nil {
 			return wireResponse{}, err
 		}
-		resp, _, err = c.exchange(req, clock.RealDeadline(clk, timeout))
+		resp, _, err = c.exchange(&req, clock.RealDeadline(clk, timeout))
 	}
 	if err != nil {
 		c.conn.Close()
@@ -97,7 +80,7 @@ func (d *RemoteDecider) roundTrip(req wireRequest) (wireResponse, error) {
 	}
 	d.put(c)
 	if resp.Error != "" {
-		return wireResponse{}, wireErr{resp.Error}
+		return wireResponse{}, errors.New("swaprt: manager: " + resp.Error)
 	}
 	return resp, nil
 }
@@ -107,7 +90,7 @@ func (d *RemoteDecider) dial(clk clock.Clock, timeout time.Duration) (*managerCo
 	if err != nil {
 		return nil, fmt.Errorf("swaprt: dial manager: %w", err)
 	}
-	return &managerConn{conn: conn, enc: json.NewEncoder(conn), dec: json.NewDecoder(conn)}, nil
+	return &managerConn{conn: conn, br: bufio.NewReader(conn)}, nil
 }
 
 // take empties the slot and returns what it held.
@@ -136,35 +119,27 @@ func (d *RemoteDecider) put(c *managerConn) {
 // failure that left the request unanswered on a connection the peer had
 // already closed or reset: the write failed (not by timing out), or the
 // read met EOF or a reset before any byte of the answer arrived.
-func (c *managerConn) exchange(req wireRequest, deadline time.Time) (resp wireResponse, dead bool, err error) {
+func (c *managerConn) exchange(req *wireRequest, deadline time.Time) (resp wireResponse, dead bool, err error) {
 	_ = c.conn.SetDeadline(deadline)
-	if err := c.enc.Encode(req); err != nil {
+	if c.wbuf, err = appendFrame(c.wbuf, func(b []byte) []byte { return appendRequest(b, req) }); err != nil {
+		return resp, false, err
+	}
+	if _, err := c.conn.Write(c.wbuf); err != nil {
 		return resp, !errors.Is(err, os.ErrDeadlineExceeded), fmt.Errorf("swaprt: send manager request: %w", err)
 	}
-	if err := c.dec.Decode(&resp); err != nil {
-		// A clean EOF already means only whitespace arrived (a partial
-		// value is io.ErrUnexpectedEOF); a reset needs the buffer checked.
-		partial, _ := io.ReadAll(c.dec.Buffered())
-		dead = (errors.Is(err, io.EOF) || errors.Is(err, syscall.ECONNRESET)) && len(bytes.TrimSpace(partial)) == 0
+	body, started, err := readFrame(c.br, c.rbuf)
+	c.rbuf = body
+	if err != nil {
+		dead = !started && (errors.Is(err, io.EOF) || errors.Is(err, syscall.ECONNRESET))
 		return resp, dead, fmt.Errorf("swaprt: read manager response: %w", err)
 	}
-	return resp, false, nil
-}
-
-// wireErr is an error the manager itself reported: the transport worked
-// and the daemon answered, it just declined the request.
-type wireErr struct{ msg string }
-
-func (e wireErr) Error() string { return "swaprt: manager: " + e.msg }
-
-func isWireError(err error) bool {
-	var we wireErr
-	return errors.As(err, &we)
+	resp, err = decodeResponse(body)
+	return resp, false, err
 }
 
 // Decide implements Decider.
 func (d *RemoteDecider) Decide(req DecideRequest) (DecideResponse, error) {
-	resp, err := d.roundTrip(wireRequest{Kind: "decide", Decide: &req})
+	resp, err := d.roundTrip(wireRequest{Kind: kindDecide, Decide: &req})
 	if err != nil {
 		return DecideResponse{}, err
 	}
@@ -176,44 +151,30 @@ func (d *RemoteDecider) Decide(req DecideRequest) (DecideResponse, error) {
 
 // Report implements Decider.
 func (d *RemoteDecider) Report(r ReportMsg) error {
-	_, err := d.roundTrip(wireRequest{Kind: "report", Report: &r})
+	_, err := d.roundTrip(wireRequest{Kind: kindReport, Report: &r})
 	return err
 }
 
-// ReportOutcome implements Decider. Old swapmgr daemons that
-// predate the "outcome" kind decline it with an error payload; that is
-// interop, not failure — the manager reconciles from the next decide's
-// epoch instead — so a wire-level decline reports success.
+// ReportOutcome implements Decider.
 func (d *RemoteDecider) ReportOutcome(o OutcomeMsg) error {
-	_, err := d.roundTrip(wireRequest{Kind: "outcome", Outcome: &o})
-	if err != nil && isWireError(err) {
-		return nil
-	}
+	_, err := d.roundTrip(wireRequest{Kind: kindOutcome, Outcome: &o})
 	return err
 }
 
 // Ping implements Decider: one cheap liveness round trip, used by
-// ResilientDecider's background recovery probe. Old swapmgr daemons that
-// predate the "ping" kind answer with an error payload, which still
-// proves the manager is reachable and serving — so that counts as alive.
+// ResilientDecider's background recovery probe.
 func (d *RemoteDecider) Ping() error {
-	_, err := d.roundTrip(wireRequest{Kind: "ping"})
-	if err != nil && isWireError(err) {
-		return nil
-	}
+	_, err := d.roundTrip(wireRequest{Kind: kindPing})
 	return err
 }
 
 // ServeManager runs a swap-manager service on the listener. A connection
-// carries any number of requests, each one JSON value — one of Decider's
-// four calls — answered in order by one JSON response. ServeManager
+// carries any number of request frames, each one of Decider's four
+// calls, answered in order by one response frame each. ServeManager
 // returns when the listener closes, once it has closed every connection
 // it was serving: a manager whose listener is gone answers nothing more,
-// not even on a connection a client kept.
+// not even on a connection a client kept. A nil logf logs nothing.
 func ServeManager(ln net.Listener, decider Decider, logf func(string, ...any)) error {
-	if logf == nil {
-		logf = func(string, ...any) {}
-	}
 	var mu sync.Mutex
 	conns := map[net.Conn]struct{}{}
 	defer func() {
@@ -249,80 +210,92 @@ func serveConn(conn net.Conn, decider Decider, logf func(string, ...any)) {
 	// answer keeps a request that lands just before the cap from being
 	// carried out and then left unanswered.
 	guard := func() time.Time { return clock.RealDeadline(clock.Real{}, 30*time.Second) }
-	dec, enc := json.NewDecoder(conn), json.NewEncoder(conn)
+	br := bufio.NewReader(conn)
+	var (
+		sc         wireScratch
+		rbuf, wbuf []byte
+	)
 	for {
 		_ = conn.SetDeadline(guard())
-		var req wireRequest
-		if err := dec.Decode(&req); err != nil {
-			if !errors.Is(err, io.EOF) && !errors.Is(err, net.ErrClosed) && !errors.Is(err, os.ErrDeadlineExceeded) {
-				logf("swapmgr: bad request from %s: %v", conn.RemoteAddr(), err)
+		body, _, err := readFrame(br, rbuf)
+		rbuf = body
+		if err != nil {
+			if logf != nil && !errors.Is(err, io.EOF) && !errors.Is(err, net.ErrClosed) && !errors.Is(err, os.ErrDeadlineExceeded) {
+				logf("swapmgr: bad frame from %s: %v", conn.RemoteAddr(), err)
 			}
 			return
 		}
-		resp := answer(req, decider, logf)
+		resp := sc.answer(body, decider, logf)
+		if wbuf, err = appendFrame(wbuf, func(b []byte) []byte { return appendResponse(b, &resp) }); err != nil {
+			if logf != nil {
+				logf("swapmgr: answer: %v", err)
+			}
+			return
+		}
 		_ = conn.SetDeadline(guard())
-		if err := enc.Encode(resp); err != nil {
-			logf("swapmgr: write response: %v", err)
+		if _, err := conn.Write(wbuf); err != nil {
+			if logf != nil {
+				logf("swapmgr: write response: %v", err)
+			}
 			return
 		}
 	}
 }
 
-// answer hands one decoded request to the decider. The request is peer
-// input: a missing body or a malformed decide request gets an error
-// response, never a panic inside the manager.
-func answer(req wireRequest, decider Decider, logf func(string, ...any)) wireResponse {
+// answer decodes one request body and hands it to the decider. The body
+// is peer input: one that does not decode, or a malformed decide
+// request, gets an error answer, never a panic inside the manager. A
+// decision lives in sc until the next request. Log lines are built only
+// when there is a logf.
+func (sc *wireScratch) answer(body []byte, decider Decider, logf func(string, ...any)) wireResponse {
+	req, err := sc.decodeRequest(body)
+	if err != nil {
+		return wireResponse{Error: err.Error()}
+	}
 	var resp wireResponse
 	switch req.Kind {
-	case "decide":
-		if req.Decide == nil {
-			resp.Error = "decide request without body"
-			break
-		}
+	case kindDecide:
 		if err := req.Decide.Validate(); err != nil {
 			resp.Error = err.Error()
 			break
 		}
 		out, err := decider.Decide(*req.Decide)
 		if err != nil {
-			logf("swapmgr: decide error: %v", err)
+			if logf != nil {
+				logf("swapmgr: decide error: %v", err)
+			}
 			resp.Error = err.Error()
 			break
 		}
-		if len(out.Swaps) > 0 {
+		if logf != nil && len(out.Swaps) > 0 {
 			logf("swapmgr: epoch %d iter %.2fs -> %d swaps %v",
 				req.Decide.Epoch, req.Decide.IterTime, len(out.Swaps), out.Swaps)
 		}
-		resp.Decide = &out
-	case "report":
-		if req.Report == nil {
-			resp.Error = "report request without body"
-			break
-		}
+		sc.resp = out
+		resp.Decide = &sc.resp
+	case kindReport:
 		if err := decider.Report(*req.Report); err != nil {
 			resp.Error = err.Error()
 		}
-	case "outcome":
-		if req.Outcome == nil {
-			resp.Error = "outcome request without body"
-			break
-		}
+	case kindOutcome:
 		if err := decider.ReportOutcome(*req.Outcome); err != nil {
-			logf("swapmgr: outcome error: %v", err)
+			if logf != nil {
+				logf("swapmgr: outcome error: %v", err)
+			}
 			resp.Error = err.Error()
 			break
 		}
-		logf("swapmgr: epoch %d outcome: committed=%v quarantined=%v",
-			req.Outcome.Epoch, req.Outcome.Committed, req.Outcome.Quarantined)
-	case "ping":
+		if logf != nil {
+			logf("swapmgr: epoch %d outcome: committed=%v quarantined=%v",
+				req.Outcome.Epoch, req.Outcome.Committed, req.Outcome.Quarantined)
+		}
+	case kindPing:
 		// Liveness probe: an empty successful response is the answer. It
 		// goes through the decider so a layer that fronts another
 		// service answers for it.
 		if err := decider.Ping(); err != nil {
 			resp.Error = err.Error()
 		}
-	default:
-		resp.Error = fmt.Sprintf("unknown request kind %q", req.Kind)
 	}
 	return resp
 }

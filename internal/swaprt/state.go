@@ -470,9 +470,13 @@ type reader struct {
 
 var errTruncated = errors.New("swaprt: truncated message")
 
-// take returns the next n bytes without copying them.
+// take returns the next n bytes without copying them. The first error
+// sticks.
 func (r *reader) take(n int) []byte {
-	if r.err != nil || n > len(r.b) {
+	if r.err != nil {
+		return nil
+	}
+	if n > len(r.b) {
 		r.err = errTruncated
 		return nil
 	}
@@ -484,8 +488,7 @@ func (r *reader) take(n int) []byte {
 // take64 is take for a length read off the wire.
 func (r *reader) take64(n uint64) []byte {
 	if n > uint64(len(r.b)) {
-		r.err = errTruncated
-		return nil
+		return r.take(len(r.b) + 1)
 	}
 	return r.take(int(n))
 }

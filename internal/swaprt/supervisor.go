@@ -52,6 +52,8 @@ type ManagerSupervisor struct {
 	recoveries   int
 	closed       bool
 	client       *RemoteDecider // what Resolve hands out for client.Addr
+
+	serveLogf func(string, ...any) // the caller's Logf, nil included: ServeManager builds no line for nil
 }
 
 // mgrIncarnation is one supervised Incarnation and the close of its
@@ -162,13 +164,14 @@ func StartManagerSupervisor(cfg SupervisorConfig) (*ManagerSupervisor, error) {
 	if err := cfg.Policy.Validate(); err != nil {
 		return nil, err
 	}
+	serveLogf := cfg.Logf
 	if cfg.Logf == nil {
 		cfg.Logf = func(string, ...any) {}
 	}
 	if cfg.LeaseTTL <= 0 {
 		cfg.LeaseTTL = 2 * time.Second
 	}
-	s := &ManagerSupervisor{cfg: cfg}
+	s := &ManagerSupervisor{cfg: cfg, serveLogf: serveLogf}
 	serving := make(chan error, 1)
 	s.startIncarnation(serving)
 	if err := <-serving; err != nil {
@@ -196,7 +199,7 @@ func (s *ManagerSupervisor) startIncarnation(serving chan<- error) {
 			s.cfg.Logf("swapmgr-sup: %s: %v", owner, err)
 			return
 		}
-		err = ServeManager(inc.ln, inc.Durable, s.cfg.Logf)
+		err = ServeManager(inc.ln, inc.Durable, s.serveLogf)
 		close(inc.served)
 		if s.dropIfCurrent(inc) {
 			// Neither Kill nor Close ended it: fenced out, or the serve failed.

@@ -25,8 +25,7 @@ const (
 // RankTelemetry is one rank's live telemetry snapshot: the windowed
 // iteration-time distribution, the latest probe measurement, and the
 // slowdown-detector state. It piggybacks on the swap handler's periodic
-// ReportMsg (the wire format extends compatibly — old managers ignore
-// it) and aggregates fleet-wide on the manager side.
+// ReportMsg and aggregates fleet-wide on the manager side.
 type RankTelemetry struct {
 	Rank     int              `json:"rank"`
 	Now      float64          `json:"now"`   // hub clock at snapshot time
