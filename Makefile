@@ -41,7 +41,10 @@ lint:
 # runs, and so the shared-connection test, whose ranks contend for one
 # write token differently every time; the swap round's fault rows and
 # multi-rank rounds ten times, because every member settles a round from
-# votes that arrive in a different order every time; and the manager's
+# votes that arrive in a different order every time, and with them the
+# steady swap point and the TCP receive tests, because a receive reads
+# its rank's socket itself and races that read against close(), a
+# deadline and a second stream; and the manager's
 # wire and durable layer twenty times, because their clients share one
 # kept connection and its buffers, and a killed incarnation must close
 # every connection it served.
@@ -53,7 +56,7 @@ race:
 		./internal/loadgen/ ./internal/platform/ ./internal/rng/ ./cmd/swaprun/ ./cmd/swapmgr/
 	$(GO) test -race -count=20 -run 'Failover|Supervisor' ./internal/swaprt/
 	$(GO) test -race -count=20 -run 'TestTCPSharedConnection' ./internal/mpi/
-	$(GO) test -race -count=10 -run 'TestEverySingleFaultAtEveryStep|TestMultiRankSwap|TestVoteSettlesInOneHop' ./internal/swaprt/
+	$(GO) test -race -count=10 -run 'TestEverySingleFaultAtEveryStep|TestMultiRankSwap|TestVoteSettlesInOneHop|TestSteadySwapPoint|TestTCPRecv' ./internal/swaprt/ ./internal/mpi/
 	$(GO) test -race -count=20 -run 'RemoteDecider|KilledManager|Durable' ./internal/swaprt/
 
 bench:

@@ -144,6 +144,19 @@ func RealTimeout(clk Clock, d time.Duration) time.Duration {
 	return d
 }
 
+// Wall reports whether clk's timeline moves with the wall clock — Real,
+// or Scaled at a fixed multiple of it — so that a kernel deadline from
+// RealDeadline falls due when clk reaches the instant it was made for. A
+// Fake moves only when told to, and a clock this package does not know
+// is taken to do the same.
+func Wall(clk Clock) bool {
+	switch clk.(type) {
+	case Real, *Scaled:
+		return true
+	}
+	return false
+}
+
 // RealDeadline converts "d from now on clk's timeline" into a wall-clock
 // instant suitable for net.Conn.SetDeadline. Kernel socket deadlines can
 // only follow the wall clock, so this is the sanctioned seam between

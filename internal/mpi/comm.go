@@ -79,7 +79,9 @@ type Status struct {
 }
 
 // Send sends data to the comm rank `to` with the given tag. It does not
-// wait for the receiver (buffered, eager semantics).
+// wait for the receiver (buffered, eager semantics), except on TCP for a
+// message larger than the kernel's socket buffers, which goes out as the
+// receiver reads it (see transport.send).
 func (c *Comm) Send(to, tag int, data []byte) error {
 	c.checkMember()
 	c.checkTag(tag)

@@ -24,39 +24,58 @@ func (s *stubInjector) Fault(src, dst int) FaultVerdict {
 	return s.verdicts[[2]int{src, dst}]
 }
 
-func TestRecvTimeout(t *testing.T) {
-	w := NewWorld(2)
-	err := w.Run(func(r *Rank) error {
-		c := r.World()
-		switch r.Rank() {
-		case 0:
-			// Nothing is coming: the receive must time out, not hang.
-			_, _, err := c.RecvTimeout(1, 5, 20*time.Millisecond)
-			if !errors.Is(err, ErrRecvTimeout) {
-				return errors.New("want ErrRecvTimeout")
-			}
-			// A message that arrives later is still matchable.
-			if err := c.Send(1, 9, []byte("go")); err != nil {
-				return err
-			}
-			data, _, err := c.RecvTimeout(1, 7, time.Second)
+// transports runs body once per transport, each on a new world of size
+// ranks, as a subtest named for the transport.
+func transports(t *testing.T, size int, body func(t *testing.T, w *World)) {
+	for _, tcp := range []bool{false, true} {
+		name := "inproc"
+		if tcp {
+			name = "tcp"
+		}
+		t.Run(name, func(t *testing.T) {
+			w, err := NewWorldWithConfig(Config{Size: size, TCP: tcp})
 			if err != nil {
-				return err
+				t.Fatal(err)
 			}
-			if string(data) != "late" {
-				return errors.New("wrong payload")
+			body(t, w)
+		})
+	}
+}
+
+func TestRecvTimeout(t *testing.T) {
+	transports(t, 2, func(t *testing.T, w *World) {
+		err := w.Run(func(r *Rank) error {
+			c := r.World()
+			switch r.Rank() {
+			case 0:
+				// Nothing is coming: the receive must time out, not hang.
+				_, _, err := c.RecvTimeout(1, 5, 20*time.Millisecond)
+				if !errors.Is(err, ErrRecvTimeout) {
+					return errors.New("want ErrRecvTimeout")
+				}
+				// A message that arrives later is still matchable.
+				if err := c.Send(1, 9, []byte("go")); err != nil {
+					return err
+				}
+				data, _, err := c.RecvTimeout(1, 7, time.Second)
+				if err != nil {
+					return err
+				}
+				if string(data) != "late" {
+					return errors.New("wrong payload")
+				}
+				return nil
+			default:
+				if _, _, err := c.Recv(0, 9); err != nil {
+					return err
+				}
+				return c.Send(0, 7, []byte("late"))
 			}
-			return nil
-		default:
-			if _, _, err := c.Recv(0, 9); err != nil {
-				return err
-			}
-			return c.Send(0, 7, []byte("late"))
+		})
+		if err != nil {
+			t.Fatal(err)
 		}
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 }
 
 func TestRecvTimeoutWorldClosed(t *testing.T) {

@@ -46,24 +46,36 @@ type envelope = wire.Envelope
 
 // transport moves envelopes between ranks.
 type transport interface {
-	// send delivers the envelope to its destination's mailbox; it may
-	// block briefly — the TCP transport for as long as writing the
-	// envelope to an idle connection's socket takes, or waiting for a
-	// write in flight ahead of a large one — but must not wait for a
-	// matching receive. It is done with env.Data when it returns, and an
-	// error it returns may be that of its own socket write.
+	// send delivers the envelope to its destination rank; it may block —
+	// the TCP transport for as long as writing the envelope to an idle
+	// connection's socket takes, or waiting for a write in flight ahead of
+	// a large one. It does not wait for a matching receive, with one
+	// exception: on TCP a frame larger than the kernel's socket buffers
+	// can only go out as fast as its destination reads, and a rank reads
+	// only while it receives (inStream), so sending one to a rank that is
+	// not receiving waits until it is — MPI's rendezvous — for at most
+	// tcpWriteTimeout, after which the send fails. It is done with
+	// env.Data when it returns, and an error it returns may be that of its
+	// own socket write.
 	send(env envelope) error
 	// close releases transport resources.
 	close() error
 }
 
-// mailbox is the per-rank receive queue with MPI matching.
+// mailbox is the per-rank receive queue with MPI matching. On a TCP world
+// it also holds the rank's live inbound streams (inStream). While there
+// is exactly one, a receive that finds no match in the queue reads that
+// stream itself: it returns the first frame that matches and queues every
+// other in arrival order, so a message costs its receiver one wake-up and
+// no hand-off. While there are more, each has a reader goroutine
+// (tcpTransport.readLoop) that queues whatever it decodes.
 type mailbox struct {
-	mu     sync.Mutex
-	cond   *sync.Cond
-	queue  []envelope
-	closed bool
-	wake   func() // broadcasts on cond: what a receive's deadline timer runs
+	mu      sync.Mutex
+	cond    *sync.Cond
+	queue   []envelope
+	closed  bool
+	wake    func()      // what a receive's deadline timer runs: kicks the reader, broadcasts on cond
+	streams []*inStream // TCP only: the live inbound streams, in admission order
 }
 
 func newMailbox() *mailbox {
@@ -71,6 +83,9 @@ func newMailbox() *mailbox {
 	m.cond = sync.NewCond(&m.mu)
 	m.wake = func() {
 		m.mu.Lock()
+		if s := m.direct(); s != nil {
+			s.kick()
+		}
 		m.cond.Broadcast()
 		m.mu.Unlock()
 	}
@@ -91,13 +106,7 @@ func (m *mailbox) push(env envelope) {
 // take is set, removes it. The caller must hold m.mu.
 func (m *mailbox) match(comm uint64, src, tag int, take bool) (envelope, bool) {
 	for i, env := range m.queue {
-		if env.Comm != comm {
-			continue
-		}
-		if src != AnySource && env.Src != src {
-			continue
-		}
-		if tag != AnyTag && env.Tag != tag {
+		if !matches(env, comm, src, tag) {
 			continue
 		}
 		if take {
@@ -108,32 +117,29 @@ func (m *mailbox) match(comm uint64, src, tag int, take bool) (envelope, bool) {
 	return envelope{}, false
 }
 
+func matches(env envelope, comm uint64, src, tag int) bool {
+	return env.Comm == comm && (src == AnySource || env.Src == src) && (tag == AnyTag || env.Tag == tag)
+}
+
 // pop blocks until a message matching (comm, src, tag) is present and
 // removes it. src/tag may be AnySource/AnyTag. It returns ErrWorldClosed
 // if the mailbox closes while waiting.
 func (m *mailbox) pop(comm uint64, src, tag int) (envelope, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	for {
-		if env, ok := m.match(comm, src, tag, true); ok {
-			return env, nil
-		}
-		if m.closed {
-			return envelope{}, ErrWorldClosed
-		}
-		m.cond.Wait()
-	}
+	return m.popDeadline(nil, comm, src, tag, time.Time{})
 }
 
-// popDeadline is pop with a deadline on clk's timeline: it returns
-// ErrRecvTimeout once the deadline passes with no matching message. A
-// message that is already queued is taken without a timer; a receive
-// that has to wait arms one that broadcasts on the mailbox condition, so
-// waiters re-check the clock without polling, and looks at the clock once
-// more after arming it, so a deadline that passed in between is not slept
-// through. The fake clock fires AfterFunc callbacks on their own
-// goroutines, so the broadcast locking m.mu cannot deadlock against a
-// driver advancing the clock.
+// popDeadline is pop with a deadline on clk's timeline (none when clk is
+// nil): it returns ErrRecvTimeout once the deadline passes with no
+// matching message. A message that is already queued is taken without
+// waiting. A receive that reads the rank's stream itself on a clock that
+// follows the wall hands the deadline to the socket, so it waits for a
+// first byte under it and arms nothing; any other receive that has to
+// wait arms a timer that runs m.wake — waiters re-check the clock without
+// polling, and a receive reading the stream stops waiting for a first
+// byte — and looks at the clock once more after arming it, so a deadline
+// that passed in between is not slept through. The fake clock fires
+// AfterFunc callbacks on their own goroutines, so m.wake locking m.mu
+// cannot deadlock against a driver advancing the clock.
 func (m *mailbox) popDeadline(clk clock.Clock, comm uint64, src, tag int, deadline time.Time) (envelope, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -150,11 +156,21 @@ func (m *mailbox) popDeadline(clk clock.Clock, comm uint64, src, tag int, deadli
 		if m.closed {
 			return envelope{}, ErrWorldClosed
 		}
-		if !clk.Now().Before(deadline) {
+		if clk != nil && !clk.Now().Before(deadline) {
 			return envelope{}, ErrRecvTimeout
 		}
-		if timer == nil {
+		s := m.direct()
+		if s != nil && s.reading {
+			s = nil
+		}
+		if clk != nil && timer == nil && (s == nil || !clock.Wall(clk)) {
 			timer = clk.AfterFunc(clk.Until(deadline), m.wake)
+			continue
+		}
+		if s != nil {
+			if env, ok := m.read(s, comm, src, tag, true, clk, deadline); ok {
+				return env, nil
+			}
 			continue
 		}
 		m.cond.Wait()
@@ -162,21 +178,77 @@ func (m *mailbox) popDeadline(clk clock.Clock, comm uint64, src, tag int, deadli
 }
 
 // peek reports whether a matching message is queued, without removing
-// it.
+// it. When none is and the rank's one stream is free, it reads what has
+// already arrived on it — waiting at most tcpProbeWait for a first byte —
+// and queues it, so a message on its way is seen before any receive asks.
 func (m *mailbox) peek(comm uint64, src, tag int) (envelope, bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	for _, env := range m.queue {
-		if env.Comm != comm {
-			continue
-		}
-		if src != AnySource && env.Src != src {
-			continue
-		}
-		if tag != AnyTag && env.Tag != tag {
-			continue
-		}
+	if env, ok := m.match(comm, src, tag, false); ok {
 		return env, true
+	}
+	if s := m.direct(); s != nil && !s.reading && !m.closed {
+		return m.read(s, comm, src, tag, false, nil, time.Time{})
+	}
+	return envelope{}, false
+}
+
+// direct is the stream receives read themselves: the rank's only live
+// stream, once no reader goroutine holds it. The caller holds m.mu.
+func (m *mailbox) direct() *inStream {
+	if len(m.streams) == 1 && !m.streams[0].pumped {
+		return m.streams[0]
+	}
+	return nil
+}
+
+// read holds s's read token for a receive (take) or a probe (!take) and
+// decodes frames until one matches (comm, src, tag), queueing every other.
+// A receive returns the match itself; a probe queues it too. A receive
+// with a deadline on clk waits for each first byte under it when clk
+// follows the wall (a kick from its timer ends the wait otherwise); a
+// probe waits on the socket once, for at most tcpProbeWait, and then
+// decodes only what that read brought in. read returns false when the
+// caller must look again instead: the world closed, s stopped being the
+// rank's one direct stream, a wait ran out, or the stream died. Called
+// and returns with m.mu held.
+func (m *mailbox) read(s *inStream, comm uint64, src, tag int, take bool, clk clock.Clock, deadline time.Time) (envelope, bool) {
+	s.reading = true
+	defer func() {
+		s.reading = false
+		m.cond.Broadcast()
+	}()
+	for probed := false; !m.closed && m.direct() == s; probed = !take {
+		var wait time.Time
+		switch {
+		case probed && !s.dec.Ready():
+			return envelope{}, false
+		case !take:
+			wait = clock.RealDeadline(s.t.w.clk, tcpProbeWait)
+		case clk == nil:
+		case !clk.Now().Before(deadline):
+			return envelope{}, false
+		case clock.Wall(clk):
+			wait = clock.RealDeadline(clk, clk.Until(deadline))
+		}
+		var env envelope
+		switch err := s.next(m, &env, wait); {
+		case err == errKicked:
+			continue
+		case err == errNoFrame:
+			return envelope{}, false
+		case err != nil:
+			m.dropStream(s)
+			return envelope{}, false
+		}
+		hit := matches(env, comm, src, tag)
+		if !hit || !take {
+			m.queue = append(m.queue, env)
+			m.cond.Broadcast()
+		}
+		if hit {
+			return env, true
+		}
 	}
 	return envelope{}, false
 }

@@ -29,7 +29,8 @@ func (c *Comm) RecvFloat64s(from, tag int) ([]float64, Status, error) {
 
 // SendRecv sends sendData to `to` and receives from `from` in one call.
 // Because sends are eager (buffered), the combined operation cannot
-// deadlock even when both peers target each other.
+// deadlock even when both peers target each other — on TCP as long as
+// sendData fits the kernel's socket buffers (see transport.send).
 func (c *Comm) SendRecv(to, sendTag int, sendData []byte, from, recvTag int) ([]byte, Status, error) {
 	if err := c.Send(to, sendTag, sendData); err != nil {
 		return nil, Status{}, err

@@ -206,36 +206,37 @@ func TestReduceFloat64sLengthMismatch(t *testing.T) {
 }
 
 func TestIprobe(t *testing.T) {
-	w := NewWorld(2)
-	err := w.Run(func(r *Rank) error {
-		c := r.World()
-		if r.Rank() == 0 {
-			if err := c.Send(1, 6, []byte("x")); err != nil {
+	transports(t, 2, func(t *testing.T, w *World) {
+		err := w.Run(func(r *Rank) error {
+			c := r.World()
+			if r.Rank() == 0 {
+				if err := c.Send(1, 6, []byte("x")); err != nil {
+					return err
+				}
+				return c.Send(1, 7, []byte("sync"))
+			}
+			// Wait for the sync message so tag 6 is definitely queued.
+			if _, _, err := c.Recv(0, 7); err != nil {
 				return err
 			}
-			return c.Send(1, 7, []byte("sync"))
+			ok, st := c.Iprobe(0, 6)
+			if !ok || st.Source != 0 || st.Tag != 6 {
+				return fmt.Errorf("Iprobe = %v %+v", ok, st)
+			}
+			// Probe does not consume: message still receivable.
+			if _, _, err := c.Recv(0, 6); err != nil {
+				return err
+			}
+			// Nothing else queued.
+			if ok, _ := c.Iprobe(AnySource, AnyTag); ok {
+				return fmt.Errorf("Iprobe found a ghost message")
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
 		}
-		// Wait for the sync message so tag 6 is definitely queued.
-		if _, _, err := c.Recv(0, 7); err != nil {
-			return err
-		}
-		ok, st := c.Iprobe(0, 6)
-		if !ok || st.Source != 0 || st.Tag != 6 {
-			return fmt.Errorf("Iprobe = %v %+v", ok, st)
-		}
-		// Probe does not consume: message still receivable.
-		if _, _, err := c.Recv(0, 6); err != nil {
-			return err
-		}
-		// Nothing else queued.
-		if ok, _ := c.Iprobe(AnySource, AnyTag); ok {
-			return fmt.Errorf("Iprobe found a ghost message")
-		}
-		return nil
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 }
 
 func TestPackPartsRoundTrip(t *testing.T) {

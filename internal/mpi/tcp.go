@@ -1,8 +1,11 @@
 package mpi
 
 import (
+	"errors"
 	"fmt"
 	"net"
+	"os"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -36,7 +39,141 @@ const (
 	// microsecond and does not show against the syscall; at 64 KiB the
 	// direct write is 4-9 us faster (EXPERIMENTS.md "State transfer").
 	tcpDirectMin = 16 << 10
+
+	// tcpProbeWait is how long Iprobe waits on the socket for the first
+	// byte of a frame: long enough that a frame already in the kernel's
+	// buffer is always read, short enough to be no wait for one that is
+	// not coming.
+	tcpProbeWait = time.Millisecond
 )
+
+// A receive reading its rank's stream is told to stop waiting for a first
+// byte by a read deadline in the past: aLongTimeAgo fails the pending read
+// at once.
+var aLongTimeAgo = time.Unix(1, 0)
+
+var (
+	// errKicked: a wait for a frame's first byte was cut short (kick) and
+	// nothing was read; the reader looks at why and waits again or leaves.
+	errKicked = errors.New("mpi: stream read interrupted")
+	// errNoFrame: no frame began to arrive before the wait's deadline.
+	errNoFrame = errors.New("mpi: no frame before the deadline")
+)
+
+// inStream is one admitted inbound connection of a rank: a stream of
+// frames from every rank that sends to it (all of them share the rank's
+// one tcpConn), so in normal operation a rank has exactly one. Whoever
+// holds its read token (reading, under the rank's mailbox lock) decodes
+// it: a receive of that rank while it is the only stream, its reader
+// goroutine (pumped) while the rank has more than one — after a re-dial
+// that followed a failed write, say, until the old connection's read
+// fails — so that a receive never blocks on one socket while its message
+// sits in another. The count of live streams selects the reader.
+type inStream struct {
+	t    *tcpTransport
+	conn net.Conn
+	dec  *wire.Decoder
+
+	reading bool // the read token; under the mailbox lock
+	pumped  bool // a reader goroutine owns the stream; under the mailbox lock
+	// waiting is set while the token's holder waits for a frame's first
+	// byte: the one point at which kick may cut its read short.
+	waiting atomic.Bool
+}
+
+// kick cuts short the token holder's wait for a first byte, if it is
+// waiting: a receive whose deadline passed, or that must hand the stream
+// to a reader goroutine, or a reader goroutine whose stream went back to
+// the receives. A holder that is inside a frame is never interrupted.
+// The caller holds the mailbox lock, which next takes before it clears
+// the deadline again, so the two never interleave.
+func (s *inStream) kick() {
+	if s.waiting.CompareAndSwap(true, false) {
+		_ = s.conn.SetReadDeadline(aLongTimeAgo)
+	}
+}
+
+// next decodes the stream's next frame into env for the read token's
+// holder, who calls it with m.mu held and gets it back held. Until the
+// frame's first byte has arrived the wait can end early: by a kick
+// (errKicked), or once the wall-clock instant wait passes, if it is not
+// zero (errNoFrame). Once that byte is in, the frame is read whole, with
+// no deadline: a frame is never abandoned half read, so a wait cut short
+// leaves the stream intact. Any other error means the stream is dead.
+func (s *inStream) next(m *mailbox, env *envelope, wait time.Time) error {
+	if s.dec.Ready() {
+		m.mu.Unlock()
+	} else {
+		if !wait.IsZero() {
+			_ = s.conn.SetReadDeadline(wait)
+		}
+		s.waiting.Store(true)
+		m.mu.Unlock()
+		// A receive waits for its message for as long as the peer stays
+		// connected; its deadline, a kick or close() ends the wait.
+		//swapvet:ignore deadlineio -- receive lifetime is bounded by kick and close(), never by a frame's bytes
+		err := s.dec.Await()
+		kicked := !s.waiting.CompareAndSwap(true, false)
+		if kicked {
+			// The kicker set its deadline holding m.mu: taking m.mu orders
+			// the reset after it.
+			m.mu.Lock()
+		}
+		if kicked || !wait.IsZero() {
+			_ = s.conn.SetReadDeadline(time.Time{})
+		}
+		if err != nil {
+			if !kicked {
+				m.mu.Lock()
+			}
+			switch {
+			case !errors.Is(err, os.ErrDeadlineExceeded):
+				return err
+			case kicked:
+				return errKicked
+			}
+			return errNoFrame
+		}
+		if kicked {
+			m.mu.Unlock()
+		}
+	}
+	err := s.dec.Decode(env)
+	m.mu.Lock()
+	return err
+}
+
+// addStream makes an admitted stream one of the rank's live streams. The
+// first is read by receives; a second puts every stream on a reader
+// goroutine, kicking a receive that waits on the first so it lets go.
+func (m *mailbox) addStream(s *inStream) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.streams = append(m.streams, s)
+	if len(m.streams) > 1 {
+		for _, o := range m.streams {
+			if !o.pumped && o.t.startReader(m, o) {
+				o.pumped = true
+				o.kick()
+			}
+		}
+	}
+	m.cond.Broadcast()
+}
+
+// dropStream closes a stream whose read failed and takes it off the
+// rank's live streams. When one is left its reader goroutine is kicked,
+// so it gives the stream back to the receives. The caller holds m.mu.
+func (m *mailbox) dropStream(s *inStream) {
+	if i := slices.Index(m.streams, s); i >= 0 {
+		m.streams = slices.Delete(m.streams, i, i+1)
+	}
+	s.t.drop(s.conn)
+	if len(m.streams) == 1 {
+		m.streams[0].kick()
+	}
+	m.cond.Broadcast()
+}
 
 // tcpConn is the sender side of one destination rank's connection. Each
 // destination has its own lock, so sends to distinct ranks proceed in
@@ -89,18 +226,24 @@ func (cc *tcpConn) reset() {
 }
 
 // tcpTransport carries envelopes over a loopback TCP mesh: one listener
-// per rank, a lazily dialed per-destination connection on the sender
-// side, and one reader goroutine per accepted connection. Each
-// connection is a one-directional stream of envelopes framed by the
-// wire package: its protocol byte, then frames. A stream that opens with
-// any other byte fails its first Decode and only that connection closes.
+// per rank and a lazily dialed per-destination connection on the sender
+// side, shared by every rank that sends there. Each connection is a
+// one-directional stream of envelopes framed by the wire package: its
+// protocol byte, then frames. The receiving rank admits a stream once its
+// protocol byte checks out and its first frame has begun to arrive; a
+// stream that opens with any other byte is closed and costs its sender
+// only that connection. An admitted stream is read by the rank's own
+// receives (inStream), so nothing sits between the socket and the
+// receiver. The flip side is the send contract in transport: a sender
+// can get ahead of its receiver only by what the kernel buffers.
 //
 // Locking: per-destination tcpConn.mu serializes encodes to that rank
 // only; tcpTransport.mu guards the shutdown flag and the socket
-// registry (lock order: tcpConn.mu then tcpTransport.mu, never the
-// reverse). The accept/read path never takes a tcpConn.mu, and socket
-// writes happen with no lock held, on the sending goroutine or the
-// connection's flusher, whichever holds the connection's write token.
+// registry (lock orders: tcpConn.mu then tcpTransport.mu, and mailbox.mu
+// then tcpTransport.mu, never the reverse). The receive path never takes
+// a tcpConn.mu, and socket writes happen with no lock held, on the
+// sending goroutine or the connection's flusher, whichever holds the
+// connection's write token.
 type tcpTransport struct {
 	w         *World
 	listeners []net.Listener
@@ -214,32 +357,72 @@ func (t *tcpTransport) acceptLoop(rank int, ln net.Listener) {
 		}
 		t.socks[conn] = struct{}{}
 		// Add inside the lock: close() flips done under the same lock
-		// before it waits, so it either sees this reader or this branch
-		// never runs.
+		// before it waits, so it either sees this goroutine or this
+		// branch never runs.
 		t.wg.Add(1)
 		t.mu.Unlock()
 		t.accepts.Inc()
-		go t.readLoop(rank, conn)
+		go t.admit(rank, conn)
 	}
 }
 
-func (t *tcpTransport) readLoop(rank int, conn net.Conn) {
+// admit waits for a new connection's protocol byte and the first byte of
+// its first frame, then makes it one of the rank's live streams; a stream
+// that opens with anything else is closed. A connection that sends
+// nothing is never admitted, so it cannot stall the rank's receives; it
+// holds this goroutine until its peer or close() ends it.
+func (t *tcpTransport) admit(rank int, conn net.Conn) {
 	defer t.wg.Done()
-	defer t.deregister(conn)
-	defer conn.Close()
 	dec := wire.NewDecoder(conn)
 	dec.UseFreeList(&t.w.free[rank])
-	for {
-		var env envelope
-		// A reader waits for the next message for as long as the peer
-		// stays connected — that is its job. A dead peer cannot hang it:
-		// close() closes every registered socket, which fails this Decode.
-		//swapvet:ignore deadlineio -- reader lifetime == connection lifetime; close() unblocks it
-		if err := dec.Decode(&env); err != nil {
-			return
-		}
-		t.w.boxes[rank].push(env)
+	if err := dec.Await(); err != nil {
+		t.drop(conn)
+		return
 	}
+	t.w.boxes[rank].addStream(&inStream{t: t, conn: conn, dec: dec})
+}
+
+// startReader launches s's reader goroutine, registered with the shutdown
+// WaitGroup; it reports false if the transport already closed.
+func (t *tcpTransport) startReader(m *mailbox, s *inStream) bool {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.done {
+		return false
+	}
+	t.wg.Add(1)
+	go t.readLoop(m, s)
+	return true
+}
+
+// readLoop is a stream's reader goroutine while its rank has more than
+// one live stream: it takes the read token once the receive holding it
+// lets go, and queues every frame it decodes, until the stream dies or
+// is the rank's only one again.
+func (t *tcpTransport) readLoop(m *mailbox, s *inStream) {
+	defer t.wg.Done()
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	for s.reading && !m.closed {
+		m.cond.Wait()
+	}
+	if !s.reading {
+		s.reading = true
+		for !m.closed && len(m.streams) > 1 && slices.Contains(m.streams, s) {
+			var env envelope
+			switch err := s.next(m, &env, time.Time{}); {
+			case err == errKicked:
+			case err != nil:
+				m.dropStream(s)
+			default:
+				m.queue = append(m.queue, env)
+				m.cond.Broadcast()
+			}
+		}
+		s.reading = false
+	}
+	s.pumped = false
+	m.cond.Broadcast()
 }
 
 // dial connects to the destination rank with a bounded number of

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 	"time"
 
@@ -24,22 +25,25 @@ import (
 // pass between an outgoing rank and its spare start with the proposed
 // epoch, so one await drops whatever an aborted proposal left behind:
 //
+//	rate:    IEEE bits(u64)                              member → leader    gather
 //	plan:    n(u64) n x { out(u64) in(u64) }             leader → members   bcast
 //	state:   epoch(u64) encoded state set                out → spare        0x5a17
 //	ack:     epoch(u64)                                  spare → out        0x5a18
 //	vote:    n x outcome(u8)                             out → members      announce
 //	outcome: epoch(u64) commit(u8) n(u64) n x rank(u64)  out → spare        0x5a19
 //
-// The plan and the votes travel on the members' communicator under the
-// transport's internal collective tags. The vote goes in one hop from
-// each outgoing rank to every other member (mpi.Comm.Announce); a member
-// that is no directive's outgoing rank sends none. It carries no epoch:
-// an aborted round keeps the communicator and each round consumes one
-// vote per outgoing rank, so per-pair FIFO matches every vote to its
-// round. The proposed epoch is always the current one plus one, which
-// every member holds, so the plan does not carry it either. Ranks are
-// two's-complement int64; a decoder checks n against the bytes that
-// follow before it allocates.
+// The rates, the plan and the votes travel on the members' communicator
+// under the transport's internal collective tags. Only the leader reads
+// the rates, so they go to it alone and the plan is the one message every
+// member waits on: a swap point that orders nothing is 2(n−1) messages.
+// The vote goes in one hop from each outgoing rank to every other member
+// (mpi.Comm.Announce); a member that is no directive's outgoing rank
+// sends none. It carries no epoch: an aborted round keeps the
+// communicator and each round consumes one vote per outgoing rank, so
+// per-pair FIFO matches every vote to its round. The proposed epoch is
+// always the current one plus one, which every member holds, so the plan
+// does not carry it either. Ranks are two's-complement int64; a decoder
+// checks n against the bytes that follow before it allocates.
 const (
 	tagState       = 0x5a17
 	tagStateAck    = 0x5a18
@@ -137,15 +141,19 @@ func (s *Session) swapPointActive() error {
 	}
 	s.cfg.Telemetry.ObserveIteration(s.r.Rank(), now, iterTime)
 
-	// Measure: every member probes its own host; the allgather keeps the
-	// members in lockstep and gives the leader the vector to decide on.
-	rates, err := s.comm.AllGatherFloat64(s.cfg.Probe(s.r.Rank()))
+	// Measure: every member probes its own host and sends the rate to the
+	// leader, the one rank that reads them.
+	binary.LittleEndian.PutUint64(s.rate[:], math.Float64bits(s.cfg.Probe(s.r.Rank())))
+	parts, err := s.comm.Gather(0, s.rate[:])
 	if err != nil {
 		return err
 	}
 	var plan []byte
 	if s.comm.Rank() == 0 {
-		if plan, err = s.propose(now, iterTime, rates); err != nil {
+		if s.rates, err = decodeRates(s.activeSet, parts, s.rates); err != nil {
+			return err
+		}
+		if plan, err = s.propose(now, iterTime, s.rates); err != nil {
 			return err
 		}
 	}
@@ -165,6 +173,21 @@ func (s *Session) swapPointActive() error {
 		s.startIteration()
 	}
 	return nil
+}
+
+// decodeRates decodes the gathered rates, one part per member in comm-rank
+// order, into rates. A part that is not one 8-byte rate is an error naming
+// its sender (members holds the world ranks): the leader never decides on
+// it.
+func decodeRates(members []int, parts [][]byte, rates []float64) ([]float64, error) {
+	rates = rates[:0]
+	for i, p := range parts {
+		if len(p) != 8 {
+			return nil, fmt.Errorf("swaprt: rate from rank %d: %d bytes, want 8", members[i], len(p))
+		}
+		rates = append(rates, math.Float64frombits(binary.LittleEndian.Uint64(p)))
+	}
+	return rates, nil
 }
 
 // propose is the leader's decide and propose: one decision on the

@@ -1,8 +1,10 @@
 package swaprt
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"reflect"
 	"slices"
 	"strings"
@@ -106,6 +108,71 @@ func TestCheckVote(t *testing.T) {
 	}
 }
 
+// TestDecodeRates: the leader decodes one 8-byte rate per member; a part
+// of any other length is an error naming its sender, and no rate vector
+// comes back to decide on.
+func TestDecodeRates(t *testing.T) {
+	rate := func(x float64) []byte { return binary.LittleEndian.AppendUint64(nil, math.Float64bits(x)) }
+	members := []int{5, 2, 7}
+	for _, c := range []struct {
+		name  string
+		parts [][]byte
+		want  []float64
+		err   string // "" for valid parts
+	}{
+		{name: "one rate per member", parts: [][]byte{rate(1000), rate(2.5), rate(math.Inf(1))}, want: []float64{1000, 2.5, math.Inf(1)}},
+		{name: "short part", parts: [][]byte{rate(1000), rate(2.5)[:4], rate(3)}, err: "rate from rank 2: 4 bytes, want 8"},
+		{name: "long part", parts: [][]byte{rate(1000), rate(2.5), append(rate(3), 0)}, err: "rate from rank 7: 9 bytes, want 8"},
+		{name: "empty part", parts: [][]byte{nil, rate(2.5), rate(3)}, err: "rate from rank 5: 0 bytes, want 8"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			got, err := decodeRates(members, c.parts, make([]float64, 0, 3))
+			if c.err == "" && (err != nil || !slices.Equal(got, c.want)) {
+				t.Fatalf("decodeRates = %v, %v; want %v", got, err, c.want)
+			}
+			if c.err != "" && (err == nil || !strings.Contains(err.Error(), c.err) || got != nil) {
+				t.Fatalf("decodeRates = %v, %v; want no rates and %q", got, err, c.err)
+			}
+		})
+	}
+}
+
+// TestSteadySwapPointIsOneGatherAndOnePlan: on a TCP world of 4 active
+// ranks and a spare that never swaps, a swap point is the members' rates
+// gathered at the leader and the plan broadcast back: 2·3 messages per
+// iteration (3·3 while the rates were all-gathered), and nothing else.
+func TestSteadySwapPointIsOneGatherAndOnePlan(t *testing.T) {
+	const iters = 25
+	w, err := mpi.NewTCPWorld(5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rs, err := RunWithStats(w, Config{Active: 4, Probe: func(int) float64 { return 1000 }, Decider: StayDecider{}},
+		func(s *Session) error {
+			iter := 0
+			s.Register("iter", &iter)
+			for !s.Done() && iter < iters {
+				if s.Active() {
+					iter++
+				}
+				if err := s.SwapPoint(); err != nil {
+					return err
+				}
+			}
+			return nil
+		})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rs.Swaps != 0 || rs.SwapPoints != 4*iters {
+		t.Fatalf("%d swaps over %d swap points, want 0 over %d", rs.Swaps, rs.SwapPoints, 4*iters)
+	}
+	total := rs.MPI.Total()
+	if total.MsgsSent != 2*3*iters || total.MsgsRecv != total.MsgsSent {
+		t.Fatalf("%d iterations sent %d messages and received %d, want %d", iters, total.MsgsSent, total.MsgsRecv, 2*3*iters)
+	}
+}
+
 // twoDirectives proposes its swaps at the first decision and stays after.
 type twoDirectives struct {
 	StayDecider
@@ -192,10 +259,10 @@ func TestVoteSettlesInOneHop(t *testing.T) {
 	}
 
 	// What each rank sends besides its vote: the rates' gather, the
-	// binomial broadcasts of the rates and the plan from comm rank 0
-	// (0→1, 0→2, 1→3), each outgoing rank's state and outcome (the
-	// dropped state counts as sent), and the committing spare's ack.
-	others := []uint64{4, 5, 3, 1, 1, 0}
+	// binomial broadcast of the plan from comm rank 0 (0→1, 0→2, 1→3),
+	// each outgoing rank's state and outcome (the dropped state counts as
+	// sent), and the committing spare's ack.
+	others := []uint64{2, 4, 3, 1, 1, 0}
 	votes := []uint64{0, 3, 3, 0, 0, 0}
 	for rank, st := range rs.MPI.PerRank {
 		if got := st.MsgsSent - others[rank]; got != votes[rank] {

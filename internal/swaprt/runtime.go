@@ -221,9 +221,12 @@ type Session struct {
 	// it. Send and Write copy before they return, so it is reused by the
 	// next swap or checkpoint instead of being allocated per swap (keepBuf).
 	buf []byte
-	// A round's scratch, kept from one round to the next: this rank's
+	// A swap point's scratch, kept from one to the next: this rank's
+	// encoded rate and, on the leader, the decoded rates; this rank's
 	// vote, the comm ranks of the round's outgoing ranks, and the votes
 	// they sent.
+	rate     [8]byte
+	rates    []float64
 	vote     []byte
 	outgoing []int
 	votes    [][]byte
