@@ -96,6 +96,7 @@ fuzz:
 	$(GO) test -fuzz FuzzStateDecode -fuzztime 30s ./internal/swaprt/
 	$(GO) test -fuzz FuzzPlanCommitDecode -fuzztime 30s ./internal/swaprt/
 	$(GO) test -fuzz FuzzStoreOpen -fuzztime 30s ./internal/swaprt/mgrstore/
+	$(GO) test -fuzz FuzzReadJSONL -fuzztime 30s ./internal/obs/
 	$(GO) test -fuzz FuzzHistory -fuzztime 30s ./internal/predict/
 	$(GO) test -fuzz FuzzSourceMatchesMathRand -fuzztime 30s ./internal/rng/
 	$(GO) test -fuzz FuzzIndexedStreamMatchesNamed -fuzztime 30s ./internal/rng/

@@ -5,14 +5,13 @@ import (
 	"sync"
 	"testing"
 
-	"repro/internal/apps"
 	"repro/internal/core"
 	"repro/internal/mpi"
 	"repro/internal/strategy"
 	"repro/internal/swaprt"
 )
 
-// Benchmarks of the live-runtime stack and the application kernels.
+// Benchmarks of the live-runtime stack.
 
 // BenchmarkLiveSwapRoundTrip measures a complete forced swap: decision,
 // state transfer of ~64 KiB, and communicator rebuild, by running a
@@ -50,44 +49,6 @@ func BenchmarkLiveSwapRoundTrip(b *testing.B) {
 				iter++
 			}
 			if err := s.SwapPoint(); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-}
-
-func BenchmarkNBodyStep(b *testing.B) {
-	nb := apps.NBody{N: 256, G: 0.001, Dt: 0.01, Softening: 0.1}
-	w := mpi.NewWorld(4)
-	b.ResetTimer()
-	err := w.Run(func(r *mpi.Rank) error {
-		c := r.World()
-		st := nb.Init(c.Size(), c.Rank(), 1)
-		for i := 0; i < b.N; i++ {
-			if err := nb.Step(c, st); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-}
-
-func BenchmarkJacobiStep(b *testing.B) {
-	j := apps.Jacobi1D{N: 4096, Left: 0, Right: 1}
-	w := mpi.NewWorld(4)
-	b.ResetTimer()
-	err := w.Run(func(r *mpi.Rank) error {
-		c := r.World()
-		st := j.Init(c.Size(), c.Rank())
-		for i := 0; i < b.N; i++ {
-			if _, err := j.Step(c, st); err != nil {
 				return err
 			}
 		}

@@ -2,8 +2,10 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -122,7 +124,18 @@ var smokes = []smoke{{
 	args:   forcedSwap + " -lens -events-out {dir}/run.jsonl",
 	budget: true,
 	check: func(t *testing.T, dir, _ string) {
-		res := policylens.Audit(readEvents(t, filepath.Join(dir, "run.jsonl")))
+		evs := readEvents(t, filepath.Join(dir, "run.jsonl"))
+		records := 0
+		for _, ev := range evs {
+			if ev.Kind == obs.KindSwapRecord {
+				records++
+				checkPhases(t, ev.Dur, ev.Round)
+			}
+		}
+		if records == 0 {
+			t.Error("a run that swapped left no swap record")
+		}
+		res := policylens.Audit(evs)
 		if !res.OK() {
 			var report bytes.Buffer
 			_ = res.WriteReport(&report)
@@ -255,9 +268,11 @@ func (l *runLog) String() string {
 }
 
 // checkTrace schema-checks dir/run.json and runs obs.CheckTrace over
-// it, failing on any violation (two clocks in one timeline, or a
-// decision epoch stepping backwards) and on a run that left no
-// SwapDecision carrying payback + verdict.
+// it, failing on any violation (two clocks in one timeline, a decision
+// epoch stepping backwards, a proposed round without exactly one swap
+// record), on a run that left no SwapDecision carrying payback + verdict
+// or no swap record, and on a record whose phases do not sum to its paid
+// time.
 func checkTrace(t *testing.T, dir string) obs.TraceCheck {
 	t.Helper()
 	f, err := os.Open(filepath.Join(dir, "run.json"))
@@ -276,7 +291,39 @@ func checkTrace(t *testing.T, dir string) obs.TraceCheck {
 	if c.Complete == 0 {
 		t.Errorf("%d decisions, none carrying payback + verdict", c.Decisions)
 	}
+	if c.Records == 0 {
+		t.Error("a run that swapped left no swap record")
+	}
+	for _, e := range entries {
+		if e["name"] != obs.KindSwapRecord.String() {
+			continue
+		}
+		args, _ := e["args"].(map[string]any)
+		b, err := json.Marshal(args["round"])
+		var round obs.SwapRound
+		if err == nil {
+			err = json.Unmarshal(b, &round)
+		}
+		if err != nil {
+			t.Fatalf("swap record's round: %v", err)
+		}
+		dur, _ := e["dur"].(float64)
+		checkPhases(t, dur/1e6, &round)
+	}
 	return c
+}
+
+// checkPhases holds a swap record's phases to its paid time: plan
+// through rebuild sum to it within 1 %.
+func checkPhases(t *testing.T, paid float64, round *obs.SwapRound) {
+	t.Helper()
+	if round == nil {
+		t.Error("swap record without its round")
+		return
+	}
+	if sum := round.Phases.Paid(); paid <= 0 || math.Abs(sum-paid) > 0.01*paid {
+		t.Errorf("swap record paid %.6gs, its phases %+v sum to %.6gs", paid, round.Phases, sum)
+	}
 }
 
 func readEvents(t *testing.T, path string) []obs.Event {

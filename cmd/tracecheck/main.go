@@ -1,18 +1,19 @@
 // Command tracecheck validates a Chrome/Perfetto trace_event JSON file
 // produced by -trace-out in one pass (obs.CheckTrace) and prints what it
-// found section by section: decisions and how many carry the payback
-// distance and policy verdict, fault evidence (quarantines, circuit
-// open→close), and manager crashes, WAL-replay recoveries and the
-// decisions after them. It fails only on what is wrong in any trace: a
-// broken trace_event schema, two clocks in one timeline
-// (obs.CheckTimeline), or a decision epoch stepping backwards.
+// found section by section: decisions, how many carry the payback
+// distance and policy verdict, and the swap records of the rounds they
+// proposed; fault evidence (quarantines, circuit open→close); and manager
+// crashes, WAL-replay recoveries and the decisions after them. It fails
+// only on what is wrong in any trace: a broken trace_event schema, two
+// clocks in one timeline (obs.CheckTimeline), a decision epoch stepping
+// backwards, or a proposed round without exactly one SwapRecord.
 //
 // With -analyze the argument is a JSONL event log (-events-out) instead:
-// tracecheck replays it offline and prints a deterministic analysis
-// report — swap-overhead attribution per the payback algebra, per-round
-// critical path and imbalance, decision latency quantiles, and anomaly
-// windows from the telemetry slowdown detector. The same trace always
-// produces a byte-identical report, so reports diff cleanly across runs.
+// tracecheck prints a deterministic report of it — per swap record, paid
+// against predicted time, transfers, bytes and realized payback, and the
+// median of each phase (the in-situ ledger); per-round critical path and
+// imbalance, decision latency, and the slowdown detector's anomaly
+// windows. The same trace always produces a byte-identical report.
 //
 // With -audit the argument is a JSONL event log: tracecheck replays the
 // policy lens contract offline — every committed swap must carry a
@@ -113,7 +114,7 @@ func checkTrace(stdout io.Writer, path string) error {
 		recovered = ", recovered"
 	}
 	fmt.Fprintf(stdout, "tracecheck: %s — %d entries\n", path, c.Entries)
-	fmt.Fprintf(stdout, "  decisions: %d (%d with full payback payload)\n", c.Decisions, c.Complete)
+	fmt.Fprintf(stdout, "  decisions: %d (%d with full payback payload), %d swap records\n", c.Decisions, c.Complete, c.Records)
 	fmt.Fprintf(stdout, "  faults:    %d quarantines, circuit %d open / %d close%s\n",
 		c.Quarantines, c.CircuitOpens, c.CircuitCloses, recovered)
 	fmt.Fprintf(stdout, "  manager:   %d crashes, %d recoveries (%d WAL replays), %d decisions after recovery\n",
@@ -124,7 +125,7 @@ func checkTrace(stdout io.Writer, path string) error {
 	if !c.Ok() {
 		return fmt.Errorf("%s: %d violations", path, len(c.Violations))
 	}
-	fmt.Fprintf(stdout, "tracecheck: %s ok — one timeline, decision epochs monotone\n", path)
+	fmt.Fprintf(stdout, "tracecheck: %s ok — one timeline, decision epochs monotone, one record per round\n", path)
 	return nil
 }
 

@@ -67,26 +67,35 @@ func decision(t float64, epoch uint64) obs.Event {
 		Verdict: "swap", Payback: 2, Reason: "payback within threshold", Swaps: 1}
 }
 
+// record is the SwapRecord of the round a decision at t proposed.
+func record(t float64, proposed uint64) obs.Event {
+	return obs.Event{Kind: obs.KindSwapRecord, Rank: obs.RankRuntime, T: t, Dur: 0.001, Epoch: proposed,
+		Swaps: 1, Payback: 2, Verdict: obs.VerdictCommit,
+		Round: &obs.SwapRound{Pairs: []obs.SwapPair{{Out: 0, In: 1, Committed: true}}}}
+}
+
 func TestCleanTracePrintsEverySection(t *testing.T) {
 	evs := append(iteration(0, 0, 0.1), iteration(0, 0.1, 0.2)...)
 	evs = append(evs,
 		decision(0.1, 1),
+		record(0.1, 2),
 		obs.Event{Kind: obs.KindQuarantine, Rank: obs.RankRuntime, T: 0.11, Peer: 1},
 		obs.Event{Kind: obs.KindCircuit, Rank: obs.RankRuntime, T: 0.12, Detail: "open"},
 		obs.Event{Kind: obs.KindMgrCrash, Rank: obs.RankRuntime, T: 0.13},
 		obs.Event{Kind: obs.KindMgrRecover, Rank: obs.RankRuntime, T: 0.14, Detail: "wal-replay records=3 epoch=1 pending=0"},
 		obs.Event{Kind: obs.KindCircuit, Rank: obs.RankRuntime, T: 0.15, Detail: "close"},
 		decision(0.2, 2),
+		record(0.2, 3),
 	)
 	out, err := tracecheck(writeTrace(t, evs...))
 	if err != nil {
 		t.Fatalf("clean trace failed: %v\n%s", err, out)
 	}
 	for _, want := range []string{
-		"decisions: 2 (2 with full payback payload)",
+		"decisions: 2 (2 with full payback payload), 2 swap records",
 		"faults:    1 quarantines, circuit 1 open / 1 close, recovered",
 		"manager:   1 crashes, 1 recoveries (1 WAL replays), 1 decisions after recovery",
-		"ok — one timeline, decision epochs monotone",
+		"ok — one timeline, decision epochs monotone, one record per round",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("output lacks %q:\n%s", want, out)
@@ -95,7 +104,7 @@ func TestCleanTracePrintsEverySection(t *testing.T) {
 }
 
 func TestBackwardDecisionEpochFails(t *testing.T) {
-	evs := append(iteration(0, 0, 0.2), decision(0.1, 2), decision(0.2, 1))
+	evs := append(iteration(0, 0, 0.2), decision(0.1, 2), record(0.1, 3), decision(0.2, 1), record(0.2, 2))
 	out, err := tracecheck(writeTrace(t, evs...))
 	if err == nil || !strings.Contains(out, "decision epoch stepped backwards 2 -> 1") {
 		t.Fatalf("err = %v, want an epoch violation:\n%s", err, out)

@@ -9,116 +9,6 @@ import (
 	"repro/internal/mpi"
 )
 
-func TestJacobiConvergesToExactSolution(t *testing.T) {
-	for _, ranks := range []int{1, 2, 3, 5} {
-		j := Jacobi1D{N: 30, Left: 0, Right: 100}
-		w := mpi.NewWorld(ranks)
-		err := w.Run(func(r *mpi.Rank) error {
-			c := r.World()
-			st := j.Init(c.Size(), c.Rank())
-			for it := 0; it < 5000; it++ {
-				if _, err := j.Step(c, st); err != nil {
-					return err
-				}
-			}
-			if e := j.MaxError(st); e > 1e-6 {
-				return fmt.Errorf("rank %d max error %g", c.Rank(), e)
-			}
-			return nil
-		})
-		if err != nil {
-			t.Fatalf("ranks=%d: %v", ranks, err)
-		}
-	}
-}
-
-func TestJacobiParallelMatchesSerial(t *testing.T) {
-	j := Jacobi1D{N: 24, Left: -5, Right: 7}
-	const iters = 200
-
-	// Serial reference.
-	var serial []float64
-	w1 := mpi.NewWorld(1)
-	err := w1.Run(func(r *mpi.Rank) error {
-		c := r.World()
-		st := j.Init(1, 0)
-		for it := 0; it < iters; it++ {
-			if _, err := j.Step(c, st); err != nil {
-				return err
-			}
-		}
-		var err error
-		serial, err = j.Gather(c, st)
-		return err
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(serial) != 24 {
-		t.Fatalf("serial solution has %d points", len(serial))
-	}
-
-	// Parallel on 4 ranks must match bit for bit (same arithmetic).
-	var mu sync.Mutex
-	var parallel []float64
-	w4 := mpi.NewWorld(4)
-	err = w4.Run(func(r *mpi.Rank) error {
-		c := r.World()
-		st := j.Init(4, c.Rank())
-		for it := 0; it < iters; it++ {
-			if _, err := j.Step(c, st); err != nil {
-				return err
-			}
-		}
-		sol, err := j.Gather(c, st)
-		if err != nil {
-			return err
-		}
-		if sol != nil {
-			mu.Lock()
-			parallel = sol
-			mu.Unlock()
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range serial {
-		if serial[i] != parallel[i] {
-			t.Fatalf("point %d: serial %g vs parallel %g", i, serial[i], parallel[i])
-		}
-	}
-}
-
-func TestJacobiBlockPartitionCoversInterior(t *testing.T) {
-	j := Jacobi1D{N: 17}
-	for _, n := range []int{1, 2, 3, 4, 17} {
-		covered := map[int]bool{}
-		for r := 0; r < n; r++ {
-			lo, hi := j.blockRange(r, n)
-			for i := lo; i < hi; i++ {
-				if covered[i] {
-					t.Fatalf("n=%d: point %d covered twice", n, i)
-				}
-				covered[i] = true
-			}
-		}
-		if len(covered) != 17 {
-			t.Fatalf("n=%d: covered %d of 17", n, len(covered))
-		}
-	}
-}
-
-func TestJacobiTooManyRanksPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic")
-		}
-	}()
-	Jacobi1D{N: 2}.Init(3, 0)
-}
-
 func TestNBodyEnergyAndMomentumConservation(t *testing.T) {
 	nb := NBody{N: 24, G: 0.001, Dt: 0.01, Softening: 0.1}
 	w := mpi.NewWorld(3)

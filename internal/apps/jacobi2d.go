@@ -1,3 +1,14 @@
+// Package apps provides small, real iterative application kernels for the
+// swapping runtime and its examples: a 2-D Jacobi relaxation solver and a
+// particle-dynamics (N-body) simulation — the application class the paper
+// targets and validates with ("a real-world particle dynamics code for
+// which only 4 lines of the original source code were modified").
+//
+// Each kernel exposes its per-rank state as plain slices so a swaprt
+// application can register them for transfer, and a Step method that
+// performs one iteration over an mpi.Comm. With a single-member
+// communicator the kernels run serially, which the tests use as the
+// reference for verifying that swapped runs compute identical results.
 package apps
 
 import (

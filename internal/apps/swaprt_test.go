@@ -95,56 +95,3 @@ func TestNBodyTrajectoryIdenticalAcrossLiveSwaps(t *testing.T) {
 		}
 	}
 }
-
-func TestJacobiUnderRuntimeConverges(t *testing.T) {
-	j := Jacobi1D{N: 20, Left: 0, Right: 10}
-	const iters = 2000
-	var mu sync.Mutex
-	rates := []float64{100, 100, 500}
-	var maxErr float64 = -1
-	world := mpi.NewWorld(3)
-	err := swaprt.Run(world, swaprt.Config{
-		Active: 2,
-		Policy: core.Greedy(),
-		Probe: func(rank int) float64 {
-			mu.Lock()
-			defer mu.Unlock()
-			return rates[rank]
-		},
-	}, func(s *swaprt.Session) error {
-		iter := 0
-		var st *JacobiState
-		if s.Rank() < 2 {
-			st = j.Init(2, s.Rank())
-		} else {
-			st = &JacobiState{}
-		}
-		s.Register("iter", &iter)
-		s.Register("st", st) // every field exported and raw: bound field by field, no gob
-		for !s.Done() && iter < iters {
-			if s.Active() {
-				if _, err := j.Step(s.Comm(), st); err != nil {
-					return err
-				}
-				iter++
-			}
-			if err := s.SwapPoint(); err != nil {
-				return err
-			}
-		}
-		if s.Active() {
-			mu.Lock()
-			if e := j.MaxError(st); e > maxErr {
-				maxErr = e
-			}
-			mu.Unlock()
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if maxErr < 0 || maxErr > 1e-5 {
-		t.Fatalf("solution error after swapped run: %g", maxErr)
-	}
-}

@@ -40,7 +40,7 @@ type Options struct {
 
 // Defaults returns the options used to generate EXPERIMENTS.md.
 func Defaults() Options {
-	return Options{Seeds: 8, BaseSeed: 20030623, Iterations: 30}
+	return Options{Seeds: 40, BaseSeed: 20030623, Iterations: 30}
 }
 
 func (o Options) fill() Options {

@@ -6,10 +6,12 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 
 	"repro/internal/obs/series"
+	"repro/internal/stats"
 )
 
 // KindByName resolves a symbolic kind name ("SwapDecision") back to its
@@ -115,25 +117,10 @@ type AnomalyWindow struct {
 	Peak    float64 // worst iteration time in the window
 }
 
-// roundStat is one swap-point round across the then-active ranks.
-type roundStat struct {
-	t         float64 // the round's decision timestamp
-	n         int     // ranks reporting an iteration
-	min, max  float64
-	mean      float64
-	imbalance float64 // max/mean, 1 = perfectly balanced
-}
-
-// swapAttribution is one committed-or-attempted swap decision matched
-// with the state-transfer cost it actually incurred.
-type swapAttribution struct {
-	t          float64
-	directives int
-	payback    float64
-	predicted  float64 // SwapTime * directives (the payback algebra's cost)
-	actual     float64 // sum of outbound StateTransfer durations until next decision
-	bytes      int64
-}
+// predicted is the swap time a record's decision predicted for its round:
+// SwapTime per directive, or SwapTime for a relocation, which moves every
+// process and orders no directive.
+func predicted(rec Event) float64 { return rec.SwapTime * float64(max(rec.Swaps, 1)) }
 
 // Analysis is the deterministic offline digest of one event trace: the
 // machinery behind `tracecheck -analyze`. All numbers derive purely from
@@ -146,12 +133,21 @@ type Analysis struct {
 
 	counts     map[Kind]int
 	iterByRank map[int][]float64 // IterEnd values per rank, trace order
-	rounds     []roundStat
-	swaps      []swapAttribution
-	decideDur  []float64 // seconds per decision
-	anomalies  []AnomalyWindow
-	recorded   int // KindAnomaly events present in the trace itself
-	circuit    map[string]int
+	iterAt     map[int][]float64 // and their times
+	// Swap-point rounds: the slowest and the mean iteration summed over
+	// the rounds, and each round's max/mean (1 = perfectly balanced).
+	critical, ideal float64
+	imbalance       []float64
+	records         []Event // SwapRecords, trace order
+	// A committed round's epoch joins its outbound transfers (seconds,
+	// bytes) and the lens's realization of its payback.
+	transferDur   map[uint64]float64
+	transferBytes map[uint64]int64
+	realized      map[uint64]Event
+	decideDur     []float64 // seconds per decision
+	anomalies     []AnomalyWindow
+	recorded      int // KindAnomaly events present in the trace itself
+	circuit       map[string]int
 
 	hasCausal bool        // trace carries MsgSend/MsgRecv events
 	causal    CausalCheck // validations over the happens-before evidence
@@ -163,11 +159,13 @@ func Analyze(events []Event) *Analysis {
 	a := &Analysis{
 		counts:     map[Kind]int{},
 		iterByRank: map[int][]float64{},
+		iterAt:     map[int][]float64{},
 		circuit:    map[string]int{},
 	}
 	a.Events = len(events)
 	ranks := map[int]bool{}
 
+	a.transferDur, a.transferBytes, a.realized = map[uint64]float64{}, map[uint64]int64{}, map[uint64]Event{}
 	var decisions []Event
 	for _, ev := range events {
 		a.counts[ev.Kind]++
@@ -178,9 +176,19 @@ func Analyze(events []Event) *Analysis {
 		switch ev.Kind {
 		case KindIterEnd:
 			a.iterByRank[ev.Rank] = append(a.iterByRank[ev.Rank], ev.Value)
+			a.iterAt[ev.Rank] = append(a.iterAt[ev.Rank], ev.T)
 		case KindSwapDecision:
 			decisions = append(decisions, ev)
 			a.decideDur = append(a.decideDur, ev.Dur)
+		case KindSwapRecord:
+			a.records = append(a.records, ev)
+		case KindStateTransfer:
+			if ev.Detail != "in" {
+				a.transferDur[ev.Epoch] += ev.Dur
+				a.transferBytes[ev.Epoch] += ev.Bytes
+			}
+		case KindPaybackRealized:
+			a.realized[ev.Epoch] = ev
 		case KindAnomaly:
 			a.recorded++
 		case KindCircuit:
@@ -204,67 +212,23 @@ func Analyze(events []Event) *Analysis {
 			}
 		}
 		if len(vals) > 0 {
-			rs := roundStat{t: dec.T, n: len(vals), min: vals[0], max: vals[0]}
-			sum := 0.0
-			for _, v := range vals {
-				if v < rs.min {
-					rs.min = v
-				}
-				if v > rs.max {
-					rs.max = v
-				}
-				sum += v
-			}
-			rs.mean = sum / float64(len(vals))
-			if rs.mean > 0 {
-				rs.imbalance = rs.max / rs.mean
-			}
-			a.rounds = append(a.rounds, rs)
+			slowest, mean := slices.Max(vals), stats.Mean(vals)
+			a.critical += slowest
+			a.ideal += mean
+			a.imbalance = append(a.imbalance, safeDiv(slowest, mean))
 		}
 		prev = dec.T
-	}
-
-	// Swap-cost attribution: each swap-verdict decision owns the outbound
-	// state transfers that complete before the next decision.
-	for i, dec := range decisions {
-		if dec.Verdict != "swap" && dec.Swaps == 0 {
-			continue
-		}
-		next := math.Inf(1)
-		if i+1 < len(decisions) {
-			next = decisions[i+1].T
-		}
-		att := swapAttribution{
-			t: dec.T, directives: dec.Swaps,
-			payback:   dec.Payback,
-			predicted: dec.SwapTime * float64(dec.Swaps),
-		}
-		for _, ev := range events {
-			if ev.Kind == KindStateTransfer && ev.Detail == "out" && ev.T >= dec.T && ev.T < next {
-				att.actual += ev.Dur
-				att.bytes += ev.Bytes
-			}
-		}
-		a.swaps = append(a.swaps, att)
 	}
 
 	// Anomaly windows: replay the telemetry detector over each rank's
 	// iteration series (same defaults as the live hub), merging runs of
 	// anomalies separated by at most two normal samples.
 	for _, r := range a.Ranks {
-		vals := a.iterByRank[r]
-		if len(vals) == 0 {
-			continue
-		}
-		times := iterTimes(events, r)
 		det := series.NewDetector(series.DefaultWindow)
 		var cur *AnomalyWindow
 		lastAnomIdx := -10
-		for i, v := range vals {
-			t := 0.0
-			if i < len(times) {
-				t = times[i]
-			}
+		for i, v := range a.iterByRank[r] {
+			t := a.iterAt[r][i]
 			an, ok := det.Observe(t, v)
 			if !ok {
 				continue
@@ -312,17 +276,6 @@ func Analyze(events []Event) *Analysis {
 // trace has no message edges; the bool reports presence).
 func (a *Analysis) Causality() (CausalCheck, bool) { return a.causal, a.hasCausal }
 
-// iterTimes returns rank r's IterEnd timestamps in trace order.
-func iterTimes(events []Event, r int) []float64 {
-	var out []float64
-	for _, ev := range events {
-		if ev.Kind == KindIterEnd && ev.Rank == r {
-			out = append(out, ev.T)
-		}
-	}
-	return out
-}
-
 // AnomalyWindows exposes the detected windows (for tests and the live
 // smoke checks).
 func (a *Analysis) AnomalyWindows() []AnomalyWindow { return a.anomalies }
@@ -341,7 +294,9 @@ func quantline(xs []float64, format string) string {
 // WriteReport renders the full deterministic analysis report.
 func (a *Analysis) WriteReport(w io.Writer) error {
 	bw := bufio.NewWriter(w)
-	fmt.Fprintf(bw, "trace analysis: %d events, %d ranks, span %.6gs\n", a.Events, len(a.Ranks), a.Span)
+	records := a.counts[KindSwapRecord]
+	fmt.Fprintf(bw, "trace analysis: %d events + %d swap records, %d ranks, span %.6gs\n",
+		a.Events-records, records, len(a.Ranks), a.Span)
 
 	fmt.Fprintf(bw, "\n== event counts ==\n")
 	for k := Kind(1); int(k) < len(kindNames); k++ {
@@ -362,36 +317,53 @@ func (a *Analysis) WriteReport(w io.Writer) error {
 	}
 
 	fmt.Fprintf(bw, "\n== swap-point rounds (critical path / imbalance) ==\n")
-	if len(a.rounds) == 0 {
+	if len(a.imbalance) == 0 {
 		fmt.Fprintf(bw, "no rounds (trace has no decisions)\n")
 	} else {
-		var critical, ideal float64
-		var imb []float64
-		for _, rs := range a.rounds {
-			critical += rs.max
-			ideal += rs.mean
-			imb = append(imb, rs.imbalance)
-		}
 		fmt.Fprintf(bw, "rounds=%d critical_path=%.6gs ideal_balanced=%.6gs stretch=%.4g\n",
-			len(a.rounds), critical, ideal, safeDiv(critical, ideal))
-		fmt.Fprintf(bw, "imbalance (max/mean per round): %s\n", quantline(imb, "%.4g"))
+			len(a.imbalance), a.critical, a.ideal, safeDiv(a.critical, a.ideal))
+		fmt.Fprintf(bw, "imbalance (max/mean per round): %s\n", quantline(a.imbalance, "%.4g"))
 	}
 
 	fmt.Fprintf(bw, "\n== swap overhead attribution (payback algebra) ==\n")
-	if len(a.swaps) == 0 {
-		fmt.Fprintf(bw, "no swap decisions\n")
+	if len(a.records) == 0 {
+		fmt.Fprintf(bw, "no swap records\n")
 	} else {
-		var pred, act float64
+		var pred, paid, act float64
 		var bytes int64
-		for _, s := range a.swaps {
-			fmt.Fprintf(bw, "t=%.6g directives=%d payback=%.6g predicted=%.6gs actual=%.6gs bytes=%d\n",
-				s.t, s.directives, s.payback, s.predicted, s.actual, s.bytes)
-			pred += s.predicted
-			act += s.actual
-			bytes += s.bytes
+		var phases [7][]float64
+		for _, rec := range a.records {
+			// The record states the prediction and the paid time. Only a
+			// committed round owns its epoch's transfers and realization:
+			// an aborted one moved no acknowledged state, and a later
+			// round may commit the epoch it proposed.
+			actual, moved, realized, outcome := 0.0, int64(0), "-", " aborted"
+			if rec.Verdict == VerdictCommit {
+				actual, moved, outcome = a.transferDur[rec.Epoch], a.transferBytes[rec.Epoch], ""
+				if r, ok := a.realized[rec.Epoch]; ok {
+					realized = fmt.Sprintf("%.6g(%s)", r.Payback, r.Verdict)
+				}
+			}
+			fmt.Fprintf(bw, "t=%.6g directives=%d payback=%.6g predicted=%.6gs paid=%.6gs actual=%.6gs bytes=%d realized=%s%s\n",
+				rec.T, rec.Swaps, rec.Payback, predicted(rec), rec.Dur, actual, moved, realized, outcome)
+			pred += predicted(rec)
+			paid += rec.Dur
+			act += actual
+			bytes += moved
+			if r := rec.Round; r != nil {
+				p := r.Phases
+				for i, v := range [...]float64{p.Gather, p.Decide, p.Plan, p.Transfer, p.Vote, p.Commit, p.Rebuild} {
+					phases[i] = append(phases[i], v)
+				}
+			}
 		}
-		fmt.Fprintf(bw, "total: predicted=%.6gs actual=%.6gs ratio=%.4g bytes=%d\n",
-			pred, act, safeDiv(act, pred), bytes)
+		fmt.Fprintf(bw, "total: predicted=%.6gs paid=%.6gs actual=%.6gs ratio=%.4g bytes=%d\n",
+			pred, paid, act, safeDiv(act, pred), bytes)
+		fmt.Fprintf(bw, "phases (median s):")
+		for i, name := range [...]string{"gather", "decide", "plan", "transfer", "vote", "commit", "rebuild"} {
+			fmt.Fprintf(bw, " %s=%.6g", name, series.Summarize(phases[i]).P50)
+		}
+		fmt.Fprintf(bw, "\n")
 	}
 
 	if a.hasCausal {

@@ -196,10 +196,11 @@ func CheckCausality(evs []Event) CausalCheck {
 				lastLCT[ev.Rank] = ev.T
 			}
 		}
-		// KindPaybackRealized is a retrospective attribution: it scores a
-		// swap committed several epochs ago, so its (older) epoch stamp is
-		// expected and not a regression.
-		if ev.Epoch != 0 && ev.Kind != KindPaybackRealized {
+		// KindPaybackRealized scores a swap committed epochs ago, and
+		// KindSwapRecord states the epoch its round proposed as of the
+		// plan, ahead of the round's own events (an abort never reaches
+		// it): neither stamp is a regression.
+		if ev.Epoch != 0 && ev.Kind != KindPaybackRealized && ev.Kind != KindSwapRecord {
 			if prev, ok := lastEpoch[ev.Rank]; ok && ev.Epoch < prev {
 				addViolation("rank %d: epoch moved backwards: %d after %d at t=%.6g",
 					ev.Rank, ev.Epoch, prev, ev.T)

@@ -142,6 +142,10 @@ func TestCheckCausalityClean(t *testing.T) {
 	evs = causalPair(evs, cz, 1, 0, 1.2, 1.3)
 	evs = append(evs, Event{Kind: KindIterStart, Rank: 0, T: 2.0, Epoch: 1})
 	evs = append(evs, Event{Kind: KindIterStart, Rank: 0, T: 3.0, Epoch: 2})
+	// An aborted round's record states the epoch it proposed; the rank
+	// goes on at the epoch it had.
+	evs = append(evs, Event{Kind: KindSwapRecord, Rank: 0, T: 3.5, Epoch: 3, Swaps: 1, Verdict: VerdictAbort})
+	evs = append(evs, Event{Kind: KindIterStart, Rank: 0, T: 4.0, Epoch: 2})
 	c := CheckCausality(evs)
 	if !c.Ok() {
 		t.Fatalf("clean trace flagged: %v", c.Violations)

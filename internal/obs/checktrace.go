@@ -1,8 +1,10 @@
 package obs
 
 import (
+	"encoding/json"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -15,6 +17,7 @@ type TraceCheck struct {
 	Entries   int
 	Decisions int // SwapDecision instants
 	Complete  int // decisions carrying payback + verdict (a stay: its reason)
+	Records   int // SwapRecords of proposed rounds (those with directives)
 
 	Quarantines      int
 	CircuitOpens     int
@@ -26,9 +29,9 @@ type TraceCheck struct {
 	WALRecoveries int // recoveries after the first crash that replayed a non-empty WAL
 	PostRecovery  int // decisions after the first such recovery
 
-	// Violations: two clocks in one timeline (CheckTimeline), or a
+	// Violations: two clocks in one timeline (CheckTimeline), a
 	// decision epoch stepping backwards — a stale leader that escaped the
-	// epoch fence.
+	// epoch fence — or a proposed round without exactly one SwapRecord.
 	Violations []string
 }
 
@@ -42,73 +45,103 @@ func CheckTrace(entries []map[string]any) TraceCheck {
 	c := TraceCheck{Entries: len(entries)}
 	firstOpen, lastClose := math.Inf(1), math.Inf(-1)
 	firstCrash, walRecover := math.Inf(1), math.Inf(1)
-	type decision struct{ ts, epoch float64 }
-	var decisions []decision
-	for _, e := range entries {
-		name, _ := e["name"].(string)
-		ts, _ := e["ts"].(float64)
-		args, _ := e["args"].(map[string]any)
-		detail, _ := args["detail"].(string)
-		switch name {
-		case KindSwapDecision.String():
-			epoch, _ := args["epoch"].(float64) // omitted while zero
-			decisions = append(decisions, decision{ts, epoch})
-			_, hasPayback := args["payback"].(float64)
-			_, hasReason := args["reason"].(string)
+	events := chromeEvents(entries)
+	var decisions []Event
+	for _, ev := range events {
+		switch ev.Kind {
+		case KindSwapDecision:
+			decisions = append(decisions, ev)
 			// A rejected decision legitimately has no payback (the gate
 			// may fire before it is computed); verdict and reason make it
 			// complete.
-			if verdict, _ := args["verdict"].(string); verdict == "stay" && hasReason ||
-				verdict != "" && verdict != "stay" && hasPayback {
+			if ev.Verdict == "stay" && ev.Reason != "" || ev.Verdict != "" && ev.Verdict != "stay" && ev.Payback != 0 {
 				c.Complete++
 			}
-		case KindQuarantine.String():
+		case KindSwapRecord:
+			if ev.Swaps > 0 {
+				c.Records++
+			}
+		case KindQuarantine:
 			c.Quarantines++
-		case KindCircuit.String():
-			switch detail {
+		case KindCircuit:
+			switch ev.Detail {
 			case "open":
 				c.CircuitOpens++
-				firstOpen = math.Min(firstOpen, ts)
+				firstOpen = math.Min(firstOpen, ev.T)
 			case "close":
 				c.CircuitCloses++
-				lastClose = math.Max(lastClose, ts)
+				lastClose = math.Max(lastClose, ev.T)
 			}
-		case KindMgrCrash.String():
+		case KindMgrCrash:
 			c.Crashes++
-			firstCrash = math.Min(firstCrash, ts)
-		case KindMgrRecover.String():
+			firstCrash = math.Min(firstCrash, ev.T)
+		case KindMgrRecover:
 			c.Recoveries++
-			if ts >= firstCrash && strings.Contains(detail, "wal-replay") &&
-				strings.Contains(detail, "records=") && !strings.Contains(detail, "records=0 ") {
+			if ev.T >= firstCrash && strings.Contains(ev.Detail, "wal-replay") &&
+				strings.Contains(ev.Detail, "records=") && !strings.Contains(ev.Detail, "records=0 ") {
 				c.WALRecoveries++
-				walRecover = math.Min(walRecover, ts)
+				walRecover = math.Min(walRecover, ev.T)
 			}
 		}
 	}
 	c.Decisions = len(decisions)
 	c.CircuitRecovered = c.CircuitOpens > 0 && c.CircuitCloses > 0 && lastClose >= firstOpen
 
-	if err := CheckTimeline(chromeTimeline(entries)); err != nil {
+	if err := CheckTimeline(events); err != nil {
 		c.Violations = append(c.Violations, err.Error())
 	}
-	sort.SliceStable(decisions, func(i, j int) bool { return decisions[i].ts < decisions[j].ts })
+	c.Violations = append(c.Violations, CheckRounds(events)...)
+	sort.SliceStable(decisions, func(i, j int) bool { return decisions[i].T < decisions[j].T })
 	for i, d := range decisions {
-		if i > 0 && d.epoch < decisions[i-1].epoch {
+		if i > 0 && d.Epoch < decisions[i-1].Epoch {
 			c.Violations = append(c.Violations, fmt.Sprintf(
-				"decision epoch stepped backwards %g -> %g at ts %.0f: a stale leader escaped the fence",
-				decisions[i-1].epoch, d.epoch, d.ts))
+				"decision epoch stepped backwards %d -> %d at ts %.0f: a stale leader escaped the fence",
+				decisions[i-1].Epoch, d.Epoch, d.T*1e6))
 		}
-		if d.ts > walRecover {
+		if d.T > walRecover {
 			c.PostRecovery++
 		}
 	}
 	return c
 }
 
-// chromeTimeline rebuilds, from Chrome trace entries, as much of each
-// event as CheckTimeline reads: kind, rank (the "runtime" track is
-// RankRuntime), time, duration and the IterEnd value.
-func chromeTimeline(entries []map[string]any) []Event {
+// CheckRounds pairs every decision that ordered swaps with the one
+// SwapRecord of its round, by the epoch the round proposed (an aborted
+// round and its retry propose the same one), and returns a violation per
+// epoch where they do not pair up.
+func CheckRounds(events []Event) []string {
+	rounds := map[uint64][2]int{} // proposed epoch -> decisions, records
+	for _, ev := range events {
+		if ev.Swaps == 0 {
+			continue
+		}
+		switch ev.Kind {
+		case KindSwapDecision:
+			n := rounds[ev.Epoch+1]
+			rounds[ev.Epoch+1] = [2]int{n[0] + 1, n[1]}
+		case KindSwapRecord:
+			n := rounds[ev.Epoch]
+			rounds[ev.Epoch] = [2]int{n[0], n[1] + 1}
+		}
+	}
+	var epochs []uint64
+	for e, n := range rounds {
+		if n[0] != n[1] {
+			epochs = append(epochs, e)
+		}
+	}
+	slices.Sort(epochs)
+	var out []string
+	for _, e := range epochs {
+		out = append(out, fmt.Sprintf("epoch %d: %d proposed rounds but %d swap records", e, rounds[e][0], rounds[e][1]))
+	}
+	return out
+}
+
+// chromeEvents rebuilds the events behind Chrome trace entries: kind,
+// rank (the "runtime" track is RankRuntime), time and duration from the
+// entry, every other field from its args.
+func chromeEvents(entries []map[string]any) []Event {
 	runtimeTID := -1.0
 	for _, e := range entries {
 		if args, _ := e["args"].(map[string]any); e["ph"] == "M" && args["name"] == "runtime" {
@@ -128,12 +161,14 @@ func chromeTimeline(entries []map[string]any) []Event {
 		if !ok {
 			continue
 		}
+		var ev Event
+		if b, err := json.Marshal(e["args"]); err == nil {
+			_ = json.Unmarshal(b, &ev) // a field of the wrong type stays zero
+		}
 		ts, _ := e["ts"].(float64)
 		dur, _ := e["dur"].(float64)
 		tid, _ := e["tid"].(float64)
-		args, _ := e["args"].(map[string]any)
-		value, _ := args["value"].(float64)
-		ev := Event{Kind: kind, Rank: int(tid), T: ts / 1e6, Dur: dur / 1e6, Value: value}
+		ev.Kind, ev.Rank, ev.T, ev.Dur = kind, int(tid), ts/1e6, dur/1e6
 		if tid == runtimeTID {
 			ev.Rank = RankRuntime
 		}

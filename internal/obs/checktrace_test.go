@@ -3,6 +3,7 @@ package obs
 import (
 	"bytes"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -72,5 +73,41 @@ func TestCheckTrace(t *testing.T) {
 		!strings.Contains(c.Violations[0], "two clocks") || !strings.Contains(c.Violations[1], "epoch stepped backwards 2 -> 1") {
 		t.Errorf("recovered %v, violations %q: want recovered, two clocks and a backward epoch",
 			c.CircuitRecovered, c.Violations)
+	}
+}
+
+// TestCheckTraceOneRecordPerRound: every decision that orders swaps is a
+// proposed round, and each round states exactly one SwapRecord under the
+// epoch it proposed. An aborted round and its retry propose the same
+// epoch and state one record each.
+func TestCheckTraceOneRecordPerRound(t *testing.T) {
+	decide := func(at float64, epoch uint64) Event {
+		return Event{Kind: KindSwapDecision, Rank: 0, T: at, Epoch: epoch, Swaps: 1, Verdict: "swap", Payback: 1}
+	}
+	record := func(at float64, epoch uint64, verdict string) Event {
+		return Event{Kind: KindSwapRecord, Rank: 0, T: at, Dur: 0.01, Epoch: epoch, Swaps: 1, Verdict: verdict,
+			Round: &SwapRound{Pairs: []SwapPair{{Out: 0, In: 1, Committed: verdict == VerdictCommit}}}}
+	}
+	rounds := []Event{
+		decide(0.1, 0), record(0.11, 1, VerdictAbort),
+		decide(0.2, 0), record(0.21, 1, VerdictCommit),
+		decide(0.3, 1), record(0.31, 2, VerdictCommit),
+	}
+	if c := CheckTrace(chromeEntries(t, rounds...)); !c.Ok() || c.Records != 3 {
+		t.Errorf("records %d, violations %q: want 3 and none", c.Records, c.Violations)
+	}
+	missing := rounds[:5]
+	doubled := append(slices.Clone(rounds), record(0.32, 2, VerdictCommit))
+	for name, tc := range map[string]struct {
+		evs  []Event
+		want string
+	}{
+		"missing": {missing, "epoch 2: 1 proposed rounds but 0 swap records"},
+		"doubled": {doubled, "epoch 2: 1 proposed rounds but 2 swap records"},
+	} {
+		c := CheckTrace(chromeEntries(t, tc.evs...))
+		if len(c.Violations) != 1 || !strings.Contains(c.Violations[0], tc.want) {
+			t.Errorf("%s: violations %q, want %q", name, c.Violations, tc.want)
+		}
 	}
 }

@@ -2,11 +2,10 @@ package obs
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
-
-	"repro/internal/stats"
 )
 
 // WriteJSONL writes every buffered event as one JSON object per line, in
@@ -83,19 +82,17 @@ func (t *Tracer) WriteChromeTrace(w io.Writer) error {
 		if tid < 0 || tid >= len(t.ranks) {
 			tid = runtimeTID
 		}
-		te := traceEvent{
-			Name: ev.Kind.String(),
-			TS:   ev.T * 1e6,
-			PID:  0,
-			TID:  tid,
-			Args: eventArgs(ev),
+		args, err := eventArgs(ev)
+		if err != nil {
+			return fmt.Errorf("obs: write chrome trace: %w", err)
 		}
+		te := traceEvent{Name: ev.Kind.String(), TS: ev.T * 1e6, PID: 0, TID: tid, Args: args}
 		switch ev.Kind {
 		case KindIterStart:
 			te.Name, te.Phase = "iteration", "B"
 		case KindIterEnd:
 			te.Name, te.Phase = "iteration", "E"
-		case KindStateTransfer, KindMPISend, KindMPIRecv, KindMPIBarrier, KindMPICollective:
+		case KindStateTransfer, KindMPISend, KindMPIRecv, KindMPIBarrier, KindMPICollective, KindSwapRecord:
 			te.Phase, te.Dur = "X", ev.Dur*1e6
 		default: // SwapDecision, ManagerAssign, HandlerProbe
 			te.Phase, te.Scope = "i", "t"
@@ -112,59 +109,24 @@ func (t *Tracer) WriteChromeTrace(w io.Writer) error {
 	return bw.Flush()
 }
 
-// eventArgs builds the args payload for the Chrome trace, omitting zero
-// fields so instants stay compact.
-func eventArgs(ev Event) map[string]any {
-	args := map[string]any{}
-	put := func(k string, v any) {
-		switch x := v.(type) {
-		case float64:
-			if x != 0 {
-				args[k] = x
-			}
-		case int64:
-			if x != 0 {
-				args[k] = x
-			}
-		case int:
-			if x != 0 {
-				args[k] = x
-			}
-		case string:
-			if x != "" {
-				args[k] = x
-			}
-		}
+// eventArgs builds the args payload for the Chrome trace: the event's
+// JSON encoding but the four fields the entry itself carries, zero fields
+// omitted so instants stay compact and numbers kept as encoded.
+func eventArgs(ev Event) (map[string]any, error) {
+	b, err := json.Marshal(ev)
+	if err != nil {
+		return nil, err
 	}
-	put("peer", ev.Peer)
-	put("bytes", ev.Bytes)
-	put("value", ev.Value)
-	put("iter_time", ev.IterTime)
-	put("old_perf", ev.OldPerf)
-	put("new_perf", ev.NewPerf)
-	put("swap_time", ev.SwapTime)
-	put("payback", ev.Payback)
-	put("swaps", ev.Swaps)
-	put("verdict", ev.Verdict)
-	put("reason", ev.Reason)
-	put("z", ev.Z)
-	put("detail", ev.Detail)
-	if ev.LC != 0 {
-		args["lc"] = ev.LC
+	var args map[string]any
+	dec := json.NewDecoder(bytes.NewReader(b))
+	dec.UseNumber()
+	if err := dec.Decode(&args); err != nil {
+		return nil, err
 	}
-	if ev.Seq != 0 {
-		args["seq"] = ev.Seq
+	for _, k := range []string{"kind", "rank", "t", "dur"} {
+		delete(args, k)
 	}
-	if ev.PeerLC != 0 {
-		args["peer_lc"] = ev.PeerLC
-	}
-	if ev.Epoch != 0 {
-		args["epoch"] = ev.Epoch
-	}
-	if len(args) == 0 {
-		return nil
-	}
-	return args
+	return args, nil
 }
 
 // ValidateChromeTrace checks that r holds a loadable trace_event JSON
@@ -184,66 +146,4 @@ func ValidateChromeTrace(r io.Reader) ([]map[string]any, error) {
 		}
 	}
 	return entries, nil
-}
-
-// Summary folds the buffered events into aggregate statistics: per-kind
-// counts, the decision-latency distribution, iteration times, and the
-// state-transfer cost breakdown the payback algebra predicts.
-type Summary struct {
-	Counts map[string]int // events per kind name
-
-	DecideLatency stats.Accumulator // seconds per SwapDecision (Dur)
-	IterTime      stats.Accumulator // seconds per completed iteration
-	TransferTime  stats.Accumulator // seconds per state transfer
-	TransferBytes stats.Accumulator // bytes per state transfer
-	SendBlock     stats.Accumulator // seconds per MPI send
-
-	// DecideLatencyHist buckets decision latency (0–10 ms, 20 bins): the
-	// paper's leader decisions are expected well under a millisecond.
-	DecideLatencyHist *stats.Histogram
-	Swaps             int // directives across all decisions
-}
-
-// Summarize builds the Summary for the buffered events.
-func (t *Tracer) Summarize() Summary {
-	s := Summary{
-		Counts:            map[string]int{},
-		DecideLatencyHist: stats.NewHistogram(0, 0.010, 20),
-	}
-	for _, ev := range t.Events() {
-		s.Counts[ev.Kind.String()]++
-		switch ev.Kind {
-		case KindSwapDecision:
-			s.DecideLatency.Add(ev.Dur)
-			s.DecideLatencyHist.Add(ev.Dur)
-			s.Swaps += ev.Swaps
-		case KindIterEnd:
-			s.IterTime.Add(ev.Value)
-		case KindStateTransfer:
-			s.TransferTime.Add(ev.Dur)
-			s.TransferBytes.Add(float64(ev.Bytes))
-		case KindMPISend:
-			s.SendBlock.Add(ev.Dur)
-		}
-	}
-	return s
-}
-
-// String renders a compact multi-line summary.
-func (s Summary) String() string {
-	b := fmt.Sprintf("events:")
-	for _, k := range []Kind{KindIterStart, KindIterEnd, KindSwapDecision, KindStateTransfer,
-		KindMPISend, KindMPIRecv, KindMPIBarrier, KindMPICollective, KindManagerAssign, KindHandlerProbe} {
-		if n := s.Counts[k.String()]; n > 0 {
-			b += fmt.Sprintf(" %s=%d", k, n)
-		}
-	}
-	b += fmt.Sprintf("\ndecisions: %s (swaps %d)", s.DecideLatency.String(), s.Swaps)
-	if s.TransferTime.N() > 0 {
-		b += fmt.Sprintf("\ntransfers: %s, bytes %s", s.TransferTime.String(), s.TransferBytes.String())
-	}
-	if s.IterTime.N() > 0 {
-		b += fmt.Sprintf("\niterations: %s", s.IterTime.String())
-	}
-	return b
 }

@@ -110,6 +110,18 @@ const (
 	// after the earlier kinds so the numeric JSONL encoding of existing
 	// traces is unchanged.
 	KindShadowDecision
+	// KindSwapRecord is one proposed round once it settled, emitted by
+	// the live leader and the simulator's driver: T = when the plan went
+	// out, Dur = the paid time, Epoch = the proposed epoch, Swaps = the
+	// directives, SwapTime/Payback = the decision's predictions, Verdict =
+	// VerdictCommit if any directive committed, else VerdictAbort.
+	KindSwapRecord
+)
+
+// A swap record's verdict.
+const (
+	VerdictCommit = "commit"
+	VerdictAbort  = "abort"
 )
 
 var kindNames = [...]string{
@@ -136,6 +148,7 @@ var kindNames = [...]string{
 
 	KindPaybackRealized: "PaybackRealized",
 	KindShadowDecision:  "ShadowDecision",
+	KindSwapRecord:      "SwapRecord",
 }
 
 // String implements fmt.Stringer.
@@ -181,7 +194,38 @@ type Event struct {
 	Seq    uint64 `json:"seq,omitempty"`     // sender's send sequence for the message
 	PeerLC uint64 `json:"peer_lc,omitempty"` // piggybacked sender clock (KindMsgRecv)
 	Epoch  uint64 `json:"epoch,omitempty"`   // swap epoch the event belongs to
+
+	Round *SwapRound `json:"round,omitempty"` // KindSwapRecord only
 }
+
+// SwapRound is what a KindSwapRecord states beyond the Event fields: how
+// each directive ended, and the round's phases.
+type SwapRound struct {
+	Pairs  []SwapPair `json:"pairs"`
+	Phases Phases     `json:"phases"`
+}
+
+// SwapPair is one directive of a round: Out's process moves to In.
+type SwapPair struct {
+	Out       int  `json:"out"`
+	In        int  `json:"in"`
+	Committed bool `json:"committed,omitempty"`
+}
+
+// Phases are a round's consecutive intervals on its leader's timeline, in
+// seconds (DESIGN.md §12). The simulator has only Transfer and Rebuild.
+type Phases struct {
+	Gather   float64 `json:"gather"`
+	Decide   float64 `json:"decide"`
+	Plan     float64 `json:"plan"`
+	Transfer float64 `json:"transfer"`
+	Vote     float64 `json:"vote"`
+	Commit   float64 `json:"commit"`
+	Rebuild  float64 `json:"rebuild"`
+}
+
+// Paid is the time the round cost once the plan went out: a record's Dur.
+func (p Phases) Paid() float64 { return p.Plan + p.Transfer + p.Vote + p.Commit + p.Rebuild }
 
 // RankRuntime attributes an event to the runtime itself rather than a
 // specific rank (e.g. the simulator's single driver process). Exporters

@@ -194,31 +194,6 @@ func TestValidateChromeTraceRejects(t *testing.T) {
 	}
 }
 
-func TestSummarize(t *testing.T) {
-	tr := New(2)
-	tr.Enable()
-	tr.Emit(Event{Kind: KindSwapDecision, Rank: 0, T: 1, Dur: 0.001, Swaps: 2})
-	tr.Emit(Event{Kind: KindSwapDecision, Rank: 0, T: 2, Dur: 0.003})
-	tr.Emit(Event{Kind: KindIterEnd, Rank: 1, T: 2, Value: 0.5})
-	tr.Emit(Event{Kind: KindStateTransfer, Rank: 1, T: 2, Dur: 0.02, Bytes: 4096})
-	s := tr.Summarize()
-	if s.Counts["SwapDecision"] != 2 || s.Swaps != 2 {
-		t.Fatalf("decision counts wrong: %+v", s)
-	}
-	if s.DecideLatency.N() != 2 || s.DecideLatency.Mean() != 0.002 {
-		t.Fatalf("decide latency wrong: %v", s.DecideLatency)
-	}
-	if s.TransferBytes.Mean() != 4096 || s.IterTime.Mean() != 0.5 {
-		t.Fatalf("transfer/iter stats wrong: %+v", s)
-	}
-	if s.DecideLatencyHist.N() != 2 {
-		t.Fatalf("latency histogram empty")
-	}
-	if s.String() == "" {
-		t.Fatal("empty summary rendering")
-	}
-}
-
 func TestRegistry(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("mpi.rank0.msgs_sent")

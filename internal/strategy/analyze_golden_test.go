@@ -45,6 +45,11 @@ func TestAnalyzeGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := rep.String()
+	// The two-directive round shares the link: both transfers take its
+	// whole pause, so their durations sum to twice what the round paid.
+	if want := "t=1652.73 directives=2 payback=0.100217 predicted=16.6677s paid=16.6672s actual=33.3343s"; !strings.Contains(got, want) {
+		t.Errorf("report lacks %q: the round's record must state its paid time", want)
+	}
 
 	golden := filepath.Join("testdata", "analyze_golden.txt")
 	if *updateGolden {

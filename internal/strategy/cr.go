@@ -100,7 +100,7 @@ func crBoundary(d *driver, iter int, iterTime float64, done func()) {
 		}
 		tr.Emit(obs.Event{Kind: obs.KindSwapDecision, Rank: obs.RankRuntime, T: now,
 			IterTime: iterTime, SwapTime: overhead, Payback: payback,
-			Verdict: verdict, Detail: "relocation"})
+			Verdict: verdict, Detail: "relocation", Epoch: d.epoch})
 	}
 	if !ok {
 		done()
@@ -113,6 +113,9 @@ func crBoundary(d *driver, iter int, iterTime float64, done func()) {
 		T: now, Kind: EventCheckpoint, Iter: iter, From: d.hosts, To: to, Payback: payback,
 	})
 	d.res.Swaps++
+	if tr.Enabled() {
+		d.openRecord(now, 0, overhead, payback, nil)
+	}
 
 	// Enact: checkpoint write, restart, checkpoint read.
 	d.actedAt, d.relocTo, d.done = now, to, done
@@ -134,17 +137,23 @@ func (d *driver) crRestarted() {
 	d.transferAll(d.sc.Active, d.sc.App.StateBytes, d.crReadFn)
 }
 
-// crRead ends a relocation on the new hosts once the checkpoint is read.
+// crRead ends a relocation on the new hosts once the checkpoint is read,
+// committing the proposed epoch. The relocation's paid time is its two
+// checkpoint legs and the restart between them.
 func (d *driver) crRead() {
 	d.crLeg(d.readStart, "checkpoint read")
 	d.hosts, d.relocTo = d.relocTo, nil
+	d.epoch++
+	restart := d.p.StartupTime(d.sc.Active)
+	d.closeRecord(obs.Phases{Transfer: d.k.Now() - d.actedAt - restart, Rebuild: restart})
 	d.done()
 }
 
-// crLeg traces one checkpoint transfer phase, from start to now.
+// crLeg traces one checkpoint transfer phase, from start to now, under the
+// proposed epoch.
 func (d *driver) crLeg(start float64, detail string) {
 	if tr := d.k.Tracer(); tr.Enabled() {
-		tr.Emit(obs.Event{Kind: obs.KindStateTransfer, Rank: obs.RankRuntime, T: start,
-			Dur: d.k.Now() - start, Bytes: int64(float64(d.sc.Active) * d.sc.App.StateBytes), Detail: detail})
+		tr.Emit(obs.Event{Kind: obs.KindStateTransfer, Rank: obs.RankRuntime, T: start, Dur: d.k.Now() - start,
+			Bytes: int64(float64(d.sc.Active) * d.sc.App.StateBytes), Detail: detail, Epoch: d.epoch + 1})
 	}
 }

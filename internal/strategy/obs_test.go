@@ -2,7 +2,9 @@ package strategy
 
 import (
 	"bytes"
+	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/app"
@@ -187,6 +189,47 @@ func TestSimTraceCR(t *testing.T) {
 	}
 	if writes != res.Swaps || reads != res.Swaps {
 		t.Fatalf("checkpoint legs write=%d read=%d, want %d each", writes, reads, res.Swaps)
+	}
+}
+
+// TestCRAnalysesToPaidRelocations: a traced CR run's relocations each
+// state a swap record, so the analysis prices every one of them — the
+// overhead its decision predicted, the checkpoint write, restart and read
+// it paid, and both 200 MB checkpoint legs — instead of the zeros a
+// relocation, which orders no directive, used to read.
+func TestCRAnalysesToPaidRelocations(t *testing.T) {
+	p := testPlatform(8, loadgen.NewOnOff(0.3), 63)
+	tr := obs.New(4, obs.WithClock(p.Kernel.Now))
+	tr.Enable()
+	p.Kernel.SetTracer(tr)
+	res := CR{}.Run(p, Scenario{Active: 4, App: app.Default(8).WithState(50e6), Policy: core.Greedy()})
+	if res.Swaps != 5 {
+		t.Fatalf("seed 63 relocates %d times, want 5", res.Swaps)
+	}
+	var rep strings.Builder
+	if err := obs.Analyze(tr.Events()).WriteReport(&rep); err != nil {
+		t.Fatal(err)
+	}
+	var lines []string
+	for _, line := range strings.Split(rep.String(), "\n") {
+		if strings.HasPrefix(line, "t=") {
+			lines = append(lines, line)
+		}
+	}
+	if len(lines) != res.Swaps {
+		t.Fatalf("%d attributed relocations, want %d:\n%s", len(lines), res.Swaps, rep.String())
+	}
+	for _, line := range lines {
+		var at, payback, predicted, paid, actual float64
+		var directives int
+		var bytes int64
+		if _, err := fmt.Sscanf(line, "t=%g directives=%d payback=%g predicted=%gs paid=%gs actual=%gs bytes=%d",
+			&at, &directives, &payback, &predicted, &paid, &actual, &bytes); err != nil {
+			t.Fatalf("%q: %v", line, err)
+		}
+		if predicted <= 0 || paid <= 0 || actual <= 0 || actual >= paid || bytes != 400e6 {
+			t.Errorf("%q: want a predicted and a paid time, checkpoint legs inside the paid time, 400 MB", line)
+		}
 	}
 }
 

@@ -226,10 +226,15 @@ type driver struct {
 
 	// boundary decides the Swap technique's swaps and audits them on the
 	// virtual clock through the scenario's lens, as the live runtime's
-	// LocalDecider does; epoch counts committed swap rounds with the live
-	// runtime's convention: a decision at epoch e proposes e+1.
+	// LocalDecider does; epoch counts committed rounds (Swap's swaps, CR's
+	// relocations) with the live runtime's convention: a decision at
+	// epoch e proposes e+1.
 	boundary policylens.Boundary
 	epoch    uint64
+
+	// record is a traced run's swap record of the round in flight
+	// (openRecord, closeRecord).
+	record *obs.Event
 
 	// Per-boundary scratch, sized once per run: the estimated rate and
 	// active flag of every host, the Swap technique's candidate lists, and

@@ -58,6 +58,7 @@ func swapBoundary(d *driver, iter int, iterTime float64, done func()) {
 		SwapTime: swapTime,
 	}
 	var swaps []core.SwapPair
+	var exp core.Explanation // the random selection explains nothing
 	if d.selStream != nil {
 		swaps = randomSelect(d.boundary.Policy, d.selStream, active, spare, iterTime, swapTime)
 		d.boundary.Record(now, d.epoch, in, len(swaps))
@@ -73,7 +74,6 @@ func swapBoundary(d *driver, iter int, iterTime float64, done func()) {
 	} else {
 		// Nobody reads the Reason without a tracer; the lens needs only
 		// the numbers.
-		var exp core.Explanation
 		swaps, exp = d.boundary.Decide(now, d.epoch, in, tr.Enabled())
 		if tr.Enabled() {
 			tr.Emit(obs.Event{Kind: obs.KindSwapDecision, Rank: obs.RankRuntime, T: now,
@@ -99,6 +99,13 @@ func swapBoundary(d *driver, iter int, iterTime float64, done func()) {
 			Payback: s.Payback, Gain: s.ProcGain,
 		})
 	}
+	if tr.Enabled() {
+		pairs := make([]obs.SwapPair, len(swaps))
+		for i, s := range swaps {
+			pairs[i] = obs.SwapPair{Out: from[s.Out.ID], In: s.In.ID, Committed: true}
+		}
+		d.openRecord(now, len(swaps), swapTime, exp.Payback, pairs)
+	}
 	d.hosts = to
 	d.res.Swaps += len(swaps)
 	d.actedAt, d.swaps, d.done = now, swaps, done
@@ -110,8 +117,8 @@ func swapBoundary(d *driver, iter int, iterTime float64, done func()) {
 
 // swapLanded ends a swap boundary when its last state transfer lands.
 // Sim swaps always land: commit the proposed epoch (live convention: a
-// decision at epoch e establishes e+1) so later events carrying the new
-// epoch are the trace's commit evidence for the audit.
+// decision at epoch e establishes e+1). The round's paid time is its
+// transfer.
 func (d *driver) swapLanded() {
 	landed := d.k.Now()
 	d.epoch++
@@ -123,8 +130,28 @@ func (d *driver) swapLanded() {
 				Bytes: int64(d.sc.App.StateBytes), Detail: "out", Epoch: d.epoch})
 		}
 	}
+	d.closeRecord(obs.Phases{Transfer: landed - d.actedAt})
 	d.swaps = nil
 	d.done()
+}
+
+// openRecord starts the swap record of the round a traced boundary
+// proposed at now: its decision's predictions and its pairs.
+func (d *driver) openRecord(now float64, swaps int, swapTime, payback float64, pairs []obs.SwapPair) {
+	d.record = &obs.Event{Kind: obs.KindSwapRecord, Rank: obs.RankRuntime, T: now,
+		Epoch: d.epoch + 1, Swaps: swaps, SwapTime: swapTime, Payback: payback,
+		Verdict: obs.VerdictCommit, Round: &obs.SwapRound{Pairs: pairs}}
+}
+
+// closeRecord emits the open swap record with the round's phases, which
+// sum to its paid time. A simulated round always commits.
+func (d *driver) closeRecord(p obs.Phases) {
+	if d.record == nil {
+		return
+	}
+	d.record.Round.Phases, d.record.Dur = p, p.Paid()
+	d.k.Tracer().Emit(*d.record)
+	d.record = nil
 }
 
 // randomSelect is the pair-selection ablation: instead of pairing the

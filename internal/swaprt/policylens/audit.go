@@ -3,7 +3,6 @@ package policylens
 import (
 	"fmt"
 	"io"
-	"slices"
 	"sort"
 
 	"repro/internal/obs"
@@ -16,7 +15,7 @@ import (
 type AuditResult struct {
 	Decisions  int // SwapDecision events seen
 	SwapOrders int // decisions that ordered swaps
-	Committed  int // proposed epochs with post-commit evidence
+	Committed  int // rounds whose SwapRecord says they committed
 	Pending    int // commits too close to trace end to be scored
 
 	Realized    int // PaybackRealized events
@@ -25,8 +24,9 @@ type AuditResult struct {
 	Shadow []PolicyScore // per-policy scoreboard rebuilt from the trace
 
 	// Violations are contract breaches: committed swaps with no
-	// realization, realizations for epochs never committed, and
-	// verdict/tolerance inconsistencies. Deterministically ordered.
+	// realization, realizations for epochs never committed, proposed
+	// rounds without exactly one record, and verdict/tolerance
+	// inconsistencies. Deterministically ordered.
 	Violations []string
 	// Findings are noteworthy but non-fatal: each misprediction with
 	// its numbers. Deterministically ordered.
@@ -37,39 +37,19 @@ type AuditResult struct {
 func (r AuditResult) OK() bool { return len(r.Violations) == 0 }
 
 // Audit replays a trace (as read by obs.ReadJSONL) against the lens
-// contract, judged by the lens's own constants: a realized event must
-// not claim "ok" above tolerance, and a commit needs realizeAfter
-// subsequent swap-point decisions before a missing realization is a
-// violation (fewer count as pending). It is pure: same events in, same
-// result out.
+// contract, judged by the lens's own constants: every proposed round
+// states exactly one SwapRecord, a realized event must not claim "ok"
+// above tolerance, and a committed round needs realizeAfter subsequent
+// swap-point decisions before a missing realization is a violation (fewer
+// count as pending). It is pure: same events in, same result out.
 func Audit(events []obs.Event) AuditResult {
 	var res AuditResult
-
-	// Pass 1: which epochs show post-commit evidence? A proposed epoch P
-	// is committed exactly when some non-abort event later carries
-	// Epoch == P (the runtime stamps IterStart/StateTransfer with the
-	// new epoch only after the two-phase commit lands; the simulator
-	// mirrors the convention).
-	epochSeen := map[uint64]bool{}
-	for _, ev := range events {
-		switch ev.Kind {
-		case obs.KindSwapAbort, obs.KindSwapDecision,
-			obs.KindPaybackRealized, obs.KindShadowDecision:
-			// Aborts, the proposing decision itself, and the lens's own
-			// attributions are not commit evidence.
-			continue
-		}
-		if ev.Epoch > 0 {
-			epochSeen[ev.Epoch] = true
-		}
-	}
-
-	// Pass 2: decisions, realizations, shadows.
-	type proposal struct {
+	type commit struct {
 		epoch     uint64
-		decisions int // SwapDecision events after the proposing one
+		decisions int // SwapDecision events after the round's record
 	}
-	var open []*proposal                // proposals counting trailing decisions
+	var commits []*commit
+	committed := map[uint64]bool{}
 	realizedByEpoch := map[uint64]int{} // PaybackRealized per epoch
 	shadow := map[string]*PolicyScore{}
 
@@ -77,12 +57,18 @@ func Audit(events []obs.Event) AuditResult {
 		switch ev.Kind {
 		case obs.KindSwapDecision:
 			res.Decisions++
-			for _, p := range open {
-				p.decisions++
+			for _, c := range commits {
+				c.decisions++
 			}
 			if ev.Swaps > 0 {
 				res.SwapOrders++
-				open = append(open, &proposal{epoch: ev.Epoch + 1})
+			}
+		case obs.KindSwapRecord:
+			// A relocation's record orders no directive: the lens audits
+			// swap rounds.
+			if ev.Swaps > 0 && ev.Verdict == obs.VerdictCommit {
+				committed[ev.Epoch] = true
+				commits = append(commits, &commit{epoch: ev.Epoch})
 			}
 		case obs.KindPaybackRealized:
 			res.Realized++
@@ -98,7 +84,9 @@ func Audit(events []obs.Event) AuditResult {
 					"epoch %d: realized event claims ok but error %.3g exceeds tolerance %.3g",
 					ev.Epoch, ev.Z, tolerance))
 			}
-			if !epochSeen[ev.Epoch] {
+			// The round's record precedes its realization: the lens
+			// realizes a payback iterations after the round settled.
+			if !committed[ev.Epoch] {
 				res.Violations = append(res.Violations, fmt.Sprintf(
 					"epoch %d: payback realized for an epoch the trace never committed", ev.Epoch))
 			}
@@ -125,32 +113,19 @@ func Audit(events []obs.Event) AuditResult {
 		}
 	}
 
-	// Pass 3: every committed proposal with a full sample window behind
-	// it must have been realized. Group by epoch: an aborted proposal
-	// retried and committed under the same epoch number needs only one
-	// realization, and has the most trailing decisions of its proposals.
-	trailing := map[uint64]int{}
-	var epochs []uint64
-	for _, p := range open {
-		if !epochSeen[p.epoch] {
-			continue // never committed (aborted, or run ended mid-commit)
-		}
-		if _, ok := trailing[p.epoch]; !ok {
-			epochs = append(epochs, p.epoch)
-		}
-		trailing[p.epoch] = max(trailing[p.epoch], p.decisions)
-	}
-	slices.Sort(epochs)
-	for _, e := range epochs {
+	res.Violations = append(res.Violations, obs.CheckRounds(events)...)
+	// Every committed round with a full sample window behind it must have
+	// been realized.
+	for _, c := range commits {
 		res.Committed++
 		switch {
-		case realizedByEpoch[e] > 0:
-		case trailing[e] < realizeAfter:
+		case realizedByEpoch[c.epoch] > 0:
+		case c.decisions < realizeAfter:
 			res.Pending++
 		default:
 			res.Violations = append(res.Violations, fmt.Sprintf(
 				"epoch %d: committed swap has %d post-commit decisions but no realized payback (window %d)",
-				e, trailing[e], realizeAfter))
+				c.epoch, c.decisions, realizeAfter))
 		}
 	}
 

@@ -1,6 +1,8 @@
 package policylens
 
 import (
+	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -9,12 +11,13 @@ import (
 )
 
 // committedSwapTrace is a minimal trace of one committed swap: the
-// decision at epoch 0 proposes epoch 1, a StateTransfer carries the new
-// epoch (commit evidence), and n further decisions follow.
+// decision at epoch 0 proposes epoch 1, its record says the round
+// committed, and n further decisions follow.
 func committedSwapTrace(n int, realized bool) []obs.Event {
 	evs := []obs.Event{
 		{Kind: obs.KindSwapDecision, Rank: obs.RankRuntime, T: 1, Swaps: 1, Epoch: 0, Verdict: "swap"},
 		{Kind: obs.KindStateTransfer, Rank: 0, T: 1.5, Peer: 2, Epoch: 1},
+		{Kind: obs.KindSwapRecord, Rank: obs.RankRuntime, T: 1, Dur: 1, Swaps: 1, Epoch: 1, Verdict: obs.VerdictCommit},
 	}
 	for i := 0; i < n; i++ {
 		evs = append(evs, obs.Event{Kind: obs.KindSwapDecision, Rank: obs.RankRuntime,
@@ -60,12 +63,15 @@ func TestAuditToleratesPendingAtTraceEnd(t *testing.T) {
 }
 
 func TestAuditIgnoresAbortedProposal(t *testing.T) {
-	// A swap decision whose epoch never appears again is an aborted (or
-	// run-ending) proposal, not a violation.
+	// A round whose record says it aborted owes no realization, however
+	// many decisions follow it.
 	evs := []obs.Event{
 		{Kind: obs.KindSwapDecision, Rank: obs.RankRuntime, T: 1, Swaps: 1, Epoch: 0, Verdict: "swap"},
 		{Kind: obs.KindSwapAbort, Rank: 0, T: 1.5, Peer: 2, Epoch: 1},
-		{Kind: obs.KindSwapDecision, Rank: obs.RankRuntime, T: 2, Swaps: 0, Epoch: 0, Verdict: "stay"},
+		{Kind: obs.KindSwapRecord, Rank: obs.RankRuntime, T: 1, Dur: 1, Swaps: 1, Epoch: 1, Verdict: obs.VerdictAbort},
+	}
+	for i := 0; i < realizeAfter; i++ {
+		evs = append(evs, obs.Event{Kind: obs.KindSwapDecision, Rank: obs.RankRuntime, T: float64(2 + i), Verdict: "stay"})
 	}
 	res := Audit(evs)
 	if !res.OK() {
@@ -73,6 +79,21 @@ func TestAuditIgnoresAbortedProposal(t *testing.T) {
 	}
 	if res.Committed != 0 {
 		t.Fatalf("committed=%d, want 0", res.Committed)
+	}
+}
+
+func TestAuditFlagsARoundWithoutOneRecord(t *testing.T) {
+	for _, records := range []int{0, 2} {
+		evs := committedSwapTrace(realizeAfter, true)
+		evs = slices.DeleteFunc(evs, func(ev obs.Event) bool { return ev.Kind == obs.KindSwapRecord })
+		for i := 0; i < records; i++ {
+			evs = append(evs, obs.Event{Kind: obs.KindSwapRecord, Rank: obs.RankRuntime, T: 1,
+				Swaps: 1, Epoch: 1, Verdict: obs.VerdictCommit})
+		}
+		want := fmt.Sprintf("epoch 1: 1 proposed rounds but %d swap records", records)
+		if res := Audit(evs); !slices.Contains(res.Violations, want) {
+			t.Errorf("%d records: violations %q, want %q", records, res.Violations, want)
+		}
 	}
 }
 
@@ -184,7 +205,8 @@ func TestAuditAgreesWithTheLens(t *testing.T) {
 		decision(epoch, 1)
 		decideWith(l, core.Greedy(), now, epoch, swapInput())
 		l.ObserveOutcome(now, epoch+1, true)
-		tr.Emit(obs.Event{Kind: obs.KindStateTransfer, Rank: 0, T: now, Peer: 2, Epoch: epoch + 1})
+		tr.Emit(obs.Event{Kind: obs.KindSwapRecord, Rank: obs.RankRuntime, T: now, Swaps: 1,
+			Epoch: epoch + 1, Verdict: obs.VerdictCommit})
 		for j := 0; j < realizeAfter; j++ {
 			decision(epoch+1, 0)
 			l.ObserveIteration(now, 10-5/(1+e))

@@ -150,6 +150,7 @@ func (s *Session) swapPointActive() error {
 	}
 	var plan []byte
 	if s.comm.Rank() == 0 {
+		s.laps[lapGather] = at
 		if s.rates, err = decodeRates(s.activeSet, parts, s.rates); err != nil {
 			return err
 		}
@@ -205,6 +206,11 @@ func (s *Session) propose(now, iterTime float64, rates []float64) ([]byte, error
 	}
 	s.stats.decisions.Inc()
 	s.stats.decideNS.Add(uint64(dur))
+	s.laps[lapDecide], s.laps[lapPlan] = start, start.Add(dur)
+	s.swapTime, s.payback = swapTime, 0
+	if resp.Eval != nil {
+		s.payback = resp.Eval.Payback
+	}
 	s.cfg.Telemetry.ObserveDecision(now, resp.Eval, len(resp.Swaps), dur.Seconds())
 	if s.tr.Enabled() {
 		ev := obs.Event{Kind: obs.KindSwapDecision, Rank: s.r.Rank(), T: s.tl.secs(start),
@@ -233,15 +239,40 @@ func (s *Session) propose(now, iterTime float64, rates []float64) ([]byte, error
 	return encodePlan(resp.Swaps), nil
 }
 
+// The phases of a recorded round (obs.Phases) run from laps[i] to
+// laps[i+1] on the leader's timeline.
+const (
+	lapGather = iota
+	lapDecide
+	lapPlan
+	lapTransfer
+	lapVote
+	lapCommit
+	lapRebuild
+	lapEnd
+)
+
+// lap marks the end of a recorded round's phase i-1 and the start of
+// phase i. A round that is not recorded reads no clock.
+func (s *Session) lap(rec bool, i int) {
+	if rec {
+		s.laps[i] = s.tl.Now()
+	}
+}
+
 // swap carries a proposed round through transfer, vote and commit. It
 // leaves a member in the round's set and epoch, or an outgoing rank whose
-// directive committed out of the set.
+// directive committed out of the set. The leader records the round when a
+// tracer or a telemetry hub is on.
 func (s *Session) swap(swaps []SwapDirective) error {
+	rec := s.comm.Rank() == 0 && (s.tr.Enabled() || s.cfg.Telemetry != nil)
+	s.lap(rec, lapTransfer)
 	proposed := s.epoch + 1
 	s.vote = slices.Grow(s.vote[:0], len(swaps))[:len(swaps)]
 	clear(s.vote)
 	s.outgoing = s.outgoing[:0]
 	var acked time.Time
+	s.laps[lapVote] = s.laps[lapTransfer]
 	for i, sw := range swaps {
 		if j := slices.Index(s.activeSet, sw.Out); j >= 0 && !slices.Contains(s.outgoing, j) {
 			s.outgoing = append(s.outgoing, j)
@@ -251,6 +282,7 @@ func (s *Session) swap(swaps []SwapDirective) error {
 			if acked = s.transferOut(sw, proposed); !acked.IsZero() {
 				s.vote[i] = outcomeOK
 			}
+			s.lap(rec, lapVote)
 		}
 	}
 
@@ -268,26 +300,60 @@ func (s *Session) swap(swaps []SwapDirective) error {
 		}
 	}
 	r := newRound(s.activeSet, s.epoch, swaps, votes)
+	s.lap(rec, lapCommit)
 	if s.comm.Rank() == 0 {
 		s.record(r, swaps, proposed)
 	}
 
+	left := false
 	for i, sw := range swaps {
 		if sw.Out != s.r.Rank() {
 			continue
 		}
 		s.sendOutcome(sw.In, proposed, r.committed(i), r.set, acked)
-		if r.committed(i) {
-			s.active, s.comm = false, nil
-			s.swaps++
-			return nil
+		if left = r.committed(i); left {
+			break
 		}
 	}
-	if r.epoch != s.epoch {
+	s.lap(rec, lapRebuild)
+	switch {
+	case left:
+		s.active, s.comm = false, nil
+		s.swaps++
+	case r.epoch != s.epoch:
 		s.activeSet, s.epoch = r.set, r.epoch
 		s.comm = s.r.CommOf(s.activeSet, s.epoch)
 	}
+	if rec {
+		s.recordRound(r, swaps, proposed)
+	}
 	return nil
+}
+
+// recordRound states a settled round once, after its last phase: the
+// SwapRecord for the tracer and the telemetry hub. Its phases sum to its
+// paid time by construction.
+func (s *Session) recordRound(r round, swaps []SwapDirective, proposed uint64) {
+	s.laps[lapEnd] = s.tl.Now()
+	phase := func(i int) float64 { return s.laps[i+1].Sub(s.laps[i]).Seconds() }
+	round := &obs.SwapRound{Pairs: make([]obs.SwapPair, len(swaps)), Phases: obs.Phases{
+		Gather: phase(lapGather), Decide: phase(lapDecide), Plan: phase(lapPlan),
+		Transfer: phase(lapTransfer), Vote: phase(lapVote), Commit: phase(lapCommit),
+		Rebuild: phase(lapRebuild)}}
+	verdict := obs.VerdictAbort
+	for i, sw := range swaps {
+		round.Pairs[i] = obs.SwapPair{Out: sw.Out, In: sw.In, Committed: r.committed(i)}
+		if r.committed(i) {
+			verdict = obs.VerdictCommit
+		}
+	}
+	ev := obs.Event{Kind: obs.KindSwapRecord, Rank: s.r.Rank(), T: s.tl.secs(s.laps[lapPlan]),
+		Dur: round.Phases.Paid(), Epoch: proposed, Swaps: len(swaps),
+		SwapTime: s.swapTime, Payback: s.payback, Verdict: verdict, Round: round}
+	if s.tr.Enabled() {
+		s.tr.Emit(ev)
+	}
+	s.cfg.Telemetry.ObserveRound(ev)
 }
 
 // checkVote rejects a vote from world rank from that is not one outcome
@@ -357,7 +423,7 @@ func (s *Session) sendOutcome(in int, epoch uint64, commit bool, set []int, acke
 }
 
 // record is the leader's bookkeeping of a settled round: counters,
-// telemetry, the quarantine of every aborted directive's spare (it was
+// the hub's epoch, the quarantine of every aborted directive's spare (it was
 // proposed, assigned and failed to complete the transfer; offering it
 // again would only re-abort), and the outcome reported to the decision
 // service, which makes it durable manager state and tells the deciding
@@ -369,14 +435,11 @@ func (s *Session) record(r round, swaps []SwapDirective, proposed uint64) {
 	for i, sw := range swaps {
 		if r.committed(i) {
 			s.stats.swaps.Inc()
-			s.cfg.Telemetry.ObserveSwap()
 			continue
 		}
 		s.stats.swapAborts.Inc()
 		s.stats.quarantined.Inc()
 		s.mgr.quarantine(sw.In)
-		s.cfg.Telemetry.ObserveAbort()
-		s.cfg.Telemetry.ObserveQuarantine(sw.In)
 		s.emit(obs.Event{Kind: obs.KindQuarantine, Rank: s.r.Rank(), Peer: sw.In,
 			Epoch: r.epoch, Detail: fmt.Sprintf("swap %d->%d aborted", sw.Out, sw.In)})
 		s.tr.DumpFlight(fmt.Sprintf("spare quarantined: rank %d", sw.In))

@@ -230,6 +230,11 @@ type Session struct {
 	vote     []byte
 	outgoing []int
 	votes    [][]byte
+
+	// The leader's record of a proposed round: its decision's predictions
+	// and the boundaries of its phases (recordRound).
+	swapTime, payback float64
+	laps              [lapEnd + 1]time.Time
 }
 
 // maxKeptBuf is the largest message buffer a rank holds on to between

@@ -151,15 +151,17 @@ func NewTelemetryHub(clock func() float64) *TelemetryHub {
 	}
 }
 
-// AttachTracer routes anomaly detections into the trace stream.
-func (h *TelemetryHub) AttachTracer(tr *obs.Tracer) {
-	if h == nil {
-		return
+// locked runs f under the hub's lock; a nil hub runs nothing.
+func (h *TelemetryHub) locked(f func()) {
+	if h != nil {
+		h.mu.Lock()
+		defer h.mu.Unlock()
+		f()
 	}
-	h.mu.Lock()
-	h.tr = tr
-	h.mu.Unlock()
 }
+
+// AttachTracer routes anomaly detections into the trace stream.
+func (h *TelemetryHub) AttachTracer(tr *obs.Tracer) { h.locked(func() { h.tr = tr }) }
 
 // rank returns (creating if needed) the per-rank state; callers hold mu.
 func (h *TelemetryHub) rank(r int) *rankSeries {
@@ -203,12 +205,7 @@ func (h *TelemetryHub) ObserveIteration(rank int, t, iterTime float64) {
 
 // ObserveProbe records one swap-handler probe measurement.
 func (h *TelemetryHub) ObserveProbe(rank int, t, rate float64) {
-	if h == nil {
-		return
-	}
-	h.mu.Lock()
-	h.rank(rank).probes.Push(t, rate)
-	h.mu.Unlock()
+	h.locked(func() { h.rank(rank).probes.Push(t, rate) })
 }
 
 // ObserveDecision records one leader decision: verdict, payback distance
@@ -237,91 +234,48 @@ func (h *TelemetryHub) ObserveDecision(t float64, eval *core.Explanation, swaps 
 	}
 }
 
-// ObserveSwap counts one committed swap directive.
-func (h *TelemetryHub) ObserveSwap() {
-	if h == nil {
+// ObserveRound records a settled swap round from its SwapRecord: each
+// committed directive is a swap, each aborted one an abort and the
+// quarantine of its spare.
+func (h *TelemetryHub) ObserveRound(rec obs.Event) {
+	if rec.Round == nil {
 		return
 	}
-	h.mu.Lock()
-	h.decSwaps++
-	h.mu.Unlock()
-}
-
-// ObserveAbort counts one aborted swap directive.
-func (h *TelemetryHub) ObserveAbort() {
-	if h == nil {
-		return
-	}
-	h.mu.Lock()
-	h.decAborts++
-	h.mu.Unlock()
-}
-
-// ObserveQuarantine records a spare's quarantine.
-func (h *TelemetryHub) ObserveQuarantine(rank int) {
-	if h == nil {
-		return
-	}
-	h.mu.Lock()
-	h.quarantined[rank] = true
-	h.mu.Unlock()
+	h.locked(func() {
+		for _, p := range rec.Round.Pairs {
+			if p.Committed {
+				h.decSwaps++
+				continue
+			}
+			h.decAborts++
+			h.quarantined[p.In] = true
+		}
+	})
 }
 
 // ObserveEpoch records the committed epoch and active set after a swap.
 func (h *TelemetryHub) ObserveEpoch(epoch uint64, activeSet []int) {
-	if h == nil {
-		return
-	}
-	h.mu.Lock()
-	if epoch >= h.epoch {
-		h.epoch = epoch
-		h.activeSet = append(h.activeSet[:0], activeSet...)
-	}
-	h.mu.Unlock()
+	h.locked(func() {
+		if epoch >= h.epoch {
+			h.epoch, h.activeSet = epoch, append(h.activeSet[:0], activeSet...)
+		}
+	})
 }
 
 // SetCircuitProbe wires the resilient decider's breaker state into the
 // report (fn returns "closed" or "open").
-func (h *TelemetryHub) SetCircuitProbe(fn func() string) {
-	if h == nil {
-		return
-	}
-	h.mu.Lock()
-	h.circuit = fn
-	h.mu.Unlock()
-}
+func (h *TelemetryHub) SetCircuitProbe(fn func() string) { h.locked(func() { h.circuit = fn }) }
 
 // SetCausalProbe wires the world's Lamport clock state into the report.
-func (h *TelemetryHub) SetCausalProbe(fn func() CausalTelemetry) {
-	if h == nil {
-		return
-	}
-	h.mu.Lock()
-	h.causal = fn
-	h.mu.Unlock()
-}
+func (h *TelemetryHub) SetCausalProbe(fn func() CausalTelemetry) { h.locked(func() { h.causal = fn }) }
 
 // SetFlightProbe wires the flight recorder's status into the report.
-func (h *TelemetryHub) SetFlightProbe(fn func() FlightTelemetry) {
-	if h == nil {
-		return
-	}
-	h.mu.Lock()
-	h.flight = fn
-	h.mu.Unlock()
-}
+func (h *TelemetryHub) SetFlightProbe(fn func() FlightTelemetry) { h.locked(func() { h.flight = fn }) }
 
 // SetLensProbe wires the policy lens report into the telemetry
 // document, so /telemetry consumers (swapmon) see the audit scoreboard
 // without a second fetch.
-func (h *TelemetryHub) SetLensProbe(fn func() policylens.Report) {
-	if h == nil {
-		return
-	}
-	h.mu.Lock()
-	h.lens = fn
-	h.mu.Unlock()
-}
+func (h *TelemetryHub) SetLensProbe(fn func() policylens.Report) { h.locked(func() { h.lens = fn }) }
 
 // snapshotLocked renders rank r's current RankTelemetry; callers hold mu.
 func (h *TelemetryHub) snapshotLocked(r int, now float64) RankTelemetry {
@@ -362,12 +316,9 @@ func (h *TelemetryHub) RankSnapshot(rank int) *RankTelemetry {
 // into the fleet view. Later snapshots of the same rank replace earlier
 // ones; local observations for a rank take precedence in Report.
 func (h *TelemetryHub) Absorb(rt *RankTelemetry) {
-	if rt == nil || h == nil {
-		return
+	if rt != nil {
+		h.locked(func() { h.absorbed[rt.Rank] = *rt })
 	}
-	h.mu.Lock()
-	h.absorbed[rt.Rank] = *rt
-	h.mu.Unlock()
 }
 
 // Report renders the full telemetry document.

@@ -17,9 +17,7 @@ func TestTelemetryDisabledNoOp(t *testing.T) {
 	nilHub.ObserveIteration(0, 1, 0.1)
 	nilHub.ObserveProbe(0, 1, 100)
 	nilHub.ObserveDecision(1, nil, 0, 0.001)
-	nilHub.ObserveSwap()
-	nilHub.ObserveAbort()
-	nilHub.ObserveQuarantine(1)
+	nilHub.ObserveRound(obs.Event{Kind: obs.KindSwapRecord, Round: &obs.SwapRound{Pairs: []obs.SwapPair{{Out: 0, In: 1}}}})
 	nilHub.ObserveEpoch(1, []int{0})
 	nilHub.AttachTracer(nil)
 	nilHub.SetCircuitProbe(func() string { return "closed" })
@@ -56,9 +54,8 @@ func TestTelemetryHubReport(t *testing.T) {
 
 	h.ObserveProbe(0, 17, 123)
 	h.ObserveDecision(17, &core.Explanation{Verdict: "swap", Reason: "gain", Payback: 3.5}, 1, 0.002)
-	h.ObserveSwap()
-	h.ObserveAbort()
-	h.ObserveQuarantine(2)
+	h.ObserveRound(obs.Event{Kind: obs.KindSwapRecord, Swaps: 2, Epoch: 1, Verdict: obs.VerdictCommit,
+		Round: &obs.SwapRound{Pairs: []obs.SwapPair{{Out: 1, In: 3, Committed: true}, {Out: 0, In: 2}}}})
 	h.ObserveEpoch(1, []int{0, 3})
 	h.SetCircuitProbe(func() string { return "half-open" })
 	h.Absorb(&RankTelemetry{Rank: 5, Iters: 7, Rate: 42})
