@@ -1,11 +1,11 @@
 // Command swaprun drives a synthetic iterative application on the live
 // swapping runtime (internal/swaprt over internal/mpi): a world of ranks
-// in this process, an injectable load schedule that slows chosen "hosts"
-// mid-run, and either an in-process swap manager or a remote swapmgr
-// daemon. It is the one end-to-end harness for the runtime half of the
-// reproduction: a single run, or with -scenarios a sweep of varied ones.
-// Its smoke scenarios (go test ./cmd/swaprun -run Smoke) call run
-// in-process.
+// in this process, each on a live host that is the simulator's
+// platform.Host under a loadgen model (-inject is a replay), and either
+// an in-process swap manager or a remote swapmgr daemon. It is the one
+// end-to-end harness for the runtime half of the reproduction: a single
+// run, or with -scenarios a sweep of varied ones. Its smoke scenarios
+// (go test ./cmd/swaprun -run Smoke) call run in-process.
 //
 // Examples:
 //
@@ -16,15 +16,18 @@
 package main
 
 import (
+	"bytes"
 	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"log"
 	"math"
+	"math/rand/v2"
 	"net"
 	"net/http"
 	"os"
+	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -32,10 +35,13 @@ import (
 
 	"repro/internal/clock"
 	"repro/internal/core"
+	"repro/internal/loadgen"
 	"repro/internal/mpi"
 	"repro/internal/mpi/fault"
 	"repro/internal/obs"
 	"repro/internal/obs/obsflag"
+	"repro/internal/platform"
+	"repro/internal/rng"
 	"repro/internal/swaprt"
 	"repro/internal/swaprt/policylens"
 )
@@ -47,16 +53,13 @@ func main() {
 	}
 }
 
-// telemetryCadence is the swap-handler report interval a -telemetry run
-// uses when -handler does not set one.
-const telemetryCadence = 250 * time.Millisecond
-
 // options is one parsed command line.
 type options struct {
 	ranks, active, iters, state, scenarios int
 	work, accel                            float64
 	policy                                 core.Policy
 	injections                             []injection
+	load                                   loadgen.Model // a test's host load in place of -inject
 	manager, chaos, debugAddr, mgrStore    string
 	handler, transfer, mgrTTL              time.Duration
 	tcp                                    bool
@@ -65,37 +68,13 @@ type options struct {
 
 // run parses args, runs the scenarios they ask for and reports them on
 // stdout, logging on stderr. Everything a scenario starts — world,
-// manager, debug listener, injection timers — has stopped by the time
-// it returns, so one process can call it many times.
+// manager, debug listener — has stopped by the time it returns, so one
+// process can call it many times.
 func run(args []string, stdout, stderr io.Writer) error {
-	fs := flag.NewFlagSet("swaprun", flag.ContinueOnError)
-	fs.SetOutput(stderr)
-	var o options
-	fs.IntVar(&o.ranks, "ranks", 4, "world size (actives + spares)")
-	fs.IntVar(&o.active, "active", 2, "active processes")
-	fs.IntVar(&o.iters, "iters", 40, "iterations")
-	fs.Float64Var(&o.work, "work", 20, "unloaded compute milliseconds per iteration per rank")
-	fs.IntVar(&o.state, "state", 4096, "extra registered state bytes per process")
-	policy := fs.String("policy", "greedy", "swap policy: greedy, safe or friendly")
-	fs.StringVar(&o.manager, "manager", "", "remote swapmgr address (overrides -policy decisions locally)")
-	inject := fs.String("inject", "1@0.3:8", "load schedule: rank@seconds:factor[,...]; empty for none")
-	fs.DurationVar(&o.handler, "handler", 0, "swap-handler probe interval (0 = probe at swap points only)")
-	fs.BoolVar(&o.tcp, "tcp", false, "use the TCP transport between ranks instead of in-process")
-	fs.StringVar(&o.chaos, "chaos", "", "fault plan, e.g. 'seed=7;die:rank=2,iter=3;mgrdown:after=2,count=6' (see internal/mpi/fault); empty for none")
-	fs.DurationVar(&o.transfer, "transfer-timeout", 0, "per-leg state-transfer deadline before a swap aborts (0 = runtime default)")
-	fs.StringVar(&o.debugAddr, "debug-addr", "", "HTTP debug endpoint serving /metrics (Prometheus), /telemetry (JSON), /policy and /healthz (e.g. 127.0.0.1:7081; port 0 picks one and logs it)")
-	fs.Float64Var(&o.accel, "accel", 1, "time acceleration: run the whole schedule (work, injections, backoffs, timeouts) on a virtual clock this many times faster than wall time")
-	fs.StringVar(&o.mgrStore, "mgr-store", "", "durable manager store directory: runs a crash-restartable in-process swapmgr (WAL + leader lease) instead of plain local decisions; a temporary one is made for mgrkill/mgrrestart chaos")
-	fs.DurationVar(&o.mgrTTL, "mgr-lease-ttl", 2*time.Second, "manager leader-lease duration (virtual time); a restarted manager waits out the dead leader's lease")
-	fs.IntVar(&o.scenarios, "scenarios", 1, "run this many scenarios on fresh worlds, rotating which active rank each injection slows and when, and print their totals")
-	o.obs = obsflag.Register(fs)
-	if err := fs.Parse(args); err != nil {
+	o, err := parse(args, stderr)
+	if err != nil {
 		return err
 	}
-	if err := o.check(*policy, *inject); err != nil {
-		return err
-	}
-
 	logger := log.New(stderr, "", log.LstdFlags)
 	if o.accel != 1 {
 		logger.Printf("accel: virtual time runs %gx wall time", o.accel)
@@ -112,6 +91,39 @@ func run(args []string, stdout, stderr io.Writer) error {
 		o.iters, o.active, o.ranks, time.Since(start).Seconds())
 	fmt.Fprintf(stdout, "runtime stats: %s\n", stats)
 	return nil
+}
+
+// parse reads a command line into options and checks them; the usage
+// and flag errors go to stderr.
+func parse(args []string, stderr io.Writer) (options, error) {
+	fs := flag.NewFlagSet("swaprun", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	var o options
+	fs.IntVar(&o.ranks, "ranks", 4, "world size (actives + spares)")
+	fs.IntVar(&o.active, "active", 2, "active processes")
+	fs.IntVar(&o.iters, "iters", 40, "iterations")
+	fs.Float64Var(&o.work, "work", 20, "milliseconds an iteration takes on an unloaded host; a host with n competing processes takes 1+n times as long")
+	fs.IntVar(&o.state, "state", 4096, "extra registered state bytes per process (seeded, none zero, so a swap ships them all)")
+	policy := fs.String("policy", "greedy", "swap policy: greedy, safe or friendly")
+	fs.StringVar(&o.manager, "manager", "", "remote swapmgr address (overrides -policy decisions locally)")
+	inject := fs.String("inject", "1@0.3:8", "load replay: rank@seconds:factor[,...] puts factor-1 competing processes on rank's host from that second of the run on; factor is a whole number; empty for none")
+	fs.DurationVar(&o.handler, "handler", 0, "swap-handler probe interval (0 = probe at swap points only)")
+	fs.BoolVar(&o.tcp, "tcp", false, "use the TCP transport between ranks instead of in-process")
+	fs.StringVar(&o.chaos, "chaos", "", "fault plan, e.g. 'seed=7;die:rank=2,iter=3;mgrdown:after=2,count=6' (see internal/mpi/fault); empty for none")
+	fs.DurationVar(&o.transfer, "transfer-timeout", 0, "per-leg state-transfer deadline before a swap aborts (0 = runtime default)")
+	fs.StringVar(&o.debugAddr, "debug-addr", "", "HTTP debug endpoint serving /metrics (Prometheus), /telemetry (JSON), /policy and /healthz (e.g. 127.0.0.1:7081; port 0 picks one and logs it)")
+	fs.Float64Var(&o.accel, "accel", 1, "time acceleration: run the whole schedule (work, load, backoffs, timeouts) on a virtual clock this many times faster than wall time")
+	fs.StringVar(&o.mgrStore, "mgr-store", "", "durable manager store directory: runs a crash-restartable in-process swapmgr (WAL + leader lease) instead of plain local decisions; a temporary one is made for mgrkill/mgrrestart chaos")
+	fs.DurationVar(&o.mgrTTL, "mgr-lease-ttl", 2*time.Second, "manager leader-lease duration (virtual time); a restarted manager waits out the dead leader's lease")
+	fs.IntVar(&o.scenarios, "scenarios", 1, "run this many scenarios on fresh worlds and hosts, rotating which active rank each injection loads and when, and print their totals")
+	o.obs = obsflag.Register(fs)
+	if err := fs.Parse(args); err != nil {
+		return o, err
+	}
+	if fs.NArg() > 0 {
+		return o, fmt.Errorf("unexpected argument %q: every setting is a flag", fs.Arg(0))
+	}
+	return o, o.check(*policy, *inject)
 }
 
 // check resolves -policy and -inject and refuses, before any world
@@ -148,17 +160,18 @@ func (o *options) check(policy, inject string) error {
 			}
 		}
 	}
-	if o.chaos != "" {
-		if _, err := fault.Parse(o.chaos); err != nil {
-			return err
-		}
+	if _, err := fault.Parse(o.chaos); err != nil {
+		return err
+	}
+	if o.obs.Telemetry && o.handler == 0 {
+		o.handler = 250 * time.Millisecond // telemetry rides on the handlers' reports
 	}
 	o.injections, err = parseInjections(inject, o.ranks)
 	return err
 }
 
-// injection is one scheduled load event: after Delay, the host of Rank
-// runs Factor times slower.
+// injection is one load change point: from Delay on, the host of Rank
+// runs Factor times slower than unloaded, Factor−1 competing processes.
 type injection struct {
 	Rank   int
 	Delay  time.Duration
@@ -189,6 +202,8 @@ func parseInjections(spec string, ranks int) ([]injection, error) {
 			return nil, fmt.Errorf("-inject %q: seconds must be finite and non-negative", part)
 		case !(factor >= 1) || math.IsInf(factor, 1):
 			return nil, fmt.Errorf("-inject %q: factor must be finite and >= 1", part)
+		case factor != math.Trunc(factor):
+			return nil, fmt.Errorf("-inject %q: factor must be whole: a host with factor f has f-1 competing processes", part)
 		}
 		out = append(out, injection{Rank: rank, Delay: time.Duration(secs * float64(time.Second)), Factor: factor})
 	}
@@ -214,35 +229,61 @@ func (o *options) rotate(i int) []injection {
 	return out
 }
 
-// injector tracks per-rank slowdown factors.
-type injector struct {
-	mu     sync.Mutex
-	factor []float64
+const hostSpeed = 1000 // flop/s: what a live host's probe reads unloaded
+
+// hostLoad is scenario i's load model: o.load when set, else rotate(i)
+// as a replay per host. A host's level is 0 until its first
+// injection's onset and Factor−1 from each onset until the next.
+func (o *options) hostLoad(i int) loadgen.Model {
+	if o.load != nil {
+		return o.load
+	}
+	in := o.rotate(i)
+	sort.SliceStable(in, func(a, b int) bool { return in[a].Delay < in[b].Delay })
+	set := loadgen.TraceSet{Traces: make([]loadgen.Replay, o.ranks)}
+	since := make([]float64, o.ranks) // each host's last change point
+	for _, c := range in {
+		tr, at := &set.Traces[c.Rank], c.Delay.Seconds()
+		tr.Segments = append(tr.Segments, loadgen.Segment{Dur: at - since[c.Rank], N: tr.Tail})
+		tr.Tail, since[c.Rank] = int(c.Factor)-1, at
+	}
+	return set
 }
 
-func (in *injector) slowdown(rank int) float64 {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	return in.factor[rank]
+// hosts are a scenario's live hosts, read at now on its clock. Ranks
+// compute and probe at once, and a Host is not safe for that: mu is.
+type hosts struct {
+	mu  sync.Mutex
+	all []*platform.Host
+	now func() float64
 }
 
-func (in *injector) probe(rank int) float64 { return 1000 / in.slowdown(rank) }
+// at reports the rate of rank's host now, hostSpeed/(1+level), and how
+// long flops started now take on it, a level change midway included.
+func (h *hosts) at(rank int, flops float64) (rate float64, d time.Duration) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	host, t := h.all[rank], h.now()
+	return host.RateAt(t), time.Duration(host.ComputeDuration(t, flops) * float64(time.Second))
+}
 
-func (in *injector) apply(i injection) {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	in.factor[i.Rank] = i.Factor
+// fill writes key's pad (a lane's, or ranks+world rank for a spare's)
+// and returns it: seeded bytes, none zero, so a swap ships every one.
+func fill(pad []byte, key int) []byte {
+	rand.NewChaCha8([32]byte{byte(key), byte(key >> 8), byte(key >> 16)}).Read(pad) // never fails
+	for i, b := range pad {
+		pad[i] = max(b, 1)
+	}
+	return pad
 }
 
 // sweep runs -scenarios scenarios back to back and prints their totals.
 // A failed scenario is logged and counted; any failure fails the sweep.
 func (o *options) sweep(stdout io.Writer, logger *log.Logger) error {
-	quiet := log.New(io.Discard, "", 0)
 	start := time.Now()
-	var ok, failed, swaps, aborts, quarantined, decisions int
-	var realized, mispredicts, shadow, divergences int
+	var ok, failed, swaps, aborts, quarantined, decisions, realized, mispredicts, shadow, divergences int
 	for i := 0; i < o.scenarios; i++ {
-		stats, lens, err := o.scenario(i, quiet)
+		stats, lens, err := o.scenario(i, log.New(io.Discard, "", 0))
 		if err != nil {
 			failed++
 			logger.Printf("scenario %d: %v", i, err)
@@ -274,44 +315,22 @@ func (o *options) sweep(stdout io.Writer, logger *log.Logger) error {
 	return nil
 }
 
-// scenario is one live run: a fresh world on its own clock, its
-// observability, the decision stack and the application loop, checked
-// at the end against the exact fault-free accumulator on every active
-// lane. Scenario i's injections are rotate(i).
+// scenario is one live run: a fresh world and hostLoad(i)'s hosts on its
+// own clock, its observability, the decision stack and the application
+// loop, checked at the end against each lane's exact state.
 func (o *options) scenario(i int, logger *log.Logger) (swaprt.RunStats, *policylens.Lens, error) {
-	// One clock, handed to the world, drives everything that waits or
-	// stamps: work spinning, load injections, swap timeouts, retry
-	// backoffs, handler tickers, trace and telemetry timestamps. At
-	// -accel 1 it is the wall clock.
-	var tm clock.Clock = clock.Real{}
-	if o.accel != 1 {
-		tm = clock.NewScaled(o.accel)
-	}
-	inj := &injector{factor: make([]float64, o.ranks)}
-	for r := range inj.factor {
-		inj.factor[r] = 1
-	}
-	for _, in := range o.rotate(i) {
-		slow := func() {
-			logger.Printf("inject: host of rank %d now %gx slower", in.Rank, in.Factor)
-			inj.apply(in)
-		}
-		// At 0 s means from the first iteration, not from whenever a timer
-		// goroutine on a busy host first gets to run.
-		if in.Delay == 0 {
-			slow()
-			continue
-		}
-		defer tm.AfterFunc(in.Delay, slow).Stop()
-	}
+	// One clock from the scenario's start, handed to the world, drives
+	// all that waits or stamps: compute, host load, timeouts, backoffs,
+	// handler tickers, trace and telemetry times. -accel 1 is wall speed.
+	tm := clock.NewScaled(o.accel)
+	env := platform.NewEnvironment(platform.Config{NumHosts: o.ranks, SpeedMin: hostSpeed,
+		SpeedMax: hostSpeed, LoadModel: o.hostLoad(i)}, rng.NewSource(int64(i)))
+	hs := &hosts{all: env.Hosts(), now: clock.Seconds(tm)}
 
 	var plan *fault.Plan
 	worldCfg := mpi.Config{Size: o.ranks, TCP: o.tcp, Clock: tm, Causal: o.obs.Causal}
 	if o.chaos != "" {
-		var err error
-		if plan, err = fault.Parse(o.chaos); err != nil {
-			return swaprt.RunStats{}, nil, err
-		}
+		plan, _ = fault.Parse(o.chaos) // check parsed it: each scenario's plan is fresh
 		// Only a non-nil plan goes into the interface field: a typed nil
 		// would arm an injector that panics on first use.
 		worldCfg.Fault = plan
@@ -329,23 +348,11 @@ func (o *options) scenario(i int, logger *log.Logger) (swaprt.RunStats, *policyl
 	if err != nil {
 		return swaprt.RunStats{}, nil, err
 	}
-	// Telemetry rides on the swap handlers' periodic reports; give them
-	// the telemetry cadence unless -handler picked its own.
-	handler := o.handler
-	if live.Hub != nil && handler == 0 {
-		handler = telemetryCadence
-	}
-	if world.Causal() != nil {
-		logger.Printf("causal: Lamport clocks armed on %d ranks", o.ranks)
-	}
-	if o.obs.Recorder != nil {
-		logger.Printf("flight: recorder armed, dumps go to %s", o.obs.FlightDir)
-	}
 	cfg := swaprt.Config{
 		Active:          o.active,
 		Policy:          o.policy,
-		Probe:           inj.probe,
-		HandlerInterval: handler,
+		Probe:           func(r int) float64 { rate, _ := hs.at(r, 0); return rate },
+		HandlerInterval: o.handler,
 		TransferTimeout: o.transfer,
 		Tracer:          live.Tracer,
 		Telemetry:       live.Hub,
@@ -407,19 +414,24 @@ func (o *options) scenario(i int, logger *log.Logger) (swaprt.RunStats, *policyl
 		defer stop()
 	}
 
-	var mu sync.Mutex
-	var corrupt error
+	corrupt := make([]error, o.ranks) // each rank's oracle verdict
 	want := float64(o.iters * o.active)
 	stats, err := swaprt.RunWithStats(world, cfg, func(s *swaprt.Session) error {
-		iter := 0
-		acc := 0.0
-		pad := make([]byte, o.state)
+		iter, acc := 0, 0.0
+		pad := fill(make([]byte, o.state), o.ranks+s.Rank()) // a spare's own pattern
+		if s.Active() {
+			fill(pad, s.Comm().Rank())
+		}
 		s.Register("iter", &iter)
 		s.Register("acc", &acc)
 		s.Register("pad", &pad)
+		var over time.Duration // sleep past its end: the host computed on, the next sleep is shorter
 		for !s.Done() && iter < o.iters {
 			if s.Active() {
-				busyWait(tm, time.Duration(o.work*inj.slowdown(s.Rank()))*time.Millisecond)
+				_, d := hs.at(s.Rank(), o.work/1000*hostSpeed)
+				slept := tm.Now()
+				tm.Sleep(d - over)
+				over += tm.Since(slept) - d
 				v, err := s.Comm().AllReduceFloat64(mpi.OpSum, 1)
 				if err != nil {
 					return err
@@ -435,15 +447,16 @@ func (o *options) scenario(i int, logger *log.Logger) (swaprt.RunStats, *policyl
 			}
 		}
 		// The corruption oracle: every surviving active lane must hold
-		// exactly the fault-free accumulator — a swap that lost or
-		// double-applied state, or a manager crash that resurrected a stale
-		// one, shows up here.
-		if s.Active() && acc != want {
-			mu.Lock()
-			corrupt = fmt.Errorf("rank %d: corrupt accumulator %g, want %g", s.Rank(), acc, want)
-			mu.Unlock()
-		}
-		if s.Active() && s.Comm().Rank() == 0 {
+		// exactly the fault-free accumulator and its own pad — a swap that
+		// lost, cut or double-applied state, or a manager crash that
+		// resurrected a stale one, shows up here.
+		switch {
+		case !s.Active():
+		case acc != want:
+			corrupt[s.Rank()] = fmt.Errorf("rank %d: corrupt accumulator %g, want %g", s.Rank(), acc, want)
+		case !bytes.Equal(pad, fill(make([]byte, o.state), s.Comm().Rank())):
+			corrupt[s.Rank()] = fmt.Errorf("rank %d: lane %d's pad arrived altered", s.Rank(), s.Comm().Rank())
+		case s.Comm().Rank() == 0:
 			logger.Printf("finished %d iterations on rank %d", iter, s.Rank())
 		}
 		return nil
@@ -457,7 +470,7 @@ func (o *options) scenario(i int, logger *log.Logger) (swaprt.RunStats, *policyl
 	if err := o.obs.WriteMetrics(world.Metrics(), logger.Printf); err != nil {
 		return stats, nil, err
 	}
-	return stats, live.Lens, corrupt
+	return stats, live.Lens, errors.Join(corrupt...)
 }
 
 // serveDebug serves the run's /metrics, /telemetry, /policy and /healthz
@@ -488,18 +501,4 @@ func serveDebug(addr string, world *mpi.World, live obsflag.Live, logger *log.Lo
 		srv.Close()
 		<-done
 	}, nil
-}
-
-// busyWait spins for d of the injected clock's time: on a scaled clock
-// the simulated compute compresses with everything else, keeping the
-// work-to-timeout ratios of an accelerated run faithful to real time.
-func busyWait(clk clock.Clock, d time.Duration) {
-	end := clk.Now().Add(d)
-	x := 1.0
-	for clk.Now().Before(end) {
-		for i := 0; i < 1000; i++ {
-			x = x*1.0000001 + 1e-12
-		}
-	}
-	_ = x
 }

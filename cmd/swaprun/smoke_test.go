@@ -10,6 +10,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -164,6 +165,35 @@ var smokes = []smoke{{
 		if _, err := fmt.Sscanf(stdout, "sweep: %d ok, %d failed, %d swaps", &ok, &failed, &swaps); err != nil ||
 			ok != 4 || failed != 0 || swaps < 1 {
 			t.Errorf("want 4 ok, 0 failed, at least one swap; got %q", stdout)
+		}
+	},
+}, {
+	// Sixteen ranks on the TCP transport at real time, 256 KiB of state
+	// each. A rank's compute is a sleep on its host, so a round pays for
+	// its messages and its state, not for a turn on a CPU that eight
+	// computing ranks share; and the state moves whole.
+	name: "tcp-wide",
+	args: "-ranks 16 -active 8 -tcp -state 262144 -inject 1@0.2:8,2@0.5:10 -events-out {dir}/run.jsonl",
+	check: func(t *testing.T, dir, _ string) {
+		var paid []float64
+		outs := 0
+		for _, ev := range readEvents(t, filepath.Join(dir, "run.jsonl")) {
+			switch {
+			case ev.Kind == obs.KindSwapRecord:
+				paid = append(paid, ev.Dur)
+			case ev.Kind == obs.KindStateTransfer && ev.Detail == "out":
+				if outs++; ev.Bytes < 262144 {
+					t.Errorf("an outbound state transfer carried %d bytes, want at least 262144", ev.Bytes)
+				}
+			}
+		}
+		if len(paid) == 0 || outs == 0 {
+			t.Fatalf("%d swap records, %d outbound state transfers: want a swap", len(paid), outs)
+		}
+		slices.Sort(paid)
+		med := (paid[(len(paid)-1)/2] + paid[len(paid)/2]) / 2
+		if t.Logf("median paid time %.3f ms over %d rounds", med*1e3, len(paid)); med > 0.010 {
+			t.Errorf("median paid time %.2f ms over %d rounds (%v s), want at most 10 ms", med*1e3, len(paid), paid)
 		}
 	},
 }}

@@ -100,12 +100,15 @@ func (e *Environment) Rebuild(cfg Config, src *rng.Source) {
 	}
 }
 
+// Hosts reports the environment's hosts, host i at index i.
+func (e *Environment) Hosts() []*Host { return e.hosts[:len(e.hosts):len(e.hosts)] }
+
 // Bind attaches the environment to a kernel for one run: the hosts are
 // the environment's own, the link is new and idle.
 func (e *Environment) Bind(k *simkern.Kernel) *Platform {
 	return &Platform{
 		Kernel: k,
-		Hosts:  e.hosts[:len(e.hosts):len(e.hosts)],
+		Hosts:  e.Hosts(),
 		Link:   NewLink(k, e.Cfg.Latency, e.Cfg.Bandwidth),
 		Cfg:    e.Cfg,
 	}
