@@ -30,7 +30,7 @@ lint:
 # allocations per send, plain and causal; a 1 MiB transfer under 64 KiB;
 # a decision over 20k samples of history within 2x of one over 256; a
 # kernel event and the struct-bearing state codec at 0 allocations). The
-# concurrency-heavy packages (transport, runtime, swaprun, whose tests are
+# concurrency-heavy packages (clock, transport, runtime, swaprun, whose tests are
 # the end-to-end smokes, and swapmgr, whose daemons hand the lease over),
 # the policy core, and the sweep with the loadgen, platform and rng
 # layers each of its workers rebuilds in place run under the race
@@ -47,17 +47,21 @@ lint:
 # deadline and a second stream; and the manager's
 # wire and durable layer twenty times, because their clients share one
 # kept connection and its buffers, and a killed incarnation must close
-# every connection it served.
+# every connection it served; and the virtual clock's participant tests
+# twenty times, because its concurrent participants, a callback that
+# parks and an unpark racing a deadline interleave differently every
+# time.
 test: race
 	$(GO) test ./...
 
 race:
-	$(GO) test -race ./internal/mpi/ ./internal/mpi/wire/ ./internal/swaprt/ ./internal/apps/ ./internal/experiment/ ./internal/core/ \
-		./internal/loadgen/ ./internal/platform/ ./internal/rng/ ./cmd/swaprun/ ./cmd/swapmgr/
+	$(GO) test -race ./internal/clock/ ./internal/mpi/ ./internal/mpi/wire/ ./internal/swaprt/ ./internal/apps/ ./internal/experiment/ \
+		./internal/core/ ./internal/loadgen/ ./internal/platform/ ./internal/rng/ ./cmd/swaprun/ ./cmd/swapmgr/
 	$(GO) test -race -count=20 -run 'Failover|Supervisor' ./internal/swaprt/
 	$(GO) test -race -count=20 -run 'TestTCPSharedConnection' ./internal/mpi/
 	$(GO) test -race -count=10 -run 'TestEverySingleFaultAtEveryStep|TestMultiRankSwap|TestVoteSettlesInOneHop|TestSteadySwapPoint|TestTCPRecv' ./internal/swaprt/ ./internal/mpi/
 	$(GO) test -race -count=20 -run 'RemoteDecider|KilledManager|Durable' ./internal/swaprt/
+	$(GO) test -race -count=20 -run 'Virtual|Sleepers' ./internal/clock/
 
 bench:
 	$(GO) test -bench=. -benchmem ./...

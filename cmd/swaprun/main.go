@@ -5,7 +5,11 @@
 // an in-process swap manager or a remote swapmgr daemon. It is the one
 // end-to-end harness for the runtime half of the reproduction: a single
 // run, or with -scenarios a sweep of varied ones. Its smoke scenarios
-// (go test ./cmd/swaprun -run Smoke) call run in-process.
+// (go test ./cmd/swaprun -run Smoke) call run in-process. A run is on
+// virtual time — the clock moves only when every rank waits, so its
+// trace is a function of the scenario — unless a peer runs on wall time
+// (-tcp, -manager, -mgr-store or a manager-killing -chaos, -debug-addr);
+// only then does -accel apply.
 //
 // Examples:
 //
@@ -63,6 +67,7 @@ type options struct {
 	manager, chaos, debugAddr, mgrStore    string
 	handler, transfer, mgrTTL              time.Duration
 	tcp                                    bool
+	wall                                   bool // a peer runs on wall time: the run is on clock.NewScaled(accel)
 	obs                                    *obsflag.Flags
 }
 
@@ -112,7 +117,7 @@ func parse(args []string, stderr io.Writer) (options, error) {
 	fs.StringVar(&o.chaos, "chaos", "", "fault plan, e.g. 'seed=7;die:rank=2,iter=3;mgrdown:after=2,count=6' (see internal/mpi/fault); empty for none")
 	fs.DurationVar(&o.transfer, "transfer-timeout", 0, "per-leg state-transfer deadline before a swap aborts (0 = runtime default)")
 	fs.StringVar(&o.debugAddr, "debug-addr", "", "HTTP debug endpoint serving /metrics (Prometheus), /telemetry (JSON), /policy and /healthz (e.g. 127.0.0.1:7081; port 0 picks one and logs it)")
-	fs.Float64Var(&o.accel, "accel", 1, "time acceleration: run the whole schedule (work, load, backoffs, timeouts) on a virtual clock this many times faster than wall time")
+	fs.Float64Var(&o.accel, "accel", 1, "time acceleration of a run with a peer on wall time (-tcp, -manager, -mgr-store, a manager-killing -chaos, -debug-addr): its whole schedule runs this many times faster than wall time; any other run is on virtual time")
 	fs.StringVar(&o.mgrStore, "mgr-store", "", "durable manager store directory: runs a crash-restartable in-process swapmgr (WAL + leader lease) instead of plain local decisions; a temporary one is made for mgrkill/mgrrestart chaos")
 	fs.DurationVar(&o.mgrTTL, "mgr-lease-ttl", 2*time.Second, "manager leader-lease duration (virtual time); a restarted manager waits out the dead leader's lease")
 	fs.IntVar(&o.scenarios, "scenarios", 1, "run this many scenarios on fresh worlds and hosts, rotating which active rank each injection loads and when, and print their totals")
@@ -160,8 +165,13 @@ func (o *options) check(policy, inject string) error {
 			}
 		}
 	}
-	if _, err := fault.Parse(o.chaos); err != nil {
+	plan, err := fault.Parse(o.chaos)
+	if err != nil {
 		return err
+	}
+	o.wall = o.tcp || o.manager != "" || o.mgrStore != "" || plan.HasManagerKills() || o.debugAddr != ""
+	if !o.wall && o.accel != 1 {
+		return fmt.Errorf("-accel %g: an in-process run is on virtual time; -accel needs -tcp, -manager, -mgr-store, a manager-killing -chaos or -debug-addr", o.accel)
 	}
 	if o.obs.Telemetry && o.handler == 0 {
 		o.handler = 250 * time.Millisecond // telemetry rides on the handlers' reports
@@ -264,7 +274,7 @@ func (h *hosts) at(rank int, flops float64) (rate float64, d time.Duration) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	host, t := h.all[rank], h.now()
-	return host.RateAt(t), time.Duration(host.ComputeDuration(t, flops) * float64(time.Second))
+	return host.RateAt(t), time.Duration(math.Round(host.ComputeDuration(t, flops) * float64(time.Second)))
 }
 
 // fill writes key's pad (a lane's, or ranks+world rank for a spare's)
@@ -321,8 +331,12 @@ func (o *options) sweep(stdout io.Writer, logger *log.Logger) error {
 func (o *options) scenario(i int, logger *log.Logger) (swaprt.RunStats, *policylens.Lens, error) {
 	// One clock from the scenario's start, handed to the world, drives
 	// all that waits or stamps: compute, host load, timeouts, backoffs,
-	// handler tickers, trace and telemetry times. -accel 1 is wall speed.
-	tm := clock.NewScaled(o.accel)
+	// handler ticks, trace and telemetry times: virtual, or -accel times
+	// wall time when a peer runs on the wall (o.wall).
+	var tm clock.Clock = clock.NewFakeAuto()
+	if o.wall {
+		tm = clock.NewScaled(o.accel)
+	}
 	env := platform.NewEnvironment(platform.Config{NumHosts: o.ranks, SpeedMin: hostSpeed,
 		SpeedMax: hostSpeed, LoadModel: o.hostLoad(i)}, rng.NewSource(int64(i)))
 	hs := &hosts{all: env.Hosts(), now: clock.Seconds(tm)}
@@ -425,13 +439,10 @@ func (o *options) scenario(i int, logger *log.Logger) (swaprt.RunStats, *policyl
 		s.Register("iter", &iter)
 		s.Register("acc", &acc)
 		s.Register("pad", &pad)
-		var over time.Duration // sleep past its end: the host computed on, the next sleep is shorter
 		for !s.Done() && iter < o.iters {
 			if s.Active() {
 				_, d := hs.at(s.Rank(), o.work/1000*hostSpeed)
-				slept := tm.Now()
-				tm.Sleep(d - over)
-				over += tm.Since(slept) - d
+				tm.Sleep(d)
 				v, err := s.Comm().AllReduceFloat64(mpi.OpSum, 1)
 				if err != nil {
 					return err

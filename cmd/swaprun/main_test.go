@@ -32,6 +32,7 @@ func TestRunRejectsBadFlags(t *testing.T) {
 		{"-work NaN", "-work"},
 		{"-accel NaN", "-accel"},
 		{"-accel +Inf", "-accel"},
+		{"-accel 10", "-accel"}, // an in-process run is on virtual time
 		{"-inject 0@0:NaN", "-inject"},
 		{"-inject 0@0:+Inf", "-inject"},
 		{"-inject 0@NaN:2", "-inject"},
@@ -118,7 +119,7 @@ func TestInjectIsAReplay(t *testing.T) {
 func TestLiveHostsAreSimulatedHosts(t *testing.T) {
 	events := filepath.Join(t.TempDir(), "run.jsonl")
 	o, err := parse([]string{"-ranks", "4", "-active", "2", "-iters", "60", "-work", "20", "-inject", "",
-		"-accel", "10", "-handler", "40ms", "-events-out", events}, io.Discard)
+		"-handler", "40ms", "-events-out", events}, io.Discard)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,6 +153,49 @@ func TestLiveHostsAreSimulatedHosts(t *testing.T) {
 	}
 	if checked < 20 || loaded == 0 || loaded == checked {
 		t.Errorf("%d probes checked, %d of them on a loaded host: want at least 20, both levels seen", checked, loaded)
+	}
+}
+
+// TestVirtualRunIsExact: an in-process run is on virtual time. An
+// unloaded iteration takes exactly its -work, so the anomaly detector
+// finds nothing to flag, and a scenario's trace is a function of the
+// scenario: two runs of one write the same bytes.
+func TestVirtualRunIsExact(t *testing.T) {
+	dir := t.TempDir()
+	trace := func(name, args string) string {
+		path := filepath.Join(dir, name)
+		if err := run(append(strings.Fields(args), "-events-out", path), io.Discard, io.Discard); err != nil {
+			t.Fatalf("swaprun %s: %v", args, err)
+		}
+		return path
+	}
+	evs := readEvents(t, trace("unloaded.jsonl", "-ranks 2 -active 1 -iters 100 -work 5 -inject="))
+	iters := 0
+	for _, ev := range evs {
+		if ev.Kind == obs.KindIterEnd {
+			if iters++; ev.Value != 0.005 {
+				t.Errorf("iteration ending at %gs took %gs, want exactly 0.005", ev.T, ev.Value)
+			}
+		}
+	}
+	if iters != 100 {
+		t.Errorf("%d IterEnd events, want 100", iters)
+	}
+	if wins := obs.Analyze(evs).AnomalyWindows(); len(wins) != 0 {
+		t.Errorf("%d anomaly windows in an unloaded run: %+v", len(wins), wins)
+	}
+
+	const swapped = "-ranks 4 -active 2 -iters 30 -work 20 -inject 0@0.14:10 -lens"
+	first, err := os.ReadFile(trace("first.jsonl", swapped))
+	if err != nil {
+		t.Fatal(err)
+	}
+	second, err := os.ReadFile(trace("second.jsonl", swapped))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(first, second) {
+		t.Errorf("two runs of swaprun %s wrote different traces (%d and %d bytes)", swapped, len(first), len(second))
 	}
 }
 

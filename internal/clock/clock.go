@@ -9,9 +9,10 @@ package clock
 
 import "time"
 
-// Clock is the subset of package time the runtime is allowed to use.
-// Real delegates to the wall clock; Fake and Scaled substitute a
-// controlled or compressed timeline.
+// Clock is the subset of package time the runtime is allowed to use:
+// it reads the time, sleeps, and arms callbacks — a periodic task is a
+// callback that re-arms itself. Real delegates to the wall clock; Fake
+// and Scaled substitute a controlled or compressed timeline.
 type Clock interface {
 	// Now reports the current instant on this clock's timeline.
 	Now() time.Time
@@ -21,22 +22,13 @@ type Clock interface {
 	Until(t time.Time) time.Duration
 	// Sleep blocks the calling goroutine for d of this clock's time.
 	Sleep(d time.Duration)
-	// After returns a channel that delivers the clock's time once d has
-	// elapsed.
-	After(d time.Duration) <-chan time.Time
 	// AfterFunc schedules f to run in its own goroutine after d.
 	AfterFunc(d time.Duration, f func()) *Timer
-	// NewTimer returns a Timer that delivers on C after d.
-	NewTimer(d time.Duration) *Timer
-	// NewTicker returns a Ticker that delivers on C every d.
-	NewTicker(d time.Duration) *Ticker
 }
 
-// Timer mirrors time.Timer across real and fake clocks: C delivers when
-// the timer fires (nil for AfterFunc timers) and Stop cancels a pending
-// fire, reporting whether it was still pending.
+// Timer is a pending AfterFunc: Stop cancels its fire, reporting whether
+// it was still pending.
 type Timer struct {
-	C    <-chan time.Time
 	stop func() bool
 }
 
@@ -49,20 +41,6 @@ func (t *Timer) Stop() bool {
 	return t.stop()
 }
 
-// Ticker mirrors time.Ticker: C delivers repeatedly until Stop.
-type Ticker struct {
-	C    <-chan time.Time
-	stop func()
-}
-
-// Stop shuts the ticker down. No more ticks are delivered after it
-// returns.
-func (t *Ticker) Stop() {
-	if t.stop != nil {
-		t.stop()
-	}
-}
-
 // Real is the wall clock. The zero value is ready to use.
 type Real struct{}
 
@@ -71,21 +49,8 @@ func (Real) Since(t time.Time) time.Duration { return time.Since(t) }
 func (Real) Until(t time.Time) time.Duration { return time.Until(t) }
 func (Real) Sleep(d time.Duration)           { time.Sleep(d) }
 
-func (Real) After(d time.Duration) <-chan time.Time { return time.After(d) }
-
 func (Real) AfterFunc(d time.Duration, f func()) *Timer {
-	t := time.AfterFunc(d, f)
-	return &Timer{stop: t.Stop}
-}
-
-func (Real) NewTimer(d time.Duration) *Timer {
-	t := time.NewTimer(d)
-	return &Timer{C: t.C, stop: t.Stop}
-}
-
-func (Real) NewTicker(d time.Duration) *Ticker {
-	t := time.NewTicker(d)
-	return &Ticker{C: t.C, stop: t.Stop}
+	return &Timer{stop: time.AfterFunc(d, f).Stop}
 }
 
 // processStart is the origin of Real's seconds view.
@@ -147,8 +112,8 @@ func RealTimeout(clk Clock, d time.Duration) time.Duration {
 // Wall reports whether clk's timeline moves with the wall clock — Real,
 // or Scaled at a fixed multiple of it — so that a kernel deadline from
 // RealDeadline falls due when clk reaches the instant it was made for. A
-// Fake moves only when told to, and a clock this package does not know
-// is taken to do the same.
+// Fake does not move with the wall, and a clock this package does not
+// know is taken to do the same.
 func Wall(clk Clock) bool {
 	switch clk.(type) {
 	case Real, *Scaled:

@@ -1,7 +1,6 @@
 package clock
 
 import (
-	"sort"
 	"sync"
 	"time"
 )
@@ -11,13 +10,22 @@ import (
 // appeared.
 var fakeEpoch = time.Date(2003, 6, 22, 0, 0, 0, 0, time.UTC)
 
-// Fake is a manually driven clock for tests. Time stands still until
-// Advance (or AdvanceTo) moves it; pending waiters — sleeps, timers,
-// tickers — fire in timestamp order, with the clock reading exactly
-// each waiter's deadline at the moment it fires. In auto-advance mode
-// (NewFakeAuto) every Sleep immediately advances the clock to its own
-// deadline, so straight-line code that sleeps runs at full speed with
-// no driver goroutine.
+// Fake is a clock for tests and in-process runs. Its waiters — sleeps
+// and AfterFunc callbacks — fire in timestamp order (equal deadlines in
+// the order they were armed), the clock reading exactly each waiter's
+// deadline as it fires. NewFake's clock moves only when Advance moves it.
+//
+// NewFakeAuto's clock is virtual time: it moves only when no participant
+// can. A participant is a goroutine started with Go, or a callback while
+// it runs. It is idle while it sleeps on the clock or is parked (Park),
+// and runnable otherwise, so one blocked on anything the clock cannot
+// see — a socket, a mutex, a channel — holds time still. When the last
+// runnable participant goes idle, the clock jumps to the earliest waiter
+// and fires it, and the sleeper or callback it fires is runnable. One
+// waiter fires at a time, so a run's timestamps are a function of what
+// its participants do. With no participant registered, a Sleep jumps the
+// clock to its own deadline at once, firing earlier waiters on the way,
+// so straight-line code that sleeps runs at full speed with no driver.
 //
 // All methods are safe for concurrent use.
 type Fake struct {
@@ -27,32 +35,102 @@ type Fake struct {
 	seq     int64
 	waiters []*fakeWaiter
 	auto    bool
+	members int // participants started by Go that have not returned
+	running int // participants and callbacks that are not idle
 }
 
 type fakeWaiter struct {
 	when    time.Time
 	seq     int64         // FIFO tiebreak for equal deadlines
-	period  time.Duration // > 0 for tickers
-	ch      chan time.Time
-	fn      func() // AfterFunc callback, run in its own goroutine
-	stopped bool
+	woken   chan struct{} // a Sleep's: closed when it fires
+	fn      func()        // an AfterFunc's callback, run in its own goroutine
+	sleeper bool          // a participant's Sleep: runnable again once fired
 }
 
 // NewFake returns a Fake clock frozen at a fixed epoch. Drive it with
-// Advance or AdvanceTo.
+// Advance.
 func NewFake() *Fake {
 	f := &Fake{now: fakeEpoch}
 	f.cond = sync.NewCond(&f.mu)
 	return f
 }
 
-// NewFakeAuto returns a Fake clock in auto-advance mode: each Sleep
-// advances the clock to its own deadline (firing any earlier waiters in
-// timestamp order first) instead of blocking for a driver.
+// NewFakeAuto returns a virtual Fake clock: it advances by itself when
+// no participant is runnable, and a Sleep outside any participant
+// advances it to the sleep's own deadline.
 func NewFakeAuto() *Fake {
 	f := NewFake()
 	f.auto = true
 	return f
+}
+
+// Virtual returns clk if it is a virtual clock (NewFakeAuto), else nil:
+// what a caller resolves once to Park and Unpark through.
+func Virtual(clk Clock) *Fake {
+	if f, ok := clk.(*Fake); ok && f.auto {
+		return f
+	}
+	return nil
+}
+
+// Go starts fn(0) … fn(n-1), each in its own goroutine. On a virtual
+// clock they are participants, all runnable from before the first go
+// statement until each returns, so none moves the clock before the
+// others have started. On any other clock they are plain goroutines.
+func Go(clk Clock, n int, fn func(i int)) {
+	f := Virtual(clk)
+	if f != nil {
+		f.mu.Lock()
+		f.members += n
+		f.running += n
+		f.mu.Unlock()
+	}
+	for i := range n {
+		go func() {
+			if f != nil {
+				defer func() {
+					f.mu.Lock()
+					defer f.mu.Unlock()
+					f.members--
+					f.running--
+					f.stepLocked()
+				}()
+			}
+			fn(i)
+		}()
+	}
+}
+
+// Park marks the calling participant idle until Unpark: it waits for
+// something only another participant can give it. The giver calls
+// Unpark before it signals, so time never moves while a wake-up is on
+// its way. Both are no-ops on a nil Fake.
+func (f *Fake) Park() {
+	if f == nil {
+		return
+	}
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	f.running--
+	f.stepLocked()
+}
+
+// Unpark marks a parked participant runnable again.
+func (f *Fake) Unpark() {
+	if f == nil {
+		return
+	}
+	f.mu.Lock()
+	f.running++
+	f.mu.Unlock()
+}
+
+// stepLocked fires the earliest waiter if participants are registered
+// and none of them is runnable.
+func (f *Fake) stepLocked() {
+	if f.members > 0 && f.running == 0 && len(f.waiters) > 0 {
+		f.fireLocked(f.waiters[f.earliestLocked()])
+	}
 }
 
 func (f *Fake) Now() time.Time {
@@ -72,109 +150,80 @@ func (f *Fake) Advance(d time.Duration) {
 	f.advanceToLocked(f.now.Add(d))
 }
 
-// AdvanceTo moves the clock forward to t (no-op if t is not ahead).
-func (f *Fake) AdvanceTo(t time.Time) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.advanceToLocked(t)
-}
-
 // advanceToLocked fires all waiters due at or before target in
-// timestamp order, reading the clock as each waiter's own deadline at
-// its moment of firing, then settles the clock at target.
+// timestamp order, then settles the clock at target.
 func (f *Fake) advanceToLocked(target time.Time) {
-	for {
-		w := f.nextDueLocked(target)
-		if w == nil {
+	for len(f.waiters) > 0 {
+		w := f.waiters[f.earliestLocked()]
+		if w.when.After(target) {
 			break
-		}
-		if w.when.After(f.now) {
-			f.now = w.when
 		}
 		f.fireLocked(w)
 	}
 	if target.After(f.now) {
 		f.now = target
 	}
-	f.cond.Broadcast()
 }
 
-// nextDueLocked returns the earliest live waiter due at or before
-// target, or nil.
-func (f *Fake) nextDueLocked(target time.Time) *fakeWaiter {
-	var best *fakeWaiter
-	for _, w := range f.waiters {
-		if w.stopped || w.when.After(target) {
-			continue
-		}
-		if best == nil || w.when.Before(best.when) ||
-			(w.when.Equal(best.when) && w.seq < best.seq) {
-			best = w
+// earliestLocked returns the index of the waiter with the earliest
+// deadline, the first armed among equals. There is at least one.
+func (f *Fake) earliestLocked() int {
+	best := 0
+	for i, w := range f.waiters {
+		if b := f.waiters[best]; w.when.Before(b.when) || w.when.Equal(b.when) && w.seq < b.seq {
+			best = i
 		}
 	}
 	return best
 }
 
+// fireLocked moves the clock to w's deadline, removes w and fires it. A
+// callback runs in its own goroutine and counts as runnable until it
+// returns; so does a participant whose sleep it ends.
 func (f *Fake) fireLocked(w *fakeWaiter) {
-	switch {
-	case w.fn != nil:
-		go w.fn()
-	case w.ch != nil:
-		select {
-		case w.ch <- w.when:
-		default: // receiver is behind; drop like time.Ticker
-		}
+	if w.when.After(f.now) {
+		f.now = w.when
 	}
-	if w.period > 0 {
-		w.when = w.when.Add(w.period)
-		w.seq = f.nextSeqLocked()
+	f.removeLocked(w)
+	if w.fn != nil {
+		f.running++
+		go func() {
+			defer f.Park()
+			w.fn()
+		}()
 		return
 	}
-	w.stopped = true
-	f.removeStoppedLocked()
-}
-
-func (f *Fake) nextSeqLocked() int64 {
-	f.seq++
-	return f.seq
+	if w.sleeper {
+		f.running++
+	}
+	close(w.woken)
 }
 
 func (f *Fake) addWaiterLocked(w *fakeWaiter) {
-	w.seq = f.nextSeqLocked()
+	f.seq++
+	w.seq = f.seq
 	f.waiters = append(f.waiters, w)
 	f.cond.Broadcast()
 }
 
-func (f *Fake) removeStoppedLocked() {
-	live := f.waiters[:0]
-	for _, w := range f.waiters {
-		if !w.stopped {
-			live = append(live, w)
+// removeLocked drops w from the pending waiters, reporting whether it
+// was there.
+func (f *Fake) removeLocked(w *fakeWaiter) bool {
+	for i, p := range f.waiters {
+		if p == w {
+			f.waiters = append(f.waiters[:i], f.waiters[i+1:]...)
+			return true
 		}
 	}
-	f.waiters = live
-	f.cond.Broadcast()
+	return false
 }
 
-// WaiterCount reports the number of pending waiters (sleeps, timers and
-// tickers not yet fired or stopped).
+// WaiterCount reports the number of pending waiters (sleeps and
+// callbacks not yet fired or stopped).
 func (f *Fake) WaiterCount() int {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	return len(f.waiters)
-}
-
-// PendingDeadlines reports the deadlines of all pending waiters in
-// ascending order (for tests and debugging).
-func (f *Fake) PendingDeadlines() []time.Time {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	out := make([]time.Time, 0, len(f.waiters))
-	for _, w := range f.waiters {
-		out = append(out, w.when)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Before(out[j]) })
-	return out
 }
 
 // BlockUntilWaiters blocks until at least n waiters are pending. Tests
@@ -192,22 +241,21 @@ func (f *Fake) Sleep(d time.Duration) {
 		return
 	}
 	f.mu.Lock()
-	deadline := f.now.Add(d)
-	w := &fakeWaiter{when: deadline, ch: make(chan time.Time, 1)}
+	w := &fakeWaiter{when: f.now.Add(d), woken: make(chan struct{})}
 	f.addWaiterLocked(w)
-	if f.auto {
+	switch {
+	case f.members > 0:
+		// A participant sleeps: idle until the clock reaches it.
+		w.sleeper = true
+		f.running--
+		f.stepLocked()
+	case f.auto:
 		// Wake everything due before us in timestamp order, ourselves
-		// included, then return without blocking on the channel send
-		// made above.
-		f.advanceToLocked(deadline)
+		// included.
+		f.advanceToLocked(w.when)
 	}
-	ch := w.ch
 	f.mu.Unlock()
-	<-ch
-}
-
-func (f *Fake) After(d time.Duration) <-chan time.Time {
-	return f.NewTimer(d).C
+	<-w.woken
 }
 
 func (f *Fake) AfterFunc(d time.Duration, fn func()) *Timer {
@@ -215,40 +263,9 @@ func (f *Fake) AfterFunc(d time.Duration, fn func()) *Timer {
 	defer f.mu.Unlock()
 	w := &fakeWaiter{when: f.now.Add(d), fn: fn}
 	f.addWaiterLocked(w)
-	return &Timer{stop: f.stopFunc(w)}
-}
-
-func (f *Fake) NewTimer(d time.Duration) *Timer {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	w := &fakeWaiter{when: f.now.Add(d), ch: make(chan time.Time, 1)}
-	f.addWaiterLocked(w)
-	return &Timer{C: w.ch, stop: f.stopFunc(w)}
-}
-
-func (f *Fake) NewTicker(d time.Duration) *Ticker {
-	if d <= 0 {
-		panic("clock: non-positive ticker interval")
-	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	w := &fakeWaiter{when: f.now.Add(d), period: d, ch: make(chan time.Time, 1)}
-	f.addWaiterLocked(w)
-	stop := f.stopFunc(w)
-	return &Ticker{C: w.ch, stop: func() { stop() }}
-}
-
-// stopFunc returns a Stop implementation for w: it reports whether the
-// waiter was still pending and removes it.
-func (f *Fake) stopFunc(w *fakeWaiter) func() bool {
-	return func() bool {
+	return &Timer{stop: func() bool {
 		f.mu.Lock()
 		defer f.mu.Unlock()
-		if w.stopped {
-			return false
-		}
-		w.stopped = true
-		f.removeStoppedLocked()
-		return true
-	}
+		return f.removeLocked(w)
+	}}
 }

@@ -1,119 +1,80 @@
 package clock
 
 import (
+	"runtime"
+	"slices"
 	"sync"
 	"testing"
 	"time"
 )
 
-// Concurrent sleepers must be woken in timestamp order: each After
-// channel receives the clock reading at its fire moment, which must be
-// exactly that waiter's own deadline — a waiter fired out of order
-// would observe a later time.
+// Concurrent sleepers on the virtual clock are woken in timestamp order,
+// each reading exactly its own deadline: the clock cannot move while the
+// woken participant runs, so a waiter fired out of order would read a
+// later time.
 func TestFakeWakesSleepersInTimestampOrder(t *testing.T) {
-	f := NewFake()
+	f := NewFakeAuto()
 	start := f.Now()
 	delays := []time.Duration{70 * time.Millisecond, 10 * time.Millisecond,
 		40 * time.Millisecond, 100 * time.Millisecond, 40 * time.Millisecond}
 
 	var wg sync.WaitGroup
 	var mu sync.Mutex
-	got := map[time.Duration][]time.Time{}
-	for _, d := range delays {
-		wg.Add(1)
-		go func(d time.Duration) {
-			defer wg.Done()
-			at := <-f.After(d)
-			mu.Lock()
-			got[d] = append(got[d], at)
-			mu.Unlock()
-		}(d)
-	}
-
-	f.BlockUntilWaiters(len(delays))
-	f.Advance(time.Second)
-	wg.Wait()
-
-	for d, ats := range got {
-		for _, at := range ats {
-			if want := start.Add(d); !at.Equal(want) {
-				t.Errorf("sleeper %v fired at %v, want %v (out-of-order wakeup)", d, at, want)
-			}
+	var woke []time.Duration
+	wg.Add(len(delays))
+	Go(f, len(delays), func(i int) {
+		defer wg.Done()
+		d := delays[i]
+		f.Sleep(d)
+		if at := f.Since(start); at != d {
+			t.Errorf("sleeper %v woke at %v (out-of-order wakeup)", d, at)
 		}
-	}
-	if len(got[40*time.Millisecond]) != 2 {
-		t.Fatalf("expected both 40ms sleepers to fire, got %d", len(got[40*time.Millisecond]))
+		mu.Lock()
+		woke = append(woke, d)
+		mu.Unlock()
+	})
+	wg.Wait()
+	if !slices.IsSorted(woke) || len(woke) != len(delays) {
+		t.Fatalf("sleepers woke in the order %v", woke)
 	}
 }
 
-// One Advance must fire every timer in its window, earliest first, and
-// leave later timers pending.
+// One Advance must fire every callback in its window and leave later
+// ones pending.
 func TestFakeAdvancePastMultipleTimers(t *testing.T) {
 	f := NewFake()
 	start := f.Now()
-	t1 := f.NewTimer(10 * time.Millisecond)
-	t2 := f.NewTimer(20 * time.Millisecond)
-	t3 := f.NewTimer(500 * time.Millisecond)
+	fired := make(chan int, 3)
+	for i, d := range []time.Duration{10 * time.Millisecond, 20 * time.Millisecond, 500 * time.Millisecond} {
+		f.AfterFunc(d, func() { fired <- i })
+	}
 
 	f.Advance(50 * time.Millisecond)
-
-	if at := <-t1.C; !at.Equal(start.Add(10 * time.Millisecond)) {
-		t.Errorf("t1 fired at %v", at)
-	}
-	if at := <-t2.C; !at.Equal(start.Add(20 * time.Millisecond)) {
-		t.Errorf("t2 fired at %v", at)
-	}
-	select {
-	case at := <-t3.C:
-		t.Fatalf("t3 fired early at %v", at)
-	default:
+	got := []int{<-fired, <-fired}
+	slices.Sort(got)
+	if !slices.Equal(got, []int{0, 1}) {
+		t.Errorf("callbacks %v fired, want 0 and 1", got)
 	}
 	if n := f.WaiterCount(); n != 1 {
-		t.Fatalf("WaiterCount = %d, want 1 (t3 pending)", n)
+		t.Fatalf("WaiterCount = %d, want 1 (the 500ms callback pending)", n)
 	}
 	if !f.Now().Equal(start.Add(50 * time.Millisecond)) {
 		t.Fatalf("clock settled at %v, want start+50ms", f.Now())
 	}
+	select {
+	case i := <-fired:
+		t.Fatalf("callback %d fired early", i)
+	default:
+	}
 	f.Advance(450 * time.Millisecond)
-	if at := <-t3.C; !at.Equal(start.Add(500 * time.Millisecond)) {
-		t.Errorf("t3 fired at %v", at)
-	}
-}
-
-// A ticker must stay phase-aligned: ticks land on exact multiples of
-// the period even when the clock advances in odd increments.
-func TestFakeTickerDoesNotDrift(t *testing.T) {
-	f := NewFake()
-	start := f.Now()
-	tk := f.NewTicker(10 * time.Millisecond)
-	defer tk.Stop()
-
-	var ticks []time.Time
-	for _, step := range []time.Duration{13 * time.Millisecond, 9 * time.Millisecond,
-		11 * time.Millisecond, 7 * time.Millisecond} {
-		f.Advance(step)
-		// Drain whatever this step produced (buffered cap 1, like
-		// time.Ticker: a slow receiver sees dropped, not late, ticks).
-		select {
-		case at := <-tk.C:
-			ticks = append(ticks, at)
-		default:
-		}
-	}
-	if len(ticks) < 3 {
-		t.Fatalf("got %d ticks, want >= 3", len(ticks))
-	}
-	for i, at := range ticks {
-		off := at.Sub(start)
-		if off%(10*time.Millisecond) != 0 {
-			t.Errorf("tick %d at offset %v is not a multiple of the period (drift)", i, off)
-		}
+	if i := <-fired; i != 2 {
+		t.Errorf("callback %d fired at 500ms", i)
 	}
 }
 
 func TestFakeTimerStop(t *testing.T) {
 	f := NewFake()
-	tm := f.NewTimer(10 * time.Millisecond)
+	tm := f.AfterFunc(10*time.Millisecond, func() { t.Error("stopped timer fired") })
 	if !tm.Stop() {
 		t.Fatal("Stop on pending timer reported false")
 	}
@@ -121,11 +82,6 @@ func TestFakeTimerStop(t *testing.T) {
 		t.Fatal("second Stop reported true")
 	}
 	f.Advance(time.Second)
-	select {
-	case <-tm.C:
-		t.Fatal("stopped timer fired")
-	default:
-	}
 	if n := f.WaiterCount(); n != 0 {
 		t.Fatalf("WaiterCount = %d after stop", n)
 	}
@@ -169,12 +125,13 @@ func TestFakeAutoAdvanceSleep(t *testing.T) {
 // goroutines before jumping to its own deadline.
 func TestFakeAutoAdvanceFiresEarlierWaiters(t *testing.T) {
 	f := NewFakeAuto()
-	start := f.Now()
-	early := f.NewTimer(10 * time.Millisecond)
+	early := make(chan struct{})
+	f.AfterFunc(10*time.Millisecond, func() { close(early) })
 	f.Sleep(time.Second)
-	at := <-early.C
-	if !at.Equal(start.Add(10 * time.Millisecond)) {
-		t.Fatalf("early timer fired at %v, want start+10ms", at)
+	select {
+	case <-early:
+	case <-time.After(2 * time.Second):
+		t.Fatal("the 10ms callback never ran during a 1s sleep")
 	}
 }
 
@@ -192,8 +149,7 @@ func TestFakeConcurrentUseRaceClean(t *testing.T) {
 				case 0:
 					f.Sleep(time.Duration(i+1) * time.Millisecond)
 				case 1:
-					tm := f.NewTimer(time.Duration(j) * time.Millisecond)
-					tm.Stop()
+					f.AfterFunc(time.Duration(j)*time.Millisecond, func() {}).Stop()
 				case 2:
 					f.Now()
 				case 3:
@@ -216,4 +172,177 @@ func TestFakeConcurrentUseRaceClean(t *testing.T) {
 	wg.Wait()
 	close(done)
 	f.Advance(time.Hour) // flush stragglers
+}
+
+// box is the in-process mailbox's wait in miniature: get parks its
+// caller until put gives it a value or its deadline passes, and put and
+// the deadline's callback unpark it before they signal.
+type box struct {
+	vt     *Fake
+	mu     sync.Mutex
+	cond   *sync.Cond
+	vals   []int
+	parked bool
+}
+
+func newBox(vt *Fake) *box {
+	b := &box{vt: vt}
+	b.cond = sync.NewCond(&b.mu)
+	return b
+}
+
+func (b *box) signal() {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if b.parked {
+		b.parked = false
+		b.vt.Unpark()
+	}
+	b.cond.Broadcast()
+}
+
+func (b *box) put(v int) {
+	b.mu.Lock()
+	b.vals = append(b.vals, v)
+	b.mu.Unlock()
+	b.signal()
+}
+
+// get returns the first value put, or false once d has passed.
+func (b *box) get(d time.Duration) (int, bool) {
+	deadline := b.vt.Now().Add(d)
+	defer b.vt.AfterFunc(d, b.signal).Stop()
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	for len(b.vals) == 0 {
+		if !b.vt.Now().Before(deadline) {
+			return 0, false
+		}
+		b.parked = true
+		b.vt.Park()
+		b.cond.Wait()
+		if b.parked {
+			b.parked = false
+			b.vt.Unpark()
+		}
+	}
+	v := b.vals[0]
+	b.vals = b.vals[1:]
+	return v, true
+}
+
+// run starts each fn as a participant of f and waits for all of them,
+// failing the test if they have not returned after 10 s of wall time.
+func run(t *testing.T, f *Fake, fns ...func()) {
+	t.Helper()
+	var wg sync.WaitGroup
+	wg.Add(len(fns))
+	Go(f, len(fns), func(i int) {
+		defer wg.Done()
+		fns[i]()
+	})
+	done := make(chan struct{})
+	go func() {
+		wg.Wait()
+		close(done)
+	}()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("participants still running after 10s: the virtual clock stalled")
+	}
+}
+
+// TestVirtualParticipantsRunConcurrently: sleepers on the virtual clock
+// each wake at exactly their deadlines while another participant runs
+// on, and the clock does not move while that one is runnable.
+func TestVirtualParticipantsRunConcurrently(t *testing.T) {
+	f := NewFakeAuto()
+	start := f.Now()
+	sleeper := func(d time.Duration, n int) func() {
+		return func() {
+			for i := 1; i <= n; i++ {
+				f.Sleep(d)
+				if at := f.Since(start); at != time.Duration(i)*d {
+					t.Errorf("sleep %d of %v woke at %v", i, d, at)
+				}
+			}
+		}
+	}
+	spinner := func() {
+		at := f.Now()
+		for range 1000 {
+			runtime.Gosched()
+			if !f.Now().Equal(at) {
+				t.Error("the clock moved while a participant was runnable")
+				return
+			}
+		}
+		f.Sleep(time.Hour)
+	}
+	run(t, f, sleeper(3*time.Millisecond, 20), sleeper(7*time.Millisecond, 9), sleeper(time.Second, 1), spinner)
+	if at := f.Since(start); at != time.Hour {
+		t.Fatalf("clock ends at %v, want the longest sleep, 1h", at)
+	}
+}
+
+// TestVirtualCallbackParks: a callback that parks is idle, so the clock
+// moves on under it to the sleep that wakes it, and reads that sleep's
+// deadline when it does.
+func TestVirtualCallbackParks(t *testing.T) {
+	f := NewFakeAuto()
+	start := f.Now()
+	ping, pong := newBox(f), newBox(f)
+	run(t, f, func() {
+		f.AfterFunc(10*time.Millisecond, func() {
+			if _, ok := ping.get(time.Hour); !ok {
+				t.Error("the callback's wait timed out")
+			}
+			if at := f.Since(start); at != 30*time.Millisecond {
+				t.Errorf("the parked callback woke at %v, want 30ms", at)
+			}
+			pong.put(1)
+		})
+		f.Sleep(30 * time.Millisecond)
+		ping.put(1)
+		if _, ok := pong.get(time.Hour); !ok {
+			t.Error("the participant's wait timed out")
+		}
+	})
+	if at := f.Since(start); at != 30*time.Millisecond {
+		t.Fatalf("clock ends at %v, want 30ms", at)
+	}
+}
+
+// TestVirtualUnparkRacesTimer: a value and a receive deadline that fall
+// due at one instant race, and either may win, but the receiver wakes
+// at that instant, takes the value if it won, and the clock's count of
+// runnable participants stays whole: the next sleeps end on time.
+func TestVirtualUnparkRacesTimer(t *testing.T) {
+	f := NewFakeAuto()
+	start := f.Now()
+	const rounds, step = 50, 10 * time.Millisecond
+	b := newBox(f)
+	run(t, f, func() {
+		for i := 1; i <= rounds; i++ {
+			v, ok := b.get(step)
+			if !ok { // the deadline won: the value is due at this instant
+				v, ok = b.get(time.Hour)
+			}
+			if !ok || v != i {
+				t.Errorf("round %d: got %d, %v", i, v, ok)
+			}
+			if at := f.Since(start); at != time.Duration(i)*step {
+				t.Errorf("round %d: receiver woke at %v", i, at)
+			}
+		}
+	}, func() {
+		for i := 1; i <= rounds; i++ {
+			f.Sleep(step)
+			b.put(i)
+		}
+	})
+	if at := f.Since(start); at != rounds*step {
+		t.Fatalf("clock ends at %v, want %v", at, rounds*step)
+	}
 }

@@ -1,16 +1,13 @@
 package clock
 
-import (
-	"sync"
-	"time"
-)
+import "time"
 
 // Scaled is a clock whose timeline runs Factor times faster than the
 // wall clock: a Sleep(1s) on a Scaled clock with Factor 25 blocks for
 // 40ms of real time, and Now advances 25 virtual seconds per real
-// second. Unlike Fake it needs no Advance driver, so it accelerates
-// live runs where goroutines do real work (compute, real sockets)
-// between waits — the `swaprun -accel` mode.
+// second. Unlike a virtual Fake it follows the wall, so it accelerates
+// live runs whose goroutines wait on what no clock sees (real sockets,
+// another process) — the `swaprun -accel` mode.
 //
 // The zero value is invalid; use NewScaled.
 type Scaled struct {
@@ -68,51 +65,7 @@ func (s *Scaled) Sleep(d time.Duration) {
 	time.Sleep(s.RealDuration(d))
 }
 
-func (s *Scaled) After(d time.Duration) <-chan time.Time {
-	ch := make(chan time.Time, 1)
-	s.AfterFunc(d, func() { ch <- s.Now() })
-	return ch
-}
-
 func (s *Scaled) AfterFunc(d time.Duration, f func()) *Timer {
 	//swapvet:ignore clockdiscipline -- compressed wall timer implements the scaled timeline
-	t := time.AfterFunc(s.RealDuration(d), f)
-	return &Timer{stop: t.Stop}
-}
-
-func (s *Scaled) NewTimer(d time.Duration) *Timer {
-	ch := make(chan time.Time, 1)
-	//swapvet:ignore clockdiscipline -- compressed wall timer implements the scaled timeline
-	t := time.AfterFunc(s.RealDuration(d), func() { ch <- s.Now() })
-	return &Timer{C: ch, stop: t.Stop}
-}
-
-func (s *Scaled) NewTicker(d time.Duration) *Ticker {
-	if d <= 0 {
-		panic("clock: non-positive ticker interval")
-	}
-	ch := make(chan time.Time, 1)
-	//swapvet:ignore clockdiscipline -- compressed wall ticker implements the scaled timeline
-	t := time.NewTicker(s.RealDuration(d))
-	done := make(chan struct{})
-	go func() {
-		for {
-			select {
-			case <-t.C:
-				select {
-				case ch <- s.Now():
-				default: // receiver is behind; drop the tick like time.Ticker
-				}
-			case <-done:
-				return
-			}
-		}
-	}()
-	var once sync.Once
-	return &Ticker{C: ch, stop: func() {
-		once.Do(func() {
-			t.Stop()
-			close(done)
-		})
-	}}
+	return &Timer{stop: time.AfterFunc(s.RealDuration(d), f).Stop}
 }

@@ -68,25 +68,28 @@ type transport interface {
 // stream itself: it returns the first frame that matches and queues every
 // other in arrival order, so a message costs its receiver one wake-up and
 // no hand-off. While there are more, each has a reader goroutine
-// (tcpTransport.readLoop) that queues whatever it decodes.
+// (tcpTransport.readLoop) that queues whatever it decodes. On a virtual
+// clock a rank waiting on cond is parked, and signal unparks it first.
 type mailbox struct {
 	mu      sync.Mutex
 	cond    *sync.Cond
 	queue   []envelope
 	closed  bool
-	wake    func()      // what a receive's deadline timer runs: kicks the reader, broadcasts on cond
+	wake    func()      // what a receive's deadline timer runs: kicks the reader, signals
 	streams []*inStream // TCP only: the live inbound streams, in admission order
+	vt      *clock.Fake // the world's virtual clock, nil on any other
+	parked  bool        // the rank waits on cond, idle on vt
 }
 
-func newMailbox() *mailbox {
-	m := &mailbox{}
+func newMailbox(vt *clock.Fake) *mailbox {
+	m := &mailbox{vt: vt}
 	m.cond = sync.NewCond(&m.mu)
 	m.wake = func() {
 		m.mu.Lock()
 		if s := m.direct(); s != nil {
 			s.kick()
 		}
-		m.cond.Broadcast()
+		m.signal()
 		m.mu.Unlock()
 	}
 	return m
@@ -99,7 +102,20 @@ func (m *mailbox) push(env envelope) {
 		return
 	}
 	m.queue = append(m.queue, env)
+	m.signal()
+}
+
+// signal wakes the rank's wait, unparking it first. The caller holds m.mu.
+func (m *mailbox) signal() {
+	m.unpark()
 	m.cond.Broadcast()
+}
+
+func (m *mailbox) unpark() {
+	if m.parked {
+		m.parked = false
+		m.vt.Unpark()
+	}
 }
 
 // match scans the queue for a message matching (comm, src, tag) and, when
@@ -173,7 +189,10 @@ func (m *mailbox) popDeadline(clk clock.Clock, comm uint64, src, tag int, deadli
 			}
 			continue
 		}
+		m.parked = m.vt != nil // idle on vt until signal, or until it unparks itself
+		m.vt.Park()
 		m.cond.Wait()
+		m.unpark()
 	}
 }
 
@@ -257,7 +276,7 @@ func (m *mailbox) close() {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.closed = true
-	m.cond.Broadcast()
+	m.signal()
 }
 
 // World is a fixed set of communicating ranks.
@@ -277,7 +296,7 @@ type World struct {
 func newWorldShell(size int, clk clock.Clock) *World {
 	w := &World{size: size, metrics: obs.NewRegistry(), clk: clock.Or(clk), free: make([]wire.FreeList, size)}
 	for i := 0; i < size; i++ {
-		w.boxes = append(w.boxes, newMailbox())
+		w.boxes = append(w.boxes, newMailbox(clock.Virtual(clk)))
 		w.counters = append(w.counters, newRankCounters(w.metrics, i))
 	}
 	return w
@@ -418,9 +437,14 @@ func NewWorldWithConfig(cfg Config) (*World, error) {
 		w   *World
 		err error
 	)
-	if cfg.TCP {
+	switch {
+	case cfg.TCP && clock.Virtual(cfg.Clock) != nil:
+		// Its reader and flusher goroutines wait on sockets the clock
+		// cannot see, so it would move time under a frame in flight.
+		return nil, errors.New("mpi: a TCP world cannot run on a virtual clock")
+	case cfg.TCP:
 		w, err = newTCPWorld(cfg.Size, cfg.Clock)
-	} else {
+	default:
 		w = newInprocWorld(cfg.Size, cfg.Clock)
 	}
 	if err != nil {
@@ -445,30 +469,28 @@ func NewWorldWithConfig(cfg Config) (*World, error) {
 // Size reports the number of ranks.
 func (w *World) Size() int { return w.size }
 
-// Run starts one goroutine per rank executing fn and waits for all of
-// them. The returned error joins every rank's error. After Run returns
-// the world is closed.
+// Run starts one goroutine per rank executing fn — on a virtual clock, a
+// participant (clock.Go) — and waits for all of them. The returned error
+// joins every rank's error. After Run returns the world is closed.
 func (w *World) Run(fn func(r *Rank) error) error {
 	errs := make([]error, w.size)
 	var wg sync.WaitGroup
-	for i := 0; i < w.size; i++ {
-		wg.Add(1)
-		go func(rank int) {
-			defer wg.Done()
-			defer func() {
-				if p := recover(); p != nil {
-					errs[rank] = fmt.Errorf("mpi: rank %d panicked: %v", rank, p)
-					// Persist the flight-recorder window before tearing
-					// the world down: the panic is exactly the moment the
-					// recent-event evidence matters.
-					w.Tracer().DumpFlight(fmt.Sprintf("rank %d panicked: %v", rank, p))
-					// Unblock peers waiting on this rank.
-					w.Close()
-				}
-			}()
-			errs[rank] = fn(newRank(w, rank))
-		}(i)
-	}
+	wg.Add(w.size)
+	clock.Go(w.clk, w.size, func(rank int) {
+		defer wg.Done()
+		defer func() {
+			if p := recover(); p != nil {
+				errs[rank] = fmt.Errorf("mpi: rank %d panicked: %v", rank, p)
+				// Persist the flight-recorder window before tearing
+				// the world down: the panic is exactly the moment the
+				// recent-event evidence matters.
+				w.Tracer().DumpFlight(fmt.Sprintf("rank %d panicked: %v", rank, p))
+				// Unblock peers waiting on this rank.
+				w.Close()
+			}
+		}()
+		errs[rank] = fn(newRank(w, rank))
+	})
 	wg.Wait()
 	w.Close()
 	var joined []error

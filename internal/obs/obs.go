@@ -481,8 +481,11 @@ func (t *Tracer) Len() int {
 }
 
 // Events snapshots every buffered event, merged across ranks and sorted
-// by (T, Rank, Kind) so the output order is deterministic whenever the
-// timestamps are (as under the simulator's virtual clock).
+// by (T, Rank), a rank's events at one instant in the order it emitted
+// them: on a virtual clock one instant can span a rank's swap from one
+// epoch to the next. The output order is deterministic whenever the
+// timestamps and each rank's order are (under the simulator's clock and
+// the live virtual clock).
 func (t *Tracer) Events() []Event {
 	if t == nil {
 		return nil
@@ -502,9 +505,6 @@ func sortEvents(evs []Event) {
 		if a.T != b.T {
 			return a.T < b.T
 		}
-		if a.Rank != b.Rank {
-			return a.Rank < b.Rank
-		}
-		return a.Kind < b.Kind
+		return a.Rank < b.Rank
 	})
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/clock"
 	"repro/internal/core"
 	"repro/internal/mpi"
 	"repro/internal/mpi/fault"
@@ -15,7 +16,8 @@ import (
 // chaosBody is an iterative computation whose numerical result must
 // survive any injected fault: every active lane computes sum(0..n-1)
 // no matter which hosts end up running it. Each iteration advances the
-// fault plan's global iteration clock and burns a little wall time so
+// fault plan's global iteration clock and sleeps on the world's clock,
+// so it takes time — on a virtual clock nothing else does — and
 // background recovery probes get to run between swap points.
 func chaosBody(n int, plan *fault.Plan, sleep time.Duration, out *sync.Map) func(*Session) error {
 	return func(s *Session) error {
@@ -30,9 +32,7 @@ func chaosBody(n int, plan *fault.Plan, sleep time.Duration, out *sync.Map) func
 				if plan != nil {
 					plan.Advance(s.Rank())
 				}
-				if sleep > 0 {
-					time.Sleep(sleep)
-				}
+				s.tl.Sleep(sleep)
 			}
 			if err := s.SwapPoint(); err != nil {
 				return err
@@ -163,12 +163,13 @@ func TestChaosRunMatchesFaultFree(t *testing.T) {
 
 // TestChaosDroppedStateAbortsByTimeout exercises the slow abort path:
 // the state payload is silently dropped (not refused), so the outgoing
-// rank only learns of the failure when its ack deadline expires. With
-// the sole spare quarantined the run must finish on the original set.
+// rank only learns of the failure when its ack deadline expires — on the
+// virtual clock, once no rank can make progress without it. With the
+// sole spare quarantined the run must finish on the original set.
 func TestChaosDroppedStateAbortsByTimeout(t *testing.T) {
 	const iters = 8
 	plan := fault.MustParse("drop:dst=2")
-	w, err := mpi.NewWorldWithConfig(mpi.Config{Size: 3, Fault: plan})
+	w, err := mpi.NewWorldWithConfig(mpi.Config{Size: 3, Fault: plan, Clock: clock.NewFakeAuto()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +183,7 @@ func TestChaosDroppedStateAbortsByTimeout(t *testing.T) {
 		Probe:           rt.probe,
 		TransferTimeout: 100 * time.Millisecond,
 		Tracer:          tr,
-	}, chaosBody(iters, plan, 0, &out))
+	}, chaosBody(iters, plan, 10*time.Millisecond, &out))
 	if err != nil {
 		t.Fatalf("run failed instead of aborting the swap: %v", err)
 	}

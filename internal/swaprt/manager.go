@@ -5,6 +5,7 @@ import (
 	"slices"
 	"sync"
 
+	"repro/internal/clock"
 	"repro/internal/core"
 	"repro/internal/predict"
 	"repro/internal/swaprt/policylens"
@@ -168,11 +169,13 @@ type manager struct {
 	cfg     Config
 	decider Decider
 
+	vt          *clock.Fake // the world's virtual clock: a waiting spare is parked on it
 	mu          sync.Mutex
-	assignCh    map[int]chan assignment
+	wake        *sync.Cond           // an assignment arrived, or the application finished
+	assigned    map[int][]assignment // by spare, in the order proposed
+	parked      map[int]bool         // spares idle on vt
 	quarantined map[int]bool
-	done        chan struct{}
-	doneOnce    sync.Once
+	finished    bool
 
 	scratch decideScratch
 }
@@ -186,17 +189,14 @@ type assignment struct {
 	stateFrom int // world rank that will send the registered state
 }
 
-func newManager(size int, cfg Config, decider Decider) *manager {
-	m := &manager{
-		cfg:         cfg,
-		decider:     decider,
-		assignCh:    map[int]chan assignment{},
-		quarantined: map[int]bool{},
-		done:        make(chan struct{}),
-	}
-	for i := 0; i < size; i++ {
-		m.assignCh[i] = make(chan assignment, 4)
-	}
+// maxAssigned is how many assignments may wait for one spare: it can lag
+// behind the leader by a couple of swap points.
+const maxAssigned = 4
+
+func newManager(cfg Config, decider Decider, vt *clock.Fake) *manager {
+	m := &manager{cfg: cfg, decider: decider, vt: vt,
+		assigned: map[int][]assignment{}, parked: map[int]bool{}, quarantined: map[int]bool{}}
+	m.wake = sync.NewCond(&m.mu)
 	return m
 }
 
@@ -215,40 +215,59 @@ func (m *manager) isQuarantined(rank int) bool {
 	return m.quarantined[rank]
 }
 
-// wait parks a spare until it is swapped in or the application finishes.
+// wait parks a spare — idle, on a virtual clock — until it is swapped in
+// or the application finishes. An assignment that raced the finish is
+// still taken.
 func (m *manager) wait(rank int) (assignment, bool) {
-	select {
-	case a := <-m.assignCh[rank]:
-		return a, true
-	case <-m.done:
-		// Drain a late assignment racing with completion.
-		select {
-		case a := <-m.assignCh[rank]:
-			return a, true
-		default:
-			return assignment{}, false
-		}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	for len(m.assigned[rank]) == 0 && !m.finished {
+		m.parked[rank] = true
+		m.vt.Park()
+		m.wake.Wait()
+		m.unparkLocked(rank)
 	}
+	q := m.assigned[rank]
+	if len(q) == 0 {
+		return assignment{}, false
+	}
+	a := q[0]
+	m.assigned[rank] = append(q[:0], q[1:]...)
+	return a, true
 }
 
-// assign wakes the given spare. The channel has room for a few queued
-// assignments (a spare can lag behind the leader by a couple of swap
-// points); if it is full, the runtime's invariant that each spare is
-// assigned at most once per parked period is broken, and blocking here
-// would deadlock the leader — so fail loudly instead.
+// assign wakes the given spare, unparking it first. If maxAssigned
+// assignments already wait for it, the runtime's invariant that each
+// spare is assigned at most once per parked period is broken, and
+// queueing more would only hide it — so fail loudly instead.
 func (m *manager) assign(rank int, a assignment) error {
-	select {
-	case m.assignCh[rank] <- a:
-		return nil
-	default:
-		return fmt.Errorf("swaprt: assignment channel for rank %d full (%d pending)",
-			rank, cap(m.assignCh[rank]))
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if n := len(m.assigned[rank]); n == maxAssigned {
+		return fmt.Errorf("swaprt: assignment queue for rank %d full (%d pending)", rank, n)
 	}
+	m.assigned[rank] = append(m.assigned[rank], a)
+	m.unparkLocked(rank)
+	m.wake.Broadcast()
+	return nil
 }
 
 // finish releases all parked spares. Idempotent.
 func (m *manager) finish() {
-	m.doneOnce.Do(func() { close(m.done) })
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.finished = true
+	for rank := range m.parked {
+		m.unparkLocked(rank)
+	}
+	m.wake.Broadcast()
+}
+
+func (m *manager) unparkLocked(rank int) {
+	if m.parked[rank] {
+		m.parked[rank] = false
+		m.vt.Unpark()
+	}
 }
 
 // Per-rank marks of one decision.

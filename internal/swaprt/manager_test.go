@@ -114,10 +114,10 @@ func TestLocalDeciderCostIsFlatInHistory(t *testing.T) {
 func TestManagerDecideValidatesDirectives(t *testing.T) {
 	const ranks = 6 // active 0 and 1, spares 2, 3, 4 (quarantined) and 5 (evicted)
 	inner := &scriptDecider{}
-	m := newManager(ranks, Config{
+	m := newManager(Config{
 		Probe:   func(int) float64 { return 1000 },
 		Evicted: func(rank int) bool { return rank == 5 },
-	}, inner)
+	}, inner, nil)
 	m.quarantine(4)
 	decide := func(swaps ...SwapDirective) (DecideResponse, error) {
 		inner.resp = DecideResponse{Swaps: swaps}

@@ -258,28 +258,29 @@ func (f *FileStore) AwaitLease(owner, addr string, ttl time.Duration, standby fu
 	}
 }
 
-// KeepLease renews owner's lease every ttl/3 on the store clock until
-// stop closes (nil) or a renewal fails (that error): a lost or
-// superseded lease means another incarnation fenced this one out, and
+// KeepLease renews owner's lease ttl/3 after each renewal on the store
+// clock until stop closes (nil) or a renewal fails (that error): a lost
+// or superseded lease means another incarnation fenced this one out, and
 // the caller must stop serving, not contest the new leader. A renewal
 // may be in flight when stop closes: ReleaseLease is final only after
 // KeepLease has returned.
 func (f *FileStore) KeepLease(owner, addr string, ttl time.Duration, stop <-chan struct{}) error {
-	t := f.clk.NewTicker(ttl / 3)
-	defer t.Stop()
 	for {
+		due := make(chan struct{})
+		t := f.clk.AfterFunc(ttl/3, func() { close(due) })
 		select {
 		case <-stop:
+			t.Stop()
 			return nil
-		case <-t.C:
-			select {
-			case <-stop: // a tick that was due when stop closed renews nothing
-				return nil
-			default:
-			}
-			if _, err := f.AcquireLease(owner, addr, ttl); err != nil {
-				return err
-			}
+		case <-due:
+		}
+		select {
+		case <-stop: // a renewal that was due when stop closed renews nothing
+			return nil
+		default:
+		}
+		if _, err := f.AcquireLease(owner, addr, ttl); err != nil {
+			return err
 		}
 	}
 }

@@ -381,6 +381,12 @@ func (s *Session) transferOut(sw SwapDirective, epoch uint64) time.Time {
 	payload, err := s.state.appendTo(binary.LittleEndian.AppendUint64(s.buf[:0], epoch))
 	if err == nil {
 		s.keepBuf(payload)
+		if s.mgr.vt != nil {
+			// Virtual time moves only for what is modelled: the state
+			// crosses the link in the time the swap cost is predicted at.
+			secs := core.SwapTime(*s.cfg.LinkLatency, *s.cfg.LinkBandwidth, float64(len(payload)-8))
+			s.tl.Sleep(time.Duration(secs * float64(time.Second)))
+		}
 		if err = s.r.World().Send(sw.In, tagState, payload); err == nil {
 			_, err = s.await(sw.In, tagStateAck, epoch, s.tl.Now().Add(s.cfg.TransferTimeout))
 		}

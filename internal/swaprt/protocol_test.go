@@ -330,8 +330,7 @@ func (d *scriptedSwaps) Decide(req DecideRequest) (DecideResponse, error) {
 func TestEverySingleFaultAtEveryStep(t *testing.T) {
 	const (
 		iters = 6
-		accel = 20
-		leg   = time.Second // TransferTimeout: 50 ms of wall time
+		leg   = time.Second // TransferTimeout, on the virtual clock
 	)
 	want := float64(iters * (iters - 1) / 2)
 	// A protocol message is the after-th message from src to dst: the
@@ -375,7 +374,7 @@ func TestEverySingleFaultAtEveryStep(t *testing.T) {
 	}
 	run := func(t *testing.T, swaps map[int]SwapDirective, spec string) result {
 		plan := fault.MustParse(spec)
-		w, err := mpi.NewWorldWithConfig(mpi.Config{Size: 3, Fault: plan, Clock: clock.NewScaled(accel)})
+		w, err := mpi.NewWorldWithConfig(mpi.Config{Size: 3, Fault: plan, Clock: clock.NewFakeAuto()})
 		if err != nil {
 			t.Fatal(err)
 		}

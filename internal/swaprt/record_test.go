@@ -74,7 +74,7 @@ func TestOneSwapRecordPerRound(t *testing.T) {
 	}} {
 		t.Run(tc.name, func(t *testing.T) {
 			plan := fault.MustParse(tc.chaos)
-			w, err := mpi.NewWorldWithConfig(mpi.Config{Size: tc.size, Fault: plan, Clock: clock.NewScaled(20)})
+			w, err := mpi.NewWorldWithConfig(mpi.Config{Size: tc.size, Fault: plan, Clock: clock.NewFakeAuto()})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -62,8 +62,8 @@ type ResilientDecider struct {
 	Resolver func() (Decider, error)
 
 	// Clock drives every wait in the decider — the retry backoff and the
-	// probe ticker — so tests advance a fake clock instead of paying the
-	// schedule in real seconds. Nil means clock.Real.
+	// recovery probe's ticks — so tests advance a fake clock instead of
+	// paying the schedule in real seconds. Nil means clock.Real.
 	Clock clock.Clock
 
 	// Tracer receives Circuit transition events (nil-safe).
@@ -83,7 +83,7 @@ type ResilientDecider struct {
 	open    bool // the circuit: primary bypassed until a probe succeeds
 	fails   int
 	probing bool
-	stopCh  chan struct{}
+	stop    func() // ends the prober, once started
 	closed  bool
 }
 
@@ -186,10 +186,7 @@ func (d *ResilientDecider) onFailure(err error) {
 	d.emit("open", err.Error())
 	if !d.probing && !d.closed {
 		d.probing = true
-		if d.stopCh == nil {
-			d.stopCh = make(chan struct{})
-		}
-		go d.probeLoop(d.stopCh)
+		d.stop = every(clock.Or(d.Clock), resilientProbe, d.probe)
 	}
 }
 
@@ -204,25 +201,17 @@ func (d *ResilientDecider) emit(transition, reason string) {
 	d.logf("swaprt: resilient: circuit %s (%s)", transition, reason)
 }
 
-// probeLoop runs while the circuit is open. Each tick it tries, in
-// order: the Resolver (is there a current leader — possibly a new one —
-// and does it answer?), then the existing primary's own Ping. The first
+// probe ticks while the circuit is open. Each tick it tries, in order:
+// the Resolver (is there a current leader — possibly a new one — and
+// does it answer?), then the existing primary's own Ping. The first
 // success installs the answering decider as primary, closes the circuit
-// and exits the loop.
-func (d *ResilientDecider) probeLoop(stop <-chan struct{}) {
-	t := clock.Or(d.Clock).NewTicker(resilientProbe)
-	defer t.Stop()
-	for {
-		select {
-		case <-stop:
-			return
-		case <-t.C:
-			if next, ok := d.probeOnce(); ok {
-				d.recover(next)
-				return
-			}
-		}
+// and ends the ticks.
+func (d *ResilientDecider) probe() bool {
+	next, ok := d.probeOnce()
+	if ok {
+		d.recover(next)
 	}
+	return !ok
 }
 
 // probeOnce makes one recovery attempt and returns the decider to
@@ -307,7 +296,7 @@ func (d *ResilientDecider) Close() {
 		return
 	}
 	d.closed = true
-	if d.stopCh != nil {
-		close(d.stopCh)
+	if d.stop != nil {
+		d.stop()
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"slices"
+	"sync"
 	"time"
 
 	"repro/internal/clock"
@@ -344,7 +345,7 @@ func RunWithStats(world *mpi.World, cfg Config, body func(s *Session) error) (Ru
 	if decider == nil {
 		decider = cfg.localDecider()
 	}
-	mgr := newManager(world.Size(), cfg, decider)
+	mgr := newManager(cfg, decider, clock.Virtual(world.Clock()))
 	if cfg.Tracer != nil {
 		world.SetTracer(cfg.Tracer)
 	}
@@ -355,10 +356,8 @@ func RunWithStats(world *mpi.World, cfg Config, body func(s *Session) error) (Ru
 
 	// Swap handlers: periodic out-of-band probing, one per rank.
 	if cfg.HandlerInterval > 0 {
-		stop := make(chan struct{})
-		defer close(stop)
-		for rank := 0; rank < world.Size(); rank++ {
-			go handlerLoop(rank, cfg, tl, decider, rc, stop)
+		for rank := range world.Size() {
+			defer every(tl, cfg.HandlerInterval, func() bool { return handlerProbe(rank, cfg, tl, decider, rc) })()
 		}
 	}
 
@@ -424,30 +423,48 @@ func (s *Session) SwapPoint() error {
 	return s.swapPointActive()
 }
 
-// handlerLoop is one rank's swap handler: probe every interval, push to
-// the decider's history, stop when the run ends. The HandlerProbe trace
-// event is emitted only for measurements the decider actually accepted —
-// a trace must not show probes the decision history never saw; failed
-// reports are counted and tagged instead.
-func handlerLoop(rank int, cfg Config, tl timeline, rep Decider, rc *runCounters, stop <-chan struct{}) {
-	t := tl.NewTicker(cfg.HandlerInterval)
-	defer t.Stop()
-	for {
-		select {
-		case <-stop:
-			return
-		case <-t.C:
-			msg := ReportMsg{Rank: rank, Now: tl.now(), Rate: cfg.Probe(rank)}
-			cfg.Telemetry.ObserveProbe(rank, msg.Now, msg.Rate)
-			msg.Telemetry = cfg.Telemetry.RankSnapshot(rank)
-			if err := rep.Report(msg); err != nil {
-				rc.handlerReportErrors.Inc()
-				cfg.Tracer.Emit(obs.Event{Kind: obs.KindHandlerProbe, Rank: rank, T: msg.Now,
-					Value: msg.Rate, Detail: "report-failed: " + err.Error()})
-				continue
-			}
-			cfg.Tracer.Emit(obs.Event{Kind: obs.KindHandlerProbe, Rank: rank, T: msg.Now, Value: msg.Rate})
+// handlerProbe is one tick of a rank's swap handler, which ticks until the
+// run ends: probe, and push to the decider's history. The HandlerProbe
+// trace event is emitted only for measurements the decider actually
+// accepted — a trace must not show probes the decision history never
+// saw; failed reports are counted and tagged instead.
+func handlerProbe(rank int, cfg Config, tl timeline, rep Decider, rc *runCounters) bool {
+	msg := ReportMsg{Rank: rank, Now: tl.now(), Rate: cfg.Probe(rank)}
+	cfg.Telemetry.ObserveProbe(rank, msg.Now, msg.Rate)
+	msg.Telemetry = cfg.Telemetry.RankSnapshot(rank)
+	if err := rep.Report(msg); err != nil {
+		rc.handlerReportErrors.Inc()
+		cfg.Tracer.Emit(obs.Event{Kind: obs.KindHandlerProbe, Rank: rank, T: msg.Now,
+			Value: msg.Rate, Detail: "report-failed: " + err.Error()})
+		return true
+	}
+	cfg.Tracer.Emit(obs.Event{Kind: obs.KindHandlerProbe, Rank: rank, T: msg.Now, Value: msg.Rate})
+	return true
+}
+
+// every runs fn on clk d after it was armed, and again d after each run
+// that returns true, until stop: a callback that re-arms itself, so a
+// virtual clock counts it runnable only while fn runs.
+func every(clk clock.Clock, d time.Duration, fn func() bool) (stop func()) {
+	var mu sync.Mutex
+	var t *clock.Timer // nil once stopped
+	var tick func()
+	tick = func() {
+		again := fn()
+		mu.Lock()
+		defer mu.Unlock()
+		if again && t != nil {
+			t = clk.AfterFunc(d, tick)
 		}
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	t = clk.AfterFunc(d, tick)
+	return func() {
+		mu.Lock()
+		defer mu.Unlock()
+		t.Stop()
+		t = nil
 	}
 }
 

@@ -17,14 +17,13 @@ import (
 // iterStep is what one iteration of iterBody takes on a fakeWorld.
 const iterStep = 50 * time.Millisecond
 
-// fakeWorld builds an in-process world of n ranks on a manual clock.Fake:
-// the run's time moves only when a body advances it, so the iteration
-// time the decider sees is exact. Nothing advances the clock while a
-// swap is in flight — a transfer that would time out hangs instead, so
-// tests of the abort paths stay on the wall clock.
+// fakeWorld builds an in-process world of n ranks on a virtual clock:
+// the run's time moves only when every rank waits, so the iteration
+// time the decider sees is exact, and a deadline fires only when no
+// rank can make progress without it.
 func fakeWorld(t *testing.T, n int) (*mpi.World, *clock.Fake) {
 	t.Helper()
-	clk := clock.NewFake()
+	clk := clock.NewFakeAuto()
 	w, err := mpi.NewWorldWithConfig(mpi.Config{Size: n, Clock: clk})
 	if err != nil {
 		t.Fatal(err)
@@ -52,10 +51,9 @@ func (rt *rateTable) set(rank int, v float64) {
 
 // iterBody returns the canonical swaprt application body: n iterations
 // incrementing a registered counter and accumulating a registered sum via
-// an allreduce on the active communicator. With a fake clock the active
-// leader advances it by iterStep per iteration, before the allreduce, so
-// no member reaches the swap point ahead of the step. record receives
-// each rank's final session for assertions.
+// an allreduce on the active communicator. With a fake clock each active
+// rank sleeps iterStep per iteration, before the allreduce. record
+// receives each rank's final session for assertions.
 func iterBody(n int, clk *clock.Fake, record func(s *Session, iter int, sum float64)) func(*Session) error {
 	return func(s *Session) error {
 		iter := 0
@@ -64,8 +62,8 @@ func iterBody(n int, clk *clock.Fake, record func(s *Session, iter int, sum floa
 		s.Register("sum", &sum)
 		for !s.Done() && iter < n {
 			if s.Active() {
-				if clk != nil && s.Comm().Rank() == 0 {
-					clk.Advance(iterStep)
+				if clk != nil {
+					clk.Sleep(iterStep)
 				}
 				v, err := s.Comm().AllReduceFloat64(mpi.OpSum, 1)
 				if err != nil {
@@ -492,7 +490,7 @@ func TestDefaultProbePositive(t *testing.T) {
 
 func TestManagerValidatesDirectives(t *testing.T) {
 	bogus := &scriptDecider{resp: DecideResponse{Swaps: []SwapDirective{{Out: 5, In: 0}}}}
-	m := newManager(2, Config{Probe: func(int) float64 { return 1 }}.fill(), bogus)
+	m := newManager(Config{Probe: func(int) float64 { return 1 }}.fill(), bogus, nil)
 	_, err := m.decide(0, 1, []int{0}, []float64{1}, 2, 10, 1)
 	if err == nil {
 		t.Fatal("invalid directive accepted")

@@ -14,17 +14,17 @@ import (
 )
 
 func TestAssignFullChannelFailsLoudly(t *testing.T) {
-	m := newManager(2, Config{}.fill(), NewLocalDecider(core.Greedy()))
+	m := newManager(Config{}.fill(), NewLocalDecider(core.Greedy()), nil)
 	a := assignment{epoch: 1, stateFrom: 0}
-	for i := 0; i < cap(m.assignCh[1]); i++ {
+	for i := 0; i < maxAssigned; i++ {
 		if err := m.assign(1, a); err != nil {
 			t.Fatalf("assign %d: %v", i, err)
 		}
 	}
-	// The channel is full; one more must error immediately instead of
-	// blocking the leader forever.
+	// The queue is full; one more must error immediately instead of
+	// hiding a spare assigned twice in one parked period.
 	if err := m.assign(1, a); err == nil {
-		t.Fatal("assign into a full channel succeeded")
+		t.Fatal("assign into a full queue succeeded")
 	}
 }
 

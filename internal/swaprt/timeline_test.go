@@ -98,12 +98,9 @@ func TestLiveTraceOneTimeline(t *testing.T) {
 }
 
 // steppedDecider is the decision service of a stepped run: it records
-// what each decision was asked and answered, and hands every handler
-// report it has folded in back to the driver, so the driver can hold the
-// clock still until the tick it caused has been fully consumed.
+// what each decision was asked and answered.
 type steppedDecider struct {
 	Forward
-	reported chan struct{}
 
 	mu        sync.Mutex
 	decisions []steppedDecision
@@ -132,12 +129,6 @@ func (d *steppedDecider) Decide(req DecideRequest) (DecideResponse, error) {
 	return resp, err
 }
 
-func (d *steppedDecider) Report(m ReportMsg) error {
-	err := d.Next.Report(m)
-	d.reported <- struct{}{}
-	return err
-}
-
 // steppedAudit is what a stepped run is watched with: a tracer the
 // runtime writes to, and a lens on the leaf decider — the runtime's own
 // LocalDecider (Config.Lens), or with served, a LocalDecider behind
@@ -150,13 +141,12 @@ type steppedAudit struct {
 }
 
 // steppedRun is one fully deterministic live run: a 2+1 world on a
-// manual clock.Fake where the only thing that moves time is the active
-// leader's Advance(step) per iteration. Each step is one handler
+// virtual clock where the only thing that takes time is the active
+// leader's sleep of one step per iteration. Each step is one handler
 // interval, so every rank's handler ticks exactly once per iteration,
-// and the leader waits for all three reports before it goes on: no
-// goroutine ever reads a clock that is about to move. rate gives each
-// rank's host speed as a function of the leader's iteration count — the
-// trace a sim-versus-live comparison would feed both sides.
+// while the leader sleeps. rate gives each rank's host speed as a
+// function of the leader's iteration count — the trace a sim-versus-live
+// comparison would feed both sides.
 func steppedRun(t *testing.T, policy core.Policy, iters int, step time.Duration,
 	rate func(rank, iter int) float64, audit steppedAudit) []steppedDecision {
 	t.Helper()
@@ -184,7 +174,7 @@ func steppedRun(t *testing.T, policy core.Policy, iters int, step time.Duration,
 		cfg.Lens = audit.lens
 		leaf = cfg.localDecider()
 	}
-	d := &steppedDecider{Forward: Forward{leaf}, reported: make(chan struct{}, ranks)}
+	d := &steppedDecider{Forward: Forward{leaf}}
 	cfg.Active, cfg.Decider, cfg.HandlerInterval = 2, d, step
 	cfg.Probe = func(rank int) float64 {
 		mu.Lock()
@@ -200,11 +190,7 @@ func steppedRun(t *testing.T, policy core.Policy, iters int, step time.Duration,
 					mu.Lock()
 					iterNow = iter
 					mu.Unlock()
-					clk.BlockUntilWaiters(ranks) // every handler's ticker is armed
-					clk.Advance(step)
-					for i := 0; i < ranks; i++ {
-						<-d.reported
-					}
+					clk.Sleep(step)
 				}
 				if _, err := s.Comm().AllReduceFloat64(mpi.OpSum, 1); err != nil {
 					return err
