@@ -158,8 +158,9 @@ func TestLiveHostsAreSimulatedHosts(t *testing.T) {
 
 // TestVirtualRunIsExact: an in-process run is on virtual time. An
 // unloaded iteration takes exactly its -work, so the anomaly detector
-// finds nothing to flag, and a scenario's trace is a function of the
-// scenario: two runs of one write the same bytes.
+// finds nothing to flag, a scenario's trace is a function of the
+// scenario (two runs of one write the same bytes), and a swap round pays
+// exactly its predicted link time, all of it in the transfer phase.
 func TestVirtualRunIsExact(t *testing.T) {
 	dir := t.TempDir()
 	trace := func(name, args string) string {
@@ -196,6 +197,24 @@ func TestVirtualRunIsExact(t *testing.T) {
 	}
 	if !bytes.Equal(first, second) {
 		t.Errorf("two runs of swaprun %s wrote different traces (%d and %d bytes)", swapped, len(first), len(second))
+	}
+
+	// The leader is not an outgoing rank here: what a round paid is the
+	// link time its outgoing rank voted, and the leader's wait holds
+	// nothing else.
+	committed := 0
+	for _, ev := range readEvents(t, trace("3+3.jsonl", "-ranks 6 -active 3 -inject 1@0.2:8,2@0.5:10")) {
+		if ev.Kind != obs.KindSwapRecord || ev.Verdict != obs.VerdictCommit {
+			continue
+		}
+		committed++
+		if p := ev.Round.Phases; p.Transfer != ev.SwapTime || p.Vote != 0 {
+			t.Errorf("epoch %d predicted %gs and paid transfer=%g vote=%g, want transfer=%g vote=0",
+				ev.Epoch, ev.SwapTime, p.Transfer, p.Vote, ev.SwapTime)
+		}
+	}
+	if committed == 0 {
+		t.Error("the 3+3 run committed no swap")
 	}
 }
 

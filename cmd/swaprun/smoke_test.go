@@ -170,20 +170,41 @@ var smokes = []smoke{{
 	// Sixteen ranks on the TCP transport at real time, 256 KiB of state
 	// each. A rank's compute is a sleep on its host, so a round pays for
 	// its messages and its state, not for a turn on a CPU that eight
-	// computing ranks share; and the state moves whole.
+	// computing ranks share; and the state moves whole, which the record
+	// states too: its transfer phase is the outgoing rank's.
 	name: "tcp-wide",
 	args: "-ranks 16 -active 8 -tcp -state 262144 -inject 1@0.2:8,2@0.5:10 -events-out {dir}/run.jsonl",
 	check: func(t *testing.T, dir, _ string) {
 		var paid []float64
+		var records []obs.Event
 		outs := 0
+		sent := map[uint64]float64{} // the longest outbound transfer by epoch
 		for _, ev := range readEvents(t, filepath.Join(dir, "run.jsonl")) {
 			switch {
 			case ev.Kind == obs.KindSwapRecord:
 				paid = append(paid, ev.Dur)
+				records = append(records, ev)
 			case ev.Kind == obs.KindStateTransfer && ev.Detail == "out":
 				if outs++; ev.Bytes < 262144 {
 					t.Errorf("an outbound state transfer carried %d bytes, want at least 262144", ev.Bytes)
 				}
+				sent[ev.Epoch] = max(sent[ev.Epoch], ev.Dur)
+			}
+		}
+		for _, rec := range records {
+			p := rec.Round.Phases
+			t.Logf("epoch %d %s: paid %.3f ms: plan %.3f transfer %.3f vote %.3f commit %.3f rebuild %.3f",
+				rec.Epoch, rec.Verdict, rec.Dur*1e3, p.Plan*1e3, p.Transfer*1e3, p.Vote*1e3, p.Commit*1e3, p.Rebuild*1e3)
+			if rec.Verdict != obs.VerdictCommit {
+				continue
+			}
+			for _, pair := range rec.Round.Pairs {
+				if pair.Committed && pair.Bytes < 262144 {
+					t.Errorf("epoch %d: the record's pair %+v moved %d bytes, want at least 262144", rec.Epoch, pair, pair.Bytes)
+				}
+			}
+			if out := sent[rec.Epoch]; p.Transfer <= 0 || math.Abs(p.Transfer-out) > max(0.05*out, 20e-6) {
+				t.Errorf("epoch %d: the record's transfer phase is %.6gs, its outbound transfer %.6gs", rec.Epoch, p.Transfer, out)
 			}
 		}
 		if len(paid) == 0 || outs == 0 {

@@ -138,16 +138,12 @@ type Analysis struct {
 	// the rounds, and each round's max/mean (1 = perfectly balanced).
 	critical, ideal float64
 	imbalance       []float64
-	records         []Event // SwapRecords, trace order
-	// A committed round's epoch joins its outbound transfers (seconds,
-	// bytes) and the lens's realization of its payback.
-	transferDur   map[uint64]float64
-	transferBytes map[uint64]int64
-	realized      map[uint64]Event
-	decideDur     []float64 // seconds per decision
-	anomalies     []AnomalyWindow
-	recorded      int // KindAnomaly events present in the trace itself
-	circuit       map[string]int
+	records         []Event          // SwapRecords, trace order
+	realized        map[uint64]Event // by committed epoch: the lens's realization of its payback
+	decideDur       []float64        // seconds per decision
+	anomalies       []AnomalyWindow
+	recorded        int // KindAnomaly events present in the trace itself
+	circuit         map[string]int
 
 	hasCausal bool        // trace carries MsgSend/MsgRecv events
 	causal    CausalCheck // validations over the happens-before evidence
@@ -165,7 +161,7 @@ func Analyze(events []Event) *Analysis {
 	a.Events = len(events)
 	ranks := map[int]bool{}
 
-	a.transferDur, a.transferBytes, a.realized = map[uint64]float64{}, map[uint64]int64{}, map[uint64]Event{}
+	a.realized = map[uint64]Event{}
 	var decisions []Event
 	for _, ev := range events {
 		a.counts[ev.Kind]++
@@ -182,11 +178,6 @@ func Analyze(events []Event) *Analysis {
 			a.decideDur = append(a.decideDur, ev.Dur)
 		case KindSwapRecord:
 			a.records = append(a.records, ev)
-		case KindStateTransfer:
-			if ev.Detail != "in" {
-				a.transferDur[ev.Epoch] += ev.Dur
-				a.transferBytes[ev.Epoch] += ev.Bytes
-			}
 		case KindPaybackRealized:
 			a.realized[ev.Epoch] = ev
 		case KindAnomaly:
@@ -333,13 +324,26 @@ func (a *Analysis) WriteReport(w io.Writer) error {
 		var bytes int64
 		var phases [7][]float64
 		for _, rec := range a.records {
-			// The record states the prediction and the paid time. Only a
-			// committed round owns its epoch's transfers and realization:
-			// an aborted one moved no acknowledged state, and a later
-			// round may commit the epoch it proposed.
-			actual, moved, realized, outcome := 0.0, int64(0), "-", " aborted"
+			// The record states the prediction, the paid time and what its
+			// pairs' transfers took and carried; a relocation, which has no
+			// pairs, states its own bytes and transfer phase.
+			actual, moved, realized, outcome := 0.0, rec.Bytes, "-", " aborted"
+			if r := rec.Round; r != nil {
+				p := r.Phases
+				for i, v := range [...]float64{p.Gather, p.Decide, p.Plan, p.Transfer, p.Vote, p.Commit, p.Rebuild} {
+					phases[i] = append(phases[i], v)
+				}
+				if len(r.Pairs) == 0 {
+					actual = p.Transfer
+				}
+				for _, pair := range r.Pairs {
+					actual, moved = actual+pair.Transfer, moved+pair.Bytes
+				}
+			}
+			// Only a committed round owns its epoch's realization: a later
+			// round may commit the epoch an aborted one proposed.
 			if rec.Verdict == VerdictCommit {
-				actual, moved, outcome = a.transferDur[rec.Epoch], a.transferBytes[rec.Epoch], ""
+				outcome = ""
 				if r, ok := a.realized[rec.Epoch]; ok {
 					realized = fmt.Sprintf("%.6g(%s)", r.Payback, r.Verdict)
 				}
@@ -350,12 +354,6 @@ func (a *Analysis) WriteReport(w io.Writer) error {
 			paid += rec.Dur
 			act += actual
 			bytes += moved
-			if r := rec.Round; r != nil {
-				p := r.Phases
-				for i, v := range [...]float64{p.Gather, p.Decide, p.Plan, p.Transfer, p.Vote, p.Commit, p.Rebuild} {
-					phases[i] = append(phases[i], v)
-				}
-			}
 		}
 		fmt.Fprintf(bw, "total: predicted=%.6gs paid=%.6gs actual=%.6gs ratio=%.4g bytes=%d\n",
 			pred, paid, act, safeDiv(act, pred), bytes)

@@ -18,8 +18,9 @@ func TestReadJSONLRoundTrip(t *testing.T) {
 	tr.Emit(Event{Kind: KindStateTransfer, Rank: 1, T: 2.1, Dur: 0.05, Bytes: 1024, Detail: "out"})
 	tr.Emit(Event{Kind: KindAnomaly, Rank: 1, T: 3, Value: 0.9, IterTime: 0.3, Z: 4.2, Detail: "iter_time"})
 	tr.Emit(Event{Kind: KindSwapRecord, Rank: 0, T: 2.001, Dur: 0.06, Epoch: 1, Swaps: 1, SwapTime: 0.2,
-		Payback: 3, Verdict: VerdictCommit, Round: &SwapRound{Pairs: []SwapPair{{Out: 1, In: 2, Committed: true}},
-			Phases: Phases{Gather: 0.01, Decide: 0.001, Plan: 0.005, Vote: 0.05, Commit: 0.004, Rebuild: 0.001}}})
+		Payback: 3, Verdict: VerdictCommit, Round: &SwapRound{
+			Pairs:  []SwapPair{{Out: 1, In: 2, Committed: true, Bytes: 1024, Transfer: 0.05}},
+			Phases: Phases{Gather: 0.01, Decide: 0.001, Plan: 0.005, Transfer: 0.05, Commit: 0.004, Rebuild: 0.001}}})
 
 	var b strings.Builder
 	if err := tr.WriteJSONL(&b); err != nil {
@@ -71,9 +72,10 @@ func TestAnalyzeSyntheticTrace(t *testing.T) {
 			Event{Kind: KindSwapDecision, Rank: 0, T: ti + 0.01, Dur: 0.001, Verdict: "stay"},
 		)
 	}
-	// One swap decision with its transfer, the record of its round, and
-	// the realization of its payback. The spare's inbound transfer is not
-	// the round's cost.
+	// One swap decision with its transfers, the record of its round, and
+	// the realization of its payback. The record's pair states what the
+	// transfer took and carried; the analysis reads it there, not from the
+	// StateTransfer events, which it would count twice with the spare's.
 	events = append(events,
 		Event{Kind: KindIterEnd, Rank: 0, T: 21, Value: 0.1},
 		Event{Kind: KindIterEnd, Rank: 1, T: 21, Value: 0.2},
@@ -82,7 +84,8 @@ func TestAnalyzeSyntheticTrace(t *testing.T) {
 		Event{Kind: KindStateTransfer, Rank: 1, T: 21.02, Dur: 0.3, Bytes: 2048, Detail: "out", Epoch: 1},
 		Event{Kind: KindStateTransfer, Rank: 2, T: 21.02, Dur: 0.31, Bytes: 2048, Detail: "in", Epoch: 1},
 		Event{Kind: KindSwapRecord, Rank: 0, T: 21.012, Dur: 0.35, Epoch: 1, Swaps: 1, SwapTime: 0.5,
-			Payback: 4, Verdict: VerdictCommit, Round: &SwapRound{Pairs: []SwapPair{{Out: 1, In: 2, Committed: true}},
+			Payback: 4, Verdict: VerdictCommit, Round: &SwapRound{
+				Pairs:  []SwapPair{{Out: 1, In: 2, Committed: true, Bytes: 2048, Transfer: 0.3}},
 				Phases: Phases{Plan: 0.008, Vote: 0.31, Commit: 0.02, Rebuild: 0.012}}},
 		Event{Kind: KindPaybackRealized, Rank: RankRuntime, T: 22, Epoch: 1, Payback: 4.2, Verdict: "ok"},
 	)
@@ -155,7 +158,8 @@ func FuzzReadJSONL(f *testing.F) {
 		Verdict: "swap", Reason: "gain", Epoch: 4})
 	tr.Emit(Event{Kind: KindStateTransfer, Rank: 0, T: 1.01, Dur: 0.05, Peer: 1, Bytes: 4096, Detail: "out", Epoch: 5})
 	tr.Emit(Event{Kind: KindSwapRecord, Rank: 0, T: 1.001, Dur: 0.06, Epoch: 5, Swaps: 1, SwapTime: 0.2,
-		Payback: 3, Verdict: VerdictCommit, Round: &SwapRound{Pairs: []SwapPair{{Out: 0, In: 1, Committed: true}},
+		Payback: 3, Verdict: VerdictCommit, Round: &SwapRound{
+			Pairs:  []SwapPair{{Out: 0, In: 1, Committed: true, Bytes: 4096, Transfer: 0.05}},
 			Phases: Phases{Gather: 0.01, Decide: 0.001, Plan: 0.002, Transfer: 0.05, Vote: 0.005, Commit: 0.002, Rebuild: 0.001}}})
 	var seed strings.Builder
 	if err := tr.WriteJSONL(&seed); err != nil {
@@ -163,6 +167,8 @@ func FuzzReadJSONL(f *testing.F) {
 	}
 	f.Add([]byte(seed.String()))
 	f.Add([]byte(`{"kind":"SwapRecord","rank":-1,"t":2,"round":{"pairs":[],"phases":{}}}`))
+	f.Add([]byte(`{"kind":"SwapRecord","rank":0,"t":3,"epoch":2,"swaps":2,"verdict":"commit","round":{"pairs":[` +
+		`{"out":0,"in":2,"committed":true,"bytes":4096,"transfer":0.05},{"out":1,"in":3}],"phases":{"transfer":0.05}}}`))
 	f.Add([]byte(`{"kind":"SwapRecord","rank":0,"t":2,"round":null}` + "\n" + `{"kind":"IterEnd","rank":1,"t":1,"value":0.5}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		evs, err := ReadJSONL(bytes.NewReader(data))

@@ -114,7 +114,9 @@ const (
 	// the live leader and the simulator's driver: T = when the plan went
 	// out, Dur = the paid time, Epoch = the proposed epoch, Swaps = the
 	// directives, SwapTime/Payback = the decision's predictions, Verdict =
-	// VerdictCommit if any directive committed, else VerdictAbort.
+	// VerdictCommit if any directive committed, else VerdictAbort, Bytes
+	// = a relocation's checkpoint bytes (a round of directives states
+	// its bytes on its pairs).
 	KindSwapRecord
 )
 
@@ -205,15 +207,23 @@ type SwapRound struct {
 	Phases Phases     `json:"phases"`
 }
 
-// SwapPair is one directive of a round: Out's process moves to In.
+// SwapPair is one directive of a round: Out's process moves to In. A
+// committed pair states the state bytes Out sent and the seconds from its
+// send to In's ack, on Out's clock; a pair whose transfer failed states
+// zeros.
 type SwapPair struct {
-	Out       int  `json:"out"`
-	In        int  `json:"in"`
-	Committed bool `json:"committed,omitempty"`
+	Out       int     `json:"out"`
+	In        int     `json:"in"`
+	Committed bool    `json:"committed,omitempty"`
+	Bytes     int64   `json:"bytes,omitempty"`
+	Transfer  float64 `json:"transfer,omitempty"`
 }
 
 // Phases are a round's consecutive intervals on its leader's timeline, in
-// seconds (DESIGN.md §12). The simulator has only Transfer and Rebuild.
+// seconds (DESIGN.md §12). Transfer is the longest pair's Transfer, or a
+// relocation's checkpoint write and read; Vote is the rest of the leader's
+// wait for the votes, and a transfer longer than that wait takes the end
+// of Plan. The simulator has only Transfer and Rebuild.
 type Phases struct {
 	Gather   float64 `json:"gather"`
 	Decide   float64 `json:"decide"`

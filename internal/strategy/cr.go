@@ -139,13 +139,14 @@ func (d *driver) crRestarted() {
 
 // crRead ends a relocation on the new hosts once the checkpoint is read,
 // committing the proposed epoch. The relocation's paid time is its two
-// checkpoint legs and the restart between them.
+// checkpoint legs and the restart between them; each leg moves every
+// process's state.
 func (d *driver) crRead() {
 	d.crLeg(d.readStart, "checkpoint read")
 	d.hosts, d.relocTo = d.relocTo, nil
 	d.epoch++
 	restart := d.p.StartupTime(d.sc.Active)
-	d.closeRecord(obs.Phases{Transfer: d.k.Now() - d.actedAt - restart, Rebuild: restart})
+	d.closeRecord(obs.Phases{Transfer: d.k.Now() - d.actedAt - restart, Rebuild: restart}, 2*d.checkpointBytes())
 	d.done()
 }
 
@@ -154,6 +155,9 @@ func (d *driver) crRead() {
 func (d *driver) crLeg(start float64, detail string) {
 	if tr := d.k.Tracer(); tr.Enabled() {
 		tr.Emit(obs.Event{Kind: obs.KindStateTransfer, Rank: obs.RankRuntime, T: start, Dur: d.k.Now() - start,
-			Bytes: int64(float64(d.sc.Active) * d.sc.App.StateBytes), Detail: detail, Epoch: d.epoch + 1})
+			Bytes: d.checkpointBytes(), Detail: detail, Epoch: d.epoch + 1})
 	}
 }
+
+// checkpointBytes is one checkpoint leg's payload: every process's state.
+func (d *driver) checkpointBytes() int64 { return int64(float64(d.sc.Active) * d.sc.App.StateBytes) }

@@ -118,7 +118,7 @@ func swapBoundary(d *driver, iter int, iterTime float64, done func()) {
 // swapLanded ends a swap boundary when its last state transfer lands.
 // Sim swaps always land: commit the proposed epoch (live convention: a
 // decision at epoch e establishes e+1). The round's paid time is its
-// transfer.
+// transfer, and each pair's transfer takes all of it: they share the link.
 func (d *driver) swapLanded() {
 	landed := d.k.Now()
 	d.epoch++
@@ -130,7 +130,7 @@ func (d *driver) swapLanded() {
 				Bytes: int64(d.sc.App.StateBytes), Detail: "out", Epoch: d.epoch})
 		}
 	}
-	d.closeRecord(obs.Phases{Transfer: landed - d.actedAt})
+	d.closeRecord(obs.Phases{Transfer: landed - d.actedAt}, int64(d.sc.App.StateBytes))
 	d.swaps = nil
 	d.done()
 }
@@ -144,10 +144,19 @@ func (d *driver) openRecord(now float64, swaps int, swapTime, payback float64, p
 }
 
 // closeRecord emits the open swap record with the round's phases, which
-// sum to its paid time. A simulated round always commits.
-func (d *driver) closeRecord(p obs.Phases) {
+// sum to its paid time, and the bytes each of its pairs moved in the
+// transfer phase; a relocation, which has no pairs, states them itself. A
+// simulated round always commits.
+func (d *driver) closeRecord(p obs.Phases, bytes int64) {
 	if d.record == nil {
 		return
+	}
+	pairs := d.record.Round.Pairs
+	for i := range pairs {
+		pairs[i].Bytes, pairs[i].Transfer = bytes, p.Transfer
+	}
+	if len(pairs) == 0 {
+		d.record.Bytes = bytes
 	}
 	d.record.Round.Phases, d.record.Dur = p, p.Paid()
 	d.k.Tracer().Emit(*d.record)

@@ -7,17 +7,18 @@ import (
 	"testing"
 )
 
-// FuzzPlanCommitDecode: the plan and commit messages arrive from another
-// rank, so both decoders read every input. Neither may panic, neither
+// FuzzPlanCommitDecode: the plan, vote and commit messages arrive from
+// another rank, so their decoders read every input (a vote as one on a
+// plan of as many directives as it has whole slots). None may panic, none
 // may allocate beyond what the input's own size backs (the count is
 // checked against the bytes behind it before the make), and the layout
-// has no slack — an input either decoder accepts re-encodes to itself.
+// has no slack — an input any decoder accepts re-encodes to itself.
 func FuzzPlanCommitDecode(f *testing.F) {
 	plan := encodePlan([]SwapDirective{{Out: 0, In: 3}, {Out: -1, In: 2}})
-	commit := encodeCommit(commitMsg{Epoch: 7, Commit: true, NewSet: []int{3, 1, -2}})
+	commit := encodeCommit(nil, commitMsg{Epoch: 7, Commit: true, NewSet: []int{3, 1, -2}})
 	for _, msg := range [][]byte{
-		plan, commit,
-		encodePlan(nil), encodeCommit(commitMsg{Epoch: 1}),
+		plan, commit, ackedVote,
+		encodePlan(nil), encodeCommit(nil, commitMsg{Epoch: 1}),
 	} {
 		f.Add(msg)
 		f.Add(msg[:len(msg)-1])                   // truncated
@@ -28,6 +29,8 @@ func FuzzPlanCommitDecode(f *testing.F) {
 	f.Add(patched(plan, func(b []byte) { binary.LittleEndian.PutUint64(b, 1) }))
 	f.Add(patched(commit, func(b []byte) { binary.LittleEndian.PutUint64(b[9:], 1<<60) }))
 	f.Add(patched(commit, func(b []byte) { b[8] = 2 }))
+	// A slot that is not the voter's carries a transfer.
+	f.Add(patched(ackedVote, func(b []byte) { b[voteSlot+1] = 1 }))
 	f.Add([]byte{})
 	// An ack: the epoch prefix the state, ack and commit messages share,
 	// with nothing behind it.
@@ -38,6 +41,8 @@ func FuzzPlanCommitDecode(f *testing.F) {
 		runtime.ReadMemStats(&before)
 		p, perr := decodePlan(data)
 		c, cerr := decodeCommit(data)
+		n := len(data) / voteSlot
+		verr := checkVote(0, data, n)
 		runtime.ReadMemStats(&after)
 		// A directive is 16 bytes on the wire and in memory, a rank 8 and
 		// 8; the slack is the two error values and whatever the fuzz
@@ -48,8 +53,17 @@ func FuzzPlanCommitDecode(f *testing.F) {
 		if perr == nil && !bytes.Equal(encodePlan(p), data) {
 			t.Fatalf("plan %+v decoded from\n%x\nre-encodes to\n%x", p, data, encodePlan(p))
 		}
-		if cerr == nil && !bytes.Equal(encodeCommit(c), data) {
-			t.Fatalf("commit %+v decoded from\n%x\nre-encodes to\n%x", c, data, encodeCommit(c))
+		if cerr == nil && !bytes.Equal(encodeCommit(nil, c), data) {
+			t.Fatalf("commit %+v decoded from\n%x\nre-encodes to\n%x", c, data, encodeCommit(nil, c))
+		}
+		if verr == nil {
+			again := make([]byte, len(data))
+			for i := range n {
+				ballotAt(data, i).put(again, i)
+			}
+			if !bytes.Equal(again, data) {
+				t.Fatalf("vote decoded from\n%x\nre-encodes to\n%x", data, again)
+			}
 		}
 	})
 }

@@ -25,12 +25,12 @@ import (
 // pass between an outgoing rank and its spare start with the proposed
 // epoch, so one await drops whatever an aborted proposal left behind:
 //
-//	rate:    IEEE bits(u64)                              member → leader    gather
-//	plan:    n(u64) n x { out(u64) in(u64) }             leader → members   bcast
-//	state:   epoch(u64) encoded state set                out → spare        0x5a17
-//	ack:     epoch(u64)                                  spare → out        0x5a18
-//	vote:    n x outcome(u8)                             out → members      announce
-//	outcome: epoch(u64) commit(u8) n(u64) n x rank(u64)  out → spare        0x5a19
+//	rate:    IEEE bits(u64)                                member → leader   gather
+//	plan:    n(u64) n x { out(u64) in(u64) }               leader → members  bcast
+//	state:   epoch(u64) encoded state set                  out → spare       0x5a17
+//	ack:     epoch(u64)                                    spare → out       0x5a18
+//	vote:    n x { outcome(u8) transfer(u64) bytes(u64) }  out → members     announce
+//	outcome: epoch(u64) commit(u8) n(u64) n x rank(u64)    out → spare       0x5a19
 //
 // The rates, the plan and the votes travel on the members' communicator
 // under the transport's internal collective tags. Only the leader reads
@@ -38,12 +38,15 @@ import (
 // member waits on: a swap point that orders nothing is 2(n−1) messages.
 // The vote goes in one hop from each outgoing rank to every other member
 // (mpi.Comm.Announce); a member that is no directive's outgoing rank
-// sends none. It carries no epoch: an aborted round keeps the
-// communicator and each round consumes one vote per outgoing rank, so
-// per-pair FIFO matches every vote to its round. The proposed epoch is
-// always the current one plus one, which every member holds, so the plan
-// does not carry it either. Ranks are two's-complement int64; a decoder
-// checks n against the bytes that follow before it allocates.
+// sends none. A vote's slot for a directive its sender acked carries the
+// send-to-ack time in nanoseconds on the sender's clock and the state
+// bytes it sent; every other slot carries zeros. The vote carries no
+// epoch: an aborted round keeps the communicator and each round consumes
+// one vote per outgoing rank, so per-pair FIFO matches every vote to its
+// round. The proposed epoch is always the current one plus one, which
+// every member holds, so the plan does not carry it either. Ranks are
+// two's-complement int64; a decoder checks n against the bytes that
+// follow before it allocates.
 const (
 	tagState       = 0x5a17
 	tagStateAck    = 0x5a18
@@ -56,6 +59,32 @@ const (
 	outcomeOK   = 1 // the state reached the spare and was acknowledged
 	outcomeFail = 2 // the transfer failed or timed out
 )
+
+// voteSlot is the size of one directive's slot in a vote.
+const voteSlot = 17
+
+// ballot is one directive's slot of a vote: the outcome, and for an
+// acknowledged transfer its send-to-ack time and state bytes.
+type ballot struct {
+	outcome  byte
+	transfer time.Duration
+	bytes    uint64
+}
+
+// put writes b into slot i of vote.
+func (b ballot) put(vote []byte, i int) {
+	slot := vote[i*voteSlot : (i+1)*voteSlot]
+	slot[0] = b.outcome
+	binary.LittleEndian.PutUint64(slot[1:], uint64(b.transfer))
+	binary.LittleEndian.PutUint64(slot[9:], b.bytes)
+}
+
+// ballotAt reads slot i of vote.
+func ballotAt(vote []byte, i int) ballot {
+	slot := vote[i*voteSlot : (i+1)*voteSlot]
+	return ballot{outcome: slot[0], transfer: time.Duration(binary.LittleEndian.Uint64(slot[1:])),
+		bytes: binary.LittleEndian.Uint64(slot[9:])}
+}
 
 // errOutcomeLost ends the run of a spare that acknowledged its state but
 // heard neither commit nor abort in time: the members may already count
@@ -85,8 +114,8 @@ func newRound(set []int, epoch uint64, swaps []SwapDirective, votes [][]byte) ro
 	r := round{verdict: make([]byte, len(swaps)), set: slices.Clone(set), epoch: epoch}
 	for _, v := range votes {
 		for i := range r.verdict {
-			if i < len(v) && v[i] != outcomeNone {
-				r.verdict[i] = v[i]
+			if o := ballotAt(v, i).outcome; o != outcomeNone {
+				r.verdict[i] = o
 			}
 		}
 	}
@@ -245,8 +274,7 @@ const (
 	lapGather = iota
 	lapDecide
 	lapPlan
-	lapTransfer
-	lapVote
+	lapTransfer // transfer and vote: split by the votes (recordRound)
 	lapCommit
 	lapRebuild
 	lapEnd
@@ -268,21 +296,18 @@ func (s *Session) swap(swaps []SwapDirective) error {
 	rec := s.comm.Rank() == 0 && (s.tr.Enabled() || s.cfg.Telemetry != nil)
 	s.lap(rec, lapTransfer)
 	proposed := s.epoch + 1
-	s.vote = slices.Grow(s.vote[:0], len(swaps))[:len(swaps)]
+	s.vote = slices.Grow(s.vote[:0], len(swaps)*voteSlot)[:len(swaps)*voteSlot]
 	clear(s.vote)
 	s.outgoing = s.outgoing[:0]
 	var acked time.Time
-	s.laps[lapVote] = s.laps[lapTransfer]
 	for i, sw := range swaps {
 		if j := slices.Index(s.activeSet, sw.Out); j >= 0 && !slices.Contains(s.outgoing, j) {
 			s.outgoing = append(s.outgoing, j)
 		}
 		if sw.Out == s.r.Rank() {
-			s.vote[i] = outcomeFail
-			if acked = s.transferOut(sw, proposed); !acked.IsZero() {
-				s.vote[i] = outcomeOK
-			}
-			s.lap(rec, lapVote)
+			var b ballot
+			acked, b = s.transferOut(sw, proposed)
+			b.put(s.vote, i)
 		}
 	}
 
@@ -331,15 +356,17 @@ func (s *Session) swap(swaps []SwapDirective) error {
 }
 
 // recordRound states a settled round once, after its last phase: the
-// SwapRecord for the tracer and the telemetry hub. Its phases sum to its
-// paid time by construction.
+// SwapRecord for the tracer and the telemetry hub. Each pair carries the
+// transfer its outgoing rank voted, and the longest of them is the
+// round's transfer phase; the rest of the leader's wait for the votes is
+// the vote phase. An outgoing rank may start its transfer while the
+// leader still broadcasts the plan, so the transfer phase reaches back
+// into the plan phase when the wait is shorter than it. Clamped to the
+// plan's start, no phase is negative when two ranks' clocks disagree,
+// and the phases sum to the paid time by construction.
 func (s *Session) recordRound(r round, swaps []SwapDirective, proposed uint64) {
 	s.laps[lapEnd] = s.tl.Now()
-	phase := func(i int) float64 { return s.laps[i+1].Sub(s.laps[i]).Seconds() }
-	round := &obs.SwapRound{Pairs: make([]obs.SwapPair, len(swaps)), Phases: obs.Phases{
-		Gather: phase(lapGather), Decide: phase(lapDecide), Plan: phase(lapPlan),
-		Transfer: phase(lapTransfer), Vote: phase(lapVote), Commit: phase(lapCommit),
-		Rebuild: phase(lapRebuild)}}
+	round := &obs.SwapRound{Pairs: make([]obs.SwapPair, len(swaps))}
 	verdict := obs.VerdictAbort
 	for i, sw := range swaps {
 		round.Pairs[i] = obs.SwapPair{Out: sw.Out, In: sw.In, Committed: r.committed(i)}
@@ -347,6 +374,23 @@ func (s *Session) recordRound(r round, swaps []SwapDirective, proposed uint64) {
 			verdict = obs.VerdictCommit
 		}
 	}
+	var transfer time.Duration
+	for _, v := range s.votes {
+		for i := range swaps {
+			if b := ballotAt(v, i); b.outcome == outcomeOK {
+				round.Pairs[i].Bytes, round.Pairs[i].Transfer = int64(b.bytes), b.transfer.Seconds()
+				transfer = max(transfer, b.transfer)
+			}
+		}
+	}
+	phase := func(i int) time.Duration { return s.laps[i+1].Sub(s.laps[i]) }
+	plan, wait := phase(lapPlan), phase(lapTransfer)
+	transfer = min(transfer, plan+wait)
+	vote := max(wait-transfer, 0)
+	plan = plan + wait - transfer - vote
+	round.Phases = obs.Phases{Gather: phase(lapGather).Seconds(), Decide: phase(lapDecide).Seconds(),
+		Plan: plan.Seconds(), Transfer: transfer.Seconds(), Vote: vote.Seconds(),
+		Commit: phase(lapCommit).Seconds(), Rebuild: phase(lapRebuild).Seconds()}
 	ev := obs.Event{Kind: obs.KindSwapRecord, Rank: s.r.Rank(), T: s.tl.secs(s.laps[lapPlan]),
 		Dur: round.Phases.Paid(), Epoch: proposed, Swaps: len(swaps),
 		SwapTime: s.swapTime, Payback: s.payback, Verdict: verdict, Round: round}
@@ -356,25 +400,33 @@ func (s *Session) recordRound(r round, swaps []SwapDirective, proposed uint64) {
 	s.cfg.Telemetry.ObserveRound(ev)
 }
 
-// checkVote rejects a vote from world rank from that is not one outcome
-// per directive of a plan of n. A malformed vote is never read as
-// outcomeNone: it ends the run.
+// checkVote rejects a vote from world rank from that is not one slot per
+// directive of a plan of n, each with a known outcome, a transfer that is
+// not negative, and zeros behind any outcome but outcomeOK. A malformed
+// vote is never read as outcomeNone: it ends the run.
 func checkVote(from int, vote []byte, n int) error {
-	if len(vote) != n {
+	if len(vote) != n*voteSlot {
 		return fmt.Errorf("swaprt: vote from rank %d: %d bytes for %d directives", from, len(vote), n)
 	}
-	for i, v := range vote {
-		if v != outcomeNone && v != outcomeOK && v != outcomeFail {
-			return fmt.Errorf("swaprt: vote from rank %d: outcome %d for directive %d", from, v, i)
+	for i := range n {
+		switch b := ballotAt(vote, i); {
+		case b.outcome != outcomeNone && b.outcome != outcomeOK && b.outcome != outcomeFail:
+			return fmt.Errorf("swaprt: vote from rank %d: outcome %d for directive %d", from, b.outcome, i)
+		case b.outcome != outcomeOK && (b.transfer != 0 || b.bytes != 0):
+			return fmt.Errorf("swaprt: vote from rank %d: outcome %d for directive %d carries a transfer", from, b.outcome, i)
+		case b.transfer < 0:
+			return fmt.Errorf("swaprt: vote from rank %d: transfer %d ns for directive %d", from, b.transfer, i)
 		}
 	}
 	return nil
 }
 
 // transferOut ships the registered state to the directive's spare and
-// waits for its ack: the outgoing rank's vote. It returns when the ack
-// arrived, or the zero time once it has aborted the directive.
-func (s *Session) transferOut(sw SwapDirective, epoch uint64) time.Time {
+// waits for its ack. It returns when the ack arrived and the outgoing
+// rank's ballot on the directive: outcomeOK with the send-to-ack time and
+// the bytes sent, or, once it has aborted the directive, the zero time and
+// outcomeFail.
+func (s *Session) transferOut(sw SwapDirective, epoch uint64) (time.Time, ballot) {
 	start := s.tl.Now()
 	// One copy on this side: variable -> s.buf, behind the epoch; Send
 	// writes s.buf to the socket.
@@ -393,7 +445,7 @@ func (s *Session) transferOut(sw SwapDirective, epoch uint64) time.Time {
 	}
 	if err != nil {
 		s.abort(sw.In, s.epoch, fmt.Sprintf("state to rank %d: %v", sw.In, err))
-		return time.Time{}
+		return time.Time{}, ballot{outcome: outcomeFail}
 	}
 	acked := s.tl.Now()
 	dur, bytes := acked.Sub(start), len(payload)-8
@@ -403,7 +455,7 @@ func (s *Session) transferOut(sw SwapDirective, epoch uint64) time.Time {
 		s.tr.Emit(obs.Event{Kind: obs.KindStateTransfer, Rank: s.r.Rank(), T: s.tl.secs(start),
 			Dur: dur.Seconds(), Peer: sw.In, Bytes: int64(bytes), Epoch: epoch, Detail: "out"})
 	}
-	return acked
+	return acked, ballot{outcome: outcomeOK, transfer: dur, bytes: uint64(bytes)}
 }
 
 // sendOutcome tells the spare how its directive ended. An abort goes
@@ -411,9 +463,10 @@ func (s *Session) transferOut(sw SwapDirective, epoch uint64) time.Time {
 // already took one message. A commit must arrive, since the members
 // already count the spare in: a failed send is retried until the spare
 // stops waiting, outcomeTimeout after its ack, and past that the spare
-// ends the run itself (errOutcomeLost).
+// ends the run itself (errOutcomeLost). The message is encoded into the
+// rank's message buffer, which the acknowledged state no longer needs.
 func (s *Session) sendOutcome(in int, epoch uint64, commit bool, set []int, acked time.Time) {
-	msg := encodeCommit(commitMsg{Epoch: epoch, Commit: commit, NewSet: set})
+	msg := encodeCommit(s.buf, commitMsg{Epoch: epoch, Commit: commit, NewSet: set})
 	for {
 		err := s.r.World().Send(in, tagStateCommit, msg)
 		if err == nil {
@@ -568,9 +621,9 @@ func decodePlan(data []byte) ([]SwapDirective, error) {
 	return swaps, nil
 }
 
-func encodeCommit(m commitMsg) []byte {
-	b := make([]byte, 0, 17+8*len(m.NewSet))
-	b = binary.LittleEndian.AppendUint64(b, m.Epoch)
+// encodeCommit encodes m over b, which it grows if b is too small.
+func encodeCommit(b []byte, m commitMsg) []byte {
+	b = binary.LittleEndian.AppendUint64(slices.Grow(b[:0], 17+8*len(m.NewSet)), m.Epoch)
 	b = append(b, 0)
 	if m.Commit {
 		b[8] = 1

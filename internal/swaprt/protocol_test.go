@@ -28,7 +28,7 @@ func TestRoundSettles(t *testing.T) {
 		name        string
 		set         []int
 		swaps       []SwapDirective
-		votes       [][]byte // by member, as gathered
+		votes       [][]byte // by member, as gathered: one outcome per directive
 		verdict     []byte
 		newSet      []int
 		epoch       uint64 // settled from epoch 7
@@ -68,12 +68,16 @@ func TestRoundSettles(t *testing.T) {
 	}} {
 		t.Run(c.name, func(t *testing.T) {
 			set := slices.Clone(c.set)
-			r := newRound(set, 7, c.swaps, c.votes)
+			votes := make([][]byte, len(c.votes))
+			for i, v := range c.votes {
+				votes[i] = outcomes(v...)
+			}
+			r := newRound(set, 7, c.swaps, votes)
 			want := round{verdict: c.verdict, set: c.newSet, epoch: c.epoch, quarantined: c.quarantined}
 			if !reflect.DeepEqual(r, want) {
 				t.Fatalf("leader settled %+v, want %+v", r, want)
 			}
-			if member := newRound(set, 7, c.swaps, [][]byte{r.verdict}); !reflect.DeepEqual(member, r) {
+			if member := newRound(set, 7, c.swaps, [][]byte{outcomes(r.verdict...)}); !reflect.DeepEqual(member, r) {
 				t.Fatalf("a member settled %+v from the verdict, the leader %+v", member, r)
 			}
 			if !slices.Equal(set, c.set) {
@@ -83,8 +87,31 @@ func TestRoundSettles(t *testing.T) {
 	}
 }
 
-// TestCheckVote: a vote that is not one outcome per directive of the
-// plan is an error naming its sender, never read as outcomeNone.
+// vote encodes one ballot per directive.
+func vote(bs ...ballot) []byte {
+	v := make([]byte, len(bs)*voteSlot)
+	for i, b := range bs {
+		b.put(v, i)
+	}
+	return v
+}
+
+// outcomes is a vote with these outcomes and no transfers.
+func outcomes(os ...byte) []byte {
+	bs := make([]ballot, len(os))
+	for i, o := range os {
+		bs[i].outcome = o
+	}
+	return vote(bs...)
+}
+
+// ackedVote is a vote on a plan of two: the first directive acked
+// after 1.5 ms and 4 KiB, the second not this rank's.
+var ackedVote = vote(ballot{outcome: outcomeOK, transfer: 1500 * time.Microsecond, bytes: 4096}, ballot{})
+
+// TestCheckVote: a vote that is not one 17-byte slot per directive of the
+// plan, each with a known outcome and zeros behind any outcome but
+// outcomeOK, is an error naming its sender, never read as outcomeNone.
 func TestCheckVote(t *testing.T) {
 	for _, c := range []struct {
 		name       string
@@ -92,12 +119,21 @@ func TestCheckVote(t *testing.T) {
 		directives int
 		err        string // "" for a valid vote
 	}{
-		{name: "one per directive", vote: []byte{outcomeOK, outcomeNone, outcomeFail}, directives: 3},
-		{name: "too short", vote: []byte{outcomeOK}, directives: 2, err: "vote from rank 3: 1 bytes for 2 directives"},
-		{name: "too long", vote: []byte{outcomeOK, outcomeOK}, directives: 1, err: "vote from rank 3: 2 bytes for 1 directives"},
-		{name: "unknown outcome", vote: []byte{outcomeNone, 7}, directives: 2, err: "vote from rank 3: outcome 7 for directive 1"},
+		{name: "one per directive", vote: outcomes(outcomeOK, outcomeNone, outcomeFail), directives: 3},
+		{name: "an acked transfer", vote: ackedVote, directives: 2},
+		{name: "too short", vote: outcomes(outcomeOK), directives: 2, err: "vote from rank 3: 17 bytes for 2 directives"},
+		{name: "too long", vote: outcomes(outcomeOK, outcomeOK), directives: 1, err: "vote from rank 3: 34 bytes for 1 directives"},
+		{name: "truncated", vote: ackedVote[:2*voteSlot-1], directives: 2, err: "vote from rank 3: 33 bytes for 2 directives"},
+		{name: "a trailing byte", vote: append(slices.Clip(ackedVote), 0), directives: 2, err: "vote from rank 3: 35 bytes for 2 directives"},
+		{name: "unknown outcome", vote: outcomes(outcomeNone, 7), directives: 2, err: "vote from rank 3: outcome 7 for directive 1"},
+		{name: "no outcome with a transfer", vote: vote(ballot{transfer: 1}), directives: 1,
+			err: "vote from rank 3: outcome 0 for directive 0 carries a transfer"},
+		{name: "a failure with bytes", vote: vote(ballot{}, ballot{outcome: outcomeFail, bytes: 4096}), directives: 2,
+			err: "vote from rank 3: outcome 2 for directive 1 carries a transfer"},
+		{name: "a negative transfer", vote: vote(ballot{outcome: outcomeOK, transfer: -1}), directives: 1,
+			err: "vote from rank 3: transfer -1 ns for directive 0"},
 		{name: "empty plan", vote: []byte{}, directives: 0},
-		{name: "a vote on an empty plan", vote: []byte{outcomeNone}, directives: 0, err: "vote from rank 3: 1 bytes for 0 directives"},
+		{name: "a vote on an empty plan", vote: outcomes(outcomeNone), directives: 0, err: "vote from rank 3: 17 bytes for 0 directives"},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			err := checkVote(3, c.vote, c.directives)

@@ -41,7 +41,10 @@ func (d *plannedRounds) Decide(req DecideRequest) (DecideResponse, error) {
 // spares the fault plan kills so that directives and whole rounds abort.
 // The leader states each proposed round in exactly one SwapRecord under
 // the epoch it proposed; the record's phases sum to its paid time; its
-// verdict and its pairs' outcomes are the run's commits and aborts.
+// verdict and its pairs' outcomes are the run's commits and aborts. Each
+// committed pair states the seconds and bytes of its outgoing rank's
+// outbound StateTransfer, each aborted pair zeros, and the transfer phase
+// is the longest pair's, clamped to the span from the plan to the votes.
 func TestOneSwapRecordPerRound(t *testing.T) {
 	for _, tc := range []struct {
 		name           string
@@ -97,10 +100,16 @@ func TestOneSwapRecordPerRound(t *testing.T) {
 			if c := obs.CheckCausality(events); !c.Ok() {
 				t.Errorf("the trace fails the causality validations: %v", c.Violations)
 			}
+			type directive struct {
+				epoch   uint64
+				out, in int
+			}
 			acked := map[uint64]float64{}
+			sent := map[directive]obs.Event{}
 			for _, ev := range events {
 				if ev.Kind == obs.KindStateTransfer && ev.Detail == "out" {
 					acked[ev.Epoch] = max(acked[ev.Epoch], ev.T+ev.Dur)
+					sent[directive{ev.Epoch, ev.Rank, ev.Peer}] = ev
 				}
 			}
 			var proposed, recorded []uint64
@@ -122,14 +131,26 @@ func TestOneSwapRecordPerRound(t *testing.T) {
 					if end := acked[ev.Epoch]; ev.Verdict == obs.VerdictCommit && ev.T+ev.Dur < end-1e-9 {
 						t.Errorf("epoch %d: the round ends at %.6gs, before its transfer was acknowledged at %.6gs", ev.Epoch, ev.T+ev.Dur, end)
 					}
-					won := false
+					won, longest := false, 0.0
 					for _, p := range ev.Round.Pairs {
+						out, ok := sent[directive{ev.Epoch, p.Out, p.In}]
 						if p.Committed {
 							committed++
+							if !ok || p.Transfer != out.Dur || p.Bytes != out.Bytes {
+								t.Errorf("epoch %d: pair %+v, its outbound transfer %+v", ev.Epoch, p, out)
+							}
 						} else {
 							aborted++
+							if p.Transfer != 0 || p.Bytes != 0 {
+								t.Errorf("epoch %d: aborted pair %+v carries a transfer", ev.Epoch, p)
+							}
 						}
 						won = won || p.Committed
+						longest = max(longest, p.Transfer)
+					}
+					if ph := ev.Round.Phases; ph.Plan < 0 || ph.Vote < 0 ||
+						ph.Transfer != longest && !(ph.Plan == 0 && ph.Vote == 0 && ph.Transfer < longest) {
+						t.Errorf("epoch %d: phases %+v over pairs %+v: want the longest pair's transfer", ev.Epoch, ph, ev.Round.Pairs)
 					}
 					if (ev.Verdict == obs.VerdictCommit) != won {
 						t.Errorf("epoch %d: verdict %q over pairs %+v", ev.Epoch, ev.Verdict, ev.Round.Pairs)

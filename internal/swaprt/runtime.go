@@ -218,9 +218,10 @@ type Session struct {
 	swaps     int // swaps this rank participated in (in or out)
 
 	// buf is this rank's message buffer: the state is encoded into it on
-	// the way out (behind the 8-byte epoch) and a checkpoint is staged in
-	// it. Send and Write copy before they return, so it is reused by the
-	// next swap or checkpoint instead of being allocated per swap (keepBuf).
+	// the way out (behind the 8-byte epoch), then the swap's outcome, and
+	// a checkpoint is staged in it. Send and Write copy before they
+	// return, so it is reused by the next message, swap or checkpoint
+	// instead of being allocated per swap (keepBuf).
 	buf []byte
 	// A swap point's scratch, kept from one to the next: this rank's
 	// encoded rate and, on the leader, the decoded rates; this rank's
