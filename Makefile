@@ -43,8 +43,8 @@ lint:
 # multi-rank rounds ten times, because every member settles a round from
 # votes that arrive in a different order every time, and with them the
 # steady swap point and the TCP receive tests, because a receive reads
-# its rank's socket itself and races that read against close(), a
-# deadline and a second stream; and the manager's
+# its rank's socket itself, into a sink's memory too, and races that read
+# against close(), a deadline and a second stream; and the manager's
 # wire and durable layer twenty times, because their clients share one
 # kept connection and its buffers, and a killed incarnation must close
 # every connection it served; and the virtual clock's participant tests
@@ -59,7 +59,7 @@ race:
 		./internal/core/ ./internal/loadgen/ ./internal/platform/ ./internal/rng/ ./cmd/swaprun/ ./cmd/swapmgr/
 	$(GO) test -race -count=20 -run 'Failover|Supervisor' ./internal/swaprt/
 	$(GO) test -race -count=20 -run 'TestTCPSharedConnection' ./internal/mpi/
-	$(GO) test -race -count=10 -run 'TestEverySingleFaultAtEveryStep|TestMultiRankSwap|TestVoteSettlesInOneHop|TestSteadySwapPoint|TestTCPRecv' ./internal/swaprt/ ./internal/mpi/
+	$(GO) test -race -count=10 -run 'TestEverySingleFaultAtEveryStep|TestMultiRankSwap|TestVoteSettlesInOneHop|TestSteadySwapPoint|TestTCPRecv|TestRecvTo' ./internal/swaprt/ ./internal/mpi/
 	$(GO) test -race -count=20 -run 'RemoteDecider|KilledManager|Durable' ./internal/swaprt/
 	$(GO) test -race -count=20 -run 'Virtual|Sleepers' ./internal/clock/
 

@@ -1,11 +1,14 @@
 package mpi
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
+	"io"
 	"math"
 	"slices"
 	"sort"
+	"sync"
 	"time"
 
 	"repro/internal/obs"
@@ -81,15 +84,18 @@ type Status struct {
 // Send sends data to the comm rank `to` with the given tag. It does not
 // wait for the receiver (buffered, eager semantics), except on TCP for a
 // message larger than the kernel's socket buffers, which goes out as the
-// receiver reads it (see transport.send).
-func (c *Comm) Send(to, tag int, data []byte) error {
+// receiver reads it (see transport.send). The message is data followed
+// by every slice of tail: a message that lies in several places is sent
+// from where it lies, and on TCP a large one goes to the socket as it is,
+// in one vectored write. Send is done with data and tail when it returns.
+func (c *Comm) Send(to, tag int, data []byte, tail ...[]byte) error {
 	c.checkMember()
 	c.checkTag(tag)
-	return c.send(to, tag, data)
+	return c.send(to, tag, data, tail...)
 }
 
 // send is Send without the user-tag restriction, for collectives.
-func (c *Comm) send(to, tag int, data []byte) error {
+func (c *Comm) send(to, tag int, data []byte, tail ...[]byte) error {
 	if to < 0 || to >= len(c.members) {
 		return fmt.Errorf("mpi: send to comm rank %d of %d", to, len(c.members))
 	}
@@ -103,7 +109,8 @@ func (c *Comm) send(to, tag int, data []byte) error {
 	if tr.Enabled() {
 		t0 = tr.Now()
 	}
-	env := envelope{Comm: c.id, Src: c.me, Dst: c.members[to], Tag: tag, Data: data}
+	env := envelope{Comm: c.id, Src: c.me, Dst: c.members[to], Tag: tag, Data: data, Tail: tail}
+	n := env.Len()
 	if cz := c.w.causal; cz != nil {
 		// Lamport tick + sequence, stamped before the transport so the
 		// receiver's merge always sees the sender's clock at send time.
@@ -114,17 +121,17 @@ func (c *Comm) send(to, tag int, data []byte) error {
 	ctr.sendBlock.Add(uint64(c.w.clk.Since(start)))
 	if tr.Enabled() {
 		tr.Emit(obs.Event{Kind: obs.KindMPISend, Rank: c.me, T: t0,
-			Dur: tr.Now() - t0, Peer: c.members[to], Bytes: int64(len(data))})
+			Dur: tr.Now() - t0, Peer: c.members[to], Bytes: int64(n)})
 		if env.LC != 0 {
 			tr.Emit(obs.Event{Kind: obs.KindMsgSend, Rank: c.me, T: t0,
-				Peer: c.members[to], Bytes: int64(len(data)), LC: env.LC, Seq: env.Seq})
+				Peer: c.members[to], Bytes: int64(n), LC: env.LC, Seq: env.Seq})
 		}
 	}
 	if err != nil {
 		return err
 	}
 	ctr.msgsSent.Inc()
-	ctr.bytesSent.Add(uint64(len(data)))
+	ctr.bytesSent.Add(uint64(n))
 	return nil
 }
 
@@ -155,10 +162,17 @@ func (c *Comm) recv(from, tag int) ([]byte, Status, error) {
 	if err != nil {
 		return nil, Status{}, err
 	}
-	c.observeRecv(tr, env, t0)
+	return env.Data, c.received(tr, env, len(env.Data), t0), nil
+}
+
+// received accounts for a matched message of n payload bytes — its
+// MPIRecv event, the causal merge, the counters — and returns its
+// status.
+func (c *Comm) received(tr *obs.Tracer, env envelope, n int, t0 float64) Status {
+	c.observeRecv(tr, env, n, t0)
 	ctr := c.w.counters[c.me]
 	ctr.msgsRecv.Inc()
-	ctr.bytesRecv.Add(uint64(len(env.Data)))
+	ctr.bytesRecv.Add(uint64(n))
 	src := -1
 	for i, m := range c.members {
 		if m == env.Src {
@@ -166,7 +180,7 @@ func (c *Comm) recv(from, tag int) ([]byte, Status, error) {
 			break
 		}
 	}
-	return env.Data, Status{Source: src, Tag: env.Tag}, nil
+	return Status{Source: src, Tag: env.Tag}
 }
 
 // RecvTimeout is Recv with a deadline: it returns ErrRecvTimeout if no
@@ -175,6 +189,49 @@ func (c *Comm) recv(from, tag int) ([]byte, Status, error) {
 // subsequent receive. The swapping runtime uses this to bound the state
 // transfer to a spare that may have died.
 func (c *Comm) RecvTimeout(from, tag int, timeout time.Duration) ([]byte, Status, error) {
+	env, st, err := c.recvTimeout(from, tag, timeout, nil)
+	return env.Data, st, err
+}
+
+// A Sink consumes a received message's payload: n bytes, read from r as
+// they arrive. It may stop early, on an error or because the message is
+// not one it wants; the receive discards what it leaves unread.
+type Sink func(r io.Reader, n int) error
+
+// RecvTo is RecvTimeout that hands the matching message's payload to
+// sink instead of returning it, and returns sink's error. On TCP a
+// message still on the rank's stream is read into sink straight off the
+// socket, with no buffer between; one already queued — it arrived before
+// the receive, a reader goroutine decoded it, or the world is in-process
+// — is read from its buffer, which then goes back to the rank (Release).
+// sink runs on the receiving goroutine, with no lock held. The message is
+// consumed whatever sink did, and the stream stays framed; if the stream
+// itself fails under sink, sink sees the read error.
+func (c *Comm) RecvTo(from, tag int, timeout time.Duration, sink Sink) (Status, error) {
+	rx := sinkRecv{sink: sink}
+	env, st, err := c.recvTimeout(from, tag, timeout, &rx)
+	if err != nil {
+		return st, err
+	}
+	if !rx.done {
+		rd := readers.Get().(*bytes.Reader)
+		rd.Reset(env.Data)
+		rx.err = sink(rd, len(env.Data))
+		rd.Reset(nil)
+		readers.Put(rd)
+		c.Release(env.Data)
+	}
+	if rx.err != nil && c.w.closed.Load() {
+		return st, ErrWorldClosed // the stream failed under sink because the world closed
+	}
+	return st, rx.err
+}
+
+// readers serve RecvTo's queued payloads to their sinks.
+var readers = sync.Pool{New: func() any { return new(bytes.Reader) }}
+
+// recvTimeout is RecvTimeout, and RecvTo's receive when rx is not nil.
+func (c *Comm) recvTimeout(from, tag int, timeout time.Duration, rx *sinkRecv) (envelope, Status, error) {
 	c.checkMember()
 	if tag != AnyTag {
 		c.checkTag(tag)
@@ -182,7 +239,7 @@ func (c *Comm) RecvTimeout(from, tag int, timeout time.Duration) ([]byte, Status
 	srcWorld := AnySource
 	if from != AnySource {
 		if from < 0 || from >= len(c.members) {
-			return nil, Status{}, fmt.Errorf("mpi: recv from comm rank %d of %d", from, len(c.members))
+			return envelope{}, Status{}, fmt.Errorf("mpi: recv from comm rank %d of %d", from, len(c.members))
 		}
 		srcWorld = c.members[from]
 	}
@@ -191,22 +248,15 @@ func (c *Comm) RecvTimeout(from, tag int, timeout time.Duration) ([]byte, Status
 	if tr.Enabled() {
 		t0 = tr.Now()
 	}
-	env, err := c.w.boxes[c.me].popDeadline(c.w.clk, c.id, srcWorld, tag, c.w.clk.Now().Add(timeout))
+	env, err := c.w.boxes[c.me].popDeadline(c.w.clk, c.id, srcWorld, tag, c.w.clk.Now().Add(timeout), rx)
 	if err != nil {
-		return nil, Status{}, err
+		return envelope{}, Status{}, err
 	}
-	c.observeRecv(tr, env, t0)
-	ctr := c.w.counters[c.me]
-	ctr.msgsRecv.Inc()
-	ctr.bytesRecv.Add(uint64(len(env.Data)))
-	src := -1
-	for i, m := range c.members {
-		if m == env.Src {
-			src = i
-			break
-		}
+	n := len(env.Data)
+	if rx != nil && rx.done {
+		n = rx.n
 	}
-	return env.Data, Status{Source: src, Tag: env.Tag}, nil
+	return env, c.received(tr, env, n, t0), nil
 }
 
 // Release gives the buffer of a received message back to this rank, so
@@ -219,23 +269,23 @@ func (c *Comm) RecvTimeout(from, tag int, timeout time.Duration) ([]byte, Status
 // anything sliced from it) again.
 func (c *Comm) Release(data []byte) { c.w.free[c.me].Put(data) }
 
-// observeRecv emits the MPIRecv event for a matched message and, on a
-// causal world, merges the piggybacked sender clock (Lamport receive
-// rule) and emits the matching MsgRecv edge. t0 is when the receive
-// started waiting; the MsgRecv edge is stamped at match time so it never
-// precedes its send.
-func (c *Comm) observeRecv(tr *obs.Tracer, env envelope, t0 float64) {
+// observeRecv emits the MPIRecv event for a matched message of n payload
+// bytes and, on a causal world, merges the piggybacked sender clock
+// (Lamport receive rule) and emits the matching MsgRecv edge. t0 is when
+// the receive started waiting; the MsgRecv edge is stamped at match time
+// so it never precedes its send.
+func (c *Comm) observeRecv(tr *obs.Tracer, env envelope, n int, t0 float64) {
 	enabled := tr.Enabled()
 	if enabled {
 		// Dur is the time this rank spent blocked waiting for the message.
 		tr.Emit(obs.Event{Kind: obs.KindMPIRecv, Rank: c.me, T: t0,
-			Dur: tr.Now() - t0, Peer: env.Src, Bytes: int64(len(env.Data))})
+			Dur: tr.Now() - t0, Peer: env.Src, Bytes: int64(n)})
 	}
 	if cz := c.w.causal; cz != nil {
 		lc := cz.OnRecv(c.me, env.LC)
 		if enabled && env.LC != 0 {
 			tr.Emit(obs.Event{Kind: obs.KindMsgRecv, Rank: c.me, T: tr.Now(),
-				Peer: env.Src, Bytes: int64(len(env.Data)),
+				Peer: env.Src, Bytes: int64(n),
 				LC: lc, Seq: env.Seq, PeerLC: env.LC})
 		}
 	}
@@ -336,7 +386,8 @@ func (c *Comm) bcast(root int, data []byte) ([]byte, error) {
 }
 
 // Gather collects each member's data at root; root receives a slice
-// indexed by comm rank, others receive nil.
+// indexed by comm rank, in which its own slot holds its data itself, not
+// a copy; others receive nil.
 func (c *Comm) Gather(root int, data []byte) ([][]byte, error) {
 	c.checkMember()
 	c.w.counters[c.me].gathers.Inc()
@@ -358,7 +409,7 @@ func (c *Comm) gather(root int, data []byte) ([][]byte, error) {
 		return nil, c.send(root, tagGather, data)
 	}
 	out := make([][]byte, n)
-	out[root] = append([]byte(nil), data...)
+	out[root] = data
 	// Receive from each member explicitly: per-pair FIFO then guarantees
 	// that consecutive Gathers cannot cross-match.
 	for i := 0; i < n; i++ {

@@ -55,8 +55,8 @@ type transport interface {
 	// only while it receives (inStream), so sending one to a rank that is
 	// not receiving waits until it is — MPI's rendezvous — for at most
 	// tcpWriteTimeout, after which the send fails. It is done with
-	// env.Data when it returns, and an error it returns may be that of its
-	// own socket write.
+	// env.Data and env.Tail when it returns, and an error it returns may be
+	// that of its own socket write.
 	send(env envelope) error
 	// close releases transport resources.
 	close() error
@@ -141,7 +141,22 @@ func matches(env envelope, comm uint64, src, tag int) bool {
 // removes it. src/tag may be AnySource/AnyTag. It returns ErrWorldClosed
 // if the mailbox closes while waiting.
 func (m *mailbox) pop(comm uint64, src, tag int) (envelope, error) {
-	return m.popDeadline(nil, comm, src, tag, time.Time{})
+	return m.popDeadline(nil, comm, src, tag, time.Time{}, nil)
+}
+
+// sinkRecv is a receive whose match goes to a sink (Comm.RecvTo). When
+// the receive reads the rank's stream itself, the match's payload is
+// read into sink off the socket: done is then set, with the payload's
+// length and sink's error. A match taken from the queue leaves done
+// unset, and its payload in the envelope.
+type sinkRecv struct {
+	sink     Sink
+	comm     uint64
+	src, tag int
+
+	done bool
+	n    int
+	err  error
 }
 
 // popDeadline is pop with a deadline on clk's timeline (none when clk is
@@ -155,8 +170,9 @@ func (m *mailbox) pop(comm uint64, src, tag int) (envelope, error) {
 // byte — and looks at the clock once more after arming it, so a deadline
 // that passed in between is not slept through. The fake clock fires
 // AfterFunc callbacks on their own goroutines, so m.wake locking m.mu
-// cannot deadlock against a driver advancing the clock.
-func (m *mailbox) popDeadline(clk clock.Clock, comm uint64, src, tag int, deadline time.Time) (envelope, error) {
+// cannot deadlock against a driver advancing the clock. With rx, a match
+// read off the stream goes to rx's sink (sinkRecv).
+func (m *mailbox) popDeadline(clk clock.Clock, comm uint64, src, tag int, deadline time.Time, rx *sinkRecv) (envelope, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	var timer *clock.Timer
@@ -184,7 +200,10 @@ func (m *mailbox) popDeadline(clk clock.Clock, comm uint64, src, tag int, deadli
 			continue
 		}
 		if s != nil {
-			if env, ok := m.read(s, comm, src, tag, true, clk, deadline); ok {
+			if rx != nil {
+				rx.comm, rx.src, rx.tag = comm, src, tag
+			}
+			if env, ok := m.read(s, comm, src, tag, true, clk, deadline, rx); ok {
 				return env, nil
 			}
 			continue
@@ -207,7 +226,7 @@ func (m *mailbox) peek(comm uint64, src, tag int) (envelope, bool) {
 		return env, true
 	}
 	if s := m.direct(); s != nil && !s.reading && !m.closed {
-		return m.read(s, comm, src, tag, false, nil, time.Time{})
+		return m.read(s, comm, src, tag, false, nil, time.Time{}, nil)
 	}
 	return envelope{}, false
 }
@@ -227,11 +246,13 @@ func (m *mailbox) direct() *inStream {
 // with a deadline on clk waits for each first byte under it when clk
 // follows the wall (a kick from its timer ends the wait otherwise); a
 // probe waits on the socket once, for at most tcpProbeWait, and then
-// decodes only what that read brought in. read returns false when the
-// caller must look again instead: the world closed, s stopped being the
-// rank's one direct stream, a wait ran out, or the stream died. Called
-// and returns with m.mu held.
-func (m *mailbox) read(s *inStream, comm uint64, src, tag int, take bool, clk clock.Clock, deadline time.Time) (envelope, bool) {
+// decodes only what that read brought in. A receive with rx hands its
+// match's payload to rx's sink as it reads it, and returns the match
+// even if the stream dies under the sink: the sink has seen the error.
+// read returns false when the caller must look again instead: the world
+// closed, s stopped being the rank's one direct stream, a wait ran out,
+// or the stream died. Called and returns with m.mu held.
+func (m *mailbox) read(s *inStream, comm uint64, src, tag int, take bool, clk clock.Clock, deadline time.Time, rx *sinkRecv) (envelope, bool) {
 	s.reading = true
 	defer func() {
 		s.reading = false
@@ -251,7 +272,14 @@ func (m *mailbox) read(s *inStream, comm uint64, src, tag int, take bool, clk cl
 			wait = clock.RealDeadline(clk, clk.Until(deadline))
 		}
 		var env envelope
-		switch err := s.next(m, &env, wait); {
+		err := s.next(m, &env, wait, rx)
+		if rx != nil && rx.done {
+			if err != nil {
+				m.dropStream(s)
+			}
+			return env, true
+		}
+		switch {
 		case err == errKicked:
 			continue
 		case err == errNoFrame:
@@ -556,10 +584,11 @@ func (t *inprocTransport) send(env envelope) error {
 		return fmt.Errorf("mpi: send to invalid rank %d", env.Dst)
 	}
 	// The transport owns the copy (Comm.send no longer makes one): the
-	// TCP path serializes into its pending buffer before returning, so
-	// only the direct-push path must detach from the caller's slice —
-	// into a buffer the receiver released, when it has one of the size.
-	env.Data = append(t.w.free[env.Dst].Get(len(env.Data)), env.Data...)
+	// TCP path writes or serializes the payload before returning, so only
+	// the direct-push path must detach from the caller's slices — into one
+	// buffer the receiver released, when it has one of the size.
+	env.Data = wire.AppendPayload(t.w.free[env.Dst].Get(env.Len()), &env)
+	env.Tail = nil
 	t.w.boxes[env.Dst].push(env)
 	return nil
 }
@@ -617,7 +646,7 @@ func (t *faultTransport) emit(env envelope, detail string) {
 		Kind:   obs.KindFaultInject,
 		Rank:   env.Src,
 		Peer:   env.Dst,
-		Bytes:  int64(len(env.Data)),
+		Bytes:  int64(env.Len()),
 		Detail: detail,
 	})
 }

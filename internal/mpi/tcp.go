@@ -31,13 +31,14 @@ const (
 
 	// tcpDirectMin splits payloads in two. One this large or larger is
 	// never copied: its sender waits for the connection's write token and
-	// hands the kernel header and payload as two pieces (writev), so the
-	// pending buffer never grows to the size of a state transfer. A
-	// smaller one is copied behind its header and goes out in one plain
-	// write — at once when the connection is idle, with the flusher's
-	// next batch when it is not. Below 16 KiB the copy is under a
-	// microsecond and does not show against the syscall; at 64 KiB the
-	// direct write is 4-9 us faster (EXPERIMENTS.md "State transfer").
+	// hands the kernel the header and every piece of the payload, Data and
+	// Tail, as they lie (one writev), so the pending buffer never grows to
+	// the size of a state transfer. A smaller one is copied behind its
+	// header and goes out in one plain write — at once when the connection
+	// is idle, with the flusher's next batch when it is not. Below 16 KiB
+	// the copy is under a microsecond and does not show against the
+	// syscall; at 64 KiB the direct write is 4-9 us faster (EXPERIMENTS.md
+	// "State transfer").
 	tcpDirectMin = 16 << 10
 
 	// tcpProbeWait is how long Iprobe waits on the socket for the first
@@ -99,8 +100,11 @@ func (s *inStream) kick() {
 // (errKicked), or once the wall-clock instant wait passes, if it is not
 // zero (errNoFrame). Once that byte is in, the frame is read whole, with
 // no deadline: a frame is never abandoned half read, so a wait cut short
-// leaves the stream intact. Any other error means the stream is dead.
-func (s *inStream) next(m *mailbox, env *envelope, wait time.Time) error {
+// leaves the stream intact. A frame that matches rx's receive has its
+// payload read into rx's sink, with m.mu released, and whatever the sink
+// leaves unread discarded (sinkRecv); any other is read into env.Data.
+// Any other error means the stream is dead.
+func (s *inStream) next(m *mailbox, env *envelope, wait time.Time, rx *sinkRecv) error {
 	if s.dec.Ready() {
 		m.mu.Unlock()
 	} else {
@@ -138,7 +142,16 @@ func (s *inStream) next(m *mailbox, env *envelope, wait time.Time) error {
 			m.mu.Unlock()
 		}
 	}
-	err := s.dec.Decode(env)
+	n, err := s.dec.DecodeHeader(env)
+	switch {
+	case err != nil:
+	case rx != nil && matches(*env, rx.comm, rx.src, rx.tag):
+		rx.done, rx.n = true, n
+		rx.err = rx.sink(s.dec.Payload(n), n)
+		err = s.dec.SkipPayload()
+	default:
+		err = s.dec.ReadPayload(env, n)
+	}
 	m.mu.Lock()
 	return err
 }
@@ -203,10 +216,11 @@ type tcpConn struct {
 	writing bool // the write token
 
 	// The token holder's writev argument, kept here so that a vectored
-	// write allocates nothing: vec is resliced over iov for every write
-	// (net.Buffers consumes itself as it goes).
+	// write allocates nothing once iov has grown to the pieces a payload
+	// comes in: vec is resliced over iov for every write (net.Buffers
+	// consumes itself as it goes).
 	vec net.Buffers
-	iov [2][]byte
+	iov [][]byte
 }
 
 func newTCPConn() *tcpConn {
@@ -410,7 +424,7 @@ func (t *tcpTransport) readLoop(m *mailbox, s *inStream) {
 		s.reading = true
 		for !m.closed && len(m.streams) > 1 && slices.Contains(m.streams, s) {
 			var env envelope
-			switch err := s.next(m, &env, time.Time{}); {
+			switch err := s.next(m, &env, time.Time{}, nil); {
 			case err == errKicked:
 			case err != nil:
 				m.dropStream(s)
@@ -532,7 +546,7 @@ func (t *tcpTransport) sendConn(env envelope) error {
 		// a large payload waits for the token, because copying it aside
 		// costs more than the wait and would grow the pending buffer to
 		// its size.
-		direct := len(env.Data) >= tcpDirectMin
+		direct := env.Len() >= tcpDirectMin
 		if cc.writing && (direct || cc.enc.PendingLen() >= tcpMaxPending) {
 			cc.drain.Wait()
 			continue
@@ -564,9 +578,9 @@ func (t *tcpTransport) sendConn(env envelope) error {
 		buf := enc.Take()
 		cc.mu.Unlock()
 
-		var payload []byte
+		var payload *envelope
 		if direct {
-			payload = env.Data
+			payload = &env
 		}
 		err = t.writeBatch(cc, conn, buf, payload)
 
@@ -600,11 +614,12 @@ func (t *tcpTransport) sendConn(env envelope) error {
 }
 
 // writeBatch is the one place a socket is written: buf, then — straight
-// from the caller's slice — payload when there is one, as a single
-// vectored write. The caller holds cc's write token and no lock. Every
-// write carries a deadline; with sampling on, each successful one records
-// its duration, and a failed one counts once in "mpi.tcp.send_errors".
-func (t *tcpTransport) writeBatch(cc *tcpConn, conn net.Conn, buf, payload []byte) error {
+// from the caller's slices — the payload of env when there is one, Data
+// and Tail, as a single vectored write. The caller holds cc's write token
+// and no lock. Every write carries a deadline; with sampling on, each
+// successful one records its duration, and a failed one counts once in
+// "mpi.tcp.send_errors".
+func (t *tcpTransport) writeBatch(cc *tcpConn, conn net.Conn, buf []byte, env *envelope) error {
 	clk := t.w.clk
 	_ = conn.SetWriteDeadline(clock.RealDeadline(clk, tcpWriteTimeout))
 	sample := t.latOn.Load()
@@ -613,13 +628,13 @@ func (t *tcpTransport) writeBatch(cc *tcpConn, conn net.Conn, buf, payload []byt
 		start = clk.Now()
 	}
 	var err error
-	if payload == nil {
+	if env == nil {
 		_, err = conn.Write(buf)
 	} else {
-		cc.iov = [2][]byte{buf, payload}
-		cc.vec = cc.iov[:]
+		cc.iov = append(append(cc.iov[:0], buf, env.Data), env.Tail...)
+		cc.vec = cc.iov
 		_, err = cc.vec.WriteTo(conn)
-		cc.iov = [2][]byte{} // a failed write consumed only part of it
+		clear(cc.iov) // the caller's memory is not the connection's to keep
 	}
 	if err != nil {
 		t.sendErrors.Inc()

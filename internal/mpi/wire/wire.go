@@ -31,12 +31,14 @@
 // steady-state send path performs zero heap allocations: buffers come
 // from a sync.Pool and are double-buffered per connection. A large
 // payload need not pass through it: EncodeHeader buffers a frame without
-// its payload, which the writer sends from the caller's slice. The
-// Decoder reads header and extension into an array of its own, hands
-// small payloads out of a shared slab (capacity-clipped, so an appending
-// receiver cannot scribble on a neighbor's bytes) and reads oversized
-// payloads incrementally, so a lying length header can never force a
-// large allocation before the bytes actually arrive.
+// its payload, which the writer sends from the caller's slices. The
+// Decoder reads a frame's header apart from its payload (DecodeHeader).
+// The payload then goes to a reader that consumes it as it arrives
+// (Payload, SkipPayload), or into a buffer (ReadPayload): small payloads
+// come out of a shared slab (capacity-clipped, so an appending receiver
+// cannot scribble on a neighbor's bytes) and oversized ones are read
+// incrementally, so a lying length header can never force a large
+// allocation before the bytes actually arrive.
 package wire
 
 import (
@@ -49,13 +51,18 @@ import (
 )
 
 // Envelope is one message in flight between two ranks. Src and Dst are
-// world ranks; Comm scopes matching to a communicator.
+// world ranks; Comm scopes matching to a communicator. The payload is
+// Data followed by every slice of Tail, in order: a sender whose message
+// lies in several places hands them over as they are, and a frame
+// carries them as one payload. A decoded envelope has its whole payload
+// in Data.
 type Envelope struct {
 	Comm uint64
 	Src  int
 	Dst  int
 	Tag  int
 	Data []byte
+	Tail [][]byte
 
 	// Causal piggyback (Lamport clock + send sequence of Src). Zero
 	// means "no causal data": Lamport clocks start at 1, so LC == 0 is
@@ -88,20 +95,38 @@ const (
 	causalExtLen = 16
 )
 
+// Len is the payload's length: Data's and every Tail slice's.
+func (env *Envelope) Len() int {
+	n := len(env.Data)
+	for _, b := range env.Tail {
+		n += len(b)
+	}
+	return n
+}
+
+// AppendPayload appends env's payload, Data then Tail, to dst.
+func AppendPayload(dst []byte, env *Envelope) []byte {
+	dst = append(dst, env.Data...)
+	for _, b := range env.Tail {
+		dst = append(dst, b...)
+	}
+	return dst
+}
+
 // AppendFrame appends env's frame to dst and returns the extended
 // slice: appendHeader, then the payload. It performs no allocation
 // beyond growing dst.
 func AppendFrame(dst []byte, env *Envelope) []byte {
-	return append(appendHeader(dst, env), env.Data...)
+	return AppendPayload(appendHeader(dst, env), env)
 }
 
 // appendHeader appends everything of env's frame but the payload: the
-// fixed header, its length word counting len(env.Data), then — when env
+// fixed header, its length word counting env.Len(), then — when env
 // carries causal data (LC != 0) — the flag bit in the length word and
 // the 16 extension bytes.
 func appendHeader(dst []byte, env *Envelope) []byte {
 	var hdr [headerLen + causalExtLen]byte
-	n, h := uint32(len(env.Data)), hdr[:headerLen]
+	n, h := uint32(env.Len()), hdr[:headerLen]
 	if env.LC != 0 {
 		n |= causalFlag
 		h = hdr[:]
@@ -225,17 +250,17 @@ func (e *Encoder) Encode(env *Envelope) error {
 	if err := e.EncodeHeader(env); err != nil {
 		return err
 	}
-	e.pend = append(e.pend, env.Data...)
+	e.pend = AppendPayload(e.pend, env)
 	return nil
 }
 
 // EncodeHeader appends env's frame without its payload to the pending
 // buffer, for a writer that sends the payload from the caller's own
-// slice: it must Take the buffer and write env.Data to the stream directly
-// behind it, before anything else is encoded.
+// slices: it must Take the buffer and write env.Data and env.Tail to the
+// stream directly behind it, before anything else is encoded.
 func (e *Encoder) EncodeHeader(env *Envelope) error {
-	if len(env.Data) > MaxPayload {
-		return fmt.Errorf("wire: payload %d bytes exceeds MaxPayload %d", len(env.Data), MaxPayload)
+	if n := env.Len(); n > MaxPayload {
+		return fmt.Errorf("wire: payload %d bytes exceeds MaxPayload %d", n, MaxPayload)
 	}
 	e.pend = appendHeader(e.pend, env)
 	return nil
@@ -290,8 +315,10 @@ type Decoder struct {
 	free *FreeList // recycled large payload buffers; may be nil
 	// hdr receives the fixed header and, behind it, the causal extension.
 	// It lives in the decoder because a local array handed to io.ReadFull
-	// escapes: one heap allocation per received frame.
-	hdr [headerLen + causalExtLen]byte
+	// escapes: one heap allocation per received frame. body is the reader
+	// Payload returns, kept here for the same reason.
+	hdr  [headerLen + causalExtLen]byte
+	body payload
 }
 
 const (
@@ -353,51 +380,70 @@ func (d *Decoder) start() error {
 	return nil
 }
 
-// Decode reads the next envelope into env. It returns io.EOF on a
-// clean stream end at a frame boundary and io.ErrUnexpectedEOF on a
-// truncated frame; it never panics and never allocates more than the
-// bytes that actually arrived (plus one bounded step).
+// Decode reads the next envelope into env: DecodeHeader, then
+// ReadPayload. It returns io.EOF on a clean stream end at a frame
+// boundary and io.ErrUnexpectedEOF on a truncated frame; it never panics
+// and never allocates more than the bytes that actually arrived (plus
+// one bounded step).
 func (d *Decoder) Decode(env *Envelope) error {
-	if err := d.start(); err != nil {
+	n, err := d.DecodeHeader(env)
+	if err != nil {
 		return err
+	}
+	return d.ReadPayload(env, n)
+}
+
+// DecodeHeader reads the next frame's header into env (its Data and Tail
+// are cleared) and returns the length of its payload, which the caller
+// consumes next and whole: ReadPayload, or Payload and then SkipPayload.
+// It returns io.EOF on a clean stream end at a frame boundary.
+func (d *Decoder) DecodeHeader(env *Envelope) (int, error) {
+	if err := d.start(); err != nil {
+		return 0, err
 	}
 	if _, err := io.ReadFull(d.br, d.hdr[:headerLen]); err != nil {
 		if err == io.ErrUnexpectedEOF {
-			return fmt.Errorf("wire: truncated frame header: %w", err)
+			return 0, fmt.Errorf("wire: truncated frame header: %w", err)
 		}
-		return err // clean EOF at a frame boundary stays io.EOF
+		return 0, err // clean EOF at a frame boundary stays io.EOF
 	}
 	n := binary.BigEndian.Uint32(d.hdr[0:4])
 	causal := n&causalFlag != 0
 	n &^= causalFlag
 	if n > MaxPayload {
-		return fmt.Errorf("wire: frame payload %d bytes exceeds MaxPayload %d", n, MaxPayload)
+		return 0, fmt.Errorf("wire: frame payload %d bytes exceeds MaxPayload %d", n, MaxPayload)
 	}
 	env.Comm = binary.BigEndian.Uint64(d.hdr[4:12])
 	env.Src = int(int32(binary.BigEndian.Uint32(d.hdr[12:16])))
 	env.Dst = int(int32(binary.BigEndian.Uint32(d.hdr[16:20])))
 	env.Tag = int(int32(binary.BigEndian.Uint32(d.hdr[20:24])))
+	env.Data, env.Tail = nil, nil
 	env.LC, env.Seq = 0, 0
 	if causal {
 		if _, err := io.ReadFull(d.br, d.hdr[headerLen:]); err != nil {
 			if err == io.EOF {
 				err = io.ErrUnexpectedEOF
 			}
-			return fmt.Errorf("wire: truncated causal extension: %w", err)
+			return 0, fmt.Errorf("wire: truncated causal extension: %w", err)
 		}
 		env.LC = binary.BigEndian.Uint64(d.hdr[24:32])
 		env.Seq = binary.BigEndian.Uint64(d.hdr[32:40])
 		if env.LC == 0 {
 			// No encoder writes this: LC == 0 is "no causal data" and goes
 			// out unflagged, so every envelope has one encoding.
-			return fmt.Errorf("wire: causal extension with zero clock")
+			return 0, fmt.Errorf("wire: causal extension with zero clock")
 		}
 	}
+	return int(n), nil
+}
+
+// ReadPayload reads the n payload bytes behind the header DecodeHeader
+// returned into env.Data.
+func (d *Decoder) ReadPayload(env *Envelope, n int) error {
 	if n == 0 {
-		env.Data = nil
 		return nil
 	}
-	data, err := d.readPayload(int(n))
+	data, err := d.readPayload(n)
 	if err != nil {
 		if err == io.EOF {
 			err = io.ErrUnexpectedEOF
@@ -406,6 +452,65 @@ func (d *Decoder) Decode(env *Envelope) error {
 	}
 	env.Data = data
 	return nil
+}
+
+// Payload returns a reader of the n payload bytes behind the header
+// DecodeHeader returned, read from the stream as the caller reads it —
+// straight into the caller's memory when it asks for more than the
+// read-ahead buffer holds. The reader ends with io.EOF after n bytes and
+// fails with io.ErrUnexpectedEOF if the stream ends before them. The
+// caller ends the frame with SkipPayload, however much it read.
+func (d *Decoder) Payload(n int) io.Reader {
+	d.body = payload{br: d.br, n: n}
+	return &d.body
+}
+
+// SkipPayload discards what the reader Payload returned left unread, so
+// that the stream stays framed whatever its reader did, and returns the
+// first error the stream itself gave that reader or the discard: after
+// one, the stream is not framed any more.
+func (d *Decoder) SkipPayload() error {
+	b := &d.body
+	if b.err == nil && b.n > 0 {
+		var k int
+		k, b.err = d.br.Discard(b.n)
+		b.n -= k
+		if b.err == io.EOF {
+			b.err = io.ErrUnexpectedEOF
+		}
+	}
+	err := b.err
+	d.body = payload{}
+	return err
+}
+
+// payload is the reader Payload hands out: the next n bytes of br, and
+// the first error br gave.
+type payload struct {
+	br  *bufio.Reader
+	n   int
+	err error
+}
+
+func (p *payload) Read(b []byte) (int, error) {
+	if p.err != nil {
+		return 0, p.err
+	}
+	if p.n == 0 {
+		return 0, io.EOF
+	}
+	if len(b) > p.n {
+		b = b[:p.n]
+	}
+	k, err := p.br.Read(b)
+	p.n -= k
+	if err != nil {
+		if err == io.EOF {
+			err = io.ErrUnexpectedEOF
+		}
+		p.err = err
+	}
+	return k, err
 }
 
 // readPayload returns exactly n payload bytes. Small payloads are

@@ -539,3 +539,81 @@ func TestDecoderLyingHeaderAllocationBound(t *testing.T) {
 		t.Errorf("lying 1 GiB header allocated %d bytes, want at most one readStep (%d) beyond the decoder itself", got, readStep)
 	}
 }
+
+// TestTailIsPartOfThePayload: an envelope whose payload lies in Data and
+// Tail frames, through AppendFrame and through an Encoder, exactly as one
+// whose payload is all in Data, and decodes with it all in Data.
+func TestTailIsPartOfThePayload(t *testing.T) {
+	whole := Envelope{Comm: 3, Src: 1, Dst: 2, Tag: 9, Data: []byte("head|body one|body two|"), LC: 5, Seq: 6}
+	split := whole
+	split.Data, split.Tail = whole.Data[:5], [][]byte{whole.Data[5:14], nil, whole.Data[14:]}
+	if split.Len() != len(whole.Data) {
+		t.Fatalf("Len = %d, want %d", split.Len(), len(whole.Data))
+	}
+	want := AppendFrame(nil, &whole)
+	if got := AppendFrame(nil, &split); !bytes.Equal(got, want) {
+		t.Fatalf("AppendFrame with a tail:\n%x\nwant\n%x", got, want)
+	}
+	enc := NewEncoder(CodecBinary)
+	if err := enc.Encode(&split); err != nil {
+		t.Fatal(err)
+	}
+	stream := enc.Take()
+	if !bytes.Equal(stream[1:], want) {
+		t.Fatalf("Encode with a tail:\n%x\nwant\n%x", stream[1:], want)
+	}
+	var got Envelope
+	if err := NewDecoder(bytes.NewReader(stream)).Decode(&got); err != nil {
+		t.Fatal(err)
+	}
+	if got.Tail != nil || !bytes.Equal(got.Data, whole.Data) {
+		t.Fatalf("decoded payload %q and tail %q, want %q in Data", got.Data, got.Tail, whole.Data)
+	}
+}
+
+// TestPayloadReaderKeepsStreamFramed: a frame's payload read through
+// Payload, in part or not at all, leaves the stream at the next frame
+// once SkipPayload discards the rest; a frame the stream cuts short fails
+// the reader and SkipPayload with io.ErrUnexpectedEOF.
+func TestPayloadReaderKeepsStreamFramed(t *testing.T) {
+	envs := []Envelope{
+		{Comm: 1, Tag: 1, Data: bytes.Repeat([]byte{1}, 100<<10)},
+		{Comm: 1, Tag: 2, Data: []byte("short")},
+		{Comm: 1, Tag: 3, Data: bytes.Repeat([]byte{3}, 300)},
+	}
+	stream := []byte{byte(CodecBinary)}
+	for i := range envs {
+		stream = AppendFrame(stream, &envs[i])
+	}
+	dec := NewDecoder(bytes.NewReader(stream))
+	for i, read := range []int{1000, 0, 300} {
+		var env Envelope
+		n, err := dec.DecodeHeader(&env)
+		if err != nil || env.Tag != envs[i].Tag || n != len(envs[i].Data) {
+			t.Fatalf("frame %d: header tag %d, %d bytes, %v", i, env.Tag, n, err)
+		}
+		got := make([]byte, read)
+		if _, err := io.ReadFull(dec.Payload(n), got); err != nil || !bytes.Equal(got, envs[i].Data[:read]) {
+			t.Fatalf("frame %d: read %d of its payload: %v", i, read, err)
+		}
+		if err := dec.SkipPayload(); err != nil {
+			t.Fatalf("frame %d: skip the rest: %v", i, err)
+		}
+	}
+	var env Envelope
+	if _, err := dec.DecodeHeader(&env); err != io.EOF {
+		t.Fatalf("after the last frame: %v, want io.EOF", err)
+	}
+
+	cut := NewDecoder(bytes.NewReader(stream[:1+24+50<<10]))
+	n, err := cut.DecodeHeader(&env)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := io.ReadFull(cut.Payload(n), make([]byte, n)); err != io.ErrUnexpectedEOF {
+		t.Fatalf("reading a cut frame: %v, want io.ErrUnexpectedEOF", err)
+	}
+	if err := cut.SkipPayload(); err != io.ErrUnexpectedEOF {
+		t.Fatalf("skipping the rest of a cut frame: %v, want io.ErrUnexpectedEOF", err)
+	}
+}

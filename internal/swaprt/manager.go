@@ -371,6 +371,8 @@ func (m *manager) decide(epoch uint64, now float64, activeSet []int, activeRates
 		marks[s.Out] |= markTaken
 		marks[s.In] |= markTaken
 	}
-	resp.Swaps = append(forced, resp.Swaps...)
+	if len(forced) > 0 {
+		resp.Swaps = append(forced, resp.Swaps...)
+	}
 	return resp, nil
 }

@@ -14,11 +14,11 @@ import (
 // checked against the bytes behind it before the make), and the layout
 // has no slack — an input any decoder accepts re-encodes to itself.
 func FuzzPlanCommitDecode(f *testing.F) {
-	plan := encodePlan([]SwapDirective{{Out: 0, In: 3}, {Out: -1, In: 2}})
+	plan := encodePlan(nil, []SwapDirective{{Out: 0, In: 3}, {Out: -1, In: 2}})
 	commit := encodeCommit(nil, commitMsg{Epoch: 7, Commit: true, NewSet: []int{3, 1, -2}})
 	for _, msg := range [][]byte{
 		plan, commit, ackedVote,
-		encodePlan(nil), encodeCommit(nil, commitMsg{Epoch: 1}),
+		encodePlan(nil, nil), encodeCommit(nil, commitMsg{Epoch: 1}),
 	} {
 		f.Add(msg)
 		f.Add(msg[:len(msg)-1])                   // truncated
@@ -39,7 +39,7 @@ func FuzzPlanCommitDecode(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		p, perr := decodePlan(data)
+		p, perr := decodePlan(nil, data)
 		c, cerr := decodeCommit(data)
 		n := len(data) / voteSlot
 		verr := checkVote(0, data, n)
@@ -50,8 +50,8 @@ func FuzzPlanCommitDecode(f *testing.F) {
 		if alloc, bound := after.TotalAlloc-before.TotalAlloc, 2*uint64(len(data))+(64<<10); alloc > bound {
 			t.Fatalf("decoding %d bytes allocated %d (bound %d)", len(data), alloc, bound)
 		}
-		if perr == nil && !bytes.Equal(encodePlan(p), data) {
-			t.Fatalf("plan %+v decoded from\n%x\nre-encodes to\n%x", p, data, encodePlan(p))
+		if perr == nil && !bytes.Equal(encodePlan(nil, p), data) {
+			t.Fatalf("plan %+v decoded from\n%x\nre-encodes to\n%x", p, data, encodePlan(nil, p))
 		}
 		if cerr == nil && !bytes.Equal(encodeCommit(nil, c), data) {
 			t.Fatalf("commit %+v decoded from\n%x\nre-encodes to\n%x", c, data, encodeCommit(nil, c))

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"slices"
 	"time"
@@ -109,9 +110,12 @@ func (r round) committed(i int) bool { return r.verdict[i] == outcomeOK }
 // directive's outgoing rank votes in its slot and leaves every other slot
 // outcomeNone, so each member settles from the votes it received, and a
 // verdict tallies to itself. A committed directive replaces Out by In;
-// the spare of every other one is quarantined.
-func newRound(set []int, epoch uint64, swaps []SwapDirective, votes [][]byte) round {
-	r := round{verdict: make([]byte, len(swaps)), set: slices.Clone(set), epoch: epoch}
+// the spare of every other one is quarantined. The verdict is written
+// over verdict's array when it fits.
+func newRound(verdict []byte, set []int, epoch uint64, swaps []SwapDirective, votes [][]byte) round {
+	verdict = slices.Grow(verdict[:0], len(swaps))[:len(swaps)]
+	clear(verdict)
+	r := round{verdict: verdict, set: slices.Clone(set), epoch: epoch}
 	for _, v := range votes {
 		for i := range r.verdict {
 			if o := ballotAt(v, i).outcome; o != outcomeNone {
@@ -146,10 +150,63 @@ func (s *Session) await(from, tag int, epoch uint64, deadline time.Time) ([]byte
 		if err != nil || len(data) >= 8 && binary.LittleEndian.Uint64(data) == epoch {
 			return data, err
 		}
-		s.emit(obs.Event{Kind: obs.KindRuntimeError, Rank: s.r.Rank(), Peer: from,
-			Detail: fmt.Sprintf("stale message (tag %#x) dropped awaiting epoch %d", tag, epoch)})
+		s.dropStale(from, tag, epoch)
 		world.Release(data)
 	}
+}
+
+// dropStale records a message under tag from rank from that carried
+// another epoch than the awaited one, which the receive dropped.
+func (s *Session) dropStale(from, tag int, epoch uint64) {
+	s.emit(obs.Event{Kind: obs.KindRuntimeError, Rank: s.r.Rank(), Peer: from,
+		Detail: fmt.Sprintf("stale message (tag %#x) dropped awaiting epoch %d", tag, epoch)})
+}
+
+// errStale is readState's verdict on a state message of another epoch.
+var errStale = errors.New("swaprt: stale state message")
+
+// errDecode marks a state message of the awaited epoch that did not
+// decode.
+var errDecode = errors.New("state decode failed")
+
+// awaitState reads the state message from rank from that carries epoch
+// into the registered variables, dropping any that carries another as
+// await does, or returns mpi.ErrRecvTimeout once deadline passes. A
+// message of the epoch that does not decode is an errDecode.
+func (s *Session) awaitState(from int, epoch uint64, deadline time.Time) error {
+	s.want = epoch
+	for {
+		remaining := s.tl.Until(deadline)
+		if remaining <= 0 {
+			return mpi.ErrRecvTimeout
+		}
+		_, err := s.r.World().RecvTo(from, tagState, remaining, s.sink)
+		if err != errStale {
+			return err
+		}
+		s.dropStale(from, tagState, epoch)
+	}
+}
+
+// readState is the session's state sink (Session.sink): the message's
+// epoch, then, when it is the awaited one, the state straight into the
+// registered variables (stateSet.decode). A message too short to carry
+// an epoch is stale, as await has it.
+func (s *Session) readState(r io.Reader, n int) error {
+	if n < len(s.got) {
+		return errStale
+	}
+	if _, err := io.ReadFull(r, s.got[:]); err != nil {
+		return fmt.Errorf("%w: %w", errDecode, err)
+	}
+	if binary.LittleEndian.Uint64(s.got[:]) != s.want {
+		return errStale
+	}
+	s.gotSize = n - len(s.got)
+	if err := s.state.decode(r, s.gotSize); err != nil {
+		return fmt.Errorf("%w: %w", errDecode, err)
+	}
+	return nil
 }
 
 // abort is this rank's one exit from a directive that will not commit:
@@ -190,10 +247,11 @@ func (s *Session) swapPointActive() error {
 	if plan, err = s.comm.Bcast(0, plan); err != nil {
 		return err
 	}
-	swaps, err := decodePlan(plan)
+	swaps, err := decodePlan(s.planned, plan)
 	if err != nil {
 		return err
 	}
+	s.planned = swaps
 	if len(swaps) > 0 {
 		if err := s.swap(swaps); err != nil {
 			return err
@@ -265,7 +323,8 @@ func (s *Session) propose(now, iterTime float64, rates []float64) ([]byte, error
 				Peer: sw.In, Epoch: s.epoch, Detail: fmt.Sprintf("state from rank %d", sw.Out)})
 		}
 	}
-	return encodePlan(resp.Swaps), nil
+	s.plan = encodePlan(s.plan, resp.Swaps)
+	return s.plan, nil
 }
 
 // The phases of a recorded round (obs.Phases) run from laps[i] to
@@ -324,7 +383,8 @@ func (s *Session) swap(swaps []SwapDirective) error {
 			return err
 		}
 	}
-	r := newRound(s.activeSet, s.epoch, swaps, votes)
+	r := newRound(s.verdict, s.activeSet, s.epoch, swaps, votes)
+	s.verdict = r.verdict
 	s.lap(rec, lapCommit)
 	if s.comm.Rank() == 0 {
 		s.record(r, swaps, proposed)
@@ -428,27 +488,32 @@ func checkVote(from int, vote []byte, n int) error {
 // outcomeFail.
 func (s *Session) transferOut(sw SwapDirective, epoch uint64) (time.Time, ballot) {
 	start := s.tl.Now()
-	// One copy on this side: variable -> s.buf, behind the epoch; Send
-	// writes s.buf to the socket.
-	payload, err := s.state.appendTo(binary.LittleEndian.AppendUint64(s.buf[:0], epoch))
+	// No copy of the state on this side: the epoch, the headers and the
+	// scalars go to s.buf, and Send takes every numeric slice from the
+	// variable's own memory. It is done with both when it returns.
+	head, parts, err := s.state.appendParts(binary.LittleEndian.AppendUint64(s.buf[:0], epoch), s.parts)
+	bytes := partsLen(parts) - 8
 	if err == nil {
-		s.keepBuf(payload)
+		s.keepBuf(head)
 		if s.mgr.vt != nil {
 			// Virtual time moves only for what is modelled: the state
 			// crosses the link in the time the swap cost is predicted at.
-			secs := core.SwapTime(*s.cfg.LinkLatency, *s.cfg.LinkBandwidth, float64(len(payload)-8))
+			secs := core.SwapTime(*s.cfg.LinkLatency, *s.cfg.LinkBandwidth, float64(bytes))
 			s.tl.Sleep(time.Duration(secs * float64(time.Second)))
 		}
-		if err = s.r.World().Send(sw.In, tagState, payload); err == nil {
+		err = s.r.World().Send(sw.In, tagState, parts[0], parts[1:]...)
+		clear(parts)
+		if err == nil {
 			_, err = s.await(sw.In, tagStateAck, epoch, s.tl.Now().Add(s.cfg.TransferTimeout))
 		}
 	}
+	s.parts = parts[:0]
 	if err != nil {
 		s.abort(sw.In, s.epoch, fmt.Sprintf("state to rank %d: %v", sw.In, err))
 		return time.Time{}, ballot{outcome: outcomeFail}
 	}
 	acked := s.tl.Now()
-	dur, bytes := acked.Sub(start), len(payload)-8
+	dur := acked.Sub(start)
 	s.stats.stateBytes.Add(uint64(bytes))
 	s.stats.stateSendNS.Add(uint64(dur))
 	if s.tr.Enabled() {
@@ -532,31 +597,25 @@ func (s *Session) swapPointSpare() error {
 func (s *Session) swapIn(a assignment) (bool, error) {
 	world := s.r.World()
 	start := s.tl.Now()
-	data, err := s.await(a.stateFrom, tagState, a.epoch, start.Add(s.cfg.TransferTimeout))
-	if err == mpi.ErrRecvTimeout {
+	// The state is read into the registered variables as it arrives.
+	switch err := s.awaitState(a.stateFrom, a.epoch, start.Add(s.cfg.TransferTimeout)); {
+	case err == mpi.ErrRecvTimeout:
 		s.abort(a.stateFrom, a.epoch, "state transfer timed out")
 		return false, nil
-	}
-	if err != nil {
+	case errors.Is(err, errDecode):
+		s.abort(a.stateFrom, a.epoch, err.Error())
+		return false, nil
+	case err != nil:
 		return false, fmt.Errorf("swaprt: rank %d state recv: %w", s.r.Rank(), err)
 	}
-	// decode copies every byte it keeps into the registered variables, so
-	// the message buffer goes back for the next swap-in to be read into.
-	stateLen := len(data) - 8
-	err = s.state.decode(data[8:])
-	world.Release(data)
-	if err != nil {
-		s.abort(a.stateFrom, a.epoch, "state decode failed: "+err.Error())
-		return false, nil
-	}
-	var ack [8]byte
-	binary.LittleEndian.PutUint64(ack[:], a.epoch)
-	if err := world.Send(a.stateFrom, tagStateAck, ack[:]); err != nil {
+	stateLen := s.gotSize
+	binary.LittleEndian.PutUint64(s.ack[:], a.epoch)
+	if err := world.Send(a.stateFrom, tagStateAck, s.ack[:]); err != nil {
 		s.abort(a.stateFrom, a.epoch, "state ack send: "+err.Error())
 		return false, nil
 	}
 
-	data, err = s.await(a.stateFrom, tagStateCommit, a.epoch, s.tl.Now().Add(s.outcomeTimeout()))
+	data, err := s.await(a.stateFrom, tagStateCommit, a.epoch, s.tl.Now().Add(s.outcomeTimeout()))
 	if err == mpi.ErrRecvTimeout {
 		s.abort(a.stateFrom, a.epoch, "no outcome")
 		return false, fmt.Errorf("swaprt: rank %d acked epoch %d but heard no commit or abort from rank %d within %s: %w",
@@ -595,9 +654,9 @@ type commitMsg struct {
 	NewSet []int // final active set; only meaningful when Commit
 }
 
-func encodePlan(swaps []SwapDirective) []byte {
-	b := make([]byte, 0, 8+16*len(swaps))
-	b = binary.LittleEndian.AppendUint64(b, uint64(len(swaps)))
+// encodePlan encodes swaps over b, which it grows if b is too small.
+func encodePlan(b []byte, swaps []SwapDirective) []byte {
+	b = binary.LittleEndian.AppendUint64(slices.Grow(b[:0], 8+16*len(swaps)), uint64(len(swaps)))
 	for _, sw := range swaps {
 		b = binary.LittleEndian.AppendUint64(b, uint64(int64(sw.Out)))
 		b = binary.LittleEndian.AppendUint64(b, uint64(int64(sw.In)))
@@ -605,16 +664,14 @@ func encodePlan(swaps []SwapDirective) []byte {
 	return b
 }
 
-func decodePlan(data []byte) ([]SwapDirective, error) {
+// decodePlan decodes a plan into swaps' array when it fits.
+func decodePlan(swaps []SwapDirective, data []byte) ([]SwapDirective, error) {
 	r := reader{b: data}
 	n := r.u64()
 	if r.err != nil || n != uint64(len(r.b))/16 || len(r.b)%16 != 0 {
 		return nil, fmt.Errorf("swaprt: decode plan: malformed %d-byte message", len(data))
 	}
-	var swaps []SwapDirective
-	if n > 0 {
-		swaps = make([]SwapDirective, n)
-	}
+	swaps = slices.Grow(swaps[:0], int(n))[:n]
 	for i := range swaps {
 		swaps[i] = SwapDirective{Out: int(int64(r.u64())), In: int(int64(r.u64()))}
 	}

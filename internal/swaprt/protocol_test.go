@@ -72,12 +72,12 @@ func TestRoundSettles(t *testing.T) {
 			for i, v := range c.votes {
 				votes[i] = outcomes(v...)
 			}
-			r := newRound(set, 7, c.swaps, votes)
+			r := newRound(nil, set, 7, c.swaps, votes)
 			want := round{verdict: c.verdict, set: c.newSet, epoch: c.epoch, quarantined: c.quarantined}
 			if !reflect.DeepEqual(r, want) {
 				t.Fatalf("leader settled %+v, want %+v", r, want)
 			}
-			if member := newRound(set, 7, c.swaps, [][]byte{outcomes(r.verdict...)}); !reflect.DeepEqual(member, r) {
+			if member := newRound(nil, set, 7, c.swaps, [][]byte{outcomes(r.verdict...)}); !reflect.DeepEqual(member, r) {
 				t.Fatalf("a member settled %+v from the verdict, the leader %+v", member, r)
 			}
 			if !slices.Equal(set, c.set) {

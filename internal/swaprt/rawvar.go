@@ -1,9 +1,9 @@
 package swaprt
 
 import (
-	"encoding/binary"
 	"fmt"
 	"math"
+	"unsafe"
 )
 
 // The raw kinds of the state format: fixed-width scalars, string, and
@@ -34,8 +34,6 @@ func bindRaw(ptr any) rawVar {
 			func(v uint64) { *p = v != 0 }}
 	case *string:
 		return stringVar{p}
-	case *[]byte:
-		return bytesVar{p}
 	}
 	for _, bind := range numBinders {
 		if raw := bind(ptr); raw != nil {
@@ -116,61 +114,14 @@ func of32[T number](w uint32) T {
 	return T(w)
 }
 
-// The move kernels of the 8- and 4-byte slice kinds: four elements a
-// round through fixed-size windows, which is what lets the compiler check
-// bounds once a round and not once an element, then a scalar tail.
-// len(dst) or len(src) is the element size times len(s).
-
-func put64[T number](dst []byte, s []T) {
-	for ; len(s) >= 4 && len(dst) >= 32; dst, s = dst[32:], s[4:] {
-		d, v := dst[:32:32], s[:4:4]
-		binary.LittleEndian.PutUint64(d[0:], bits64(v[0]))
-		binary.LittleEndian.PutUint64(d[8:], bits64(v[1]))
-		binary.LittleEndian.PutUint64(d[16:], bits64(v[2]))
-		binary.LittleEndian.PutUint64(d[24:], bits64(v[3]))
-	}
-	for i, v := range s {
-		binary.LittleEndian.PutUint64(dst[8*i:], bits64(v))
-	}
-}
-
-func get64[T number](s []T, src []byte) {
-	for ; len(s) >= 4 && len(src) >= 32; src, s = src[32:], s[4:] {
-		d, v := src[:32:32], s[:4:4]
-		v[0] = of64[T](binary.LittleEndian.Uint64(d[0:]))
-		v[1] = of64[T](binary.LittleEndian.Uint64(d[8:]))
-		v[2] = of64[T](binary.LittleEndian.Uint64(d[16:]))
-		v[3] = of64[T](binary.LittleEndian.Uint64(d[24:]))
-	}
-	for i := range s {
-		s[i] = of64[T](binary.LittleEndian.Uint64(src[8*i:]))
-	}
-}
-
-func put32[T number](dst []byte, s []T) {
-	for ; len(s) >= 4 && len(dst) >= 16; dst, s = dst[16:], s[4:] {
-		d, v := dst[:16:16], s[:4:4]
-		binary.LittleEndian.PutUint32(d[0:], bits32(v[0]))
-		binary.LittleEndian.PutUint32(d[4:], bits32(v[1]))
-		binary.LittleEndian.PutUint32(d[8:], bits32(v[2]))
-		binary.LittleEndian.PutUint32(d[12:], bits32(v[3]))
-	}
-	for i, v := range s {
-		binary.LittleEndian.PutUint32(dst[4*i:], bits32(v))
-	}
-}
-
-func get32[T number](s []T, src []byte) {
-	for ; len(s) >= 4 && len(src) >= 16; src, s = src[16:], s[4:] {
-		d, v := src[:16:16], s[:4:4]
-		v[0] = of32[T](binary.LittleEndian.Uint32(d[0:]))
-		v[1] = of32[T](binary.LittleEndian.Uint32(d[4:]))
-		v[2] = of32[T](binary.LittleEndian.Uint32(d[8:]))
-		v[3] = of32[T](binary.LittleEndian.Uint32(d[12:]))
-	}
-	for i := range s {
-		s[i] = of32[T](binary.LittleEndian.Uint32(src[4*i:]))
-	}
+// wireBytes is the memory of s's elements, which is their encoding: on
+// every host this package builds for (hostorder.go) a number is stored
+// little-endian and as wide as it travels, so element i's wire bytes are
+// bytes [i*width, (i+1)*width) of the slice's backing array. A numeric
+// slice is sent from it and received into it, with no pass of its own.
+func wireBytes[T number](s []T) []byte {
+	var zero T
+	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(s))), len(s)*int(unsafe.Sizeof(zero)))
 }
 
 // window sets *p to n elements, in its own backing array when n fits,
@@ -228,16 +179,21 @@ func (x scalarVar) shape() (byte, int) { return x.class, x.width }
 func (x scalarVar) count() int         { return 1 }
 func (x scalarVar) span() (int, int)   { return 0, 1 }
 
-func (x scalarVar) put(dst []byte, _ int) {
+func (x scalarVar) put(dst []byte, _, _ int) ([]byte, []byte) {
 	v := x.load()
-	for i := range dst {
-		dst[i] = byte(v >> (8 * i))
+	for i := range x.width {
+		dst = append(dst, byte(v>>(8*i)))
 	}
+	return dst, nil
 }
 
-func (x scalarVar) get(src []byte, n, _ int) error {
+func (x scalarVar) get(in *stream, n, _, _ int) error {
 	if n != 1 {
 		return fmt.Errorf("scalar with count %d", n)
+	}
+	src := in.take(x.width)
+	if in.err != nil {
+		return in.err
 	}
 	var v uint64
 	for i, b := range src {
@@ -252,12 +208,19 @@ func (x scalarVar) get(src []byte, n, _ int) error {
 
 type stringVar struct{ p *string }
 
-func (x stringVar) shape() (byte, int)    { return classString, 1 }
-func (x stringVar) count() int            { return len(*x.p) }
-func (x stringVar) span() (int, int)      { return 0, len(*x.p) }
-func (x stringVar) put(dst []byte, _ int) { copy(dst, *x.p) }
+func (x stringVar) shape() (byte, int) { return classString, 1 }
+func (x stringVar) count() int         { return len(*x.p) }
+func (x stringVar) span() (int, int)   { return 0, len(*x.p) }
 
-func (x stringVar) get(src []byte, _, _ int) error {
+func (x stringVar) put(dst []byte, _, _ int) ([]byte, []byte) {
+	return append(dst, *x.p...), nil
+}
+
+func (x stringVar) get(in *stream, _, _, body int) error {
+	src := in.take(body)
+	if in.err != nil {
+		return in.err
+	}
 	// The comparison does not allocate: a label that did not change costs
 	// nothing to receive.
 	if *x.p != string(src) {
@@ -266,19 +229,9 @@ func (x stringVar) get(src []byte, _, _ int) error {
 	return nil
 }
 
-type bytesVar struct{ p *[]byte }
-
-func (x bytesVar) shape() (byte, int)       { return classUint | kindSlice, 1 }
-func (x bytesVar) count() int               { return len(*x.p) }
-func (x bytesVar) span() (int, int)         { return numSpan(*x.p) }
-func (x bytesVar) put(dst []byte, lead int) { copy(dst, (*x.p)[lead:]) }
-
-func (x bytesVar) get(src []byte, n, lead int) error {
-	copy(window(x.p, n, lead, len(src)), src)
-	return nil
-}
-
-// numSlice is a slice of any numeric type but byte.
+// numSlice is a slice of any numeric type. It travels as its own memory
+// (wireBytes): put hands out its elements as they lie, and get reads them
+// straight into its backing array.
 type numSlice[T number] struct {
 	p     *[]T
 	class byte
@@ -294,39 +247,10 @@ func (x numSlice[T]) shape() (byte, int) { return x.class | kindSlice, x.width }
 func (x numSlice[T]) count() int         { return len(*x.p) }
 func (x numSlice[T]) span() (int, int)   { return numSpan(*x.p) }
 
-func (x numSlice[T]) put(dst []byte, lead int) {
-	s := (*x.p)[lead : lead+len(dst)/x.width]
-	switch x.width {
-	case 1:
-		for i, v := range s {
-			dst[i] = byte(v)
-		}
-	case 2:
-		for i, v := range s {
-			binary.LittleEndian.PutUint16(dst[2*i:], uint16(v))
-		}
-	case 4:
-		put32(dst, s)
-	default:
-		put64(dst, s)
-	}
+func (x numSlice[T]) put(dst []byte, lead, body int) ([]byte, []byte) {
+	return dst, wireBytes((*x.p)[lead : lead+body])
 }
 
-func (x numSlice[T]) get(src []byte, n, lead int) error {
-	s := window(x.p, n, lead, len(src)/x.width)
-	switch x.width {
-	case 1:
-		for i := range s {
-			s[i] = T(src[i])
-		}
-	case 2:
-		for i := range s {
-			s[i] = T(binary.LittleEndian.Uint16(src[2*i:]))
-		}
-	case 4:
-		get32(s, src)
-	default:
-		get64(s, src)
-	}
-	return nil
+func (x numSlice[T]) get(in *stream, n, lead, body int) error {
+	return in.fill(wireBytes(window(x.p, n, lead, body)))
 }

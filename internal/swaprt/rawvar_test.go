@@ -3,13 +3,17 @@ package swaprt
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/hex"
 	"math"
+	"math/rand"
+	"os"
+	"strings"
 	"testing"
 )
 
-// oraclePut and oracleGet are the per-element loops the move kernels
-// replaced, as f64Slice, f32Slice and intSlice had them: what put and
-// get of a numeric slice must do, one bounds check an element.
+// oraclePut and oracleGet are the per-element loops that moved a numeric
+// slice before it travelled as its own memory: what put and get of a
+// numeric slice must do, one element at a time, on any host.
 func oraclePut[T number](dst []byte, s []T, width int) {
 	switch s := any(s).(type) {
 	case []float64:
@@ -99,10 +103,12 @@ func fromBits[T number](w uint64) T {
 	return v
 }
 
-// checkKernels holds one slice kind's put and get to the oracle, bit for
-// bit, for every length up to 67 (past two rounds of either kernel, every
-// tail length) and every window [lead, lead+body) of it.
-func checkKernels[T number](t *testing.T) {
+// checkView holds one slice kind's view (wireBytes) to the oracle,
+// bit for bit, for every length up to 67 and every window [lead,
+// lead+body) of it: put hands out the bytes the oracle writes, and get
+// reads them back through the view into a receiver that held something
+// else, to what the oracle reads.
+func checkView[T number](t *testing.T) {
 	var s []T
 	raw := bindRaw(&s)
 	_, width := raw.shape()
@@ -119,19 +125,19 @@ func checkKernels[T number](t *testing.T) {
 		for lead := 0; lead <= n; lead++ {
 			for body := 0; lead+body <= n; body++ {
 				s = full
-				got := make([]byte, body*width)
-				raw.put(got, lead)
+				head, got := raw.put(nil, lead, body)
 				want := image(full[lead : lead+body])
-				if !bytes.Equal(got, want) {
-					t.Fatalf("%T: put of [%d, %d+%d) of %d wrote\n%x, want\n%x", s, lead, lead, body, n, got, want)
+				if len(head) != 0 || !bytes.Equal(got, want) {
+					t.Fatalf("%T: put of [%d, %d+%d) of %d appended %x and handed out\n%x, want\n%x", s, lead, lead, body, n, head, got, want)
 				}
 				// Into a receiver that holds something else, of another length.
 				s = make([]T, (n+lead+body)%3*40)
 				for i := range s {
 					s[i] = fromBits[T](math.MaxUint64)
 				}
-				if err := raw.get(want, n, lead); err != nil {
-					t.Fatal(err)
+				in := stream{r: bytes.NewReader(want), left: len(want)}
+				if err := raw.get(&in, n, lead, body); err != nil || in.left != 0 {
+					t.Fatalf("%T: get of [%d, %d+%d) of %d: %v, %d bytes left", s, lead, lead, body, n, err, in.left)
 				}
 				back := make([]T, n)
 				oracleGet(back[lead:lead+body], want, width)
@@ -169,7 +175,7 @@ func checkTrimmedBlob[T number](t *testing.T) {
 			got := make([]T, 7, 80)
 			ss := newStateSet()
 			ss.register("x", &got)
-			if err := ss.decode(blob); err != nil {
+			if err := ss.decodeBlob(blob); err != nil {
 				t.Fatal(err)
 			}
 			full, back := make([]byte, n*width), make([]byte, len(got)*width)
@@ -183,20 +189,74 @@ func checkTrimmedBlob[T number](t *testing.T) {
 }
 
 // TestMoveKernelsMatchTheLoopsTheyReplace: every raw slice kind, every
-// length from 0 to 67, every window — the unrolled kernels and their
-// tails write and read exactly the bytes the per-element loops did.
+// length from 0 to 67, every window — a slice's memory, which travels in
+// place of the move kernels' output, holds exactly the bytes the
+// per-element loops write, and reading those bytes through it gives
+// exactly what the loops read.
 func TestMoveKernelsMatchTheLoopsTheyReplace(t *testing.T) {
-	check := func(kernels, blob func(*testing.T)) { kernels(t); blob(t) }
-	check(checkKernels[int], checkTrimmedBlob[int])
-	check(checkKernels[int8], checkTrimmedBlob[int8])
-	check(checkKernels[int16], checkTrimmedBlob[int16])
-	check(checkKernels[int32], checkTrimmedBlob[int32])
-	check(checkKernels[int64], checkTrimmedBlob[int64])
-	check(checkKernels[uint], checkTrimmedBlob[uint])
-	check(checkKernels[uint16], checkTrimmedBlob[uint16])
-	check(checkKernels[uint32], checkTrimmedBlob[uint32])
-	check(checkKernels[uint64], checkTrimmedBlob[uint64])
-	check(checkKernels[uintptr], checkTrimmedBlob[uintptr])
-	check(checkKernels[float32], checkTrimmedBlob[float32])
-	check(checkKernels[float64], checkTrimmedBlob[float64])
+	check := func(view, blob func(*testing.T)) { view(t); blob(t) }
+	check(checkView[int], checkTrimmedBlob[int])
+	check(checkView[int8], checkTrimmedBlob[int8])
+	check(checkView[int16], checkTrimmedBlob[int16])
+	check(checkView[int32], checkTrimmedBlob[int32])
+	check(checkView[int64], checkTrimmedBlob[int64])
+	check(checkView[uint], checkTrimmedBlob[uint])
+	check(checkView[uint8], checkTrimmedBlob[uint8])
+	check(checkView[uint16], checkTrimmedBlob[uint16])
+	check(checkView[uint32], checkTrimmedBlob[uint32])
+	check(checkView[uint64], checkTrimmedBlob[uint64])
+	check(checkView[uintptr], checkTrimmedBlob[uintptr])
+	check(checkView[float32], checkTrimmedBlob[float32])
+	check(checkView[float64], checkTrimmedBlob[float64])
+}
+
+// TestPartsMatchTheOneBufferEncoding: the parts encoder's parts,
+// concatenated, are byte for byte what the encoder wrote into one buffer
+// before numeric slices travelled as their own memory. testdata/
+// state_blobs.hex holds that encoder's output for sixteen seeded
+// randomKinds states — trimmed and whole slices of every kind, nil and
+// empty ones, a flattened struct and a gob section — one per line, and
+// the same seed rebuilds the same states here.
+func TestPartsMatchTheOneBufferEncoding(t *testing.T) {
+	golden, err := os.ReadFile("testdata/state_blobs.hex")
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Fields(string(golden))
+	if len(lines) != 16 {
+		t.Fatalf("%d golden blobs, want 16", len(lines))
+	}
+	rng := rand.New(rand.NewSource(19))
+	trimmed, whole := 0, 0
+	for i, line := range lines {
+		want, err := hex.DecodeString(line)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ss := newStateSet()
+		randomKinds(rng).register(ss)
+		got, err := ss.encodeBlob(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("state %d: parts concatenate to\n%x\nwant\n%x", i, got, want)
+		}
+		for _, v := range ss.vars {
+			if v.raw == nil {
+				continue
+			}
+			if kind, _, _, _, body := layout(v.raw); kind&kindTrimmed != 0 {
+				trimmed++
+			} else if kind&kindSlice != 0 && body > 0 {
+				whole++
+			}
+		}
+		if ss.nGob == 0 || ss.gobSize == 0 {
+			t.Fatalf("state %d has no gob section", i)
+		}
+	}
+	if trimmed == 0 || whole == 0 {
+		t.Fatalf("%d trimmed and %d whole slices in the golden states, want both", trimmed, whole)
+	}
 }

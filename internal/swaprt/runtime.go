@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"fmt"
 	"io"
-	"slices"
 	"sync"
 	"time"
 
@@ -217,21 +216,40 @@ type Session struct {
 	iterStart time.Time
 	swaps     int // swaps this rank participated in (in or out)
 
-	// buf is this rank's message buffer: the state is encoded into it on
-	// the way out (behind the 8-byte epoch), then the swap's outcome, and
-	// a checkpoint is staged in it. Send and Write copy before they
-	// return, so it is reused by the next message, swap or checkpoint
-	// instead of being allocated per swap (keepBuf).
-	buf []byte
+	// buf is this rank's message buffer: on the way out the state's
+	// headers and scalars are encoded into it (behind the 8-byte epoch),
+	// then the swap's outcome, and a checkpoint from a reader that cannot
+	// say its length is staged in it. Send and Write are done with it when
+	// they return, so it is reused by the next message, swap or checkpoint
+	// instead of being allocated per swap (keepBuf). parts is the list of
+	// the state's pieces, buf's and the numeric slices' own memory
+	// (stateSet.appendParts), kept for the same reason and cleared after
+	// each use; staged reads a staged checkpoint.
+	buf    []byte
+	parts  [][]byte
+	staged bytes.Reader
+	// The spare's receive of a state: sink reads it into the registered
+	// variables (readState), bound once, when the session is made; want
+	// is the epoch it awaits, and got the epoch and the size of the state
+	// it last read.
+	sink    mpi.Sink
+	want    uint64
+	got     [8]byte
+	gotSize int
 	// A swap point's scratch, kept from one to the next: this rank's
-	// encoded rate and, on the leader, the decoded rates; this rank's
-	// vote, the comm ranks of the round's outgoing ranks, and the votes
-	// they sent.
+	// encoded rate and, on the leader, the decoded rates and the encoded
+	// plan; the decoded plan; this rank's vote, the comm ranks of the
+	// round's outgoing ranks, the votes they sent and the round's verdict;
+	// a spare's ack.
 	rate     [8]byte
 	rates    []float64
+	plan     []byte
+	planned  []SwapDirective
 	vote     []byte
 	outgoing []int
 	votes    [][]byte
+	verdict  []byte
+	ack      [8]byte
 
 	// The leader's record of a proposed round: its decision's predictions
 	// and the boundaries of its phases (recordRound).
@@ -378,6 +396,7 @@ func RunWithStats(world *mpi.World, cfg Config, body func(s *Session) error) (Ru
 			state:     newStateSet(),
 			activeSet: append([]int(nil), initial...),
 		}
+		s.sink = s.readState
 		for _, m := range initial {
 			if m == r.Rank() {
 				s.active = true
@@ -475,31 +494,40 @@ func every(clk clock.Clock, d time.Duration, fn func() bool) (stop func()) {
 // iteration boundary; the blob restores with LoadCheckpoint in a later
 // run that registered the same names.
 func (s *Session) SaveCheckpoint(w io.Writer) error {
-	data, err := s.state.appendTo(s.buf[:0])
+	head, parts, err := s.state.appendParts(s.buf[:0], s.parts)
 	if err != nil {
 		return err
 	}
-	s.keepBuf(data)
-	_, err = w.Write(data)
+	s.keepBuf(head)
+	for _, p := range parts {
+		if _, err = w.Write(p); err != nil {
+			break
+		}
+	}
+	clear(parts)
+	s.parts = parts[:0]
 	return err
 }
 
 // LoadCheckpoint restores registered state previously written by
-// SaveCheckpoint.
+// SaveCheckpoint. A reader that says how much it holds (a Len method:
+// bytes.Reader, bytes.Buffer, strings.Reader) is decoded from as it is
+// read, every numeric slice straight into its memory; any other is read
+// to its end into the rank's message buffer first, because the decoder
+// checks every count against the bytes that are there.
 func (s *Session) LoadCheckpoint(r io.Reader) error {
-	// Read into the rank's own buffer, sized up front when the reader
-	// says how much it holds (MinRead more, so finding io.EOF does not
-	// grow it).
-	n := 0
 	if sized, ok := r.(interface{ Len() int }); ok {
-		n = sized.Len()
+		return s.state.decode(r, sized.Len())
 	}
-	buf := bytes.NewBuffer(slices.Grow(s.buf[:0], n+bytes.MinRead))
+	buf := bytes.NewBuffer(s.buf[:0])
 	if _, err := buf.ReadFrom(r); err != nil {
 		return err
 	}
-	s.keepBuf(buf.Bytes())
-	return s.state.decode(buf.Bytes())
+	data := buf.Bytes()
+	s.keepBuf(data)
+	s.staged.Reset(data)
+	defer s.staged.Reset(nil)
+	return s.state.decode(&s.staged, len(data))
 }
 
 // stateSizeEstimate reports the encoded size of the registered state for

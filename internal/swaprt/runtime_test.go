@@ -341,7 +341,7 @@ func TestStateSetRoundTrip(t *testing.T) {
 	a.register("x", &x)
 	a.register("n", &n)
 	a.register("m", &m)
-	blob, err := a.appendTo(nil)
+	blob, err := a.encodeBlob(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -353,7 +353,7 @@ func TestStateSetRoundTrip(t *testing.T) {
 	b.register("x", &x2)
 	b.register("n", &n2)
 	b.register("m", &m2)
-	if err := b.decode(blob); err != nil {
+	if err := b.decodeBlob(blob); err != nil {
 		t.Fatal(err)
 	}
 	if n2 != 42 || len(x2) != 3 || x2[2] != 3 || m2["k"] != 7 {
@@ -365,12 +365,12 @@ func TestStateSetMismatchedNames(t *testing.T) {
 	a := newStateSet()
 	x := 1
 	a.register("x", &x)
-	blob, _ := a.appendTo(nil)
+	blob, _ := a.encodeBlob(nil)
 
 	b := newStateSet()
 	y := 1
 	b.register("y", &y)
-	if err := b.decode(blob); err == nil {
+	if err := b.decodeBlob(blob); err == nil {
 		t.Fatal("mismatched registration decoded successfully")
 	}
 }

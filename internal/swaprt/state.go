@@ -11,12 +11,12 @@
 package swaprt
 
 import (
-	"bytes"
 	"encoding"
 	"encoding/binary"
 	"encoding/gob"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"reflect"
 	"slices"
@@ -94,9 +94,8 @@ func kindString(kind byte, width int) string {
 	return fmt.Sprintf("kind(0x%02x)", kind)
 }
 
-// rawVar moves one registered variable between memory and the message
-// buffer with no intermediate copy. Implementations are bound once, at
-// Register.
+// rawVar moves one registered variable between memory and the wire.
+// Implementations are bound once, at Register.
 type rawVar interface {
 	// shape is the kind byte (without kindTrimmed) and the element width.
 	shape() (kind byte, width int)
@@ -105,12 +104,14 @@ type rawVar interface {
 	// span is the range [lead, lead+body) outside which a numeric slice
 	// holds only zeros; anything else reports (0, count()).
 	span() (lead, body int)
-	// put writes the len(dst)/width elements from lead on to dst.
-	put(dst []byte, lead int)
-	// get overwrites the variable with n elements: the len(src)/width
-	// from lead on read from src, zeros around them. A slice keeps its
-	// backing array when n fits.
-	get(src []byte, n, lead int) error
+	// put hands over the body elements from lead on as they travel: a
+	// scalar or a string appended to dst, a numeric slice as view, its own
+	// memory, with dst returned as it was.
+	put(dst []byte, lead, body int) (out, view []byte)
+	// get overwrites the variable with n elements: the body from lead on
+	// read from in, zeros around them. A slice keeps its backing array
+	// when n fits, and its elements are read straight into it.
+	get(in *stream, n, lead, body int) error
 }
 
 // stateVar is one entry of the state: a registered variable, or one
@@ -140,6 +141,10 @@ type stateSet struct {
 
 	// zerosLimit is maxZerosAlloc (tests lower it).
 	zerosLimit int
+
+	// in is the decoder's source, kept so that a decode allocates nothing
+	// of its own.
+	in stream
 }
 
 func newStateSet() *stateSet { return &stateSet{zerosLimit: maxZerosAlloc} }
@@ -261,24 +266,30 @@ func layout(raw rawVar) (kind byte, width, count, lead, body int) {
 	return kind, width, count, 0, count
 }
 
-// rawSize is the exact encoded size of everything but the gob stream.
-func (ss *stateSet) rawSize() int {
-	n := stateHdrLen + 8
+// rawSize is the exact encoded size of everything but the gob stream:
+// head is what appendParts appends to its buffer, views what it leaves
+// in the numeric slices' memory.
+func (ss *stateSet) rawSize() (head, views int) {
+	head = stateHdrLen + 8
 	for _, v := range ss.vars {
-		n += varHdrLen + len(v.name)
+		head += varHdrLen + len(v.name)
 		if v.raw != nil {
 			kind, w, _, _, body := layout(v.raw)
 			if kind&kindTrimmed != 0 {
-				n += trimHdrLen
+				head += trimHdrLen
 			}
-			n += body * w
+			if kind&kindSlice != 0 {
+				views += body * w
+			} else {
+				head += body * w
+			}
 		}
 	}
-	return n
+	return head, views
 }
 
-// encodedSize reports the size of what appendTo would append now. It is
-// exact and O(#vars) for raw kinds. The gob section is measured by encoding it
+// encodedSize reports the size of what appendParts would encode now. It
+// is exact and O(#vars) for raw kinds. The gob section is measured by encoding it
 // the first time after a gob variable is registered and otherwise taken
 // from the last encode; when it cannot be encoded the error is returned
 // with the raw size plus the last good gob size, so an unencodable
@@ -288,14 +299,23 @@ func (ss *stateSet) encodedSize() (int, error) {
 	if ss.gobStale {
 		_, err = ss.appendGob(nil)
 	}
-	return ss.rawSize() + ss.gobSize, err
+	head, views := ss.rawSize()
+	return head + views + ss.gobSize, err
 }
 
-// appendTo appends the encoding of the registered variables to dst,
-// growing it once, to the exact size when the gob section is empty or
-// unchanged in length.
-func (ss *stateSet) appendTo(dst []byte) ([]byte, error) {
-	dst = slices.Grow(dst, ss.rawSize()+ss.gobSize)
+// appendParts encodes the registered variables as the parts of one
+// payload, which is their concatenation. Every numeric slice's elements
+// are a part of their own, the slice's own memory (wireBytes); dst
+// collects everything else — the headers, the scalars and strings, the
+// gob section — behind what it held, and the parts between the slices
+// are its pieces, so the first part starts with what dst held. parts is
+// reused for the list. dst grows once, to the exact size when the gob
+// section is empty or unchanged in length. The parts are valid until a
+// registered variable or dst changes.
+func (ss *stateSet) appendParts(dst []byte, parts [][]byte) ([]byte, [][]byte, error) {
+	head, _ := ss.rawSize()
+	dst = slices.Grow(dst, head+ss.gobSize)
+	parts, from := parts[:0], 0
 	dst = append(dst, stateMagic...)
 	dst = append(dst, stateVersion)
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(ss.vars)))
@@ -314,18 +334,38 @@ func (ss *stateSet) appendTo(dst []byte) ([]byte, error) {
 			dst = binary.LittleEndian.AppendUint64(dst, uint64(lead))
 			dst = binary.LittleEndian.AppendUint64(dst, uint64(body))
 		}
-		off := len(dst)
-		dst = dst[:off+body*w] // inside the capacity grown above
-		v.raw.put(dst[off:], lead)
+		var view []byte
+		if dst, view = v.raw.put(dst, lead, body); len(view) > 0 {
+			parts = append(parts, dst[from:], view)
+			from = len(dst)
+		}
 	}
 	lenAt := len(dst)
 	dst = binary.LittleEndian.AppendUint64(dst, 0)
 	dst, err := ss.appendGob(dst)
 	if err != nil {
-		return nil, err
+		return nil, parts[:0], err
 	}
 	binary.LittleEndian.PutUint64(dst[lenAt:], uint64(len(dst)-lenAt-8))
-	return dst, nil
+	parts = append(parts, dst[from:])
+	// dst moves if the gob section outgrew it: its pieces are the even
+	// parts, back to back, so they are cut again from where it ended up.
+	off := 0
+	for i := 0; i < len(parts); i += 2 {
+		n := len(parts[i])
+		parts[i] = dst[off : off+n : off+n]
+		off += n
+	}
+	return dst, parts, nil
+}
+
+// partsLen is the length of the payload parts make up.
+func partsLen(parts [][]byte) int {
+	n := 0
+	for _, p := range parts {
+		n += len(p)
+	}
+	return n
 }
 
 // appendGob appends one gob stream holding every gob variable and
@@ -355,32 +395,41 @@ func (w *appendWriter) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
-// decode restores registered variables from an encoded blob, which is
-// input from outside the process: the local registration must cover the
-// same names with the same kinds and element widths (the application is
-// the same program on every rank), and every count is checked against
-// the bytes that are there before anything is allocated. A raw slice is
-// decoded into the capacity it has; a gob target is zeroed first,
-// because gob omits zero struct fields and leaves map entries it was not
-// sent, so decoding over a live value would keep the receiver's stale
-// ones.
-func (ss *stateSet) decode(data []byte) error {
-	r := reader{b: data}
-	if string(r.take(len(stateMagic))) != stateMagic || r.u8() != stateVersion {
+// decode restores the registered variables from the n bytes of the
+// state format that r holds next. They are input from outside the
+// process: the local registration must cover the same names with the
+// same kinds and element widths (the application is the same program on
+// every rank), and every count is checked against the bytes still unread
+// before anything is allocated. A numeric slice's elements are read
+// straight into the capacity it has (wireBytes). A decode that fails part
+// way leaves the variables before the failure written and the one it
+// failed in partly written: a spare's state means nothing until a
+// swap-in commits, and the next full decode rewrites every element. A gob
+// target is zeroed first, because gob omits zero struct fields and leaves
+// map entries it was not sent, so decoding over a live value would keep
+// the receiver's stale ones.
+func (ss *stateSet) decode(r io.Reader, n int) error {
+	in := &ss.in
+	in.r, in.left, in.err, in.ahead = r, n, nil, nil
+	defer func() { in.r, in.ahead = nil, nil }()
+	if string(in.take(len(stateMagic))) != stateMagic || in.u8() != stateVersion {
 		return fmt.Errorf("swaprt: unsupported state format (want %q version %d)", stateMagic, stateVersion)
 	}
-	if n := int(r.u32()); r.err == nil && n != len(ss.vars) {
+	if n := int(in.u32()); in.err == nil && n != len(ss.vars) {
 		return fmt.Errorf("swaprt: state mismatch: received %d variables, registered %v", n, ss.names())
 	}
 	for _, v := range ss.vars {
-		name := r.take(int(r.u16()))
-		kind, width, count := r.u8(), int(r.u8()), r.u64()
-		if r.err != nil {
-			return r.err
+		// The name and the kind, width and count behind it are one take,
+		// in which the name is compared.
+		nl := int(in.u16())
+		hdr := in.take(nl + varHdrLen - 2)
+		if in.err != nil {
+			return in.err
 		}
-		if string(name) != v.name {
+		if name := hdr[:nl]; string(name) != v.name {
 			return fmt.Errorf("swaprt: state mismatch: received %q, registered %v", name, ss.names())
 		}
+		kind, width, count := hdr[nl], int(hdr[nl+1]), binary.LittleEndian.Uint64(hdr[nl+2:])
 		var wantKind byte = classGob
 		wantWidth := 0
 		if v.raw != nil {
@@ -399,10 +448,11 @@ func (ss *stateSet) decode(data []byte) error {
 		}
 		lead, body := uint64(0), count
 		if trimmed {
-			lead, body = r.u64(), r.u64()
-			if r.err != nil {
-				return r.err
+			trim := in.take(trimHdrLen)
+			if in.err != nil {
+				return in.err
 			}
+			lead, body = binary.LittleEndian.Uint64(trim), binary.LittleEndian.Uint64(trim[8:])
 			if lead > count || body > count-lead {
 				return fmt.Errorf("swaprt: state %q: elements [%d, %d+%d) of %d", v.name, lead, lead, body, count)
 			}
@@ -410,27 +460,31 @@ func (ss *stateSet) decode(data []byte) error {
 				return fmt.Errorf("swaprt: state %q: %d zero elements exceed the %d-byte limit", v.name, count-body, ss.zerosLimit)
 			}
 		}
-		if body > uint64(len(r.b)/width) {
-			return fmt.Errorf("swaprt: state %q: %d elements of %d bytes, %d bytes left", v.name, body, width, len(r.b))
+		if body > uint64(in.left/width) {
+			return fmt.Errorf("swaprt: state %q: %d elements of %d bytes, %d bytes left", v.name, body, width, in.left)
 		}
-		if err := v.raw.get(r.take(int(body)*width), int(count), int(lead)); err != nil {
+		if err := v.raw.get(in, int(count), int(lead), int(body)); err != nil {
 			return fmt.Errorf("swaprt: state %q: %w", v.name, err)
 		}
 	}
-	section := r.take64(r.u64())
-	if r.err != nil {
-		return r.err
-	}
-	if len(r.b) != 0 {
-		return fmt.Errorf("swaprt: state: %d trailing bytes", len(r.b))
+	size := in.u64()
+	switch {
+	case in.err != nil:
+		return in.err
+	case size > uint64(in.left):
+		return errTruncated
+	case size < uint64(in.left):
+		return fmt.Errorf("swaprt: state: %d trailing bytes", uint64(in.left)-size)
 	}
 	if ss.nGob == 0 {
-		if len(section) != 0 {
-			return fmt.Errorf("swaprt: state: %d-byte gob section, no gob variable registered", len(section))
+		if size != 0 {
+			return fmt.Errorf("swaprt: state: %d-byte gob section, no gob variable registered", size)
 		}
 		return nil
 	}
-	dec := gob.NewDecoder(bytes.NewReader(section))
+	// The section is all that is left of the stream, and gob reads it
+	// through the stream's own Read and ReadByte.
+	dec := gob.NewDecoder(in)
 	for _, v := range ss.vars {
 		if v.raw != nil {
 			continue
@@ -459,10 +513,131 @@ func zeroInPlace(ptr reflect.Value) {
 	v.SetZero()
 }
 
+// stream is the state decoder's source: r, which holds left more bytes of
+// the state. Headers and scalars are read ahead, up to lookahead bytes at
+// a time and never past the state's end, so a small state costs a few
+// reads of r and not one per field; a slice's elements beyond what was
+// read ahead go from r straight into its memory. Like reader, it makes
+// the first error stick and every later read return nothing, so a decoder
+// checks once after a group of fields; a field longer than what is left
+// is errTruncated and reads nothing.
+type stream struct {
+	r     io.Reader
+	left  int // bytes of the state not decoded yet, ahead's included
+	err   error
+	ahead []byte // read from r and not decoded yet: the tail of look
+	look  []byte // the read-ahead buffer
+	long  []byte // a field longer than look: a long name or string
+}
+
+const lookahead = 512
+
+// fail makes err the stream's error: io.EOF from r means the state ended
+// early.
+func (in *stream) fail(err error) {
+	if err == io.EOF {
+		err = io.ErrUnexpectedEOF
+	}
+	in.err = err
+}
+
+// fill reads len(b) bytes into b: a numeric slice's elements, what was
+// read ahead and then the rest straight into its memory.
+func (in *stream) fill(b []byte) error {
+	if in.err == nil && len(b) > in.left {
+		in.err = errTruncated
+	}
+	if in.err != nil {
+		return in.err
+	}
+	k := copy(b, in.ahead)
+	in.ahead = in.ahead[k:]
+	if _, err := io.ReadFull(in.r, b[k:]); err != nil {
+		in.fail(err)
+		return in.err
+	}
+	in.left -= len(b)
+	return nil
+}
+
+// take returns the next n bytes, valid until the next take. It checks n
+// against what is left before it reads or grows anything.
+func (in *stream) take(n int) []byte {
+	if in.err == nil && n > in.left {
+		in.err = errTruncated
+	}
+	if in.err != nil {
+		return nil
+	}
+	if n > len(in.ahead) {
+		if n > lookahead {
+			in.long = slices.Grow(in.long[:0], n)[:n]
+			if in.fill(in.long) != nil {
+				return nil
+			}
+			return in.long
+		}
+		if in.look == nil {
+			in.look = make([]byte, lookahead)
+		}
+		m := copy(in.look, in.ahead)
+		k, err := io.ReadAtLeast(in.r, in.look[m:min(lookahead, in.left)], n-m)
+		if err != nil {
+			in.fail(err)
+			return nil
+		}
+		in.ahead = in.look[:m+k]
+	}
+	out := in.ahead[:n]
+	in.ahead = in.ahead[n:]
+	in.left -= n
+	return out
+}
+
+// word reads a little-endian integer of size bytes.
+func (in *stream) word(size int) uint64 {
+	var v uint64
+	for i, b := range in.take(size) {
+		v |= uint64(b) << (8 * i)
+	}
+	return v
+}
+
+func (in *stream) u8() byte    { return byte(in.word(1)) }
+func (in *stream) u16() uint16 { return uint16(in.word(2)) }
+func (in *stream) u32() uint32 { return uint32(in.word(4)) }
+func (in *stream) u64() uint64 { return in.word(8) }
+
+// Read and ReadByte hand gob the rest of the stream, the gob section. A
+// source with a ReadByte is one gob does not wrap in a buffer of its own.
+func (in *stream) Read(p []byte) (int, error) {
+	if in.left == 0 {
+		return 0, io.EOF
+	}
+	p = p[:min(len(p), in.left)]
+	k := copy(p, in.ahead)
+	in.ahead = in.ahead[k:]
+	var err error
+	if k == 0 {
+		k, err = in.r.Read(p)
+	}
+	in.left -= k
+	return k, err
+}
+
+func (in *stream) ReadByte() (byte, error) {
+	if in.left == 0 {
+		return 0, io.EOF
+	}
+	if b := in.take(1); b != nil {
+		return b[0], nil
+	}
+	return 0, in.err
+}
+
 // reader consumes a message front to back. The first short read sets
 // err and every later read returns zero, so a decoder checks once after
-// a group of fields. It is shared by the state format and the plan and
-// commit messages.
+// a group of fields. It decodes the plan, commit and manager messages.
 type reader struct {
 	b   []byte
 	err error
@@ -485,24 +660,9 @@ func (r *reader) take(n int) []byte {
 	return out
 }
 
-// take64 is take for a length read off the wire.
-func (r *reader) take64(n uint64) []byte {
-	if n > uint64(len(r.b)) {
-		return r.take(len(r.b) + 1)
-	}
-	return r.take(int(n))
-}
-
 func (r *reader) u8() byte {
 	if b := r.take(1); b != nil {
 		return b[0]
-	}
-	return 0
-}
-
-func (r *reader) u16() uint16 {
-	if b := r.take(2); b != nil {
-		return binary.LittleEndian.Uint16(b)
 	}
 	return 0
 }

@@ -5,12 +5,14 @@ import (
 	"encoding/binary"
 	"encoding/gob"
 	"fmt"
+	"io"
 	"math"
 	"math/rand"
 	"reflect"
 	"runtime"
 	"strings"
 	"testing"
+	"testing/iotest"
 
 	"repro/internal/core"
 	"repro/internal/mpi"
@@ -24,11 +26,26 @@ const (
 	xPayloadAt = xCountAt + 8
 )
 
+// encodeBlob appends the encoding of the registered variables to dst as
+// one blob: the parts appendParts hands out, concatenated.
+func (ss *stateSet) encodeBlob(dst []byte) ([]byte, error) {
+	_, parts, err := ss.appendParts(nil, nil)
+	for _, p := range parts {
+		dst = append(dst, p...)
+	}
+	return dst, err
+}
+
+// decodeBlob decodes a blob held in memory.
+func (ss *stateSet) decodeBlob(blob []byte) error {
+	return ss.decode(bytes.NewReader(blob), len(blob))
+}
+
 func encodeOne(t testing.TB, name string, ptr any) []byte {
 	t.Helper()
 	ss := newStateSet()
 	ss.register(name, ptr)
-	blob, err := ss.appendTo(nil)
+	blob, err := ss.encodeBlob(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +136,7 @@ func TestStateDecodeRejects(t *testing.T) {
 			ss.register("x", tc.target)
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
-			err := ss.decode(tc.blob)
+			err := ss.decodeBlob(tc.blob)
 			runtime.ReadMemStats(&after)
 			if err == nil || !strings.Contains(err.Error(), tc.want) {
 				t.Fatalf("decode = %v, want an error containing %q", err, tc.want)
@@ -132,7 +149,7 @@ func TestStateDecodeRejects(t *testing.T) {
 
 	ss := newStateSet()
 	ss.register("y", &other)
-	if err := ss.decode(f64Blob); err == nil || !strings.Contains(err.Error(), `received "x", registered [y]`) {
+	if err := ss.decodeBlob(f64Blob); err == nil || !strings.Contains(err.Error(), `received "x", registered [y]`) {
 		t.Fatalf("decode under another name = %v", err)
 	}
 }
@@ -316,14 +333,14 @@ func TestStateRawKindsRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		blob, err := a.appendTo(nil)
+		blob, err := a.encodeBlob(nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if len(blob) != want {
 			t.Fatalf("round %d: encodedSize said %d, encode wrote %d", round, want, len(blob))
 		}
-		if err := b.decode(blob); err != nil {
+		if err := b.decodeBlob(blob); err != nil {
 			t.Fatalf("round %d: %v", round, err)
 		}
 		sv := reflect.ValueOf(src).Elem()
@@ -347,7 +364,7 @@ func TestStateRawKindsRoundTrip(t *testing.T) {
 			}
 		}
 		// The decoded state encodes to the same bytes.
-		again, err := b.appendTo(nil)
+		again, err := b.encodeBlob(nil)
 		if err != nil || !bytes.Equal(again, blob) {
 			t.Fatalf("round %d: re-encoding the decoded state gave %d bytes (%v), want the %d received", round, len(again), err, len(blob))
 		}
@@ -373,14 +390,14 @@ func TestStateTrimsZeros(t *testing.T) {
 	back := []float64{9, 9, 9}
 	ss := newStateSet()
 	ss.register("x", &back)
-	if err := ss.decode(blob); err != nil || !reflect.DeepEqual(back, grid) {
+	if err := ss.decodeBlob(blob); err != nil || !reflect.DeepEqual(back, grid) {
 		t.Fatalf("trimmed grid decoded to %d elements (%v), [n/2] = %v", len(back), err, back[min(n/2, len(back)-1)])
 	}
 	// Into a receiver with no room of its own the zeros are allocated, up
 	// to the limit.
 	ss.zerosLimit = 8*n - 81
 	back = nil
-	if err := ss.decode(blob); err == nil {
+	if err := ss.decodeBlob(blob); err == nil {
 		t.Fatalf("%d zero bytes decoded under a limit of %d", 8*n-80, ss.zerosLimit)
 	}
 
@@ -425,31 +442,39 @@ func pureRaw(n int) *stateSet {
 }
 
 // TestStateCodecAllocations is the gate on the swap path's copy budget:
-// sizing, encoding into a buffer that is large enough and decoding into
-// targets that are large enough allocate nothing, whatever the state's
-// size.
+// sizing, encoding into a buffer and a parts list that are large enough
+// and decoding into targets that are large enough allocate nothing,
+// whatever the state's size.
 func TestStateCodecAllocations(t *testing.T) {
 	src, dst := pureRaw(1<<14), pureRaw(1<<14)
 	size, err := src.encodedSize()
 	if err != nil {
 		t.Fatal(err)
 	}
-	buf := make([]byte, 0, size)
+	hs, _ := src.rawSize()
+	head, parts, err := src.appendParts(make([]byte, 0, hs), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if allocs := testing.AllocsPerRun(20, func() { src.encodedSize() }); allocs != 0 {
 		t.Errorf("encodedSize: %v allocations, want 0", allocs)
 	}
 	if allocs := testing.AllocsPerRun(20, func() {
-		if buf, err = src.appendTo(buf[:0]); err != nil {
+		if head, parts, err = src.appendParts(head[:0], parts); err != nil {
 			t.Fatal(err)
 		}
 	}); allocs != 0 {
 		t.Errorf("encode into a sized buffer: %v allocations, want 0", allocs)
 	}
-	if len(buf) != size || cap(buf) != size {
-		t.Errorf("encoded %d bytes into capacity %d, encodedSize said %d", len(buf), cap(buf), size)
+	if partsLen(parts) != size || len(head) != hs || cap(head) != hs {
+		t.Errorf("encoded %d bytes, %d into a buffer of capacity %d; encodedSize said %d, the head %d",
+			partsLen(parts), len(head), cap(head), size, hs)
 	}
+	blob, _ := src.encodeBlob(nil)
+	var rd bytes.Reader
 	if allocs := testing.AllocsPerRun(20, func() {
-		if err := dst.decode(buf); err != nil {
+		rd.Reset(blob)
+		if err := dst.decode(&rd, len(blob)); err != nil {
 			t.Fatal(err)
 		}
 	}); allocs != 0 {
@@ -596,9 +621,12 @@ func TestSwapLoopObjectBudget(t *testing.T) {
 	}
 }
 
-// TestMessageBufferKeptOnlyWhileSmall: the rank's message buffer is
-// reused from one checkpoint (or swap) to the next up to maxKeptBuf and
-// dropped beyond it, so a large process does not hold its state twice.
+// TestMessageBufferKeptOnlyWhileSmall: the rank's message buffer holds
+// what is not a numeric slice's memory, so a checkpoint (or a swap) of a
+// large process leaves it as small as its headers. A checkpoint loaded
+// from a reader that cannot say its length is staged in it, and the
+// buffer is kept after that only up to maxKeptBuf, so a large process
+// does not hold its state twice.
 func TestMessageBufferKeptOnlyWhileSmall(t *testing.T) {
 	for _, c := range []struct {
 		floats int
@@ -611,15 +639,15 @@ func TestMessageBufferKeptOnlyWhileSmall(t *testing.T) {
 			if err := s.SaveCheckpoint(&blob); err != nil {
 				return err
 			}
-			if kept := s.buf != nil; kept != c.kept {
-				t.Errorf("after saving %d KiB of state: buffer kept = %v, want %v", c.floats*8>>10, kept, c.kept)
+			if cap(s.buf) > 1<<10 {
+				t.Errorf("after saving %d KiB of state: a buffer of %d bytes, want the headers' size", c.floats*8>>10, cap(s.buf))
 			}
 			grid = grid[:0]
-			if err := s.LoadCheckpoint(bytes.NewReader(blob.Bytes())); err != nil {
+			if err := s.LoadCheckpoint(struct{ io.Reader }{bytes.NewReader(blob.Bytes())}); err != nil {
 				return err
 			}
 			if kept := s.buf != nil; kept != c.kept {
-				t.Errorf("after loading %d KiB of state: buffer kept = %v, want %v", c.floats*8>>10, kept, c.kept)
+				t.Errorf("after loading %d KiB of state from a stream: buffer kept = %v, want %v", c.floats*8>>10, kept, c.kept)
 			}
 			if len(grid) != c.floats || grid[c.floats-1] != float64(c.floats) {
 				t.Errorf("checkpoint of %d floats did not round-trip", c.floats)
@@ -635,12 +663,14 @@ func TestMessageBufferKeptOnlyWhileSmall(t *testing.T) {
 // FuzzStateDecode: whatever the bytes, decode returns an error or leaves
 // a state that re-encodes and decodes to itself, and allocates in
 // proportion to the input (plus the zeros limit, lowered here), never to
-// a count the input merely claims.
+// a count the input merely claims. The same bytes read off a stream a
+// byte or half a read at a time — the way a frame arrives off a socket
+// — reach the same verdict and the same state under the same bound.
 func FuzzStateDecode(f *testing.F) {
 	rng := rand.New(rand.NewSource(1))
 	valid := newStateSet()
 	randomKinds(rng).register(valid)
-	blob, err := valid.appendTo(nil)
+	blob, err := valid.encodeBlob(nil)
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -654,42 +684,61 @@ func FuzzStateDecode(f *testing.F) {
 		f.Add(patched(blob, func(b []byte) { b[at-2] |= kindTrimmed; binary.LittleEndian.PutUint64(b[at:], 1<<20) }))
 	}
 	f.Add(patched(blob, func(b []byte) { binary.LittleEndian.PutUint64(b[len(b)-8:], 1<<50) }))
-	// Slices that are one round of a move kernel and a tail, fully written.
+	// Slices of lengths that are not a multiple of four, fully written.
 	tails := newStateSet()
 	(&rawKinds{SF64: oddF64[:7], SF32: oddF32[:5], SI32: []int32{-1, 2, -3, 4, -5, 6}, SU64: []uint64{1, 2, 3, 4, math.MaxUint64}}).register(tails)
-	if blob, err = tails.appendTo(nil); err != nil {
+	if blob, err = tails.encodeBlob(nil); err != nil {
 		f.Fatal(err)
 	}
 	f.Add(blob)
+	// A frame that stops inside a slice's elements.
+	at := bytes.Index(blob, append([]byte{4, 0}, "SF64"...)) + 2 + 4 + 2 + 8
+	f.Add(blob[:at+3*8+5])
 
 	const zerosLimit = 1 << 16
-	f.Fuzz(func(t *testing.T, data []byte) {
+	decode := func(t *testing.T, data []byte, r io.Reader) (*rawKinds, *stateSet, error) {
 		got := &rawKinds{}
 		ss := newStateSet()
 		ss.zerosLimit = zerosLimit
 		got.register(ss)
 		nVars := uint64(len(ss.vars))
-
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		err := ss.decode(data)
+		err := ss.decode(r, len(data))
 		runtime.ReadMemStats(&after)
-		// A raw payload byte is copied once; gob's decoder costs a fixed
+		// A raw payload byte is read once; gob's decoder costs a fixed
 		// amount plus a map entry or slice element per byte of its section.
 		if alloc, bound := after.TotalAlloc-before.TotalAlloc, 64*uint64(len(data))+nVars*zerosLimit+(256<<10); alloc > bound {
-			t.Fatalf("decoding %d bytes allocated %d (bound %d)", len(data), alloc, bound)
+			t.Fatalf("decoding %d bytes (%T) allocated %d (bound %d)", len(data), r, alloc, bound)
+		}
+		return got, ss, err
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		got, ss, err := decode(t, data, bytes.NewReader(data))
+		for _, stream := range []func(io.Reader) io.Reader{iotest.OneByteReader, iotest.HalfReader} {
+			r := stream(bytes.NewReader(data))
+			streamed, _, serr := decode(t, data, r)
+			if fmt.Sprint(serr) != fmt.Sprint(err) {
+				t.Fatalf("%T: %v, read whole: %v", r, serr, err)
+			}
+			gv, sv := reflect.ValueOf(got).Elem(), reflect.ValueOf(streamed).Elem()
+			for i := 0; err == nil && i < gv.NumField(); i++ {
+				if !sameBits(gv.Field(i), sv.Field(i)) {
+					t.Fatalf("%T: %s decoded to %v, read whole to %v", r, gv.Type().Field(i).Name, sv.Field(i), gv.Field(i))
+				}
+			}
 		}
 		if err != nil {
 			return
 		}
-		blob, err := ss.appendTo(nil)
+		blob, err := ss.encodeBlob(nil)
 		if err != nil {
 			t.Fatalf("re-encode of a decoded state: %v", err)
 		}
 		back := &rawKinds{}
 		ss2 := newStateSet()
 		back.register(ss2)
-		if err := ss2.decode(blob); err != nil {
+		if err := ss2.decodeBlob(blob); err != nil {
 			t.Fatalf("decode of a re-encoded state: %v", err)
 		}
 		gv, bv := reflect.ValueOf(got).Elem(), reflect.ValueOf(back).Elem()
@@ -828,11 +877,11 @@ func TestFlattenedStructMatchesGob(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			blob, err := a.appendTo(nil)
+			blob, err := a.encodeBlob(nil)
 			if err != nil || len(blob) != size {
 				t.Fatalf("encoded %d bytes (%v), encodedSize said %d", len(blob), err, size)
 			}
-			if err := b.decode(blob); err != nil {
+			if err := b.decodeBlob(blob); err != nil {
 				t.Fatal(err)
 			}
 
@@ -931,11 +980,11 @@ func TestStructsThatStayGob(t *testing.T) {
 			if len(a.vars) != 1 || a.nGob != 1 || a.vars[0].name != "v" || a.vars[0].raw != nil {
 				t.Fatalf("registered as %v (%d gob), want the one gob entry \"v\"", a.names(), a.nGob)
 			}
-			blob, err := a.appendTo(nil)
+			blob, err := a.encodeBlob(nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := b.decode(blob); err != nil {
+			if err := b.decodeBlob(blob); err != nil {
 				t.Fatal(err)
 			}
 			if !reflect.DeepEqual(tc.junk, tc.src) {
@@ -954,11 +1003,11 @@ func TestStructsThatStayGob(t *testing.T) {
 	if len(a.vars) != 1 || a.nGob != 1 {
 		t.Fatalf("a struct with an unexported field registered as %v (%d gob)", a.names(), a.nGob)
 	}
-	blob, err := a.appendTo(nil)
+	blob, err := a.encodeBlob(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := b.decode(blob); err != nil || dst != (keepsGob{}) {
+	if err := b.decodeBlob(blob); err != nil || dst != (keepsGob{}) {
 		t.Fatalf("received %+v (%v), want the zero struct", dst, err)
 	}
 }
@@ -1012,14 +1061,14 @@ func TestFlattenedBindingRefusesGobBlob(t *testing.T) {
 	old := newStateSet()
 	old.vars = []stateVar{{name: "meta", of: "meta", ptr: &saved}} // the binding before flattening
 	old.nGob, old.gobStale = 1, true
-	blob, err := old.appendTo(nil)
+	blob, err := old.encodeBlob(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	held := benchMeta{Seed: 9, Step: 9, Pos: 9, Label: "held"}
 	ss := newStateSet()
 	ss.register("meta", &held)
-	err = ss.decode(blob)
+	err = ss.decodeBlob(blob)
 	if err == nil || !strings.Contains(err.Error(), "state mismatch: received 1 variables, registered [meta.Label meta.Pos meta.Seed meta.Step]") {
 		t.Fatalf("decode of a gob-bound struct = %v", err)
 	}

@@ -59,7 +59,7 @@ func TestStateSizeEstimateTracksResize(t *testing.T) {
 	if got := s.stateSizeEstimate(); got != first-720 {
 		t.Fatalf("estimate after shrinking to 10 floats = %g, want %g", got, first-720)
 	}
-	blob, err := s.state.appendTo(nil)
+	blob, err := s.state.encodeBlob(nil)
 	if err != nil || float64(len(blob)) != first-720 {
 		t.Fatalf("encode = %d bytes (%v), estimate said %g", len(blob), err, first-720)
 	}
@@ -148,7 +148,8 @@ func TestStateSizeEstimateUnencodableFallsBack(t *testing.T) {
 	s2 := &Session{state: newStateSet()}
 	ch2 := make(chan int)
 	s2.Register("ch2", &ch2)
-	if got, want := s2.stateSizeEstimate(), float64(s2.state.rawSize()); got != want {
+	head, views := s2.state.rawSize()
+	if got, want := s2.stateSizeEstimate(), float64(head+views); got != want {
 		t.Fatalf("estimate with no history = %g, want the raw size %g", got, want)
 	}
 }
