@@ -91,19 +91,38 @@ check: lint
 	$(GO) test ./cmd/swapexp/
 	$(GO) run ./cmd/swapexp -check
 
+# Every fuzz target for FUZZTIME each. -fuzzminimizetime 0 skips the
+# shrinking of each new interesting input: its execs go uncounted, and a
+# short run spent most of its time there at "0/sec". A crasher is still
+# reported and written to the package's testdata/fuzz, unshrunk.
+FUZZTIME ?= 30s
+FUZZ = $(GO) test -fuzztime $(FUZZTIME) -fuzzminimizetime 0 -fuzz
+
 fuzz:
-	$(GO) test -fuzz FuzzParseTraceCSV -fuzztime 30s ./internal/loadgen/
-	$(GO) test -fuzz FuzzUnpackParts -fuzztime 30s ./internal/mpi/
-	$(GO) test -fuzz FuzzUnpackFloats -fuzztime 30s ./internal/mpi/
-	$(GO) test -fuzz FuzzDecode -fuzztime 30s ./internal/mpi/wire/
-	$(GO) test -fuzz FuzzManagerFrame -fuzztime 30s ./internal/swaprt/
-	$(GO) test -fuzz FuzzStateDecode -fuzztime 30s ./internal/swaprt/
-	$(GO) test -fuzz FuzzPlanCommitDecode -fuzztime 30s ./internal/swaprt/
-	$(GO) test -fuzz FuzzStoreOpen -fuzztime 30s ./internal/swaprt/mgrstore/
-	$(GO) test -fuzz FuzzReadJSONL -fuzztime 30s ./internal/obs/
-	$(GO) test -fuzz FuzzHistory -fuzztime 30s ./internal/predict/
-	$(GO) test -fuzz FuzzSourceMatchesMathRand -fuzztime 30s ./internal/rng/
-	$(GO) test -fuzz FuzzIndexedStreamMatchesNamed -fuzztime 30s ./internal/rng/
+# load trace CSV parser
+	$(FUZZ) FuzzParseTraceCSV ./internal/loadgen/
+# a payload in parts
+	$(FUZZ) FuzzUnpackParts ./internal/mpi/
+# a payload of floats
+	$(FUZZ) FuzzUnpackFloats ./internal/mpi/
+# wire Decode (one frame format, re-encode identity)
+	$(FUZZ) FuzzDecode ./internal/mpi/wire/
+# swapmgr frame (count checked before make, re-encode identity)
+	$(FUZZ) FuzzManagerFrame ./internal/swaprt/
+# state decode (bytes and streamed, raw kinds, allocation bound)
+	$(FUZZ) FuzzStateDecode ./internal/swaprt/
+# plan / vote / commit decode (count checked before make, re-encode identity)
+	$(FUZZ) FuzzPlanCommitDecode ./internal/swaprt/
+# manager store replay (WAL + snapshot bytes, compact round trip)
+	$(FUZZ) FuzzStoreOpen ./internal/swaprt/mgrstore/
+# the trace reader (JSONL events with swap records, re-encode identity)
+	$(FUZZ) FuzzReadJSONL ./internal/obs/
+# performance history (cursors and running sum vs a linear scan)
+	$(FUZZ) FuzzHistory ./internal/predict/
+# the lazily seeded random source (math/rand draw for draw)
+	$(FUZZ) FuzzSourceMatchesMathRand ./internal/rng/
+# indexed streams (re-seeded in place, against the formatted name)
+	$(FUZZ) FuzzIndexedStreamMatchesNamed ./internal/rng/
 
 # clean removes generated result files only. It must not touch the Go
 # build/test caches (or anything under ~/.cache): CI restores and reuses

@@ -32,8 +32,8 @@ func nbodyUnderRuntime(t *testing.T, worldSize, active int, probe func(int) floa
 			st = &NBodyState{}
 		}
 		s.Register("iter", &iter)
-		// Field by field: allX and allY are unexported scratch, so &st would
-		// travel through gob, which also zeroes them on every swap-in.
+		// Field by field: allX and allY are unexported scratch, which
+		// Register refuses in a struct (&st).
 		s.Register("lo", &st.Lo)
 		s.Register("x", &st.X)
 		s.Register("y", &st.Y)

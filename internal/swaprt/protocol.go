@@ -491,23 +491,21 @@ func (s *Session) transferOut(sw SwapDirective, epoch uint64) (time.Time, ballot
 	// No copy of the state on this side: the epoch, the headers and the
 	// scalars go to s.buf, and Send takes every numeric slice from the
 	// variable's own memory. It is done with both when it returns.
-	head, parts, err := s.state.appendParts(binary.LittleEndian.AppendUint64(s.buf[:0], epoch), s.parts)
+	head, parts := s.state.appendParts(binary.LittleEndian.AppendUint64(s.buf[:0], epoch), s.parts)
 	bytes := partsLen(parts) - 8
-	if err == nil {
-		s.keepBuf(head)
-		if s.mgr.vt != nil {
-			// Virtual time moves only for what is modelled: the state
-			// crosses the link in the time the swap cost is predicted at.
-			secs := core.SwapTime(*s.cfg.LinkLatency, *s.cfg.LinkBandwidth, float64(bytes))
-			s.tl.Sleep(time.Duration(secs * float64(time.Second)))
-		}
-		err = s.r.World().Send(sw.In, tagState, parts[0], parts[1:]...)
-		clear(parts)
-		if err == nil {
-			_, err = s.await(sw.In, tagStateAck, epoch, s.tl.Now().Add(s.cfg.TransferTimeout))
-		}
+	s.keepBuf(head)
+	if s.mgr.vt != nil {
+		// Virtual time moves only for what is modelled: the state
+		// crosses the link in the time the swap cost is predicted at.
+		secs := core.SwapTime(*s.cfg.LinkLatency, *s.cfg.LinkBandwidth, float64(bytes))
+		s.tl.Sleep(time.Duration(secs * float64(time.Second)))
 	}
+	err := s.r.World().Send(sw.In, tagState, parts[0], parts[1:]...)
+	clear(parts)
 	s.parts = parts[:0]
+	if err == nil {
+		_, err = s.await(sw.In, tagStateAck, epoch, s.tl.Now().Add(s.cfg.TransferTimeout))
+	}
 	if err != nil {
 		s.abort(sw.In, s.epoch, fmt.Sprintf("state to rank %d: %v", sw.In, err))
 		return time.Time{}, ballot{outcome: outcomeFail}

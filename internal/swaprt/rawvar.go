@@ -8,12 +8,12 @@ import (
 
 // The raw kinds of the state format: fixed-width scalars, string, and
 // slices of fixed-width numerics. int, uint and uintptr travel as 64
-// bits. Only the builtin types are bound; a named type (type Grid
-// []float64) goes to the gob section, where its own GobEncoder, if it has
-// one, keeps deciding its encoding. A struct has no kind of its own: one
-// whose fields are all exported and of these kinds (or structs of them) is
-// bound as its fields, one entry each (stateSet.register), and any other
-// struct is a gob value.
+// bits. Only the builtin types are bound: a named type (type Grid
+// []float64) is refused, and registers as its builtin type
+// ((*[]float64)(&g)). A struct has no kind of its own: one whose fields
+// are all exported and of these kinds (or structs of them) is bound as its
+// fields, one entry each (stateSet.register), and any other type is
+// refused.
 
 type number interface {
 	int | int8 | int16 | int32 | int64 | uint | uint8 | uint16 | uint32 | uint64 | uintptr | float32 | float64

@@ -321,13 +321,13 @@ func (s *Session) Comm() *mpi.Comm {
 // message. So is a struct whose fields are all exported and of those
 // types, or structs of them, nested or embedded: it is bound field by
 // field here, as name.Field, exactly as if each field had been registered
-// under that name (which is therefore taken). Any other type is
-// gob-encoded whole, and a struct with one field outside the rule — a
-// map, pointer, interface, array, []string, slice of structs, named type
-// or unexported field, or a type with its own GobEncode or MarshalBinary
-// or MarshalText — is such a type: gob rebuilds it from zero on the
-// receiving rank, unexported fields included, and costs a decoder
-// compiled per swap.
+// under that name (which is therefore taken). Register panics on any other
+// type, naming the first field in the way by path and type ("st.Tags:
+// map[string]int"), and registers nothing: a map, pointer, interface,
+// array, []string, []bool, slice of structs, chan, unexported field,
+// named type (type Grid []float64 registers as (*[]float64)(&g)) or a
+// struct with its own GobEncode, MarshalBinary or MarshalText, which
+// flattening would drop.
 func (s *Session) Register(name string, ptr any) {
 	s.state.register(name, ptr)
 }
@@ -494,11 +494,9 @@ func every(clk clock.Clock, d time.Duration, fn func() bool) (stop func()) {
 // iteration boundary; the blob restores with LoadCheckpoint in a later
 // run that registered the same names.
 func (s *Session) SaveCheckpoint(w io.Writer) error {
-	head, parts, err := s.state.appendParts(s.buf[:0], s.parts)
-	if err != nil {
-		return err
-	}
+	head, parts := s.state.appendParts(s.buf[:0], s.parts)
 	s.keepBuf(head)
+	var err error
 	for _, p := range parts {
 		if _, err = w.Write(p); err != nil {
 			break
@@ -534,18 +532,5 @@ func (s *Session) LoadCheckpoint(r io.Reader) error {
 // the swap-cost prediction, computed at every swap point: an application
 // that resizes a registered slice changes the next prediction.
 func (s *Session) stateSizeEstimate() float64 {
-	size, err := s.state.encodedSize()
-	if err != nil {
-		// An unencodable registered type must not silently zero the swap
-		// cost — that would make every swap look free and corrupt the
-		// payback prediction. Trace it, and predict from the size
-		// encodedSize fell back to.
-		rank := obs.RankRuntime
-		if s.r != nil {
-			rank = s.r.Rank()
-		}
-		s.emit(obs.Event{Kind: obs.KindRuntimeError, Rank: rank,
-			Detail: "state size estimate: " + err.Error()})
-	}
-	return float64(size)
+	return float64(s.state.encodedSize())
 }

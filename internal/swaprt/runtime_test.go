@@ -337,27 +337,24 @@ func TestStateSetRoundTrip(t *testing.T) {
 	a := newStateSet()
 	x := []float64{1, 2, 3}
 	n := 42
-	m := map[string]int{"k": 7}
+	p := FlatPoint{X: 7, Tag: "k"}
 	a.register("x", &x)
 	a.register("n", &n)
-	a.register("m", &m)
-	blob, err := a.encodeBlob(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	a.register("p", &p)
+	blob := a.encodeBlob(nil)
 
 	b := newStateSet()
 	var x2 []float64
 	var n2 int
-	var m2 map[string]int
+	var p2 FlatPoint
 	b.register("x", &x2)
 	b.register("n", &n2)
-	b.register("m", &m2)
+	b.register("p", &p2)
 	if err := b.decodeBlob(blob); err != nil {
 		t.Fatal(err)
 	}
-	if n2 != 42 || len(x2) != 3 || x2[2] != 3 || m2["k"] != 7 {
-		t.Fatalf("decoded x=%v n=%d m=%v", x2, n2, m2)
+	if n2 != 42 || len(x2) != 3 || x2[2] != 3 || p2 != p {
+		t.Fatalf("decoded x=%v n=%d p=%+v", x2, n2, p2)
 	}
 }
 
@@ -365,7 +362,7 @@ func TestStateSetMismatchedNames(t *testing.T) {
 	a := newStateSet()
 	x := 1
 	a.register("x", &x)
-	blob, _ := a.encodeBlob(nil)
+	blob := a.encodeBlob(nil)
 
 	b := newStateSet()
 	y := 1

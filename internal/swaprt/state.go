@@ -11,9 +11,7 @@
 package swaprt
 
 import (
-	"encoding"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
@@ -29,12 +27,13 @@ import (
 //	"SWST" version(u8) nvars(u32)
 //	per registered name, sorted:
 //	    namelen(u16) name kind(u8) width(u8) count(u64) [lead(u64) body(u64)] payload
-//	goblen(u64) gob stream of every classGob variable, in the same order
+//	goblen(u64), always 0
 //
 // payload is count*width bytes; with kindTrimmed set it is body*width
-// bytes and lead and body are present; a classGob entry has none. There
-// is one format and one version of it: a blob that does not start with
-// the magic and this version byte is refused.
+// bytes and lead and body are present. There is one format and one
+// version of it: a blob that does not start with the magic and this
+// version byte is refused, and so is an entry of kind classGob or a
+// non-zero goblen, which only an older encoder wrote.
 const (
 	stateMagic   = "SWST"
 	stateVersion = 1
@@ -50,7 +49,7 @@ const (
 	classFloat
 	classBool
 	classString
-	classGob
+	classGob // reserved: refused by the decoder
 
 	kindSlice = 0x10
 	// kindTrimmed marks a numeric slice sent without its zero prefix and
@@ -116,12 +115,9 @@ type rawVar interface {
 
 // stateVar is one entry of the state: a registered variable, or one
 // field of a registered struct that was flattened (of is then the name
-// the struct was registered under; otherwise it equals name). raw is nil
-// for a type the raw kinds do not cover: that variable travels in the gob
-// section.
+// the struct was registered under; otherwise it equals name).
 type stateVar struct {
 	name, of string
-	ptr      any
 	raw      rawVar
 }
 
@@ -130,14 +126,6 @@ type stateVar struct {
 // order was.
 type stateSet struct {
 	vars []stateVar
-	nGob int
-
-	// gobSize is the length of the gob section's stream at the last
-	// successful encode; gobStale says a gob variable was registered
-	// since. Only the gob section is measured by encoding it: every raw
-	// kind's size is read off the variable.
-	gobSize  int
-	gobStale bool
 
 	// zerosLimit is maxZerosAlloc (tests lower it).
 	zerosLimit int
@@ -152,8 +140,8 @@ func newStateSet() *stateSet { return &stateSet{zerosLimit: maxZerosAlloc} }
 // register adds a pointer under name. A raw kind is one entry; a
 // flattenable struct (see flatten) is one raw entry per field, named
 // name.Field, so a swap moves it as it moves the same fields registered
-// one by one; anything else is one gob entry. reflect runs here and not on
-// a swap. Re-registering a name panics: it is always an application bug.
+// one by one. reflect runs here and not on a swap. Any other type, and
+// re-registering a name, panics: either is always an application bug.
 func (ss *stateSet) register(name string, ptr any) {
 	if ptr == nil {
 		panic(fmt.Sprintf("swaprt: Register(%q, nil)", name))
@@ -163,10 +151,11 @@ func (ss *stateSet) register(name string, ptr any) {
 			panic(fmt.Sprintf("swaprt: state %q registered twice", name))
 		}
 	}
-	entries := []stateVar{{name: name, ptr: ptr, raw: bindRaw(ptr)}}
+	entries := []stateVar{{name: name, raw: bindRaw(ptr)}}
 	if entries[0].raw == nil {
-		if fields := flatten(nil, name, reflect.ValueOf(ptr)); fields != nil {
-			entries = fields
+		var err error
+		if entries, err = flatten(nil, name, reflect.ValueOf(ptr)); err != nil {
+			panic(fmt.Sprintf("swaprt: Register(%q): %v", name, err))
 		}
 	}
 	// Every check before the first insert: a refused registration adds
@@ -182,10 +171,6 @@ func (ss *stateSet) register(name string, ptr any) {
 	}
 	for _, e := range entries {
 		e.of = name
-		if e.raw == nil {
-			ss.nGob++
-			ss.gobStale = true
-		}
 		i, _ := ss.find(e.name)
 		ss.vars = slices.Insert(ss.vars, i, e)
 	}
@@ -198,51 +183,59 @@ func (ss *stateSet) find(name string) (int, bool) {
 	})
 }
 
-// The interfaces through which a type chooses its own gob encoding.
-var selfEncoding = []reflect.Type{
-	reflect.TypeFor[gob.GobEncoder](), reflect.TypeFor[gob.GobDecoder](),
-	reflect.TypeFor[encoding.BinaryMarshaler](), reflect.TypeFor[encoding.BinaryUnmarshaler](),
-	reflect.TypeFor[encoding.TextMarshaler](), reflect.TypeFor[encoding.TextUnmarshaler](),
+// The methods through which a type chooses its own encoding.
+var selfEncoding = []string{
+	"GobEncode", "GobDecode", "MarshalBinary", "UnmarshalBinary", "MarshalText", "UnmarshalText",
 }
 
 // flatten appends one raw entry per field of the struct ptr points at,
 // depth-first through nested and embedded structs, each named
-// prefix.Field and bound on the field's address. It returns nil unless
-// the struct is flattenable: at least one field, every field exported
-// and of a raw kind or itself a flattenable struct, and no struct on the
-// way encoding itself. It is all or nothing. A nil pointer or interface
-// field is legal inside a gob struct but not as a gob value of its own,
-// and the gob path zeroes the receiver's whole struct, unexported fields
-// included, which entries for the exported ones would not: such a struct
-// stays one gob entry.
-func flatten(out []stateVar, prefix string, ptr reflect.Value) []stateVar {
-	if ptr.Kind() != reflect.Pointer || ptr.IsNil() || ptr.Elem().Kind() != reflect.Struct {
-		return nil
+// path.Field and bound on the field's address. The struct is flattenable
+// when it has a field, every field is exported and of a raw kind or
+// itself a flattenable struct, and no struct on the way chooses its own
+// encoding, which flattening would drop; an unexported field would stay
+// as the receiver held it. Otherwise flatten says which value, by path
+// and type, is in the way.
+func flatten(out []stateVar, path string, ptr reflect.Value) ([]stateVar, error) {
+	if ptr.Kind() != reflect.Pointer || ptr.IsNil() {
+		return nil, fmt.Errorf("%s: %v, want a non-nil pointer", path, ptr.Type())
 	}
 	v := ptr.Elem()
-	for _, iface := range selfEncoding {
+	t := v.Type()
+	if t.Kind() == reflect.Slice && t.Name() != "" {
+		if u := reflect.PointerTo(reflect.SliceOf(t.Elem())); ptr.CanConvert(u) && bindRaw(ptr.Convert(u).Interface()) != nil {
+			return nil, fmt.Errorf("%s: %v is a named slice type; register (%v)(&%s)", path, t, u, path)
+		}
+	}
+	if t.Kind() != reflect.Struct {
+		return nil, fmt.Errorf("%s: %v is neither a raw kind nor a struct of them", path, t)
+	}
+	for _, m := range selfEncoding {
 		// The pointer type's method set holds the struct type's too.
-		if ptr.Type().Implements(iface) {
-			return nil
+		if _, ok := ptr.Type().MethodByName(m); ok {
+			return nil, fmt.Errorf("%s: %v has its own %s", path, t, m)
 		}
 	}
 	if v.NumField() == 0 {
-		return nil
+		return nil, fmt.Errorf("%s: %v has no field", path, t)
 	}
-	for i := 0; i < v.NumField(); i++ {
-		f := v.Type().Field(i)
+	for i := range v.NumField() {
+		f := t.Field(i)
+		name := path + "." + f.Name
 		if !f.IsExported() {
-			return nil
+			return nil, fmt.Errorf("%s: %v is unexported", name, f.Type)
 		}
-		name, fp := prefix+"."+f.Name, v.Field(i).Addr()
-		p := fp.Interface()
-		if raw := bindRaw(p); raw != nil {
-			out = append(out, stateVar{name: name, ptr: p, raw: raw})
-		} else if out = flatten(out, name, fp); out == nil {
-			return nil
+		fp := v.Field(i).Addr()
+		if raw := bindRaw(fp.Interface()); raw != nil {
+			out = append(out, stateVar{name: name, raw: raw})
+			continue
+		}
+		var err error
+		if out, err = flatten(out, name, fp); err != nil {
+			return nil, err
 		}
 	}
-	return out
+	return out, nil
 }
 
 // names returns the registered names in sorted order.
@@ -266,55 +259,43 @@ func layout(raw rawVar) (kind byte, width, count, lead, body int) {
 	return kind, width, count, 0, count
 }
 
-// rawSize is the exact encoded size of everything but the gob stream:
-// head is what appendParts appends to its buffer, views what it leaves
-// in the numeric slices' memory.
+// rawSize is the exact encoded size: head is what appendParts appends to
+// its buffer, views what it leaves in the numeric slices' memory.
 func (ss *stateSet) rawSize() (head, views int) {
 	head = stateHdrLen + 8
 	for _, v := range ss.vars {
 		head += varHdrLen + len(v.name)
-		if v.raw != nil {
-			kind, w, _, _, body := layout(v.raw)
-			if kind&kindTrimmed != 0 {
-				head += trimHdrLen
-			}
-			if kind&kindSlice != 0 {
-				views += body * w
-			} else {
-				head += body * w
-			}
+		kind, w, _, _, body := layout(v.raw)
+		if kind&kindTrimmed != 0 {
+			head += trimHdrLen
+		}
+		if kind&kindSlice != 0 {
+			views += body * w
+		} else {
+			head += body * w
 		}
 	}
 	return head, views
 }
 
-// encodedSize reports the size of what appendParts would encode now. It
-// is exact and O(#vars) for raw kinds. The gob section is measured by encoding it
-// the first time after a gob variable is registered and otherwise taken
-// from the last encode; when it cannot be encoded the error is returned
-// with the raw size plus the last good gob size, so an unencodable
-// registration does not make the swap look free.
-func (ss *stateSet) encodedSize() (int, error) {
-	var err error
-	if ss.gobStale {
-		_, err = ss.appendGob(nil)
-	}
+// encodedSize reports the size of what appendParts would encode now,
+// exactly and in O(#vars).
+func (ss *stateSet) encodedSize() int {
 	head, views := ss.rawSize()
-	return head + views + ss.gobSize, err
+	return head + views
 }
 
 // appendParts encodes the registered variables as the parts of one
 // payload, which is their concatenation. Every numeric slice's elements
 // are a part of their own, the slice's own memory (wireBytes); dst
-// collects everything else — the headers, the scalars and strings, the
-// gob section — behind what it held, and the parts between the slices
-// are its pieces, so the first part starts with what dst held. parts is
-// reused for the list. dst grows once, to the exact size when the gob
-// section is empty or unchanged in length. The parts are valid until a
+// collects everything else — the headers, the scalars and strings —
+// behind what it held, and the parts between the slices are its pieces,
+// so the first part starts with what dst held. parts is reused for the
+// list. dst grows once, to the exact size. The parts are valid until a
 // registered variable or dst changes.
-func (ss *stateSet) appendParts(dst []byte, parts [][]byte) ([]byte, [][]byte, error) {
+func (ss *stateSet) appendParts(dst []byte, parts [][]byte) ([]byte, [][]byte) {
 	head, _ := ss.rawSize()
-	dst = slices.Grow(dst, head+ss.gobSize)
+	dst = slices.Grow(dst, head)
 	parts, from := parts[:0], 0
 	dst = append(dst, stateMagic...)
 	dst = append(dst, stateVersion)
@@ -322,11 +303,6 @@ func (ss *stateSet) appendParts(dst []byte, parts [][]byte) ([]byte, [][]byte, e
 	for _, v := range ss.vars {
 		dst = binary.LittleEndian.AppendUint16(dst, uint16(len(v.name)))
 		dst = append(dst, v.name...)
-		if v.raw == nil {
-			dst = append(dst, classGob, 0)
-			dst = binary.LittleEndian.AppendUint64(dst, 0)
-			continue
-		}
 		kind, w, n, lead, body := layout(v.raw)
 		dst = append(dst, kind, byte(w))
 		dst = binary.LittleEndian.AppendUint64(dst, uint64(n))
@@ -336,27 +312,12 @@ func (ss *stateSet) appendParts(dst []byte, parts [][]byte) ([]byte, [][]byte, e
 		}
 		var view []byte
 		if dst, view = v.raw.put(dst, lead, body); len(view) > 0 {
-			parts = append(parts, dst[from:], view)
+			parts = append(parts, dst[from:len(dst):len(dst)], view)
 			from = len(dst)
 		}
 	}
-	lenAt := len(dst)
-	dst = binary.LittleEndian.AppendUint64(dst, 0)
-	dst, err := ss.appendGob(dst)
-	if err != nil {
-		return nil, parts[:0], err
-	}
-	binary.LittleEndian.PutUint64(dst[lenAt:], uint64(len(dst)-lenAt-8))
-	parts = append(parts, dst[from:])
-	// dst moves if the gob section outgrew it: its pieces are the even
-	// parts, back to back, so they are cut again from where it ended up.
-	off := 0
-	for i := 0; i < len(parts); i += 2 {
-		n := len(parts[i])
-		parts[i] = dst[off : off+n : off+n]
-		off += n
-	}
-	return dst, parts, nil
+	dst = binary.LittleEndian.AppendUint64(dst, 0) // goblen
+	return dst, append(parts, dst[from:len(dst):len(dst)])
 }
 
 // partsLen is the length of the payload parts make up.
@@ -368,33 +329,6 @@ func partsLen(parts [][]byte) int {
 	return n
 }
 
-// appendGob appends one gob stream holding every gob variable and
-// records its length.
-func (ss *stateSet) appendGob(dst []byte) ([]byte, error) {
-	if ss.nGob == 0 {
-		return dst, nil
-	}
-	w := appendWriter{dst}
-	enc := gob.NewEncoder(&w)
-	for _, v := range ss.vars {
-		if v.raw != nil {
-			continue
-		}
-		if err := enc.Encode(v.ptr); err != nil {
-			return nil, fmt.Errorf("swaprt: encode state %q: %w", v.name, err)
-		}
-	}
-	ss.gobSize, ss.gobStale = len(w.b)-len(dst), false
-	return w.b, nil
-}
-
-type appendWriter struct{ b []byte }
-
-func (w *appendWriter) Write(p []byte) (int, error) {
-	w.b = append(w.b, p...)
-	return len(p), nil
-}
-
 // decode restores the registered variables from the n bytes of the
 // state format that r holds next. They are input from outside the
 // process: the local registration must cover the same names with the
@@ -404,10 +338,7 @@ func (w *appendWriter) Write(p []byte) (int, error) {
 // straight into the capacity it has (wireBytes). A decode that fails part
 // way leaves the variables before the failure written and the one it
 // failed in partly written: a spare's state means nothing until a
-// swap-in commits, and the next full decode rewrites every element. A gob
-// target is zeroed first, because gob omits zero struct fields and leaves
-// map entries it was not sent, so decoding over a live value would keep
-// the receiver's stale ones.
+// swap-in commits, and the next full decode rewrites every element.
 func (ss *stateSet) decode(r io.Reader, n int) error {
 	in := &ss.in
 	in.r, in.left, in.err, in.ahead = r, n, nil, nil
@@ -430,21 +361,11 @@ func (ss *stateSet) decode(r io.Reader, n int) error {
 			return fmt.Errorf("swaprt: state mismatch: received %q, registered %v", name, ss.names())
 		}
 		kind, width, count := hdr[nl], int(hdr[nl+1]), binary.LittleEndian.Uint64(hdr[nl+2:])
-		var wantKind byte = classGob
-		wantWidth := 0
-		if v.raw != nil {
-			wantKind, wantWidth = v.raw.shape()
-		}
+		wantKind, wantWidth := v.raw.shape()
 		trimmed := kind&kindTrimmed != 0
 		if kind&^kindTrimmed != wantKind || width != wantWidth || (trimmed && kind&kindSlice == 0) {
 			return fmt.Errorf("swaprt: state %q: received %s, registered %s",
 				v.name, kindString(kind, width), kindString(wantKind, wantWidth))
-		}
-		if v.raw == nil {
-			if count != 0 {
-				return fmt.Errorf("swaprt: state %q: gob entry with count %d", v.name, count)
-			}
-			continue
 		}
 		lead, body := uint64(0), count
 		if trimmed {
@@ -473,44 +394,12 @@ func (ss *stateSet) decode(r io.Reader, n int) error {
 		return in.err
 	case size > uint64(in.left):
 		return errTruncated
-	case size < uint64(in.left):
-		return fmt.Errorf("swaprt: state: %d trailing bytes", uint64(in.left)-size)
-	}
-	if ss.nGob == 0 {
-		if size != 0 {
-			return fmt.Errorf("swaprt: state: %d-byte gob section, no gob variable registered", size)
-		}
-		return nil
-	}
-	// The section is all that is left of the stream, and gob reads it
-	// through the stream's own Read and ReadByte.
-	dec := gob.NewDecoder(in)
-	for _, v := range ss.vars {
-		if v.raw != nil {
-			continue
-		}
-		zeroInPlace(reflect.ValueOf(v.ptr))
-		if err := dec.Decode(v.ptr); err != nil {
-			return fmt.Errorf("swaprt: decode state %q: %w", v.name, err)
-		}
+	case size != 0:
+		return fmt.Errorf("swaprt: state: non-zero goblen %d", size)
+	case in.left != 0:
+		return fmt.Errorf("swaprt: state: %d trailing bytes", in.left)
 	}
 	return nil
-}
-
-// zeroInPlace resets the value a gob variable's pointer points at. A
-// slice keeps its backing array, cleared over its whole capacity and cut
-// to length 0: gob decodes into capacity it finds.
-func zeroInPlace(ptr reflect.Value) {
-	if ptr.Kind() != reflect.Pointer || ptr.IsNil() {
-		return // gob reports the unusable target
-	}
-	v := ptr.Elem()
-	if v.Kind() == reflect.Slice {
-		v.Slice(0, v.Cap()).Clear()
-		v.SetLen(0)
-		return
-	}
-	v.SetZero()
 }
 
 // stream is the state decoder's source: r, which holds left more bytes of
@@ -607,33 +496,6 @@ func (in *stream) u8() byte    { return byte(in.word(1)) }
 func (in *stream) u16() uint16 { return uint16(in.word(2)) }
 func (in *stream) u32() uint32 { return uint32(in.word(4)) }
 func (in *stream) u64() uint64 { return in.word(8) }
-
-// Read and ReadByte hand gob the rest of the stream, the gob section. A
-// source with a ReadByte is one gob does not wrap in a buffer of its own.
-func (in *stream) Read(p []byte) (int, error) {
-	if in.left == 0 {
-		return 0, io.EOF
-	}
-	p = p[:min(len(p), in.left)]
-	k := copy(p, in.ahead)
-	in.ahead = in.ahead[k:]
-	var err error
-	if k == 0 {
-		k, err = in.r.Read(p)
-	}
-	in.left -= k
-	return k, err
-}
-
-func (in *stream) ReadByte() (byte, error) {
-	if in.left == 0 {
-		return 0, io.EOF
-	}
-	if b := in.take(1); b != nil {
-		return b[0], nil
-	}
-	return 0, in.err
-}
 
 // reader consumes a message front to back. The first short read sets
 // err and every later read returns zero, so a decoder checks once after

@@ -28,12 +28,12 @@ const (
 
 // encodeBlob appends the encoding of the registered variables to dst as
 // one blob: the parts appendParts hands out, concatenated.
-func (ss *stateSet) encodeBlob(dst []byte) ([]byte, error) {
-	_, parts, err := ss.appendParts(nil, nil)
+func (ss *stateSet) encodeBlob(dst []byte) []byte {
+	_, parts := ss.appendParts(nil, nil)
 	for _, p := range parts {
 		dst = append(dst, p...)
 	}
-	return dst, err
+	return dst
 }
 
 // decodeBlob decodes a blob held in memory.
@@ -45,11 +45,7 @@ func encodeOne(t testing.TB, name string, ptr any) []byte {
 	t.Helper()
 	ss := newStateSet()
 	ss.register(name, ptr)
-	blob, err := ss.encodeBlob(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return blob
+	return ss.encodeBlob(nil)
 }
 
 // patched returns a copy of blob with edit applied.
@@ -95,7 +91,6 @@ func TestStateDecodeRejects(t *testing.T) {
 		f64Target  []float64
 		f64Scalar  float64
 		boolTarget bool
-		mapTarget  map[string]int
 		other      int
 	)
 	for _, tc := range []struct {
@@ -109,7 +104,7 @@ func TestStateDecodeRejects(t *testing.T) {
 		{"float64 bytes into []uint64", f64Blob, &u64Target, "received []float64, registered []uint64"},
 		{"slice into scalar", f64Blob, &f64Scalar, "received []float64, registered float64"},
 		{"scalar into slice", scalarBlob, &f64Target, "received float64, registered []float64"},
-		{"raw into gob target", f64Blob, &mapTarget, "received []float64, registered gob value"},
+		{"gob entry refused", patched(f64Blob, func(b []byte) { b[xKindAt], b[xWidthAt] = classGob, 0 }), &f64Target, "received gob value, registered []float64"},
 		{"width that is not the type's", patched(f64Blob, func(b []byte) { b[xWidthAt] = 4 }), &f64Target, "received []float32, registered []float64"},
 		{"unknown kind", patched(f64Blob, func(b []byte) { b[xKindAt] = 0x1f }), &f64Target, "received kind(0x1f)"},
 		{"count beyond the bytes", patched(f64Blob, func(b []byte) { binary.LittleEndian.PutUint64(b[xCountAt:], 1<<40) }), &f64Target, "bytes left"},
@@ -128,7 +123,7 @@ func TestStateDecodeRejects(t *testing.T) {
 		{"truncated payload", f64Blob[:xPayloadAt+10], &f64Target, "bytes left"},
 		{"truncated header", f64Blob[:xKindAt], &f64Target, "truncated"},
 		{"trailing bytes", append(append([]byte(nil), f64Blob...), 0), &f64Target, "trailing"},
-		{"gob section nobody registered for", patched(append(f64Blob[:len(f64Blob):len(f64Blob)], 1, 2, 3), func(b []byte) { b[len(b)-11] = 3 }), &f64Target, "no gob variable registered"},
+		{"non-zero goblen refused", patched(append(f64Blob[:len(f64Blob):len(f64Blob)], 1, 2, 3), func(b []byte) { b[len(b)-11] = 3 }), &f64Target, "non-zero goblen 3"},
 		{"two variables into one", patched(f64Blob, func(b []byte) { b[len(stateMagic)+1] = 2 }), &f64Target, "received 2 variables"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -162,9 +157,8 @@ type benchMeta struct {
 	Label string
 }
 
-// rawKinds is one variable of every raw kind, a struct that is flattened
-// into four more, plus a gob one so the two sections are exercised
-// together.
+// rawKinds is one variable of every raw kind and a struct that is
+// flattened into four more.
 type rawKinds struct {
 	I   int
 	I8  int8
@@ -197,8 +191,6 @@ type rawKinds struct {
 	SF64  []float64
 
 	Meta benchMeta
-
-	Gob map[string][]int
 }
 
 // register hands every field to ss under its field name.
@@ -254,8 +246,9 @@ func randomKinds(rng *rand.Rand) *rawKinds {
 		F32: oddF32[rng.Intn(len(oddF32))], F64: oddF64[rng.Intn(len(oddF64))],
 		B: rng.Intn(2) == 0, S: strings.Repeat("état ", rng.Intn(4)),
 		Meta: benchMeta{Seed: rng.Int63(), Step: int64(rng.Intn(2)), Pos: int32(rng.Uint64()), Label: strings.Repeat("m", rng.Intn(3))},
-		Gob:  map[string][]int{"k": {rng.Int()}},
 	}
+	// A draw of its own, so a seed makes the states of testdata/state_blobs.hex.
+	rng.Int()
 	v := reflect.ValueOf(k).Elem()
 	for i := 0; i < v.NumField(); i++ {
 		if f := v.Field(i); f.Kind() == reflect.Slice {
@@ -303,8 +296,6 @@ func sameBits(a, b reflect.Value) bool {
 		return math.Float64bits(a.Float()) == math.Float64bits(b.Float())
 	case reflect.Float32: // not through Float(): widening quiets a signalling NaN
 		return math.Float32bits(a.Interface().(float32)) == math.Float32bits(b.Interface().(float32))
-	case reflect.Map:
-		return reflect.DeepEqual(a.Interface(), b.Interface())
 	}
 	return a.Interface() == b.Interface()
 }
@@ -329,14 +320,8 @@ func TestStateRawKindsRoundTrip(t *testing.T) {
 				caps[i] = f.Cap()
 			}
 		}
-		want, err := a.encodedSize()
-		if err != nil {
-			t.Fatal(err)
-		}
-		blob, err := a.encodeBlob(nil)
-		if err != nil {
-			t.Fatal(err)
-		}
+		want := a.encodedSize()
+		blob := a.encodeBlob(nil)
 		if len(blob) != want {
 			t.Fatalf("round %d: encodedSize said %d, encode wrote %d", round, want, len(blob))
 		}
@@ -364,9 +349,8 @@ func TestStateRawKindsRoundTrip(t *testing.T) {
 			}
 		}
 		// The decoded state encodes to the same bytes.
-		again, err := b.encodeBlob(nil)
-		if err != nil || !bytes.Equal(again, blob) {
-			t.Fatalf("round %d: re-encoding the decoded state gave %d bytes (%v), want the %d received", round, len(again), err, len(blob))
+		if again := b.encodeBlob(nil); !bytes.Equal(again, blob) {
+			t.Fatalf("round %d: re-encoding the decoded state gave %d bytes, want the %d received", round, len(again), len(blob))
 		}
 	}
 }
@@ -412,8 +396,8 @@ func TestStateTrimsZeros(t *testing.T) {
 	}
 }
 
-// pureRaw is a state set the gob section plays no part in: the shape of
-// an iterative solver's registered state, its bookkeeping struct included.
+// pureRaw is the shape of an iterative solver's registered state, its
+// bookkeeping struct included.
 func pureRaw(n int) *stateSet {
 	iter, step, label := 7, 0.125, "solver"
 	meta := benchMeta{Seed: 20030623, Step: 7, Pos: 1, Label: "swap-small"}
@@ -435,9 +419,6 @@ func pureRaw(n int) *stateSet {
 	ss.register("idx", &idx)
 	ss.register("raw", &raw)
 	ss.register("meta", &meta)
-	if ss.nGob != 0 {
-		panic("pureRaw: the struct went to the gob section")
-	}
 	return ss
 }
 
@@ -447,22 +428,14 @@ func pureRaw(n int) *stateSet {
 // whatever the state's size.
 func TestStateCodecAllocations(t *testing.T) {
 	src, dst := pureRaw(1<<14), pureRaw(1<<14)
-	size, err := src.encodedSize()
-	if err != nil {
-		t.Fatal(err)
-	}
+	size := src.encodedSize()
 	hs, _ := src.rawSize()
-	head, parts, err := src.appendParts(make([]byte, 0, hs), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	head, parts := src.appendParts(make([]byte, 0, hs), nil)
 	if allocs := testing.AllocsPerRun(20, func() { src.encodedSize() }); allocs != 0 {
 		t.Errorf("encodedSize: %v allocations, want 0", allocs)
 	}
 	if allocs := testing.AllocsPerRun(20, func() {
-		if head, parts, err = src.appendParts(head[:0], parts); err != nil {
-			t.Fatal(err)
-		}
+		head, parts = src.appendParts(head[:0], parts)
 	}); allocs != 0 {
 		t.Errorf("encode into a sized buffer: %v allocations, want 0", allocs)
 	}
@@ -470,7 +443,7 @@ func TestStateCodecAllocations(t *testing.T) {
 		t.Errorf("encoded %d bytes, %d into a buffer of capacity %d; encodedSize said %d, the head %d",
 			partsLen(parts), len(head), cap(head), size, hs)
 	}
-	blob, _ := src.encodeBlob(nil)
+	blob := src.encodeBlob(nil)
 	var rd bytes.Reader
 	if allocs := testing.AllocsPerRun(20, func() {
 		rd.Reset(blob)
@@ -483,7 +456,7 @@ func TestStateCodecAllocations(t *testing.T) {
 	// The same through a session's checkpoint calls, on the benchmark
 	// workloads' registration (a counter, a four-field struct, a 4 KiB
 	// grid): a save into a reused buffer and a load back allocate nothing.
-	err = Run(mpi.NewWorld(1), Config{Active: 1}, func(s *Session) error {
+	err := Run(mpi.NewWorld(1), Config{Active: 1}, func(s *Session) error {
 		iter, meta, grid := 1, benchMeta{Seed: 20030623, Step: 1, Pos: 1, Label: "swap-small"}, filled((4<<10)/8)
 		s.Register("iter", &iter)
 		s.Register("meta", &meta)
@@ -670,10 +643,7 @@ func FuzzStateDecode(f *testing.F) {
 	rng := rand.New(rand.NewSource(1))
 	valid := newStateSet()
 	randomKinds(rng).register(valid)
-	blob, err := valid.encodeBlob(nil)
-	if err != nil {
-		f.Fatal(err)
-	}
+	blob := valid.encodeBlob(nil)
 	f.Add(blob)
 	f.Add(blob[:len(blob)/2])
 	f.Add(blob[:stateHdrLen])
@@ -687,9 +657,7 @@ func FuzzStateDecode(f *testing.F) {
 	// Slices of lengths that are not a multiple of four, fully written.
 	tails := newStateSet()
 	(&rawKinds{SF64: oddF64[:7], SF32: oddF32[:5], SI32: []int32{-1, 2, -3, 4, -5, 6}, SU64: []uint64{1, 2, 3, 4, math.MaxUint64}}).register(tails)
-	if blob, err = tails.encodeBlob(nil); err != nil {
-		f.Fatal(err)
-	}
+	blob = tails.encodeBlob(nil)
 	f.Add(blob)
 	// A frame that stops inside a slice's elements.
 	at := bytes.Index(blob, append([]byte{4, 0}, "SF64"...)) + 2 + 4 + 2 + 8
@@ -706,8 +674,10 @@ func FuzzStateDecode(f *testing.F) {
 		runtime.ReadMemStats(&before)
 		err := ss.decode(r, len(data))
 		runtime.ReadMemStats(&after)
-		// A raw payload byte is read once; gob's decoder costs a fixed
-		// amount plus a map entry or slice element per byte of its section.
+		// A payload byte is read once, and a count the bytes do not back
+		// is refused before anything is allocated for it: what a decode
+		// allocates is the zeros each entry may claim plus a multiple of
+		// the input.
 		if alloc, bound := after.TotalAlloc-before.TotalAlloc, 64*uint64(len(data))+nVars*zerosLimit+(256<<10); alloc > bound {
 			t.Fatalf("decoding %d bytes (%T) allocated %d (bound %d)", len(data), r, alloc, bound)
 		}
@@ -731,10 +701,7 @@ func FuzzStateDecode(f *testing.F) {
 		if err != nil {
 			return
 		}
-		blob, err := ss.encodeBlob(nil)
-		if err != nil {
-			t.Fatalf("re-encode of a decoded state: %v", err)
-		}
+		blob := ss.encodeBlob(nil)
 		back := &rawKinds{}
 		ss2 := newStateSet()
 		back.register(ss2)
@@ -830,10 +797,10 @@ func fillJunk(v reflect.Value) {
 
 // TestFlattenedStructMatchesGob: a flattenable struct comes out of the
 // field-by-field path as it comes out of gob. The receiver is full of
-// junk, gob's target is zero (the gob path zeroes its receiver first), and
-// the two results agree field for field, nil and empty slices alike — so
-// a sender's zero field overwrites the receiver's value and a shorter
-// slice leaves nothing behind.
+// junk, gob's target is a new zero value, and the two results agree
+// field for field, nil and empty slices alike — so a sender's zero field
+// overwrites the receiver's value and a shorter slice leaves nothing
+// behind.
 func TestFlattenedStructMatchesGob(t *testing.T) {
 	padded := make([]float64, 64)
 	padded[20], padded[29] = 1.5, -2.5
@@ -865,21 +832,17 @@ func TestFlattenedStructMatchesGob(t *testing.T) {
 			a, b := newStateSet(), newStateSet()
 			a.register("v", tc.src)
 			b.register("v", got.Interface())
-			if a.nGob != 0 || len(a.vars) != tc.entries {
-				t.Fatalf("registered as %d entries (%d gob): %v, want %d raw", len(a.vars), a.nGob, a.names(), tc.entries)
+			if len(a.vars) != tc.entries {
+				t.Fatalf("registered as %d entries: %v, want %d", len(a.vars), a.names(), tc.entries)
 			}
 			for _, v := range a.vars {
 				if !strings.HasPrefix(v.name, "v.") || v.of != "v" {
 					t.Fatalf("entry %q of %q, want a field of \"v\"", v.name, v.of)
 				}
 			}
-			size, err := a.encodedSize()
-			if err != nil {
-				t.Fatal(err)
-			}
-			blob, err := a.encodeBlob(nil)
-			if err != nil || len(blob) != size {
-				t.Fatalf("encoded %d bytes (%v), encodedSize said %d", len(blob), err, size)
+			size, blob := a.encodedSize(), a.encodeBlob(nil)
+			if len(blob) != size {
+				t.Fatalf("encoded %d bytes, encodedSize said %d", len(blob), size)
 			}
 			if err := b.decodeBlob(blob); err != nil {
 				t.Fatal(err)
@@ -905,110 +868,90 @@ func TestFlattenedStructMatchesGob(t *testing.T) {
 }
 
 type (
-	namedGrid  []float64
-	selfGob    struct{ A, B int }
-	selfBinary struct{ A, B int }
-	keepsGob   struct {
+	namedGrid   []float64
+	selfGob     struct{ A, B int }
+	selfBinary  struct{ A, B int }
+	hiddenField struct {
 		A      int
 		hidden int
 	}
 )
 
-func (g selfGob) GobEncode() ([]byte, error) { return []byte{byte(g.A), byte(g.B)}, nil }
-func (g *selfGob) GobDecode(b []byte) error  { g.A, g.B = int(b[0]), int(b[1]); return nil }
+// One method on the value and one on the pointer: either is the type's.
+func (selfGob) GobEncode() ([]byte, error)         { return nil, nil }
+func (*selfBinary) MarshalBinary() ([]byte, error) { return nil, nil }
 
-func (g selfBinary) MarshalBinary() ([]byte, error)  { return []byte{byte(g.B), byte(g.A)}, nil }
-func (g *selfBinary) UnmarshalBinary(b []byte) error { g.B, g.A = int(b[0]), int(b[1]); return nil }
+// mustRefuse registers ptr under name into ss and wants a panic whose
+// message holds every string of want, with nothing added to ss.
+func mustRefuse(t *testing.T, ss *stateSet, name string, ptr any, want ...string) {
+	t.Helper()
+	before := ss.names()
+	defer func() {
+		t.Helper()
+		msg := fmt.Sprint(recover())
+		for _, w := range want {
+			if !strings.Contains(msg, w) {
+				t.Errorf("Register(%q) panicked with %q, want it to name %s", name, msg, w)
+			}
+		}
+		if after := ss.names(); !reflect.DeepEqual(after, before) {
+			t.Errorf("refused Register(%q) left %v, registered before: %v", name, after, before)
+		}
+	}()
+	ss.register(name, ptr)
+	t.Errorf("Register(%q) did not panic; registered %v", name, ss.names())
+}
 
-// TestStructsThatStayGob: one field a raw entry cannot carry, or a type
-// that encodes itself, keeps the whole variable in the gob section — one
-// entry under the registered name, decoded as before: into a receiver
-// zeroed first, unexported fields included.
-func TestStructsThatStayGob(t *testing.T) {
-	seven := 7
+// TestRegisterRefuses: a type that is neither a raw kind nor a struct
+// flattened into them has no encoding, and one that chooses its own
+// encoding would lose it if flattened: Register panics, naming the first
+// value in the way by its path and type, and adds nothing.
+func TestRegisterRefuses(t *testing.T) {
+	ch := make(chan int)
 	for _, tc := range []struct {
-		name      string
-		src, junk any
+		name string
+		ptr  any
+		want []string
 	}{
 		{"map field", &struct {
 			A int
 			M map[string]int
-		}{1, map[string]int{"k": 1}}, &struct {
-			A int
-			M map[string]int
-		}{9, map[string]int{"stale": 9}}},
+		}{}, []string{"v.M: map[string]int"}},
 		{"pointer field", &struct {
 			A int
 			P *int
-		}{A: 1}, &struct {
-			A int
-			P *int
-		}{9, &seven}},
+		}{}, []string{"v.P: *int"}},
 		{"interface field", &struct {
 			A int
 			I any
-		}{A: 1}, &struct {
-			A int
-			I any
-		}{9, nil}},
-		{"array field", &struct{ V [3]float64 }{[3]float64{1, 0, 3}}, &struct{ V [3]float64 }{[3]float64{9, 9, 9}}},
-		{"[]string field", &struct{ L []string }{[]string{"a", ""}}, &struct{ L []string }{[]string{"x", "y", "z"}}},
-		{"slice of struct field", &struct{ P []FlatPoint }{[]FlatPoint{{X: 1}}}, &struct{ P []FlatPoint }{[]FlatPoint{{Y: 9}, {Tag: "z"}}}},
-		{"named-type field", &struct{ G namedGrid }{namedGrid{1, 0}}, &struct{ G namedGrid }{namedGrid{9, 9, 9}}},
+		}{}, []string{"v.I: interface {}"}},
+		{"array field", &struct{ V [3]float64 }{}, []string{"v.V: [3]float64"}},
+		{"[]string field", &struct{ L []string }{}, []string{"v.L: []string"}},
+		{"[]bool field", &struct{ L []bool }{}, []string{"v.L: []bool"}},
+		{"slice of struct field", &struct{ P []FlatPoint }{}, []string{"v.P: []swaprt.FlatPoint"}},
+		{"named-type field", &struct{ G namedGrid }{}, []string{"v.G: swaprt.namedGrid", "(*[]float64)(&v.G)"}},
+		{"named slice type", &namedGrid{1, 2}, []string{"v: swaprt.namedGrid", "(*[]float64)(&v)"}},
+		{"chan", &ch, []string{"v: chan int"}},
+		{"unexported field", &hiddenField{}, []string{"v.hidden: int", "unexported"}},
 		{"nested struct with a map", &struct {
 			A  int
 			In struct{ M map[int]int }
-		}{A: 1}, &struct {
-			A  int
-			In struct{ M map[int]int }
-		}{A: 9, In: struct{ M map[int]int }{map[int]int{9: 9}}}},
-		{"GobEncode", &selfGob{1, 0}, &selfGob{9, 9}},
-		{"MarshalBinary", &selfBinary{0, 2}, &selfBinary{9, 9}},
+		}{}, []string{"v.In.M: map[int]int"}},
+		{"GobEncode", &selfGob{}, []string{"v: swaprt.selfGob", "GobEncode"}},
+		{"MarshalBinary", &selfBinary{}, []string{"v: swaprt.selfBinary", "MarshalBinary"}},
 		{"nested struct that encodes itself", &struct {
 			A  int
 			In selfGob
-		}{1, selfGob{0, 2}}, &struct {
-			A  int
-			In selfGob
-		}{9, selfGob{9, 9}}},
-		{"struct{}", &struct{}{}, &struct{}{}},
+		}{}, []string{"v.In: swaprt.selfGob", "GobEncode"}},
+		{"struct{}", &struct{}{}, []string{"v: struct {}"}},
+		{"not a pointer", benchMeta{}, []string{"v: swaprt.benchMeta", "pointer"}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			a, b := newStateSet(), newStateSet()
-			a.register("v", tc.src)
-			b.register("v", tc.junk)
-			if len(a.vars) != 1 || a.nGob != 1 || a.vars[0].name != "v" || a.vars[0].raw != nil {
-				t.Fatalf("registered as %v (%d gob), want the one gob entry \"v\"", a.names(), a.nGob)
-			}
-			blob, err := a.encodeBlob(nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := b.decodeBlob(blob); err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(tc.junk, tc.src) {
-				t.Fatalf("received %+v, sent %+v", tc.junk, tc.src)
-			}
+			iter := 0
+			ss := newStateSet()
+			ss.register("iter", &iter)
+			mustRefuse(t, ss, "v", tc.ptr, append([]string{`Register("v")`}, tc.want...)...)
 		})
-	}
-
-	// One unexported field: gob does not send it, and the receiver's is
-	// zeroed with the rest of its struct — what per-field entries for the
-	// exported ones could not do.
-	src, dst := keepsGob{A: 0, hidden: 3}, keepsGob{A: 9, hidden: 9}
-	a, b := newStateSet(), newStateSet()
-	a.register("v", &src)
-	b.register("v", &dst)
-	if len(a.vars) != 1 || a.nGob != 1 {
-		t.Fatalf("a struct with an unexported field registered as %v (%d gob)", a.names(), a.nGob)
-	}
-	blob, err := a.encodeBlob(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := b.decodeBlob(blob); err != nil || dst != (keepsGob{}) {
-		t.Fatalf("received %+v (%v), want the zero struct", dst, err)
 	}
 }
 
@@ -1017,58 +960,40 @@ func TestStructsThatStayGob(t *testing.T) {
 // always was — refused whichever came first, naming both registrations,
 // and adding nothing.
 func TestFlattenedNamesCollide(t *testing.T) {
-	mustPanic := func(ss *stateSet, name string, ptr any, want ...string) {
-		t.Helper()
-		before := ss.names()
-		defer func() {
-			t.Helper()
-			msg := fmt.Sprint(recover())
-			for _, w := range want {
-				if !strings.Contains(msg, w) {
-					t.Errorf("Register(%q) panicked with %q, want it to name %s", name, msg, w)
-				}
-			}
-			if after := ss.names(); !reflect.DeepEqual(after, before) {
-				t.Errorf("refused Register(%q) left %v, registered before: %v", name, after, before)
-			}
-		}()
-		ss.register(name, ptr)
-		t.Errorf("Register(%q) did not panic; registered %v", name, ss.names())
-	}
 	var meta, other benchMeta
 	var seed int64
 
 	ss := newStateSet()
 	ss.register("meta", &meta)
-	mustPanic(ss, "meta.Seed", &seed, `"meta.Seed"`, `Register("meta")`)
-	mustPanic(ss, "meta", &other, `"meta" registered twice`)
-	mustPanic(ss, "meta", &seed, `"meta" registered twice`)
+	mustRefuse(t, ss, "meta.Seed", &seed, `"meta.Seed"`, `Register("meta")`)
+	mustRefuse(t, ss, "meta", &other, `"meta" registered twice`)
+	mustRefuse(t, ss, "meta", &seed, `"meta" registered twice`)
 
 	ss = newStateSet()
 	ss.register("meta.Seed", &seed)
-	mustPanic(ss, "meta", &meta, `Register("meta.Seed")`, `Register("meta")`)
+	mustRefuse(t, ss, "meta", &meta, `Register("meta.Seed")`, `Register("meta")`)
 	if got := ss.names(); len(got) != 1 {
 		t.Fatalf("after the refused struct: %v", got)
 	}
 }
 
 // TestFlattenedBindingRefusesGobBlob: a checkpoint written while a struct
-// still travelled in the gob section (one entry, not one per field) does
-// not match the registration any more: it is refused by the variable
-// count before anything is written.
+// still travelled in the gob section (one entry of kind classGob, its
+// value behind goblen) does not match the registration any more: it is
+// refused by the variable count before anything is written.
 func TestFlattenedBindingRefusesGobBlob(t *testing.T) {
-	saved := benchMeta{Seed: 1, Step: 2, Pos: 3, Label: "old"}
-	old := newStateSet()
-	old.vars = []stateVar{{name: "meta", of: "meta", ptr: &saved}} // the binding before flattening
-	old.nGob, old.gobStale = 1, true
-	blob, err := old.encodeBlob(nil)
-	if err != nil {
+	var section bytes.Buffer
+	if err := gob.NewEncoder(&section).Encode(&benchMeta{Seed: 1, Step: 2, Pos: 3, Label: "old"}); err != nil {
 		t.Fatal(err)
 	}
+	blob := binary.LittleEndian.AppendUint32([]byte(stateMagic+"\x01"), 1)
+	blob = append(binary.LittleEndian.AppendUint16(blob, 4), "meta"...)
+	blob = binary.LittleEndian.AppendUint64(append(blob, classGob, 0), 0)
+	blob = append(binary.LittleEndian.AppendUint64(blob, uint64(section.Len())), section.Bytes()...)
 	held := benchMeta{Seed: 9, Step: 9, Pos: 9, Label: "held"}
 	ss := newStateSet()
 	ss.register("meta", &held)
-	err = ss.decodeBlob(blob)
+	err := ss.decodeBlob(blob)
 	if err == nil || !strings.Contains(err.Error(), "state mismatch: received 1 variables, registered [meta.Label meta.Pos meta.Seed meta.Step]") {
 		t.Fatalf("decode of a gob-bound struct = %v", err)
 	}

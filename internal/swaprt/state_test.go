@@ -10,18 +10,20 @@ import (
 	"repro/internal/mpi"
 )
 
-// staleState is registered state whose zero-valued parts gob does not
-// put on the wire: a zero struct field, and the keys a map does not have.
+// staleState is registered state whose sender holds zero values where
+// the receiver's copy holds others: a zero field, an empty string, and a
+// nested struct that is partly zero.
 type staleState struct {
-	A, B int
-	Tags map[string]int
+	A, B  int
+	Label string
+	At    FlatPoint
 }
 
 // TestSwapInDoesNotKeepStaleFields ships {A:0, B:5} into a spare whose
-// own copy holds non-zero values everywhere. Decoding over the live
-// target kept the receiver's A and its extra map key.
+// own copy holds non-zero values everywhere: none of the receiver's
+// values survives the swap-in.
 func TestSwapInDoesNotKeepStaleFields(t *testing.T) {
-	want := staleState{A: 0, B: 5, Tags: map[string]int{"kept": 1}}
+	want := staleState{A: 0, B: 5, At: FlatPoint{Y: 1}}
 	w := mpi.NewWorld(2)
 	rt := &rateTable{rates: []float64{100, 800}} // rank 1 is a fast spare
 	var mu sync.Mutex
@@ -29,10 +31,10 @@ func TestSwapInDoesNotKeepStaleFields(t *testing.T) {
 	err := Run(w, Config{Active: 1, Policy: core.Greedy(), Probe: rt.probe},
 		func(s *Session) error {
 			iter := 0
-			st := staleState{A: 9, B: 9, Tags: map[string]int{"stale": 9}}
+			st := staleState{A: 9, B: 9, Label: "stale", At: FlatPoint{9, 9, "stale"}}
 			grid := []float64{9, 9, 9, 9}
 			if s.Active() {
-				st = staleState{A: 0, B: 5, Tags: map[string]int{"kept": 1}}
+				st = want
 				grid = []float64{0, 2}
 			}
 			s.Register("iter", &iter)
@@ -73,7 +75,7 @@ func TestSwapInDoesNotKeepStaleFields(t *testing.T) {
 func TestLoadCheckpointDoesNotKeepStaleFields(t *testing.T) {
 	var blob bytes.Buffer
 	save := staleState{A: 0, B: 5}
-	load := staleState{A: 9, B: 9, Tags: map[string]int{"stale": 9}}
+	load := staleState{A: 9, B: 9, Label: "stale", At: FlatPoint{9, 9, "stale"}}
 	for _, step := range []struct {
 		st *staleState
 		do func(*Session) error
@@ -95,16 +97,16 @@ func TestLoadCheckpointDoesNotKeepStaleFields(t *testing.T) {
 	}
 }
 
-// flatState is staleState without the map: every field exported and of a
-// raw kind, so Register binds it field by field and gob plays no part.
+// flatState has a slice field that the sender holds shorter than the
+// receiver.
 type flatState struct {
 	A, B int
 	Tags []int32
 }
 
-// TestSwapInOverwritesWithZeroFields is TestSwapInDoesNotKeepStaleFields
-// for a struct that is copied straight: the sender's zero A and its
-// shorter Tags replace the 9s the spare holds.
+// TestSwapInOverwritesWithZeroFields: the sender's zero A and its
+// shorter Tags replace the 9s the spare holds, and Tags stays in the
+// spare's own backing array.
 func TestSwapInOverwritesWithZeroFields(t *testing.T) {
 	want := flatState{A: 0, B: 5, Tags: []int32{0, 1}}
 	w := mpi.NewWorld(2)
@@ -120,9 +122,6 @@ func TestSwapInOverwritesWithZeroFields(t *testing.T) {
 			}
 			s.Register("iter", &iter)
 			s.Register("st", &st)
-			if s.state.nGob != 0 {
-				t.Errorf("registered %v with %d gob entries, want none", s.state.names(), s.state.nGob)
-			}
 			for !s.Done() && iter < 4 {
 				if s.Active() {
 					iter++
